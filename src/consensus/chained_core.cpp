@@ -1,13 +1,14 @@
-#include "consensus/chained_hotstuff.h"
+#include "consensus/chained_core.h"
 
 #include "common/log.h"
 
 namespace lumiere::consensus {
 
-ChainedHotStuff::ChainedHotStuff(const ProtocolParams& params, crypto::AuthView auth,
-                                 crypto::Signer signer, CoreCallbacks callbacks,
-                                 PacemakerHooks hooks, PayloadProvider payload_provider)
-    : params_(params),
+ChainedCore::ChainedCore(ChainRule rule, const ProtocolParams& params, crypto::AuthView auth,
+                         crypto::Signer signer, CoreCallbacks callbacks, PacemakerHooks hooks,
+                         PayloadProvider payload_provider)
+    : rule_(rule),
+      params_(params),
       auth_(auth),
       signer_(signer),
       cb_(std::move(callbacks)),
@@ -15,65 +16,96 @@ ChainedHotStuff::ChainedHotStuff(const ProtocolParams& params, crypto::AuthView 
       payload_provider_(std::move(payload_provider)),
       high_qc_(QuorumCert::genesis(Block::genesis().hash())),
       locked_qc_(high_qc_),
-      last_committed_hash_(Block::genesis().hash()) {
+      last_committed_hash_(Block::genesis().hash()),
+      votes_(auth, signer.id(), params.quorum(), hooks_, cb_, statements_) {
   LUMIERE_ASSERT(auth);
+  LUMIERE_ASSERT(rule.depth >= 2);
   params_.validate();
 }
 
-void ChainedHotStuff::on_enter_view(View v) {
+void ChainedCore::on_enter_view(View v) {
   if (v <= cur_view_) return;
   cur_view_ = v;
   pending_proposals_.erase(pending_proposals_.begin(), pending_proposals_.lower_bound(v));
-  // Report the highest QC to the new leader so its proposal extends at
-  // least one QC held by every 2f+1 quorum (liveness after view change).
+  // Report the highest QC to the new leader: the NewView-quorum gate
+  // waits for 2f+1 of these; under the responsive gate they carry QC(v-1)
+  // or, during the Delta fallback, the highest honest lock.
   cb_.send(hooks_.leader_of(v), std::make_shared<NewViewMsg>(v, high_qc_));
+  if (rule_.gate == ChainRule::Gate::kResponsiveOrDelta && hooks_.leader_of(v) == signer_.id() &&
+      cb_.schedule) {
+    // Arm the fallback: without a QC for v-1 in hand, wait Delta so the
+    // highest locked honest replica's NewView can arrive (post-GST).
+    cb_.schedule(params_.delta_cap, [this, v] {
+      fallback_elapsed_.insert(v);
+      maybe_propose();
+    });
+  }
   maybe_propose();
   maybe_vote();
 }
 
-void ChainedHotStuff::handle_new_view(ProcessId from, const NewViewMsg& msg) {
+void ChainedCore::handle_new_view(ProcessId from, const NewViewMsg& msg) {
   const View v = msg.view();
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (v < cur_view_) return;  // stale
-  if (msg.high_qc().verify(auth_, params_, &verified_)) {
-    process_qc(msg.high_qc());
+  const bool valid = msg.high_qc().verify(auth_, params_, &verified_);
+  if (valid) process_qc(msg.high_qc());
+  if (rule_.gate == ChainRule::Gate::kNewViewQuorum) {
+    // The quorum counts senders in view v, whatever QC they reported.
+    new_view_senders_.try_emplace(v, SignerSet(params_.n)).first->second.add(from);
+  } else if (!valid) {
+    return;
   }
-  auto [it, inserted] = new_view_senders_.try_emplace(v, SignerSet(params_.n));
-  (void)inserted;
-  it->second.add(from);
   maybe_propose();
 }
 
-void ChainedHotStuff::on_propose_allowed(View /*v*/) { maybe_propose(); }
-
-void ChainedHotStuff::maybe_propose() {
+void ChainedCore::maybe_propose() {
   const View v = cur_view_;
   if (v < 0) return;
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (proposed_.contains(v)) return;
   if (hooks_.may_propose && !hooks_.may_propose(v)) return;
-  const auto it = new_view_senders_.find(v);
-  if (it == new_view_senders_.end() || it->second.count() < params_.quorum()) return;
+  if (rule_.gate == ChainRule::Gate::kNewViewQuorum) {
+    const auto it = new_view_senders_.find(v);
+    if (it == new_view_senders_.end() || it->second.count() < params_.quorum()) return;
+  } else {
+    // The genesis QC (view -1) certifies view 0's parent, so view 0 is
+    // responsive by construction.
+    const bool responsive = high_qc_.view() == v - 1;
+    const bool fallback = fallback_elapsed_.contains(v) || cb_.schedule == nullptr;
+    if (!responsive && !fallback) return;
+    responsive ? ++responsive_proposals_ : ++fallback_proposals_;
+  }
 
   proposed_.insert(v);
   std::vector<std::uint8_t> payload;
   if (payload_provider_) payload = payload_provider_(v);
   Block block(high_qc_.block_hash(), v, std::move(payload), high_qc_);
-  my_proposal_hash_[v] = block.hash();
+  votes_.proposed(v, block.hash());
   store_.insert(block);
-  LOG_TRACE("p" << signer_.id() << " HS-proposes view " << v);
+  LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));
 }
 
-bool ChainedHotStuff::safe_to_vote(const Block& block) const {
+bool ChainedCore::safe_to_vote(const Block& block) const {
   if (block.view() <= last_voted_view_) return false;
-  // safeNode: extends the locked block, or carries a newer justify than
-  // our lock (the standard HotStuff disjunction).
-  if (block.justify().view() > locked_qc_.view()) return true;
-  return store_.extends(block.hash(), locked_qc_.block_hash());
+  const QuorumCert& justify = block.justify();
+  if (rule_.vote == ChainRule::Vote::kSafeNode) {
+    // safeNode: a newer justify than our lock, or extends the locked
+    // block (the standard HotStuff disjunction).
+    return justify.view() > locked_qc_.view() ||
+           store_.extends(block.hash(), locked_qc_.block_hash());
+  }
+  // Two-phase rule: the proposal must extend exactly the block its
+  // justify certifies — a Byzantine leader pairing an old QC with an
+  // unrelated parent must not collect votes — and the justify must be at
+  // least as new as our lock (>= rather than >: the lock itself may be
+  // re-proposed under the same justify after a failed view — the
+  // Jolteon/HotStuff-2 disjunction).
+  return block.parent() == justify.block_hash() && justify.view() >= locked_qc_.view();
 }
 
-void ChainedHotStuff::maybe_vote() {
+void ChainedCore::maybe_vote() {
   const auto it = pending_proposals_.find(cur_view_);
   if (it == pending_proposals_.end()) return;
   const Block& block = it->second;
@@ -86,7 +118,7 @@ void ChainedHotStuff::maybe_vote() {
                                      crypto::threshold_share(signer_, statement)));
 }
 
-void ChainedHotStuff::handle_proposal(ProcessId from, const ProposalMsg& msg) {
+void ChainedCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   const Block& block = msg.block();
   const View v = block.view();
   if (hooks_.leader_of(v) != from) return;
@@ -115,66 +147,45 @@ void ChainedHotStuff::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   maybe_vote();
 }
 
-void ChainedHotStuff::handle_vote(ProcessId /*from*/, const VoteMsg& msg) {
-  const View v = msg.view();
-  if (hooks_.leader_of(v) != signer_.id()) return;
-  // Leaders that moved past v stop assembling its QC — see (diamond-2):
-  // a QC must come from 2f+1 processors in view v over a shared interval,
-  // not from stragglers passing through v at disjoint times.
-  if (v < cur_view_) return;
-  if (closed_views_.contains(v)) return;
-  const auto proposed = my_proposal_hash_.find(v);
-  if (proposed == my_proposal_hash_.end() || proposed->second != msg.block_hash()) return;
-  auto [it, inserted] = aggregators_.try_emplace(
-      v, auth_, statements_.get(v, msg.block_hash()), params_.quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
-  if (!it->second.complete()) return;
-
-  closed_views_.insert(v);
-  if (hooks_.may_form_qc && !hooks_.may_form_qc(v)) {
-    aggregators_.erase(v);
-    return;
-  }
-  QuorumCert qc(v, msg.block_hash(), it->second.aggregate());
-  aggregators_.erase(v);
-  if (cb_.qc_formed) cb_.qc_formed(qc);
-  cb_.broadcast(std::make_shared<QcMsg>(std::move(qc)));
-}
-
-void ChainedHotStuff::handle_qc_msg(const QcMsg& msg) {
+void ChainedCore::handle_qc_msg(const QcMsg& msg) {
   if (!msg.qc().verify(auth_, params_, &verified_)) return;
   process_qc(msg.qc());
+  // The QC may have just unlocked the responsive path for a view this
+  // node already entered (QC(v-1) arriving after the view change).
+  if (rule_.gate == ChainRule::Gate::kResponsiveOrDelta) maybe_propose();
 }
 
-void ChainedHotStuff::process_qc(const QuorumCert& qc) {
+void ChainedCore::process_qc(const QuorumCert& qc) {
   if (qc.view() > high_qc_.view()) high_qc_ = qc;
-  const bool fresh = !seen_qc_views_.contains(qc.view());
-  if (fresh) {
-    seen_qc_views_.insert(qc.view());
-    if (cb_.qc_seen) cb_.qc_seen(qc);
-  }
+  const auto lock = [this](const QuorumCert& candidate) {
+    if (candidate.view() > locked_qc_.view()) locked_qc_ = candidate;
+  };
+  // The chain: qc certifies b0; each link steps from b_i to its parent,
+  // certified by b_i's justify. The commit chain is rule_.depth QCs, the
+  // lock chain one shorter. A 1-chain lock is qc itself and takes effect
+  // before qc_seen, whose pacemaker reaction can re-enter on_enter_view
+  // and vote.
+  const std::uint32_t lock_links = rule_.depth - 2;
+  if (lock_links == 0) lock(qc);
+  if (seen_qc_views_.insert(qc.view()).second && cb_.qc_seen) cb_.qc_seen(qc);
 
-  // Chain rules. b0 is the block this QC certifies.
-  const auto b0 = store_.get(qc.block_hash());
-  if (b0 == nullptr) return;
-  const QuorumCert& qc1 = b0->justify();
-  // 2-chain lock: qc -> b0 --parent--> b1 certified by qc1.
-  if (b0->parent() != qc1.block_hash()) return;
-  if (qc1.view() > locked_qc_.view()) locked_qc_ = qc1;
-
-  const auto b1 = store_.get(qc1.block_hash());
-  if (b1 == nullptr) return;
-  const QuorumCert& qc2 = b1->justify();
-  if (b1->parent() != qc2.block_hash()) return;
-  // 3-chain commit with consecutive views.
-  if (qc.view() == qc1.view() + 1 && qc1.view() == qc2.view() + 1) {
-    const auto b2 = store_.get(qc2.block_hash());
-    if (b2 != nullptr && b2->view() > last_committed_view_) commit_chain(*b2);
+  const QuorumCert* link = &qc;
+  bool consecutive = true;
+  for (std::uint32_t i = 1; i < rule_.depth; ++i) {
+    const auto block = store_.get(link->block_hash());
+    if (block == nullptr) return;
+    const QuorumCert& justify = block->justify();
+    if (block->parent() != justify.block_hash()) return;  // not a direct link
+    consecutive = consecutive && link->view() == justify.view() + 1;
+    link = &justify;  // the store keeps the block alive
+    if (i == lock_links) lock(justify);
   }
+  if (!consecutive) return;
+  const auto tip = store_.get(link->block_hash());
+  if (tip != nullptr && tip->view() > last_committed_view_) commit_chain(*tip);
 }
 
-void ChainedHotStuff::commit_chain(const Block& tip) {
+void ChainedCore::commit_chain(const Block& tip) {
   // Commit every uncommitted ancestor of `tip` (inclusive), oldest first.
   std::vector<std::shared_ptr<const Block>> chain;
   auto current = store_.get(tip.hash());
@@ -217,7 +228,7 @@ void ChainedHotStuff::commit_chain(const Block& tip) {
   }
 }
 
-void ChainedHotStuff::on_synced_block(const Block& block) {
+void ChainedCore::on_synced_block(const Block& block) {
   store_.insert(block);
   // Resume only when the exact gap the walk reported is filled: the sync
   // layer delivers a response segment deepest-first, so the requested
@@ -229,7 +240,7 @@ void ChainedHotStuff::on_synced_block(const Block& block) {
   if (tip != nullptr && tip->view() > last_committed_view_) commit_chain(*tip);
 }
 
-void ChainedHotStuff::on_message(ProcessId from, const MessagePtr& msg) {
+void ChainedCore::on_message(ProcessId from, const MessagePtr& msg) {
   switch (msg->type_id()) {
     case kNewView:
       handle_new_view(from, static_cast<const NewViewMsg&>(*msg));
@@ -238,7 +249,7 @@ void ChainedHotStuff::on_message(ProcessId from, const MessagePtr& msg) {
       handle_proposal(from, static_cast<const ProposalMsg&>(*msg));
       break;
     case kVote:
-      handle_vote(from, static_cast<const VoteMsg&>(*msg));
+      votes_.on_vote(static_cast<const VoteMsg&>(*msg), cur_view_);
       break;
     case kQcAnnounce:
       handle_qc_msg(static_cast<const QcMsg&>(*msg));

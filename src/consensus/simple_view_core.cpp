@@ -13,7 +13,8 @@ SimpleViewCore::SimpleViewCore(const ProtocolParams& params, crypto::AuthView au
       cb_(std::move(callbacks)),
       hooks_(std::move(hooks)),
       payload_provider_(std::move(payload_provider)),
-      high_qc_(QuorumCert::genesis(Block::genesis().hash())) {
+      high_qc_(QuorumCert::genesis(Block::genesis().hash())),
+      votes_(auth, signer.id(), params.quorum(), hooks_, cb_, statements_) {
   LUMIERE_ASSERT(auth);
   params_.validate();
 }
@@ -39,7 +40,7 @@ void SimpleViewCore::maybe_propose(View v) {
   std::vector<std::uint8_t> payload;
   if (payload_provider_) payload = payload_provider_(v);
   Block block(high_qc_.block_hash(), v, std::move(payload), high_qc_);
-  my_proposal_hash_[v] = block.hash();
+  votes_.proposed(v, block.hash());
   LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));
 }
@@ -62,7 +63,7 @@ void SimpleViewCore::on_message(ProcessId from, const MessagePtr& msg) {
       handle_proposal(from, static_cast<const ProposalMsg&>(*msg));
       break;
     case kVote:
-      handle_vote(from, static_cast<const VoteMsg&>(*msg));
+      votes_.on_vote(static_cast<const VoteMsg&>(*msg), cur_view_);
       break;
     case kQcAnnounce:
       handle_qc(static_cast<const QcMsg&>(*msg));
@@ -80,38 +81,6 @@ void SimpleViewCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   // fails to gather a quorum on either copy.
   if (!proposals_.contains(v)) proposals_.emplace(v, msg.block());
   maybe_vote(v);
-}
-
-void SimpleViewCore::handle_vote(ProcessId /*from*/, const VoteMsg& msg) {
-  const View v = msg.view();
-  if (hooks_.leader_of(v) != signer_.id()) return;  // not our view to lead
-  // A leader that moved past v no longer assembles its QC. Without this,
-  // votes cast by processors passing through v at *disjoint* times could
-  // combine into a QC, violating the spirit of (diamond-2) — which
-  // requires 2f+1 processors acting in view v over a non-empty interval.
-  if (v < cur_view_) return;
-  if (closed_views_.contains(v)) return;
-  const auto proposed = my_proposal_hash_.find(v);
-  if (proposed == my_proposal_hash_.end()) return;       // haven't proposed yet
-  if (proposed->second != msg.block_hash()) return;      // vote for foreign block
-  auto [it, inserted] = aggregators_.try_emplace(
-      v, auth_, statements_.get(v, msg.block_hash()), params_.quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
-  if (!it->second.complete()) return;
-
-  closed_views_.insert(v);
-  if (hooks_.may_form_qc && !hooks_.may_form_qc(v)) {
-    // Production deadline missed (Section 4): the view is forfeited.
-    LOG_TRACE("p" << signer_.id() << " forfeits QC for view " << v << " (deadline)");
-    aggregators_.erase(v);
-    return;
-  }
-  QuorumCert qc(v, msg.block_hash(), it->second.aggregate());
-  aggregators_.erase(v);
-  if (cb_.qc_formed) cb_.qc_formed(qc);
-  LOG_TRACE("p" << signer_.id() << " forms QC for view " << v);
-  cb_.broadcast(std::make_shared<QcMsg>(std::move(qc)));
 }
 
 void SimpleViewCore::handle_qc(const QcMsg& msg) {

@@ -19,6 +19,7 @@
 
 #include "consensus/core.h"
 #include "consensus/messages.h"
+#include "consensus/vote_collector.h"
 #include "crypto/authenticator.h"
 
 namespace lumiere::consensus {
@@ -45,7 +46,6 @@ class SimpleViewCore final : public ConsensusCore {
   void maybe_propose(View v);
   void maybe_vote(View v);
   void handle_proposal(ProcessId from, const ProposalMsg& msg);
-  void handle_vote(ProcessId from, const VoteMsg& msg);
   void handle_qc(const QcMsg& msg);
 
   ProtocolParams params_;
@@ -63,19 +63,13 @@ class SimpleViewCore final : public ConsensusCore {
   std::map<View, Block> proposals_;
   /// Views in which this node has already broadcast its own proposal.
   std::set<View> proposed_;
-  /// Hash this node proposed per view (votes must match it).
-  std::map<View, crypto::Digest> my_proposal_hash_;
-  /// Vote aggregation for views this node leads.
-  std::map<View, crypto::QuorumAggregator> aggregators_;
-  /// Views for which this node's QC formation is finished (formed) or
-  /// forfeited (missed the pacemaker's production deadline).
-  std::set<View> closed_views_;
   /// Views for which some QC has already been observed (dedupe).
   std::set<View> seen_qc_views_;
   /// Hot-path memos: per-(view, block) vote statements and fingerprints
   /// of QCs that already passed full verification.
   StatementCache statements_;
   QcVerifyCache verified_;
+  VoteCollector votes_;
 };
 
 }  // namespace lumiere::consensus

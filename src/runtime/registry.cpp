@@ -3,8 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "consensus/chained_hotstuff.h"
-#include "consensus/hotstuff2.h"
+#include "consensus/chained_core.h"
 #include "consensus/simple_view_core.h"
 #include "core/basic_lumiere.h"
 #include "core/lumiere.h"
@@ -100,22 +99,18 @@ void register_builtin_cores(ProtocolRegistry& registry) {
                                                        std::move(ctx.hooks),
                                                        std::move(ctx.payload_provider));
   });
-  registry.register_core("chained-hotstuff", [](CoreContext&& ctx) {
-    auto core = std::make_unique<consensus::ChainedHotStuff>(ctx.params, ctx.auth, ctx.signer,
-                                                             std::move(ctx.callbacks),
-                                                             std::move(ctx.hooks),
-                                                             std::move(ctx.payload_provider));
-    core->set_checkpoint_adoption(ctx.config.checkpoint_adoption);
-    return core;
-  });
-  registry.register_core("hotstuff-2", [](CoreContext&& ctx) {
-    auto core = std::make_unique<consensus::HotStuff2>(ctx.params, ctx.auth, ctx.signer,
-                                                       std::move(ctx.callbacks),
-                                                       std::move(ctx.hooks),
-                                                       std::move(ctx.payload_provider));
-    core->set_checkpoint_adoption(ctx.config.checkpoint_adoption);
-    return core;
-  });
+  // Both chained protocols are one core under two chain rules.
+  const auto chained = [](consensus::ChainRule rule) {
+    return [rule](CoreContext&& ctx) {
+      auto core = std::make_unique<consensus::ChainedCore>(
+          rule, ctx.params, ctx.auth, ctx.signer, std::move(ctx.callbacks), std::move(ctx.hooks),
+          std::move(ctx.payload_provider));
+      core->set_checkpoint_adoption(ctx.config.checkpoint_adoption);
+      return core;
+    };
+  };
+  registry.register_core("chained-hotstuff", chained(consensus::ChainRule::hotstuff()));
+  registry.register_core("hotstuff-2", chained(consensus::ChainRule::hotstuff2()));
 }
 
 std::string unknown_name_message(const char* kind, const std::string& name,

@@ -7,8 +7,7 @@
 // tests/pacemaker/fever_test.cpp).
 #include <gtest/gtest.h>
 
-#include "consensus/chained_hotstuff.h"
-#include "consensus/hotstuff2.h"
+#include "consensus/chained_core.h"
 #include "consensus/simple_view_core.h"
 #include "testutil/core_harness.h"
 
@@ -20,8 +19,8 @@ namespace {
 /// proposal landed), the leader then moves on, and the two stragglers'
 /// votes arrive late. The QC for view 1 must never form.
 template <typename Core>
-void expect_no_late_qc() {
-  testutil::CoreHarness<Core> h(7);
+void expect_no_late_qc(ChainRule rule = ChainRule::hotstuff()) {
+  testutil::CoreHarness<Core> h(7, Duration::micros(10), nullptr, rule);
   h.enter_view_all(0);
   ASSERT_TRUE(h.all_saw_qc(0));
 
@@ -57,9 +56,13 @@ void expect_no_late_qc() {
 
 TEST(VoteWindowTest, SimpleViewCoreDropsLateVotes) { expect_no_late_qc<SimpleViewCore>(); }
 
-TEST(VoteWindowTest, ChainedHotStuffDropsLateVotes) { expect_no_late_qc<ChainedHotStuff>(); }
+TEST(VoteWindowTest, ChainedHotStuffDropsLateVotes) {
+  expect_no_late_qc<ChainedCore>(ChainRule::hotstuff());
+}
 
-TEST(VoteWindowTest, HotStuff2DropsLateVotes) { expect_no_late_qc<HotStuff2>(); }
+TEST(VoteWindowTest, HotStuff2DropsLateVotes) {
+  expect_no_late_qc<ChainedCore>(ChainRule::hotstuff2());
+}
 
 /// Votes arriving while the leader is still *in* the view are aggregated
 /// even when voters trickle in — (diamond-2) needs a shared interval,

@@ -5,10 +5,10 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "consensus/chained_hotstuff.h"
-#include "consensus/hotstuff2.h"
+#include "consensus/chained_core.h"
 #include "consensus/simple_view_core.h"
 #include "crypto/authenticator.h"
 #include "sim/delay_policy.h"
@@ -27,8 +27,10 @@ class CoreHarness {
     std::vector<crypto::Digest> committed;
   };
 
+  /// `rule` picks the chain rule when Core is ChainedCore (else unused).
   explicit CoreHarness(std::uint32_t n, Duration delay = Duration::micros(10),
-                       std::function<bool(View)> may_form_qc = nullptr)
+                       std::function<bool(View)> may_form_qc = nullptr,
+                       consensus::ChainRule rule = consensus::ChainRule::hotstuff())
       : params_(ProtocolParams::for_n(n, Duration::millis(10))),
         auth_(crypto::make_authenticator(crypto::kDefaultScheme, n, 99)),
         network_(&sim_, n, TimePoint::origin(), params_.delta_cap,
@@ -42,6 +44,7 @@ class CoreHarness {
       cb.broadcast = [this, id](MessagePtr msg) { network_.broadcast(id, msg); };
       cb.qc_seen = [this, id](const consensus::QuorumCert& qc) {
         nodes_[id].qcs_seen.push_back(qc);
+        if (on_qc_seen) on_qc_seen(id, qc);
       };
       cb.qc_formed = [this, id](const consensus::QuorumCert& qc) {
         nodes_[id].qcs_formed.push_back(qc);
@@ -57,14 +60,26 @@ class CoreHarness {
         return static_cast<ProcessId>(v >= 0 ? v % n : 0);
       };
       hooks.may_form_qc = may_form_qc;
-      nodes_[id].core = std::make_unique<Core>(params_, crypto::AuthView(auth_.get()),
-                                               auth_->signer_for(id), std::move(cb),
-                                               std::move(hooks));
+      const crypto::AuthView auth(auth_.get());
+      if constexpr (std::is_same_v<Core, consensus::ChainedCore>) {
+        nodes_[id].core = std::make_unique<Core>(rule, params_, auth, auth_->signer_for(id),
+                                                 std::move(cb), std::move(hooks));
+      } else {
+        nodes_[id].core = std::make_unique<Core>(params_, auth, auth_->signer_for(id),
+                                                 std::move(cb), std::move(hooks));
+      }
       network_.register_endpoint(id, [this, id](ProcessId from, const MessagePtr& msg) {
         nodes_[id].core->on_message(from, msg);
       });
     }
   }
+
+  CoreHarness(std::uint32_t n, consensus::ChainRule rule)
+      : CoreHarness(n, Duration::micros(10), nullptr, rule) {}
+
+  /// Test hook run inside CoreCallbacks::qc_seen, where a pacemaker
+  /// would react (e.g. by moving the core into the next view).
+  std::function<void(ProcessId, const consensus::QuorumCert&)> on_qc_seen;
 
   /// Moves every core into view v and drains the network.
   void enter_view_all(View v) {

@@ -7,6 +7,7 @@
 
 #include <functional>
 
+#include "adversary/behaviors.h"
 #include "crypto/authenticator.h"
 #include "obs/spec.h"
 #include "runtime/cluster.h"
@@ -119,8 +120,9 @@ crypto::Digest golden_fold_digest(
     const char* pacemaker;
     const char* core;
   };
-  // One run per protocol family exercises all three cores and three
-  // pacemaker shapes over the same scripted partition.
+  // One run per protocol family exercises both chain rules of the chained
+  // core and three pacemaker shapes over the same scripted partition
+  // (simple-view commits nothing, so it has no ledger to fold).
   constexpr Proto kProtos[] = {{"lumiere", "chained-hotstuff"},
                                {"cogsworth", "chained-hotstuff"},
                                {"lp22", "hotstuff-2"}};
@@ -236,6 +238,55 @@ crypto::Digest golden_dissem_fold_digest() {
 
 TEST(WorkloadDeterminismTest, GoldenDissemLedgersSurviveRefactors) {
   EXPECT_EQ(golden_dissem_fold_digest().hex(), kGoldenDissemHex);
+}
+
+// Block-sync golden: the tests/sync/block_sync_sim_test.cpp schedule
+// (n = 7, lumiere, one equivocator, a crash window that loses proposals,
+// block sync on), shortened to 10 s, once per chained core. It pins what
+// the folds above never reach: Byzantine input, the per-view stale-block
+// cap, and the fetch + resume path of the commit walk. Each ledger entry
+// is folded with its commit time, and each node's sync counters with it.
+crypto::Digest golden_sync_fold_digest(const char* core) {
+  constexpr std::uint32_t kN = 7;
+  ScenarioBuilder builder;
+  builder.params(ProtocolParams::for_n(kN, Duration::millis(10)));
+  builder.pacemaker("lumiere");
+  builder.core(core);
+  builder.seed(1907);
+  builder.delay(std::make_shared<sim::FixedDelay>(Duration::millis(1)));
+  builder.behaviors(adversary::byzantine_set(
+      {0}, [](ProcessId) { return adversary::make_behavior("equivocator"); }));
+  builder.crash(6, TimePoint(Duration::seconds(2).ticks()));
+  builder.recover(6, TimePoint(Duration::seconds(6).ticks()));
+  builder.block_sync();
+  Cluster cluster(builder);
+  cluster.run_for(Duration::seconds(10));
+  // The shortened run still reaches the path it is here to pin: the
+  // crash victim backfills the lost window through block sync.
+  EXPECT_GT(cluster.node(6).synchronizer()->blocks_accepted(), 0U) << core;
+  crypto::Sha256 fold;
+  for (ProcessId id = 0; id < kN; ++id) {
+    ser::Writer w;
+    for (const auto& entry : cluster.node(id).ledger().entries()) {
+      w.view(entry.view);
+      w.digest(entry.hash);
+      w.time_point(entry.committed_at);
+    }
+    if (const auto* sync = cluster.node(id).synchronizer()) {
+      w.u64(sync->fetches_sent());
+      w.u64(sync->fetches_served());
+      w.u64(sync->blocks_accepted());
+    }
+    fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
+  }
+  return fold.finish();
+}
+
+TEST(WorkloadDeterminismTest, GoldenSyncLedgersSurviveRefactors) {
+  EXPECT_EQ(golden_sync_fold_digest("chained-hotstuff").hex(),
+            "90fc27588de6b2b5ef3ef6ffe1c56d2dc6416c0afbb191c3645003e408c1f889");
+  EXPECT_EQ(golden_sync_fold_digest("hotstuff-2").hex(),
+            "d5f97111d8b90c1c8273583dcb1096f211d303b5cc29dd861806f8eb9f076ef2");
 }
 
 TEST(WorkloadDeterminismTest, DifferentSeedsDiverge) {
