@@ -42,12 +42,12 @@ bool EquivocatorBehavior::allow_send(TimePoint /*now*/, ProcessId /*to*/, const 
 void EquivocatorBehavior::on_view_entered(TimePoint /*now*/, View v, const Toolkit& toolkit) {
   if (toolkit.leader_of(v) != toolkit.self) return;
   const consensus::QuorumCert& high = toolkit.high_qc();
-  const std::vector<std::uint8_t> payload_a = {0xAA};
-  const std::vector<std::uint8_t> payload_b = {0xBB};
-  auto block_a = std::make_shared<consensus::ProposalMsg>(
-      consensus::Block(high.block_hash(), v, payload_a, high));
-  auto block_b = std::make_shared<consensus::ProposalMsg>(
-      consensus::Block(high.block_hash(), v, payload_b, high));
+  const auto propose = [&](std::uint8_t tag) {
+    return std::make_shared<consensus::ProposalMsg>(std::make_shared<const consensus::Block>(
+        high.block_hash(), v, std::vector<std::uint8_t>{tag}, high));
+  };
+  const auto block_a = propose(0xAA);
+  const auto block_b = propose(0xBB);
   const std::uint32_t n = toolkit.params->n;
   for (ProcessId to = 0; to < n; ++to) {
     toolkit.raw_send(to, to < n / 2 ? block_a : block_b);

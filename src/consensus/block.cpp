@@ -20,20 +20,21 @@ void Block::compute_hash() {
 }
 
 const Block& Block::genesis() {
-  static const Block g = [] {
+  // Shared like every other block: each BlockStore holds this allocation.
+  static const std::shared_ptr<const Block> g = [] {
     Block b;
     b.parent_ = crypto::Digest{};
     b.view_ = -1;
     b.justify_ = QuorumCert();  // overwritten below to self-certify
     b.compute_hash();
-    Block with_qc;
-    with_qc.parent_ = b.parent_;
-    with_qc.view_ = b.view_;
-    with_qc.justify_ = QuorumCert::genesis(b.hash());
-    with_qc.hash_ = b.hash();  // genesis identity excludes its own QC
-    return with_qc;
+    std::shared_ptr<Block> with_qc(new Block());
+    with_qc->parent_ = b.parent_;
+    with_qc->view_ = b.view_;
+    with_qc->justify_ = QuorumCert::genesis(b.hash());
+    with_qc->hash_ = b.hash();  // genesis identity excludes its own QC
+    return std::shared_ptr<const Block>(std::move(with_qc));
   }();
-  return g;
+  return *g;
 }
 
 void Block::serialize(ser::Writer& w) const {
@@ -43,29 +44,22 @@ void Block::serialize(ser::Writer& w) const {
   justify_.serialize(w);
 }
 
-std::optional<Block> Block::deserialize(ser::Reader& r) {
-  Block b;
-  if (!r.digest(b.parent_)) return std::nullopt;
-  if (!r.view(b.view_)) return std::nullopt;
-  if (!r.bytes(b.payload_)) return std::nullopt;
+std::shared_ptr<const Block> Block::deserialize(ser::Reader& r) {
+  crypto::Digest parent;
+  View view = -1;
+  std::vector<std::uint8_t> payload;
+  if (!r.digest(parent) || !r.view(view) || !r.bytes(payload)) return nullptr;
   auto justify = QuorumCert::deserialize(r);
-  if (!justify) return std::nullopt;
-  b.justify_ = std::move(*justify);
-  b.compute_hash();
-  return b;
+  if (!justify) return nullptr;
+  // The constructor recomputes the hash from the received fields.
+  return std::make_shared<const Block>(parent, view, std::move(payload), std::move(*justify));
 }
 
-BlockStore::BlockStore() {
-  auto g = std::make_shared<const Block>(Block::genesis());
-  blocks_.emplace(g->hash(), std::move(g));
-}
+BlockStore::BlockStore() { insert(Block::genesis().shared_from_this()); }
 
-std::shared_ptr<const Block> BlockStore::insert(Block block) {
-  const auto it = blocks_.find(block.hash());
-  if (it != blocks_.end()) return it->second;
-  auto ptr = std::make_shared<const Block>(std::move(block));
-  blocks_.emplace(ptr->hash(), ptr);
-  return ptr;
+std::shared_ptr<const Block> BlockStore::insert(std::shared_ptr<const Block> block) {
+  const crypto::Digest hash = block->hash();
+  return blocks_.try_emplace(hash, std::move(block)).first->second;
 }
 
 std::shared_ptr<const Block> BlockStore::get(const crypto::Digest& hash) const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -16,7 +15,17 @@ namespace lumiere::consensus {
 /// An immutable proposed block. `justify` is the QC the proposer extends
 /// (chained-HotStuff style); SimpleViewCore also carries it so that every
 /// block is self-certifying about its parent's quorum.
-class Block {
+///
+/// A block is allocated once and shared read-only, as
+/// `std::shared_ptr<const Block>`, by every holder in the process: the
+/// proposal message, each replica's BlockStore and pending-proposal slot,
+/// block-sync responses and ledger entries. Sharing is safe because a
+/// Block cannot change after construction and its hash is computed once,
+/// by the constructor (deserialize constructs from the received fields,
+/// so a decoded block's hash is always recomputed): every holder sees the
+/// same bytes under the same content address. Never copy a Block; pass
+/// the pointer. `shared_from_this()` recovers it from a reference.
+class Block : public std::enable_shared_from_this<Block> {
  public:
   Block(crypto::Digest parent, View view, std::vector<std::uint8_t> payload, QuorumCert justify);
 
@@ -30,7 +39,8 @@ class Block {
   [[nodiscard]] const QuorumCert& justify() const noexcept { return justify_; }
 
   void serialize(ser::Writer& w) const;
-  [[nodiscard]] static std::optional<Block> deserialize(ser::Reader& r);
+  /// Decodes one block into a new allocation; nullptr on malformed input.
+  [[nodiscard]] static std::shared_ptr<const Block> deserialize(ser::Reader& r);
 
   bool operator==(const Block& other) const noexcept { return hash_ == other.hash_; }
 
@@ -45,14 +55,15 @@ class Block {
   crypto::Digest hash_;
 };
 
-/// Content-addressed block storage per node. Blocks are kept by shared
-/// pointer so different indices share one allocation.
+/// Content-addressed block storage per node. It keeps the allocation the
+/// proposal or sync response carried, not a copy.
 class BlockStore {
  public:
   BlockStore();
 
-  /// Inserts a block (idempotent); returns the stored pointer.
-  std::shared_ptr<const Block> insert(Block block);
+  /// Inserts a block (idempotent); returns the stored pointer, which is
+  /// the earlier allocation when the hash was already known.
+  std::shared_ptr<const Block> insert(std::shared_ptr<const Block> block);
 
   [[nodiscard]] std::shared_ptr<const Block> get(const crypto::Digest& hash) const;
   [[nodiscard]] bool contains(const crypto::Digest& hash) const;

@@ -80,8 +80,9 @@ void ChainedCore::maybe_propose() {
   proposed_.insert(v);
   std::vector<std::uint8_t> payload;
   if (payload_provider_) payload = payload_provider_(v);
-  Block block(high_qc_.block_hash(), v, std::move(payload), high_qc_);
-  votes_.proposed(v, block.hash());
+  auto block =
+      std::make_shared<const Block>(high_qc_.block_hash(), v, std::move(payload), high_qc_);
+  votes_.proposed(v, block->hash());
   store_.insert(block);
   LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));
@@ -108,7 +109,7 @@ bool ChainedCore::safe_to_vote(const Block& block) const {
 void ChainedCore::maybe_vote() {
   const auto it = pending_proposals_.find(cur_view_);
   if (it == pending_proposals_.end()) return;
-  const Block& block = it->second;
+  const Block& block = *it->second;
   if (!safe_to_vote(block)) return;
   if (cb_.payload_ok && !cb_.payload_ok(block)) return;
   last_voted_view_ = block.view();
@@ -140,10 +141,10 @@ void ChainedCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
     if (admitted >= kMaxStaleBlocksPerView) return;
     ++admitted;
   }
-  store_.insert(block);
+  auto stored = store_.insert(msg.shared_block());
   process_qc(block.justify());  // a proposal piggybacks the QC it extends
   if (v < cur_view_) return;    // too late to vote
-  if (!pending_proposals_.contains(v)) pending_proposals_.emplace(v, block);
+  pending_proposals_.try_emplace(v, std::move(stored));
   maybe_vote();
 }
 
@@ -224,12 +225,12 @@ void ChainedCore::commit_chain(const Block& tip) {
     last_committed_hash_ = (*it)->hash();
     stale_stored_.erase(stale_stored_.begin(),
                         stale_stored_.upper_bound(last_committed_view_));
-    if (cb_.decided) cb_.decided(**it);
+    if (cb_.decided) cb_.decided(*it);
   }
 }
 
 void ChainedCore::on_synced_block(const Block& block) {
-  store_.insert(block);
+  store_.insert(block.shared_from_this());
   // Resume only when the exact gap the walk reported is filled: the sync
   // layer delivers a response segment deepest-first, so the requested
   // block lands last and the walk crosses the whole segment in one pass

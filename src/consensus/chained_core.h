@@ -145,7 +145,7 @@ class ChainedCore final : public ConsensusCore {
   std::uint64_t responsive_proposals_ = 0;
   std::uint64_t fallback_proposals_ = 0;
   std::set<View> proposed_;
-  std::map<View, Block> pending_proposals_;
+  std::map<View, std::shared_ptr<const Block>> pending_proposals_;
   std::set<View> seen_qc_views_;
   /// Hot-path memos: per-(view, block) vote statements and fingerprints
   /// of QCs that already passed full verification.

@@ -37,8 +37,9 @@ struct CoreCallbacks {
   /// Fired when any valid QC is observed (own or received); the pacemaker
   /// consumes these to bump clocks / advance views.
   std::function<void(const QuorumCert& qc)> qc_seen;
-  /// SMR commit (chained HotStuff / HotStuff-2).
-  std::function<void(const Block& block)> decided;
+  /// SMR commit (chained HotStuff / HotStuff-2). Passes the stored block
+  /// itself, so the ledger can keep a reference instead of a copy.
+  std::function<void(const std::shared_ptr<const Block>& block)> decided;
   /// Crash recovery (ProtocolConfig::checkpoint_adoption): the core is
   /// about to make `base` its first decided block even though base's
   /// parent is outside this node's history — base is a certified
@@ -100,9 +101,10 @@ class ConsensusCore {
 
   /// Block sync delivered a verified block (content-addressed and
   /// parent-linked to a hash this core reported via
-  /// CoreCallbacks::fetch_missing). Committing cores store it and resume
-  /// the stalled commit walk; the default no-op suits cores that never
-  /// commit (simple-view).
+  /// CoreCallbacks::fetch_missing). Committing cores store it — the
+  /// response's allocation, via shared_from_this — and resume the stalled
+  /// commit walk; the default no-op suits cores that never commit
+  /// (simple-view).
   virtual void on_synced_block(const Block& block) { (void)block; }
 
   /// Serve a block-sync fetch from this core's store (nullptr = unknown).

@@ -58,7 +58,7 @@ bool KvStore::apply_one_span(std::span<const std::uint8_t> command) {
   }
 }
 
-std::size_t KvStore::apply(const std::vector<std::uint8_t>& payload) {
+std::size_t KvStore::apply(std::span<const std::uint8_t> payload) {
   std::size_t applied_now = 0;
   for (const auto& command : Mempool::split_batch(payload)) {
     if (apply_one(command)) ++applied_now;

@@ -28,7 +28,7 @@ class KvStore {
   /// Executes one committed block payload (a Mempool batch). Malformed
   /// commands are skipped deterministically (all replicas skip the same
   /// ones); returns the number of commands applied.
-  std::size_t apply(const std::vector<std::uint8_t>& payload);
+  std::size_t apply(std::span<const std::uint8_t> payload);
 
   /// Executes a single command (the body of a workload request, already
   /// unwrapped from the batch framing). Returns false on a malformed

@@ -2,19 +2,20 @@
 
 namespace lumiere::consensus {
 
-void Ledger::commit(const Block& block, TimePoint at) {
+void Ledger::commit(std::shared_ptr<const Block> block, TimePoint at) {
   if (!entries_.empty()) {
     const CommittedEntry& prev = entries_.back();
-    LUMIERE_ASSERT_MSG(block.view() > prev.view, "ledger: commit views must increase");
-    LUMIERE_ASSERT_MSG(block.parent() == prev.hash,
+    LUMIERE_ASSERT_MSG(block->view() > prev.view, "ledger: commit views must increase");
+    LUMIERE_ASSERT_MSG(block->parent() == prev.hash,
                        "ledger: committed chain broken (safety violation)");
   } else {
-    LUMIERE_ASSERT_MSG(block.parent() == base_parent_,
+    LUMIERE_ASSERT_MSG(block->parent() == base_parent_,
                        "ledger: first commit must extend its base "
                        "(genesis, or the adopted checkpoint)");
   }
-  entries_.push_back(
-      CommittedEntry{block.view(), block.hash(), block.parent(), block.payload(), at});
+  const std::span<const std::uint8_t> payload(block->payload().data(), block->payload().size());
+  entries_.push_back(CommittedEntry{block->view(), block->hash(), block->parent(),
+                                    std::move(block), payload, at});
 }
 
 void Ledger::adopt_base(const crypto::Digest& parent) {

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/assert.h"
@@ -10,12 +12,15 @@
 
 namespace lumiere::consensus {
 
-/// One committed block, in commit order.
+/// One committed block, in commit order. It references the committed
+/// block (the allocation the core's store holds) instead of copying it.
 struct CommittedEntry {
   View view = -1;
   crypto::Digest hash;
   crypto::Digest parent;
-  std::vector<std::uint8_t> payload;
+  std::shared_ptr<const Block> block;
+  /// The block's payload bytes, viewed in place; `block` keeps them alive.
+  std::span<const std::uint8_t> payload;
   TimePoint committed_at;
 };
 
@@ -26,7 +31,7 @@ class Ledger {
  public:
   /// Appends a committed block. Asserts view monotonicity and parent-hash
   /// continuity — a violation here is a consensus-safety bug.
-  void commit(const Block& block, TimePoint at);
+  void commit(std::shared_ptr<const Block> block, TimePoint at);
 
   /// Crash recovery: declares that this (still empty) ledger's first
   /// commit extends `parent` — a certified checkpoint adopted by the

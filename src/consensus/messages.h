@@ -19,33 +19,39 @@ enum MsgType : std::uint32_t {
   kNewView = 0x1004,
 };
 
-/// Leader's proposal for a view.
+/// Leader's proposal for a view. A broadcast hands every recipient this
+/// one message, so every replica stores the same block allocation.
 class ProposalMsg final : public Message {
  public:
-  explicit ProposalMsg(Block block) : block_(std::move(block)) {}
+  explicit ProposalMsg(std::shared_ptr<const Block> block) : block_(std::move(block)) {}
+  /// Allocates the shared block from a value (tests, micro-benchmarks).
+  explicit ProposalMsg(Block block) : block_(std::make_shared<const Block>(std::move(block))) {}
 
-  [[nodiscard]] const Block& block() const noexcept { return block_; }
+  [[nodiscard]] const Block& block() const noexcept { return *block_; }
+  [[nodiscard]] const std::shared_ptr<const Block>& shared_block() const noexcept {
+    return block_;
+  }
 
   std::uint32_t type_id() const override { return kProposal; }
   const char* type_name() const override { return "proposal"; }
   MsgClass msg_class() const override { return MsgClass::kConsensus; }
   std::size_t wire_size() const override {
     // parent digest + view + payload + justify QC envelope.
-    return crypto::Digest::kSize + 8 + block_.payload().size() +
-           block_.justify().sig().wire_size();
+    return crypto::Digest::kSize + 8 + block_->payload().size() +
+           block_->justify().sig().wire_size();
   }
-  void serialize(ser::Writer& w) const override { block_.serialize(w); }
+  void serialize(ser::Writer& w) const override { block_->serialize(w); }
   void collect_auth(AuthClaimSink& sink) const override {
-    if (!block_.justify().is_genesis()) sink.aggregate(block_.justify().sig());
+    if (!block_->justify().is_genesis()) sink.aggregate(block_->justify().sig());
   }
   static MessagePtr deserialize(ser::Reader& r) {
     auto block = Block::deserialize(r);
     if (!block) return nullptr;
-    return std::make_shared<ProposalMsg>(std::move(*block));
+    return std::make_shared<ProposalMsg>(std::move(block));
   }
 
  private:
-  Block block_;
+  std::shared_ptr<const Block> block_;
 };
 
 /// A replica's vote: a threshold share over the QC statement for

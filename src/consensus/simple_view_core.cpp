@@ -39,8 +39,9 @@ void SimpleViewCore::maybe_propose(View v) {
   proposed_.insert(v);
   std::vector<std::uint8_t> payload;
   if (payload_provider_) payload = payload_provider_(v);
-  Block block(high_qc_.block_hash(), v, std::move(payload), high_qc_);
-  votes_.proposed(v, block.hash());
+  auto block =
+      std::make_shared<const Block>(high_qc_.block_hash(), v, std::move(payload), high_qc_);
+  votes_.proposed(v, block->hash());
   LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));
 }
@@ -49,7 +50,7 @@ void SimpleViewCore::maybe_vote(View v) {
   if (v != cur_view_ || v <= last_voted_view_) return;
   const auto it = proposals_.find(v);
   if (it == proposals_.end()) return;
-  const Block& block = it->second;
+  const Block& block = *it->second;
   if (cb_.payload_ok && !cb_.payload_ok(block)) return;
   last_voted_view_ = v;
   const crypto::Digest statement = statements_.get(v, block.hash());
@@ -79,7 +80,7 @@ void SimpleViewCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   if (hooks_.leader_of(v) != from) return;  // not the legitimate proposer
   // Keep only the first proposal per view; an equivocating leader simply
   // fails to gather a quorum on either copy.
-  if (!proposals_.contains(v)) proposals_.emplace(v, msg.block());
+  proposals_.try_emplace(v, msg.shared_block());
   maybe_vote(v);
 }
 

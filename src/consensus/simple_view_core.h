@@ -60,7 +60,7 @@ class SimpleViewCore final : public ConsensusCore {
   QuorumCert high_qc_;
 
   /// First valid proposal seen per view (buffered until we enter the view).
-  std::map<View, Block> proposals_;
+  std::map<View, std::shared_ptr<const Block>> proposals_;
   /// Views in which this node has already broadcast its own proposal.
   std::set<View> proposed_;
   /// Views for which some QC has already been observed (dedupe).

@@ -31,13 +31,14 @@ void Disseminator::start() {
 void Disseminator::push_tick() {
   for (std::uint32_t i = 0; i < spec_.max_batches_per_tick; ++i) {
     if (pending_.size() >= spec_.max_uncertified) break;
-    std::vector<std::uint8_t> payload;
-    const std::uint64_t token = cb_.lease_batch(payload);
+    std::vector<std::uint8_t> leased;
+    const std::uint64_t token = cb_.lease_batch(leased);
     if (token == 0) break;
+    auto payload = std::make_shared<const std::vector<std::uint8_t>>(std::move(leased));
     const std::uint64_t seq = ++seq_;
     const BatchId id{self_, seq,
                      crypto::Sha256::hash(
-                         std::span<const std::uint8_t>(payload.data(), payload.size()))};
+                         std::span<const std::uint8_t>(payload->data(), payload->size()))};
     tokens_.emplace(seq, token);
     auto [it, inserted] = pending_.emplace(
         seq, PendingCert{id, cb_.now(),
@@ -46,9 +47,8 @@ void Disseminator::push_tick() {
     LUMIERE_ASSERT(inserted);
     it->second.agg.add(crypto::threshold_share(signer_, batch_statement(id)));
     ++pushed_;
-    auto msg = std::make_shared<BatchPushMsg>(id, payload);
-    store_.emplace(id, std::move(payload));
-    cb_.broadcast(std::move(msg));
+    store_.emplace(id, payload);
+    cb_.broadcast(std::make_shared<BatchPushMsg>(id, std::move(payload)));
     maybe_finalize(seq);
   }
   cb_.schedule(spec_.push_interval, [this] { push_tick(); });
@@ -102,7 +102,7 @@ void Disseminator::handle_push(ProcessId /*from*/, const BatchPushMsg& msg) {
                                                          msg.payload().size())) != id.digest) {
     return;
   }
-  store_.try_emplace(id, msg.payload());
+  store_.try_emplace(id, msg.shared_payload());
   if (id.origin != self_ && id.origin < params_.n) {
     cb_.send(id.origin,
              std::make_shared<BatchAckMsg>(id, crypto::threshold_share(signer_,
@@ -247,7 +247,7 @@ void Disseminator::deliver_one(const BatchId& id) {
   const auto it = store_.find(id);
   LUMIERE_ASSERT(it != store_.end());
   ++delivered_;
-  cb_.deliver(cb_.now(), it->second);
+  cb_.deliver(cb_.now(), *it->second);
   if (id.origin == self_) {
     const auto token = tokens_.find(id.seq);
     if (token != tokens_.end()) {
@@ -267,7 +267,7 @@ void Disseminator::send_fetches(const BatchCert& cert) {
 
 const std::vector<std::uint8_t>* Disseminator::payload_of(const BatchId& id) const {
   const auto it = store_.find(id);
-  return it == store_.end() ? nullptr : &it->second;
+  return it == store_.end() ? nullptr : it->second.get();
 }
 
 void Disseminator::sample_depth() {

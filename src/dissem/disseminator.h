@@ -145,7 +145,7 @@ class Disseminator {
   std::map<std::uint64_t, std::uint64_t> tokens_; ///< own seq -> mempool lease token
   std::map<BatchId, BatchCert> own_certs_;        ///< own, certified, not yet ordered
 
-  std::map<BatchId, std::vector<std::uint8_t>> store_;  ///< all received batch bytes
+  std::map<BatchId, BatchBytes> store_;  ///< all received batch bytes (shared with pushes)
   std::deque<BatchCert> queue_;   ///< certified references, FIFO (may hold stale copies)
   std::set<BatchId> queued_;      ///< source of truth for queue membership
   std::set<BatchId> ordered_;     ///< references already committed+deduped on this node

@@ -24,22 +24,29 @@ enum MsgType : std::uint32_t {
   kBatchFetch = 0x4004,
 };
 
+/// A batch's bytes: immutable once leased, shared by the push messages
+/// and every Disseminator store that holds them (one buffer per process).
+using BatchBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
+
 /// Origin (or fetch responder) streams a batch's bytes to a replica.
 class BatchPushMsg final : public Message {
  public:
+  BatchPushMsg(BatchId id, BatchBytes payload) : id_(id), payload_(std::move(payload)) {}
+  /// Allocates the shared buffer from a value (decoding, tests, benches).
   BatchPushMsg(BatchId id, std::vector<std::uint8_t> payload)
-      : id_(id), payload_(std::move(payload)) {}
+      : BatchPushMsg(id, std::make_shared<const std::vector<std::uint8_t>>(std::move(payload))) {}
 
   [[nodiscard]] const BatchId& id() const noexcept { return id_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& payload() const noexcept { return payload_; }
+  [[nodiscard]] const std::vector<std::uint8_t>& payload() const noexcept { return *payload_; }
+  [[nodiscard]] const BatchBytes& shared_payload() const noexcept { return payload_; }
 
   std::uint32_t type_id() const override { return kBatchPush; }
   const char* type_name() const override { return "batch-push"; }
   MsgClass msg_class() const override { return MsgClass::kDissem; }
-  std::size_t wire_size() const override { return BatchId::wire_size() + payload_.size(); }
+  std::size_t wire_size() const override { return BatchId::wire_size() + payload_->size(); }
   void serialize(ser::Writer& w) const override {
     id_.serialize(w);
-    w.bytes(std::span<const std::uint8_t>(payload_.data(), payload_.size()));
+    w.bytes(std::span<const std::uint8_t>(payload_->data(), payload_->size()));
   }
   static MessagePtr deserialize(ser::Reader& r) {
     auto id = BatchId::deserialize(r);
@@ -50,7 +57,7 @@ class BatchPushMsg final : public Message {
 
  private:
   BatchId id_;
-  std::vector<std::uint8_t> payload_;
+  BatchBytes payload_;
 };
 
 /// A replica's signed availability ack: "I stored this batch".

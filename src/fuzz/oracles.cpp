@@ -95,10 +95,8 @@ std::optional<std::string> check_exactly_once(const runtime::Cluster& cluster) {
     std::size_t block_index = 0;
     for (const auto& entry : cluster.node(id).ledger().entries()) {
       std::vector<std::span<const std::uint8_t>> batches;
-      const auto payload_span =
-          std::span<const std::uint8_t>(entry.payload.data(), entry.payload.size());
-      if (dissem::is_refs_payload(payload_span)) {
-        const auto refs = dissem::decode_refs(payload_span);
+      if (dissem::is_refs_payload(entry.payload)) {
+        const auto refs = dissem::decode_refs(entry.payload);
         if (!refs) {
           std::ostringstream out;
           out << "exactly-once: node " << id << " committed a malformed refs payload (block "
@@ -120,7 +118,7 @@ std::optional<std::string> check_exactly_once(const runtime::Cluster& cluster) {
           batches.emplace_back(bytes->data(), bytes->size());
         }
       } else {
-        batches.push_back(payload_span);
+        batches.push_back(entry.payload);
       }
       for (const auto& batch : batches) {
         for (const auto& command : consensus::Mempool::split_batch(batch)) {

@@ -108,15 +108,12 @@ void Node::build_core(const NodeConfig& config) {
     // extend `base`'s parent rather than genesis.
     ledger_.adopt_base(base.parent());
   };
-  callbacks.decided = [this](const consensus::Block& block) {
+  callbacks.decided = [this](const std::shared_ptr<const consensus::Block>& block) {
     ledger_.commit(block, sim_->now());
     // Resolve committed references into delivered batches (the dissem
     // layer invokes the harness `deliver` hook, exactly once per batch).
-    if (dissem_) {
-      dissem_->on_committed_payload(
-          std::span<const std::uint8_t>(block.payload().data(), block.payload().size()));
-    }
-    if (observers_.on_commit) observers_.on_commit(sim_->now(), block, id_);
+    if (dissem_) dissem_->on_committed_payload(block->payload());
+    if (observers_.on_commit) observers_.on_commit(sim_->now(), *block, id_);
   };
   callbacks.schedule = [this](Duration delay, std::function<void()> fn) {
     sim_->schedule_after(delay, std::move(fn));

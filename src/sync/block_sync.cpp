@@ -46,11 +46,11 @@ void BlockSynchronizer::handle_fetch(ProcessId from, const BlockFetchMsg& msg) {
   if (from == self_ || cb_.lookup == nullptr) return;
   const std::uint32_t limit =
       std::min(msg.max_blocks(), BlockRespMsg::kMaxBlocksPerResponse);
-  std::vector<consensus::Block> blocks;
+  BlockRespMsg::Blocks blocks;
   auto current = cb_.lookup(msg.hash());
   while (current != nullptr && blocks.size() < limit &&
          current->view() > consensus::Block::genesis().view()) {
-    blocks.push_back(*current);
+    blocks.push_back(current);
     current = cb_.lookup(current->parent());
   }
   // Nothing useful to say (we don't hold the block either): stay silent
@@ -71,13 +71,13 @@ void BlockSynchronizer::handle_response(ProcessId from, const BlockRespMsg& msg)
   // blocks[0] must BE the requested block, and each further block must BE
   // the previous one's parent. Block::deserialize recomputed every hash,
   // so a forged body cannot claim a hash it doesn't have.
-  if (msg.blocks().front().hash() != msg.requested()) {
+  if (msg.blocks().front()->hash() != msg.requested()) {
     ++responses_rejected_;
     return;
   }
   std::size_t linked = 1;
   while (linked < msg.blocks().size() &&
-         msg.blocks()[linked].hash() == msg.blocks()[linked - 1].parent()) {
+         msg.blocks()[linked]->hash() == msg.blocks()[linked - 1]->parent()) {
     ++linked;
   }
   pending_.erase(it);
@@ -89,7 +89,7 @@ void BlockSynchronizer::handle_response(ProcessId from, const BlockRespMsg& msg)
   // gap below the segment).
   for (std::size_t i = linked; i-- > 0;) {
     ++blocks_accepted_;
-    cb_.accept(msg.blocks()[i]);
+    cb_.accept(*msg.blocks()[i]);
   }
 }
 

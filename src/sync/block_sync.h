@@ -52,7 +52,8 @@ struct SyncCallbacks {
   /// Serve a fetch from the local store (nullptr = unknown block).
   std::function<std::shared_ptr<const consensus::Block>(const crypto::Digest&)> lookup;
   /// A fetched block passed the link check — hand it to the core (store
-  /// insert + resume the stalled commit walk).
+  /// insert + resume the stalled commit walk). The block is the
+  /// response's shared allocation (shared_from_this recovers it).
   std::function<void(const consensus::Block&)> accept;
 };
 

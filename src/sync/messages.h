@@ -60,14 +60,18 @@ class BlockFetchMsg final : public Message {
 
 /// A chain segment answering a fetch: blocks[0] is the requested block,
 /// blocks[i+1] its parent, and so on toward genesis. May be empty when
-/// the responder does not hold the requested block.
+/// the responder does not hold the requested block. The responder puts
+/// its stored pointers here, so on the simulator the requester stores the
+/// responder's allocations.
 class BlockRespMsg final : public Message {
  public:
-  BlockRespMsg(crypto::Digest requested, std::vector<consensus::Block> blocks)
+  using Blocks = std::vector<std::shared_ptr<const consensus::Block>>;
+
+  BlockRespMsg(crypto::Digest requested, Blocks blocks)
       : requested_(requested), blocks_(std::move(blocks)) {}
 
   [[nodiscard]] const crypto::Digest& requested() const noexcept { return requested_; }
-  [[nodiscard]] const std::vector<consensus::Block>& blocks() const noexcept { return blocks_; }
+  [[nodiscard]] const Blocks& blocks() const noexcept { return blocks_; }
 
   std::uint32_t type_id() const override { return kBlockResp; }
   const char* type_name() const override { return "block-resp"; }
@@ -76,20 +80,20 @@ class BlockRespMsg final : public Message {
     // Requested digest + per-block the same O(kappa) model as ProposalMsg:
     // parent digest + view + payload + justify QC envelope.
     std::size_t size = crypto::Digest::kSize;
-    for (const consensus::Block& block : blocks_) {
-      size += crypto::Digest::kSize + 8 + block.payload().size() +
-              block.justify().sig().wire_size();
+    for (const auto& block : blocks_) {
+      size += crypto::Digest::kSize + 8 + block->payload().size() +
+              block->justify().sig().wire_size();
     }
     return size;
   }
   void serialize(ser::Writer& w) const override {
     w.digest(requested_);
     w.u32(static_cast<std::uint32_t>(blocks_.size()));
-    for (const consensus::Block& block : blocks_) block.serialize(w);
+    for (const auto& block : blocks_) block->serialize(w);
   }
   void collect_auth(AuthClaimSink& sink) const override {
-    for (const consensus::Block& block : blocks_) {
-      if (!block.justify().is_genesis()) sink.aggregate(block.justify().sig());
+    for (const auto& block : blocks_) {
+      if (!block->justify().is_genesis()) sink.aggregate(block->justify().sig());
     }
   }
   static MessagePtr deserialize(ser::Reader& r) {
@@ -99,12 +103,12 @@ class BlockRespMsg final : public Message {
     // A count bound keeps a malformed frame from forcing a giant
     // allocation before the per-block deserialization fails anyway.
     if (count > kMaxBlocksPerResponse) return nullptr;
-    std::vector<consensus::Block> blocks;
+    Blocks blocks;
     blocks.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       auto block = consensus::Block::deserialize(r);
       if (!block) return nullptr;
-      blocks.push_back(std::move(*block));
+      blocks.push_back(std::move(block));
     }
     return std::make_shared<BlockRespMsg>(requested, std::move(blocks));
   }
@@ -114,7 +118,7 @@ class BlockRespMsg final : public Message {
 
  private:
   crypto::Digest requested_;
-  std::vector<consensus::Block> blocks_;
+  Blocks blocks_;
 };
 
 /// Registers all block-sync message types with a codec (for the TCP

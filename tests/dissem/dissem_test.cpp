@@ -368,8 +368,7 @@ std::set<std::size_t> committed_ref_sizes(const Cluster& cluster) {
   for (ProcessId id = 0; id < 4; ++id) {
     for (const auto& entry : cluster.node(id).ledger().entries()) {
       if (entry.payload.empty()) continue;
-      const auto span =
-          std::span<const std::uint8_t>(entry.payload.data(), entry.payload.size());
+      const std::span<const std::uint8_t> span = entry.payload;
       EXPECT_TRUE(is_refs_payload(span)) << "a dissem-on proposal carried inline bytes";
       const auto refs = decode_refs(span);
       if (!refs) continue;

@@ -134,13 +134,14 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
   // Block sync (0x5000 range): the fetch is exact; a response ships a
   // u32 block count plus, per block, exactly what a proposal ships — so
   // each block folds the same bytes as the ProposalMsg exemplar above.
-  const consensus::Block sync_block(block_hash, 6, payload, qc);
-  const consensus::Block sync_parent(qc.block_hash(), 5, payload, qc);
+  const auto sync_block = std::make_shared<const consensus::Block>(block_hash, 6, payload, qc);
+  const auto sync_parent =
+      std::make_shared<const consensus::Block>(qc.block_hash(), 5, payload, qc);
   add(std::make_shared<sync::BlockFetchMsg>(block_hash,
                                             sync::BlockRespMsg::kMaxBlocksPerResponse),
       0);
   add(std::make_shared<sync::BlockRespMsg>(
-          sync_block.hash(), std::vector<consensus::Block>{sync_block, sync_parent}),
+          sync_block->hash(), sync::BlockRespMsg::Blocks{sync_block, sync_parent}),
       /*count prefix*/ 4 +
           2 * (/*payload length prefix*/ 4 + kInnerQcViewBytes + signer_set_bytes(kQuorum) +
                kQcBlockHashBytes));

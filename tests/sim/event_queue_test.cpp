@@ -2,39 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
-// Global allocation counter, used to pin the queue's zero-steady-state-
-// allocation property. Counting is always on (it is one relaxed atomic
-// increment); tests snapshot the counter around the region under test.
-//
-// GCC pairs `new` expressions it inlines with the DEFAULT operator
-// delete and flags the replacement below as mismatched; the replacement
-// pair is self-consistent (malloc in new, free in delete), so the
-// warning is a false positive here.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace lumiere::sim {
 namespace {
@@ -166,12 +137,12 @@ TEST(EventQueueTest, SteadyStateScheduleAndPopIsAllocationFree) {
     }
     while (q.pop(at, fn)) fn();
   }
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = alloc::count();
   for (int i = 0; i < 512; ++i) {
     q.schedule(TimePoint(1000 - i), [] {});
   }
   while (q.pop(at, fn)) fn();
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
+  EXPECT_EQ(alloc::count(), before)
       << "the warm schedule/pop cycle must not touch the heap";
 }
 

@@ -115,7 +115,7 @@ fuzz::NodeLedgerData ledger_data(const SoloNodeRuntime& runtime, bool restarted)
   data.node = runtime.id();
   data.restarted = restarted;
   for (const auto& entry : runtime.node().ledger().entries()) {
-    data.records.push_back({entry.view, entry.hash, entry.payload});
+    data.records.push_back({entry.view, entry.hash, {entry.payload.begin(), entry.payload.end()}});
   }
   return data;
 }

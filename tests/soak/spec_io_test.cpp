@@ -99,10 +99,13 @@ TEST(SpecIoTest, ToBuilderResolvesDeterministically) {
 
 TEST(SpecIoTest, LedgerDumpRoundTrips) {
   consensus::Ledger ledger;
-  const consensus::Block genesis = consensus::Block::genesis();
+  const consensus::Block& genesis = consensus::Block::genesis();
   const auto qc = consensus::QuorumCert::genesis(genesis.hash());
-  const consensus::Block b1(genesis.hash(), 3, {0xAA, 0xBB}, qc);
-  const consensus::Block b2(b1.hash(), 4, {}, qc);  // empty payload survives
+  const auto b1 = std::make_shared<const consensus::Block>(
+      genesis.hash(), 3, std::vector<std::uint8_t>{0xAA, 0xBB}, qc);
+  // An empty payload survives.
+  const auto b2 =
+      std::make_shared<const consensus::Block>(b1->hash(), 4, std::vector<std::uint8_t>{}, qc);
   ledger.commit(b1, TimePoint(10));
   ledger.commit(b2, TimePoint(20));
 
@@ -111,7 +114,7 @@ TEST(SpecIoTest, LedgerDumpRoundTrips) {
   ASSERT_TRUE(records.has_value()) << error;
   ASSERT_EQ(records->size(), 2U);
   EXPECT_EQ((*records)[0].view, 3);
-  EXPECT_EQ((*records)[0].hash.hex(), b1.hash().hex());
+  EXPECT_EQ((*records)[0].hash.hex(), b1->hash().hex());
   EXPECT_EQ((*records)[0].payload, (std::vector<std::uint8_t>{0xAA, 0xBB}));
   EXPECT_EQ((*records)[1].view, 4);
   EXPECT_TRUE((*records)[1].payload.empty());
@@ -119,9 +122,11 @@ TEST(SpecIoTest, LedgerDumpRoundTrips) {
 
 TEST(SpecIoTest, LedgerParseRejectsTruncatedDump) {
   consensus::Ledger ledger;
-  const consensus::Block genesis = consensus::Block::genesis();
+  const consensus::Block& genesis = consensus::Block::genesis();
   const auto qc = consensus::QuorumCert::genesis(genesis.hash());
-  ledger.commit(consensus::Block(genesis.hash(), 1, {0x01}, qc), TimePoint(1));
+  ledger.commit(std::make_shared<const consensus::Block>(genesis.hash(), 1,
+                                                         std::vector<std::uint8_t>{0x01}, qc),
+                TimePoint(1));
   std::string text = render_ledger(ledger);
   text.erase(text.rfind("END"));
   std::string error;
@@ -132,14 +137,15 @@ TEST(SpecIoTest, LedgerParseRejectsTruncatedDump) {
 // Crash recovery: an adopted base replaces genesis as the first-commit
 // anchor, turning the ledger into a committed suffix window.
 TEST(SpecIoTest, AdoptedLedgerAnchorsAtCheckpoint) {
-  const consensus::Block genesis = consensus::Block::genesis();
+  const consensus::Block& genesis = consensus::Block::genesis();
   const auto qc = consensus::QuorumCert::genesis(genesis.hash());
   const consensus::Block ancestor(genesis.hash(), 40, {0x01}, qc);
-  const consensus::Block checkpoint(ancestor.hash(), 41, {0x02}, qc);
+  const auto checkpoint = std::make_shared<const consensus::Block>(
+      ancestor.hash(), 41, std::vector<std::uint8_t>{0x02}, qc);
 
   consensus::Ledger ledger;
   EXPECT_FALSE(ledger.checkpoint_adopted());
-  ledger.adopt_base(checkpoint.parent());
+  ledger.adopt_base(checkpoint->parent());
   EXPECT_TRUE(ledger.checkpoint_adopted());
   ledger.commit(checkpoint, TimePoint(100));  // extends the adopted base, not genesis
   ASSERT_EQ(ledger.size(), 1U);

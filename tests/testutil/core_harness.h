@@ -49,8 +49,8 @@ class CoreHarness {
       cb.qc_formed = [this, id](const consensus::QuorumCert& qc) {
         nodes_[id].qcs_formed.push_back(qc);
       };
-      cb.decided = [this, id](const consensus::Block& b) {
-        nodes_[id].committed.push_back(b.hash());
+      cb.decided = [this, id](const std::shared_ptr<const consensus::Block>& b) {
+        nodes_[id].committed.push_back(b->hash());
       };
       cb.schedule = [this](Duration delay, std::function<void()> fn) {
         sim_.schedule_after(delay, std::move(fn));

@@ -5,6 +5,7 @@
 // mid-workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "adversary/behaviors.h"
@@ -65,7 +66,7 @@ void expect_identical_runs(const ScenarioBuilder& options) {
     for (std::size_t i = 0; i < la.size(); ++i) {
       EXPECT_EQ(la[i].view, lb[i].view);
       EXPECT_EQ(la[i].hash, lb[i].hash);
-      EXPECT_EQ(la[i].payload, lb[i].payload)
+      EXPECT_TRUE(std::ranges::equal(la[i].payload, lb[i].payload))
           << "node " << id << " entry " << i << " carries different bytes";
     }
   }
@@ -151,7 +152,7 @@ crypto::Digest golden_fold_digest(
         ser::Writer w;
         w.view(entry.view);
         w.digest(entry.hash);
-        w.bytes(std::span<const std::uint8_t>(entry.payload.data(), entry.payload.size()));
+        w.bytes(entry.payload);
         fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
       }
     }
@@ -229,7 +230,7 @@ crypto::Digest golden_dissem_fold_digest() {
       ser::Writer w;
       w.view(entry.view);
       w.digest(entry.hash);
-      w.bytes(std::span<const std::uint8_t>(entry.payload.data(), entry.payload.size()));
+      w.bytes(entry.payload);
       fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
     }
   }
