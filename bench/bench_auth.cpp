@@ -342,6 +342,7 @@ void run(const BenchArgs& args) {
   json.add_row()
       .set("section", "summary")
       .set("scheme", scheme)
+      .set("sha256_kernel", crypto::sha256_kernel())
       .set("host_cpus", static_cast<std::uint64_t>(host_cpus))
       .set("verify_knee_fps_1_worker", stage_knee_one)
       .set("verify_knee_fps_4_workers", stage_knee_four)
@@ -361,8 +362,9 @@ void run(const BenchArgs& args) {
 int main(int argc, char** argv) {
   const lumiere::bench::BenchArgs args = lumiere::bench::parse_bench_args(argc, argv);
   std::printf("bench_auth: authenticator scheme costs and staged-verification scaling\n"
-              "(all registered schemes; TCP sweep under the costliest one, n = %u)\n",
-              4U);
+              "(all registered schemes; TCP sweep under the costliest one, n = %u)\n"
+              "sha256 kernel: %s\n",
+              4U, lumiere::crypto::sha256_kernel());
   lumiere::bench::run(args);
   return 0;
 }

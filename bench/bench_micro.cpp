@@ -21,6 +21,7 @@ void BM_Sha256(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::Sha256::hash(std::span<const std::uint8_t>(data)));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(crypto::sha256_kernel());
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
 
@@ -31,6 +32,7 @@ void BM_DefaultSchemeSign(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(signer.sign(digest));
   }
+  state.SetLabel(crypto::sha256_kernel());
 }
 BENCHMARK(BM_DefaultSchemeSign);
 

@@ -47,6 +47,17 @@ class SignerSet {
     return out;
   }
 
+  /// Calls `fn(id)` for every member in increasing order, without
+  /// allocating (members() for callers that want a vector).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<ProcessId>(64 * w + static_cast<std::size_t>(__builtin_ctzll(bits))));
+      }
+    }
+  }
+
   /// Number of members also present in `other` (intersection size).
   [[nodiscard]] std::uint32_t intersection_count(const SignerSet& other) const {
     LUMIERE_ASSERT(n_ == other.n_);

@@ -73,7 +73,7 @@ Digest aggregate_fingerprint(const ThresholdSig& sig) {
   h.update("lumiere.memo.agg");
   h.update(sig.message.as_span());
   update_u32(h, sig.signers.universe_size());
-  for (const ProcessId id : sig.signers.members()) update_u32(h, id);
+  sig.signers.for_each([&h](ProcessId id) { update_u32(h, id); });
   h.update(sig.tag.span());
   return h.finish();
 }

@@ -7,7 +7,8 @@
 //
 //   * `Authenticator` — a per-cluster scheme instance (key registry +
 //     sign/verify/aggregate primitives). Two schemes are in-tree: the
-//     zero-cost HMAC scheme the deterministic simulator defaults to, and
+//     HMAC scheme the deterministic simulator defaults to (cheap, but a
+//     QC check still recomputes one MAC per signer), and
 //     an ed25519-style scheme with real group arithmetic whose verify
 //     cost is honest (see crypto/ed25519.h). Schemes are selected by
 //     registry name via make_authenticator(); nothing outside src/crypto/

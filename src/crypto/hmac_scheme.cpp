@@ -1,5 +1,7 @@
 #include "crypto/hmac_scheme.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 
 namespace lumiere::crypto {
@@ -15,13 +17,13 @@ HmacAuthenticator::HmacAuthenticator(std::uint32_t n, std::uint64_t seed) : Auth
         key[w + b] = static_cast<std::uint8_t>(word >> (8 * b));
       }
     }
-    keys_.push_back(key);
+    keys_.emplace_back(key);
   }
 }
 
 Digest HmacAuthenticator::mac_for(ProcessId id, const Digest& message) const {
   LUMIERE_ASSERT(id < n());
-  return hmac_sha256(keys_[id], message.as_span());
+  return keys_[id].mac(message.as_span());
 }
 
 SigBytes HmacAuthenticator::sign_blob(ProcessId id, const Digest& message) const {
@@ -34,35 +36,50 @@ bool HmacAuthenticator::check_signature(ProcessId id, const Digest& message,
   return sig.size() == Digest::kSize && sig == SigBytes(mac.as_span());
 }
 
+namespace {
+
+/// The tag hasher after the prefix: "lumiere.agg" || message.
+Sha256 tag_hasher(const Digest& message) {
+  Sha256 h;
+  h.update("lumiere.agg");
+  h.update(message.as_span());
+  return h;
+}
+
+/// Absorbs one share: little-endian signer id || share MAC.
+void absorb_share(Sha256& h, ProcessId signer, std::span<const std::uint8_t> mac) {
+  const std::uint8_t id_bytes[4] = {
+      static_cast<std::uint8_t>(signer),
+      static_cast<std::uint8_t>(signer >> 8),
+      static_cast<std::uint8_t>(signer >> 16),
+      static_cast<std::uint8_t>(signer >> 24),
+  };
+  h.update(std::span<const std::uint8_t>(id_bytes, 4));
+  h.update(mac);
+}
+
+}  // namespace
+
 /// Aggregation tag: binds the message, the ordered signer set, and the
 /// ordered share MACs. Byte-identical to the pre-redesign construction
 /// (the goldens pin it).
 SigBytes HmacAuthenticator::aggregate_tag(const Digest& message,
                                           const std::vector<PartialSig>& sorted_shares) const {
-  Sha256 h;
-  h.update("lumiere.agg");
-  h.update(message.as_span());
-  for (const auto& share : sorted_shares) {
-    const std::uint8_t id_bytes[4] = {
-        static_cast<std::uint8_t>(share.signer),
-        static_cast<std::uint8_t>(share.signer >> 8),
-        static_cast<std::uint8_t>(share.signer >> 16),
-        static_cast<std::uint8_t>(share.signer >> 24),
-    };
-    h.update(std::span<const std::uint8_t>(id_bytes, 4));
-    h.update(share.sig.span());
-  }
+  Sha256 h = tag_hasher(message);
+  for (const auto& share : sorted_shares) absorb_share(h, share.signer, share.sig.span());
   return SigBytes(h.finish().as_span());
 }
 
+/// Recomputes every signer's MAC and streams it into the tag hasher in
+/// signer order: the same bytes aggregate_tag() hashes, with no share
+/// list built on the way.
 bool HmacAuthenticator::check_aggregate_tag(const ThresholdSig& sig) const {
   const Digest statement = share_statement(sig.message);
-  std::vector<PartialSig> shares;
-  shares.reserve(sig.signers.count());
-  for (const ProcessId id : sig.signers.members()) {
-    shares.push_back(PartialSig{id, sign_blob(id, statement)});
-  }
-  return aggregate_tag(sig.message, shares) == sig.tag;
+  Sha256 h = tag_hasher(sig.message);
+  sig.signers.for_each(
+      [&](ProcessId id) { absorb_share(h, id, mac_for(id, statement).as_span()); });
+  const Digest tag = h.finish();
+  return std::ranges::equal(sig.tag.span(), tag.as_span());
 }
 
 }  // namespace lumiere::crypto

@@ -1,10 +1,13 @@
-// The zero-cost simulation scheme: HMAC-SHA256 under per-process keys
+// The default simulation scheme: HMAC-SHA256 under per-process keys
 // held by the trusted harness.
 //
 // The paper (Section 2) assumes *perfect* cryptography; in a closed
 // simulation a keyed MAC whose key is held by the trusted Authenticator
 // gives exactly that (unforgeable by any process that does not hold the
-// key) at negligible cost, which keeps deterministic experiments fast.
+// key) and keeps deterministic experiments fast. It is not free: a share
+// check is one HMAC (two SHA-256 compressions with the precomputed key
+// states) and an aggregate check recomputes one MAC per signer, so at
+// n = 31 verifying a QC costs 21 MACs plus the tag hash.
 // Aggregates are modeled as the signer bitmap plus a SHA-256 tag binding
 // the ordered share MACs; the modeled wire size stays the paper's
 // O(kappa). Every golden digest in the test suite pins this scheme's
@@ -41,7 +44,8 @@ class HmacAuthenticator final : public Authenticator {
  private:
   [[nodiscard]] Digest mac_for(ProcessId id, const Digest& message) const;
 
-  std::vector<SecretKey> keys_;
+  /// One precomputed HMAC key state per process.
+  std::vector<HmacKey> keys_;
 };
 
 }  // namespace lumiere::crypto

@@ -4,6 +4,17 @@
 // paper's crypto assumption only requires a collision-resistant hash for
 // digests/commitments. Verified against the FIPS test vectors in
 // tests/crypto/sha256_test.cpp.
+//
+// Kernel choice. The compression function has two implementations that
+// produce identical bytes: a portable C++ kernel, and on x86 a kernel
+// built on the SHA extensions (SHA-NI; compiled with a per-function
+// target attribute, so the rest of the build keeps its baseline ISA).
+// The first hash in a process asks CPUID once whether the CPU has SHA,
+// SSSE3 and SSE4.1, and every Sha256 from then on uses the accelerated
+// kernel if so and the portable one otherwise. There is no switch to
+// override the choice; sha256_kernel() reports it, and the parity test
+// in tests/crypto/sha256_test.cpp runs both kernels side by side.
+// Non-x86 builds compile only the portable kernel.
 #pragma once
 
 #include <array>
@@ -53,6 +64,30 @@ class Digest {
   std::array<std::uint8_t, kSize> bytes_;
 };
 
+namespace detail {
+
+/// A compression kernel: absorbs `count` consecutive 64-byte blocks
+/// starting at `blocks` into the eight-word chaining `state`.
+using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t count) noexcept;
+
+/// The portable kernel; runs everywhere.
+void compress_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                       std::size_t count) noexcept;
+
+/// The SHA-extensions kernel, or nullptr when this build targets a
+/// non-x86 CPU or the running CPU lacks the extensions.
+[[nodiscard]] CompressFn compress_sha_ni() noexcept;
+
+/// The kernel every Sha256 uses, chosen once per process.
+[[nodiscard]] CompressFn active_kernel() noexcept;
+
+}  // namespace detail
+
+/// Which compression kernel this process hashes with: "sha-ni" or
+/// "portable" (benches print it so numbers from different hosts compare).
+[[nodiscard]] const char* sha256_kernel() noexcept;
+
 /// Incremental SHA-256 hasher.
 class Sha256 {
  public:
@@ -80,8 +115,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t state_[8] = {};
   std::uint8_t buffer_[64] = {};
   std::size_t buffer_len_ = 0;

@@ -529,12 +529,16 @@ void Cluster::run_for(Duration d) {
   if (d <= Duration::zero()) return;
   // TCP: one wall-clock driver thread per node (1 simulated us = 1 us);
   // sub-millisecond remainders round up rather than silently vanish.
-  const auto wall = std::chrono::milliseconds((d.ticks() + 999) / 1000);
+  // One deadline for every driver: a per-thread one would let the nodes
+  // started last keep running (and, as a quorum, keep advancing views)
+  // after the first ones stopped.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds((d.ticks() + 999) / 1000);
   metrics_->begin_recording_window();
   std::vector<std::thread> threads;
   threads.reserve(drivers_.size());
   for (auto& driver : drivers_) {
-    threads.emplace_back([&driver, wall] { driver->run_for(wall); });
+    threads.emplace_back([&driver, deadline] { driver->run_until(deadline); });
   }
   for (auto& thread : threads) thread.join();
   metrics_->end_recording_window();

@@ -8,6 +8,23 @@
 
 namespace lumiere::runtime {
 
+namespace {
+
+/// Appends a (time, cumulative total) checkpoint, or overwrites the tail
+/// when it is for the same instant: the window queries read only the
+/// last checkpoint at an instant, so one per instant answers identically
+/// to one per send.
+void checkpoint(std::vector<std::pair<TimePoint, std::uint64_t>>& log, TimePoint at,
+                std::uint64_t total) {
+  if (!log.empty() && log.back().first == at) {
+    log.back().second = total;
+  } else {
+    log.emplace_back(at, total);
+  }
+}
+
+}  // namespace
+
 void MetricsCollector::charge_sends(TimePoint at, const Message& msg, std::uint64_t copies) {
   charge_sends_raw(at, msg.type_id(), msg.msg_class(), msg.wire_size(), copies);
 }
@@ -25,7 +42,7 @@ void MetricsCollector::charge_sends_raw(TimePoint at, std::uint32_t type_id, Msg
       dissem_msgs_ += copies;
       dissem_bytes_ += copies * wire;
       if (type_id == dissem::kBatchAck) batch_acks_ += copies;
-      dissem_send_log_.emplace_back(at, dissem_bytes_);
+      checkpoint(dissem_send_log_, at, dissem_bytes_);
       break;
     case MsgClass::kConsensus:
       consensus_msgs_ += copies;
@@ -34,10 +51,7 @@ void MetricsCollector::charge_sends_raw(TimePoint at, std::uint32_t type_id, Msg
       sync_msgs_ += copies;
       break;
   }
-  // One checkpoint carrying the post-charge total: copies of a broadcast
-  // share one instant, so msgs_between() reads identically to per-copy
-  // entries (only the last entry at a given time matters).
-  send_log_.emplace_back(at, total_msgs_);
+  checkpoint(send_log_, at, total_msgs_);
 }
 
 void MetricsCollector::capture(Event event) {

@@ -138,6 +138,13 @@ class MetricsCollector final : public sim::NetworkObserver {
   /// Honest messages sent in [from, to).
   [[nodiscard]] std::uint64_t msgs_between(TimePoint from, TimePoint to) const;
 
+  /// Checkpoints behind msgs_between / dissem_bytes_between: at most one
+  /// per distinct send instant, however many sends share it.
+  [[nodiscard]] std::size_t send_checkpoints() const { return base().send_log_.size(); }
+  [[nodiscard]] std::size_t dissem_send_checkpoints() const {
+    return base().dissem_send_log_.size();
+  }
+
   // -- regime windows ------------------------------------------------------
   // The fault-schedule executor marks each scripted event here, so a
   // run's measures can be attributed to the network regime they occurred
@@ -284,14 +291,15 @@ class MetricsCollector final : public sim::NetworkObserver {
   std::map<std::uint32_t, std::uint64_t> by_type_;
   std::vector<Decision> decisions_;
   /// (time, cumulative count) checkpoints for msgs_between; one entry per
-  /// send keeps memory bounded via coarse bucketing.
+  /// distinct send instant (see checkpoint() in metrics.cpp).
   std::vector<std::pair<TimePoint, std::uint64_t>> send_log_;
   std::vector<std::pair<TimePoint, std::string>> regime_marks_;
   /// (commit instant, submit -> commit latency) per committed request.
   std::vector<std::pair<TimePoint, Duration>> request_log_;
   std::vector<QueueDepthSample> queue_depth_log_;
   std::size_t max_queue_depth_ = 0;
-  /// (time, cumulative dissemination bytes) checkpoints, one per charge.
+  /// (time, cumulative dissemination bytes) checkpoints, one per distinct
+  /// charge instant.
   std::vector<std::pair<TimePoint, std::uint64_t>> dissem_send_log_;
   /// (cert instant, push -> cert latency) per certified batch.
   std::vector<std::pair<TimePoint, Duration>> cert_log_;

@@ -3,7 +3,7 @@
 // On the TCP transport a node's critical thread (its RealtimeDriver) does
 // everything: socket pumping, frame decode, signature checks, consensus,
 // execution. With a real signature scheme (anything beyond the
-// zero-cost sim default) the checks dominate. This module splits the receive path into stages:
+// HMAC sim default) the checks dominate. This module splits the receive path into stages:
 //
 //   socket read -> [bounded ingress queue] -> worker pool: decode +
 //   verify every signature the frame carries -> [egress queue] ->

@@ -72,7 +72,7 @@ struct Scenario {
   TransportKind transport = TransportKind::kSim;
 
   /// Authenticator scheme registry name (crypto/authenticator.h). The
-  /// default is the zero-cost sim scheme every golden digest pins;
+  /// default is the HMAC sim scheme every golden digest pins;
   /// schemes with real verify cost pair naturally with `pipeline`.
   std::string auth_scheme = crypto::kDefaultScheme;
 

@@ -136,6 +136,10 @@ RealtimeDriver::RealtimeDriver(sim::Simulator* sim, TcpEndpoint* endpoint)
 }
 
 void RealtimeDriver::run_for(std::chrono::milliseconds wall) {
+  run_until(std::chrono::steady_clock::now() + wall);
+}
+
+void RealtimeDriver::run_until(std::chrono::steady_clock::time_point wall_deadline) {
   using Clock = std::chrono::steady_clock;
   if (!anchored_) {
     // First run: the simulator's current instant corresponds to "now" on
@@ -145,7 +149,6 @@ void RealtimeDriver::run_for(std::chrono::milliseconds wall) {
     wall_anchor_ = Clock::now();
     anchored_ = true;
   }
-  const auto wall_deadline = Clock::now() + wall;
   while (Clock::now() < wall_deadline) {
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         Clock::now() - wall_anchor_);

@@ -124,6 +124,10 @@ class RealtimeDriver {
   /// they arrive.
   void run_for(std::chrono::milliseconds wall);
 
+  /// run_for until a fixed wall instant: drivers of one cluster, started
+  /// one thread after another, share a deadline and so stop together.
+  void run_until(std::chrono::steady_clock::time_point wall_deadline);
+
   /// Installs a hook invoked once per pacing iteration, after the socket
   /// pump — the verification pipeline drains its egress queue here, on
   /// this driver's thread.

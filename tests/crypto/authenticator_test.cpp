@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "crypto/hmac_scheme.h"
 
 namespace lumiere::crypto {
 namespace {
@@ -228,6 +232,103 @@ TEST(VerifyMemoTest, BoundedAndClearsWhenFull) {
   EXPECT_EQ(memo.size(), 1U);
   EXPECT_FALSE(memo.contains(Sha256::hash("0")));
   EXPECT_TRUE(memo.contains(Sha256::hash("overflow")));
+}
+
+// -- HMAC scheme: the aggregate tag bytes ---------------------------------
+
+/// A 2f+1 aggregate at n = 31 under the default scheme, fixed seed.
+class HmacAggregateTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kN = 31;
+  static constexpr std::uint32_t kQuorum = 21;
+
+  HmacAggregateTest() {
+    QuorumAggregator agg(AuthView(&auth_), msg_, kQuorum);
+    // Every third signer first, so the tag's signer order is the
+    // aggregator's sorting and not arrival order.
+    for (ProcessId k = 0; k < kN && !agg.complete(); ++k) {
+      const ProcessId id = (3 * k) % kN;
+      const PartialSig share = threshold_share(auth_.signer_for(id), msg_);
+      EXPECT_TRUE(agg.add(share));
+      shares_.push_back(share);
+    }
+    sig_ = agg.aggregate();
+  }
+
+  /// The tag construction, rebuilt from public shares:
+  /// SHA-256("lumiere.agg" || message || per signer ascending: LE id || MAC).
+  [[nodiscard]] SigBytes tag_from(std::vector<PartialSig> shares) const {
+    std::sort(shares.begin(), shares.end(),
+              [](const PartialSig& a, const PartialSig& b) { return a.signer < b.signer; });
+    Sha256 h;
+    h.update("lumiere.agg");
+    h.update(msg_.as_span());
+    for (const PartialSig& share : shares) {
+      const std::uint8_t id[4] = {static_cast<std::uint8_t>(share.signer), 0, 0, 0};
+      h.update(std::span<const std::uint8_t>(id, 4));
+      h.update(share.sig.span());
+    }
+    return SigBytes(h.finish().as_span());
+  }
+
+  HmacAuthenticator auth_{kN, 20240601};
+  Digest msg_ = Sha256::hash("pinned qc statement");
+  std::vector<PartialSig> shares_;
+  ThresholdSig sig_;
+};
+
+TEST_F(HmacAggregateTest, TagBytesArePinned) {
+  // Every golden digest depends on these bytes; a change here is a
+  // change of wire format, never an optimisation.
+  ASSERT_EQ(sig_.signer_count(), kQuorum);
+  std::array<std::uint8_t, Digest::kSize> tag{};
+  ASSERT_EQ(sig_.tag.size(), tag.size());
+  std::copy_n(sig_.tag.data(), tag.size(), tag.begin());
+  EXPECT_EQ(Digest(tag).hex(), "943dccd5b485438d593a0bc9e93b51af8e00d059ad7a3217c10b639f4ffc29de");
+  EXPECT_EQ(sig_.tag, tag_from(shares_));
+  EXPECT_TRUE(auth_.check_aggregate(sig_));
+}
+
+TEST_F(HmacAggregateTest, FlippedMacByteFails) {
+  // Any single-bit change in any signer's MAC changes the tag the
+  // verifier must recompute.
+  for (std::size_t victim = 0; victim < shares_.size(); victim += 5) {
+    for (const std::size_t byte : {std::size_t{0}, std::size_t{17}, std::size_t{31}}) {
+      std::vector<PartialSig> forged = shares_;
+      forged[victim].sig.data()[byte] ^= 0x01;
+      ThresholdSig bad = sig_;
+      bad.tag = tag_from(forged);
+      EXPECT_FALSE(auth_.check_aggregate(bad)) << "signer " << forged[victim].signer;
+    }
+  }
+}
+
+TEST_F(HmacAggregateTest, ExtraSignerFails) {
+  for (ProcessId extra = 0; extra < kN; ++extra) {
+    if (sig_.signers.contains(extra)) continue;
+    ThresholdSig bad = sig_;
+    bad.signers.add(extra);
+    EXPECT_FALSE(auth_.check_aggregate(bad)) << "extra signer " << extra;
+  }
+}
+
+TEST_F(HmacAggregateTest, MissingSignerFails) {
+  for (const PartialSig& dropped : shares_) {
+    ThresholdSig bad = sig_;
+    bad.signers = SignerSet(kN);
+    for (const PartialSig& share : shares_) {
+      if (share.signer != dropped.signer) bad.signers.add(share.signer);
+    }
+    EXPECT_FALSE(auth_.check_aggregate(bad)) << "missing signer " << dropped.signer;
+    // Dropping the share from the tag as well makes an honest 20-signer
+    // aggregate, which the scheme accepts (the threshold is the caller's).
+    std::vector<PartialSig> rest;
+    for (const PartialSig& share : shares_) {
+      if (share.signer != dropped.signer) rest.push_back(share);
+    }
+    bad.tag = tag_from(rest);
+    EXPECT_TRUE(auth_.check_aggregate(bad));
+  }
 }
 
 }  // namespace

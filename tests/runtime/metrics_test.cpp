@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "crypto/authenticator.h"
-
 #include "pacemaker/messages.h"
+#include "runtime/cluster.h"
+#include "sim/delay_policy.h"
+#include "workload/spec.h"
 
 namespace lumiere::runtime {
 namespace {
@@ -154,6 +160,98 @@ TEST_F(MetricsTest, QueryDuringLiveWindowAborts) {
   // The documented footgun, now fatal instead of a silent data race: log
   // references returned mid-slice would dangle on the next merge.
   EXPECT_DEATH((void)metrics_.total_honest_msgs(), "queried during a live TCP run_for slice");
+}
+
+/// Forwards every send to the cluster's collector and keeps the
+/// per-send reference log the collector used to keep: one (time,
+/// cumulative total) entry per send call.
+class PerSendLog final : public sim::NetworkObserver {
+ public:
+  explicit PerSendLog(MetricsCollector* metrics) : metrics_(metrics) {}
+
+  void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
+    metrics_->on_send(at, from, to, msg);
+    note(at);
+  }
+  void on_deliver(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
+    metrics_->on_deliver(at, from, to, msg);
+  }
+  void on_broadcast(TimePoint at, ProcessId from, const Message& msg, std::uint32_t n) override {
+    metrics_->on_broadcast(at, from, msg, n);
+    note(at);
+  }
+
+  /// Window sum over a per-send log, by the collector's read rule.
+  static std::uint64_t between(const std::vector<std::pair<TimePoint, std::uint64_t>>& log,
+                               TimePoint from, TimePoint to) {
+    const auto until = [&log](TimePoint t) -> std::uint64_t {
+      std::uint64_t total = 0;
+      for (const auto& [at, cumulative] : log) {
+        if (at < t) total = cumulative;
+      }
+      return total;
+    };
+    return until(to) - until(from);
+  }
+
+  std::vector<std::pair<TimePoint, std::uint64_t>> msgs;
+  std::vector<std::pair<TimePoint, std::uint64_t>> dissem_bytes;
+  std::set<TimePoint> instants;
+
+ private:
+  void note(TimePoint at) {
+    msgs.emplace_back(at, metrics_->total_honest_msgs());
+    dissem_bytes.emplace_back(at, metrics_->dissem_bytes());
+    instants.insert(at);
+  }
+
+  MetricsCollector* metrics_;
+};
+
+TEST(MetricsSendLogTest, OneCheckpointPerInstantAnswersLikePerSendLogging) {
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::Arrival::kConstant;
+  spec.clients_per_node = 1;
+  spec.rate_per_client = 100.0;
+  spec.request_bytes = 64;
+  ScenarioBuilder builder;
+  builder.params(ProtocolParams::for_n(7, Duration::millis(10)));
+  builder.pacemaker("lumiere");
+  builder.core("chained-hotstuff");
+  builder.seed(7);
+  builder.delay(std::make_shared<sim::UniformDelay>(Duration::micros(200), Duration::millis(2)));
+  builder.workload(spec);
+  builder.dissemination();
+  Cluster cluster(builder);
+  PerSendLog reference(&cluster.metrics());
+  cluster.network().set_observer(&reference);
+  cluster.run_for(Duration::seconds(3));
+
+  const MetricsCollector& metrics = cluster.metrics();
+  ASSERT_GT(metrics.total_honest_msgs(), 1000U);
+  ASSERT_GT(metrics.dissem_bytes(), 0U);
+  EXPECT_LE(metrics.send_checkpoints(), reference.instants.size());
+  EXPECT_LE(metrics.dissem_send_checkpoints(), reference.instants.size());
+  EXPECT_LT(metrics.send_checkpoints(), reference.msgs.size())
+      << "broadcasts and same-instant sends must share a checkpoint";
+
+  // Windows on both sides of, and exactly at, send instants.
+  std::vector<TimePoint> edges = {TimePoint::origin()};
+  for (std::int64_t us = 0; us <= 3'000'000; us += 37'000) {
+    edges.push_back(TimePoint::origin() + Duration::micros(us));
+  }
+  std::size_t stride = 0;
+  for (const TimePoint at : reference.instants) {
+    if (++stride % 97 == 0) edges.push_back(at);
+  }
+  std::sort(edges.begin(), edges.end());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::size_t j = std::min(edges.size() - 1, i + 1 + i % 5);
+    EXPECT_EQ(metrics.msgs_between(edges[i], edges[j]),
+              PerSendLog::between(reference.msgs, edges[i], edges[j]));
+    EXPECT_EQ(metrics.dissem_bytes_between(edges[i], edges[j]),
+              PerSendLog::between(reference.dissem_bytes, edges[i], edges[j]));
+  }
 }
 
 }  // namespace

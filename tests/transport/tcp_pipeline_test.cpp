@@ -35,7 +35,7 @@ constexpr int kSanitizerHeadroom = 1;
 #endif
 
 /// Some registered scheme with real (non-trivial) verification cost —
-/// i.e. anything other than the zero-cost sim default. Falls back to the
+/// i.e. anything other than the HMAC sim default. Falls back to the
 /// default if the registry only has one scheme.
 std::string real_scheme() {
   for (const auto& name : crypto::scheme_names()) {
