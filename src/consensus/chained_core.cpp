@@ -195,29 +195,22 @@ void ChainedCore::commit_chain(const Block& tip) {
     current = store_.get(current->parent());
   }
   // The chain must reconnect to the last committed block. A hash
-  // mismatch means a fork — commit nothing. A missing ancestor used to
-  // mean either a late block that will still arrive or a permanent wedge
-  // (an equivocation victim holding the losing variant, or a restarted
-  // process whose pre-crash history is gone — peers only stream new
-  // proposals). `tip` satisfies the commit rule, so every block
-  // collected above is already committed cluster-wide. With block sync
-  // wired (cb_.fetch_missing), the missing ancestor is fetched from
-  // peers and the walk resumes in on_synced_block — full-history
-  // backfill, preferred over checkpoint adoption's suffix-only recovery.
-  // Without it, checkpoint adoption lets a never-committed core adopt
-  // the deepest block it holds as a certified checkpoint.
+  // mismatch means a fork — commit nothing. A missing ancestor is either
+  // a late block that will still arrive or one no peer will ever re-send
+  // (an equivocation victim holding the losing variant, or a replica
+  // whose crash lost history — peers only stream new proposals). `tip`
+  // satisfies the commit rule, so every block collected above is already
+  // committed cluster-wide: block sync fetches the missing ancestor from
+  // peers and the walk resumes in on_synced_block, backfilling the full
+  // history from genesis.
   if (current == nullptr || current->hash() != last_committed_hash_) {
     if (current == nullptr && !chain.empty() && cb_.fetch_missing) {
       sync_pending_ = true;
       sync_tip_ = tip.hash();
       sync_missing_ = chain.back()->parent();
       cb_.fetch_missing(sync_missing_);
-      return;
     }
-    const bool adoptable = checkpoint_adoption_ && current == nullptr && !chain.empty() &&
-                           last_committed_view_ == Block::genesis().view();
-    if (!adoptable) return;
-    if (cb_.adopt_base) cb_.adopt_base(*chain.back());
+    return;
   }
   sync_pending_ = false;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {

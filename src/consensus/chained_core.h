@@ -95,13 +95,6 @@ class ChainedCore final : public ConsensusCore {
   }
   [[nodiscard]] std::uint64_t fallback_proposals() const noexcept { return fallback_proposals_; }
 
-  /// Crash recovery (restarted replica processes): allow a core that has
-  /// never committed to adopt a certified block with a missing ancestry
-  /// as its commit checkpoint instead of stalling forever on the
-  /// unfillable pre-restart prefix. Off by default — simulated clusters
-  /// retain full history and must keep full-prefix ledgers.
-  void set_checkpoint_adoption(bool on) noexcept { checkpoint_adoption_ = on; }
-
  private:
   void handle_new_view(ProcessId from, const NewViewMsg& msg);
   void handle_proposal(ProcessId from, const ProposalMsg& msg);
@@ -128,7 +121,6 @@ class ChainedCore final : public ConsensusCore {
   QuorumCert locked_qc_;
   View last_committed_view_ = -1;
   crypto::Digest last_committed_hash_;
-  bool checkpoint_adoption_ = false;
   /// Block-sync state: the commit-walk tip that wedged on a missing
   /// ancestor and the hash handed to CoreCallbacks::fetch_missing; the
   /// walk resumes from the tip when that exact block is synced in.

@@ -40,12 +40,6 @@ struct CoreCallbacks {
   /// SMR commit (chained HotStuff / HotStuff-2). Passes the stored block
   /// itself, so the ledger can keep a reference instead of a copy.
   std::function<void(const std::shared_ptr<const Block>& block)> decided;
-  /// Crash recovery (ProtocolConfig::checkpoint_adoption): the core is
-  /// about to make `base` its first decided block even though base's
-  /// parent is outside this node's history — base is a certified
-  /// checkpoint, the ledger becomes a committed suffix of the chain.
-  /// Fired once, immediately before decided(base).
-  std::function<void(const Block& base)> adopt_base;
   /// Vote gate over a proposal's payload. Null means every payload is
   /// acceptable (the legacy inline-batch mode); with the dissemination
   /// layer active it verifies that the payload is a well-formed list of
@@ -56,12 +50,13 @@ struct CoreCallbacks {
   /// timers (HotStuff-2's Delta-wait before a non-responsive proposal)
   /// use this; may be null for cores that never schedule.
   std::function<void(Duration delay, std::function<void()> fn)> schedule;
-  /// Block sync (ProtocolConfig::block_sync): the commit walk hit an
-  /// ancestor missing from the local store that no peer will re-send on
-  /// its own — an equivocation victim's dropped winner, or a restarted
-  /// replica's pre-crash history. The sync subsystem fetches the block
-  /// by hash from peers and feeds it back via
-  /// ConsensusCore::on_synced_block. Null when block sync is off.
+  /// Block sync (src/sync/): the commit walk hit an ancestor missing from
+  /// the local store that no peer will re-send on its own — an
+  /// equivocation victim's dropped winner, or a restarted replica's
+  /// pre-crash history. The sync subsystem fetches the block by hash from
+  /// peers and feeds it back via ConsensusCore::on_synced_block. Every
+  /// runtime Node wires it; null only in tests that drive a core
+  /// directly, where the walk then waits for the block to arrive.
   std::function<void(const crypto::Digest& hash)> fetch_missing;
 };
 

@@ -30,18 +30,9 @@ struct CommittedEntry {
 class Ledger {
  public:
   /// Appends a committed block. Asserts view monotonicity and parent-hash
-  /// continuity — a violation here is a consensus-safety bug.
+  /// continuity back to genesis — a violation here is a consensus-safety
+  /// bug.
   void commit(std::shared_ptr<const Block> block, TimePoint at);
-
-  /// Crash recovery: declares that this (still empty) ledger's first
-  /// commit extends `parent` — a certified checkpoint adopted by the
-  /// consensus core — instead of genesis. The ledger then records a
-  /// committed *suffix* of the cluster's chain, not a full prefix.
-  void adopt_base(const crypto::Digest& parent);
-  [[nodiscard]] bool checkpoint_adopted() const noexcept { return adopted_; }
-  /// Hash the first committed entry must extend (genesis, or the adopted
-  /// checkpoint's parent).
-  [[nodiscard]] const crypto::Digest& base_parent() const noexcept { return base_parent_; }
 
   [[nodiscard]] const std::vector<CommittedEntry>& entries() const noexcept { return entries_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -52,8 +43,6 @@ class Ledger {
 
  private:
   std::vector<CommittedEntry> entries_;
-  crypto::Digest base_parent_ = Block::genesis().hash();
-  bool adopted_ = false;
 };
 
 }  // namespace lumiere::consensus

@@ -1,6 +1,7 @@
 #include "fuzz/engine.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -51,6 +52,13 @@ RunResult run_case(const FuzzCase& c) {
   };
 
   cluster.run_until(disruption_end);
+  // Each honest node's commit height when the last disruption ended: the
+  // no-stall oracle's baseline.
+  std::map<ProcessId, View> baseline;
+  for (const ProcessId id : cluster.honest_ids()) {
+    const consensus::Ledger& ledger = cluster.node(id).ledger();
+    baseline[id] = ledger.empty() ? View{-1} : ledger.entries().back().view;
+  }
   // Probe in slices and stop as soon as progress resumed — a passing case
   // costs ~one slice past the last disruption, a failing one the full
   // bound. Slice boundaries are a pure function of the case, so the
@@ -67,6 +75,7 @@ RunResult run_case(const FuzzCase& c) {
   add(check_safety(cluster));
   add(check_view_monotonicity(cluster));
   add(liveness());
+  add(check_no_stall_data(ledger_data(cluster), baseline, kStallGraceViews));
   if (c.workload.clients > 0) add(check_exactly_once(cluster));
   result.digest = run_digest(cluster);
   return result;
@@ -180,7 +189,6 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
   if (deltas.drop_workload) c.workload = WorkloadChoice{};
   // Dissemination rides on the workload: dropping either switches it off.
   if (deltas.drop_dissem || deltas.drop_workload) c.dissem = false;
-  if (deltas.drop_block_sync) c.block_sync = false;
 
   std::vector<bool> drop_event(c.schedule.events.size(), false);
   for (const std::size_t index : deltas.drop_events) {
@@ -325,16 +333,6 @@ ShrinkResult shrink(std::uint64_t seed,
         changed = true;
       }
     }
-    // Block sync next, for the same reason: a failure that survives
-    // without it is not a sync bug, and the repro should say so.
-    if (base.block_sync && !deltas.drop_block_sync) {
-      CaseDeltas candidate = deltas;
-      candidate.drop_block_sync = true;
-      if (fails_with(candidate)) {
-        deltas = candidate;
-        changed = true;
-      }
-    }
     if (base.workload.clients > 0 && !deltas.drop_workload) {
       CaseDeltas candidate = deltas;
       candidate.drop_workload = true;
@@ -401,7 +399,6 @@ std::string repro_line(std::uint64_t seed, const CaseDeltas& deltas) {
   if (deltas.n != 0) out << " --n " << deltas.n;
   if (deltas.drop_workload) out << " --no-workload";
   if (deltas.drop_dissem) out << " --no-dissem";
-  if (deltas.drop_block_sync) out << " --no-sync";
   return out.str();
 }
 

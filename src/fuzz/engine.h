@@ -41,9 +41,9 @@ struct RunResult {
 };
 
 /// Builds and runs `c` on the sim transport, then applies every oracle
-/// that applies to the case (safety and view monotonicity always;
-/// commit- or decision-liveness depending on the core; exactly-once when
-/// a workload ran).
+/// that applies to the case (safety, view monotonicity and no-stall
+/// always; commit- or decision-liveness depending on the core;
+/// exactly-once when a workload ran).
 [[nodiscard]] RunResult run_case(const FuzzCase& c);
 
 /// Builds and runs `c` on the REAL TCP transport (localhost sockets,
@@ -71,12 +71,10 @@ struct CaseDeltas {
   bool drop_workload = false;
   /// Disable the sampled dissemination layer (keeping the workload).
   bool drop_dissem = false;
-  /// Disable the sampled block-sync subsystem.
-  bool drop_block_sync = false;
 
   [[nodiscard]] bool empty() const {
     return drop_events.empty() && drop_behaviors.empty() && n == 0 && !drop_workload &&
-           !drop_dissem && !drop_block_sync;
+           !drop_dissem;
   }
 };
 

@@ -302,10 +302,8 @@ FuzzCase sample_case(std::uint64_t seed) {
   sample_faults_and_behaviors(s);
   sample_workload(s);
   // Sampled last so earlier seeds' draw sequences (and thus their
-  // replayed cases) are unchanged by the dissemination dimension; the
-  // block-sync draw rides after it for the same reason.
+  // replayed cases) are unchanged by the dissemination dimension.
   if (c.workload.clients > 0) c.dissem = s.rng.next_bool(0.5);
-  if (c.committing_core()) c.block_sync = s.rng.next_bool(0.5);
   return c;
 }
 
@@ -346,7 +344,6 @@ runtime::ScenarioBuilder to_builder(const FuzzCase& c) {
     builder.workload(spec);
     if (c.dissem) builder.dissemination();
   }
-  if (c.block_sync) builder.block_sync();
 
   // Replay the schedule through the builder API. Leave/rejoin pairs are
   // re-expressed as churn() (the builder's one churn declaration emits
@@ -414,7 +411,6 @@ std::string describe(const FuzzCase& c) {
     out << " workload=" << workload::to_string(c.workload.arrival) << "x" << c.workload.clients;
   }
   out << " dissem=" << (c.dissem ? "on" : "off");
-  out << " sync=" << (c.block_sync ? "on" : "off");
   out << " behaviors=[";
   for (std::size_t i = 0; i < c.behaviors.size(); ++i) {
     if (i > 0) out << ", ";

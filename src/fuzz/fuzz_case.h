@@ -68,10 +68,6 @@ struct FuzzCase {
   /// Run the data-dissemination layer (src/dissem/): proposals order
   /// certified batch references. Only sampled when a workload is on.
   bool dissem = false;
-  /// Run the block-sync subsystem (src/sync/): wedged commit walks fetch
-  /// missing ancestors from peers. Only sampled for committing cores —
-  /// with it on, an equivocation victim's liveness becomes checkable.
-  bool block_sync = false;
 
   /// Every partition is healed and every crashed processor recovered by
   /// this instant; the liveness oracle's window starts here.

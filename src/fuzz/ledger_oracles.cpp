@@ -1,70 +1,41 @@
 #include "fuzz/ledger_oracles.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <span>
 #include <sstream>
 #include <utility>
 
 #include "consensus/mempool.h"
-#include "dissem/batch.h"
 #include "workload/request.h"
 
 namespace lumiere::fuzz {
 
-namespace {
-
-/// The entries of `records` whose view lies in [lo, hi], as a span of
-/// indices (records are view-sorted per check_view_monotonicity_data).
-std::pair<std::size_t, std::size_t> view_range_slice(
-    const std::vector<runtime::LedgerRecord>& records, View lo, View hi) {
-  const auto first = std::lower_bound(
-      records.begin(), records.end(), lo,
-      [](const runtime::LedgerRecord& r, View v) { return r.view < v; });
-  const auto last = std::upper_bound(
-      records.begin(), records.end(), hi,
-      [](View v, const runtime::LedgerRecord& r) { return v < r.view; });
-  return {static_cast<std::size_t>(first - records.begin()),
-          static_cast<std::size_t>(last - records.begin())};
+View newest_view(const NodeLedgerData& node) {
+  return node.records.empty() ? View{-1} : node.records.back().view;
 }
 
-}  // namespace
-
 std::optional<std::string> check_safety_data(const std::vector<NodeLedgerData>& nodes) {
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].ever_byzantine || nodes[i].records.empty()) continue;
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      if (nodes[j].ever_byzantine || nodes[j].records.empty()) continue;
-      const auto& a = nodes[i].records;
-      const auto& b = nodes[j].records;
-      // The committed chain is one sequence; each honest dump is a
-      // contiguous window of it (full prefix, or a checkpoint-adopted
-      // suffix). Inside the common view range the two windows must list
-      // exactly the same blocks.
-      const View lo = std::max(a.front().view, b.front().view);
-      const View hi = std::min(a.back().view, b.back().view);
-      if (lo > hi) continue;  // disjoint windows: nothing to compare
-      const auto [ai, ae] = view_range_slice(a, lo, hi);
-      const auto [bi, be] = view_range_slice(b, lo, hi);
-      if (ae - ai != be - bi) {
+  // Pairwise prefix consistency holds exactly when every honest ledger
+  // is a prefix of the longest one, so one pass against it suffices.
+  const NodeLedgerData* longest = nullptr;
+  for (const NodeLedgerData& node : nodes) {
+    if (node.ever_byzantine) continue;
+    if (longest == nullptr || node.records.size() > longest->records.size()) longest = &node;
+  }
+  for (const NodeLedgerData& node : nodes) {
+    if (node.ever_byzantine || &node == longest) continue;
+    for (std::size_t k = 0; k < node.records.size(); ++k) {
+      const runtime::LedgerRecord& a = node.records[k];
+      const runtime::LedgerRecord& b = longest->records[k];
+      if (a.view != b.view || a.hash != b.hash) {
         std::ostringstream out;
-        out << "safety: nodes " << nodes[i].node << " and " << nodes[j].node
-            << " committed different block counts (" << (ae - ai) << " vs " << (be - bi)
-            << ") over their common view range [" << lo << ", " << hi << "]";
+        out << "safety: ledger fork between honest nodes " << node.node << " ("
+            << node.records.size() << " entries) and " << longest->node << " ("
+            << longest->records.size() << " entries): entry " << k << " is view " << a.view
+            << " (" << a.hash.hex().substr(0, 12) << ") vs view " << b.view << " ("
+            << b.hash.hex().substr(0, 12) << ")";
         return out.str();
-      }
-      for (std::size_t k = 0; k < ae - ai; ++k) {
-        const runtime::LedgerRecord& ra = a[ai + k];
-        const runtime::LedgerRecord& rb = b[bi + k];
-        if (ra.view != rb.view || ra.hash != rb.hash) {
-          std::ostringstream out;
-          out << "safety: ledger fork between honest nodes " << nodes[i].node << " and "
-              << nodes[j].node << " in their common view range [" << lo << ", " << hi
-              << "]: entry " << k << " is view " << ra.view << " (" << ra.hash.hex().substr(0, 12)
-              << ") vs view " << rb.view << " (" << rb.hash.hex().substr(0, 12) << ")";
-          return out.str();
-        }
       }
     }
   }
@@ -88,7 +59,8 @@ std::optional<std::string> check_view_monotonicity_data(
   return std::nullopt;
 }
 
-std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerData>& nodes) {
+std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerData>& nodes,
+                                                   const BatchResolver& resolve) {
   std::set<std::uint32_t> restarted_nodes;
   for (const NodeLedgerData& node : nodes) {
     if (node.restarted) restarted_nodes.insert(node.node);
@@ -96,34 +68,51 @@ std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerD
   for (const NodeLedgerData& node : nodes) {
     if (node.ever_byzantine) continue;
     std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> seen;
-    std::size_t index = 0;
-    for (const runtime::LedgerRecord& record : node.records) {
-      const auto payload =
-          std::span<const std::uint8_t>(record.payload.data(), record.payload.size());
-      // Dissemination mode commits certified references; the raw dump
-      // cannot resolve them to request bytes — skip (the in-process
-      // oracle covers that composition).
-      if (dissem::is_refs_payload(payload)) {
-        ++index;
-        continue;
-      }
-      for (const auto& command : consensus::Mempool::split_batch(payload)) {
-        const auto request = workload::Request::decode(command);
-        if (!request) continue;  // not a tagged workload request
-        // A restarted replica's clients restart their sequence numbers,
-        // so their pre-crash tags legitimately commit a second time.
-        if (restarted_nodes.contains(workload::client_node(request->client))) continue;
-        const auto key = std::make_pair(request->client, request->seq);
-        const auto [it, inserted] = seen.emplace(key, index);
-        if (!inserted) {
+    std::set<dissem::BatchId> delivered;
+    for (std::size_t index = 0; index < node.records.size(); ++index) {
+      const std::span<const std::uint8_t> payload = node.records[index].payload;
+      std::vector<std::span<const std::uint8_t>> batches;
+      if (!dissem::is_refs_payload(payload)) {
+        batches.push_back(payload);
+      } else if (resolve) {
+        const auto refs = dissem::decode_refs(payload);
+        if (!refs) {
           std::ostringstream out;
-          out << "exactly-once: node " << node.node << " committed request (client "
-              << request->client << ", seq " << request->seq << ") twice (entries " << it->second
-              << " and " << index << ")";
+          out << "exactly-once: node " << node.node << " committed a malformed refs payload "
+              << "(entry " << index << ")";
           return out.str();
         }
+        for (const dissem::BatchCert& cert : *refs) {
+          if (!delivered.insert(cert.id()).second) continue;  // delivers once
+          const std::vector<std::uint8_t>* bytes = resolve(node.node, cert.id());
+          if (bytes == nullptr) {
+            std::ostringstream out;
+            out << "exactly-once: node " << node.node << " committed a batch reference (origin "
+                << cert.id().origin << ", seq " << cert.id().seq
+                << ") it never resolved (entry " << index << ")";
+            return out.str();
+          }
+          batches.emplace_back(*bytes);
+        }
       }
-      ++index;
+      for (const auto& batch : batches) {
+        for (const auto& command : consensus::Mempool::split_batch(batch)) {
+          const auto request = workload::Request::decode(command);
+          if (!request) continue;  // not a tagged workload request
+          // A restarted replica's clients restart their sequence numbers,
+          // so their pre-crash tags legitimately commit a second time.
+          if (restarted_nodes.contains(workload::client_node(request->client))) continue;
+          const auto [it, inserted] =
+              seen.emplace(std::make_pair(request->client, request->seq), index);
+          if (!inserted) {
+            std::ostringstream out;
+            out << "exactly-once: node " << node.node << " committed request (client "
+                << request->client << ", seq " << request->seq << ") twice (entries "
+                << it->second << " and " << index << ")";
+            return out.str();
+          }
+        }
+      }
     }
   }
   return std::nullopt;
@@ -133,16 +122,40 @@ std::optional<std::string> check_commit_progress_data(const std::vector<NodeLedg
                                                       ProcessId node, View min_view) {
   for (const NodeLedgerData& data : nodes) {
     if (data.node != node) continue;
-    if (!data.records.empty() && data.records.back().view > min_view) return std::nullopt;
+    if (newest_view(data) > min_view) return std::nullopt;
     std::ostringstream out;
-    out << "progress: node " << node << " newest committed view is "
-        << (data.records.empty() ? View{-1} : data.records.back().view)
+    out << "progress: node " << node << " newest committed view is " << newest_view(data)
         << " — expected beyond view " << min_view;
     return out.str();
   }
   std::ostringstream out;
   out << "progress: no ledger dump for node " << node;
   return out.str();
+}
+
+std::optional<std::string> check_no_stall_data(const std::vector<NodeLedgerData>& nodes,
+                                               const std::map<ProcessId, View>& baseline_views,
+                                               View grace, std::vector<ProcessId>* stalled) {
+  View best = -1;
+  for (const NodeLedgerData& node : nodes) {
+    if (!node.ever_byzantine) best = std::max(best, newest_view(node));
+  }
+  std::optional<std::string> violation;
+  for (const NodeLedgerData& node : nodes) {
+    const auto baseline = baseline_views.find(node.node);
+    if (node.ever_byzantine || baseline == baseline_views.end()) continue;
+    const View newest = newest_view(node);
+    if (newest > baseline->second || newest + grace >= best) continue;
+    if (stalled != nullptr) stalled->push_back(node.node);
+    if (!violation) {
+      std::ostringstream out;
+      out << "stall: node " << node.node << " committed nothing past view " << baseline->second
+          << " and ends at view " << newest << ", " << (best - newest)
+          << " views behind the best honest ledger (grace " << grace << ")";
+      violation = out.str();
+    }
+  }
+  return violation;
 }
 
 }  // namespace lumiere::fuzz

@@ -1,16 +1,18 @@
-// Data-form correctness oracles: the PR 5 checks (fuzz/oracles.h)
-// recast over *downloaded* ledger dumps instead of a live in-process
-// Cluster. The soak orchestrator (tools/soak) kills and restarts real
-// replica processes, then pulls each survivor's commit log through the
-// status endpoint's LEDGER command — at that point there is no Cluster
-// object to ask, only n parsed dumps.
+// Ledger oracles: the correctness checks over committed ledgers, in one
+// data form. Each replica contributes one NodeLedgerData, whether it was
+// downloaded from a separate process (tools/soak pulls every commit log
+// through the status endpoint's LEDGER command) or read from an
+// in-process Cluster (fuzz/oracles.h adapts a Cluster to this form). The
+// tests, the fuzzer and the soak judge therefore run the same code.
 //
-// Two consequences shape the checks:
-//   * A restarted replica resumes through checkpoint adoption
-//     (consensus/ledger.h adopt_base), so its dump is a committed
-//     *suffix* of the cluster's chain, not a full prefix. Safety is
-//     therefore checked over the view-overlap of each pair, not by
-//     index-aligned prefixes.
+// Two facts shape the checks:
+//   * Every honest ledger extends genesis. A replica that lost history —
+//     a crash window that swallowed proposals, an equivocation victim
+//     holding the losing variant, a killed-and-restarted process —
+//     backfills the missing ancestors through block sync (src/sync/)
+//     before it commits past them. Safety is therefore index-aligned
+//     prefix consistency, and a dump that starts mid-chain is itself a
+//     violation.
 //   * A restarted replica's workload clients restart their sequence
 //     numbers, legitimately re-submitting (client, seq) tags that
 //     committed before the crash. Exactly-once forgives duplicates whose
@@ -20,32 +22,34 @@
 // and a self-contained violation string otherwise.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
+#include "dissem/batch.h"
 #include "runtime/spec_io.h"
 
 namespace lumiere::fuzz {
 
-/// One node's downloaded commit log plus what the orchestrator knows
-/// about the process that produced it.
+/// One node's commit log plus what the caller knows about the process
+/// that produced it.
 struct NodeLedgerData {
   ProcessId node = kNoProcess;
   /// Reported ever_byzantine (STATUS) or known from the disruption
   /// schedule — excluded from every guarantee.
   bool ever_byzantine = false;
-  /// The process was killed and restarted: its dump is a suffix window
-  /// and its workload clients re-use sequence numbers.
+  /// The process was killed and restarted: its workload clients re-use
+  /// sequence numbers.
   bool restarted = false;
   std::vector<runtime::LedgerRecord> records;
 };
 
-/// SAFETY: for every pair of honest dumps, the entries inside the pair's
-/// common view range are identical (same views, same block hashes, in
-/// the same order). Suffix windows with disjoint view ranges have
-/// nothing to compare and pass vacuously.
+/// SAFETY: every pair of honest ledgers is prefix-consistent, entry by
+/// entry from genesis: same view, same block hash at every index both
+/// hold.
 [[nodiscard]] std::optional<std::string> check_safety_data(
     const std::vector<NodeLedgerData>& nodes);
 
@@ -54,13 +58,21 @@ struct NodeLedgerData {
 [[nodiscard]] std::optional<std::string> check_view_monotonicity_data(
     const std::vector<NodeLedgerData>& nodes);
 
-/// EXACTLY-ONCE: no honest dump carries the same workload request
+/// The bytes of a committed batch reference as `node` resolved them, or
+/// nullptr if it never did.
+using BatchResolver =
+    std::function<const std::vector<std::uint8_t>*(ProcessId node, const dissem::BatchId& id)>;
+
+/// EXACTLY-ONCE: no honest ledger carries the same workload request
 /// (client, seq) twice — except tags owned by a restarted node's
-/// clients, which legitimately re-submit after the crash. Dumps whose
-/// payloads are dissemination references (certified batch refs, not
-/// request bytes) are skipped: raw dumps cannot resolve them.
+/// clients, which legitimately re-submit after the crash. Entries that
+/// order dissemination references resolve through `resolve`: each
+/// BatchId delivers once per node (re-ordering a reference in a later
+/// block is legal), and a malformed or unresolved reference is itself a
+/// violation. Without a resolver (raw dumps cannot resolve references)
+/// such entries are skipped.
 [[nodiscard]] std::optional<std::string> check_exactly_once_data(
-    const std::vector<NodeLedgerData>& nodes);
+    const std::vector<NodeLedgerData>& nodes, const BatchResolver& resolve = nullptr);
 
 /// LIVENESS (progress form): the dump of `node` extends beyond
 /// `min_view` — its newest committed view is strictly greater. The
@@ -69,5 +81,23 @@ struct NodeLedgerData {
 /// observed at restart time).
 [[nodiscard]] std::optional<std::string> check_commit_progress_data(
     const std::vector<NodeLedgerData>& nodes, ProcessId node, View min_view);
+
+/// The no-stall grace the fuzzer and the soak judge use: how many views
+/// a replica that committed nothing may end behind the best honest one.
+inline constexpr View kStallGraceViews = 8;
+
+/// NO STALL: no honest replica is wedged. A replica is stalled when its
+/// dump committed nothing past its `baseline_views` entry (its newest
+/// committed view at an earlier instant) AND ends more than `grace`
+/// views behind the best honest dump. A replica that is merely behind
+/// keeps committing while it catches up; a wedged one flatlines while
+/// its peers pull away. Replicas without a baseline are not judged.
+/// Each stalled replica is also appended to `stalled` when given.
+[[nodiscard]] std::optional<std::string> check_no_stall_data(
+    const std::vector<NodeLedgerData>& nodes, const std::map<ProcessId, View>& baseline_views,
+    View grace, std::vector<ProcessId>* stalled = nullptr);
+
+/// Newest committed view of a dump (-1 when it is empty).
+[[nodiscard]] View newest_view(const NodeLedgerData& node);
 
 }  // namespace lumiere::fuzz

@@ -1,33 +1,26 @@
 #include "fuzz/oracles.h"
 
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
-#include <vector>
 
-#include "consensus/mempool.h"
-#include "dissem/batch.h"
 #include "runtime/cluster.h"
-#include "workload/request.h"
 
 namespace lumiere::fuzz {
 
-std::optional<std::string> check_safety(const runtime::Cluster& cluster) {
-  const std::vector<ProcessId> honest = cluster.honest_ids();
-  for (std::size_t i = 0; i < honest.size(); ++i) {
-    for (std::size_t j = i + 1; j < honest.size(); ++j) {
-      const consensus::Ledger& a = cluster.node(honest[i]).ledger();
-      const consensus::Ledger& b = cluster.node(honest[j]).ledger();
-      if (!a.prefix_consistent_with(b)) {
-        std::ostringstream out;
-        out << "safety: ledger fork between honest nodes " << honest[i] << " ("
-            << a.size() << " blocks) and " << honest[j] << " (" << b.size() << " blocks)";
-        return out.str();
-      }
-    }
+std::vector<NodeLedgerData> ledger_data(const runtime::Cluster& cluster) {
+  std::vector<NodeLedgerData> nodes;
+  for (const ProcessId id : cluster.honest_ids()) {
+    NodeLedgerData data;
+    data.node = id;
+    data.records = runtime::ledger_records(cluster.node(id).ledger());
+    nodes.push_back(std::move(data));
   }
-  return std::nullopt;
+  return nodes;
+}
+
+std::optional<std::string> check_safety(const runtime::Cluster& cluster) {
+  return check_safety_data(ledger_data(cluster));
 }
 
 std::optional<std::string> check_view_monotonicity(const runtime::Cluster& cluster) {
@@ -82,65 +75,21 @@ std::optional<std::string> check_commit_liveness(const runtime::Cluster& cluster
 }
 
 std::optional<std::string> check_exactly_once(const runtime::Cluster& cluster) {
-  // (1) No honest node delivers the same tagged request twice — the
-  // mempool's duplicate suppression and view-leased batches must hold
-  // under every composition of faults. With dissemination, a ledger
-  // entry carries certified references: each BatchId delivers once per
-  // node (re-ordering the same reference in a later block is legal and
-  // deduplicated), its bytes resolved through the node's disseminator —
-  // an unresolved committed reference at run end is itself a violation.
+  const BatchResolver resolve = [&cluster](ProcessId id, const dissem::BatchId& batch) {
+    const dissem::Disseminator* engine = cluster.node(id).disseminator();
+    return engine == nullptr ? nullptr : engine->payload_of(batch);
+  };
+  // Exactly-once is a per-ledger property: check one node at a time, so
+  // only one ledger's records live beside the check's own bookkeeping.
   for (const ProcessId id : cluster.honest_ids()) {
-    std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> seen;
-    std::set<dissem::BatchId> delivered;
-    std::size_t block_index = 0;
-    for (const auto& entry : cluster.node(id).ledger().entries()) {
-      std::vector<std::span<const std::uint8_t>> batches;
-      if (dissem::is_refs_payload(entry.payload)) {
-        const auto refs = dissem::decode_refs(entry.payload);
-        if (!refs) {
-          std::ostringstream out;
-          out << "exactly-once: node " << id << " committed a malformed refs payload (block "
-              << block_index << ")";
-          return out.str();
-        }
-        const dissem::Disseminator* engine = cluster.node(id).disseminator();
-        for (const dissem::BatchCert& cert : *refs) {
-          if (!delivered.insert(cert.id()).second) continue;  // delivers once
-          const std::vector<std::uint8_t>* bytes =
-              engine == nullptr ? nullptr : engine->payload_of(cert.id());
-          if (bytes == nullptr) {
-            std::ostringstream out;
-            out << "exactly-once: node " << id << " committed a batch reference (origin "
-                << cert.id().origin << ", seq " << cert.id().seq
-                << ") it never resolved (block " << block_index << ")";
-            return out.str();
-          }
-          batches.emplace_back(bytes->data(), bytes->size());
-        }
-      } else {
-        batches.push_back(entry.payload);
-      }
-      for (const auto& batch : batches) {
-        for (const auto& command : consensus::Mempool::split_batch(batch)) {
-          const auto request = workload::Request::decode(command);
-          if (!request) continue;  // not a tagged workload request
-          const auto key = std::make_pair(request->client, request->seq);
-          const auto [it, inserted] = seen.emplace(key, block_index);
-          if (!inserted) {
-            std::ostringstream out;
-            out << "exactly-once: node " << id << " committed request (client "
-                << request->client << ", seq " << request->seq << ") twice (blocks "
-                << it->second << " and " << block_index << ")";
-            return out.str();
-          }
-        }
-      }
-      ++block_index;
-    }
+    std::vector<NodeLedgerData> node(1);
+    node[0].node = id;
+    node[0].records = runtime::ledger_records(cluster.node(id).ledger());
+    if (auto violation = check_exactly_once_data(node, resolve)) return violation;
   }
-  // (2) Every commit the client side observed matches a submission it
-  // made — a committed request materializing from nowhere means the
-  // engine's accounting (or the ledger) is corrupt.
+  // Every commit the client side observed matches a submission it made —
+  // a committed request materializing from nowhere means the engine's
+  // accounting (or the ledger) is corrupt.
   const workload::Report report = cluster.workload_report();
   if (report.commit_misses != 0) {
     std::ostringstream out;

@@ -1,11 +1,13 @@
 // Correctness oracles: reusable pass/fail checks over a finished Cluster
 // run.
 //
-// Hand-written scenarios and the scenario fuzzer (fuzz/engine.h) assert
-// the same properties; this library is the single home of those checks so
-// the two cannot drift apart:
+// Hand-written scenarios, the scenario fuzzer (fuzz/engine.h) and the
+// soak judge (tools/soak) assert the same properties; the ledger checks
+// live once, in data form, in fuzz/ledger_oracles.h, and the Cluster
+// forms of safety and exactly-once below are adapters over them, so the
+// callers cannot drift apart:
 //   * safety           — no two honest ledgers conflict (pairwise prefix
-//                        consistency by block hash);
+//                        consistency by view and block hash);
 //   * view monotonicity — condition (1) of the view-synchronization task,
 //                        checked event-wise over the structured trace;
 //   * liveness         — honest decision/commit progress resumes within a
@@ -14,6 +16,8 @@
 //   * exactly-once     — an admitted workload request commits at most
 //                        once, and every observed commit matches a
 //                        submission.
+// View monotonicity and the two liveness forms read the trace and commit
+// timestamps, which ledger dumps do not carry, so they stay Cluster-only.
 //
 // Every oracle returns std::nullopt when satisfied and a self-contained
 // violation description otherwise (what failed, where, and the observed
@@ -23,8 +27,10 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/time.h"
+#include "fuzz/ledger_oracles.h"
 
 namespace lumiere::runtime {
 class Cluster;
@@ -32,10 +38,13 @@ class Cluster;
 
 namespace lumiere::fuzz {
 
-/// SAFETY: every pair of honest ledgers is prefix-consistent (one is a
-/// hash-prefix of the other). Byzantine nodes — including nodes scheduled
-/// to turn Byzantine mid-run — are excluded; their ledgers carry no
-/// guarantee. Works on both transports.
+/// The honest nodes' ledgers in data form. Each record shares its
+/// committed block, so no payload byte is copied.
+[[nodiscard]] std::vector<NodeLedgerData> ledger_data(const runtime::Cluster& cluster);
+
+/// SAFETY: check_safety_data over ledger_data(cluster). Byzantine nodes
+/// — including nodes scheduled to turn Byzantine mid-run — are excluded;
+/// their ledgers carry no guarantee. Works on both transports.
 [[nodiscard]] std::optional<std::string> check_safety(const runtime::Cluster& cluster);
 
 /// VIEW MONOTONICITY: per node, the trace's view-entered events never
@@ -61,10 +70,10 @@ namespace lumiere::fuzz {
     const runtime::Cluster& cluster, TimePoint from, Duration bound,
     std::size_t min_commits = 1);
 
-/// EXACTLY-ONCE: no honest ledger commits the same workload request
-/// (client, seq) twice, and the merged client-side accounting observed no
-/// commit without a matching submission. Vacuously true for runs without
-/// a client workload.
+/// EXACTLY-ONCE: check_exactly_once_data over each honest node's ledger,
+/// resolving batch references through the node's disseminator; and the
+/// merged client-side accounting observed no commit without a matching
+/// submission. Vacuously true for runs without a client workload.
 [[nodiscard]] std::optional<std::string> check_exactly_once(const runtime::Cluster& cluster);
 
 }  // namespace lumiere::fuzz

@@ -28,7 +28,7 @@ Node::Node(const ProtocolParams& params, ProcessId id, sim::Simulator* sim,
   build_pacemaker(config);
   build_dissem(config);
   build_core(config);
-  build_sync(config);
+  build_sync();
 }
 
 bool Node::is_byzantine() const noexcept { return ever_byzantine_; }
@@ -103,11 +103,6 @@ void Node::build_core(const NodeConfig& config) {
     if (observers_.on_qc_formed) observers_.on_qc_formed(sim_->now(), qc.view(), id_);
   };
   callbacks.qc_seen = [this](const consensus::QuorumCert& qc) { pacemaker_->on_qc(qc); };
-  callbacks.adopt_base = [this](const consensus::Block& base) {
-    // Checkpoint adoption (crash recovery): the first decided block will
-    // extend `base`'s parent rather than genesis.
-    ledger_.adopt_base(base.parent());
-  };
   callbacks.decided = [this](const std::shared_ptr<const consensus::Block>& block) {
     ledger_.commit(block, sim_->now());
     // Resolve committed references into delivered batches (the dissem
@@ -118,13 +113,9 @@ void Node::build_core(const NodeConfig& config) {
   callbacks.schedule = [this](Duration delay, std::function<void()> fn) {
     sim_->schedule_after(delay, std::move(fn));
   };
-  if (config.protocol.block_sync) {
-    // The commit walk hit a never-arriving missing ancestor: hand the
-    // hash to the synchronizer (built right after the core).
-    callbacks.fetch_missing = [this](const crypto::Digest& hash) {
-      if (sync_) sync_->on_missing(hash);
-    };
-  }
+  // The commit walk hit a never-arriving missing ancestor: hand the hash
+  // to the synchronizer (built right after the core).
+  callbacks.fetch_missing = [this](const crypto::Digest& hash) { sync_->on_missing(hash); };
 
   PayloadProvider provider = config.payload_provider;
   if (dissem_) {
@@ -147,8 +138,7 @@ void Node::build_core(const NodeConfig& config) {
                   std::move(provider), config.protocol});
 }
 
-void Node::build_sync(const NodeConfig& config) {
-  if (!config.protocol.block_sync) return;
+void Node::build_sync() {
   // Serve and verify against the core's content-addressed store. Fetched
   // blocks re-enter through ConsensusCore::on_synced_block, whose commit
   // path runs the same `decided` callback as live blocks — so a fetched
@@ -199,7 +189,7 @@ void Node::route_inbound(ProcessId from, const MessagePtr& msg) {
   } else if (msg->msg_class() == MsgClass::kDissem) {
     if (dissem_) dissem_->on_message(from, msg);
   } else if (msg->msg_class() == MsgClass::kSync) {
-    if (sync_) sync_->on_message(from, msg);
+    sync_->on_message(from, msg);
   } else {
     pacemaker_->on_message(from, msg);
   }

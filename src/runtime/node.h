@@ -121,8 +121,7 @@ class Node {
     return dissem_.get();
   }
   [[nodiscard]] dissem::Disseminator* disseminator() noexcept { return dissem_.get(); }
-  /// The node's block-sync engine; nullptr unless
-  /// ProtocolConfig::block_sync was set.
+  /// The node's block-sync engine; every node runs one, so never null.
   [[nodiscard]] const sync::BlockSynchronizer* synchronizer() const noexcept {
     return sync_.get();
   }
@@ -136,7 +135,7 @@ class Node {
   void build_pacemaker(const NodeConfig& config);
   void build_dissem(const NodeConfig& config);
   void build_core(const NodeConfig& config);
-  void build_sync(const NodeConfig& config);
+  void build_sync();
   void route_inbound(ProcessId from, const MessagePtr& msg);
   void outbound(ProcessId to, MessagePtr msg);
   void outbound_broadcast(const MessagePtr& msg);

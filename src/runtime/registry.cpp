@@ -102,11 +102,9 @@ void register_builtin_cores(ProtocolRegistry& registry) {
   // Both chained protocols are one core under two chain rules.
   const auto chained = [](consensus::ChainRule rule) {
     return [rule](CoreContext&& ctx) {
-      auto core = std::make_unique<consensus::ChainedCore>(
+      return std::make_unique<consensus::ChainedCore>(
           rule, ctx.params, ctx.auth, ctx.signer, std::move(ctx.callbacks), std::move(ctx.hooks),
           std::move(ctx.payload_provider));
-      core->set_checkpoint_adoption(ctx.config.checkpoint_adoption);
-      return core;
     };
   };
   registry.register_core("chained-hotstuff", chained(consensus::ChainRule::hotstuff()));

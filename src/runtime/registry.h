@@ -69,21 +69,6 @@ struct ProtocolConfig {
   /// Leader-schedule / randomness seed. Must be identical cluster-wide or
   /// honest nodes will disagree on lead(v).
   std::uint64_t shared_seed = 1;
-  /// Crash recovery for standalone replica processes: a committing core
-  /// that has never committed may adopt a certified block with missing
-  /// ancestry as its commit checkpoint (ledger becomes a committed
-  /// suffix) instead of stalling on the unfillable pre-restart prefix.
-  /// Keep off for simulated clusters — they retain full history and the
-  /// harness asserts full-prefix ledgers.
-  bool checkpoint_adoption = false;
-  /// Block sync (src/sync/): when the commit walk hits a missing
-  /// ancestor that will never arrive on its own — an equivocation
-  /// victim's dropped winner, or a restarted replica's pre-crash
-  /// history — fetch it from peers by hash and resume the walk instead
-  /// of wedging. Preferred over checkpoint_adoption when both are on
-  /// (full-history backfill instead of a committed suffix). Default off:
-  /// golden-digest runs stay byte-identical.
-  bool block_sync = false;
   LumiereOptions lumiere;
   FeverOptions fever;
   TimeoutOptions timeout;

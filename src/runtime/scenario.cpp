@@ -149,10 +149,7 @@ ScenarioBuilder& ScenarioBuilder::dissemination(dissem::DissemSpec spec) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::block_sync(bool on) {
-  protocol_.block_sync = on;
-  return *this;
-}
+ScenarioBuilder& ScenarioBuilder::block_sync() { return *this; }
 
 ScenarioBuilder& ScenarioBuilder::observability(obs::ObsSpec spec) {
   obs_ = spec;

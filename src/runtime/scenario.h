@@ -178,11 +178,10 @@ class ScenarioBuilder {
   /// references, committed references resolve (fetch-on-miss) before
   /// delivery. Requires the client-driven workload form above.
   ScenarioBuilder& dissemination(dissem::DissemSpec spec = {});
-  /// Enables block sync (src/sync/): a commit walk that wedges on a
-  /// missing ancestor fetches it from peers by hash and resumes instead
-  /// of stalling (equivocation victims, restarted replicas). Default
-  /// off — goldens pin the no-sync execution byte-identically.
-  ScenarioBuilder& block_sync(bool on = true);
+  /// Does nothing. Block sync (src/sync/) is always on; this call
+  /// survives only because the bench_e2e workloads still make it, and
+  /// goes with the next change to that benchmark.
+  ScenarioBuilder& block_sync();
   /// Observability knobs (src/obs/): span tracer on/off + capacities and
   /// the per-node status endpoints. The tracer defaults on even without
   /// this call; status endpoints need the TCP transport.

@@ -59,11 +59,6 @@ SoloNodeRuntime::SoloNodeRuntime(const ClusterSpec& spec, ProcessId id, Options 
 
   NodeConfig config;
   config.protocol = node_spec.protocol;
-  // Standalone processes lose all state on kill -9; without checkpoint
-  // adoption a restarted replica could never reconnect its commit walk
-  // to genesis and would stall forever. In-process clusters keep this
-  // off (full history, full-prefix ledgers).
-  config.protocol.checkpoint_adoption = true;
   config.join_time = node_spec.join_time;
   config.clock_drift_ppm = node_spec.clock_drift_ppm;
   config.payload_provider = node_spec.payload_provider;

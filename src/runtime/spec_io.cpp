@@ -72,7 +72,6 @@ std::string serialize(const ClusterSpec& spec) {
   out << "pipeline_workers " << spec.pipeline_workers << "\n";
   out << "pipeline_queue " << spec.pipeline_queue << "\n";
   out << "dissem " << (spec.dissem ? 1 : 0) << "\n";
-  out << "block_sync " << (spec.block_sync ? 1 : 0) << "\n";
   out << "arrival " << spec.arrival << "\n";
   out << "clients_per_node " << spec.clients_per_node << "\n";
   out << "rate_per_client " << spec.rate_per_client << "\n";
@@ -136,10 +135,6 @@ std::optional<ClusterSpec> parse_cluster_spec(const std::string& text, std::stri
       int v = 0;
       ok = static_cast<bool>(fields >> v);
       spec.dissem = v != 0;
-    } else if (key == "block_sync") {
-      int v = 0;
-      ok = static_cast<bool>(fields >> v);
-      spec.block_sync = v != 0;
     } else if (key == "arrival") {
       ok = static_cast<bool>(fields >> spec.arrival) &&
            parse_arrival(spec.arrival).has_value();
@@ -201,7 +196,6 @@ ScenarioBuilder to_builder(const ClusterSpec& spec) {
   workload.request_bytes = spec.request_bytes;
   builder.workload(workload);
   if (spec.dissem) builder.dissemination();
-  if (spec.block_sync) builder.block_sync();
   if (spec.status_base_port != 0) {
     obs::ObsSpec obs;
     obs.status_base_port = spec.status_base_port;
@@ -212,6 +206,21 @@ ScenarioBuilder to_builder(const ClusterSpec& spec) {
     builder.node(node).behavior([name] { return adversary::make_behavior(name); });
   }
   return builder;
+}
+
+LedgerRecord LedgerRecord::owning(View view, const crypto::Digest& hash,
+                                  std::vector<std::uint8_t> payload) {
+  auto bytes = std::make_shared<const std::vector<std::uint8_t>>(std::move(payload));
+  return LedgerRecord{view, hash, std::span<const std::uint8_t>(*bytes), bytes};
+}
+
+std::vector<LedgerRecord> ledger_records(const consensus::Ledger& ledger) {
+  std::vector<LedgerRecord> records;
+  records.reserve(ledger.size());
+  for (const consensus::CommittedEntry& entry : ledger.entries()) {
+    records.push_back(LedgerRecord{entry.view, entry.hash, entry.payload, entry.block});
+  }
+  return records;
 }
 
 std::string render_ledger(const consensus::Ledger& ledger) {
@@ -250,9 +259,9 @@ std::optional<std::vector<LedgerRecord>> parse_ledger(const std::string& text,
       error = "ledger: expected 'entry' or 'END', got '" + word + "'";
       return std::nullopt;
     }
-    LedgerRecord record;
+    View view = -1;
     std::string hash_hex, payload_hex;
-    if (!(in >> record.view >> hash_hex)) {
+    if (!(in >> view >> hash_hex)) {
       error = "ledger: truncated entry";
       return std::nullopt;
     }
@@ -270,12 +279,13 @@ std::optional<std::vector<LedgerRecord>> parse_ledger(const std::string& text,
     }
     std::array<std::uint8_t, crypto::Digest::kSize> hash_array{};
     std::copy(hash_bytes.begin(), hash_bytes.end(), hash_array.begin());
-    record.hash = crypto::Digest(hash_array);
-    if (!payload_hex.empty() && !hex_decode(payload_hex, record.payload)) {
+    std::vector<std::uint8_t> payload;
+    if (!payload_hex.empty() && !hex_decode(payload_hex, payload)) {
       error = "ledger: bad payload hex";
       return std::nullopt;
     }
-    records.push_back(std::move(record));
+    records.push_back(
+        LedgerRecord::owning(view, crypto::Digest(hash_array), std::move(payload)));
   }
   if (!terminated) {
     error = "ledger: missing END terminator (truncated?)";

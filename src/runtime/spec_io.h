@@ -10,7 +10,7 @@
 //
 //   * Ledger dump — the admin LEDGER reply (obs/admin.h): one line per
 //     committed entry carrying view, block hash and payload bytes, enough
-//     for the data-form oracles (fuzz/oracles.h) to check safety and
+//     for the ledger oracles (fuzz/ledger_oracles.h) to check safety and
 //     exactly-once across processes that share no address space.
 //
 // Both formats are line-oriented ASCII: debuggable with nc(1), diffable,
@@ -19,7 +19,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,10 +53,6 @@ struct ClusterSpec {
 
   bool dissem = false;
 
-  /// Block-sync subsystem (src/sync/): wedged commit walks fetch missing
-  /// ancestors from peers instead of stalling forever.
-  bool block_sync = false;
-
   /// Client-driven workload on every node (the soak cluster always runs
   /// one — liveness oracles need committed requests to count).
   std::string arrival = "closed-loop";
@@ -80,14 +78,26 @@ struct ClusterSpec {
 /// from it; lumiere_node builds the same builder and runs one node.
 [[nodiscard]] ScenarioBuilder to_builder(const ClusterSpec& spec);
 
-/// One committed entry as carried by the LEDGER dump (the cross-process
-/// form of consensus::CommittedEntry — no commit timestamp: wall clocks
-/// are not comparable across processes).
+/// One committed entry in the form the ledger oracles
+/// (fuzz/ledger_oracles.h) read: the cross-process form of
+/// consensus::CommittedEntry, without a commit timestamp (wall clocks are
+/// not comparable across processes). `payload` views bytes that `owner`
+/// keeps alive: the committed block itself for a record taken from an
+/// in-process ledger, so no payload byte is copied; the decoded bytes for
+/// a record parsed from a LEDGER dump.
 struct LedgerRecord {
   View view = -1;
   crypto::Digest hash;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
+  std::shared_ptr<const void> owner;
+
+  /// A record that owns `payload` (parsed dumps, synthetic test data).
+  [[nodiscard]] static LedgerRecord owning(View view, const crypto::Digest& hash,
+                                           std::vector<std::uint8_t> payload);
 };
+
+/// The records of an in-process ledger; each shares its committed block.
+[[nodiscard]] std::vector<LedgerRecord> ledger_records(const consensus::Ledger& ledger);
 
 /// Renders "ledger v1 <count>" + one "entry <view> <hash> <payload-hex>"
 /// line per committed block + "END".

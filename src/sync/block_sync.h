@@ -7,9 +7,14 @@
 //     an equivocated block; when the certified winner's descendants
 //     commit, the walk hits a parent hash the replica never stored and no
 //     peer will ever re-send — a permanent stall.
-//   * REJOINER: a killed-and-restarted process lost its whole store;
-//     peers only stream new proposals, so its pre-crash history is
-//     unreachable (checkpoint adoption commits a suffix, never backfills).
+//   * REJOINER: a crashed or killed-and-restarted process missed (or
+//     lost) part of the chain; peers only stream new proposals, so that
+//     history never arrives on its own.
+//
+// Every node runs a synchronizer. It is idle — no timers, no messages —
+// until a commit walk reports a gap, and it is the only recovery path:
+// a rejoiner backfills the full history back to genesis, so every honest
+// ledger stays a prefix of the committed chain.
 //
 // The core's commit walk reports the missing hash (CoreCallbacks::
 // fetch_missing); the synchronizer asks one peer at a time for the block

@@ -95,7 +95,6 @@ TEST(BlockSharingTest, BlockSyncHandsTheVictimTheRespondersAllocation) {
       {0}, [](ProcessId) { return adversary::make_behavior("equivocator"); }));
   builder.crash(kVictim, TimePoint(Duration::seconds(2).ticks()));
   builder.recover(kVictim, TimePoint(Duration::seconds(6).ticks()));
-  builder.block_sync();
   Cluster cluster(builder);
   cluster.run_for(Duration::seconds(10));
 

@@ -5,7 +5,8 @@
 //
 //   * the cluster commits over real sockets,
 //   * a torn-down replica rebuilds from the shared spec, reconnects and
-//     resumes committing via checkpoint adoption (crash recovery),
+//     backfills its history through block sync and resumes committing
+//     (crash recovery),
 //   * the admin control plane applies live on the driver thread.
 #include "runtime/solo_node.h"
 
@@ -114,9 +115,7 @@ fuzz::NodeLedgerData ledger_data(const SoloNodeRuntime& runtime, bool restarted)
   fuzz::NodeLedgerData data;
   data.node = runtime.id();
   data.restarted = restarted;
-  for (const auto& entry : runtime.node().ledger().entries()) {
-    data.records.push_back({entry.view, entry.hash, {entry.payload.begin(), entry.payload.end()}});
-  }
+  data.records = ledger_records(runtime.node().ledger());
   return data;
 }
 
@@ -159,16 +158,21 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   }
   EXPECT_TRUE(recovered) << "restarted replica never committed beyond watermark " << watermark;
 
-  // Its driver stopped, the restarted ledger is inspectable: it adopted a
-  // certified checkpoint (it cannot have replayed history back to
-  // genesis) and agrees with a survivor over their view overlap.
+  // Its driver stopped, the restarted ledger is inspectable: block sync
+  // fetched back the history it lost, so it is a full prefix of the chain
+  // — it starts where a survivor's starts and agrees with it entry by
+  // entry.
   hosts[1]->halt();
-  EXPECT_TRUE(hosts[1]->runtime->node().ledger().checkpoint_adopted());
   hosts[0]->halt();
-  const auto violation = fuzz::check_safety_data(
-      {ledger_data(*hosts[0]->runtime, false), ledger_data(*hosts[1]->runtime, true)});
+  const fuzz::NodeLedgerData survivor = ledger_data(*hosts[0]->runtime, false);
+  const fuzz::NodeLedgerData restarted = ledger_data(*hosts[1]->runtime, true);
+  ASSERT_FALSE(survivor.records.empty());
+  ASSERT_FALSE(restarted.records.empty());
+  EXPECT_EQ(restarted.records.front().view, survivor.records.front().view);
+  EXPECT_EQ(restarted.records.front().hash.hex(), survivor.records.front().hash.hex());
+  const auto violation = fuzz::check_safety_data({survivor, restarted});
   EXPECT_EQ(violation, std::nullopt) << *violation;
-  const auto monotone = fuzz::check_view_monotonicity_data({ledger_data(*hosts[1]->runtime, true)});
+  const auto monotone = fuzz::check_view_monotonicity_data({restarted});
   EXPECT_EQ(monotone, std::nullopt) << *monotone;
 
   // Phase 3 — the admin control plane, against a live driver (node 2).

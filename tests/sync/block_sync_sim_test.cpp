@@ -1,6 +1,6 @@
-// Block-sync integration: the same schedule that permanently wedges an
-// honest replica without the subsystem commits on every honest replica
-// with it enabled.
+// Block-sync integration: a schedule that would permanently wedge an
+// honest replica without the subsystem commits on every honest replica,
+// because every node runs a synchronizer.
 //
 // The wedge is manufactured the way real deployments hit it: a crash
 // window. A down processor LOSES the proposals sent while it is down
@@ -30,7 +30,7 @@ const TimePoint kCrashAt(Duration::seconds(2).ticks());
 const TimePoint kRecoverAt(Duration::seconds(6).ticks());
 const Duration kRunFor = Duration::seconds(30);
 
-Cluster make_cluster(const std::string& core, bool block_sync) {
+Cluster make_cluster(const std::string& core) {
   ScenarioBuilder options;
   options.params(ProtocolParams::for_n(kN, Duration::millis(10)));
   options.pacemaker("lumiere");
@@ -41,57 +41,30 @@ Cluster make_cluster(const std::string& core, bool block_sync) {
       {kEquivocator}, [](ProcessId) { return adversary::make_behavior("equivocator"); }));
   options.crash(kVictim, kCrashAt);
   options.recover(kVictim, kRecoverAt);
-  if (block_sync) options.block_sync();
   return Cluster(options);
 }
 
 class BlockSyncRecovery : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(BlockSyncRecovery, CrashVictimWedgesWithoutSyncAndCatchesUpWithIt) {
-  // ---- without block sync: the victim stalls forever -----------------
-  {
-    Cluster cluster = make_cluster(GetParam(), /*block_sync=*/false);
-    cluster.run_for(kRunFor);
-    EXPECT_TRUE(oracle_ok(fuzz::check_safety(cluster)));
-    const consensus::Ledger& victim = cluster.node(kVictim).ledger();
-    const consensus::Ledger& peer = cluster.node(1).ledger();
-    ASSERT_FALSE(victim.entries().empty()) << "victim must commit before the crash";
-    ASSERT_FALSE(peer.entries().empty());
-    // Everything the victim ever committed predates the crash: the first
-    // post-recovery commit walk hit the lost window and wedged.
-    EXPECT_LE(victim.entries().back().committed_at, kCrashAt)
-        << GetParam() << ": victim committed after the crash without block sync";
-    EXPECT_LT(victim.size(), peer.size());
-    EXPECT_GT(peer.entries().back().committed_at, kRecoverAt)
-        << "peers must keep committing (the stall is victim-local)";
-  }
-
-  // ---- with block sync: same schedule, every honest ledger grows -----
-  {
-    Cluster cluster = make_cluster(GetParam(), /*block_sync=*/true);
-    cluster.run_for(kRunFor);
-    EXPECT_TRUE(oracle_ok(fuzz::check_safety(cluster)));
-    const consensus::Ledger& victim = cluster.node(kVictim).ledger();
-    const consensus::Ledger& peer = cluster.node(1).ledger();
-    ASSERT_FALSE(victim.entries().empty());
-    EXPECT_GT(victim.entries().back().committed_at, kRecoverAt)
-        << GetParam() << ": victim never un-wedged despite block sync";
-    // Backfill is full-history: the victim holds the same committed chain
-    // as its peers, short at most the commits still in flight at cutoff.
-    EXPECT_GE(victim.size() + 5, peer.size());
-    const auto* sync = cluster.node(kVictim).synchronizer();
-    ASSERT_NE(sync, nullptr);
-    EXPECT_GT(sync->blocks_accepted(), 0U)
-        << "the catch-up must have come through the sync path";
-    EXPECT_EQ(sync->responses_rejected(), 0U);
-    // Some peer actually served the backfill.
-    std::uint64_t served = 0;
-    for (ProcessId id = 0; id < kN; ++id) {
-      const auto* s = cluster.node(id).synchronizer();
-      if (s != nullptr) served += s->fetches_served();
-    }
-    EXPECT_GT(served, 0U);
-  }
+TEST_P(BlockSyncRecovery, CrashVictimCatchesUpThroughSync) {
+  Cluster cluster = make_cluster(GetParam());
+  cluster.run_for(kRunFor);
+  EXPECT_TRUE(oracle_ok(fuzz::check_safety(cluster)));
+  const consensus::Ledger& victim = cluster.node(kVictim).ledger();
+  const consensus::Ledger& peer = cluster.node(1).ledger();
+  ASSERT_FALSE(victim.entries().empty());
+  EXPECT_GT(victim.entries().back().committed_at, kRecoverAt)
+      << GetParam() << ": victim never un-wedged despite block sync";
+  // Backfill is full-history: the victim holds the same committed chain
+  // as its peers, short at most the commits still in flight at cutoff.
+  EXPECT_GE(victim.size() + 5, peer.size());
+  const sync::BlockSynchronizer* sync = cluster.node(kVictim).synchronizer();
+  EXPECT_GT(sync->blocks_accepted(), 0U) << "the catch-up must have come through the sync path";
+  EXPECT_EQ(sync->responses_rejected(), 0U);
+  // Some peer actually served the backfill.
+  std::uint64_t served = 0;
+  for (ProcessId id = 0; id < kN; ++id) served += cluster.node(id).synchronizer()->fetches_served();
+  EXPECT_GT(served, 0U);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, BlockSyncRecovery,
@@ -102,11 +75,11 @@ INSTANTIATE_TEST_SUITE_P(Cores, BlockSyncRecovery,
                            return name;
                          });
 
-TEST(BlockSyncRecovery, SyncDisabledLeavesDigestsUntouched) {
-  // The knob defaults off, and an off run must be byte-identical to one
-  // that never heard of the subsystem: no timers, no messages, no metric
-  // charges. Two fresh clusters with the default config must agree on
-  // every ledger entry and never instantiate a synchronizer.
+TEST(BlockSyncRecovery, SyncIsIdleWhenNothingIsMissing) {
+  // Every node runs a synchronizer, yet a run where no commit walk hits a
+  // gap must be byte-identical to one without the subsystem: no fetches,
+  // no messages, no metric charges. (The golden digests in
+  // tests/workload/workload_determinism_test.cpp pin the same contract.)
   ScenarioBuilder options;
   options.params(ProtocolParams::for_n(4, Duration::millis(10)));
   options.pacemaker("lumiere");
@@ -115,8 +88,9 @@ TEST(BlockSyncRecovery, SyncDisabledLeavesDigestsUntouched) {
   options.delay(std::make_shared<sim::FixedDelay>(Duration::millis(1)));
   Cluster cluster(options);
   cluster.run_for(Duration::seconds(10));
+  ASSERT_FALSE(cluster.node(0).ledger().empty());
   for (ProcessId id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.node(id).synchronizer(), nullptr);
+    EXPECT_EQ(cluster.node(id).synchronizer()->fetches_sent(), 0U);
   }
   EXPECT_EQ(cluster.metrics().sync_msgs(), 0U);
 }

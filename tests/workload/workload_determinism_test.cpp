@@ -242,8 +242,8 @@ TEST(WorkloadDeterminismTest, GoldenDissemLedgersSurviveRefactors) {
 }
 
 // Block-sync golden: the tests/sync/block_sync_sim_test.cpp schedule
-// (n = 7, lumiere, one equivocator, a crash window that loses proposals,
-// block sync on), shortened to 10 s, once per chained core. It pins what
+// (n = 7, lumiere, one equivocator, a crash window that loses proposals),
+// shortened to 10 s, once per chained core. It pins what
 // the folds above never reach: Byzantine input, the per-view stale-block
 // cap, and the fetch + resume path of the commit walk. Each ledger entry
 // is folded with its commit time, and each node's sync counters with it.
@@ -259,7 +259,6 @@ crypto::Digest golden_sync_fold_digest(const char* core) {
       {0}, [](ProcessId) { return adversary::make_behavior("equivocator"); }));
   builder.crash(6, TimePoint(Duration::seconds(2).ticks()));
   builder.recover(6, TimePoint(Duration::seconds(6).ticks()));
-  builder.block_sync();
   Cluster cluster(builder);
   cluster.run_for(Duration::seconds(10));
   // The shortened run still reaches the path it is here to pin: the

@@ -39,7 +39,7 @@ std::vector<std::size_t> parse_index_list(const std::string& arg) {
 
 int usage() {
   std::cerr << "usage: fuzz_repro --seed N [--drop-events i,j] [--drop-behaviors k]\n"
-               "                  [--n M] [--no-workload] [--no-dissem] [--no-sync] [--shrink]\n"
+               "                  [--n M] [--no-workload] [--no-dissem] [--shrink]\n"
                "                  [--transport=sim|tcp] [--tcp-base-port P]\n"
                "  --transport=tcp replays the case on real localhost sockets\n"
                "  (sim-only delay/topology elements stripped; the digest is not\n"
@@ -79,8 +79,6 @@ int main(int argc, char** argv) {
       deltas.drop_workload = true;
     } else if (arg == "--no-dissem") {
       deltas.drop_dissem = true;
-    } else if (arg == "--no-sync") {
-      deltas.drop_block_sync = true;
     } else if (arg == "--shrink") {
       do_shrink = true;
     } else if (arg == "--transport=tcp" || arg == "--transport-tcp") {
@@ -114,8 +112,6 @@ int main(int argc, char** argv) {
   std::cout << "case:   " << lumiere::fuzz::describe(replayed) << "\n";
   std::cout << "dissem: " << (replayed.dissem ? "enabled" : "disabled")
             << " (data-dissemination layer; --no-dissem is a shrink dimension)\n";
-  std::cout << "sync:   " << (replayed.block_sync ? "enabled" : "disabled")
-            << " (block-sync subsystem; --no-sync is a shrink dimension)\n";
 
   const RunResult result = tcp ? lumiere::fuzz::run_case_tcp(replayed, tcp_base_port)
                                : lumiere::fuzz::run_case(replayed);

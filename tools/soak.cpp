@@ -6,15 +6,18 @@
 //
 //   t=0.15D  runtime link degradation  (DROP/DELAY on one replica)
 //   t=0.25D  kill -9 one replica       (real crash: all state lost)
-//   t=0.45D  restart it                (rejoin + checkpoint adoption)
+//   t=0.45D  restart it                (rejoin + block-sync backfill)
 //   t=0.55D  BEHAVIOR equivocator flip (live adversary, within f)
 //   t=0.70D  HEAL the degraded links   (last disruption)
 //   t=D      download every ledger, run the data-form oracles
 //
 // The verdict — safety over the downloaded ledgers, per-node view
-// monotonicity, exactly-once, liveness after the last disruption, and
-// the restarted replica provably committing new entries after rejoin —
-// is written as JSON (--out) and summarized on stdout. Exit 0 = every
+// monotonicity, exactly-once, liveness after the last disruption, no
+// wedged replica, and the restarted replica provably committing new
+// entries after rejoin — is written as JSON (--out) and summarized on
+// stdout. It also counts `restarted_backfilled`: the restarted replica's
+// entries at or below the restart watermark, i.e. the pre-crash history
+// block sync fetched back for it. Exit 0 = every
 // check passed, 1 = a violation, 2 = usage/setup failure.
 //
 // Per-node logs, the shared spec file and the raw ledger dumps land in
@@ -303,10 +306,6 @@ int main(int argc, char** argv) {
   spec.status_base_port = status_base_port;
   spec.admin_token = kAdminToken;
   spec.pipeline = pipeline;
-  // Block sync on: equivocation victims and the restarted replica must
-  // backfill their ancestry gaps and keep committing, so the stalled
-  // list below is held to empty rather than merely reported.
-  spec.block_sync = true;
   const std::string spec_path = work_dir + "/cluster.spec";
   {
     std::ofstream out(spec_path);
@@ -453,79 +452,17 @@ int main(int argc, char** argv) {
   // ---- liveness after the last disruption --------------------------
   sleep_until(at_fraction(0.75));
   check_children(lumiere::kNoProcess);
-  std::map<ProcessId, std::uint64_t> baseline;
+  std::map<ProcessId, View> baseline;
   for (const Replica& replica : replicas) {
     if (replica.flipped_byzantine) continue;
     const auto status = query_status(replica.status_port);
-    if (status.has_value()) baseline[replica.id] = field_u64(*status, "last_commit_height");
+    if (status.has_value()) {
+      baseline[replica.id] = static_cast<View>(field_u64(*status, "last_commit_height"));
+    }
   }
 
   sleep_until(at_fraction(1.0));
   check_children(lumiere::kNoProcess);
-  // Commit liveness. SOME honest ledger growing after the last disruption
-  // is the hard cluster-wide bar (PR 5 oracle semantics). Per node, the
-  // block-sync subsystem (src/sync/) means an equivocation victim's
-  // ancestry gap is no longer permanent — it must fetch the winning
-  // variant and catch back up. A node is "stalled" only when it BOTH
-  // committed nothing since the baseline snapshot AND fell more than a
-  // grace window behind its best honest peer: a node that is merely
-  // behind at snapshot time tracks its peers, a wedged one flatlines
-  // while they pull away. The restarted replica is additionally held to
-  // the strict bar: it must commit beyond the cluster's height at its
-  // restart.
-  constexpr std::uint64_t kStallGraceViews = 8;
-  std::size_t honest_checked = 0;
-  std::size_t honest_progressed = 0;
-  std::vector<ProcessId> stalled;
-  std::map<ProcessId, std::uint64_t> final_height;
-  for (const Replica& replica : replicas) {
-    if (replica.flipped_byzantine) continue;
-    const auto status = query_status(replica.status_port);
-    if (!status.has_value()) {
-      violation("node " + std::to_string(replica.id) + " status endpoint unreachable at end");
-      continue;
-    }
-    const std::uint64_t now_height = field_u64(*status, "last_commit_height");
-    final_height[replica.id] = now_height;
-    if (replica.restarted && now_height <= watermark) {
-      std::ostringstream out;
-      out << "recovery: restarted node " << replica.id << " never committed beyond the "
-          << "restart watermark (view " << now_height << " <= " << watermark << ")";
-      violation(out.str());
-    }
-  }
-  std::uint64_t best_honest_height = 0;
-  for (const auto& [id, height] : final_height) {
-    best_honest_height = std::max(best_honest_height, height);
-  }
-  for (const auto& [id, now_height] : final_height) {
-    const auto it = baseline.find(id);
-    if (it == baseline.end()) continue;
-    ++honest_checked;
-    if (now_height > it->second) {
-      ++honest_progressed;
-      continue;
-    }
-    if (now_height + kStallGraceViews >= best_honest_height) {
-      std::cout << "soak: note: node " << id << " committed nothing since the baseline but "
-                << "is within " << kStallGraceViews << " views of its best peer ("
-                << now_height << " vs " << best_honest_height << ") — behind, not wedged\n";
-      continue;
-    }
-    stalled.push_back(id);
-    std::cout << "soak: note: node " << id << " is wedged: no commit since the baseline (view "
-              << it->second << " -> " << now_height << ") and " << best_honest_height - now_height
-              << " views behind its best peer — block sync failed to un-wedge it\n";
-  }
-  if (honest_checked > 0 && honest_progressed == 0) {
-    violation("liveness: no honest node committed anything after the last disruption");
-  }
-  if (!stalled.empty()) {
-    std::ostringstream out;
-    out << "block sync: " << stalled.size() << " honest node(s) wedged on a missing ancestor "
-        << "despite block sync (see \"stalled\" in the verdict)";
-    violation(out.str());
-  }
 
   // ---- ledger download + data-form oracles -------------------------
   std::vector<NodeLedgerData> dumps;
@@ -560,8 +497,30 @@ int main(int argc, char** argv) {
   add(lumiere::fuzz::check_safety_data(dumps));
   add(lumiere::fuzz::check_view_monotonicity_data(dumps));
   add(lumiere::fuzz::check_exactly_once_data(dumps));
+  // Commit liveness. SOME honest ledger growing after the last disruption
+  // is the cluster-wide bar; per node, no honest replica may be wedged
+  // (block sync backfills every ancestry gap); and the restarted replica
+  // must commit beyond the cluster's height at its restart.
+  const bool progressed = std::any_of(dumps.begin(), dumps.end(), [&](const NodeLedgerData& d) {
+    const auto it = baseline.find(d.node);
+    return !d.ever_byzantine && it != baseline.end() && lumiere::fuzz::newest_view(d) > it->second;
+  });
+  if (!baseline.empty() && !progressed) {
+    violation("liveness: no honest node committed anything after the last disruption");
+  }
+  std::vector<ProcessId> stalled;
+  add(lumiere::fuzz::check_no_stall_data(dumps, baseline, lumiere::fuzz::kStallGraceViews,
+                                         &stalled));
   add(lumiere::fuzz::check_commit_progress_data(dumps, kill_target,
                                                 static_cast<View>(watermark)));
+  std::size_t restarted_backfilled = 0;
+  for (const NodeLedgerData& d : dumps) {
+    if (d.node != kill_target) continue;
+    restarted_backfilled = static_cast<std::size_t>(
+        std::count_if(d.records.begin(), d.records.end(), [&](const LedgerRecord& r) {
+          return r.view <= static_cast<View>(watermark);
+        }));
+  }
 
   kill_all();
 
@@ -569,7 +528,8 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\n  \"ok\": " << (violations.empty() ? "true" : "false") << ",\n  \"n\": " << n
        << ",\n  \"seed\": " << seed << ",\n  \"core\": \"" << core << "\",\n  \"duration_s\": "
-       << duration_s << ",\n  \"restart_watermark\": " << watermark << ",\n  \"stalled\": [";
+       << duration_s << ",\n  \"restart_watermark\": " << watermark
+       << ",\n  \"restarted_backfilled\": " << restarted_backfilled << ",\n  \"stalled\": [";
   for (std::size_t i = 0; i < stalled.size(); ++i) json << (i == 0 ? "" : ", ") << stalled[i];
   json << "],\n  \"violations\": [";
   for (std::size_t i = 0; i < violations.size(); ++i) {
@@ -579,8 +539,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < dumps.size(); ++i) {
     const NodeLedgerData& d = dumps[i];
     json << (i == 0 ? "" : ",") << "\n    {\"id\": " << d.node << ", \"entries\": "
-         << d.records.size() << ", \"newest_view\": "
-         << (d.records.empty() ? View{-1} : d.records.back().view)
+         << d.records.size() << ", \"newest_view\": " << lumiere::fuzz::newest_view(d)
          << ", \"ever_byzantine\": " << (d.ever_byzantine ? "true" : "false")
          << ", \"restarted\": " << (d.restarted ? "true" : "false") << "}";
   }
