@@ -167,8 +167,10 @@ int main(int argc, char** argv) {
   if (args.quick) run_hundred_point(json);
   std::printf(
       "\nReading guide: Cogsworth's worst-comm exponent should exceed LP22's and\n"
-      "Lumiere's (n^3 vs n^2); Lumiere's fa=1 columns should be ~flat in n\n"
-      "(exponent near 0 up to noise) while LP22's eventual latency grows ~n.\n");
+      "Lumiere's (n^3 vs n^2). At fa=1 Lumiere's eventual latency should be ~flat\n"
+      "in n (exponent near 0 up to noise) while LP22's grows ~n; Lumiere's\n"
+      "eventual communication is O(n*fa + n), so its fa=1 comm exponent is ~1,\n"
+      "not 0 (LP22's is ~2).\n");
   if (!args.json_path.empty() && !json.write(args.json_path, "scaling")) return 1;
   return 0;
 }

@@ -70,13 +70,10 @@ int main() {
   std::vector<consensus::KvStore> stores(cluster.n());
   for (ProcessId id = 0; id < cluster.n(); ++id) {
     for (const auto& entry : cluster.node(id).ledger().entries()) {
-      for (const auto& command : consensus::Mempool::split_batch(entry.payload)) {
-        const auto request = workload::Request::decode(
-            std::span<const std::uint8_t>(command.data(), command.size()));
-        if (!request) continue;  // not a workload request
-        stores[id].apply_command(
-            std::span<const std::uint8_t>(request->body.data(), request->body.size()));
-      }
+      consensus::for_each_command(entry.payload, [&](std::span<const std::uint8_t> command) {
+        if (!consensus::request_tag(command)) return;  // not a workload request
+        stores[id].apply_command(command.subspan(workload::kRequestHeaderBytes));
+      });
     }
     std::printf("  replica %u: %zu blocks, %llu commands applied, %zu keys, state %.16s...\n",
                 id, cluster.node(id).ledger().size(),
@@ -95,14 +92,12 @@ int main() {
   for (ProcessId id = 0; id < cluster.n() && agree; ++id) {
     consensus::KvStore replay;
     for (std::size_t i = 0; i < shortest; ++i) {
-      for (const auto& command :
-           consensus::Mempool::split_batch(cluster.node(id).ledger().entries()[i].payload)) {
-        const auto request = workload::Request::decode(
-            std::span<const std::uint8_t>(command.data(), command.size()));
-        if (!request) continue;
-        replay.apply_command(
-            std::span<const std::uint8_t>(request->body.data(), request->body.size()));
-      }
+      consensus::for_each_command(cluster.node(id).ledger().entries()[i].payload,
+                                  [&](std::span<const std::uint8_t> command) {
+                                    if (!consensus::request_tag(command)) return;
+                                    replay.apply_command(
+                                        command.subspan(workload::kRequestHeaderBytes));
+                                  });
     }
     if (id == 0) {
       reference = replay;

@@ -1,6 +1,9 @@
 #include "consensus/chained_core.h"
 
+#include <algorithm>
+
 #include "common/log.h"
+#include "consensus/mempool.h"
 
 namespace lumiere::consensus {
 
@@ -17,7 +20,8 @@ ChainedCore::ChainedCore(ChainRule rule, const ProtocolParams& params, crypto::A
       high_qc_(QuorumCert::genesis(Block::genesis().hash())),
       locked_qc_(high_qc_),
       last_committed_hash_(Block::genesis().hash()),
-      votes_(auth, signer.id(), params.quorum(), hooks_, cb_, statements_) {
+      votes_(auth, signer.id(), params.quorum(), hooks_, cb_, statements_,
+             [this](const QuorumCert& qc) { send_relay_early(qc); }) {
   LUMIERE_ASSERT(auth);
   LUMIERE_ASSERT(rule.depth >= 2);
   params_.validate();
@@ -27,10 +31,10 @@ void ChainedCore::on_enter_view(View v) {
   if (v <= cur_view_) return;
   cur_view_ = v;
   pending_proposals_.erase(pending_proposals_.begin(), pending_proposals_.lower_bound(v));
-  // Report the highest QC to the new leader: the NewView-quorum gate
-  // waits for 2f+1 of these; under the responsive gate they carry QC(v-1)
-  // or, during the Delta fallback, the highest honest lock.
-  cb_.send(hooks_.leader_of(v), std::make_shared<NewViewMsg>(v, high_qc_));
+  // Attachments for views left without a proposal: their origins
+  // re-attach them.
+  forwarded_.erase(forwarded_.begin(), forwarded_.lower_bound(v));
+  if (v > new_view_sent_) send_new_view(v, high_qc_);
   if (rule_.gate == ChainRule::Gate::kResponsiveOrDelta && hooks_.leader_of(v) == signer_.id() &&
       cb_.schedule) {
     // Arm the fallback: without a QC for v-1 in hand, wait Delta so the
@@ -44,10 +48,53 @@ void ChainedCore::on_enter_view(View v) {
   maybe_vote();
 }
 
-void ChainedCore::handle_new_view(ProcessId from, const NewViewMsg& msg) {
+void ChainedCore::send_new_view(View v, const QuorumCert& high_qc) {
+  // Report the highest QC to the new leader: the NewView-quorum gate
+  // waits for 2f+1 of these; under the responsive gate they carry QC(v-1)
+  // or, during the Delta fallback, the highest honest lock.
+  new_view_sent_ = v;
+  std::vector<std::uint8_t> requests;
+  if (forwarding()) {
+    // The relay first (the older requests), then this node's own.
+    requests = gather(relay_, high_qc.block_hash(), v);
+    relay_.clear();
+    std::vector<std::uint8_t> own = cb_.forwarding.attach(v);
+    if (requests.empty()) {
+      requests = std::move(own);
+    } else {
+      requests.insert(requests.end(), own.begin(), own.end());
+    }
+  }
+  cb_.send(hooks_.leader_of(v), std::make_shared<NewViewMsg>(v, high_qc, std::move(requests)));
+}
+
+void ChainedCore::send_relay_early(const QuorumCert& qc) {
+  // This node, as lead(v), just formed QC(v). Its NewView(v+1) leaves
+  // now, ahead of the QC broadcast: on the same link it then reaches
+  // lead(v+1) before QC(v) can move that leader into v+1, so the relay
+  // makes even a responsive HotStuff-2 proposal. Entering v+1 later
+  // sends no second NewView.
+  if (!forwarding() || qc.view() != cur_view_ || new_view_sent_ > qc.view()) return;
+  send_new_view(qc.view() + 1, qc);
+}
+
+void ChainedCore::handle_new_view(ProcessId from, const MessagePtr& ptr) {
+  const auto& msg = static_cast<const NewViewMsg&>(*ptr);
   const View v = msg.view();
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (v < cur_view_) return;  // stale
+  // Buffered before the QC below is processed, which may move this node
+  // into v and so into proposing. One attachment per sender, for this
+  // view or the next (lead(v-1) sends NewView(v) at QC formation), so a
+  // Byzantine sender cannot crowd out the others; whatever is dropped,
+  // its origin re-attaches.
+  if (forwarding() && !msg.requests().empty()) {
+    if (!proposed_.contains(v)) {
+      if (v <= cur_view_ + 1) buffer(forwarded_[v], from, ptr);
+    } else if (v == 0 || from != hooks_.leader_of(v - 1)) {
+      buffer(relay_, from, ptr);
+    }
+  }
   const bool valid = msg.high_qc().verify(auth_, params_, &verified_);
   if (valid) process_qc(msg.high_qc());
   if (rule_.gate == ChainRule::Gate::kNewViewQuorum) {
@@ -57,6 +104,100 @@ void ChainedCore::handle_new_view(ProcessId from, const NewViewMsg& msg) {
     return;
   }
   maybe_propose();
+}
+
+namespace {
+
+/// The request tags of a payload, sorted.
+std::vector<RequestTag> sorted_tags(std::span<const std::uint8_t> payload) {
+  std::size_t count = 0;
+  for_each_command(payload, [&count](std::span<const std::uint8_t>) { ++count; });
+  std::vector<RequestTag> tags;
+  tags.reserve(count);
+  for_each_command(payload, [&tags](std::span<const std::uint8_t> command) {
+    if (const auto tag = request_tag(command)) tags.push_back(*tag);
+  });
+  std::sort(tags.begin(), tags.end());
+  return tags;
+}
+
+}  // namespace
+
+std::shared_ptr<const Block> ChainedCore::store(std::shared_ptr<const Block> block) {
+  if (forwarding() && block->view() > last_committed_view_ && !store_.contains(block->hash())) {
+    std::vector<RequestTag> tags = sorted_tags(block->payload());
+    if (!tags.empty()) {
+      pending_tags_.push_back(BlockTags{block->view(), block->hash(), std::move(tags)});
+    }
+  }
+  return store_.insert(std::move(block));
+}
+
+bool ChainedCore::chain_holds(RequestTag tag, const crypto::Digest& tip, View below) const {
+  for (const BlockTags& entry : pending_tags_) {
+    // Only a block below the one being built or checked can be its
+    // ancestor; the walk confirms that it is one.
+    if (entry.view >= below || !std::binary_search(entry.tags.begin(), entry.tags.end(), tag)) {
+      continue;
+    }
+    for (auto block = store_.get(tip);
+         block != nullptr && block->view() >= entry.view && block->view() > last_committed_view_;
+         block = store_.get(block->parent())) {
+      if (block->hash() == entry.hash) return true;
+    }
+  }
+  return false;
+}
+
+void ChainedCore::buffer(Attachments& into, ProcessId from, const MessagePtr& msg) {
+  const bool held = std::any_of(into.begin(), into.end(),
+                                [from](const auto& held_one) { return held_one.first == from; });
+  if (!held) into.emplace_back(from, msg);
+}
+
+std::vector<std::uint8_t> ChainedCore::gather(const Attachments& attachments,
+                                              const crypto::Digest& tip, View view) const {
+  std::vector<std::pair<RequestTag, std::span<const std::uint8_t>>> candidates;
+  for (const auto& [from, attachment] : attachments) {
+    const auto& requests = static_cast<const NewViewMsg&>(*attachment).requests();
+    for_each_command(requests, [&](std::span<const std::uint8_t> command) {
+      const auto tag = request_tag(command);
+      if (tag && !committed_tags_.contains(*tag)) candidates.emplace_back(*tag, command);
+    });
+  }
+  if (candidates.empty()) return {};
+  std::size_t offered = 0;
+  for (const auto& candidate : candidates) offered += candidate.second.size() + 4;
+  std::vector<RequestTag> taken;
+  ser::Writer w(std::min(offered, cb_.forwarding.max_batch_bytes));
+  std::size_t used = 0;
+  for (const auto& [tag, command] : candidates) {
+    const std::size_t cost = command.size() + 4;  // u32 length prefix
+    if (used + cost > cb_.forwarding.max_batch_bytes ||
+        std::find(taken.begin(), taken.end(), tag) != taken.end() ||
+        chain_holds(tag, tip, view)) {
+      continue;
+    }
+    taken.push_back(tag);
+    w.bytes(command);
+    used += cost;
+  }
+  return std::move(w).take();
+}
+
+bool ChainedCore::fresh_payload(const Block& block) const {
+  // A proposal's tags were sorted when it entered the store.
+  const auto indexed =
+      std::find_if(pending_tags_.begin(), pending_tags_.end(), [&](const BlockTags& entry) {
+        return entry.view == block.view() && entry.hash == block.hash();
+      });
+  std::vector<RequestTag> parsed;
+  if (indexed == pending_tags_.end()) parsed = sorted_tags(block.payload());
+  const std::vector<RequestTag>& tags = indexed == pending_tags_.end() ? parsed : indexed->tags;
+  if (std::adjacent_find(tags.begin(), tags.end()) != tags.end()) return false;
+  return std::none_of(tags.begin(), tags.end(), [&](RequestTag tag) {
+    return committed_tags_.contains(tag) || chain_holds(tag, block.parent(), block.view());
+  });
 }
 
 void ChainedCore::maybe_propose() {
@@ -79,11 +220,19 @@ void ChainedCore::maybe_propose() {
 
   proposed_.insert(v);
   std::vector<std::uint8_t> payload;
-  if (payload_provider_) payload = payload_provider_(v);
+  if (forwarding()) {
+    const auto it = forwarded_.find(v);
+    if (it != forwarded_.end()) {
+      payload = gather(it->second, high_qc_.block_hash(), v);
+      forwarded_.erase(it);
+    }
+  } else if (payload_provider_) {
+    payload = payload_provider_(v);
+  }
   auto block =
       std::make_shared<const Block>(high_qc_.block_hash(), v, std::move(payload), high_qc_);
   votes_.proposed(v, block->hash());
-  store_.insert(block);
+  store(block);
   LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));
 }
@@ -112,6 +261,7 @@ void ChainedCore::maybe_vote() {
   const Block& block = *it->second;
   if (!safe_to_vote(block)) return;
   if (cb_.payload_ok && !cb_.payload_ok(block)) return;
+  if (forwarding() && !fresh_payload(block)) return;
   last_voted_view_ = block.view();
   const crypto::Digest statement = statements_.get(block.view(), block.hash());
   cb_.send(hooks_.leader_of(block.view()),
@@ -141,7 +291,10 @@ void ChainedCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
     if (admitted >= kMaxStaleBlocksPerView) return;
     ++admitted;
   }
-  auto stored = store_.insert(msg.shared_block());
+  auto stored = store(msg.shared_block());
+  // Before the justify can move this node into a later view, whose
+  // NewView would otherwise re-attach requests this block carries.
+  if (forwarding() && cb_.forwarding.proposed) cb_.forwarding.proposed(block);
   process_qc(block.justify());  // a proposal piggybacks the QC it extends
   if (v < cur_view_) return;    // too late to vote
   pending_proposals_.try_emplace(v, std::move(stored));
@@ -218,12 +371,21 @@ void ChainedCore::commit_chain(const Block& tip) {
     last_committed_hash_ = (*it)->hash();
     stale_stored_.erase(stale_stored_.begin(),
                         stale_stored_.upper_bound(last_committed_view_));
+    if (forwarding()) {
+      for_each_command((*it)->payload(), [this](std::span<const std::uint8_t> command) {
+        if (const auto tag = request_tag(command)) committed_tags_.insert(*tag);
+      });
+    }
     if (cb_.decided) cb_.decided(*it);
   }
+  // Tags at or below the horizon are the committed index's now (or sat
+  // on a branch that can no longer commit).
+  std::erase_if(pending_tags_,
+                [this](const BlockTags& entry) { return entry.view <= last_committed_view_; });
 }
 
 void ChainedCore::on_synced_block(const Block& block) {
-  store_.insert(block.shared_from_this());
+  store(block.shared_from_this());
   // Resume only when the exact gap the walk reported is filled: the sync
   // layer delivers a response segment deepest-first, so the requested
   // block lands last and the walk crosses the whole segment in one pass
@@ -237,7 +399,7 @@ void ChainedCore::on_synced_block(const Block& block) {
 void ChainedCore::on_message(ProcessId from, const MessagePtr& msg) {
   switch (msg->type_id()) {
     case kNewView:
-      handle_new_view(from, static_cast<const NewViewMsg&>(*msg));
+      handle_new_view(from, msg);
       break;
     case kProposal:
       handle_proposal(from, static_cast<const ProposalMsg&>(*msg));

@@ -23,6 +23,27 @@
 // this core sends NewView(high_qc) to lead(v) on entering view v, votes,
 // aggregates votes into QCs, and commits.
 //
+// Request forwarding (CoreCallbacks::forwarding, the inline-batch data
+// path): the NewView to lead(v) also carries the requests this replica
+// admitted since its last one, so a request waits at most a view for a
+// proposer instead of ~n views for its own replica's leader turn.
+//
+//   * lead(v) proposes the attachments of the NewViews it received
+//     before proposing, in arrival order, within max_batch_bytes.
+//   * Relay: attachments that reach lead(v) after it proposed ride its
+//     own next NewView (normally v+1). lead(v) sends that NewView the
+//     moment it forms QC(v), before broadcasting the QC, so it reaches
+//     lead(v+1) ahead of both the 2f+1 cut (which with id-ordered ties
+//     would starve the same late senders every view) and QC(v) itself
+//     (on which a responsive HotStuff-2 leader proposes at once).
+//     Attachments from lead(v-1) are never relayed again.
+//   * Exactly-once: a proposer drops, and a voter refuses, any request
+//     tag (consensus/request_tag.h) already in an uncommitted ancestor
+//     or in the committed-tag index, or repeated within the block.
+//   * Liveness stays with the origin: its mempool re-attaches a request
+//     whose view passed without a proposal carrying it, and keeps it
+//     until a commit acks it (consensus/mempool.h).
+//
 // x = 4 for (diamond-1) under both rules: new-view (or the Delta-wait) +
 // proposal + vote + QC dissemination. Within a synchronized run
 // HotStuff-2 always takes the responsive path, so decisions land one
@@ -32,11 +53,13 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "consensus/block.h"
 #include "consensus/core.h"
 #include "consensus/messages.h"
+#include "consensus/request_tag.h"
 #include "consensus/vote_collector.h"
 #include "crypto/authenticator.h"
 
@@ -94,9 +117,40 @@ class ChainedCore final : public ConsensusCore {
     return responsive_proposals_;
   }
   [[nodiscard]] std::uint64_t fallback_proposals() const noexcept { return fallback_proposals_; }
+  /// Forwarding: the committed-tag index (empty with forwarding off).
+  [[nodiscard]] const CommittedTags& committed_tags() const noexcept { return committed_tags_; }
 
  private:
-  void handle_new_view(ProcessId from, const NewViewMsg& msg);
+  void handle_new_view(ProcessId from, const MessagePtr& msg);
+  /// Sends NewView(v, high_qc) to lead(v), carrying the relay and this
+  /// node's own requests when forwarding is on.
+  void send_new_view(View v, const QuorumCert& high_qc);
+  /// Forwarding: as lead(v), sends NewView(v+1) on forming QC(v).
+  void send_relay_early(const QuorumCert& qc);
+  [[nodiscard]] bool forwarding() const noexcept { return cb_.forwarding.attach != nullptr; }
+  /// Inserts into store_ (returning the stored allocation), recording
+  /// a new block's request tags in pending_tags_ when forwarding.
+  std::shared_ptr<const Block> store(std::shared_ptr<const Block> block);
+  /// True if `tip` or an uncommitted ancestor holds `tag`, as far as the
+  /// store reaches (a replica missing an ancestor checks what it has;
+  /// refusing instead would let one lagging replica block a quorum).
+  /// `below` bounds the chain's views: the view of the block extending
+  /// `tip`.
+  [[nodiscard]] bool chain_holds(RequestTag tag, const crypto::Digest& tip, View below) const;
+  /// Forwarding: NewViewMsgs carrying requests, with their senders, in
+  /// arrival order.
+  using Attachments = std::vector<std::pair<ProcessId, MessagePtr>>;
+  /// Appends `msg` unless `into` already holds one from `from`.
+  static void buffer(Attachments& into, ProcessId from, const MessagePtr& msg);
+  /// The tagged requests of `attachments` that a block or NewView for
+  /// `view` extending `tip` may carry: no tag of tip's uncommitted chain
+  /// or of the committed index, none twice, within max_batch_bytes;
+  /// arrival order.
+  [[nodiscard]] std::vector<std::uint8_t> gather(const Attachments& attachments,
+                                                 const crypto::Digest& tip, View view) const;
+  /// The voter's exclusion rule (forwarding on): no tag of `block` is in
+  /// its uncommitted ancestors, in the committed index, or in it twice.
+  [[nodiscard]] bool fresh_payload(const Block& block) const;
   void handle_proposal(ProcessId from, const ProposalMsg& msg);
   void handle_qc_msg(const QcMsg& msg);
   void maybe_propose();
@@ -139,6 +193,26 @@ class ChainedCore final : public ConsensusCore {
   std::set<View> proposed_;
   std::map<View, std::shared_ptr<const Block>> pending_proposals_;
   std::set<View> seen_qc_views_;
+  /// Forwarding: NewViews with requests for views this node leads,
+  /// received before it proposed (at most one per sender and view).
+  std::map<View, Attachments> forwarded_;
+  /// Forwarding: NewViews whose requests arrived after this node
+  /// proposed; they ride its next NewView (at most one per sender).
+  Attachments relay_;
+  /// Forwarding: every tag this node committed.
+  CommittedTags committed_tags_;
+  /// Forwarding: the sorted request tags of each stored block above the
+  /// commit horizon that carries any. The exclusion rule walks the chain
+  /// only to confirm that a block holding a tag is an ancestor.
+  struct BlockTags {
+    View view;
+    crypto::Digest hash;
+    std::vector<RequestTag> tags;
+  };
+  std::vector<BlockTags> pending_tags_;
+  /// The highest view this node sent its NewView for (the early send at
+  /// QC formation runs ahead of view entry).
+  View new_view_sent_ = -1;
   /// Hot-path memos: per-(view, block) vote statements and fingerprints
   /// of QCs that already passed full verification.
   StatementCache statements_;

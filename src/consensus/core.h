@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/params.h"
 #include "common/time.h"
@@ -26,6 +27,23 @@
 namespace lumiere::consensus {
 
 class Block;
+
+/// Request forwarding on the inline-batch data path (chained cores; see
+/// consensus/chained_core.h). Every replica attaches the requests it
+/// admitted to the NewView it sends lead(v), so a request waits for the
+/// next view instead of its own replica's leader turn. `attach` null
+/// means off: proposals then come from the core's PayloadProvider.
+struct RequestForwarding {
+  /// This node's requests to ride its NewView(v) (a length-prefixed
+  /// batch, possibly empty); the mempool marks them sent@v.
+  std::function<std::vector<std::uint8_t>(View v)> attach;
+  /// A valid proposal (any leader's) was stored: the origin's leased
+  /// commands inside it wait for a commit instead of being re-attached.
+  std::function<void(const Block& block)> proposed;
+  /// Payload budget of one proposal, and of one relay (command bytes plus
+  /// the 4-byte length prefix each).
+  std::size_t max_batch_bytes = 4096;
+};
 
 /// Callbacks a ConsensusCore uses to reach the outside world. Provided by
 /// the runtime Node; plain std::function so tests can wire cores directly.
@@ -41,10 +59,11 @@ struct CoreCallbacks {
   /// itself, so the ledger can keep a reference instead of a copy.
   std::function<void(const std::shared_ptr<const Block>& block)> decided;
   /// Vote gate over a proposal's payload. Null means every payload is
-  /// acceptable (the legacy inline-batch mode); with the dissemination
-  /// layer active it verifies that the payload is a well-formed list of
-  /// certified batch references, so a Byzantine leader proposing bogus
-  /// references collects no honest votes.
+  /// acceptable to it (on the inline-batch path a chained core with
+  /// `forwarding` applies its own exclusion rule beside this gate); with
+  /// the dissemination layer active it verifies that the payload is a
+  /// well-formed list of certified batch references, so a Byzantine
+  /// leader proposing bogus references collects no honest votes.
   std::function<bool(const Block& block)> payload_ok;
   /// Runs `fn` after `delay` of real (simulated) time. Cores that need
   /// timers (HotStuff-2's Delta-wait before a non-responsive proposal)
@@ -58,6 +77,8 @@ struct CoreCallbacks {
   /// runtime Node wires it; null only in tests that drive a core
   /// directly, where the walk then waits for the block to arrive.
   std::function<void(const crypto::Digest& hash)> fetch_missing;
+  /// Request forwarding (inline-batch data path only; see above).
+  RequestForwarding forwarding;
 };
 
 /// The pacemaker-side hooks consulted by cores.

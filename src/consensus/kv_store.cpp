@@ -33,10 +33,6 @@ bool KvStore::apply_command(std::span<const std::uint8_t> command) {
   return true;
 }
 
-bool KvStore::apply_one(const std::vector<std::uint8_t>& command) {
-  return apply_one_span(std::span<const std::uint8_t>(command.data(), command.size()));
-}
-
 bool KvStore::apply_one_span(std::span<const std::uint8_t> command) {
   ser::Reader r(command);
   std::uint8_t op = 0;
@@ -60,9 +56,9 @@ bool KvStore::apply_one_span(std::span<const std::uint8_t> command) {
 
 std::size_t KvStore::apply(std::span<const std::uint8_t> payload) {
   std::size_t applied_now = 0;
-  for (const auto& command : Mempool::split_batch(payload)) {
-    if (apply_one(command)) ++applied_now;
-  }
+  for_each_command(payload, [&](std::span<const std::uint8_t> command) {
+    if (apply_one_span(command)) ++applied_now;
+  });
   applied_ += applied_now;
   return applied_now;
 }

@@ -45,7 +45,6 @@ class KvStore {
   [[nodiscard]] const std::map<std::string, std::string>& data() const noexcept { return data_; }
 
  private:
-  bool apply_one(const std::vector<std::uint8_t>& command);
   bool apply_one_span(std::span<const std::uint8_t> command);
 
   std::map<std::string, std::string> data_;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "consensus/block.h"
 #include "consensus/quorum_cert.h"
@@ -122,20 +123,30 @@ class QcMsg final : public Message {
 };
 
 /// Chained HotStuff: replica reports its highest QC to the new leader.
+/// On the inline-batch data path it also carries requests to lead(v):
+/// the ones this replica admitted since its last NewView, and — from
+/// the previous leader — the relay of attachments that reached it after
+/// it proposed (consensus/chained_core.h). The attachment is a batch in
+/// the proposal payload format; an empty one costs no modelled bytes.
 class NewViewMsg final : public Message {
  public:
-  NewViewMsg(View view, QuorumCert high_qc) : view_(view), high_qc_(std::move(high_qc)) {}
+  NewViewMsg(View view, QuorumCert high_qc, std::vector<std::uint8_t> requests = {})
+      : view_(view), high_qc_(std::move(high_qc)), requests_(std::move(requests)) {}
 
   [[nodiscard]] View view() const noexcept { return view_; }
   [[nodiscard]] const QuorumCert& high_qc() const noexcept { return high_qc_; }
+  [[nodiscard]] const std::vector<std::uint8_t>& requests() const noexcept { return requests_; }
 
   std::uint32_t type_id() const override { return kNewView; }
   const char* type_name() const override { return "new-view"; }
   MsgClass msg_class() const override { return MsgClass::kConsensus; }
-  std::size_t wire_size() const override { return 8 + high_qc_.sig().wire_size(); }
+  std::size_t wire_size() const override {
+    return 8 + high_qc_.sig().wire_size() + requests_.size();
+  }
   void serialize(ser::Writer& w) const override {
     w.view(view_);
     high_qc_.serialize(w);
+    w.bytes(std::span<const std::uint8_t>(requests_.data(), requests_.size()));
   }
   void collect_auth(AuthClaimSink& sink) const override {
     if (!high_qc_.is_genesis()) sink.aggregate(high_qc_.sig());
@@ -145,12 +156,15 @@ class NewViewMsg final : public Message {
     if (!r.view(view)) return nullptr;
     auto qc = QuorumCert::deserialize(r);
     if (!qc) return nullptr;
-    return std::make_shared<NewViewMsg>(view, std::move(*qc));
+    std::vector<std::uint8_t> requests;
+    if (!r.bytes(requests)) return nullptr;
+    return std::make_shared<NewViewMsg>(view, std::move(*qc), std::move(requests));
   }
 
  private:
   View view_;
   QuorumCert high_qc_;
+  std::vector<std::uint8_t> requests_;
 };
 
 /// Registers all consensus message types with a codec (for the TCP

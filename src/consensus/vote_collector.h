@@ -6,8 +6,10 @@
 // unless the pacemaker forfeits it (Lumiere's deadline, Section 4).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "consensus/core.h"
 #include "consensus/messages.h"
@@ -17,9 +19,18 @@ namespace lumiere::consensus {
 class VoteCollector {
  public:
   /// Borrows the owning core's hooks, callbacks and statement memo.
+  /// `before_broadcast` (optional) runs between CoreCallbacks::qc_formed
+  /// and the QC broadcast.
   VoteCollector(crypto::AuthView auth, ProcessId self, std::uint32_t quorum,
-                const PacemakerHooks& hooks, const CoreCallbacks& cb, StatementCache& statements)
-      : auth_(auth), self_(self), quorum_(quorum), hooks_(hooks), cb_(cb), statements_(statements) {}
+                const PacemakerHooks& hooks, const CoreCallbacks& cb, StatementCache& statements,
+                std::function<void(const QuorumCert&)> before_broadcast = nullptr)
+      : auth_(auth),
+        self_(self),
+        quorum_(quorum),
+        hooks_(hooks),
+        cb_(cb),
+        statements_(statements),
+        before_broadcast_(std::move(before_broadcast)) {}
   // A copy would still point at the original owner's members.
   VoteCollector(const VoteCollector&) = delete;
   VoteCollector& operator=(const VoteCollector&) = delete;
@@ -45,6 +56,7 @@ class VoteCollector {
     QuorumCert qc(v, msg.block_hash(), agg.aggregate());
     aggregators_.erase(v);
     if (cb_.qc_formed) cb_.qc_formed(qc);
+    if (before_broadcast_) before_broadcast_(qc);
     cb_.broadcast(std::make_shared<QcMsg>(std::move(qc)));
   }
 
@@ -55,6 +67,7 @@ class VoteCollector {
   const PacemakerHooks& hooks_;
   const CoreCallbacks& cb_;
   StatementCache& statements_;
+  std::function<void(const QuorumCert&)> before_broadcast_;
   std::map<View, crypto::Digest> my_proposal_hash_;
   std::map<View, crypto::QuorumAggregator> aggregators_;
   std::set<View> closed_views_;  ///< QC formed or forfeited

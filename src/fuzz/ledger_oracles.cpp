@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "consensus/mempool.h"
-#include "workload/request.h"
+#include "consensus/request_tag.h"
 
 namespace lumiere::fuzz {
 
@@ -61,10 +61,6 @@ std::optional<std::string> check_view_monotonicity_data(
 
 std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerData>& nodes,
                                                    const BatchResolver& resolve) {
-  std::set<std::uint32_t> restarted_nodes;
-  for (const NodeLedgerData& node : nodes) {
-    if (node.restarted) restarted_nodes.insert(node.node);
-  }
   for (const NodeLedgerData& node : nodes) {
     if (node.ever_byzantine) continue;
     std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> seen;
@@ -96,22 +92,20 @@ std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerD
         }
       }
       for (const auto& batch : batches) {
-        for (const auto& command : consensus::Mempool::split_batch(batch)) {
-          const auto request = workload::Request::decode(command);
-          if (!request) continue;  // not a tagged workload request
-          // A restarted replica's clients restart their sequence numbers,
-          // so their pre-crash tags legitimately commit a second time.
-          if (restarted_nodes.contains(workload::client_node(request->client))) continue;
-          const auto [it, inserted] =
-              seen.emplace(std::make_pair(request->client, request->seq), index);
+        std::optional<std::string> violation;
+        consensus::for_each_command(batch, [&](std::span<const std::uint8_t> command) {
+          const auto tag = consensus::request_tag(command);
+          if (!tag || violation) return;  // not a tagged workload request
+          const auto [it, inserted] = seen.emplace(std::make_pair(tag->client, tag->seq), index);
           if (!inserted) {
             std::ostringstream out;
             out << "exactly-once: node " << node.node << " committed request (client "
-                << request->client << ", seq " << request->seq << ") twice (entries "
-                << it->second << " and " << index << ")";
-            return out.str();
+                << tag->client << ", seq " << tag->seq << ") twice (entries " << it->second
+                << " and " << index << ")";
+            violation = out.str();
           }
-        }
+        });
+        if (violation) return violation;
       }
     }
   }

@@ -13,10 +13,9 @@
 //     before it commits past them. Safety is therefore index-aligned
 //     prefix consistency, and a dump that starts mid-chain is itself a
 //     violation.
-//   * A restarted replica's workload clients restart their sequence
-//     numbers, legitimately re-submitting (client, seq) tags that
-//     committed before the crash. Exactly-once forgives duplicates whose
-//     client belongs to a node marked `restarted`.
+//   * No tag is exempt from exactly-once: a restarted replica's process
+//     runs as a new incarnation whose workload clients have fresh ids
+//     (workload/request.h), so it never re-submits a committed tag.
 //
 // Like fuzz/oracles.h, every check returns std::nullopt when satisfied
 // and a self-contained violation string otherwise.
@@ -41,9 +40,6 @@ struct NodeLedgerData {
   /// Reported ever_byzantine (STATUS) or known from the disruption
   /// schedule — excluded from every guarantee.
   bool ever_byzantine = false;
-  /// The process was killed and restarted: its workload clients re-use
-  /// sequence numbers.
-  bool restarted = false;
   std::vector<runtime::LedgerRecord> records;
 };
 
@@ -64,8 +60,7 @@ using BatchResolver =
     std::function<const std::vector<std::uint8_t>*(ProcessId node, const dissem::BatchId& id)>;
 
 /// EXACTLY-ONCE: no honest ledger carries the same workload request
-/// (client, seq) twice — except tags owned by a restarted node's
-/// clients, which legitimately re-submit after the crash. Entries that
+/// (client, seq) twice. Entries that
 /// order dissemination references resolve through `resolve`: each
 /// BatchId delivers once per node (re-ordering a reference in a later
 /// block is legal), and a malformed or unresolved reference is itself a

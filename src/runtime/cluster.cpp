@@ -114,9 +114,9 @@ NodeConfig Cluster::config_for(ProcessId id, bool feed_metrics) {
       };
     }
   } else if (workloads_[id] != nullptr) {
-    // The workload engine supplies the proposals: leased batches from the
-    // node's bounded mempool, fed by this node's client drivers.
-    config.payload_provider = [w = workloads_[id].get()](View v) { return w->make_batch(v); };
+    // The workload engine supplies the proposals: every replica forwards
+    // each view's admitted requests to its leader on its NewView.
+    config.forwarding = workloads_[id]->forwarding();
   }
   return config;
 }

@@ -125,6 +125,8 @@ void Node::build_core(const NodeConfig& config) {
       return dissem_->refs_payload_ok(
           std::span<const std::uint8_t>(block.payload().data(), block.payload().size()));
     };
+  } else {
+    callbacks.forwarding = config.forwarding;
   }
 
   consensus::PacemakerHooks hooks;

@@ -43,10 +43,16 @@ struct NodeConfig {
   /// Rate skew of this processor's local clock in parts-per-million (the
   /// paper's bounded-drift remark); 0 = perfect rate.
   std::int64_t clock_drift_ppm = 0;
-  /// Block payload source consulted when this node proposes (the client
-  /// workload); null = empty payloads. Ignored when `dissem` is set — the
-  /// disseminator becomes the payload source (certified references).
+  /// Block payload source consulted when this node proposes (a scripted
+  /// application payload); null = empty payloads. Ignored when `dissem`
+  /// is set — the disseminator becomes the payload source (certified
+  /// references) — and by chained cores when `forwarding` is set.
   PayloadProvider payload_provider;
+  /// Request forwarding hooks (the client workload's mempool): chained
+  /// cores attach admitted requests to their NewViews and propose the
+  /// ones they receive (consensus/chained_core.h). Ignored when `dissem`
+  /// is set; null `attach` = off.
+  consensus::RequestForwarding forwarding;
   /// Data-dissemination layer: when set, the node runs a Disseminator
   /// wired between its mempool (via `dissem_hooks`) and its consensus
   /// core (payload provider, vote gate, commit resolution).

@@ -54,7 +54,8 @@ SoloNodeRuntime::SoloNodeRuntime(const ClusterSpec& spec, ProcessId id, Options 
       board_->set_mempool_depth(id_, depth);
     };
     workload_ = std::make_unique<workload::NodeWorkload>(sim_.get(), id_, *node_spec.workload,
-                                                         scenario.seed, std::move(hooks));
+                                                         scenario.seed, std::move(hooks),
+                                                         options_.incarnation);
   }
 
   NodeConfig config;
@@ -74,7 +75,7 @@ SoloNodeRuntime::SoloNodeRuntime(const ClusterSpec& spec, ProcessId id, Options 
       w->on_dissem_delivery(at, payload);
     };
   } else if (workload_ != nullptr) {
-    config.payload_provider = [w = workload_.get()](View v) { return w->make_batch(v); };
+    config.forwarding = workload_->forwarding();
   }
 
   NodeObservers observers;

@@ -40,6 +40,12 @@ class SoloNodeRuntime {
     /// of the soak's crash-recovery probe). Default off so an in-process
     /// test cluster of SoloNodeRuntimes can never kill its harness.
     bool allow_crash = false;
+    /// Which lifetime of this node's process this is: 0 at first start,
+    /// then 1, 2, ... on each restart. The workload gives every
+    /// incarnation fresh client ids (workload/engine.h); a restart that
+    /// reused the last incarnation's would have its requests refused as
+    /// already committed.
+    std::uint32_t incarnation = 0;
   };
 
   /// Builds node `id`'s stack from the cluster-wide spec. Throws

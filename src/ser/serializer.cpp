@@ -18,6 +18,15 @@ bool Reader::bytes(std::vector<std::uint8_t>& out) {
   return true;
 }
 
+bool Reader::bytes_view(std::span<const std::uint8_t>& out) {
+  std::uint32_t len = 0;
+  if (!u32(len)) return false;
+  if (remaining() < len) return false;
+  out = data_.subspan(pos_, len);
+  pos_ += len;
+  return true;
+}
+
 bool Reader::str(std::string& out) {
   std::uint32_t len = 0;
   if (!u32(len)) return false;

@@ -153,6 +153,9 @@ class Reader {
   }
 
   [[nodiscard]] bool bytes(std::vector<std::uint8_t>& out);
+  /// Length-prefixed bytes like bytes(), borrowed from the buffer instead
+  /// of copied (valid as long as the buffer is).
+  [[nodiscard]] bool bytes_view(std::span<const std::uint8_t>& out);
   [[nodiscard]] bool str(std::string& out);
   [[nodiscard]] bool digest(crypto::Digest& out);
   [[nodiscard]] bool signer_set(SignerSet& out);

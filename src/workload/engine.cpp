@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "consensus/block.h"
 
 namespace lumiere::workload {
 
@@ -44,9 +45,9 @@ void ClientDriver::start() {
   } else {
     const double rate = std::max(spec.rate_per_client, 1e-9);
     const auto interval = static_cast<std::int64_t>(1e6 / rate);
-    const std::uint32_t k = client_ % kClientsPerNodeStride;
-    first = Duration(std::max<std::int64_t>(
-        1, interval * (k + 1) / std::max(1u, owner_->spec_.clients_per_node)));
+    const std::uint32_t clients = std::max(1u, owner_->spec_.clients_per_node);
+    const std::uint32_t k = client_ % kClientsPerNodeStride % clients;
+    first = Duration(std::max<std::int64_t>(1, interval * (k + 1) / clients));
   }
   owner_->sim_->schedule_at(spec.start + first, [this] { open_loop_arrival(); });
 }
@@ -83,10 +84,10 @@ void ClientDriver::open_loop_arrival() {
 }
 
 void ClientDriver::closed_loop_pump() {
-  // Bounded attempts so a degenerate body fn (every request a duplicate
-  // or oversized) stalls visibly in the counters instead of spinning the
-  // event loop. A kSkipped request never commits, so it must not consume
-  // a window slot — only admitted requests do.
+  // Bounded attempts so a degenerate body fn (every request oversized)
+  // stalls visibly in the counters instead of spinning the event loop. A
+  // kSkipped request never commits, so it must not consume a window slot
+  // — only admitted requests do.
   for (std::uint32_t attempts = 0; want_ > 0 && attempts < 64 + want_; ++attempts) {
     switch (submit_one(/*shed_on_full=*/false)) {
       case Submit::kAdmitted:
@@ -112,8 +113,18 @@ void ClientDriver::on_space_available() {
   if (owner_->spec_.arrival == Arrival::kClosedLoop && want_ > 0) closed_loop_pump();
 }
 
+void ClientDriver::note_committed_ahead(std::uint64_t seq) {
+  if (seq >= next_seq_) taken_.insert(seq);
+}
+
 ClientDriver::Submit ClientDriver::submit_one(bool shed_on_full) {
   const WorkloadSpec& spec = owner_->spec_;
+  // A seq some other replica committed under this client's tag before it
+  // was submitted here is spent: the chain would refuse it.
+  while (!taken_.empty() && *taken_.begin() <= next_seq_) {
+    if (*taken_.begin() == next_seq_) ++next_seq_;
+    taken_.erase(taken_.begin());
+  }
   const std::uint64_t seq = next_seq_;
   std::vector<std::uint8_t> body =
       spec.body ? spec.body(client_, seq)
@@ -132,14 +143,20 @@ ClientDriver::Submit ClientDriver::submit_one(bool shed_on_full) {
       return Submit::kAdmitted;
     case consensus::Admission::kFull:
       if (shed_on_full) {
-        ++next_seq_;  // the open-loop request is gone; offered != admitted
+        // The open-loop request is gone (offered != admitted), but its seq
+        // is not: the next arrival reuses it, so the seqs that reach the
+        // chain stay contiguous and every replica's committed-tag index
+        // (consensus/request_tag.h) stays one mark per client.
         ++owner_->stats_.shed;
         return Submit::kSkipped;
       }
       return Submit::kRetryLater;  // closed loop retries this very seq on release
     case consensus::Admission::kOversized:
     case consensus::Admission::kDuplicate:
-      ++next_seq_;  // never admissible; skip it (counted by the mempool)
+      // Never admissible; skip it (counted by the mempool). Scenario
+      // validation rules out oversized default bodies, and a seq is never
+      // live twice, so only a custom body fn can leave this gap.
+      ++next_seq_;
       return Submit::kSkipped;
   }
   return Submit::kSkipped;
@@ -148,14 +165,17 @@ ClientDriver::Submit ClientDriver::submit_one(bool shed_on_full) {
 // ------------------------------------------------------------ NodeWorkload
 
 NodeWorkload::NodeWorkload(sim::Simulator* sim, ProcessId node, WorkloadSpec spec,
-                           std::uint64_t seed, Hooks hooks)
+                           std::uint64_t seed, Hooks hooks, std::uint32_t incarnation)
     : sim_(sim),
       node_(node),
       spec_(std::move(spec)),
       hooks_(std::move(hooks)),
-      mempool_(spec_.mempool) {
+      mempool_(spec_.mempool),
+      first_client_(client_id(node, incarnation * spec_.clients_per_node)) {
   LUMIERE_ASSERT(sim_ != nullptr);
-  LUMIERE_ASSERT_MSG(spec_.clients_per_node < kClientsPerNodeStride,
+  const std::uint64_t client_slots =
+      (static_cast<std::uint64_t>(incarnation) + 1) * spec_.clients_per_node;
+  LUMIERE_ASSERT_MSG(client_slots < kClientsPerNodeStride,
                      "client ids encode the node in the high bits");
   trace_hasher_.update("lumiere.workload.trace");
   // One independent stream per client, all derived from the scenario seed
@@ -163,7 +183,7 @@ NodeWorkload::NodeWorkload(sim::Simulator* sim, ProcessId node, WorkloadSpec spe
   Rng root(seed ^ (0x574b4c44ULL + node));
   drivers_.reserve(spec_.clients_per_node);
   for (std::uint32_t k = 0; k < spec_.clients_per_node; ++k) {
-    drivers_.push_back(std::make_unique<ClientDriver>(this, client_id(node_, k), root.fork()));
+    drivers_.push_back(std::make_unique<ClientDriver>(this, first_client_ + k, root.fork()));
   }
   mempool_.set_space_available([this] { note_starved_release(); });
 }
@@ -174,25 +194,45 @@ void NodeWorkload::start() {
   for (auto& driver : drivers_) driver->start();
 }
 
-std::vector<std::uint8_t> NodeWorkload::make_batch(View view) {
+void NodeWorkload::sample_depth() {
   const std::size_t depth = mempool_.pending();
   stats_.queue_depth.emplace_back(sim_->now(), depth);
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
   if (hooks_.on_queue_depth) hooks_.on_queue_depth(sim_->now(), depth);
-  return mempool_.next_batch(view);
 }
 
-void NodeWorkload::on_commit(TimePoint at, View view,
-                             const std::vector<std::uint8_t>& payload) {
-  mempool_.on_commit(view, payload);
+consensus::RequestForwarding NodeWorkload::forwarding() {
+  consensus::RequestForwarding hooks;
+  hooks.attach = [this](View view) {
+    // Every node attaches every view: sampling only the drains that move
+    // requests keeps the depth log near its per-proposal size.
+    if (mempool_.pending() > 0) sample_depth();
+    return mempool_.attach(view);
+  };
+  hooks.proposed = [this](const consensus::Block& block) {
+    mempool_.on_proposed(block.view(), own_commands_or_none(block.payload()));
+  };
+  hooks.max_batch_bytes = spec_.mempool.max_batch_bytes;
+  return hooks;
+}
+
+void NodeWorkload::on_commit(TimePoint at, View view, std::span<const std::uint8_t> payload) {
+  mempool_.on_commit(view, own_commands_or_none(payload));
   account_commands(at, payload);
 }
 
+std::span<const std::uint8_t> NodeWorkload::own_commands_or_none(
+    std::span<const std::uint8_t> payload) const {
+  bool own = false;
+  consensus::for_each_command(payload, [&](std::span<const std::uint8_t> command) {
+    const auto tag = consensus::request_tag(command);
+    own = own || (tag && driver_of(tag->client) != nullptr);
+  });
+  return own ? payload : std::span<const std::uint8_t>{};
+}
+
 std::uint64_t NodeWorkload::lease_dissem_batch(std::vector<std::uint8_t>& payload) {
-  const std::size_t depth = mempool_.pending();
-  stats_.queue_depth.emplace_back(sim_->now(), depth);
-  stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
-  if (hooks_.on_queue_depth) hooks_.on_queue_depth(sim_->now(), depth);
+  sample_depth();
   return mempool_.lease_batch(payload);
 }
 
@@ -202,24 +242,29 @@ void NodeWorkload::on_dissem_delivery(TimePoint at, const std::vector<std::uint8
   account_commands(at, payload);
 }
 
-void NodeWorkload::account_commands(TimePoint at, const std::vector<std::uint8_t>& payload) {
-  for (const auto& command : consensus::Mempool::split_batch(payload)) {
-    const auto request =
-        Request::decode(std::span<const std::uint8_t>(command.data(), command.size()));
-    if (!request || client_node(request->client) != node_) continue;
-    const auto it = outstanding_.find({request->client, request->seq});
+void NodeWorkload::account_commands(TimePoint at, std::span<const std::uint8_t> payload) {
+  consensus::for_each_command(payload, [&](std::span<const std::uint8_t> command) {
+    const auto tag = consensus::request_tag(command);
+    ClientDriver* driver = tag ? driver_of(tag->client) : nullptr;
+    if (driver == nullptr) return;
+    const auto it = outstanding_.find({tag->client, tag->seq});
     if (it == outstanding_.end()) {
       ++stats_.commit_misses;  // committed twice, or never submitted here
-      continue;
+      driver->note_committed_ahead(tag->seq);
+      return;
     }
     const Duration latency = at - it->second;
     outstanding_.erase(it);
     ++stats_.committed;
     stats_.latencies.emplace_back(at, latency);
     if (hooks_.on_request_committed) hooks_.on_request_committed(at, latency);
-    const std::uint32_t k = request->client % kClientsPerNodeStride;
-    if (k < drivers_.size()) drivers_[k]->on_own_commit();
-  }
+    driver->on_own_commit();
+  });
+}
+
+ClientDriver* NodeWorkload::driver_of(std::uint32_t client) const {
+  if (client < first_client_ || client - first_client_ >= drivers_.size()) return nullptr;
+  return drivers_[client - first_client_].get();
 }
 
 crypto::Digest NodeWorkload::trace_digest() const {

@@ -1,10 +1,17 @@
 // The workload engine: client drivers feeding one node's bounded mempool,
 // with per-request submit -> commit latency accounting.
 //
-//    ClientDriver --add()--> Mempool --next_batch(view)--> proposals
-//         ^                     |                             |
-//         | backpressure        | on_commit (ack/requeue)     v
-//         +---- release --------+<------- committed blocks ---+
+//    ClientDriver --add()--> Mempool --attach(v)--> NewView(v) --> lead(v)
+//         ^                  ^     ^                                  |
+//         | backpressure     |     | on_proposed                     v
+//         +--- release ------+     +----- proposal at w (any leader) -+
+//                            |                                        |
+//                            +<-- on_commit (ack/requeue) <-- committed block
+//
+// Every view the node forwards the requests its clients got admitted
+// to that view's leader on its NewView (consensus/chained_core.h), so a
+// request rides the next proposer's block instead of waiting for this
+// node's own leader turn. A workload needs a committing (chained) core.
 //
 // One NodeWorkload per node, living entirely on that node's simulator
 // (the shared deterministic one, or the node's private wall-clock-paced
@@ -16,12 +23,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/types.h"
+#include "consensus/core.h"
 #include "consensus/mempool.h"
 #include "crypto/sha256.h"
 #include "sim/simulator.h"
@@ -44,6 +54,10 @@ class ClientDriver {
   void on_own_commit();
   /// The mempool freed capacity after rejecting us (closed loop retries).
   void on_space_available();
+  /// A block committed this client's tag at `seq` with no submission of
+  /// it outstanding. A seq not yet submitted is then spent (only a
+  /// forged request can commit it early): the client skips it.
+  void note_committed_ahead(std::uint64_t seq);
 
   [[nodiscard]] std::uint32_t client() const noexcept { return client_; }
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
@@ -59,14 +73,15 @@ class ClientDriver {
   void open_loop_arrival();
   void closed_loop_pump();
   /// Builds and submits request `next_seq_`. Consumes the sequence number
-  /// unless the pool is full and `shed_on_full` is false (closed loop
-  /// retries the same request later).
+  /// on admission, and on a request that can never be admitted; a
+  /// request the full pool turns away (shed or retried) keeps it.
   Submit submit_one(bool shed_on_full);
   [[nodiscard]] Duration open_loop_interval(TimePoint now);
 
   NodeWorkload* owner_;
   std::uint32_t client_;
   std::uint64_t next_seq_ = 0;
+  std::set<std::uint64_t> taken_;  ///< seqs >= next_seq_ already committed
   std::uint32_t want_ = 0;  ///< closed loop: window slots awaiting a submission
   Rng rng_;
 };
@@ -82,7 +97,8 @@ struct NodeWorkloadStats {
   std::size_t max_queue_depth = 0;
   /// (commit instant, submit -> commit latency), in commit order.
   std::vector<std::pair<TimePoint, Duration>> latencies;
-  /// (drain instant, pending depth just before the drain), per proposal.
+  /// (drain instant, pending depth just before the drain), per dissem
+  /// lease and per forwarding attach that carries requests.
   std::vector<std::pair<TimePoint, std::size_t>> queue_depth;
 };
 
@@ -96,8 +112,12 @@ class NodeWorkload {
     std::function<void(TimePoint at, std::size_t depth)> on_queue_depth;
   };
 
+  /// `incarnation` numbers the node's process lifetimes. A restarted
+  /// process has lost its clients' seqs, so each incarnation gets its own
+  /// client ids (workload/request.h): reusing the last one's would
+  /// replay tags the chain already committed, and those it refuses.
   NodeWorkload(sim::Simulator* sim, ProcessId node, WorkloadSpec spec, std::uint64_t seed,
-               Hooks hooks = {});
+               Hooks hooks = {}, std::uint32_t incarnation = 0);
 
   NodeWorkload(const NodeWorkload&) = delete;
   NodeWorkload& operator=(const NodeWorkload&) = delete;
@@ -106,13 +126,14 @@ class NodeWorkload {
   /// the run starts.
   void start();
 
-  /// The node's PayloadProvider: drains the next leased batch for a
-  /// proposal at `view` and samples the queue depth.
-  [[nodiscard]] std::vector<std::uint8_t> make_batch(View view);
+  /// The node's request-forwarding hooks (inline-batch data path): the
+  /// mempool's attach/on_proposed, sampling the queue depth ahead of
+  /// every attach that carries requests.
+  [[nodiscard]] consensus::RequestForwarding forwarding();
 
   /// This node committed a block: ack/requeue the mempool leases and
   /// close the latency loop for our own requests inside the payload.
-  void on_commit(TimePoint at, View view, const std::vector<std::uint8_t>& payload);
+  void on_commit(TimePoint at, View view, std::span<const std::uint8_t> payload);
 
   // ---- dissemination-layer wiring (runtime::Cluster, dissem on) -------
   // Under dissemination the mempool's consumer is the disseminator, not
@@ -144,11 +165,20 @@ class NodeWorkload {
  private:
   friend class ClientDriver;
 
+  /// The driver of `client` if it is one of this incarnation's clients.
+  [[nodiscard]] ClientDriver* driver_of(std::uint32_t client) const;
   void record_generated(const std::vector<std::uint8_t>& request);
   void record_admitted(std::uint32_t client, std::uint64_t seq, TimePoint at);
   /// The commit-side accounting shared by on_commit and
   /// on_dissem_delivery: latency close-out for own requests in `payload`.
-  void account_commands(TimePoint at, const std::vector<std::uint8_t>& payload);
+  void account_commands(TimePoint at, std::span<const std::uint8_t> payload);
+  /// Records the pending depth ahead of a drain.
+  void sample_depth();
+  /// `payload` if it carries a request of this node's clients, else an
+  /// empty span: the mempool then skips matching its leases against the
+  /// many blocks that hold only other origins' requests.
+  [[nodiscard]] std::span<const std::uint8_t> own_commands_or_none(
+      std::span<const std::uint8_t> payload) const;
   void note_starved();
   /// The mempool's space-available edge: schedules one deferred retry
   /// round across all drivers.
@@ -159,6 +189,7 @@ class NodeWorkload {
   WorkloadSpec spec_;
   Hooks hooks_;
   consensus::Mempool mempool_;
+  std::uint32_t first_client_;  ///< drivers_[k] is client first_client_ + k
   std::vector<std::unique_ptr<ClientDriver>> drivers_;
   /// (client, seq) -> submission instant, for requests awaiting commit.
   std::map<std::pair<std::uint32_t, std::uint64_t>, TimePoint> outstanding_;

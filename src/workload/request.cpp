@@ -16,11 +16,11 @@ std::vector<std::uint8_t> Request::encode(std::uint32_t client, std::uint64_t se
 }
 
 std::optional<Request> Request::decode(std::span<const std::uint8_t> command) {
-  ser::Reader r(command);
-  std::uint8_t magic = 0;
+  const auto tag = consensus::request_tag(command);
+  if (!tag) return std::nullopt;
   Request request;
-  if (!r.u8(magic) || magic != kRequestMagic) return std::nullopt;
-  if (!r.u32(request.client) || !r.u64(request.seq)) return std::nullopt;
+  request.client = tag->client;
+  request.seq = tag->seq;
   request.body.assign(command.begin() + kRequestHeaderBytes, command.end());
   return request;
 }

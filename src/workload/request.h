@@ -14,18 +14,21 @@
 #include <span>
 #include <vector>
 
+#include "consensus/request_tag.h"
+
 namespace lumiere::workload {
 
-/// First byte of every workload request, so application payloads that
-/// are not workload-driven cannot be mistaken for tagged requests.
-inline constexpr std::uint8_t kRequestMagic = 0xC7;
-
-/// Header: magic (u8) + client (u32) + seq (u64).
-inline constexpr std::size_t kRequestHeaderBytes = 1 + 4 + 8;
+// The header format (magic, client, seq) is consensus::RequestTag's: the
+// chained core reads the tag to keep forwarded requests exactly-once.
+using consensus::kRequestHeaderBytes;
+using consensus::kRequestMagic;
 
 /// Client ids encode the submitting node: client = (node << 16) | k, so a
 /// replica observing a commit knows whether the request is one of its own
-/// without any shared state (the TCP transport has none).
+/// without any shared state (the TCP transport has none). The node's
+/// incarnation i (a restarted process is i = 1, 2, ...) hosts clients
+/// k = i * clients_per_node + 0, 1, ...: a new process never reuses the
+/// tags of the one before it.
 inline constexpr std::uint32_t kClientsPerNodeStride = 1u << 16;
 
 [[nodiscard]] constexpr std::uint32_t client_id(std::uint32_t node, std::uint32_t k) noexcept {

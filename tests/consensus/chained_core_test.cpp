@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
+#include "consensus/request_tag.h"
+#include "ser/serializer.h"
 #include "testutil/core_harness.h"
 
 namespace lumiere::consensus {
@@ -158,6 +161,92 @@ TEST_P(ChainedCoreTest, StaleBlockCapAdmitsEquivocatedVariantsUpToTheLimit) {
   const crypto::Digest other_hash = other.hash();
   h.core(2).on_message(0, std::make_shared<ProposalMsg>(std::move(other)));
   EXPECT_TRUE(h.core(2).block_store().contains(other_hash));
+}
+
+// ---- request forwarding: the exclusion rule -------------------------
+
+/// A batch of tagged requests (client 7) with the given seqs.
+std::vector<std::uint8_t> request_batch(std::initializer_list<std::uint64_t> seqs) {
+  ser::Writer batch;
+  for (const std::uint64_t seq : seqs) {
+    ser::Writer command;
+    command.u8(kRequestMagic);
+    command.u32(7);
+    command.u64(seq);
+    batch.bytes(command.data());
+  }
+  return std::move(batch).take();
+}
+
+struct Injected {
+  std::size_t votes = 0;     ///< honest votes for the scripted proposal
+  View holder = -1;          ///< view of the chain block carrying seq 0
+  View committed = -1;       ///< an honest replica's last committed view
+};
+
+/// Runs views 0..last-1 on n = 4 with forwarding on, node 1 forwarding
+/// request seq 0 to lead(0) (HotStuff-2's responsive lead(0) proposes
+/// first, so seq 0 reaches block 1 through the relay). Then lead(last),
+/// scripted by the test instead of its core, proposes `payload` on the
+/// highest QC; counts the other (honest) replicas' votes for it.
+Injected inject_proposal(ChainRule rule, View last, const std::vector<std::uint8_t>& payload) {
+  std::vector<std::pair<ProcessId, crypto::Digest>> votes;
+  const auto wire = [&votes](ProcessId id, CoreCallbacks& cb) {
+    cb.send = [&votes, id, inner = cb.send](ProcessId to, MessagePtr msg) {
+      if (msg->type_id() == kVote) {
+        votes.emplace_back(id, static_cast<const VoteMsg&>(*msg).block_hash());
+      }
+      inner(to, std::move(msg));
+    };
+    cb.forwarding.attach = [id](View v) {
+      return id == 1 && v == 0 ? request_batch({0}) : std::vector<std::uint8_t>{};
+    };
+  };
+  Harness h(4, Duration::micros(10), nullptr, rule, wire);
+  for (View v = 0; v < last; ++v) h.enter_view_all(v);
+  const auto leader = static_cast<ProcessId>(last % 4);
+  const ProcessId honest = (leader + 1) % 4;
+  Injected result;
+  result.committed = h.core(honest).last_committed_view();
+  for (ProcessId id = 0; id < 4; ++id) {
+    if (id != leader) h.enter_view(id, last);
+  }
+  h.settle();
+  const QuorumCert justify = h.core(honest).high_qc();
+  const BlockStore& store = h.core(honest).block_store();
+  for (auto b = store.get(justify.block_hash()); b != nullptr && b->view() >= 0;
+       b = store.get(b->parent())) {
+    if (b->payload() == request_batch({0})) result.holder = b->view();
+  }
+  auto block = std::make_shared<const Block>(justify.block_hash(), last, payload, justify);
+  const crypto::Digest hash = block->hash();
+  const auto proposal = std::make_shared<ProposalMsg>(std::move(block));
+  for (ProcessId to = 0; to < 4; ++to) {
+    if (to != leader) h.network().send(leader, to, proposal);
+  }
+  h.settle();
+  result.votes = static_cast<std::size_t>(std::count_if(
+      votes.begin(), votes.end(), [&](const auto& vote) { return vote.second == hash; }));
+  return result;
+}
+
+TEST_P(ChainedCoreTest, ProposalRepeatingAnUncommittedAncestorsTagGetsNoVote) {
+  // At view 2 the block carrying seq 0 is an uncommitted ancestor.
+  const Injected repeat = inject_proposal(rule(), 2, request_batch({0}));
+  ASSERT_GE(repeat.holder, 0) << "seq 0 never reached a block";
+  EXPECT_GT(repeat.holder, repeat.committed) << "its block must still be uncommitted";
+  EXPECT_EQ(repeat.votes, 0U);
+  EXPECT_EQ(inject_proposal(rule(), 2, request_batch({1, 1})).votes, 0U) << "a tag twice";
+  EXPECT_EQ(inject_proposal(rule(), 2, request_batch({1})).votes, 3U);
+}
+
+TEST_P(ChainedCoreTest, ProposalRepeatingACommittedTagGetsNoVote) {
+  // By view 4 both chain rules committed the block carrying seq 0.
+  const Injected repeat = inject_proposal(rule(), 4, request_batch({0}));
+  ASSERT_GE(repeat.holder, 0) << "seq 0 never reached a block";
+  EXPECT_LE(repeat.holder, repeat.committed) << "its block must be committed";
+  EXPECT_EQ(repeat.votes, 0U);
+  EXPECT_EQ(inject_proposal(rule(), 4, request_batch({1})).votes, 3U);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rules, ChainedCoreTest, ::testing::ValuesIn(kRules),

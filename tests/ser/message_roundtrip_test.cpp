@@ -81,6 +81,13 @@ TEST_F(MessageRoundTripTest, NewView) {
   const auto& nv = static_cast<const consensus::NewViewMsg&>(*decoded);
   EXPECT_EQ(nv.view(), 12);
   EXPECT_EQ(nv.high_qc(), genesis);
+  EXPECT_TRUE(nv.requests().empty());
+
+  // Forwarded requests ride along byte for byte.
+  const std::vector<std::uint8_t> requests = {2, 0, 0, 0, 0xC7, 9};  // one 2-byte command
+  const MessagePtr with_requests = reencode(consensus::NewViewMsg(13, genesis, requests));
+  ASSERT_NE(with_requests, nullptr);
+  EXPECT_EQ(static_cast<const consensus::NewViewMsg&>(*with_requests).requests(), requests);
 }
 
 TEST_F(MessageRoundTripTest, PacemakerShares) {

@@ -89,8 +89,11 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
       0);
   add(std::make_shared<consensus::QcMsg>(qc),
       signer_set_bytes(kQuorum) + kQcBlockHashBytes);
-  add(std::make_shared<consensus::NewViewMsg>(6, qc),
-      kInnerQcViewBytes + signer_set_bytes(kQuorum) + kQcBlockHashBytes);
+  // A NewView carries forwarded requests in the proposal payload format,
+  // so like the proposal it folds the attachment's u32 length prefix.
+  add(std::make_shared<consensus::NewViewMsg>(6, qc, payload),
+      /*attachment length prefix*/ 4 + kInnerQcViewBytes + signer_set_bytes(kQuorum) +
+          kQcBlockHashBytes);
 
   const auto share_of = [&auth](crypto::Digest (*statement)(View), View v) {
     return crypto::threshold_share(auth.signer_for(2), statement(v));

@@ -119,17 +119,6 @@ TEST(LedgerOraclesTest, ExactlyOnceCatchesDuplicateWithinOneDump) {
   EXPECT_NE(violation->find("exactly-once"), std::string::npos);
 }
 
-TEST(LedgerOraclesTest, ExactlyOnceForgivesRestartedNodesClients) {
-  // Node 2 restarted: its clients restart their sequence numbers, so
-  // their pre-crash tags legitimately commit a second time.
-  NodeLedgerData observer = window(0, 0, 2);
-  set_payload(observer, 0, request_batch(workload::client_id(2, 0), 7));
-  set_payload(observer, 2, request_batch(workload::client_id(2, 0), 7));
-  NodeLedgerData restarted = window(2, 0, 0);
-  restarted.restarted = true;
-  EXPECT_EQ(check_exactly_once_data({observer, restarted}), std::nullopt);
-}
-
 TEST(LedgerOraclesTest, ExactlyOnceIgnoresUntaggedPayloads) {
   NodeLedgerData node = window(0, 0, 1);
   set_payload(node, 0, {0xDE, 0xAD});  // not a workload batch

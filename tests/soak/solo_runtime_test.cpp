@@ -5,8 +5,8 @@
 //
 //   * the cluster commits over real sockets,
 //   * a torn-down replica rebuilds from the shared spec, reconnects and
-//     backfills its history through block sync and resumes committing
-//     (crash recovery),
+//     backfills its history through block sync and resumes committing,
+//     its own clients' requests included (crash recovery),
 //   * the admin control plane applies live on the driver thread.
 #include "runtime/solo_node.h"
 
@@ -24,7 +24,10 @@
 #include <thread>
 #include <vector>
 
+#include "consensus/mempool.h"
+#include "consensus/request_tag.h"
 #include "fuzz/ledger_oracles.h"
+#include "workload/request.h"
 
 namespace lumiere::runtime {
 namespace {
@@ -111,10 +114,9 @@ std::uint64_t best_commit(const std::vector<std::unique_ptr<Host>>& hosts, Proce
   return best;
 }
 
-fuzz::NodeLedgerData ledger_data(const SoloNodeRuntime& runtime, bool restarted) {
+fuzz::NodeLedgerData ledger_data(const SoloNodeRuntime& runtime) {
   fuzz::NodeLedgerData data;
   data.node = runtime.id();
-  data.restarted = restarted;
   data.records = ledger_records(runtime.node().ledger());
   return data;
 }
@@ -128,11 +130,16 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   }
   for (auto& host : hosts) host->start();
 
-  // Phase 1 — the four stacks commit over real sockets.
+  // Phase 1 — the four stacks commit over real sockets, and replica 1's
+  // clients get past their first windows (2 clients x 4 in flight), so
+  // a restart that replayed their seqs from 0 would replay only tags the
+  // chain already committed.
+  const ClusterSpec defaults;
+  const std::uint64_t kRequestsBeforeCrash = 4 * defaults.clients_per_node * defaults.in_flight;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   bool all_committing = false;
   while (!all_committing && std::chrono::steady_clock::now() < deadline) {
-    all_committing = true;
+    all_committing = hosts[1]->runtime->status().requests_committed >= kRequestsBeforeCrash;
     for (const auto& host : hosts) {
       if (host->runtime->status().last_commit_height == 0) all_committing = false;
     }
@@ -141,22 +148,32 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   ASSERT_TRUE(all_committing) << "cluster never started committing over TCP";
 
   // Phase 2 — replica 1 dies (stack destroyed: all state lost, ports
-  // freed), rebuilds from the same spec, reconnects and must commit past
-  // the cluster's height at its restart.
+  // freed), rebuilds from the same spec as incarnation 1, reconnects and
+  // must commit past the cluster's height at its restart. Its closed-loop
+  // clients start over at seq 0 under fresh client ids, and their
+  // requests must commit too: under the last incarnation's ids every
+  // replica would refuse them as already committed.
   hosts[1]->halt();
   hosts[1]->runtime.reset();
   const std::uint64_t watermark = best_commit(hosts, /*skip=*/1);
   ASSERT_GT(watermark, 0U);
-  hosts[1]->runtime = std::make_unique<SoloNodeRuntime>(spec, 1);
+  SoloNodeRuntime::Options restart;
+  restart.incarnation = 1;
+  hosts[1]->runtime = std::make_unique<SoloNodeRuntime>(spec, 1, restart);
   hosts[1]->start();
 
   bool recovered = false;
+  bool requests_committed = false;
   const auto recover_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!recovered && std::chrono::steady_clock::now() < recover_deadline) {
-    recovered = hosts[1]->runtime->status().last_commit_height > watermark;
+  while (!(recovered && requests_committed) &&
+         std::chrono::steady_clock::now() < recover_deadline) {
+    const obs::NodeStatus status = hosts[1]->runtime->status();
+    recovered = status.last_commit_height > watermark;
+    requests_committed = status.requests_committed > 0;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   EXPECT_TRUE(recovered) << "restarted replica never committed beyond watermark " << watermark;
+  EXPECT_TRUE(requests_committed) << "the restarted replica's own requests never committed";
 
   // Its driver stopped, the restarted ledger is inspectable: block sync
   // fetched back the history it lost, so it is a full prefix of the chain
@@ -164,8 +181,8 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   // entry.
   hosts[1]->halt();
   hosts[0]->halt();
-  const fuzz::NodeLedgerData survivor = ledger_data(*hosts[0]->runtime, false);
-  const fuzz::NodeLedgerData restarted = ledger_data(*hosts[1]->runtime, true);
+  const fuzz::NodeLedgerData survivor = ledger_data(*hosts[0]->runtime);
+  const fuzz::NodeLedgerData restarted = ledger_data(*hosts[1]->runtime);
   ASSERT_FALSE(survivor.records.empty());
   ASSERT_FALSE(restarted.records.empty());
   EXPECT_EQ(restarted.records.front().view, survivor.records.front().view);
@@ -174,6 +191,24 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   EXPECT_EQ(violation, std::nullopt) << *violation;
   const auto monotone = fuzz::check_view_monotonicity_data({restarted});
   EXPECT_EQ(monotone, std::nullopt) << *monotone;
+  const auto once = fuzz::check_exactly_once_data({survivor, restarted});
+  EXPECT_EQ(once, std::nullopt) << *once;
+  // The restarted process's requests committed as new requests, under
+  // incarnation 1's client ids. (Under the old ids a replayed request
+  // only "committed" when the backfill delivered the byte-identical one
+  // of the last incarnation, and one submitted after its old twin had
+  // already committed would never commit.)
+  const std::uint32_t first_new = workload::client_id(1, defaults.clients_per_node);
+  std::size_t new_incarnation_requests = 0;
+  for (const LedgerRecord& record : restarted.records) {
+    consensus::for_each_command(record.payload, [&](std::span<const std::uint8_t> command) {
+      const auto tag = consensus::request_tag(command);
+      if (tag && tag->client >= first_new && tag->client < first_new + defaults.clients_per_node) {
+        ++new_incarnation_requests;
+      }
+    });
+  }
+  EXPECT_GT(new_incarnation_requests, 0U);
 
   // Phase 3 — the admin control plane, against a live driver (node 2).
   {

@@ -27,10 +27,13 @@ class CoreHarness {
     std::vector<crypto::Digest> committed;
   };
 
-  /// `rule` picks the chain rule when Core is ChainedCore (else unused).
-  explicit CoreHarness(std::uint32_t n, Duration delay = Duration::micros(10),
-                       std::function<bool(View)> may_form_qc = nullptr,
-                       consensus::ChainRule rule = consensus::ChainRule::hotstuff())
+  /// `rule` picks the chain rule when Core is ChainedCore (else unused);
+  /// `wire` may adjust each node's callbacks before its core is built.
+  explicit CoreHarness(
+      std::uint32_t n, Duration delay = Duration::micros(10),
+      std::function<bool(View)> may_form_qc = nullptr,
+      consensus::ChainRule rule = consensus::ChainRule::hotstuff(),
+      const std::function<void(ProcessId, consensus::CoreCallbacks&)>& wire = nullptr)
       : params_(ProtocolParams::for_n(n, Duration::millis(10))),
         auth_(crypto::make_authenticator(crypto::kDefaultScheme, n, 99)),
         network_(&sim_, n, TimePoint::origin(), params_.delta_cap,
@@ -55,6 +58,7 @@ class CoreHarness {
       cb.schedule = [this](Duration delay, std::function<void()> fn) {
         sim_.schedule_after(delay, std::move(fn));
       };
+      if (wire) wire(id, cb);
       consensus::PacemakerHooks hooks;
       hooks.leader_of = [n](View v) {
         return static_cast<ProcessId>(v >= 0 ? v % n : 0);

@@ -109,9 +109,12 @@ TEST(WorkloadDeterminismTest, IdenticalRunsUnderScriptedPartition) {
 // ---------------------------------------------------------------------
 // Cross-refactor golden: the digest below was captured from the
 // implementation as of PR 3 (std::function event queue, per-send
-// delivery lambdas, uncached QC statements). Any substrate change that
-// alters event ordering, RNG draw order, or message bytes shifts this
-// value — rerunning the fold and comparing pins "the hot-path overhaul
+// delivery lambdas, uncached QC statements) and re-captured once for
+// request forwarding, which reorders what the ledgers carry and lets a
+// shed request's seq pass to the next arrival (this run sheds during
+// the partition). Any substrate change that alters event ordering, RNG
+// draw order, or message bytes shifts this value — rerunning the fold
+// and comparing pins "the hot-path overhaul
 // changed nothing observable" as a regression test. Constant arrival
 // (not Poisson) keeps the fold free of libm transcendentals, so the
 // constant is portable across toolchains.
@@ -162,7 +165,7 @@ crypto::Digest golden_fold_digest(
 
 TEST(WorkloadDeterminismTest, GoldenLedgersSurviveRefactors) {
   EXPECT_EQ(golden_fold_digest().hex(),
-            "2a1b9d02b926f706f51905544c71134cab00fcbbf2336b5caaf809f129b78a4e");
+            "2890548bcbf77b52644fa8e288f700f232b652b8cd35c4a222417e18aa6002af");
 }
 
 TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
@@ -176,7 +179,7 @@ TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
     b.pipeline(runtime::PipelineSpec{});
   };
   EXPECT_EQ(golden_fold_digest(explicit_knobs).hex(),
-            "2a1b9d02b926f706f51905544c71134cab00fcbbf2336b5caaf809f129b78a4e");
+            "2890548bcbf77b52644fa8e288f700f232b652b8cd35c4a222417e18aa6002af");
 }
 
 TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
@@ -193,7 +196,7 @@ TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
     b.observability(spec);
   };
   EXPECT_EQ(golden_fold_digest(observability).hex(),
-            "2a1b9d02b926f706f51905544c71134cab00fcbbf2336b5caaf809f129b78a4e");
+            "2890548bcbf77b52644fa8e288f700f232b652b8cd35c4a222417e18aa6002af");
 }
 
 // Dissemination-enabled golden: same fold, lumiere + chained-hotstuff

@@ -4,6 +4,7 @@
 // closed-loop invariant — an admitted request is never lost.
 #include <gtest/gtest.h>
 
+#include "consensus/chained_core.h"
 #include "runtime/cluster.h"
 #include "workload/engine.h"
 #include "workload/report.h"
@@ -119,6 +120,35 @@ TEST(WorkloadTest, OpenLoopShedsUnderBackpressureWithoutLosingAdmitted) {
   EXPECT_EQ(report.committed + report.outstanding, report.admitted)
       << "every admitted request is committed or still queued — never lost";
   EXPECT_LE(report.max_queue_depth, 8U);
+}
+
+TEST(WorkloadTest, SheddingKeepsTheCommittedTagIndexAtOneMarkPerClient) {
+  // A shed request gives its seq to the next arrival, so the seqs that
+  // reach the chain have no gaps and every replica's committed-tag index
+  // (consensus/request_tag.h) stays one mark per client. Had each shed
+  // burned a seq, nearly every commit would sit above its client's mark.
+  WorkloadSpec spec;
+  spec.arrival = Arrival::kConstant;
+  spec.clients_per_node = 2;
+  spec.rate_per_client = 2000.0;
+  spec.mempool.max_pending_count = 8;
+  spec.mempool.max_pending_bytes = 1024;
+  ScenarioBuilder builder = base_builder(13);
+  builder.workload(spec);
+  Cluster cluster(builder);
+  cluster.run_for(Duration::seconds(5));
+
+  const Report report = cluster.workload_report();
+  ASSERT_GT(report.shed, 1000U);
+  ASSERT_GT(report.committed, 1000U);
+  for (ProcessId id = 0; id < cluster.n(); ++id) {
+    const auto& core = dynamic_cast<const consensus::ChainedCore&>(cluster.node(id).core());
+    const consensus::CommittedTags& index = core.committed_tags();
+    EXPECT_EQ(index.clients(), cluster.n() * spec.clients_per_node) << "node " << id;
+    // Only seqs committed ahead of a straggler (out of order) sit above.
+    EXPECT_LE(index.above_marks(), index.clients() * spec.mempool.max_pending_count)
+        << "node " << id;
+  }
 }
 
 TEST(WorkloadTest, ClosedLoopNeverLosesAnAdmittedRequest) {

@@ -1,6 +1,7 @@
 // lumiere_node: one replica process of a multi-process TCP cluster.
 //
 //   lumiere_node --spec cluster.spec --id 2 [--allow-crash] [--run-ms N]
+//                [--incarnation I]
 //
 // Reads the shared ClusterSpec (runtime/spec_io.h), builds exactly ONE
 // node's stack (runtime/solo_node.h) and drives it until SIGTERM/SIGINT
@@ -28,12 +29,14 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " --spec <file> --id <node> [--allow-crash] [--run-ms <n>]\n"
+            << " --spec <file> --id <node> [--allow-crash] [--run-ms <n>] [--incarnation <i>]\n"
                "  --spec        cluster spec file (runtime/spec_io.h format)\n"
                "  --id          which node of the spec this process hosts\n"
                "  --allow-crash admin CRASH performs _exit(137) (soak clusters)\n"
                "  --run-ms      stop after n wall milliseconds (default: until "
-               "SIGTERM)\n";
+               "SIGTERM)\n"
+               "  --incarnation 0 at first start, +1 per restart of this node, so\n"
+               "                its workload clients get fresh ids (default 0)\n";
   return 2;
 }
 
@@ -44,6 +47,7 @@ int main(int argc, char** argv) {
   lumiere::ProcessId id = lumiere::kNoProcess;
   bool allow_crash = false;
   long long run_ms = -1;
+  std::uint32_t incarnation = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--spec" && i + 1 < argc) {
@@ -54,6 +58,8 @@ int main(int argc, char** argv) {
       allow_crash = true;
     } else if (arg == "--run-ms" && i + 1 < argc) {
       run_ms = std::stoll(argv[++i]);
+    } else if (arg == "--incarnation" && i + 1 < argc) {
+      incarnation = static_cast<std::uint32_t>(std::stoul(argv[++i]));
     } else {
       return usage(argv[0]);
     }
@@ -80,6 +86,7 @@ int main(int argc, char** argv) {
   try {
     lumiere::runtime::SoloNodeRuntime::Options options;
     options.allow_crash = allow_crash;
+    options.incarnation = incarnation;
     lumiere::runtime::SoloNodeRuntime runtime(*spec, id, options);
     std::cout << "lumiere_node: node " << id << " up, transport port "
               << (spec->tcp_base_port + id) << ", status port "

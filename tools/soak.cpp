@@ -6,7 +6,8 @@
 //
 //   t=0.15D  runtime link degradation  (DROP/DELAY on one replica)
 //   t=0.25D  kill -9 one replica       (real crash: all state lost)
-//   t=0.45D  restart it                (rejoin + block-sync backfill)
+//   t=0.45D  restart it                (rejoin + block-sync backfill,
+//                                       as incarnation 1: fresh client ids)
 //   t=0.55D  BEHAVIOR equivocator flip (live adversary, within f)
 //   t=0.70D  HEAL the degraded links   (last disruption)
 //   t=D      download every ledger, run the data-form oracles
@@ -14,7 +15,8 @@
 // The verdict — safety over the downloaded ledgers, per-node view
 // monotonicity, exactly-once, liveness after the last disruption, no
 // wedged replica, and the restarted replica provably committing new
-// entries after rejoin — is written as JSON (--out) and summarized on
+// entries and its own clients' requests after rejoin — is written as
+// JSON (--out) and summarized on
 // stdout. It also counts `restarted_backfilled`: the restarted replica's
 // entries at or below the restart watermark, i.e. the pre-crash history
 // block sync fetched back for it. Exit 0 = every
@@ -97,6 +99,10 @@ std::optional<std::string> read_reply(int fd, bool multi_line, int timeout_ms) {
   std::string buffer;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   char chunk[2048];
+  // Bytes already searched for the END line: each chunk is scanned once
+  // (from 4 bytes back, where a "\nEND\n" straddling the chunk boundary
+  // starts), so a ~20 MB LEDGER reply reads in linear time.
+  std::size_t scanned = 0;
   while (true) {
     // A single-line reply is complete at its first newline; a multi-line
     // reply (STATUS, LEDGER) at its "END" line. ERR replies are always
@@ -104,9 +110,11 @@ std::optional<std::string> read_reply(int fd, bool multi_line, int timeout_ms) {
     const std::size_t newline = buffer.find('\n');
     if (newline != std::string::npos) {
       if (!multi_line || buffer.rfind("ERR", 0) == 0) return buffer.substr(0, newline);
-      if (buffer.find("\nEND\n") != std::string::npos || buffer.rfind("END\n", 0) == 0) {
+      const std::size_t from = scanned > 4 ? scanned - 4 : 0;
+      if (buffer.find("\nEND\n", from) != std::string::npos || buffer.rfind("END\n", 0) == 0) {
         return buffer;
       }
+      scanned = buffer.size();
     }
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return std::nullopt;
@@ -179,7 +187,7 @@ struct Replica {
 };
 
 pid_t spawn_node(const std::string& node_bin, const std::string& spec_path, ProcessId id,
-                 const std::string& log_path) {
+                 std::uint32_t incarnation, const std::string& log_path) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   // Child: logs to its own file, then exec.
@@ -190,8 +198,11 @@ pid_t spawn_node(const std::string& node_bin, const std::string& spec_path, Proc
     ::close(log_fd);
   }
   const std::string id_arg = std::to_string(id);
-  const char* argv[] = {node_bin.c_str(), "--spec", spec_path.c_str(),
-                        "--id",           id_arg.c_str(), "--allow-crash", nullptr};
+  const std::string incarnation_arg = std::to_string(incarnation);
+  const char* argv[] = {node_bin.c_str(), "--spec",         spec_path.c_str(),
+                        "--id",           id_arg.c_str(),   "--incarnation",
+                        incarnation_arg.c_str(),             "--allow-crash",
+                        nullptr};
   ::execv(node_bin.c_str(), const_cast<char* const*>(argv));
   std::perror("soak: execv");
   ::_exit(127);
@@ -330,7 +341,7 @@ int main(int argc, char** argv) {
   for (ProcessId id = 0; id < n; ++id) {
     replicas[id].id = id;
     replicas[id].status_port = static_cast<std::uint16_t>(status_base_port + id);
-    replicas[id].pid = spawn_node(node_bin, spec_path, id, log_path(id));
+    replicas[id].pid = spawn_node(node_bin, spec_path, id, /*incarnation=*/0, log_path(id));
     if (replicas[id].pid < 0) {
       std::cerr << "soak: fork failed\n";
       return 2;
@@ -410,7 +421,8 @@ int main(int argc, char** argv) {
       watermark = std::max(watermark, field_u64(*status, "last_commit_height"));
     }
   }
-  replicas[kill_target].pid = spawn_node(node_bin, spec_path, kill_target, log_path(kill_target));
+  replicas[kill_target].pid =
+      spawn_node(node_bin, spec_path, kill_target, /*incarnation=*/1, log_path(kill_target));
   replicas[kill_target].restarted = true;
   std::cout << "soak: [0.45] node 1 restarted (watermark view " << watermark << ")\n";
 
@@ -483,7 +495,6 @@ int main(int argc, char** argv) {
     }
     NodeLedgerData data;
     data.node = replica.id;
-    data.restarted = replica.restarted;
     const auto status = query_status(replica.status_port);
     data.ever_byzantine = replica.flipped_byzantine ||
                           (status.has_value() && field_u64(*status, "ever_byzantine") != 0);
@@ -513,6 +524,15 @@ int main(int argc, char** argv) {
                                          &stalled));
   add(lumiere::fuzz::check_commit_progress_data(dumps, kill_target,
                                                 static_cast<View>(watermark)));
+  // The restarted process's clients (fresh ids: it runs as incarnation
+  // 1) must get requests committed, not just its ledger.
+  std::uint64_t restarted_requests = 0;
+  if (const auto status = query_status(replicas[kill_target].status_port); status.has_value()) {
+    restarted_requests = field_u64(*status, "requests_committed");
+  }
+  if (restarted_requests == 0) {
+    violation("workload: the restarted replica committed none of its own requests");
+  }
   std::size_t restarted_backfilled = 0;
   for (const NodeLedgerData& d : dumps) {
     if (d.node != kill_target) continue;
@@ -529,7 +549,9 @@ int main(int argc, char** argv) {
   json << "{\n  \"ok\": " << (violations.empty() ? "true" : "false") << ",\n  \"n\": " << n
        << ",\n  \"seed\": " << seed << ",\n  \"core\": \"" << core << "\",\n  \"duration_s\": "
        << duration_s << ",\n  \"restart_watermark\": " << watermark
-       << ",\n  \"restarted_backfilled\": " << restarted_backfilled << ",\n  \"stalled\": [";
+       << ",\n  \"restarted_backfilled\": " << restarted_backfilled
+       << ",\n  \"restarted_requests_committed\": " << restarted_requests
+       << ",\n  \"stalled\": [";
   for (std::size_t i = 0; i < stalled.size(); ++i) json << (i == 0 ? "" : ", ") << stalled[i];
   json << "],\n  \"violations\": [";
   for (std::size_t i = 0; i < violations.size(); ++i) {
@@ -541,7 +563,7 @@ int main(int argc, char** argv) {
     json << (i == 0 ? "" : ",") << "\n    {\"id\": " << d.node << ", \"entries\": "
          << d.records.size() << ", \"newest_view\": " << lumiere::fuzz::newest_view(d)
          << ", \"ever_byzantine\": " << (d.ever_byzantine ? "true" : "false")
-         << ", \"restarted\": " << (d.restarted ? "true" : "false") << "}";
+         << ", \"restarted\": " << (replicas[d.node].restarted ? "true" : "false") << "}";
   }
   json << (dumps.empty() ? "" : "\n  ") << "]\n}\n";
   if (!out_path.empty()) {
