@@ -264,6 +264,8 @@ class QuorumAggregator {
   [[nodiscard]] std::uint32_t count() const noexcept { return signers_.count(); }
   [[nodiscard]] bool complete() const noexcept { return signers_.count() >= m_; }
   [[nodiscard]] const Digest& message() const noexcept { return message_; }
+  /// The processes whose valid shares were added so far.
+  [[nodiscard]] const SignerSet& signers() const noexcept { return signers_; }
 
   /// Builds the aggregate once `complete()`. Must not be called before.
   [[nodiscard]] ThresholdSig aggregate() const;

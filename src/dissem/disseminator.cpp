@@ -1,9 +1,21 @@
 #include "dissem/disseminator.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "dissem/messages.h"
 
 namespace lumiere::dissem {
+
+namespace {
+
+/// Cap on an own cert's re-announce gap, in multiples of retry_interval.
+/// Bounded rather than open-ended: on TCP the adapter drops partitioned
+/// traffic instead of parking it, so a peer that was cut off learns an
+/// unordered cert only from a later re-announce.
+constexpr std::int64_t kMaxRetryGapFactor = 4;
+
+}  // namespace
 
 Disseminator::Disseminator(const ProtocolParams& params, crypto::AuthView auth,
                            crypto::Signer signer, DissemSpec spec, DisseminatorCallbacks cb)
@@ -57,19 +69,34 @@ void Disseminator::push_tick() {
 void Disseminator::retry_tick() {
   const TimePoint now = cb_.now();
   // Re-push own batches still short of f+1 acks (pushes lost to drops or
-  // a partition); acking is idempotent on the receiver side.
+  // a partition), only to the peers whose ack is missing: the others
+  // already store the bytes. Acking is idempotent on the receiver side.
   for (const auto& [seq, pending] : pending_) {
     if (now - pending.pushed_at < spec_.retry_interval) continue;
     const auto stored = store_.find(pending.id);
-    if (stored != store_.end()) {
-      cb_.broadcast(std::make_shared<BatchPushMsg>(pending.id, stored->second));
+    if (stored == store_.end()) continue;
+    const auto push = std::make_shared<BatchPushMsg>(pending.id, stored->second);
+    const SignerSet& acked = pending.agg.signers();
+    for (ProcessId to = 0; to < params_.n; ++to) {
+      if (!acked.contains(to)) cb_.send(to, push);
     }
   }
   // Re-announce own certs nobody ordered yet — the path that floods a
   // healed partition's backlog back into the leaders' certified queues.
-  for (const auto& [id, cert] : own_certs_) {
-    cb_.broadcast(std::make_shared<BatchCertMsg>(cert));
+  // Each cert backs off on its own schedule; the due ones leave together.
+  const Duration max_gap = spec_.retry_interval * kMaxRetryGapFactor;
+  BatchCertMsg::Certs due;
+  for (auto& [id, own] : own_certs_) {
+    if (own.due > now) continue;
+    due.push_back(own.cert);
+    own.gap = std::min(own.gap * 2, max_gap);
+    own.due = now + own.gap;
+    if (due.size() == BatchCertMsg::kMaxCerts) {
+      cb_.broadcast(std::make_shared<BatchCertMsg>(std::move(due)));
+      due.clear();
+    }
   }
+  if (!due.empty()) cb_.broadcast(std::make_shared<BatchCertMsg>(std::move(due)));
   // Re-fetch committed-but-missing payloads from their cert signers.
   for (const auto& [id, cert] : unresolved_) send_fetches(cert);
   cb_.schedule(spec_.retry_interval, [this] { retry_tick(); });
@@ -131,14 +158,15 @@ void Disseminator::maybe_finalize(std::uint64_t seq) {
   if (cb_.on_batch_certified) cb_.on_batch_certified(now, now - it->second.pushed_at);
   pending_.erase(it);
   ++certified_;
-  own_certs_.emplace(cert.id(), cert);
+  own_certs_.emplace(cert.id(), OwnCert{cert, now + spec_.retry_interval, spec_.retry_interval});
   cb_.broadcast(std::make_shared<BatchCertMsg>(cert));
   accept_cert(cert);
 }
 
 void Disseminator::handle_cert(const BatchCertMsg& msg) {
-  if (!verify_cert_cached(msg.cert())) return;
-  accept_cert(msg.cert());
+  for (const BatchCert& cert : msg.certs()) {
+    if (verify_cert_cached(cert)) accept_cert(cert);
+  }
 }
 
 void Disseminator::handle_fetch(ProcessId from, const BatchFetchMsg& msg) {

@@ -12,7 +12,13 @@
 //     proposal wire size is independent of batch payload size;
 //   * on commit, resolves references back to payload bytes, fetching
 //     from cert signers (>= 1 of the f+1 is honest and stores the batch)
-//     when this node never received the push.
+//     when this node never received the push;
+//   * on a retry tick, re-pushes an own batch still short of f+1 acks to
+//     the peers whose ack is missing, re-fetches unresolved references,
+//     and re-announces own certs nobody ordered yet. Each such cert backs
+//     off on its own: first due retry_interval after certification, then
+//     the gap doubles up to a cap of 4 x retry_interval. All certs due on
+//     a tick leave in one BatchCertMsg list per peer (64 certs at most).
 //
 // Everything is driven by the deterministic simulator clock through the
 // injected schedule/now callbacks; the engine itself holds no threads
@@ -114,6 +120,14 @@ class Disseminator {
     crypto::QuorumAggregator agg;
   };
 
+  /// One own certified batch nobody ordered yet, with its re-announce
+  /// backoff state.
+  struct OwnCert {
+    BatchCert cert;
+    TimePoint due;  ///< next re-announce
+    Duration gap;   ///< the last gap waited; the next one doubles it
+  };
+
   void push_tick();
   void retry_tick();
   void handle_push(ProcessId from, const BatchPushMsg& msg);
@@ -143,7 +157,7 @@ class Disseminator {
   std::uint64_t seq_ = 0;                         ///< own batch sequence
   std::map<std::uint64_t, PendingCert> pending_;  ///< own, awaiting acks (by seq)
   std::map<std::uint64_t, std::uint64_t> tokens_; ///< own seq -> mempool lease token
-  std::map<BatchId, BatchCert> own_certs_;        ///< own, certified, not yet ordered
+  std::map<BatchId, OwnCert> own_certs_;          ///< own, certified, not yet ordered
 
   std::map<BatchId, BatchBytes> store_;  ///< all received batch bytes (shared with pushes)
   std::deque<BatchCert> queue_;   ///< certified references, FIFO (may hold stale copies)

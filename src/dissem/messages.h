@@ -93,28 +93,55 @@ class BatchAckMsg final : public Message {
   crypto::PartialSig share_;
 };
 
-/// PoA dissemination: the origin announces a freshly aggregated cert so
-/// every prospective leader can order the batch.
+/// PoA dissemination: the origin announces certs so every prospective
+/// leader can order their batches. A fresh cert is a list of one; a
+/// retry tick re-announces every due cert in lists of up to kMaxCerts.
 class BatchCertMsg final : public Message {
  public:
-  explicit BatchCertMsg(BatchCert cert) : cert_(std::move(cert)) {}
+  using Certs = std::vector<BatchCert>;
 
-  [[nodiscard]] const BatchCert& cert() const noexcept { return cert_; }
+  explicit BatchCertMsg(Certs certs) : certs_(std::move(certs)) {}
+  explicit BatchCertMsg(BatchCert cert) { certs_.push_back(std::move(cert)); }
+
+  [[nodiscard]] const Certs& certs() const noexcept { return certs_; }
 
   std::uint32_t type_id() const override { return kBatchCertAnnounce; }
   const char* type_name() const override { return "batch-cert"; }
   MsgClass msg_class() const override { return MsgClass::kDissem; }
-  std::size_t wire_size() const override { return cert_.wire_size(); }
-  void serialize(ser::Writer& w) const override { cert_.serialize(w); }
-  void collect_auth(AuthClaimSink& sink) const override { sink.aggregate(cert_.sig()); }
+  std::size_t wire_size() const override {
+    std::size_t size = 0;
+    for (const BatchCert& cert : certs_) size += cert.wire_size();
+    return size;
+  }
+  void serialize(ser::Writer& w) const override {
+    w.u32(static_cast<std::uint32_t>(certs_.size()));
+    for (const BatchCert& cert : certs_) cert.serialize(w);
+  }
+  void collect_auth(AuthClaimSink& sink) const override {
+    for (const BatchCert& cert : certs_) sink.aggregate(cert.sig());
+  }
   static MessagePtr deserialize(ser::Reader& r) {
-    auto cert = BatchCert::deserialize(r);
-    if (!cert) return nullptr;
-    return std::make_shared<BatchCertMsg>(std::move(*cert));
+    std::uint32_t count = 0;
+    if (!r.u32(count)) return nullptr;
+    // The bound keeps a malformed frame from forcing a giant allocation
+    // before the per-cert deserialization fails anyway.
+    if (count == 0 || count > kMaxCerts) return nullptr;
+    Certs certs;
+    certs.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      auto cert = BatchCert::deserialize(r);
+      if (!cert) return nullptr;
+      certs.push_back(std::move(*cert));
+    }
+    return std::make_shared<BatchCertMsg>(std::move(certs));
   }
 
+  /// Upper bound on certs per announce, enforced on both sides. Even with
+  /// ed25519 aggregates at n = 64 a full list stays far below a TCP frame.
+  static constexpr std::uint32_t kMaxCerts = 64;
+
  private:
-  BatchCert cert_;
+  Certs certs_;
 };
 
 /// Fetch-on-miss: a replica that must apply a committed reference it

@@ -23,8 +23,11 @@ struct DissemSpec {
   /// are still awaiting certification (e.g. the node is cut off from a
   /// small quorum) — backpressure then propagates to the mempool.
   std::uint32_t max_uncertified = 32;
-  /// Re-push unacked batches and re-fetch unresolved committed references
-  /// at this cadence — the recovery path through partitions and drops.
+  /// Retry tick cadence — the recovery path through partitions and drops.
+  /// Each tick re-pushes unacked batches to the peers whose ack is missing
+  /// and re-fetches unresolved committed references. It is also an own
+  /// cert's first re-announce delay after certification; the gap then
+  /// doubles after each re-announce, up to 4 x this interval.
   Duration retry_interval = Duration::millis(50);
   /// Cap on certified references drained into a single proposal.
   std::uint32_t max_refs_per_proposal = 64;

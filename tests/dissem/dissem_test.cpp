@@ -10,6 +10,8 @@
 
 #include "crypto/authenticator.h"
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <vector>
@@ -163,36 +165,51 @@ TEST(RefsPayloadTest, EncodingSizeIndependentOfBatchPayloadSize) {
 /// scheduled timers and deliveries are captured; timers run only when
 /// the test fires them, so every interleaving is explicit.
 struct Harness {
-  static constexpr std::uint32_t kN = 4;  // f = 1, small quorum = 2
-
   struct Sent {
     ProcessId to;  ///< kNoProcess = broadcast
     MessagePtr msg;
+    TimePoint at;
+  };
+  struct Timer {
+    TimePoint due;
+    std::function<void()> fn;
   };
 
-  ProtocolParams params = ProtocolParams::for_n(kN, Duration::millis(10));
-  std::unique_ptr<crypto::Authenticator> auth_owner =
-      crypto::make_authenticator(crypto::kDefaultScheme, kN, 23);
-  const crypto::Authenticator& auth = *auth_owner;
+  ProtocolParams params;
+  std::unique_ptr<crypto::Authenticator> auth_owner;
+  const crypto::Authenticator& auth;
   std::vector<Sent> sent;
-  std::vector<std::function<void()>> timers;
+  std::vector<Timer> timers;
+  std::deque<std::vector<std::uint8_t>> leases;  ///< payloads lease_batch hands out
+  std::uint64_t leased = 0;
   std::vector<std::vector<std::uint8_t>> delivered;
   std::vector<std::uint64_t> acked_tokens;
   TimePoint now = TimePoint::origin();
   Disseminator engine;
 
-  explicit Harness(ProcessId self, DissemSpec spec = {})
-      : engine(params, crypto::AuthView(&auth), auth.signer_for(self), spec, callbacks()) {}
+  /// n = 4 by default: f = 1, small quorum = 2.
+  explicit Harness(ProcessId self, DissemSpec spec = {}, std::uint32_t n = 4)
+      : params(ProtocolParams::for_n(n, Duration::millis(10))),
+        auth_owner(crypto::make_authenticator(crypto::kDefaultScheme, n, 23)),
+        auth(*auth_owner),
+        engine(params, crypto::AuthView(&auth), auth.signer_for(self), spec, callbacks()) {}
 
   DisseminatorCallbacks callbacks() {
     DisseminatorCallbacks cb;
-    cb.send = [this](ProcessId to, MessagePtr msg) { sent.push_back({to, std::move(msg)}); };
-    cb.broadcast = [this](MessagePtr msg) { sent.push_back({kNoProcess, std::move(msg)}); };
-    cb.schedule = [this](Duration, std::function<void()> fn) {
-      timers.push_back(std::move(fn));
+    cb.send = [this](ProcessId to, MessagePtr msg) { sent.push_back({to, std::move(msg), now}); };
+    cb.broadcast = [this](MessagePtr msg) {
+      sent.push_back({kNoProcess, std::move(msg), now});
+    };
+    cb.schedule = [this](Duration delay, std::function<void()> fn) {
+      timers.push_back({now + delay, std::move(fn)});
     };
     cb.now = [this] { return now; };
-    cb.lease_batch = [](std::vector<std::uint8_t>&) { return std::uint64_t{0}; };
+    cb.lease_batch = [this](std::vector<std::uint8_t>& payload) {
+      if (leases.empty()) return std::uint64_t{0};
+      payload = std::move(leases.front());
+      leases.pop_front();
+      return ++leased;
+    };
     cb.ack_batch = [this](std::uint64_t token) { acked_tokens.push_back(token); };
     cb.deliver = [this](TimePoint, const std::vector<std::uint8_t>& payload) {
       delivered.push_back(payload);
@@ -214,9 +231,55 @@ struct Harness {
 
   /// Fires every currently scheduled timer once (reinsert nets etc.).
   void fire_timers() {
-    std::vector<std::function<void()>> due;
+    std::vector<Timer> due;
     due.swap(timers);
-    for (auto& fn : due) fn();
+    for (Timer& timer : due) timer.fn();
+  }
+
+  /// Advances the clock to `end`, firing timers in due order (ties in
+  /// scheduling order), including the ones they schedule.
+  void run_until(TimePoint end) {
+    for (;;) {
+      const auto next = std::min_element(
+          timers.begin(), timers.end(),
+          [](const Timer& a, const Timer& b) { return a.due < b.due; });
+      if (next == timers.end() || next->due > end) break;
+      now = next->due;
+      const std::function<void()> fn = std::move(next->fn);
+      timers.erase(next);
+      fn();
+    }
+    now = end;
+  }
+
+  /// Ids of the batches this node pushed so far (as origin), in order.
+  [[nodiscard]] std::vector<BatchId> pushed_ids() const {
+    std::vector<BatchId> ids;
+    for (const Sent& s : sent) {
+      if (s.msg->type_id() == kBatchPush && s.to == kNoProcess) {
+        ids.push_back(static_cast<const BatchPushMsg&>(*s.msg).id());
+      }
+    }
+    return ids;
+  }
+
+  /// Delivers `signer`'s availability ack for `id` to the engine.
+  void ack_from(ProcessId signer, const BatchId& id) {
+    engine.on_message(signer, std::make_shared<BatchAckMsg>(
+                                  id, crypto::threshold_share(auth.signer_for(signer),
+                                                              batch_statement(id))));
+  }
+
+  /// Times at which a cert announce carrying `id` was broadcast.
+  [[nodiscard]] std::vector<TimePoint> announces_of(const BatchId& id) const {
+    std::vector<TimePoint> times;
+    for (const Sent& s : sent) {
+      if (s.msg->type_id() != kBatchCertAnnounce) continue;
+      for (const BatchCert& cert : static_cast<const BatchCertMsg&>(*s.msg).certs()) {
+        if (cert.id() == id) times.push_back(s.at);
+      }
+    }
+    return times;
   }
 };
 
@@ -339,6 +402,147 @@ TEST(DisseminatorTest, FetchOnMissResolvesAndDeliversExactlyOnce) {
   h.engine.on_committed_payload(
       std::span<const std::uint8_t>(refs_payload.data(), refs_payload.size()));
   EXPECT_EQ(h.delivered.size(), 1U);
+}
+
+// ---- the retry path: targeted re-push, backed-off re-announce ----------
+
+/// Starts `h`, lets its first push tick lease the queued payloads and
+/// returns the pushed ids (each still short of its f+1 acks).
+std::vector<BatchId> push_leases(Harness& h) {
+  h.engine.start();
+  h.run_until(TimePoint::origin() + DissemSpec{}.push_interval);
+  return h.pushed_ids();
+}
+
+TEST(DisseminatorRetryTest, RePushGoesOnlyToPeersWhoseAckIsMissing) {
+  // n = 7: the small quorum is 3, so one peer ack leaves the batch
+  // pending with two signers (self and peer 0).
+  Harness h(/*self=*/2, DissemSpec{}, /*n=*/7);
+  h.leases.push_back(bytes_of(40, 0x12));
+  const std::vector<BatchId> ids = push_leases(h);
+  ASSERT_EQ(ids.size(), 1U);
+  h.ack_from(0, ids.front());
+  h.sent.clear();
+
+  // The 50 ms tick finds the push 48 ms old; the 100 ms tick re-pushes.
+  h.run_until(TimePoint::origin() + DissemSpec{}.retry_interval * 2);
+  EXPECT_EQ(h.count_sent(kBatchPush, kNoProcess), 0U) << "no full re-broadcast";
+  EXPECT_EQ(h.count_sent(kBatchPush, 0), 0U) << "peer 0 acked: it stores the bytes";
+  EXPECT_EQ(h.count_sent(kBatchPush, 2), 0U) << "the origin is its own first signer";
+  for (const ProcessId peer : {1U, 3U, 4U, 5U, 6U}) {
+    EXPECT_EQ(h.count_sent(kBatchPush, peer), 1U) << "peer " << peer;
+  }
+}
+
+TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
+  const DissemSpec spec;
+  Harness h(/*self=*/2, spec);
+  h.leases.push_back(bytes_of(40, 0x21));
+  const BatchId id = push_leases(h).at(0);
+  h.ack_from(0, id);  // f+1 = 2 signers: certified now
+  const TimePoint certified_at = h.now;
+  EXPECT_EQ(h.engine.batches_certified(), 1U);
+
+  // Nothing commits for a second.
+  h.run_until(certified_at + Duration::seconds(1));
+  const std::vector<TimePoint> announces = h.announces_of(id);
+  ASSERT_FALSE(announces.empty());
+  EXPECT_EQ(announces.front(), certified_at) << "announced once, fresh";
+  ASSERT_GE(announces.size(), 2U) << "the re-announce stays a liveness net";
+  EXPECT_LE(announces.size() - 1, 7U) << "re-announces back off (one per tick would be 20)";
+  EXPECT_GE(announces[1] - certified_at, spec.retry_interval)
+      << "the first re-announce waits a full retry interval";
+  for (std::size_t i = 2; i < announces.size(); ++i) {
+    EXPECT_GE(announces[i] - announces[i - 1], announces[i - 1] - announces[i - 2])
+        << "gaps never shrink";
+  }
+
+  // Once ordered, the cert is never announced again.
+  h.engine.on_committed_payload(encode_refs({h.cert_for(id)}));
+  const std::size_t before = h.announces_of(id).size();
+  h.run_until(h.now + Duration::seconds(1));
+  EXPECT_EQ(h.announces_of(id).size(), before);
+}
+
+TEST(DisseminatorRetryTest, PeerBackFromDowntimeHearsCertWithinTheCapPlusATick) {
+  // A peer that missed the fresh broadcast (crashed or cut off) learns
+  // the unordered cert from the next re-announce: the capped backoff
+  // bounds that wait by 4 x retry_interval plus one tick of quantization.
+  const DissemSpec spec;
+  Harness h(/*self=*/2, spec);
+  h.leases.push_back(bytes_of(40, 0x31));
+  const BatchId id = push_leases(h).at(0);
+  h.ack_from(0, id);
+  const TimePoint certified_at = h.now;
+  const Duration bound = spec.retry_interval * 4 + spec.retry_interval;
+  h.run_until(certified_at + Duration::seconds(3) + bound);
+
+  const std::vector<TimePoint> announces = h.announces_of(id);
+  for (TimePoint back = certified_at + Duration::millis(1);
+       back <= certified_at + Duration::seconds(3); back += Duration::millis(1)) {
+    const auto heard = std::lower_bound(announces.begin(), announces.end(), back);
+    ASSERT_NE(heard, announces.end()) << "peer back at " << back << " never hears the cert";
+    ASSERT_LE(*heard - back, bound) << "peer back at " << back;
+  }
+}
+
+TEST(DisseminatorRetryTest, OverdueCertsLeaveInListsOfAtMost64PerPeerPerTick) {
+  DissemSpec spec;
+  spec.max_batches_per_tick = 100;
+  spec.max_uncertified = 128;
+  Harness h(/*self=*/2, spec);
+  for (std::uint8_t i = 0; i < 100; ++i) h.leases.push_back(bytes_of(16, i));
+  const std::vector<BatchId> ids = push_leases(h);
+  ASSERT_EQ(ids.size(), 100U);
+  for (const BatchId& id : ids) h.ack_from(0, id);
+  EXPECT_EQ(h.count_sent(kBatchCertAnnounce, kNoProcess), 100U) << "fresh: a list of one each";
+  h.sent.clear();
+
+  // All 100 fall due on the same tick: one broadcast per 64-cert chunk.
+  h.run_until(h.now + spec.retry_interval * 2);
+  std::vector<std::size_t> sizes;
+  std::set<BatchId> announced;
+  for (const Harness::Sent& s : h.sent) {
+    if (s.msg->type_id() != kBatchCertAnnounce) continue;
+    EXPECT_EQ(s.to, kNoProcess) << "each list goes to every peer";
+    const auto& certs = static_cast<const BatchCertMsg&>(*s.msg).certs();
+    sizes.push_back(certs.size());
+    for (const BatchCert& cert : certs) announced.insert(cert.id());
+  }
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{64, 36}));
+  EXPECT_EQ(announced, std::set<BatchId>(ids.begin(), ids.end()));
+}
+
+TEST(BatchCertMsgTest, ListRoundTripsAndMalformedFramesAreRejected) {
+  Harness h(/*self=*/2);
+  MessageCodec codec;
+  register_dissem_messages(codec);
+  codec.set_sig_wire(h.auth.wire_spec());
+  BatchCertMsg::Certs certs;
+  for (std::uint64_t seq = 1; seq <= BatchCertMsg::kMaxCerts + 1; ++seq) {
+    certs.push_back(h.cert_for(id_for(1, seq, bytes_of(8, static_cast<std::uint8_t>(seq)))));
+  }
+  const auto frame_of = [](BatchCertMsg::Certs list) {
+    return MessageCodec::encode(BatchCertMsg(std::move(list)));
+  };
+
+  for (const std::size_t count : {std::size_t{1}, std::size_t{BatchCertMsg::kMaxCerts}}) {
+    const BatchCertMsg::Certs list(certs.begin(), certs.begin() + static_cast<long>(count));
+    const MessagePtr back = codec.decode(frame_of(list));
+    ASSERT_NE(back, nullptr) << count << " certs";
+    EXPECT_EQ(static_cast<const BatchCertMsg&>(*back).certs(), list);
+  }
+
+  EXPECT_EQ(codec.decode(frame_of({})), nullptr) << "an empty list announces nothing";
+  EXPECT_EQ(codec.decode(frame_of(certs)), nullptr) << "more than kMaxCerts";
+  // A count that promises more certs than the frame holds, and a frame
+  // cut inside its last cert.
+  auto lying = frame_of({certs[0], certs[1]});
+  lying[4] = 3;
+  EXPECT_EQ(codec.decode(lying), nullptr);
+  auto truncated = frame_of({certs[0], certs[1]});
+  truncated.resize(truncated.size() - 5);
+  EXPECT_EQ(codec.decode(truncated), nullptr);
 }
 
 // ---- end to end under consensus ---------------------------------------

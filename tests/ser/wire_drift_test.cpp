@@ -120,8 +120,9 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
 
   // Dissemination (0x4000 range): the push is the only payload-bearing
   // message (its model already counts the payload bytes, so only the
-  // length prefix folds); ack/fetch are exact; the cert's O(kappa)
-  // envelope covers its statement and tag, folding just the signer set.
+  // length prefix folds); ack/fetch are exact; a cert announce ships a
+  // u32 cert count plus certs whose O(kappa) envelope covers statement
+  // and tag, so each cert folds just its signer set.
   const dissem::BatchId batch_id{
       2, 7, crypto::Sha256::hash(std::span<const std::uint8_t>(payload.data(), payload.size()))};
   const dissem::BatchCert batch_cert(
@@ -131,7 +132,8 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
           batch_id, crypto::threshold_share(auth.signer_for(0),
                                             dissem::batch_statement(batch_id))),
       0);
-  add(std::make_shared<dissem::BatchCertMsg>(batch_cert), signer_set_bytes(kSmallQuorum));
+  add(std::make_shared<dissem::BatchCertMsg>(batch_cert),
+      /*count prefix*/ 4 + signer_set_bytes(kSmallQuorum));
   add(std::make_shared<dissem::BatchFetchMsg>(batch_id), 0);
 
   // Block sync (0x5000 range): the fetch is exact; a response ships a

@@ -204,9 +204,11 @@ TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
 // (magic + certified batch references), so this digest additionally pins
 // cert encoding, cert aggregation order and the disseminator's timer
 // interleaving. Captured when the layer landed; a change here means the
-// dissemination substrate's observable behavior moved.
+// dissemination substrate's observable behavior moved. Re-pinned once
+// when own-cert re-announces started backing off: a re-announce re-queues
+// a withheld ref at every receiver, so its timing decides the ledgers.
 constexpr const char* kGoldenDissemHex =
-    "5902a29bb83da889ad6b7e9aed5cf19d306b36cc91baae74de1ee29e86bd6d76";
+    "ee3c2817d2cfc4f29cac93a52bec8d2281b293b8a21271bda87c37fa45b0f31b";
 
 crypto::Digest golden_dissem_fold_digest() {
   WorkloadSpec spec;
