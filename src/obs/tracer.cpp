@@ -87,6 +87,14 @@ std::optional<SyncSpan> SyncTracer::last_span(ProcessId id) const {
   return node.last;
 }
 
+void SyncTracer::report(ProcessId id, TimePoint now, NodeStatus& status) const {
+  status.msgs_sent = msgs_sent(id);
+  status.bytes_sent = bytes_sent(id);
+  status.auth_ops = auth_snapshot(id).total();
+  status.current_sync = open_span(id, now);
+  status.last_sync = last_span(id);
+}
+
 std::vector<SyncSpan> SyncTracer::completed_spans() const {
   std::lock_guard<std::mutex> lock(completed_mu_);
   return std::vector<SyncSpan>(completed_.begin(), completed_.end());

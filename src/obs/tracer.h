@@ -25,6 +25,7 @@
 #include "common/types.h"
 #include "crypto/auth_counters.h"
 #include "obs/span.h"
+#include "obs/status.h"
 
 namespace lumiere::obs {
 
@@ -69,6 +70,9 @@ class SyncTracer {
   [[nodiscard]] std::optional<SyncSpan> open_span(ProcessId id, TimePoint now) const;
   /// The most recently completed span on node `id`, if any.
   [[nodiscard]] std::optional<SyncSpan> last_span(ProcessId id) const;
+  /// Fills `status`'s cost meters and spans for node `id` (open span
+  /// measured up to `now`).
+  void report(ProcessId id, TimePoint now, NodeStatus& status) const;
 
   /// Snapshot of the completed-span ring, oldest first.
   [[nodiscard]] std::vector<SyncSpan> completed_spans() const;

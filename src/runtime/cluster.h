@@ -6,35 +6,23 @@
 //   * TransportKind::kSim — every node shares one deterministic Simulator
 //     and one adversary-controlled sim::Network (metrics, traces and the
 //     partial-synchrony envelope all live here);
-//   * TransportKind::kTcp — every node gets a private Simulator paced
-//     against the wall clock on its own thread, exchanging real framed
-//     bytes over localhost TCP. Protocol objects are identical; the
-//     shared MetricsCollector runs in threaded mode (full protocol
-//     metrics on both transports), while traces and delay adversaries
-//     remain simulator-only. With Scenario::pipeline enabled each node
-//     additionally runs a decode+verify worker pool (runtime/pipeline.h).
+//   * TransportKind::kTcp — the cluster is n NodeHosts (runtime/node_host.h),
+//     each a private Simulator paced against the wall clock on its own
+//     thread, exchanging real framed bytes over localhost TCP. The hosts
+//     share the cluster's authenticator, span tracer, status board and
+//     MetricsCollector (threaded mode, so full protocol metrics on both
+//     transports); traces and delay adversaries remain simulator-only.
+//
+// Both transports wire each node's workload, config and observers through
+// the same functions (node_host.h), so they feed the same sinks.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "adversary/behaviors.h"
 #include "core/honest_gap_tracker.h"
-#include "crypto/authenticator.h"
-#include "obs/admin.h"
-#include "obs/status.h"
-#include "obs/status_server.h"
-#include "obs/tracer.h"
-#include "runtime/metrics.h"
-#include "runtime/node.h"
-#include "runtime/pipeline.h"
-#include "runtime/scenario.h"
-#include "sim/delay_policy.h"
+#include "runtime/node_host.h"
 #include "sim/network.h"
-#include "sim/simulator.h"
-#include "sim/trace.h"
-#include "transport/realtime.h"
-#include "workload/engine.h"
 #include "workload/report.h"
 
 namespace lumiere::runtime {
@@ -79,9 +67,12 @@ class Cluster {
   /// Node `id`'s staged verification pipeline; nullptr unless the
   /// scenario enabled one (TCP transport).
   [[nodiscard]] VerifyPipeline* pipeline(ProcessId id) {
-    return id < pipelines_.size() ? pipelines_[id].get() : nullptr;
+    return id < hosts_.size() ? hosts_[id]->pipeline() : nullptr;
   }
 
+  /// A node counts Byzantine if it starts non-honest, is scheduled to
+  /// turn non-honest, or ever ran a non-honest behavior (an admin
+  /// BEHAVIOR flip on TCP). TCP: read between run_for slices.
   [[nodiscard]] std::vector<ProcessId> honest_ids() const;
   [[nodiscard]] std::vector<bool> byzantine_mask() const;
 
@@ -105,9 +96,7 @@ class Cluster {
   /// The TCP port node `id`'s status endpoint listens on; 0 when status
   /// endpoints are not enabled (ObsSpec::status_base_port == 0).
   [[nodiscard]] std::uint16_t status_port(ProcessId id) const noexcept {
-    return id < status_servers_.size() && status_servers_[id] != nullptr
-               ? status_servers_[id]->port()
-               : 0;
+    return id < hosts_.size() ? hosts_[id]->status_port() : 0;
   }
 
   /// Smallest current view among honest processors (progress probe).
@@ -118,10 +107,10 @@ class Cluster {
   /// One node's workload engine (nullptr when that node runs no
   /// client-driven workload). Works on both transports.
   [[nodiscard]] workload::NodeWorkload* node_workload(ProcessId id) {
-    return workloads_.at(id).get();
+    return workloads_.at(id);
   }
   [[nodiscard]] const workload::NodeWorkload* node_workload(ProcessId id) const {
-    return workloads_.at(id).get();
+    return workloads_.at(id);
   }
   /// Merged client-side accounting across every node. TCP transport:
   /// call between run_for slices (driver threads are joined), never
@@ -131,63 +120,35 @@ class Cluster {
  private:
   void build_sim_cluster(std::vector<std::unique_ptr<adversary::Behavior>> behaviors);
   void build_tcp_cluster(std::vector<std::unique_ptr<adversary::Behavior>> behaviors);
-  /// Schedules the fault script on the shared simulator (sim transport).
+  /// Schedules the fault script on the shared simulator (sim transport;
+  /// each NodeHost schedules its own on TCP).
   void schedule_faults_sim();
-  /// Best-effort realtime analogue: schedules partition/crash/churn
-  /// transitions on every node's private simulator (TCP transport).
-  void schedule_faults_tcp();
-  void apply_fault_tcp(ProcessId id, const sim::FaultEvent& event);
-  /// Applies one admin command (obs/admin.h) to node `id`. Runs on the
-  /// node's own driver thread — the AdminGate pump drains into this.
-  /// Returns the reply line(s) for the status session. CRASH always
-  /// answers "ERR crash disabled" here: an in-process cluster must never
-  /// _exit the harness (the standalone lumiere_node enables it).
-  [[nodiscard]] std::string apply_admin(ProcessId id, const obs::AdminCommand& command);
-  /// Resolves node `id`'s NodeConfig, including the dissemination layer's
-  /// mempool/delivery hooks when the scenario enables it. `feed_metrics`
-  /// additionally wires the disseminator's cert-latency / certified-depth
-  /// samples into the shared MetricsCollector.
-  [[nodiscard]] NodeConfig config_for(ProcessId id, bool feed_metrics);
-  /// Instantiates node `id`'s workload engine on `sim` (the shared
-  /// simulator, or the node's private one on TCP). `feed_metrics` wires
-  /// the engine into the shared MetricsCollector (threaded mode on TCP).
-  void build_workload(ProcessId id, sim::Simulator* sim, bool feed_metrics);
+  [[nodiscard]] bool byzantine(ProcessId id) const {
+    return scheduled_byzantine_[id] || nodes_[id]->is_byzantine();
+  }
 
   Scenario scenario_;
   sim::Simulator sim_;  ///< shared simulator (sim transport).
   std::unique_ptr<crypto::Authenticator> auth_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<MetricsCollector> metrics_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  /// Byzantine-for-accounting mask: initially non-honest nodes plus every
-  /// target of a scheduled non-honest behavior change, plus runtime admin
-  /// BEHAVIOR flips. uint8_t, not vector<bool>: admin flips write one
-  /// node's slot from that node's driver thread while others run — packed
-  /// bits would make adjacent slots a data race. Harness reads happen
-  /// between run_for slices (driver threads joined).
-  std::vector<std::uint8_t> ever_byzantine_;
-  /// One engine per workload-driven node (index = node id, else null).
-  std::vector<std::unique_ptr<workload::NodeWorkload>> workloads_;
   sim::TraceLog trace_;
-  bool started_ = false;
-
-  /// TCP transport: one private simulator + adapter + wall-clock driver
-  /// per node (each driven on its own thread during run_for).
-  std::vector<std::unique_ptr<sim::Simulator>> node_sims_;
-  std::vector<std::unique_ptr<transport::TcpTransportAdapter>> adapters_;
-  std::vector<std::unique_ptr<transport::RealtimeDriver>> drivers_;
-  /// One staged decode+verify worker pool per node (TCP + pipeline(on)).
-  std::vector<std::unique_ptr<VerifyPipeline>> pipelines_;
-
-  /// Observability (obs/): span tracer + live status. Declared after the
-  /// nodes/drivers they observe; status_servers_ last so its serving
-  /// threads stop before anything they snapshot is torn down.
+  /// Initially non-honest nodes plus every target of a scheduled
+  /// non-honest behavior change, fixed at construction.
+  std::vector<bool> scheduled_byzantine_;
+  /// Observability (obs/): span tracer, and the live status board (TCP
+  /// only). Declared before the hosts whose threads read them.
   std::unique_ptr<obs::SyncTracer> tracer_;
   std::unique_ptr<obs::StatusBoard> status_board_;
-  /// One admin hand-off gate per node (TCP + admin_token only): status
-  /// sessions submit, the node's driver pump drains into apply_admin.
-  std::vector<std::unique_ptr<obs::AdminGate>> admin_gates_;
-  std::vector<std::unique_ptr<obs::StatusServer>> status_servers_;
+  /// Sim transport: the nodes and workload engines on the shared simulator.
+  std::vector<std::unique_ptr<Node>> sim_nodes_;
+  std::vector<std::unique_ptr<workload::NodeWorkload>> sim_workloads_;
+  /// TCP transport: one host per node, each driven on its own thread.
+  std::vector<std::unique_ptr<NodeHost>> hosts_;
+  /// Every node and workload engine (null: no clients), whoever owns it.
+  std::vector<Node*> nodes_;
+  std::vector<workload::NodeWorkload*> workloads_;
+  bool started_ = false;
 };
 
 }  // namespace lumiere::runtime

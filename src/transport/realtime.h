@@ -51,9 +51,9 @@ class TcpTransportAdapter final : public MessageTransport {
   /// drain step calls this from the node's driver thread.
   void deliver_decoded(ProcessId from, const MessagePtr& msg);
 
-  // Best-effort fault-schedule analogue (runtime/cluster.cpp schedules
-  // these on the node's private simulator, so all calls happen on the
-  // node's own driver thread). Unlike the sim network, cut frames are
+  // Best-effort fault-schedule analogue (NodeHost::apply_fault in
+  // runtime/node_host.cpp, scheduled on the node's private simulator, so
+  // all calls happen on the node's own driver thread). Unlike the sim network, cut frames are
   // LOST, not parked — a real network drops partitioned traffic.
   /// Cuts (or restores) the link to `peer` for an active partition.
   void set_partition_cut(ProcessId peer, bool cut);

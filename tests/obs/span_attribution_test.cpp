@@ -154,7 +154,21 @@ TEST(SpanAttributionTest, TcpSpansCarryCosts) {
       .seed(4646)
       .transport_tcp(27210);
   Cluster cluster(builder);
-  cluster.run_for(Duration::millis(800));  // wall-clock
+  for (int slice = 0; slice < 4; ++slice) {
+    cluster.run_for(Duration::millis(200));  // wall-clock
+    // No status ports, yet node_status serves the status board, which
+    // agrees with the nodes between slices (driver threads joined).
+    for (ProcessId id = 0; id < 4; ++id) {
+      const NodeStatus status = cluster.node_status(id);
+      const consensus::Ledger& ledger = cluster.node(id).ledger();
+      EXPECT_EQ(cluster.status_port(id), 0);
+      EXPECT_EQ(status.view, cluster.node(id).current_view());
+      EXPECT_EQ(status.height, ledger.size());
+      EXPECT_EQ(status.last_commit_height,
+                ledger.empty() ? 0U : static_cast<std::uint64_t>(ledger.entries().back().view));
+    }
+  }
+  EXPECT_GT(cluster.node_status(0).height, 0U) << "no commits over TCP";
 
   const SyncTracer* tracer = cluster.sync_tracer();
   ASSERT_NE(tracer, nullptr);

@@ -7,12 +7,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "obs/status_server.h"
 #include "runtime/cluster.h"
@@ -73,6 +75,14 @@ class StatusClient {
     return out;
   }
 
+  /// Reads one reply line, without its newline.
+  std::string read_line() {
+    std::string out;
+    char c = 0;
+    while (::recv(fd_, &c, 1, 0) == 1 && c != '\n') out.push_back(c);
+    return out;
+  }
+
   [[nodiscard]] bool peer_closed() {
     char byte = 0;
     return ::recv(fd_, &byte, 1, 0) == 0;
@@ -106,6 +116,7 @@ TEST(StatusEndpointTest, ServesLiveStatusOverTcp) {
       .transport_tcp(kTcpBase);
   ObsSpec spec;
   spec.status_base_port = kStatusBase;
+  spec.admin_token = "sekrit";
   builder.observability(spec);
   Cluster cluster(builder);
 
@@ -154,6 +165,33 @@ TEST(StatusEndpointTest, ServesLiveStatusOverTcp) {
     EXPECT_GT(status.view, 0);
     EXPECT_EQ(status.msgs_sent, cluster.sync_tracer()->msgs_sent(id));
   }
+
+  // Admin verbs on a Cluster node: they queue at the node's gate and
+  // apply on its driver thread, so the replies arrive during run_for.
+  std::string crash_reply;
+  std::string behavior_reply;
+  std::atomic<bool> admin_done{false};
+  std::thread admin([&] {
+    StatusClient client(kStatusBase + 3);
+    client.send_line("AUTH sekrit");
+    EXPECT_EQ(client.read_line(), "OK");
+    client.send_line("CRASH");
+    crash_reply = client.read_line();
+    client.send_line("BEHAVIOR equivocator");
+    behavior_reply = client.read_line();
+    admin_done.store(true);
+  });
+  for (int slice = 0; slice < 100 && !admin_done.load(); ++slice) {
+    cluster.run_for(Duration::millis(100));
+  }
+  admin.join();
+  EXPECT_EQ(crash_reply, "ERR crash disabled") << "an in-process cluster must never _exit";
+  EXPECT_EQ(behavior_reply, "OK");
+  cluster.run_for(Duration::millis(100));
+  EXPECT_EQ(cluster.honest_ids(), (std::vector<ProcessId>{0, 1, 2}));
+  EXPECT_TRUE(cluster.byzantine_mask()[3]);
+  EXPECT_TRUE(cluster.node_status(3).ever_byzantine);
+  EXPECT_FALSE(cluster.node_status(2).ever_byzantine);
 }
 
 TEST(StatusEndpointTest, StandaloneServerLifecycle) {

@@ -24,6 +24,7 @@
 #include "crypto/authenticator.h"
 #include "dissem/messages.h"
 #include "pacemaker/messages.h"
+#include "runtime/node_host.h"
 #include "sync/messages.h"
 
 namespace lumiere {
@@ -58,12 +59,8 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
   const auto auth_owner = crypto::make_authenticator(GetParam(), kN, 11);
   const crypto::Authenticator& auth = *auth_owner;
 
-  MessageCodec codec;
-  consensus::register_consensus_messages(codec);
-  pacemaker::register_pacemaker_messages(codec);
-  dissem::register_dissem_messages(codec);
-  sync::register_sync_messages(codec);
-  codec.set_sig_wire(auth.wire_spec());
+  // The codec every real-byte path ships (runtime/node_host.h).
+  const MessageCodec codec = runtime::wire_codec(auth);
 
   const crypto::Digest block_hash = crypto::Sha256::hash("drift-block");
   const crypto::Digest qc_statement = consensus::QuorumCert::statement(5, block_hash);

@@ -12,9 +12,12 @@
 // usage. The digest is SHA-256 over the structured trace, every ledger
 // and the message totals: two invocations printing the same digest
 // executed the same run, event for event.
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,12 +30,26 @@ using lumiere::fuzz::CaseDeltas;
 using lumiere::fuzz::FuzzCase;
 using lumiere::fuzz::RunResult;
 
-std::vector<std::size_t> parse_index_list(const std::string& arg) {
+/// Parses all of `text` as an unsigned number (strtoull base 0: decimal,
+/// 0x hex, 0 octal) no larger than `max`; false on junk, a sign or
+/// overflow, so a malformed flag is a usage error, not an abort.
+bool parse_number(const std::string& text, std::uint64_t max, std::uint64_t& out) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) return false;
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(text.c_str(), &end, 0);
+  return errno == 0 && *end == '\0' && out <= max;
+}
+
+std::optional<std::vector<std::size_t>> parse_index_list(const std::string& arg) {
   std::vector<std::size_t> out;
   std::istringstream in(arg);
   std::string token;
   while (std::getline(in, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoull(token));
+    if (token.empty()) continue;
+    std::uint64_t index = 0;
+    if (!parse_number(token, SIZE_MAX, index)) return std::nullopt;
+    out.push_back(index);
   }
   return out;
 }
@@ -66,15 +83,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    std::uint64_t number = 0;
     if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 0);
+      if (!parse_number(next(), UINT64_MAX, seed)) return usage();
       have_seed = true;
-    } else if (arg == "--drop-events") {
-      deltas.drop_events = parse_index_list(next());
-    } else if (arg == "--drop-behaviors") {
-      deltas.drop_behaviors = parse_index_list(next());
+    } else if (arg == "--drop-events" || arg == "--drop-behaviors") {
+      auto list = parse_index_list(next());
+      if (!list.has_value()) return usage();
+      (arg == "--drop-events" ? deltas.drop_events : deltas.drop_behaviors) = std::move(*list);
     } else if (arg == "--n") {
-      deltas.n = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 0));
+      if (!parse_number(next(), UINT32_MAX, number)) return usage();
+      deltas.n = static_cast<std::uint32_t>(number);
     } else if (arg == "--no-workload") {
       deltas.drop_workload = true;
     } else if (arg == "--no-dissem") {
@@ -96,7 +115,8 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--tcp-base-port") {
-      tcp_base_port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 0));
+      if (!parse_number(next(), UINT16_MAX, number)) return usage();
+      tcp_base_port = static_cast<std::uint16_t>(number);
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -11,6 +11,7 @@
 //
 // Exit codes: 0 clean stop, 2 usage/spec error, 137 admin CRASH.
 
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -26,6 +27,15 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
+
+/// Parses all of `text` as a decimal number; false on junk or overflow
+/// (never throws, so a malformed flag is a usage error, not an abort).
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -53,13 +63,13 @@ int main(int argc, char** argv) {
     if (arg == "--spec" && i + 1 < argc) {
       spec_path = argv[++i];
     } else if (arg == "--id" && i + 1 < argc) {
-      id = static_cast<lumiere::ProcessId>(std::stoul(argv[++i]));
+      if (!parse_number(argv[++i], id)) return usage(argv[0]);
     } else if (arg == "--allow-crash") {
       allow_crash = true;
     } else if (arg == "--run-ms" && i + 1 < argc) {
-      run_ms = std::stoll(argv[++i]);
+      if (!parse_number(argv[++i], run_ms)) return usage(argv[0]);
     } else if (arg == "--incarnation" && i + 1 < argc) {
-      incarnation = static_cast<std::uint32_t>(std::stoul(argv[++i]));
+      if (!parse_number(argv[++i], incarnation)) return usage(argv[0]);
     } else {
       return usage(argv[0]);
     }
