@@ -51,9 +51,9 @@ int main() {
 
   bool consistent = shortest > 0;
   for (std::size_t i = 0; i < shortest; ++i) {
-    const auto& reference = cluster.node(0).ledger().entries()[i].hash;
+    const auto& reference = cluster.node(0).ledger().entries()[i].hash();
     for (ProcessId id = 1; id < kN; ++id) {
-      if (cluster.node(id).ledger().entries()[i].hash != reference) consistent = false;
+      if (cluster.node(id).ledger().entries()[i].hash() != reference) consistent = false;
     }
   }
   std::printf("\ncommitted prefixes identical across nodes: %s\n",

@@ -31,6 +31,12 @@ void ChainedCore::on_enter_view(View v) {
   if (v <= cur_view_) return;
   cur_view_ = v;
   pending_proposals_.erase(pending_proposals_.begin(), pending_proposals_.lower_bound(v));
+  // Leader state of passed views: handle_new_view and the vote collector
+  // ignore views below cur_view_, maybe_propose reads only cur_view_.
+  new_view_senders_.erase(new_view_senders_.begin(), new_view_senders_.lower_bound(v));
+  fallback_elapsed_.erase(fallback_elapsed_.begin(), fallback_elapsed_.lower_bound(v));
+  proposed_.erase(proposed_.begin(), proposed_.lower_bound(v));
+  votes_.enter_view(v);
   // Attachments for views left without a proposal: their origins
   // re-attach them.
   forwarded_.erase(forwarded_.begin(), forwarded_.lower_bound(v));
@@ -40,12 +46,22 @@ void ChainedCore::on_enter_view(View v) {
     // Arm the fallback: without a QC for v-1 in hand, wait Delta so the
     // highest locked honest replica's NewView can arrive (post-GST).
     cb_.schedule(params_.delta_cap, [this, v] {
-      fallback_elapsed_.insert(v);
+      if (v >= cur_view_) fallback_elapsed_.insert(v);  // a passed view stays pruned
       maybe_propose();
     });
   }
   maybe_propose();
   maybe_vote();
+}
+
+std::size_t ChainedCore::leader_state_views() const {
+  std::set<View> views;
+  for (const auto& [v, senders] : new_view_senders_) views.insert(v);
+  views.insert(fallback_elapsed_.begin(), fallback_elapsed_.end());
+  views.insert(proposed_.begin(), proposed_.end());
+  for (const auto& [v, attachments] : forwarded_) views.insert(v);
+  votes_.collect_views(views);
+  return views.size();
 }
 
 void ChainedCore::send_new_view(View v, const QuorumCert& high_qc) {
@@ -321,7 +337,7 @@ void ChainedCore::process_qc(const QuorumCert& qc) {
   // and vote.
   const std::uint32_t lock_links = rule_.depth - 2;
   if (lock_links == 0) lock(qc);
-  if (seen_qc_views_.insert(qc.view()).second && cb_.qc_seen) cb_.qc_seen(qc);
+  if (seen_qc_views_.insert(qc.view()) && cb_.qc_seen) cb_.qc_seen(qc);
 
   const QuorumCert* link = &qc;
   bool consecutive = true;

@@ -56,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/view_set.h"
 #include "consensus/block.h"
 #include "consensus/core.h"
 #include "consensus/messages.h"
@@ -119,6 +120,11 @@ class ChainedCore final : public ConsensusCore {
   [[nodiscard]] std::uint64_t fallback_proposals() const noexcept { return fallback_proposals_; }
   /// Forwarding: the committed-tag index (empty with forwarding off).
   [[nodiscard]] const CommittedTags& committed_tags() const noexcept { return committed_tags_; }
+  /// Distinct views that still hold leader-side state (NewView senders,
+  /// forwarded attachments, proposal marks, elapsed fallbacks, vote
+  /// aggregation). Entries below the current view are dropped on view
+  /// entry, so this stays O(1) however long the node runs.
+  [[nodiscard]] std::size_t leader_state_views() const;
 
  private:
   void handle_new_view(ProcessId from, const MessagePtr& msg);
@@ -184,15 +190,19 @@ class ChainedCore final : public ConsensusCore {
 
   BlockStore store_;
   std::map<View, std::uint32_t> stale_stored_;
-  /// NewView senders per view this node leads (NewView-quorum gate).
+  /// Leader-side state, per view this node leads. Entries below the
+  /// current view are pruned on view entry (nothing reads them).
+  /// NewView senders (NewView-quorum gate):
   std::map<View, SignerSet> new_view_senders_;
   /// Views whose Delta fallback timer expired while this node led them.
   std::set<View> fallback_elapsed_;
+  /// Views this node proposed in.
+  std::set<View> proposed_;
   std::uint64_t responsive_proposals_ = 0;
   std::uint64_t fallback_proposals_ = 0;
-  std::set<View> proposed_;
   std::map<View, std::shared_ptr<const Block>> pending_proposals_;
-  std::set<View> seen_qc_views_;
+  /// Views whose QC this node has reported through qc_seen (dedup).
+  ViewSet seen_qc_views_;
   /// Forwarding: NewViews with requests for views this node leads,
   /// received before it proposed (at most one per sender and view).
   std::map<View, Attachments> forwarded_;

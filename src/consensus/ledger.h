@@ -13,11 +13,15 @@
 namespace lumiere::consensus {
 
 /// One committed block, in commit order. It references the committed
-/// block (the allocation the core's store holds) instead of copying it.
+/// block (the allocation the core's store holds) instead of copying it:
+/// `hash()` and `parent()` read through `block`, so an entry is 48 bytes
+/// and a ledger costs one pointer-sized record per block beyond the
+/// blocks themselves.
 struct CommittedEntry {
+  [[nodiscard]] const crypto::Digest& hash() const noexcept { return block->hash(); }
+  [[nodiscard]] const crypto::Digest& parent() const noexcept { return block->parent(); }
+
   View view = -1;
-  crypto::Digest hash;
-  crypto::Digest parent;
   std::shared_ptr<const Block> block;
   /// The block's payload bytes, viewed in place; `block` keeps them alive.
   std::span<const std::uint8_t> payload;

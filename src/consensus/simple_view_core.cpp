@@ -24,6 +24,9 @@ void SimpleViewCore::on_enter_view(View v) {
   cur_view_ = v;
   // Old buffered proposals can never be voted again.
   proposals_.erase(proposals_.begin(), proposals_.lower_bound(v));
+  // maybe_propose and the vote collector never look below cur_view_.
+  proposed_.erase(proposed_.begin(), proposed_.lower_bound(v));
+  votes_.enter_view(v);
   maybe_propose(v);
   maybe_vote(v);
 }

@@ -17,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "common/view_set.h"
 #include "consensus/core.h"
 #include "consensus/messages.h"
 #include "consensus/vote_collector.h"
@@ -61,10 +62,11 @@ class SimpleViewCore final : public ConsensusCore {
 
   /// First valid proposal seen per view (buffered until we enter the view).
   std::map<View, std::shared_ptr<const Block>> proposals_;
-  /// Views in which this node has already broadcast its own proposal.
+  /// Views in which this node has already broadcast its own proposal,
+  /// from the current view on (pruned on view entry).
   std::set<View> proposed_;
   /// Views for which some QC has already been observed (dedupe).
-  std::set<View> seen_qc_views_;
+  ViewSet seen_qc_views_;
   /// Hot-path memos: per-(view, block) vote statements and fingerprints
   /// of QCs that already passed full verification.
   StatementCache statements_;

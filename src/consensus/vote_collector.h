@@ -4,6 +4,10 @@
 // interval, not from stragglers passing through v at disjoint times.
 // The first quorum closes the view; the QC is formed and broadcast
 // unless the pacemaker forfeits it (Lumiere's deadline, Section 4).
+//
+// The per-view state (proposal hash, aggregator, closed mark) is pruned
+// when the owning core enters a view: votes for passed views are ignored
+// anyway, so a leader holds state for O(1) views however long it runs.
 #pragma once
 
 #include <functional>
@@ -37,6 +41,20 @@ class VoteCollector {
 
   /// This node, as lead(v), proposed `hash`: only votes for it count.
   void proposed(View v, const crypto::Digest& hash) { my_proposal_hash_[v] = hash; }
+
+  /// The owning core entered `v`: drops the state of every earlier view.
+  void enter_view(View v) {
+    my_proposal_hash_.erase(my_proposal_hash_.begin(), my_proposal_hash_.lower_bound(v));
+    aggregators_.erase(aggregators_.begin(), aggregators_.lower_bound(v));
+    closed_views_.erase(closed_views_.begin(), closed_views_.lower_bound(v));
+  }
+
+  /// Adds every view this collector holds state for to `views`.
+  void collect_views(std::set<View>& views) const {
+    for (const auto& [v, hash] : my_proposal_hash_) views.insert(v);
+    for (const auto& [v, agg] : aggregators_) views.insert(v);
+    views.insert(closed_views_.begin(), closed_views_.end());
+  }
 
   /// Counts a vote while this node is in `cur_view`; the quorum-completing
   /// vote fires CoreCallbacks::qc_formed, then broadcasts the QC.

@@ -8,6 +8,11 @@
 // leader counts toward the criterion only if *every* view it led
 // produced a QC — Byzantine leaders cannot be over-represented (the §3.5
 // discussion of why the criterion must be this strict).
+//
+// A view counts at most once, however many copies of its QC arrive: the
+// dedup guards the criterion against over-counting, so it is safety
+// code. It is a ViewSet bitmap rather than a tree node per view, so a
+// long run pays a few bits per view for it.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,7 @@
 
 #include "common/params.h"
 #include "common/types.h"
+#include "common/view_set.h"
 #include "core/epoch_math.h"
 
 namespace lumiere::core {
@@ -42,7 +48,7 @@ class SuccessTracker {
     if (v < 0) return;
     const Epoch e = math_->epoch_of(v);
     if (succeeded_.contains(e)) return;
-    if (!seen_views_.insert(v).second) return;
+    if (!seen_views_.insert(v)) return;
     auto& count = qc_counts_[e][leader_of_(v)];
     ++count;
     if (count == EpochMath::kViewsPerLeaderPerEpoch) {
@@ -70,7 +76,7 @@ class SuccessTracker {
   const EpochMath* math_;
   LeaderFn leader_of_;
   SuccessFn on_success_;
-  std::set<View> seen_views_;
+  ViewSet seen_views_;
   std::map<Epoch, std::map<ProcessId, std::uint32_t>> qc_counts_;
   std::map<Epoch, std::uint32_t> leaders_done_;
   std::set<Epoch> succeeded_;

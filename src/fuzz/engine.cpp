@@ -29,7 +29,7 @@ crypto::Digest run_digest(const runtime::Cluster& cluster) {
     fold(ledger.size());
     for (const auto& entry : ledger.entries()) {
       fold(static_cast<std::uint64_t>(entry.view));
-      hasher.update(entry.hash.as_span());
+      hasher.update(entry.hash().as_span());
     }
   }
   fold(cluster.metrics().total_honest_msgs());

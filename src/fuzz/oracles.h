@@ -42,9 +42,11 @@ namespace lumiere::fuzz {
 /// committed block, so no payload byte is copied.
 [[nodiscard]] std::vector<NodeLedgerData> ledger_data(const runtime::Cluster& cluster);
 
-/// SAFETY: check_safety_data over ledger_data(cluster). Byzantine nodes
-/// — including nodes scheduled to turn Byzantine mid-run — are excluded;
-/// their ledgers carry no guarantee. Works on both transports.
+/// SAFETY: check_safety_data over ledger_data(cluster), with the same
+/// verdict text, building records for the longest honest ledger plus one
+/// other at a time. Byzantine nodes — including nodes scheduled to turn
+/// Byzantine mid-run — are excluded; their ledgers carry no guarantee.
+/// Works on both transports.
 [[nodiscard]] std::optional<std::string> check_safety(const runtime::Cluster& cluster);
 
 /// VIEW MONOTONICITY: per node, the trace's view-entered events never

@@ -1,5 +1,7 @@
 #include "obs/tracer.h"
 
+#include <algorithm>
+
 namespace lumiere::obs {
 
 SyncTracer::SyncTracer(std::uint32_t n, std::size_t max_spans) : max_spans_(max_spans) {
@@ -58,9 +60,11 @@ std::optional<SyncSpan> SyncTracer::on_view_entered(ProcessId id, TimePoint at, 
   }
   {
     std::lock_guard<std::mutex> lock(completed_mu_);
-    completed_.push_back(done);
-    if (max_spans_ != 0 && completed_.size() > max_spans_) {
-      completed_.pop_front();
+    if (max_spans_ == 0 || completed_.size() < max_spans_) {
+      completed_.push_back(done);
+    } else {
+      completed_[oldest_] = done;
+      oldest_ = (oldest_ + 1) % max_spans_;
       ++dropped_;
     }
   }
@@ -95,9 +99,12 @@ void SyncTracer::report(ProcessId id, TimePoint now, NodeStatus& status) const {
   status.last_sync = last_span(id);
 }
 
-std::vector<SyncSpan> SyncTracer::completed_spans() const {
+const std::vector<SyncSpan>& SyncTracer::completed_spans() const {
   std::lock_guard<std::mutex> lock(completed_mu_);
-  return std::vector<SyncSpan>(completed_.begin(), completed_.end());
+  std::rotate(completed_.begin(), completed_.begin() + static_cast<std::ptrdiff_t>(oldest_),
+              completed_.end());
+  oldest_ = 0;
+  return completed_;
 }
 
 std::size_t SyncTracer::completed_count() const {

@@ -12,10 +12,15 @@
 // endpoint threads are concurrent readers. Per-node mutexes cover the
 // span state, relaxed atomics cover the cumulative meters, and one
 // cluster-wide mutex covers the completed-span ring.
+//
+// The completed-span ring is a vector written round-robin once full;
+// completed_spans() rotates it oldest-first in place and returns a
+// reference to it rather than a copy. Read it between run_for slices
+// (as MetricsCollector's readers already do), never while a node
+// thread may still complete a span.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,8 +79,9 @@ class SyncTracer {
   /// measured up to `now`).
   void report(ProcessId id, TimePoint now, NodeStatus& status) const;
 
-  /// Snapshot of the completed-span ring, oldest first.
-  [[nodiscard]] std::vector<SyncSpan> completed_spans() const;
+  /// The completed-span ring, oldest first. The reference is valid until
+  /// the next span completes; read it between run_for slices.
+  [[nodiscard]] const std::vector<SyncSpan>& completed_spans() const;
   [[nodiscard]] std::size_t completed_count() const;
   /// Completed spans evicted from the ring because of max_spans.
   [[nodiscard]] std::uint64_t dropped_spans() const;
@@ -100,7 +106,11 @@ class SyncTracer {
   std::size_t max_spans_;
 
   mutable std::mutex completed_mu_;
-  std::deque<SyncSpan> completed_;
+  /// The ring. Once it holds max_spans_ spans, the next one overwrites
+  /// the oldest, at completed_[oldest_]; a read rotates it back to
+  /// oldest-first and resets oldest_ to 0.
+  mutable std::vector<SyncSpan> completed_;
+  mutable std::size_t oldest_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

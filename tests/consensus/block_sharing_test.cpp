@@ -48,12 +48,12 @@ std::size_t expect_shared_ledger_blocks(Cluster& cluster, ProcessId owner,
       ADD_FAILURE() << "ledger entry for view " << entry.view << " holds no block";
       continue;
     }
-    EXPECT_EQ(cluster.node(owner).core().block_for_sync(entry.hash), entry.block)
+    EXPECT_EQ(cluster.node(owner).core().block_for_sync(entry.hash()), entry.block)
         << "ledger entry for view " << entry.view << " is not the stored block";
     EXPECT_EQ(entry.payload.data(), entry.block->payload().data());
     EXPECT_EQ(entry.payload.size(), entry.block->payload().size());
     for (const ProcessId id : holders) {
-      const auto stored = cluster.node(id).core().block_for_sync(entry.hash);
+      const auto stored = cluster.node(id).core().block_for_sync(entry.hash());
       if (stored != nullptr) {
         EXPECT_EQ(stored, entry.block) << "node " << id << " holds a copy of view " << entry.view;
       }

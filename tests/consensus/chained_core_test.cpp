@@ -249,6 +249,51 @@ TEST_P(ChainedCoreTest, ProposalRepeatingACommittedTagGetsNoVote) {
   EXPECT_EQ(inject_proposal(rule(), 4, request_batch({1})).votes, 3U);
 }
 
+// ---- leader-side state: pruned on view entry -------------------------
+
+/// n = 4 with forwarding on, through 240 views: a leader keeps per-view
+/// state for at most two views. Then lead(240) = p0 leaves view 240 with
+/// every vote for its proposal still in flight, its HotStuff-2 Delta
+/// timer unfired, and a NewView with an attachment delivered after it
+/// left: none of them forms a QC or leaves state behind.
+TEST_P(ChainedCoreTest, PrunedLeaderStateIgnoresLateMessages) {
+  Harness h(4, Duration::micros(10), nullptr, rule(), [](ProcessId, CoreCallbacks& cb) {
+    cb.forwarding.attach = [](View) { return std::vector<std::uint8_t>{}; };
+  });
+  const View passed = 240;
+  for (View v = 0; v < passed; ++v) {
+    h.enter_view_all(v);
+    ASSERT_TRUE(h.all_saw_qc(v)) << "view " << v;
+    for (ProcessId id = 0; id < 4; ++id) {
+      ASSERT_LE(h.core(id).leader_state_views(), 2U) << "node " << id << " view " << v;
+    }
+  }
+
+  for (ProcessId id = 0; id < 4; ++id) h.enter_view(id, passed);
+  // Run until every replica voted for p0's proposal: the votes are in
+  // flight, and p0 moves on before any lands.
+  const auto all_voted = [&h, passed] {
+    for (ProcessId id = 0; id < 4; ++id) {
+      if (h.core(id).last_voted_view() != passed) return false;
+    }
+    return true;
+  };
+  while (!all_voted()) ASSERT_TRUE(h.sim().step()) << "no vote for view " << passed;
+  for (ProcessId id = 0; id < 4; ++id) h.enter_view(id, passed + 1);
+  h.settle();
+  h.core(0).on_message(1, std::make_shared<NewViewMsg>(passed, h.core(1).high_qc(),
+                                                        request_batch({0})));
+  h.settle();
+
+  for (ProcessId id = 0; id < 4; ++id) {
+    for (const QuorumCert& qc : h.node(id).qcs_seen) {
+      EXPECT_NE(qc.view(), passed) << "late votes formed a QC (node " << id << ")";
+    }
+  }
+  EXPECT_TRUE(h.all_saw_qc(passed + 1));
+  EXPECT_EQ(h.core(0).leader_state_views(), 0U) << "p0 leads neither 241 nor 242";
+}
+
 INSTANTIATE_TEST_SUITE_P(Rules, ChainedCoreTest, ::testing::ValuesIn(kRules),
                          [](const ::testing::TestParamInfo<RuleCase>& info) {
                            return std::string(info.param.name);

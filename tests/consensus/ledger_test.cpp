@@ -12,6 +12,11 @@ std::shared_ptr<const Block> make_block(const crypto::Digest& parent, View view,
   return std::make_shared<const Block>(parent, view, std::move(payload), genesis_qc());
 }
 
+// An entry is four words: view, the block pointer (two), the payload
+// view (two) and the commit time; hash and parent are read through the
+// block instead of being copied.
+static_assert(sizeof(CommittedEntry) <= 48);
+
 TEST(LedgerTest, CommitsChainInOrder) {
   Ledger ledger;
   const auto b0 = make_block(Block::genesis().hash(), 0, {0});
@@ -21,12 +26,28 @@ TEST(LedgerTest, CommitsChainInOrder) {
   ASSERT_EQ(ledger.size(), 2U);
   EXPECT_EQ(ledger.entries()[0].view, 0);
   EXPECT_EQ(ledger.entries()[1].view, 1);
-  EXPECT_EQ(ledger.entries()[1].parent, b0->hash());
+  EXPECT_EQ(ledger.entries()[1].parent(), b0->hash());
   EXPECT_EQ(ledger.entries()[0].committed_at, TimePoint(10));
   // Entries reference the committed block; the payload is a view of it.
   EXPECT_EQ(ledger.entries()[1].block, b1);
   EXPECT_EQ(ledger.entries()[1].payload.data(), b1->payload().data());
   EXPECT_EQ(ledger.entries()[1].payload.size(), 1U);
+}
+
+TEST(LedgerTest, HashAndParentReadThroughTheBlock) {
+  Ledger ledger;
+  const auto b0 = make_block(Block::genesis().hash(), 0, {0});
+  const auto b1 = make_block(b0->hash(), 1, {1});
+  ledger.commit(b0, TimePoint(10));
+  ledger.commit(b1, TimePoint(20));
+  for (std::size_t i = 0; i < ledger.size(); ++i) {
+    const CommittedEntry& entry = ledger.entries()[i];
+    EXPECT_EQ(entry.hash(), entry.block->hash()) << i;
+    EXPECT_EQ(entry.parent(), entry.block->parent()) << i;
+    EXPECT_EQ(&entry.hash(), &entry.block->hash()) << "a view of the block, not a copy";
+  }
+  EXPECT_EQ(ledger.entries()[0].parent(), Block::genesis().hash());
+  EXPECT_EQ(ledger.entries()[1].hash(), b1->hash());
 }
 
 TEST(LedgerTest, PrefixConsistency) {

@@ -132,6 +132,30 @@ TEST(SyncTracerTest, CompletedRingIsBoundedAndCountsDrops) {
   EXPECT_EQ(tracer.last_span(0)->entered_view, 5);
 }
 
+TEST(SyncTracerTest, RingReadsOldestFirstAcrossWraps) {
+  SyncTracer tracer(1, /*max_spans=*/3);
+  const auto complete = [&tracer](View v) {
+    tracer.on_sync_started(0, TimePoint(10 * v), v - 1, v);
+    tracer.on_view_entered(0, TimePoint(10 * v + 5), v);
+  };
+  const auto entered = [&tracer] {
+    std::vector<View> views;
+    for (const SyncSpan& span : tracer.completed_spans()) views.push_back(span.entered_view);
+    return views;
+  };
+  for (View v = 1; v <= 5; ++v) complete(v);
+  EXPECT_EQ(entered(), (std::vector<View>{3, 4, 5}));
+  EXPECT_EQ(tracer.dropped_spans(), 2U);
+  EXPECT_EQ(tracer.completed_count(), 3U);
+  // A read left the ring oldest-first; the next span still evicts the
+  // oldest one.
+  complete(6);
+  EXPECT_EQ(entered(), (std::vector<View>{4, 5, 6}));
+  EXPECT_EQ(tracer.dropped_spans(), 3U);
+  // Two reads in a row see the same order.
+  EXPECT_EQ(entered(), (std::vector<View>{4, 5, 6}));
+}
+
 TEST(SyncTracerTest, UnboundedRingKeepsEverySpan) {
   SyncTracer tracer(1, /*max_spans=*/0);
   for (View v = 0; v < 100; ++v) {
@@ -140,6 +164,10 @@ TEST(SyncTracerTest, UnboundedRingKeepsEverySpan) {
   }
   EXPECT_EQ(tracer.completed_count(), 100U);
   EXPECT_EQ(tracer.dropped_spans(), 0U);
+  const std::vector<SyncSpan>& spans = tracer.completed_spans();
+  ASSERT_EQ(spans.size(), 100U);
+  EXPECT_EQ(spans.front().entered_view, 1);
+  EXPECT_EQ(spans.back().entered_view, 100);
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ std::vector<NodeOutcome> run_cluster(const std::string& pacemaker, const std::st
       outcomes[id].final_view = nodes[id]->current_view();
       outcomes[id].commits = nodes[id]->ledger().size();
       for (const auto& entry : nodes[id]->ledger().entries()) {
-        outcomes[id].chain.push_back(entry.hash);
+        outcomes[id].chain.push_back(entry.hash());
       }
     });
   }

@@ -85,9 +85,9 @@ TEST(TcpPipelineTest, PipelinedClusterCommitsUnderRealSignatures) {
   }
   ASSERT_GT(shortest, 0U) << "no commits with the pipeline on";
   for (std::size_t i = 0; i < shortest; ++i) {
-    const auto& reference = cluster.node(0).ledger().entries()[i].hash;
+    const auto& reference = cluster.node(0).ledger().entries()[i].hash();
     for (ProcessId id = 1; id < cluster.n(); ++id) {
-      EXPECT_EQ(cluster.node(id).ledger().entries()[i].hash, reference)
+      EXPECT_EQ(cluster.node(id).ledger().entries()[i].hash(), reference)
           << "SMR logs diverged with staged verification at index " << i;
     }
   }

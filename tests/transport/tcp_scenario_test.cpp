@@ -31,9 +31,9 @@ TEST(TcpScenarioTest, HomogeneousLumiereClusterAdvancesOverTcp) {
   ASSERT_GT(shortest_chain, 0U) << "no commits over TCP";
   // Committed prefixes agree (safety holds off-simulator too).
   for (std::size_t i = 0; i < shortest_chain; ++i) {
-    const auto& reference = cluster.node(0).ledger().entries()[i].hash;
+    const auto& reference = cluster.node(0).ledger().entries()[i].hash();
     for (ProcessId id = 1; id < cluster.n(); ++id) {
-      EXPECT_EQ(cluster.node(id).ledger().entries()[i].hash, reference)
+      EXPECT_EQ(cluster.node(id).ledger().entries()[i].hash(), reference)
           << "SMR logs diverged over TCP at index " << i;
     }
   }
@@ -115,9 +115,9 @@ TEST(TcpScenarioTest, WorkloadEngineDrivesRealSockets) {
   }
   ASSERT_GT(shortest, 0U);
   for (std::size_t i = 0; i < shortest; ++i) {
-    const auto& reference = cluster.node(0).ledger().entries()[i].hash;
+    const auto& reference = cluster.node(0).ledger().entries()[i].hash();
     for (ProcessId id = 1; id < cluster.n(); ++id) {
-      EXPECT_EQ(cluster.node(id).ledger().entries()[i].hash, reference);
+      EXPECT_EQ(cluster.node(id).ledger().entries()[i].hash(), reference);
     }
   }
 }

@@ -65,7 +65,7 @@ void expect_identical_runs(const ScenarioBuilder& options) {
     ASSERT_EQ(la.size(), lb.size()) << "node " << id << " committed a different chain length";
     for (std::size_t i = 0; i < la.size(); ++i) {
       EXPECT_EQ(la[i].view, lb[i].view);
-      EXPECT_EQ(la[i].hash, lb[i].hash);
+      EXPECT_EQ(la[i].hash(), lb[i].hash());
       EXPECT_TRUE(std::ranges::equal(la[i].payload, lb[i].payload))
           << "node " << id << " entry " << i << " carries different bytes";
     }
@@ -154,7 +154,7 @@ crypto::Digest golden_fold_digest(
       for (const auto& entry : cluster.node(id).ledger().entries()) {
         ser::Writer w;
         w.view(entry.view);
-        w.digest(entry.hash);
+        w.digest(entry.hash());
         w.bytes(entry.payload);
         fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
       }
@@ -234,7 +234,7 @@ crypto::Digest golden_dissem_fold_digest() {
     for (const auto& entry : cluster.node(id).ledger().entries()) {
       ser::Writer w;
       w.view(entry.view);
-      w.digest(entry.hash);
+      w.digest(entry.hash());
       w.bytes(entry.payload);
       fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
     }
@@ -274,7 +274,7 @@ crypto::Digest golden_sync_fold_digest(const char* core) {
     ser::Writer w;
     for (const auto& entry : cluster.node(id).ledger().entries()) {
       w.view(entry.view);
-      w.digest(entry.hash);
+      w.digest(entry.hash());
       w.time_point(entry.committed_at);
     }
     if (const auto* sync = cluster.node(id).synchronizer()) {

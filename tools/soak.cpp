@@ -19,7 +19,9 @@
 // JSON (--out) and summarized on
 // stdout. It also counts `restarted_backfilled`: the restarted replica's
 // entries at or below the restart watermark, i.e. the pre-crash history
-// block sync fetched back for it. Exit 0 = every
+// block sync fetched back for it, and `peak_rss_kb`: each replica's peak
+// resident set (ru_maxrss from wait4 as its processes are reaped), the
+// maximum over its incarnations. Exit 0 = every
 // check passed, 1 = a violation, 2 = usage/setup failure.
 //
 // Per-node logs, the shared spec file and the raw ledger dumps land in
@@ -30,6 +32,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -184,7 +187,18 @@ struct Replica {
   std::uint16_t status_port = 0;
   bool restarted = false;
   bool flipped_byzantine = false;
+  /// Peak RSS in KiB, the maximum over the incarnations reaped so far.
+  long peak_rss_kb = 0;
 };
+
+/// Reaps `replica`'s process as waitpid(pid, status, flags) would, and
+/// folds the child's peak RSS into the replica's.
+pid_t reap(Replica& replica, int flags, int* status = nullptr) {
+  struct rusage usage {};
+  const pid_t reaped = ::wait4(replica.pid, status, flags, &usage);
+  if (reaped == replica.pid) replica.peak_rss_kb = std::max(replica.peak_rss_kb, usage.ru_maxrss);
+  return reaped;
+}
 
 pid_t spawn_node(const std::string& node_bin, const std::string& spec_path, ProcessId id,
                  std::uint32_t incarnation, const std::string& log_path) {
@@ -352,7 +366,7 @@ int main(int argc, char** argv) {
       if (replica.pid > 0) ::kill(replica.pid, SIGTERM);
     }
     for (Replica& replica : replicas) {
-      if (replica.pid > 0) ::waitpid(replica.pid, nullptr, 0);
+      if (replica.pid > 0) reap(replica, 0);
       replica.pid = -1;
     }
   };
@@ -381,7 +395,7 @@ int main(int argc, char** argv) {
     for (Replica& replica : replicas) {
       if (replica.pid <= 0 || replica.id == sanctioned) continue;
       int status = 0;
-      if (::waitpid(replica.pid, &status, WNOHANG) == replica.pid) {
+      if (reap(replica, WNOHANG, &status) == replica.pid) {
         std::ostringstream out;
         out << "node " << replica.id << " died unexpectedly (status " << status << ")";
         violation(out.str());
@@ -405,7 +419,7 @@ int main(int argc, char** argv) {
   sleep_until(at_fraction(0.25));
   check_children(lumiere::kNoProcess);
   ::kill(replicas[kill_target].pid, SIGKILL);
-  ::waitpid(replicas[kill_target].pid, nullptr, 0);
+  reap(replicas[kill_target], 0);
   replicas[kill_target].pid = -1;
   std::cout << "soak: [0.25] node 1 killed (SIGKILL)\n";
 
@@ -551,7 +565,11 @@ int main(int argc, char** argv) {
        << duration_s << ",\n  \"restart_watermark\": " << watermark
        << ",\n  \"restarted_backfilled\": " << restarted_backfilled
        << ",\n  \"restarted_requests_committed\": " << restarted_requests
-       << ",\n  \"stalled\": [";
+       << ",\n  \"peak_rss_kb\": {";
+  for (const Replica& replica : replicas) {
+    json << (replica.id == 0 ? "" : ", ") << "\"" << replica.id << "\": " << replica.peak_rss_kb;
+  }
+  json << "},\n  \"stalled\": [";
   for (std::size_t i = 0; i < stalled.size(); ++i) json << (i == 0 ? "" : ", ") << stalled[i];
   json << "],\n  \"violations\": [";
   for (std::size_t i = 0; i < violations.size(); ++i) {
