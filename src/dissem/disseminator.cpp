@@ -1,6 +1,7 @@
 #include "dissem/disseminator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 #include "dissem/messages.h"
@@ -9,10 +10,11 @@ namespace lumiere::dissem {
 
 namespace {
 
-/// Cap on an own cert's re-announce gap, in multiples of retry_interval.
-/// Bounded rather than open-ended: on TCP the adapter drops partitioned
-/// traffic instead of parking it, so a peer that was cut off learns an
-/// unordered cert only from a later re-announce.
+/// Cap on a re-push or re-announce gap, in multiples of retry_interval.
+/// Bounded rather than open-ended: the proposer a cert first went to may
+/// be silent or cut off (on TCP the adapter drops partitioned traffic
+/// instead of parking it), so the cert reaches a leader that orders it
+/// only through a later re-announce.
 constexpr std::int64_t kMaxRetryGapFactor = 4;
 
 }  // namespace
@@ -26,7 +28,7 @@ Disseminator::Disseminator(const ProtocolParams& params, crypto::AuthView auth,
       cb_(std::move(cb)),
       self_(signer_.id()) {
   LUMIERE_ASSERT(auth);
-  LUMIERE_ASSERT(cb_.send && cb_.broadcast && cb_.schedule && cb_.now);
+  LUMIERE_ASSERT(cb_.send && cb_.broadcast && cb_.schedule && cb_.now && cb_.next_proposer);
   LUMIERE_ASSERT(cb_.lease_batch && cb_.ack_batch && cb_.deliver);
   LUMIERE_ASSERT(spec_.push_interval > Duration::zero());
   LUMIERE_ASSERT(spec_.retry_interval > Duration::zero());
@@ -52,10 +54,12 @@ void Disseminator::push_tick() {
                      crypto::Sha256::hash(
                          std::span<const std::uint8_t>(payload->data(), payload->size()))};
     tokens_.emplace(seq, token);
+    const TimePoint now = cb_.now();
     auto [it, inserted] = pending_.emplace(
-        seq, PendingCert{id, cb_.now(),
+        seq, PendingCert{id, now,
                          crypto::QuorumAggregator(auth_, batch_statement(id),
-                                                  params_.small_quorum())});
+                                                  params_.small_quorum()),
+                         Backoff{now + spec_.retry_interval, spec_.retry_interval}});
     LUMIERE_ASSERT(inserted);
     it->second.agg.add(crypto::threshold_share(signer_, batch_statement(id)));
     ++pushed_;
@@ -66,13 +70,21 @@ void Disseminator::push_tick() {
   cb_.schedule(spec_.push_interval, [this] { push_tick(); });
 }
 
+bool Disseminator::Backoff::fire(TimePoint now, Duration cap) {
+  if (due > now) return false;
+  gap = std::min(gap * 2, cap);
+  due = now + gap;
+  return true;
+}
+
 void Disseminator::retry_tick() {
   const TimePoint now = cb_.now();
+  const Duration cap = spec_.retry_interval * kMaxRetryGapFactor;
   // Re-push own batches still short of f+1 acks (pushes lost to drops or
   // a partition), only to the peers whose ack is missing: the others
   // already store the bytes. Acking is idempotent on the receiver side.
-  for (const auto& [seq, pending] : pending_) {
-    if (now - pending.pushed_at < spec_.retry_interval) continue;
+  for (auto& [seq, pending] : pending_) {
+    if (!pending.repush.fire(now, cap)) continue;
     const auto stored = store_.find(pending.id);
     if (stored == store_.end()) continue;
     const auto push = std::make_shared<BatchPushMsg>(pending.id, stored->second);
@@ -81,22 +93,17 @@ void Disseminator::retry_tick() {
       if (!acked.contains(to)) cb_.send(to, push);
     }
   }
-  // Re-announce own certs nobody ordered yet — the path that floods a
-  // healed partition's backlog back into the leaders' certified queues.
+  // Re-announce own certs nobody ordered yet to whoever proposes next now
+  // — the path that brings a healed partition's backlog, or a cert whose
+  // first proposer never proposed, back into a leader's certified queue.
   // Each cert backs off on its own schedule; the due ones leave together.
-  const Duration max_gap = spec_.retry_interval * kMaxRetryGapFactor;
   BatchCertMsg::Certs due;
   for (auto& [id, own] : own_certs_) {
-    if (own.due > now) continue;
+    if (!own.reannounce.fire(now, cap)) continue;
     due.push_back(own.cert);
-    own.gap = std::min(own.gap * 2, max_gap);
-    own.due = now + own.gap;
-    if (due.size() == BatchCertMsg::kMaxCerts) {
-      cb_.broadcast(std::make_shared<BatchCertMsg>(std::move(due)));
-      due.clear();
-    }
+    if (due.size() == BatchCertMsg::kMaxCerts) announce(std::exchange(due, {}));
   }
-  if (!due.empty()) cb_.broadcast(std::make_shared<BatchCertMsg>(std::move(due)));
+  if (!due.empty()) announce(std::move(due));
   // Re-fetch committed-but-missing payloads from their cert signers.
   for (const auto& [id, cert] : unresolved_) send_fetches(cert);
   cb_.schedule(spec_.retry_interval, [this] { retry_tick(); });
@@ -158,9 +165,17 @@ void Disseminator::maybe_finalize(std::uint64_t seq) {
   if (cb_.on_batch_certified) cb_.on_batch_certified(now, now - it->second.pushed_at);
   pending_.erase(it);
   ++certified_;
-  own_certs_.emplace(cert.id(), OwnCert{cert, now + spec_.retry_interval, spec_.retry_interval});
-  cb_.broadcast(std::make_shared<BatchCertMsg>(cert));
+  own_certs_.emplace(cert.id(),
+                     OwnCert{cert, Backoff{now + spec_.retry_interval, spec_.retry_interval}});
+  announce({cert});
   accept_cert(cert);
+}
+
+void Disseminator::announce(BatchCertMsg::Certs certs) {
+  // Only a proposer orders a cert; every other replica first sees it in
+  // that proposal. This node's own queue already holds its certs.
+  const ProcessId to = cb_.next_proposer();
+  if (to != self_) cb_.send(to, std::make_shared<BatchCertMsg>(std::move(certs)));
 }
 
 void Disseminator::handle_cert(const BatchCertMsg& msg) {

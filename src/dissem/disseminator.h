@@ -4,9 +4,13 @@
 //
 //   * as an origin, leases batches from the local mempool on a timer,
 //     broadcasts their bytes (BatchPush), and aggregates f+1 signed
-//     availability acks into a BatchCert (proof of availability);
+//     availability acks into a BatchCert (proof of availability), which
+//     it sends to the next proposer only (lead(v+1) at that moment; none
+//     when that is itself, since its own queue holds the cert);
 //   * as a replica, stores pushed batches, acks them, and queues every
-//     verified cert it sees — own or announced — as orderable;
+//     verified cert it receives as orderable. Replicas that are not the
+//     next proposer first see a cert inside the proposal that orders it,
+//     where the vote gate verifies it;
 //   * hands consensus fixed-size certified references: the proposal
 //     payload becomes an encoded list of (batch_id, cert) entries, so
 //     proposal wire size is independent of batch payload size;
@@ -15,10 +19,13 @@
 //     when this node never received the push;
 //   * on a retry tick, re-pushes an own batch still short of f+1 acks to
 //     the peers whose ack is missing, re-fetches unresolved references,
-//     and re-announces own certs nobody ordered yet. Each such cert backs
-//     off on its own: first due retry_interval after certification, then
-//     the gap doubles up to a cap of 4 x retry_interval. All certs due on
-//     a tick leave in one BatchCertMsg list per peer (64 certs at most).
+//     and re-announces own certs nobody ordered yet. Re-pushes and
+//     re-announces back off per batch: first due retry_interval after
+//     the push or certification, then the gap doubles up to a cap of
+//     4 x retry_interval. All certs due on a tick leave in BatchCertMsg
+//     lists of at most 64, addressed to the proposer next at that tick;
+//     the proposer rotates, so successive re-announces reach different
+//     leaders (the liveness net for a silent or cut-off first choice).
 //
 // Everything is driven by the deterministic simulator clock through the
 // injected schedule/now callbacks; the engine itself holds no threads
@@ -53,6 +60,9 @@ struct DisseminatorCallbacks {
   std::function<void(MessagePtr)> broadcast;
   std::function<void(Duration, std::function<void()>)> schedule;
   std::function<TimePoint()> now;
+  /// The replica that proposes next (lead(v+1) for the current view v):
+  /// the one destination of cert announces.
+  std::function<ProcessId()> next_proposer;
 
   /// Leases the next mempool batch into `payload`; returns the lease
   /// token, 0 when nothing is pending.
@@ -113,19 +123,29 @@ class Disseminator {
   [[nodiscard]] std::uint64_t refs_reinserted() const noexcept { return reinserted_; }
 
  private:
-  /// One own batch awaiting its f+1 acks.
+  /// A per-batch retry schedule: due `gap` after the last attempt, the
+  /// gap doubling after each one up to a cap.
+  struct Backoff {
+    TimePoint due;  ///< next retry
+    Duration gap;   ///< the last gap waited; the next one doubles it
+
+    /// True when a retry is due at `now`; it then schedules the next one.
+    bool fire(TimePoint now, Duration cap);
+  };
+
+  /// One own batch awaiting its f+1 acks, with its re-push schedule.
   struct PendingCert {
     BatchId id;
     TimePoint pushed_at;
     crypto::QuorumAggregator agg;
+    Backoff repush;
   };
 
   /// One own certified batch nobody ordered yet, with its re-announce
-  /// backoff state.
+  /// schedule.
   struct OwnCert {
     BatchCert cert;
-    TimePoint due;  ///< next re-announce
-    Duration gap;   ///< the last gap waited; the next one doubles it
+    Backoff reannounce;
   };
 
   void push_tick();
@@ -135,6 +155,8 @@ class Disseminator {
   void handle_cert(const BatchCertMsg& msg);
   void handle_fetch(ProcessId from, const BatchFetchMsg& msg);
   void maybe_finalize(std::uint64_t seq);
+  /// Sends `certs` to the next proposer, unless that is this node.
+  void announce(BatchCertMsg::Certs certs);
   /// Queues a verified cert as orderable (no-op if ordered or queued).
   void accept_cert(const BatchCert& cert);
   /// Full cert verification with a fingerprint memo (every proposal

@@ -93,9 +93,9 @@ class BatchAckMsg final : public Message {
   crypto::PartialSig share_;
 };
 
-/// PoA dissemination: the origin announces certs so every prospective
-/// leader can order their batches. A fresh cert is a list of one; a
-/// retry tick re-announces every due cert in lists of up to kMaxCerts.
+/// PoA dissemination: the origin announces certs to the next proposer so
+/// it can order their batches. A fresh cert is a list of one; a retry
+/// tick re-announces every due cert in lists of up to kMaxCerts.
 class BatchCertMsg final : public Message {
  public:
   using Certs = std::vector<BatchCert>;

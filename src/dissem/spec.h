@@ -24,10 +24,11 @@ struct DissemSpec {
   /// small quorum) — backpressure then propagates to the mempool.
   std::uint32_t max_uncertified = 32;
   /// Retry tick cadence — the recovery path through partitions and drops.
-  /// Each tick re-pushes unacked batches to the peers whose ack is missing
-  /// and re-fetches unresolved committed references. It is also an own
-  /// cert's first re-announce delay after certification; the gap then
-  /// doubles after each re-announce, up to 4 x this interval.
+  /// Each tick re-fetches unresolved committed references and sends the
+  /// due re-pushes (to the peers whose ack is missing) and re-announces
+  /// (to the tick's next proposer). This interval is also the first
+  /// re-push delay after a push and the first re-announce delay after
+  /// certification; each gap then doubles, up to 4 x this interval.
   Duration retry_interval = Duration::millis(50);
   /// Cap on certified references drained into a single proposal.
   std::uint32_t max_refs_per_proposal = 64;

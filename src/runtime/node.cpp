@@ -80,9 +80,9 @@ void Node::build_pacemaker(const NodeConfig& config) {
 void Node::build_dissem(const NodeConfig& config) {
   if (!config.dissem.has_value()) return;
   // Harness hooks (mempool lease/ack, delivery, metrics) come from the
-  // config; the transport-facing quartet is this node's own plumbing so
+  // config; the transport-facing hooks are this node's own plumbing so
   // dissemination traffic obeys the same Behavior filter and simulated
-  // clock as consensus traffic.
+  // clock as consensus traffic. The pacemaker is already built.
   dissem::DisseminatorCallbacks cb = config.dissem_hooks;
   cb.send = [this](ProcessId to, MessagePtr msg) { outbound(to, std::move(msg)); };
   cb.broadcast = [this](MessagePtr msg) { outbound_broadcast(msg); };
@@ -90,6 +90,7 @@ void Node::build_dissem(const NodeConfig& config) {
     sim_->schedule_after(delay, std::move(fn));
   };
   cb.now = [this] { return sim_->now(); };
+  cb.next_proposer = [this] { return pacemaker_->leader_of(pacemaker_->current_view() + 1); };
   dissem_ = std::make_unique<dissem::Disseminator>(params_, auth_view_, signer_, *config.dissem,
                                                    std::move(cb));
 }

@@ -58,8 +58,9 @@ struct NodeConfig {
   /// core (payload provider, vote gate, commit resolution).
   std::optional<dissem::DissemSpec> dissem;
   /// Harness-side disseminator callbacks (lease_batch/ack_batch/deliver
-  /// plus optional metrics hooks). The transport-side callbacks (send,
-  /// broadcast, schedule, now) are filled in by the Node itself.
+  /// plus optional metrics hooks). The node-side callbacks (send,
+  /// broadcast, schedule, now, next_proposer) are filled in by the Node
+  /// itself.
   dissem::DisseminatorCallbacks dissem_hooks;
   /// Observability: when set, the node installs these counters into its
   /// Signer and AuthView so every authenticator op it performs is

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "dissem/disseminator.h"
+#include "fuzz/oracles.h"
 #include "runtime/cluster.h"
 #include "workload/engine.h"
 #include "workload/report.h"
@@ -175,6 +176,7 @@ struct Harness {
     std::function<void()> fn;
   };
 
+  ProcessId self;
   ProtocolParams params;
   std::unique_ptr<crypto::Authenticator> auth_owner;
   const crypto::Authenticator& auth;
@@ -185,14 +187,18 @@ struct Harness {
   std::vector<std::vector<std::uint8_t>> delivered;
   std::vector<std::uint64_t> acked_tokens;
   TimePoint now = TimePoint::origin();
+  /// Who proposes next, asked at each announce; the peer after this node
+  /// unless a test sets it.
+  std::function<ProcessId()> next_proposer = [this] { return (self + 1) % params.n; };
   Disseminator engine;
 
   /// n = 4 by default: f = 1, small quorum = 2.
-  explicit Harness(ProcessId self, DissemSpec spec = {}, std::uint32_t n = 4)
-      : params(ProtocolParams::for_n(n, Duration::millis(10))),
+  explicit Harness(ProcessId self_id, DissemSpec spec = {}, std::uint32_t n = 4)
+      : self(self_id),
+        params(ProtocolParams::for_n(n, Duration::millis(10))),
         auth_owner(crypto::make_authenticator(crypto::kDefaultScheme, n, 23)),
         auth(*auth_owner),
-        engine(params, crypto::AuthView(&auth), auth.signer_for(self), spec, callbacks()) {}
+        engine(params, crypto::AuthView(&auth), auth.signer_for(self_id), spec, callbacks()) {}
 
   DisseminatorCallbacks callbacks() {
     DisseminatorCallbacks cb;
@@ -204,6 +210,7 @@ struct Harness {
       timers.push_back({now + delay, std::move(fn)});
     };
     cb.now = [this] { return now; };
+    cb.next_proposer = [this] { return next_proposer(); };
     cb.lease_batch = [this](std::vector<std::uint8_t>& payload) {
       if (leases.empty()) return std::uint64_t{0};
       payload = std::move(leases.front());
@@ -270,15 +277,22 @@ struct Harness {
                                                               batch_statement(id))));
   }
 
-  /// Times at which a cert announce carrying `id` was broadcast.
-  [[nodiscard]] std::vector<TimePoint> announces_of(const BatchId& id) const {
-    std::vector<TimePoint> times;
+  /// The cert announces carrying `id`, in send order.
+  [[nodiscard]] std::vector<Sent> announces_of(const BatchId& id) const {
+    std::vector<Sent> announces;
     for (const Sent& s : sent) {
       if (s.msg->type_id() != kBatchCertAnnounce) continue;
       for (const BatchCert& cert : static_cast<const BatchCertMsg&>(*s.msg).certs()) {
-        if (cert.id() == id) times.push_back(s.at);
+        if (cert.id() == id) announces.push_back(s);
       }
     }
+    return announces;
+  }
+
+  /// Times at which a cert announce carrying `id` was sent.
+  [[nodiscard]] std::vector<TimePoint> announce_times_of(const BatchId& id) const {
+    std::vector<TimePoint> times;
+    for (const Sent& s : announces_of(id)) times.push_back(s.at);
     return times;
   }
 };
@@ -434,6 +448,68 @@ TEST(DisseminatorRetryTest, RePushGoesOnlyToPeersWhoseAckIsMissing) {
   }
 }
 
+TEST(DisseminatorRetryTest, RePushGapsBackOffUpToTheCap) {
+  // No peer ever acks: the batch is re-pushed on the re-announce
+  // schedule — first a retry interval after the push, then gaps that
+  // double and stop growing at 4 x retry_interval.
+  const DissemSpec spec;
+  Harness h(/*self=*/2, spec);
+  h.leases.push_back(bytes_of(40, 0x17));
+  ASSERT_EQ(push_leases(h).size(), 1U);
+  const TimePoint pushed_at = h.sent.front().at;
+  h.run_until(pushed_at + Duration::seconds(2));
+
+  std::vector<TimePoint> repushes;
+  for (const Harness::Sent& s : h.sent) {
+    if (s.msg->type_id() == kBatchPush && s.to == 1) repushes.push_back(s.at);
+  }
+  ASSERT_GE(repushes.size(), 3U) << "the re-push stays a liveness net";
+  EXPECT_LE(repushes.size(), 12U) << "re-pushes back off (one per tick would be 39)";
+  EXPECT_GE(repushes.front() - pushed_at, spec.retry_interval)
+      << "the first re-push waits a full retry interval";
+  for (std::size_t i = 1; i < repushes.size(); ++i) {
+    const Duration gap = repushes[i] - repushes[i - 1];
+    EXPECT_LE(gap, spec.retry_interval * 4) << "re-push " << i << " waited past the cap";
+    if (i >= 2) {
+      EXPECT_GE(gap, repushes[i - 1] - repushes[i - 2]) << "re-push gaps never shrink";
+    }
+  }
+}
+
+TEST(DisseminatorRetryTest, FreshCertGoesOnlyToTheNextProposer) {
+  Harness h(/*self=*/2);
+  h.next_proposer = [] { return ProcessId{1}; };
+  h.leases.push_back(bytes_of(40, 0x18));
+  const BatchId id = push_leases(h).at(0);
+  h.sent.clear();
+  h.ack_from(0, id);  // f+1 = 2 signers: certified now
+  EXPECT_EQ(h.engine.batches_certified(), 1U);
+
+  EXPECT_EQ(h.count_sent(kBatchCertAnnounce, 1), 1U);
+  for (const ProcessId other : {ProcessId{0}, ProcessId{2}, ProcessId{3}, kNoProcess}) {
+    EXPECT_EQ(h.count_sent(kBatchCertAnnounce, other), 0U) << "to " << other;
+  }
+  const std::vector<Harness::Sent> announces = h.announces_of(id);
+  ASSERT_EQ(announces.size(), 1U);
+  EXPECT_EQ(static_cast<const BatchCertMsg&>(*announces.front().msg).certs().size(), 1U);
+  EXPECT_EQ(h.engine.certified_depth(), 1U) << "the origin queues its own cert too";
+}
+
+TEST(DisseminatorRetryTest, OriginThatProposesNextSendsNoAnnounce) {
+  Harness h(/*self=*/2);
+  h.next_proposer = [] { return ProcessId{2}; };
+  h.leases.push_back(bytes_of(40, 0x19));
+  const BatchId id = push_leases(h).at(0);
+  h.ack_from(0, id);
+  EXPECT_EQ(h.engine.batches_certified(), 1U);
+  EXPECT_TRUE(h.announces_of(id).empty()) << "its own queue already holds the cert";
+  EXPECT_EQ(h.engine.certified_depth(), 1U);
+  const auto refs = decode_refs(h.engine.make_proposal_payload(1));
+  ASSERT_TRUE(refs.has_value());
+  ASSERT_EQ(refs->size(), 1U);
+  EXPECT_EQ(refs->front().id(), id);
+}
+
 TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
   const DissemSpec spec;
   Harness h(/*self=*/2, spec);
@@ -445,7 +521,7 @@ TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
 
   // Nothing commits for a second.
   h.run_until(certified_at + Duration::seconds(1));
-  const std::vector<TimePoint> announces = h.announces_of(id);
+  const std::vector<TimePoint> announces = h.announce_times_of(id);
   ASSERT_FALSE(announces.empty());
   EXPECT_EQ(announces.front(), certified_at) << "announced once, fresh";
   ASSERT_GE(announces.size(), 2U) << "the re-announce stays a liveness net";
@@ -456,6 +532,9 @@ TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
     EXPECT_GE(announces[i] - announces[i - 1], announces[i - 1] - announces[i - 2])
         << "gaps never shrink";
   }
+  for (const Harness::Sent& s : h.announces_of(id)) {
+    EXPECT_EQ(s.to, h.next_proposer()) << "each announce goes to the next proposer only";
+  }
 
   // Once ordered, the cert is never announced again.
   h.engine.on_committed_payload(encode_refs({h.cert_for(id)}));
@@ -465,11 +544,19 @@ TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
 }
 
 TEST(DisseminatorRetryTest, PeerBackFromDowntimeHearsCertWithinTheCapPlusATick) {
-  // A peer that missed the fresh broadcast (crashed or cut off) learns
-  // the unordered cert from the next re-announce: the capped backoff
-  // bounds that wait by 4 x retry_interval plus one tick of quantization.
+  // A proposer that missed the fresh announce (it was crashed, cut off,
+  // or not yet next) learns the unordered cert from the next re-announce
+  // made while it proposes next: the capped backoff bounds that wait by
+  // 4 x retry_interval plus one tick of quantization. The proposer
+  // rotates over the peers here, and every re-announce must reach the
+  // one that proposes next at its tick.
   const DissemSpec spec;
   Harness h(/*self=*/2, spec);
+  const auto proposer_at = [](TimePoint t) {
+    constexpr ProcessId kPeers[] = {0, 1, 3};
+    return kPeers[((t - TimePoint::origin()).ticks() / Duration::millis(70).ticks()) % 3];
+  };
+  h.next_proposer = [&h, proposer_at] { return proposer_at(h.now); };
   h.leases.push_back(bytes_of(40, 0x31));
   const BatchId id = push_leases(h).at(0);
   h.ack_from(0, id);
@@ -477,40 +564,96 @@ TEST(DisseminatorRetryTest, PeerBackFromDowntimeHearsCertWithinTheCapPlusATick) 
   const Duration bound = spec.retry_interval * 4 + spec.retry_interval;
   h.run_until(certified_at + Duration::seconds(3) + bound);
 
-  const std::vector<TimePoint> announces = h.announces_of(id);
+  for (const Harness::Sent& s : h.announces_of(id)) {
+    EXPECT_EQ(s.to, proposer_at(s.at)) << "announce at " << s.at;
+  }
+  const std::vector<TimePoint> announces = h.announce_times_of(id);
   for (TimePoint back = certified_at + Duration::millis(1);
        back <= certified_at + Duration::seconds(3); back += Duration::millis(1)) {
     const auto heard = std::lower_bound(announces.begin(), announces.end(), back);
-    ASSERT_NE(heard, announces.end()) << "peer back at " << back << " never hears the cert";
-    ASSERT_LE(*heard - back, bound) << "peer back at " << back;
+    ASSERT_NE(heard, announces.end()) << "proposer back at " << back << " never hears the cert";
+    ASSERT_LE(*heard - back, bound) << "proposer back at " << back;
   }
 }
 
-TEST(DisseminatorRetryTest, OverdueCertsLeaveInListsOfAtMost64PerPeerPerTick) {
+/// Starts `h` with 100 own batches, all certified at once, and returns
+/// their ids.
+std::vector<BatchId> certify_hundred(Harness& h) {
+  for (std::uint8_t i = 0; i < 100; ++i) h.leases.push_back(bytes_of(16, i));
+  const std::vector<BatchId> ids = push_leases(h);
+  for (const BatchId& id : ids) h.ack_from(0, id);
+  return ids;
+}
+
+DissemSpec hundred_batch_spec() {
   DissemSpec spec;
   spec.max_batches_per_tick = 100;
   spec.max_uncertified = 128;
+  return spec;
+}
+
+/// (destination, list size) of every cert announce in `h.sent`.
+std::vector<std::pair<ProcessId, std::size_t>> announce_lists(const Harness& h) {
+  std::vector<std::pair<ProcessId, std::size_t>> lists;
+  for (const Harness::Sent& s : h.sent) {
+    if (s.msg->type_id() != kBatchCertAnnounce) continue;
+    lists.emplace_back(s.to, static_cast<const BatchCertMsg&>(*s.msg).certs().size());
+  }
+  return lists;
+}
+
+TEST(DisseminatorRetryTest, OverdueCertsLeaveInListsOfAtMost64PerPeerPerTick) {
+  const DissemSpec spec = hundred_batch_spec();
   Harness h(/*self=*/2, spec);
-  for (std::uint8_t i = 0; i < 100; ++i) h.leases.push_back(bytes_of(16, i));
-  const std::vector<BatchId> ids = push_leases(h);
+  const std::vector<BatchId> ids = certify_hundred(h);
   ASSERT_EQ(ids.size(), 100U);
-  for (const BatchId& id : ids) h.ack_from(0, id);
-  EXPECT_EQ(h.count_sent(kBatchCertAnnounce, kNoProcess), 100U) << "fresh: a list of one each";
+  EXPECT_EQ(h.count_sent(kBatchCertAnnounce, 3), 100U) << "fresh: a list of one each";
+  EXPECT_EQ(announce_lists(h).size(), 100U) << "to the next proposer only";
   h.sent.clear();
 
-  // All 100 fall due on the same tick: one broadcast per 64-cert chunk.
+  // All 100 fall due on the same tick: one message per 64-cert chunk,
+  // each to the tick's proposer.
   h.run_until(h.now + spec.retry_interval * 2);
-  std::vector<std::size_t> sizes;
+  using Lists = std::vector<std::pair<ProcessId, std::size_t>>;
+  EXPECT_EQ(announce_lists(h), (Lists{{3, 64}, {3, 36}}));
   std::set<BatchId> announced;
   for (const Harness::Sent& s : h.sent) {
     if (s.msg->type_id() != kBatchCertAnnounce) continue;
-    EXPECT_EQ(s.to, kNoProcess) << "each list goes to every peer";
-    const auto& certs = static_cast<const BatchCertMsg&>(*s.msg).certs();
-    sizes.push_back(certs.size());
-    for (const BatchCert& cert : certs) announced.insert(cert.id());
+    for (const BatchCert& cert : static_cast<const BatchCertMsg&>(*s.msg).certs()) {
+      announced.insert(cert.id());
+    }
   }
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{64, 36}));
   EXPECT_EQ(announced, std::set<BatchId>(ids.begin(), ids.end()));
+}
+
+TEST(DisseminatorRetryTest, ReannounceListsFollowTheProposer) {
+  const DissemSpec spec = hundred_batch_spec();
+  Harness h(/*self=*/2, spec);
+  ProcessId proposer = 1;
+  h.next_proposer = [&proposer] { return proposer; };
+  ASSERT_EQ(certify_hundred(h).size(), 100U);
+  h.sent.clear();
+
+  // The first re-announce tick (the 50 ms tick finds the certs 48 ms old,
+  // the 100 ms one sends them), then the proposer changes before the
+  // next due tick, 100 ms later.
+  using Lists = std::vector<std::pair<ProcessId, std::size_t>>;
+  h.run_until(TimePoint::origin() + spec.retry_interval * 2);
+  EXPECT_EQ(announce_lists(h), (Lists{{1, 64}, {1, 36}}));
+  h.sent.clear();
+  proposer = 0;
+  h.run_until(TimePoint::origin() + spec.retry_interval * 4);
+  EXPECT_EQ(announce_lists(h), (Lists{{0, 64}, {0, 36}}));
+  h.sent.clear();
+
+  // A tick on which the origin itself proposes next sends nothing, and
+  // the schedule moves on.
+  proposer = 2;
+  h.run_until(TimePoint::origin() + spec.retry_interval * 8);
+  EXPECT_TRUE(announce_lists(h).empty());
+  proposer = 3;
+  h.run_until(TimePoint::origin() + spec.retry_interval * 12);
+  EXPECT_EQ(announce_lists(h), (Lists{{3, 64}, {3, 36}}));
 }
 
 TEST(BatchCertMsgTest, ListRoundTripsAndMalformedFramesAreRejected) {
@@ -547,15 +690,17 @@ TEST(BatchCertMsgTest, ListRoundTripsAndMalformedFramesAreRejected) {
 
 // ---- end to end under consensus ---------------------------------------
 
-ScenarioBuilder dissem_cluster(std::uint64_t seed, std::size_t request_bytes) {
+ScenarioBuilder dissem_cluster(std::uint64_t seed, std::size_t request_bytes,
+                               std::uint32_t n = 4, TimePoint stop = TimePoint::max()) {
   workload::WorkloadSpec spec;
   spec.arrival = workload::Arrival::kConstant;
   spec.clients_per_node = 1;
   spec.rate_per_client = 150.0;
   spec.request_bytes = request_bytes;
   spec.mempool.max_pending_count = 256;
+  spec.stop = stop;
   ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(4, Duration::millis(10), /*x=*/4));
+  builder.params(ProtocolParams::for_n(n, Duration::millis(10), /*x=*/4));
   builder.pacemaker("lumiere");
   builder.core("chained-hotstuff");
   builder.seed(seed);
@@ -656,6 +801,49 @@ TEST(DissemClusterTest, BacklogRidesAQuorumPreservingPartition) {
     ASSERT_NE(cluster.node(id).disseminator(), nullptr);
     EXPECT_EQ(cluster.node(id).disseminator()->unresolved_count(), 0U) << "node " << id;
   }
+}
+
+TEST(DissemClusterTest, EachCertIsAnnouncedAboutOnce) {
+  // Fault-free: a fresh cert goes to the next proposer only, and one that
+  // is ordered within a retry interval is never re-announced. A broadcast
+  // would send n - 1 = 6 announces per certified batch.
+  Cluster cluster(dissem_cluster(34, /*request_bytes=*/64, /*n=*/7));
+  cluster.run_for(Duration::seconds(4));
+
+  const runtime::MetricsCollector& metrics = cluster.metrics();
+  ASSERT_GT(metrics.batches_certified(), 100U);
+  EXPECT_LE(static_cast<double>(metrics.count_for_type(kBatchCertAnnounce)),
+            1.2 * static_cast<double>(metrics.batches_certified()));
+  EXPECT_EQ(cluster.workload_report().commit_misses, 0U);
+}
+
+TEST(DissemClusterTest, SilentProposerAndCrashLoseNoRequest) {
+  // n = 7 with a leader that never proposes (it still disseminates and
+  // is the next proposer for a pair of views in every rotation, so some
+  // fresh certs reach only it) and an honest replica that is down for a
+  // second. Re-announces to the rotating next proposer must still get
+  // every batch ordered: each request an honest client submitted before
+  // `stop` commits exactly once by the end of the run.
+  const TimePoint stop(Duration::seconds(5).ticks());
+  ScenarioBuilder builder = dissem_cluster(35, /*request_bytes=*/64, /*n=*/7, stop);
+  builder.behaviors(adversary::byzantine_set(
+      {6}, [](ProcessId) { return std::make_unique<adversary::SilentLeaderBehavior>(); }));
+  builder.crash(5, TimePoint(Duration::seconds(2).ticks()));
+  builder.recover(5, TimePoint(Duration::seconds(3).ticks()));
+  Cluster cluster(builder);
+  cluster.run_for(Duration::seconds(9));
+
+  const std::vector<ProcessId> honest = cluster.honest_ids();
+  ASSERT_EQ(honest.size(), 6U);
+  workload::Report report;
+  for (const ProcessId id : honest) report.merge(*cluster.node_workload(id));
+  EXPECT_GT(report.submitted, 500U);
+  EXPECT_EQ(report.shed, 0U);
+  EXPECT_EQ(report.committed, report.submitted)
+      << report.outstanding << " honest requests never committed";
+  EXPECT_EQ(report.outstanding, 0U);
+  EXPECT_EQ(report.commit_misses, 0U);
+  EXPECT_EQ(fuzz::check_exactly_once(cluster), std::nullopt);
 }
 
 }  // namespace

@@ -207,8 +207,11 @@ TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
 // dissemination substrate's observable behavior moved. Re-pinned once
 // when own-cert re-announces started backing off: a re-announce re-queues
 // a withheld ref at every receiver, so its timing decides the ledgers.
+// Re-pinned again when certs started going to the next proposer instead
+// of every replica: which leader holds a cert decides which proposal
+// orders its batch.
 constexpr const char* kGoldenDissemHex =
-    "ee3c2817d2cfc4f29cac93a52bec8d2281b293b8a21271bda87c37fa45b0f31b";
+    "6a99e59a6ac970defbbf9ece8b4efd40e084318590f23f5ec061c746b37b8bf4";
 
 crypto::Digest golden_dissem_fold_digest() {
   WorkloadSpec spec;
