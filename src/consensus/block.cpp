@@ -58,8 +58,18 @@ std::shared_ptr<const Block> Block::deserialize(ser::Reader& r) {
 BlockStore::BlockStore() { insert(Block::genesis().shared_from_this()); }
 
 std::shared_ptr<const Block> BlockStore::insert(std::shared_ptr<const Block> block) {
-  const crypto::Digest hash = block->hash();
-  return blocks_.try_emplace(hash, std::move(block)).first->second;
+  const Held held{block->view(), block->hash()};
+  const auto [it, inserted] = blocks_.try_emplace(held.hash, std::move(block));
+  if (inserted) held_.push_back(held);
+  return it->second;
+}
+
+void BlockStore::prune_through(View horizon, const crypto::Digest& keep) {
+  std::erase_if(held_, [&](const Held& held) {
+    if (held.view > horizon || held.hash == keep) return false;
+    blocks_.erase(held.hash);
+    return true;
+  });
 }
 
 std::shared_ptr<const Block> BlockStore::get(const crypto::Digest& hash) const {

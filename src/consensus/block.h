@@ -56,7 +56,8 @@ class Block : public std::enable_shared_from_this<Block> {
 };
 
 /// Content-addressed block storage per node. It keeps the allocation the
-/// proposal or sync response carried, not a copy.
+/// proposal or sync response carried, not a copy. A committing core
+/// prunes it to the chain above its commit horizon (prune_through).
 class BlockStore {
  public:
   BlockStore();
@@ -77,10 +78,23 @@ class BlockStore {
   /// locally known chain.
   [[nodiscard]] bool extends(const crypto::Digest& descendant, const crypto::Digest& ancestor) const;
 
+  /// Drops every block at or below view `horizon` except `keep`. Costs
+  /// O(blocks stored), so pruning on every commit keeps both the store
+  /// and the cost at the few blocks above the horizon.
+  void prune_through(View horizon, const crypto::Digest& keep);
+
   [[nodiscard]] std::size_t size() const noexcept { return blocks_.size(); }
 
  private:
+  struct Held {
+    View view;
+    crypto::Digest hash;
+  };
+
   std::unordered_map<crypto::Digest, std::shared_ptr<const Block>> blocks_;
+  /// The keys of blocks_ with their views, in insertion order; what
+  /// prune_through scans instead of the hash table.
+  std::vector<Held> held_;
 };
 
 }  // namespace lumiere::consensus

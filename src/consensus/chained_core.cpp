@@ -395,12 +395,16 @@ void ChainedCore::commit_chain(const Block& tip) {
     if (cb_.decided) cb_.decided(*it);
   }
   // Tags at or below the horizon are the committed index's now (or sat
-  // on a branch that can no longer commit).
+  // on a branch that can no longer commit); so are the blocks, but for
+  // the one the next walk reconnects to.
   std::erase_if(pending_tags_,
                 [this](const BlockTags& entry) { return entry.view <= last_committed_view_; });
+  store_.prune_through(last_committed_view_, last_committed_hash_);
 }
 
 void ChainedCore::on_synced_block(const Block& block) {
+  // A late response: the walk never crosses below the horizon.
+  if (block.view() <= last_committed_view_) return;
   store(block.shared_from_this());
   // Resume only when the exact gap the walk reported is filled: the sync
   // layer delivers a response segment deepest-first, so the requested
@@ -410,6 +414,11 @@ void ChainedCore::on_synced_block(const Block& block) {
   sync_pending_ = false;
   const auto tip = store_.get(sync_tip_);
   if (tip != nullptr && tip->view() > last_committed_view_) commit_chain(*tip);
+}
+
+std::shared_ptr<const Block> ChainedCore::block_for_sync(const crypto::Digest& hash) const {
+  if (auto block = store_.get(hash)) return block;
+  return cb_.committed_block ? cb_.committed_block(hash) : nullptr;
 }
 
 void ChainedCore::on_message(ProcessId from, const MessagePtr& msg) {

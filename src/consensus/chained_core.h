@@ -103,9 +103,7 @@ class ChainedCore final : public ConsensusCore {
   [[nodiscard]] const QuorumCert& high_qc() const override { return high_qc_; }
   void on_synced_block(const Block& block) override;
   [[nodiscard]] std::shared_ptr<const Block> block_for_sync(
-      const crypto::Digest& hash) const override {
-    return store_.get(hash);
-  }
+      const crypto::Digest& hash) const override;
 
   [[nodiscard]] View current_view() const noexcept { return cur_view_; }
   [[nodiscard]] View last_voted_view() const noexcept { return last_voted_view_; }
@@ -188,6 +186,10 @@ class ChainedCore final : public ConsensusCore {
   crypto::Digest sync_tip_;
   crypto::Digest sync_missing_;
 
+  /// The uncommitted chain: blocks above the commit horizon (forks and
+  /// late stale-view admissions included) plus the last committed block,
+  /// where the commit walk reconnects. commit_chain prunes the rest; the
+  /// ledger holds committed blocks (CoreCallbacks::committed_block).
   BlockStore store_;
   std::map<View, std::uint32_t> stale_stored_;
   /// Leader-side state, per view this node leads. Entries below the

@@ -77,6 +77,12 @@ struct CoreCallbacks {
   /// runtime Node wires it; null only in tests that drive a core
   /// directly, where the walk then waits for the block to arrive.
   std::function<void(const crypto::Digest& hash)> fetch_missing;
+  /// Block sync's source for committed blocks, which leave the core's
+  /// store once committed: the block a replica committed under `hash`,
+  /// or nullptr. The runtime Node reads its ledger (Ledger::find); null
+  /// in tests that drive a core directly, where block_for_sync then
+  /// answers only for blocks still in the store.
+  std::function<std::shared_ptr<const Block>(const crypto::Digest& hash)> committed_block;
   /// Request forwarding (inline-batch data path only; see above).
   RequestForwarding forwarding;
 };
@@ -123,7 +129,11 @@ class ConsensusCore {
   /// (simple-view).
   virtual void on_synced_block(const Block& block) { (void)block; }
 
-  /// Serve a block-sync fetch from this core's store (nullptr = unknown).
+  /// Serve a block-sync fetch (nullptr = unknown). A committing core
+  /// answers for every block it stores and every block it committed: the
+  /// store holds only the chain above the commit horizon, so committed
+  /// blocks come through CoreCallbacks::committed_block. Either way the
+  /// answer is the allocation the block arrived in, never a copy.
   [[nodiscard]] virtual std::shared_ptr<const Block> block_for_sync(
       const crypto::Digest& hash) const {
     (void)hash;

@@ -1,5 +1,7 @@
 #include "consensus/ledger.h"
 
+#include <algorithm>
+
 namespace lumiere::consensus {
 
 void Ledger::commit(std::shared_ptr<const Block> block, TimePoint at) {
@@ -14,6 +16,33 @@ void Ledger::commit(std::shared_ptr<const Block> block, TimePoint at) {
   }
   const std::span<const std::uint8_t> payload(block->payload().data(), block->payload().size());
   entries_.push_back(CommittedEntry{block->view(), std::move(block), payload, at});
+  if (2 * entries_.size() > index_.size()) {
+    // Double (from 64 slots) and re-place every entry.
+    index_.assign(std::max<std::size_t>(64, 2 * index_.size()), 0);
+    for (std::size_t height = 0; height < entries_.size(); ++height) {
+      index(static_cast<std::uint32_t>(height));
+    }
+  } else {
+    index(static_cast<std::uint32_t>(entries_.size() - 1));
+  }
+}
+
+void Ledger::index(std::uint32_t height) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = static_cast<std::size_t>(entries_[height].hash().prefix64()) & mask;
+  while (index_[slot] != 0) slot = (slot + 1) & mask;
+  index_[slot] = height + 1;
+}
+
+const CommittedEntry* Ledger::find(const crypto::Digest& hash) const {
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t slot = static_cast<std::size_t>(hash.prefix64()) & mask; index_[slot] != 0;
+       slot = (slot + 1) & mask) {
+    const CommittedEntry& entry = entries_[index_[slot] - 1];
+    if (entry.hash() == hash) return &entry;
+  }
+  return nullptr;
 }
 
 bool Ledger::prefix_consistent_with(const Ledger& other) const {

@@ -13,10 +13,11 @@
 namespace lumiere::consensus {
 
 /// One committed block, in commit order. It references the committed
-/// block (the allocation the core's store holds) instead of copying it:
+/// block (the allocation the proposal carried) instead of copying it:
 /// `hash()` and `parent()` read through `block`, so an entry is 48 bytes
 /// and a ledger costs one pointer-sized record per block beyond the
-/// blocks themselves.
+/// blocks themselves. Once committed, a block lives only here: the core's
+/// store drops it, and block sync serves it through Ledger::find.
 struct CommittedEntry {
   [[nodiscard]] const crypto::Digest& hash() const noexcept { return block->hash(); }
   [[nodiscard]] const crypto::Digest& parent() const noexcept { return block->parent(); }
@@ -45,8 +46,21 @@ class Ledger {
   /// True if one log is a prefix of the other (by block hash).
   [[nodiscard]] bool prefix_consistent_with(const Ledger& other) const;
 
+  /// The entry committing `hash`, valid until the next commit; nullptr if
+  /// none. O(1) expected: any peer may ask for any hash through block
+  /// sync, so a miss must not cost a scan of the history.
+  [[nodiscard]] const CommittedEntry* find(const crypto::Digest& hash) const;
+
  private:
+  /// Adds entries_[height] to index_, which must have a free slot.
+  void index(std::uint32_t height);
+
   std::vector<CommittedEntry> entries_;
+  /// Open-addressing hash index over entries_: height + 1 per slot (0 is
+  /// empty), placed by the digest's leading bytes, probed linearly. A
+  /// power of two at most half full, so 4 bytes a slot and no node per
+  /// entry.
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace lumiere::consensus

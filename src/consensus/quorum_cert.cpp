@@ -1,5 +1,8 @@
 #include "consensus/quorum_cert.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace lumiere::consensus {
 
 crypto::Digest QuorumCert::statement(View view, const crypto::Digest& block_hash) {
@@ -53,6 +56,42 @@ std::optional<QuorumCert> QuorumCert::deserialize(ser::Reader& r) {
   if (!r.digest(qc.block_hash_)) return std::nullopt;
   if (!r.threshold_sig(qc.sig_)) return std::nullopt;
   return qc;
+}
+
+FingerprintMemo::FingerprintMemo(std::size_t max_slots)
+    : max_slots_(std::bit_ceil(std::max<std::size_t>(1, (max_slots + kWays - 1) / kWays)) *
+                 kWays),
+      slots_(std::min(max_slots_, kInitialSlots)),
+      set_mask_(slots_.size() / kWays - 1) {}
+
+bool FingerprintMemo::known_good(const crypto::Digest& key) const {
+  const crypto::Digest* set = slots_.data() + set_of(key);
+  return std::find(set, set + kWays, key) != set + kWays;
+}
+
+void FingerprintMemo::remember(const crypto::Digest& key) {
+  if (known_good(key)) return;
+  // A doubling may leave the whole set on the key's side: grow again.
+  while (slots_.size() < max_slots_ && !slots_[set_of(key) + kWays - 1].is_zero()) grow();
+  place(key);
+}
+
+void FingerprintMemo::place(const crypto::Digest& key) {
+  crypto::Digest* set = slots_.data() + set_of(key);
+  std::copy_backward(set, set + kWays - 1, set + kWays);
+  set[0] = key;
+}
+
+void FingerprintMemo::grow() {
+  std::vector<crypto::Digest> old(2 * slots_.size());
+  old.swap(slots_);
+  set_mask_ = 2 * set_mask_ + 1;
+  // Oldest way first, so each key lands behind the newer ones of its set.
+  for (std::size_t way = kWays; way-- > 0;) {
+    for (std::size_t first = 0; first < old.size(); first += kWays) {
+      if (!old[first + way].is_zero()) place(old[first + way]);
+    }
+  }
 }
 
 }  // namespace lumiere::consensus

@@ -8,7 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <vector>
 
 #include "common/params.h"
 #include "common/types.h"
@@ -89,13 +89,57 @@ class StatementCache {
   std::array<Entry, 8> entries_{};
 };
 
-/// Remembers the fingerprints (SHA-256 over the full serialized form, so
-/// no two distinct QCs share a key) of QCs that passed full
-/// verification. Re-verifying one costs a single hash instead of 2f+1
-/// MAC checks — the common case, since every proposal re-carries its
-/// justify QC and every replica reports its high QC each view.
-class QcVerifyCache {
+/// A bounded table of 32-byte fingerprints of objects that passed full
+/// verification (QCs here, availability certs in dissem/), so a repeat
+/// costs a lookup instead of a signature check. It is 4-way
+/// set-associative: the key's leading bytes pick a set. The table starts
+/// at kInitialSlots and doubles whenever a new key finds its set full,
+/// up to the size it was built with; from then on remembering a key
+/// evicts its set's oldest. Lookups are O(1), the table never outgrows
+/// its bound, and junk an adversary sprays only cycles it; an evicted key
+/// just verifies in full again. Keys are SHA-256 outputs, so they spread
+/// evenly over the sets. The all-zero digest marks an empty slot.
+class FingerprintMemo {
  public:
+  static constexpr std::size_t kWays = 4;
+  static constexpr std::size_t kInitialSlots = 256;
+
+  /// `max_slots` rounds up to a power-of-two number of sets of kWays.
+  explicit FingerprintMemo(std::size_t max_slots);
+
+  [[nodiscard]] bool known_good(const crypto::Digest& key) const;
+  void remember(const crypto::Digest& key);
+  [[nodiscard]] std::size_t slots() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t max_slots() const noexcept { return max_slots_; }
+
+ private:
+  /// Index of the first way of `key`'s set.
+  [[nodiscard]] std::size_t set_of(const crypto::Digest& key) const noexcept {
+    return static_cast<std::size_t>(key.prefix64() & set_mask_) * kWays;
+  }
+  /// Puts `key` first in its set, shifting the set's oldest out.
+  void place(const crypto::Digest& key);
+  /// Doubles the table, re-placing every key with its set's age order.
+  void grow();
+
+  std::size_t max_slots_;
+  std::vector<crypto::Digest> slots_;
+  std::uint64_t set_mask_ = 0;
+};
+
+/// The memo of QCs that passed full verification, keyed by SHA-256 over
+/// the full serialized form (no two distinct QCs share a key).
+/// Re-verifying one costs a single hash instead of 2f+1 MAC checks — the
+/// common case, since every proposal re-carries its justify QC and every
+/// replica reports its high QC each view. A QC is re-checked only within
+/// a few views of forming, so a fixed 256 slots (8 KiB) hold every live
+/// one.
+class QcVerifyCache : public FingerprintMemo {
+ public:
+  static constexpr std::size_t kSlots = 256;
+
+  QcVerifyCache() : FingerprintMemo(kSlots) {}
+
   [[nodiscard]] crypto::Digest fingerprint(const QuorumCert& qc) {
     scratch_.clear();
     ser::Writer w(std::move(scratch_));
@@ -104,19 +148,8 @@ class QcVerifyCache {
     return crypto::Sha256::hash(
         std::span<const std::uint8_t>(scratch_.data(), scratch_.size()));
   }
-  [[nodiscard]] bool known_good(const crypto::Digest& key) const {
-    return good_.contains(key);
-  }
-  void remember(const crypto::Digest& key) {
-    // Entries accrue one per distinct QC (≈ one per view); cap so an
-    // adversary spraying junk certificates cannot grow this unboundedly.
-    if (good_.size() >= kMaxEntries) good_.clear();
-    good_.insert(key);
-  }
 
  private:
-  static constexpr std::size_t kMaxEntries = 4096;
-  std::unordered_set<crypto::Digest> good_;
   std::vector<std::uint8_t> scratch_;
 };
 

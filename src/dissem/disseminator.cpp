@@ -206,11 +206,9 @@ bool Disseminator::verify_cert_cached(const BatchCert& cert) {
   scratch_ = std::move(w).take();
   const crypto::Digest key =
       crypto::Sha256::hash(std::span<const std::uint8_t>(scratch_.data(), scratch_.size()));
-  if (verified_certs_.contains(key)) return true;
+  if (verified_certs_.known_good(key)) return true;
   if (!cert.verify(auth_, params_)) return false;
-  // Cap as QcVerifyCache does: junk certs must not grow this unboundedly.
-  if (verified_certs_.size() >= 4096) verified_certs_.clear();
-  verified_certs_.insert(key);
+  verified_certs_.remember(key);
   return true;
 }
 

@@ -38,12 +38,12 @@
 #include <map>
 #include <set>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/params.h"
 #include "common/time.h"
 #include "common/types.h"
+#include "consensus/quorum_cert.h"
 #include "crypto/authenticator.h"
 #include "dissem/batch.h"
 #include "dissem/messages.h"
@@ -186,7 +186,9 @@ class Disseminator {
   std::set<BatchId> queued_;      ///< source of truth for queue membership
   std::set<BatchId> ordered_;     ///< references already committed+deduped on this node
   std::map<BatchId, BatchCert> unresolved_;  ///< committed, payload still missing
-  std::unordered_set<crypto::Digest> verified_certs_;  ///< serialized-cert fingerprints
+  /// Fingerprints of verified serialized certs (announces and every
+  /// proposal ref re-carry a cert while it is in flight).
+  consensus::FingerprintMemo verified_certs_{4096};
   std::vector<std::uint8_t> scratch_;                  ///< fingerprint encode buffer
 
   std::uint64_t pushed_ = 0;

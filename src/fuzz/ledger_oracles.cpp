@@ -1,6 +1,7 @@
 #include "fuzz/ledger_oracles.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -59,55 +60,88 @@ std::optional<std::string> check_view_monotonicity_data(
   return std::nullopt;
 }
 
+namespace {
+
+/// Visits each tagged request `node` committed, in commit order, as
+/// visit(entry index, tag), resolving batch references through
+/// `resolve` (a batch delivers once). Stops early when `visit` returns
+/// true. Returns the first malformed or unresolved reference it meets.
+std::optional<std::string> visit_committed_tags(
+    const NodeLedgerData& node, const BatchResolver& resolve,
+    const std::function<bool(std::size_t, consensus::RequestTag)>& visit) {
+  std::set<dissem::BatchId> delivered;
+  for (std::size_t index = 0; index < node.records.size(); ++index) {
+    const std::span<const std::uint8_t> payload = node.records[index].payload;
+    std::vector<std::span<const std::uint8_t>> batches;
+    if (!dissem::is_refs_payload(payload)) {
+      batches.push_back(payload);
+    } else if (resolve) {
+      const auto refs = dissem::decode_refs(payload);
+      if (!refs) {
+        std::ostringstream out;
+        out << "exactly-once: node " << node.node << " committed a malformed refs payload "
+            << "(entry " << index << ")";
+        return out.str();
+      }
+      for (const dissem::BatchCert& cert : *refs) {
+        if (!delivered.insert(cert.id()).second) continue;  // delivers once
+        const std::vector<std::uint8_t>* bytes = resolve(node.node, cert.id());
+        if (bytes == nullptr) {
+          std::ostringstream out;
+          out << "exactly-once: node " << node.node << " committed a batch reference (origin "
+              << cert.id().origin << ", seq " << cert.id().seq
+              << ") it never resolved (entry " << index << ")";
+          return out.str();
+        }
+        batches.emplace_back(*bytes);
+      }
+    }
+    bool stop = false;
+    for (const auto& batch : batches) {
+      consensus::for_each_command(batch, [&](std::span<const std::uint8_t> command) {
+        const auto tag = consensus::request_tag(command);
+        if (tag && !stop) stop = visit(index, *tag);  // untagged: not a workload request
+      });
+      if (stop) return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerData>& nodes,
                                                    const BatchResolver& resolve) {
   for (const NodeLedgerData& node : nodes) {
     if (node.ever_byzantine) continue;
-    std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> seen;
-    std::set<dissem::BatchId> delivered;
-    for (std::size_t index = 0; index < node.records.size(); ++index) {
-      const std::span<const std::uint8_t> payload = node.records[index].payload;
-      std::vector<std::span<const std::uint8_t>> batches;
-      if (!dissem::is_refs_payload(payload)) {
-        batches.push_back(payload);
-      } else if (resolve) {
-        const auto refs = dissem::decode_refs(payload);
-        if (!refs) {
-          std::ostringstream out;
-          out << "exactly-once: node " << node.node << " committed a malformed refs payload "
-              << "(entry " << index << ")";
-          return out.str();
-        }
-        for (const dissem::BatchCert& cert : *refs) {
-          if (!delivered.insert(cert.id()).second) continue;  // delivers once
-          const std::vector<std::uint8_t>* bytes = resolve(node.node, cert.id());
-          if (bytes == nullptr) {
-            std::ostringstream out;
-            out << "exactly-once: node " << node.node << " committed a batch reference (origin "
-                << cert.id().origin << ", seq " << cert.id().seq
-                << ") it never resolved (entry " << index << ")";
-            return out.str();
-          }
-          batches.emplace_back(*bytes);
-        }
+    // O(clients) memory however long the ledger; a repeat re-scans for
+    // its first commit to name both entries.
+    consensus::CommittedTags committed;
+    std::optional<consensus::RequestTag> repeated;
+    std::size_t second = 0;
+    auto violation = visit_committed_tags(node, resolve, [&](std::size_t index,
+                                                             consensus::RequestTag tag) {
+      if (!committed.contains(tag)) {
+        committed.insert(tag);
+        return false;
       }
-      for (const auto& batch : batches) {
-        std::optional<std::string> violation;
-        consensus::for_each_command(batch, [&](std::span<const std::uint8_t> command) {
-          const auto tag = consensus::request_tag(command);
-          if (!tag || violation) return;  // not a tagged workload request
-          const auto [it, inserted] = seen.emplace(std::make_pair(tag->client, tag->seq), index);
-          if (!inserted) {
-            std::ostringstream out;
-            out << "exactly-once: node " << node.node << " committed request (client "
-                << tag->client << ", seq " << tag->seq << ") twice (entries " << it->second
-                << " and " << index << ")";
-            violation = out.str();
-          }
-        });
-        if (violation) return violation;
-      }
-    }
+      repeated = tag;
+      second = index;
+      return true;
+    });
+    if (violation) return violation;
+    if (!repeated) continue;
+    std::size_t first = second;
+    visit_committed_tags(node, resolve, [&](std::size_t index, consensus::RequestTag tag) {
+      if (tag != *repeated) return false;
+      first = index;
+      return true;
+    });
+    std::ostringstream out;
+    out << "exactly-once: node " << node.node << " committed request (client "
+        << repeated->client << ", seq " << repeated->seq << ") twice (entries " << first
+        << " and " << second << ")";
+    return out.str();
   }
   return std::nullopt;
 }

@@ -117,6 +117,12 @@ void Node::build_core(const NodeConfig& config) {
   // The commit walk hit a never-arriving missing ancestor: hand the hash
   // to the synchronizer (built right after the core).
   callbacks.fetch_missing = [this](const crypto::Digest& hash) { sync_->on_missing(hash); };
+  // Committed blocks leave the core's store; block sync reads them here.
+  callbacks.committed_block =
+      [this](const crypto::Digest& hash) -> std::shared_ptr<const consensus::Block> {
+    const consensus::CommittedEntry* entry = ledger_.find(hash);
+    return entry != nullptr ? entry->block : nullptr;
+  };
 
   PayloadProvider provider = config.payload_provider;
   if (dissem_) {
@@ -142,7 +148,7 @@ void Node::build_core(const NodeConfig& config) {
 }
 
 void Node::build_sync() {
-  // Serve and verify against the core's content-addressed store. Fetched
+  // Serve from the core: its store, then this node's ledger. Fetched
   // blocks re-enter through ConsensusCore::on_synced_block, whose commit
   // path runs the same `decided` callback as live blocks — so a fetched
   // block's dissem batch refs still resolve via on_committed_payload.

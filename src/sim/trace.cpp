@@ -1,5 +1,7 @@
 #include "sim/trace.h"
 
+#include <algorithm>
+
 namespace lumiere::sim {
 
 const char* to_string(TraceKind kind) {
@@ -42,16 +44,23 @@ const TraceEvent* TraceLog::first_after(TraceKind kind, TimePoint from) const {
   return nullptr;
 }
 
+std::string_view TraceLog::note(std::size_t index) const {
+  const std::uint64_t seq = dropped_ + index;
+  const auto it = std::lower_bound(notes_.begin(), notes_.end(), seq,
+                                   [](const Note& note, std::uint64_t s) { return note.seq < s; });
+  return it != notes_.end() && it->seq == seq ? std::string_view(it->text) : std::string_view();
+}
+
 void TraceLog::dump(std::ostream& os, std::size_t max_events) const {
-  std::size_t count = 0;
-  for (const auto& event : events_) {
-    if (count++ >= max_events) {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    if (i >= max_events) {
       os << "... (" << events_.size() - max_events << " more)\n";
       return;
     }
+    const TraceEvent& event = events_[i];
     os << event.at << " " << to_string(event.kind) << " p" << event.node << " view "
        << event.view;
-    if (!event.note.empty()) os << " [" << event.note << "]";
+    if (const std::string_view text = note(i); !text.empty()) os << " [" << text << "]";
     os << "\n";
   }
 }

@@ -10,13 +10,16 @@
 // keeps returning a plain contiguous vector, so existing callers and the
 // gtest matchers still work — and dropped() counts what was evicted. A
 // soak-length run therefore holds the most recent window instead of
-// growing without limit.
+// growing without limit. An event is a 24-byte plain record; the few
+// events that carry a note (fault-schedule entries) keep it in a side
+// list that trims with them, so a full log is 6 MiB.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -37,38 +40,39 @@ enum class TraceKind : std::uint8_t {
 
 struct TraceEvent {
   TimePoint at;
-  TraceKind kind = TraceKind::kCustom;
-  ProcessId node = kNoProcess;
   View view = -1;
-  std::string note;
+  ProcessId node = kNoProcess;
+  TraceKind kind = TraceKind::kCustom;
 };
+static_assert(sizeof(TraceEvent) == 24, "a trace event is a 24-byte plain record");
 
 class TraceLog {
  public:
-  /// Default capacity: at ~64 bytes/event this bounds the log near 16 MiB.
   static constexpr std::size_t kDefaultCapacity = 1 << 18;
 
   explicit TraceLog(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? kDefaultCapacity : capacity) {}
 
-  void record(TraceEvent event) {
-    trim_if_full();
-    events_.push_back(std::move(event));
-  }
   void record(TimePoint at, TraceKind kind, ProcessId node, View view,
               std::string note = {}) {
     trim_if_full();
-    events_.push_back(TraceEvent{at, kind, node, view, std::move(note)});
+    if (!note.empty()) notes_.push_back(Note{dropped_ + events_.size(), std::move(note)});
+    events_.push_back(TraceEvent{at, view, node, kind});
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept { return events_; }
+  /// The note recorded with events()[index]; empty if it has none.
+  [[nodiscard]] std::string_view note(std::size_t index) const;
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events evicted by the capacity bound since construction/clear().
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  /// Notes held for the events still in the log.
+  [[nodiscard]] std::size_t notes() const noexcept { return notes_.size(); }
   void clear() {
     events_.clear();
+    notes_.clear();
     dropped_ = 0;
   }
 
@@ -87,18 +91,28 @@ class TraceLog {
   void dump(std::ostream& os, std::size_t max_events = SIZE_MAX) const;
 
  private:
+  /// A note and the position of its event counted from the first event
+  /// ever recorded (dropped() + index in events()).
+  struct Note {
+    std::uint64_t seq;
+    std::string text;
+  };
+
   void trim_if_full() {
     if (events_.size() < capacity_) return;
     // Drop the oldest half in one move: O(1) amortized per record, and
-    // the survivors stay contiguous for events().
+    // the survivors stay contiguous for events(). Notes leave with their
+    // events.
     const std::size_t drop = capacity_ / 2 + 1;
     events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(drop));
     dropped_ += drop;
+    std::erase_if(notes_, [this](const Note& note) { return note.seq < dropped_; });
   }
 
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
   std::vector<TraceEvent> events_;
+  std::vector<Note> notes_;  ///< in event order
 };
 
 }  // namespace lumiere::sim

@@ -94,5 +94,33 @@ TEST(BlockStoreTest, ExtendsWithMissingAncestorsIsFalse) {
   EXPECT_FALSE(store.extends(b1->hash(), Block::genesis().hash()));
 }
 
+TEST(BlockStoreTest, PruneThroughKeepsTheChainAboveTheHorizon) {
+  BlockStore store;
+  const auto b0 = make_block(Block::genesis().hash(), 0, {0});
+  const auto b1 = make_block(b0->hash(), 1, {1});
+  const auto fork1 = make_block(b0->hash(), 1, {9});
+  const auto b2 = make_block(b1->hash(), 2, {2});
+  const auto b3 = make_block(b2->hash(), 3, {3});
+  for (const auto& b : {b3, b0, fork1, b2, b1}) store.insert(b);  // any arrival order
+  ASSERT_EQ(store.size(), 6U);
+
+  store.prune_through(1, b1->hash());
+  EXPECT_FALSE(store.contains(Block::genesis().hash()));
+  EXPECT_FALSE(store.contains(b0->hash()));
+  EXPECT_FALSE(store.contains(fork1->hash())) << "an abandoned fork below the horizon goes too";
+  EXPECT_TRUE(store.contains(b1->hash())) << "the kept block stays";
+  EXPECT_TRUE(store.contains(b2->hash()));
+  EXPECT_TRUE(store.contains(b3->hash()));
+  EXPECT_EQ(store.size(), 3U);
+  EXPECT_TRUE(store.extends(b3->hash(), b1->hash()));
+
+  // Re-inserting a pruned block stores it again; the next prune drops it.
+  store.insert(b0);
+  store.prune_through(2, b2->hash());
+  EXPECT_EQ(store.size(), 2U);
+  EXPECT_TRUE(store.contains(b2->hash()));
+  EXPECT_TRUE(store.contains(b3->hash()));
+}
+
 }  // namespace
 }  // namespace lumiere::consensus

@@ -191,7 +191,13 @@ struct Injected {
 /// highest QC; counts the other (honest) replicas' votes for it.
 Injected inject_proposal(ChainRule rule, View last, const std::vector<std::uint8_t>& payload) {
   std::vector<std::pair<ProcessId, crypto::Digest>> votes;
-  const auto wire = [&votes](ProcessId id, CoreCallbacks& cb) {
+  // Committed blocks leave the store: keep them here for the search below.
+  std::vector<std::vector<std::shared_ptr<const Block>>> committed(4);
+  const auto wire = [&votes, &committed](ProcessId id, CoreCallbacks& cb) {
+    cb.decided = [&committed, id, inner = cb.decided](const std::shared_ptr<const Block>& b) {
+      committed[id].push_back(b);
+      inner(b);
+    };
     cb.send = [&votes, id, inner = cb.send](ProcessId to, MessagePtr msg) {
       if (msg->type_id() == kVote) {
         votes.emplace_back(id, static_cast<const VoteMsg&>(*msg).block_hash());
@@ -214,8 +220,12 @@ Injected inject_proposal(ChainRule rule, View last, const std::vector<std::uint8
   h.settle();
   const QuorumCert justify = h.core(honest).high_qc();
   const BlockStore& store = h.core(honest).block_store();
+  std::vector<std::shared_ptr<const Block>> chain = committed[honest];
   for (auto b = store.get(justify.block_hash()); b != nullptr && b->view() >= 0;
        b = store.get(b->parent())) {
+    chain.push_back(b);
+  }
+  for (const auto& b : chain) {
     if (b->payload() == request_batch({0})) result.holder = b->view();
   }
   auto block = std::make_shared<const Block>(justify.block_hash(), last, payload, justify);

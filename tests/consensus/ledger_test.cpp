@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 namespace lumiere::consensus {
 namespace {
 
@@ -64,6 +67,38 @@ TEST(LedgerTest, PrefixConsistency) {
   Ledger c;
   c.commit(make_block(Block::genesis().hash(), 0, {9}), TimePoint(1));
   EXPECT_FALSE(a.prefix_consistent_with(c));
+}
+
+TEST(LedgerTest, FindIndexesEveryEntry) {
+  constexpr View kEntries = 10'000;
+  Ledger ledger;
+  EXPECT_EQ(ledger.find(Block::genesis().hash()), nullptr) << "an empty ledger";
+  crypto::Digest parent = Block::genesis().hash();
+  for (View v = 0; v < kEntries; ++v) {
+    const auto block = make_block(parent, v, {static_cast<std::uint8_t>(v)});
+    parent = block->hash();
+    ledger.commit(block, TimePoint(v));
+  }
+  for (std::size_t i = 0; i < ledger.size(); ++i) {
+    const CommittedEntry& entry = ledger.entries()[i];
+    ASSERT_EQ(ledger.find(entry.hash()), &entry) << "height " << i;
+  }
+  EXPECT_EQ(ledger.find(Block::genesis().hash()), nullptr) << "genesis is never committed";
+  EXPECT_EQ(ledger.find(make_block(parent, kEntries, {})->hash()), nullptr);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(ledger.find(crypto::Sha256::hash("absent " + std::to_string(i))), nullptr);
+  }
+  // Digests that share an entry's leading bytes, and so its probe
+  // sequence, but differ later: the full hash decides.
+  for (std::size_t i = 0; i < ledger.size(); i += 97) {
+    for (const std::size_t byte : {8U, 31U}) {
+      std::array<std::uint8_t, crypto::Digest::kSize> bytes = ledger.entries()[i].hash().bytes();
+      bytes[byte] ^= 0x01;
+      const crypto::Digest near(bytes);
+      ASSERT_EQ(near.prefix64(), ledger.entries()[i].hash().prefix64());
+      EXPECT_EQ(ledger.find(near), nullptr) << "height " << i << ", byte " << byte;
+    }
+  }
 }
 
 TEST(LedgerDeathTest, RejectsBrokenChain) {

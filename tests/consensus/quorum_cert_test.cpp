@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "crypto/authenticator.h"
 
@@ -111,6 +112,73 @@ TEST_F(QuorumCertTest, VerifyCacheAcceptsOnlyTheExactVerifiedBytes) {
   const QuorumCert thin(3, h, agg.aggregate());
   EXPECT_FALSE(thin.verify(auth(), params_, &cache));
   EXPECT_FALSE(cache.known_good(cache.fingerprint(thin)));
+}
+
+TEST(FingerprintMemoTest, RemembersWithinABoundedTable) {
+  FingerprintMemo memo(4096);
+  EXPECT_EQ(memo.slots(), FingerprintMemo::kInitialSlots);
+  const crypto::Digest key = crypto::Sha256::hash("cert");
+  EXPECT_FALSE(memo.known_good(key));
+  memo.remember(key);
+  EXPECT_TRUE(memo.known_good(key));
+  memo.remember(key);  // a repeat takes no second way
+  EXPECT_FALSE(memo.known_good(crypto::Sha256::hash("other")));
+
+  // The table doubles instead of evicting until it reaches its bound:
+  // below it, every key remembered so far is still known.
+  const auto nth = [](int i) { return crypto::Sha256::hash("k" + std::to_string(i)); };
+  int remembered = 0;
+  std::size_t growths = 0;
+  for (std::size_t slots = memo.slots(); slots < memo.max_slots(); slots = memo.slots()) {
+    memo.remember(nth(remembered++));
+    if (memo.slots() == slots) continue;
+    ++growths;
+    if (memo.slots() == memo.max_slots()) break;  // at the bound a full set evicts
+    ASSERT_TRUE(memo.known_good(key));
+    for (int i = 0; i < remembered; ++i) ASSERT_TRUE(memo.known_good(nth(i))) << i;
+  }
+  EXPECT_GE(growths, 2U);
+
+  // However many keys go in then, at most max_slots are known, the
+  // newest are, and the first has been evicted.
+  constexpr int kKeys = 20'000;
+  for (int i = remembered; i < kKeys; ++i) memo.remember(nth(i));
+  EXPECT_EQ(memo.slots(), 4096U);
+  std::size_t known = 0;
+  for (int i = 0; i < kKeys; ++i) known += memo.known_good(nth(i)) ? 1 : 0;
+  EXPECT_LE(known, memo.max_slots());
+  EXPECT_GT(known, memo.max_slots() / 2);
+  EXPECT_TRUE(memo.known_good(nth(kKeys - 1)));
+  EXPECT_FALSE(memo.known_good(key));
+}
+
+TEST(FingerprintMemoTest, SizesRoundUpToWholeSets) {
+  EXPECT_EQ(FingerprintMemo(1).max_slots(), FingerprintMemo::kWays);
+  EXPECT_EQ(FingerprintMemo(1).slots(), FingerprintMemo::kWays);
+  EXPECT_EQ(FingerprintMemo(100).max_slots(), 128U);
+  EXPECT_EQ(FingerprintMemo(4096).max_slots(), 4096U);
+  // The QC memo is a fixed table: it starts at its bound.
+  EXPECT_EQ(QcVerifyCache().slots(), QcVerifyCache::kSlots);
+  EXPECT_EQ(QcVerifyCache().max_slots(), QcVerifyCache::kSlots);
+}
+
+TEST_F(QuorumCertTest, EvictedQcStillVerifiesInFull) {
+  crypto::AuthOpCounters ops;
+  const crypto::AuthView counted(auth_.get(), nullptr, &ops);
+  const QuorumCert qc = make_qc(3, crypto::Sha256::hash("block"), params_.quorum());
+  QcVerifyCache cache;
+  ASSERT_TRUE(qc.verify(counted, params_, &cache));
+  ASSERT_TRUE(qc.verify(counted, params_, &cache));
+  EXPECT_EQ(ops.snapshot().aggregate_verifies, 1U) << "the repeat is a memo hit";
+
+  // Enough newer QCs to cycle every set of the table.
+  for (View v = 4; v < 4 + 64 * static_cast<View>(QcVerifyCache::kSlots); ++v) {
+    cache.remember(crypto::Sha256::hash("qc " + std::to_string(v)));
+  }
+  ASSERT_FALSE(cache.known_good(cache.fingerprint(qc)));
+  EXPECT_TRUE(qc.verify(counted, params_, &cache));
+  EXPECT_EQ(ops.snapshot().aggregate_verifies, 2U) << "an evicted QC is checked in full";
+  EXPECT_TRUE(cache.known_good(cache.fingerprint(qc)));
 }
 
 }  // namespace

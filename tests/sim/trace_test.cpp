@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "runtime/cluster.h"
 
@@ -106,6 +107,41 @@ TEST(TraceLogTest, BoundedRingEvictsOldestHalf) {
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.dropped(), 0U);
   EXPECT_EQ(log.capacity(), 8U);
+}
+
+TEST(TraceLogTest, EventsArePlainRecordsWithNotesOutOfLine) {
+  static_assert(sizeof(TraceEvent) == 24);
+  static_assert(std::is_trivially_copyable_v<TraceEvent>);
+  TraceLog log(8);
+  log.record(TimePoint(0), TraceKind::kCustom, 1, -1, "partition {0,1}|{2,3}");
+  EXPECT_EQ(log.note(0), "partition {0,1}|{2,3}");
+  for (int i = 1; i < 6; ++i) log.record(TimePoint(i), TraceKind::kViewEntered, 0, i);
+  log.record(TimePoint(6), TraceKind::kCustom, 2, -1, "crash p2");
+  log.record(TimePoint(7), TraceKind::kViewEntered, 0, 7);
+  EXPECT_EQ(log.notes(), 2U);
+
+  // The next record evicts events 0..4: the first note goes with its
+  // event, the second survives the trim with its own.
+  log.record(TimePoint(8), TraceKind::kViewEntered, 0, 8);
+  ASSERT_EQ(log.size(), 4U);
+  EXPECT_EQ(log.notes(), 1U);
+  ASSERT_EQ(log.events()[1].kind, TraceKind::kCustom);
+  EXPECT_EQ(log.note(1), "crash p2");
+  EXPECT_EQ(log.note(0), "");
+  EXPECT_EQ(log.note(2), "");
+  std::ostringstream os;
+  log.dump(os);
+  EXPECT_NE(os.str().find("custom p2 view -1 [crash p2]"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("partition"), std::string::npos) << os.str();
+
+  // The trim that evicts its event takes the note too.
+  for (int i = 9; i < 14; ++i) log.record(TimePoint(i), TraceKind::kViewEntered, 0, i);
+  EXPECT_EQ(log.notes(), 0U);
+  for (std::size_t i = 0; i < log.size(); ++i) EXPECT_EQ(log.note(i), "") << i;
+
+  log.record(TimePoint(14), TraceKind::kCustom, 3, -1, "heal");
+  log.clear();
+  EXPECT_EQ(log.notes(), 0U);
 }
 
 TEST(TraceLogTest, ZeroCapacityMeansDefault) {

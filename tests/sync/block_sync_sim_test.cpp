@@ -12,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "adversary/behaviors.h"
+#include "consensus/chained_core.h"
 #include "runtime/cluster.h"
 #include "testutil/oracles.h"
 
@@ -65,6 +68,42 @@ TEST_P(BlockSyncRecovery, CrashVictimCatchesUpThroughSync) {
   std::uint64_t served = 0;
   for (ProcessId id = 0; id < kN; ++id) served += cluster.node(id).synchronizer()->fetches_served();
   EXPECT_GT(served, 0U);
+}
+
+TEST_P(BlockSyncRecovery, VictimBackfillsFromPeersLedgers) {
+  // A replica's core stores only its uncommitted chain, so by the time
+  // the victim recovers, every block it missed has left each honest
+  // peer's store: the backfill can only come from their ledgers
+  // (ConsensusCore::block_for_sync through CoreCallbacks::committed_block).
+  Cluster cluster = make_cluster(GetParam());
+  cluster.run_until(kRecoverAt);
+  const auto chained = [&cluster](ProcessId id) -> const consensus::ChainedCore& {
+    return dynamic_cast<const consensus::ChainedCore&>(cluster.node(id).core());
+  };
+  const consensus::Ledger& victim = cluster.node(kVictim).ledger();
+  const View victim_horizon = victim.empty() ? View{-1} : victim.entries().back().view;
+  View horizon = std::numeric_limits<View>::max();
+  for (ProcessId id = 1; id < kVictim; ++id) {
+    horizon = std::min(horizon, chained(id).last_committed_view());
+  }
+  std::vector<crypto::Digest> missed;
+  for (const consensus::CommittedEntry& entry : cluster.node(1).ledger().entries()) {
+    if (entry.view > victim_horizon && entry.view < horizon) missed.push_back(entry.hash());
+  }
+  ASSERT_GT(missed.size(), 50U) << GetParam() << ": the crash window must span many commits";
+  for (ProcessId id = 1; id < kVictim; ++id) {
+    for (const crypto::Digest& hash : missed) {
+      ASSERT_FALSE(chained(id).block_store().contains(hash)) << "peer " << id;
+    }
+  }
+
+  cluster.run_for(Duration::seconds(6));
+  EXPECT_TRUE(oracle_ok(fuzz::check_safety(cluster)));
+  EXPECT_GT(cluster.node(kVictim).synchronizer()->blocks_accepted(), 0U);
+  EXPECT_GE(victim.size() + 5, cluster.node(1).ledger().size());
+  for (const crypto::Digest& hash : missed) {
+    EXPECT_NE(victim.find(hash), nullptr) << GetParam() << ": the victim never backfilled a block";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, BlockSyncRecovery,
