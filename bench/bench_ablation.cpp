@@ -154,14 +154,14 @@ int main() {
     double total_lag_ms = 0;
     std::size_t joined = 0;
     for (const auto& entry : entries) {
-      const auto it = qc_at.find(entry.view);
+      const auto it = qc_at.find(entry.view());
       if (it == qc_at.end()) continue;
       total_lag_ms += static_cast<double>((entry.committed_at - it->second).ticks()) / 1000.0;
       ++joined;
     }
     std::printf("%-18s | %9zu | %14lld | %18.2f\n", core,
                 entries.size(), entries.empty() ? -1LL
-                                                : static_cast<long long>(entries.back().view),
+                                                : static_cast<long long>(entries.back().view()),
                 joined == 0 ? 0.0 : total_lag_ms / static_cast<double>(joined));
   }
   std::printf("(expected: HotStuff-2 completes views faster — its responsive path\n"

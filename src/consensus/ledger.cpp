@@ -7,7 +7,7 @@ namespace lumiere::consensus {
 void Ledger::commit(std::shared_ptr<const Block> block, TimePoint at) {
   if (!entries_.empty()) {
     const CommittedEntry& prev = entries_.back();
-    LUMIERE_ASSERT_MSG(block->view() > prev.view, "ledger: commit views must increase");
+    LUMIERE_ASSERT_MSG(block->view() > prev.view(), "ledger: commit views must increase");
     LUMIERE_ASSERT_MSG(block->parent() == prev.hash(),
                        "ledger: committed chain broken (safety violation)");
   } else {
@@ -15,7 +15,7 @@ void Ledger::commit(std::shared_ptr<const Block> block, TimePoint at) {
                        "ledger: first commit must extend genesis");
   }
   const std::span<const std::uint8_t> payload(block->payload().data(), block->payload().size());
-  entries_.push_back(CommittedEntry{block->view(), std::move(block), payload, at});
+  entries_.push_back(CommittedEntry{std::move(block), payload, at});
   if (2 * entries_.size() > index_.size()) {
     // Double (from 64 slots) and re-place every entry.
     index_.assign(std::max<std::size_t>(64, 2 * index_.size()), 0);

@@ -117,10 +117,10 @@ void LumierePacemaker::set_view(View v, Epoch e) {
     vc_sent_at_.erase(vc_sent_at_.begin(), vc_sent_at_.lower_bound(horizon));
     local_qc_sent_at_.erase(local_qc_sent_at_.begin(), local_qc_sent_at_.lower_bound(horizon));
     epoch_aggs_.erase(epoch_aggs_.begin(), epoch_aggs_.lower_bound(horizon));
-    while (!view_msg_sent_.empty() && *view_msg_sent_.begin() < horizon) {
-      view_msg_sent_.erase(view_msg_sent_.begin());
-    }
   }
+  // Every view message from here on is for a view >= v (catch-up starts
+  // at view_), so the record of those sent below v is never read again.
+  view_msg_sent_.erase(view_msg_sent_.begin(), view_msg_sent_.lower_bound(v));
   notify_enter_view(v);
 }
 
@@ -168,7 +168,11 @@ void LumierePacemaker::handle_view_share(ProcessId /*from*/, const ViewMsg& msg)
   if (!it->second.add(msg.share())) return;
   if (it->second.complete() && v >= view_) {
     vc_sent_at_.emplace(v, sim().now());
-    broadcast(std::make_shared<VcMsg>(SyncCert(v, it->second.aggregate())));
+    auto vc = std::make_shared<VcMsg>(SyncCert(v, it->second.aggregate()));
+    // vc_sent_at_ now turns away every later view-v share; the
+    // aggregator has done its job.
+    view_aggs_.erase(it);
+    broadcast(std::move(vc));
     // The QC-production deadline for v is now anchored; the proposal gate
     // (may_propose) is open.
     poke_propose(v);

@@ -124,7 +124,9 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   std::optional<View> parked_view_;
   sim::EventHandle delta_wait_;
 
-  // View-message dissemination and VC formation.
+  // View-message dissemination and VC formation. view_msg_sent_ holds
+  // only views >= view_ (set_view drops the rest); an aggregator lives
+  // until its view's VC is sent or its epoch goes stale.
   std::set<View> view_msg_sent_;
   std::map<View, crypto::QuorumAggregator> view_aggs_;
   std::map<View, TimePoint> vc_sent_at_;

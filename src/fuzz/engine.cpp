@@ -28,7 +28,7 @@ crypto::Digest run_digest(const runtime::Cluster& cluster) {
     const consensus::Ledger& ledger = cluster.node(id).ledger();
     fold(ledger.size());
     for (const auto& entry : ledger.entries()) {
-      fold(static_cast<std::uint64_t>(entry.view));
+      fold(static_cast<std::uint64_t>(entry.view()));
       hasher.update(entry.hash().as_span());
     }
   }
@@ -57,7 +57,7 @@ RunResult run_case(const FuzzCase& c) {
   std::map<ProcessId, View> baseline;
   for (const ProcessId id : cluster.honest_ids()) {
     const consensus::Ledger& ledger = cluster.node(id).ledger();
-    baseline[id] = ledger.empty() ? View{-1} : ledger.entries().back().view;
+    baseline[id] = ledger.empty() ? View{-1} : ledger.entries().back().view();
   }
   // Probe in slices and stop as soon as progress resumed — a passing case
   // costs ~one slice past the last disruption, a failing one the full

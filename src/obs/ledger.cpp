@@ -8,7 +8,8 @@ namespace lumiere::obs {
 
 namespace {
 
-CostDist dist_of(std::vector<double> values) {
+/// Sorts `values` in place and reads the distribution off it.
+CostDist dist_of(std::vector<double>& values) {
   CostDist d;
   d.count = values.size();
   if (values.empty()) return d;
@@ -29,31 +30,76 @@ CostDist dist_of(std::vector<double> values) {
   return d;
 }
 
+/// The distribution of `cost` over the completed spans, built in `buffer`.
+template <typename Spans, typename Cost>
+CostDist dist_over(const Spans& spans, std::vector<double>& buffer, Cost cost) {
+  buffer.clear();
+  for (const SyncSpan& span : spans) {
+    if (span.completed) buffer.push_back(static_cast<double>(cost(span)));
+  }
+  return dist_of(buffer);
+}
+
+template <typename Spans>
+LedgerSummary summarize_spans(const Spans& spans) {
+  // One buffer, refilled per cost: the spans are read four times rather
+  // than held as four copies at once.
+  std::vector<double> buffer;
+  buffer.reserve(spans.size());
+  LedgerSummary summary;
+  summary.msgs = dist_over(spans, buffer, [](const SyncSpan& s) { return s.msgs_sent; });
+  summary.spans = summary.msgs.count;
+  summary.bytes = dist_over(spans, buffer, [](const SyncSpan& s) { return s.bytes_sent; });
+  summary.auth_ops = dist_over(spans, buffer, [](const SyncSpan& s) { return s.auth_ops(); });
+  summary.duration_us =
+      dist_over(spans, buffer, [](const SyncSpan& s) { return s.duration().ticks(); });
+  return summary;
+}
+
+template <typename Spans>
+void jsonl_of(std::ostream& out, const std::string& label, const Spans& spans) {
+  for (const SyncSpan& span : spans) {
+    if (!span.completed) continue;
+    out << "{\"label\":\"" << label << "\",\"node\":" << span.node
+        << ",\"from_view\":" << span.from_view << ",\"target_view\":" << span.target_view
+        << ",\"entered_view\":" << span.entered_view << ",\"start_us\":" << span.start.ticks()
+        << ",\"end_us\":" << span.end.ticks() << ",\"msgs\":" << span.msgs_sent
+        << ",\"bytes\":" << span.bytes_sent << ",\"signs\":" << span.auth.signs
+        << ",\"shares\":" << span.auth.shares << ",\"verifies\":" << span.auth.verifies
+        << ",\"share_verifies\":" << span.auth.share_verifies
+        << ",\"aggregate_verifies\":" << span.auth.aggregate_verifies
+        << ",\"aggregates_built\":" << span.auth.aggregates_built
+        << ",\"auth_ops\":" << span.auth_ops() << "}\n";
+  }
+}
+
+template <typename Spans>
+void chrome_trace_of(std::ostream& out, const Spans& spans) {
+  out << "{\"traceEvents\":[";
+  bool first = true;
+  for (const SyncSpan& span : spans) {
+    if (!span.completed) continue;
+    if (!first) out << ",";
+    first = false;
+    // dur is clamped to >= 1 so zero-length spans stay visible slices.
+    const std::int64_t dur = std::max<std::int64_t>(1, span.duration().ticks());
+    out << "{\"name\":\"sync v" << span.from_view << "->" << span.entered_view
+        << "\",\"cat\":\"view-sync\",\"ph\":\"X\",\"pid\":0,\"tid\":" << span.node
+        << ",\"ts\":" << span.start.ticks() << ",\"dur\":" << dur << ",\"args\":{\"msgs\":"
+        << span.msgs_sent << ",\"bytes\":" << span.bytes_sent << ",\"auth_ops\":"
+        << span.auth_ops() << ",\"target_view\":" << span.target_view << "}}";
+  }
+  out << "],\"displayTimeUnit\":\"ms\"}\n";
+}
+
 }  // namespace
 
 LedgerSummary ComplexityLedger::summarize(const std::vector<SyncSpan>& spans) {
-  std::vector<double> msgs;
-  std::vector<double> bytes;
-  std::vector<double> auth;
-  std::vector<double> duration;
-  msgs.reserve(spans.size());
-  bytes.reserve(spans.size());
-  auth.reserve(spans.size());
-  duration.reserve(spans.size());
-  LedgerSummary summary;
-  for (const SyncSpan& span : spans) {
-    if (!span.completed) continue;
-    ++summary.spans;
-    msgs.push_back(static_cast<double>(span.msgs_sent));
-    bytes.push_back(static_cast<double>(span.bytes_sent));
-    auth.push_back(static_cast<double>(span.auth_ops()));
-    duration.push_back(static_cast<double>(span.duration().ticks()));
-  }
-  summary.msgs = dist_of(std::move(msgs));
-  summary.bytes = dist_of(std::move(bytes));
-  summary.auth_ops = dist_of(std::move(auth));
-  summary.duration_us = dist_of(std::move(duration));
-  return summary;
+  return summarize_spans(spans);
+}
+
+LedgerSummary ComplexityLedger::summarize(const CompletedSpans& spans) {
+  return summarize_spans(spans);
 }
 
 double ComplexityLedger::fit_exponent(const std::vector<std::pair<double, double>>& n_vs_cost) {
@@ -77,38 +123,21 @@ double ComplexityLedger::fit_exponent(const std::vector<std::pair<double, double
 
 void ComplexityLedger::write_jsonl(std::ostream& out, const std::string& label,
                                    const std::vector<SyncSpan>& spans) {
-  for (const SyncSpan& span : spans) {
-    if (!span.completed) continue;
-    out << "{\"label\":\"" << label << "\",\"node\":" << span.node
-        << ",\"from_view\":" << span.from_view << ",\"target_view\":" << span.target_view
-        << ",\"entered_view\":" << span.entered_view << ",\"start_us\":" << span.start.ticks()
-        << ",\"end_us\":" << span.end.ticks() << ",\"msgs\":" << span.msgs_sent
-        << ",\"bytes\":" << span.bytes_sent << ",\"signs\":" << span.auth.signs
-        << ",\"shares\":" << span.auth.shares << ",\"verifies\":" << span.auth.verifies
-        << ",\"share_verifies\":" << span.auth.share_verifies
-        << ",\"aggregate_verifies\":" << span.auth.aggregate_verifies
-        << ",\"aggregates_built\":" << span.auth.aggregates_built
-        << ",\"auth_ops\":" << span.auth_ops() << "}\n";
-  }
+  jsonl_of(out, label, spans);
+}
+
+void ComplexityLedger::write_jsonl(std::ostream& out, const std::string& label,
+                                   const CompletedSpans& spans) {
+  jsonl_of(out, label, spans);
 }
 
 void ComplexityLedger::write_chrome_trace(std::ostream& out,
                                           const std::vector<SyncSpan>& spans) {
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  for (const SyncSpan& span : spans) {
-    if (!span.completed) continue;
-    if (!first) out << ",";
-    first = false;
-    // dur is clamped to >= 1 so zero-length spans stay visible slices.
-    const std::int64_t dur = std::max<std::int64_t>(1, span.duration().ticks());
-    out << "{\"name\":\"sync v" << span.from_view << "->" << span.entered_view
-        << "\",\"cat\":\"view-sync\",\"ph\":\"X\",\"pid\":0,\"tid\":" << span.node
-        << ",\"ts\":" << span.start.ticks() << ",\"dur\":" << dur << ",\"args\":{\"msgs\":"
-        << span.msgs_sent << ",\"bytes\":" << span.bytes_sent << ",\"auth_ops\":"
-        << span.auth_ops() << ",\"target_view\":" << span.target_view << "}}";
-  }
-  out << "],\"displayTimeUnit\":\"ms\"}\n";
+  chrome_trace_of(out, spans);
+}
+
+void ComplexityLedger::write_chrome_trace(std::ostream& out, const CompletedSpans& spans) {
+  chrome_trace_of(out, spans);
 }
 
 }  // namespace lumiere::obs

@@ -41,10 +41,15 @@ struct LedgerSummary {
   CostDist duration_us;
 };
 
+/// Each reader takes a plain span list or a tracer's ring view
+/// (SyncTracer::completed_spans()); a ring is read in place, never
+/// expanded into a list.
 class ComplexityLedger {
  public:
-  /// Aggregates completed spans (open spans are skipped).
+  /// Aggregates completed spans (open spans are skipped). Holds one
+  /// buffer of one double per span at a time.
   [[nodiscard]] static LedgerSummary summarize(const std::vector<SyncSpan>& spans);
+  [[nodiscard]] static LedgerSummary summarize(const CompletedSpans& spans);
 
   /// Least-squares slope of log(cost) against log(n) over (n, cost)
   /// points — the measured growth exponent (1.0 = linear, 2.0 =
@@ -57,10 +62,13 @@ class ComplexityLedger {
   /// (bench rows stamp pacemaker/n here).
   static void write_jsonl(std::ostream& out, const std::string& label,
                           const std::vector<SyncSpan>& spans);
+  static void write_jsonl(std::ostream& out, const std::string& label,
+                          const CompletedSpans& spans);
 
   /// Chrome trace-event JSON (one complete "X" event per span; ts/dur in
   /// microseconds, which is exactly one simulator tick).
   static void write_chrome_trace(std::ostream& out, const std::vector<SyncSpan>& spans);
+  static void write_chrome_trace(std::ostream& out, const CompletedSpans& spans);
 };
 
 }  // namespace lumiere::obs

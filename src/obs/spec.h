@@ -17,6 +17,8 @@ struct ObsSpec {
 
   /// Completed spans kept per cluster; older spans are dropped FIFO.
   /// Zero means unbounded (benches that export every span use that).
+  /// Each kept span costs 64 bytes (a full default ring, 4 MiB); counts
+  /// and view offsets beyond their packed widths saturate (obs/span.h).
   std::size_t max_spans = 1 << 16;
 
   /// Capacity handed to the cluster's sim::TraceLog ring buffer.

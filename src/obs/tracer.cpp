@@ -1,7 +1,5 @@
 #include "obs/tracer.h"
 
-#include <algorithm>
-
 namespace lumiere::obs {
 
 SyncTracer::SyncTracer(std::uint32_t n, std::size_t max_spans) : max_spans_(max_spans) {
@@ -60,13 +58,11 @@ std::optional<SyncSpan> SyncTracer::on_view_entered(ProcessId id, TimePoint at, 
   }
   {
     std::lock_guard<std::mutex> lock(completed_mu_);
-    if (max_spans_ == 0 || completed_.size() < max_spans_) {
-      completed_.push_back(done);
-    } else {
-      completed_[oldest_] = done;
-      oldest_ = (oldest_ + 1) % max_spans_;
+    if (max_spans_ != 0 && completed_.size() == max_spans_) {
+      completed_.pop_front();
       ++dropped_;
     }
+    completed_.emplace_back(done);
   }
   return done;
 }
@@ -97,14 +93,6 @@ void SyncTracer::report(ProcessId id, TimePoint now, NodeStatus& status) const {
   status.auth_ops = auth_snapshot(id).total();
   status.current_sync = open_span(id, now);
   status.last_sync = last_span(id);
-}
-
-const std::vector<SyncSpan>& SyncTracer::completed_spans() const {
-  std::lock_guard<std::mutex> lock(completed_mu_);
-  std::rotate(completed_.begin(), completed_.begin() + static_cast<std::ptrdiff_t>(oldest_),
-              completed_.end());
-  oldest_ = 0;
-  return completed_;
 }
 
 std::size_t SyncTracer::completed_count() const {

@@ -13,14 +13,17 @@
 // span state, relaxed atomics cover the cumulative meters, and one
 // cluster-wide mutex covers the completed-span ring.
 //
-// The completed-span ring is a vector written round-robin once full;
-// completed_spans() rotates it oldest-first in place and returns a
-// reference to it rather than a copy. Read it between run_for slices
-// (as MetricsCollector's readers already do), never while a node
-// thread may still complete a span.
+// The completed-span ring keeps each span as a 64-byte PackedSpan (see
+// obs/span.h for the saturation rules) in a deque, oldest first: a full
+// ring drops its front span as the next one arrives, so it grows in
+// fixed-size blocks and never copies itself. completed_spans() is a view
+// that unpacks spans as they are read. Read it between run_for slices
+// (as MetricsCollector's readers already do), never while a node thread
+// may still complete a span.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -37,7 +40,8 @@ namespace lumiere::obs {
 class SyncTracer {
  public:
   /// `max_spans` bounds the completed-span ring (0 = unbounded; benches
-  /// that export every span use that).
+  /// that export every span use that). A full ring of the default 2^16
+  /// spans holds 4 MiB.
   explicit SyncTracer(std::uint32_t n, std::size_t max_spans = 1 << 16);
 
   [[nodiscard]] std::uint32_t n() const noexcept {
@@ -79,9 +83,9 @@ class SyncTracer {
   /// measured up to `now`).
   void report(ProcessId id, TimePoint now, NodeStatus& status) const;
 
-  /// The completed-span ring, oldest first. The reference is valid until
-  /// the next span completes; read it between run_for slices.
-  [[nodiscard]] const std::vector<SyncSpan>& completed_spans() const;
+  /// The completed-span ring, oldest first. The view is valid until the
+  /// next span completes; read it between run_for slices.
+  [[nodiscard]] CompletedSpans completed_spans() const { return CompletedSpans(completed_); }
   [[nodiscard]] std::size_t completed_count() const;
   /// Completed spans evicted from the ring because of max_spans.
   [[nodiscard]] std::uint64_t dropped_spans() const;
@@ -106,11 +110,9 @@ class SyncTracer {
   std::size_t max_spans_;
 
   mutable std::mutex completed_mu_;
-  /// The ring. Once it holds max_spans_ spans, the next one overwrites
-  /// the oldest, at completed_[oldest_]; a read rotates it back to
-  /// oldest-first and resets oldest_ to 0.
-  mutable std::vector<SyncSpan> completed_;
-  mutable std::size_t oldest_ = 0;
+  /// The ring, oldest first. Once it holds max_spans_ spans, each new one
+  /// evicts the front.
+  std::deque<PackedSpan> completed_;
   std::uint64_t dropped_ = 0;
 };
 

@@ -127,7 +127,7 @@ obs::NodeStatus Cluster::node_status(ProcessId id) const {
   status.view = node.current_view();
   status.height = node.ledger().size();
   if (!node.ledger().empty()) {
-    status.last_commit_height = static_cast<std::uint64_t>(node.ledger().entries().back().view);
+    status.last_commit_height = static_cast<std::uint64_t>(node.ledger().entries().back().view());
   }
   status.ever_byzantine = byzantine(id);
   if (workloads_[id] != nullptr) {

@@ -218,7 +218,7 @@ std::vector<LedgerRecord> ledger_records(const consensus::Ledger& ledger) {
   std::vector<LedgerRecord> records;
   records.reserve(ledger.size());
   for (const consensus::CommittedEntry& entry : ledger.entries()) {
-    records.push_back(LedgerRecord{entry.view, entry.hash(), entry.payload, entry.block});
+    records.push_back(LedgerRecord{entry.view(), entry.hash(), entry.payload, entry.block});
   }
   return records;
 }
@@ -227,7 +227,7 @@ std::string render_ledger(const consensus::Ledger& ledger) {
   std::ostringstream out;
   out << kLedgerHeader << " " << ledger.size() << "\n";
   for (const consensus::CommittedEntry& entry : ledger.entries()) {
-    out << "entry " << entry.view << " " << entry.hash().hex() << " "
+    out << "entry " << entry.view() << " " << entry.hash().hex() << " "
         << hex_encode(entry.payload) << "\n";
   }
   out << "END\n";

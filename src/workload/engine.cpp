@@ -196,7 +196,6 @@ void NodeWorkload::start() {
 
 void NodeWorkload::sample_depth() {
   const std::size_t depth = mempool_.pending();
-  stats_.queue_depth.emplace_back(sim_->now(), depth);
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
   if (hooks_.on_queue_depth) hooks_.on_queue_depth(sim_->now(), depth);
 }

@@ -94,12 +94,11 @@ struct NodeWorkloadStats {
   std::uint64_t committed = 0;       ///< own requests observed committing
   std::uint64_t commit_misses = 0;   ///< own client id committed with no
                                      ///< outstanding record (duplicate commit)
+  /// Largest pending depth just before a drain: a dissem lease, or a
+  /// forwarding attach that carries requests.
   std::size_t max_queue_depth = 0;
   /// (commit instant, submit -> commit latency), in commit order.
   std::vector<std::pair<TimePoint, Duration>> latencies;
-  /// (drain instant, pending depth just before the drain), per dissem
-  /// lease and per forwarding attach that carries requests.
-  std::vector<std::pair<TimePoint, std::size_t>> queue_depth;
 };
 
 class NodeWorkload {

@@ -45,17 +45,17 @@ std::size_t expect_shared_ledger_blocks(Cluster& cluster, ProcessId owner,
   std::size_t checked = 0;
   for (const CommittedEntry& entry : cluster.node(owner).ledger().entries()) {
     if (entry.block == nullptr) {
-      ADD_FAILURE() << "ledger entry for view " << entry.view << " holds no block";
+      ADD_FAILURE() << "ledger entry for view " << entry.view() << " holds no block";
       continue;
     }
     EXPECT_EQ(cluster.node(owner).core().block_for_sync(entry.hash()), entry.block)
-        << "ledger entry for view " << entry.view << " is not the stored block";
+        << "ledger entry for view " << entry.view() << " is not the stored block";
     EXPECT_EQ(entry.payload.data(), entry.block->payload().data());
     EXPECT_EQ(entry.payload.size(), entry.block->payload().size());
     for (const ProcessId id : holders) {
       const auto stored = cluster.node(id).core().block_for_sync(entry.hash());
       if (stored != nullptr) {
-        EXPECT_EQ(stored, entry.block) << "node " << id << " holds a copy of view " << entry.view;
+        EXPECT_EQ(stored, entry.block) << "node " << id << " holds a copy of view " << entry.view();
       }
     }
     ++checked;

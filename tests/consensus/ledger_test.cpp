@@ -4,6 +4,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 namespace lumiere::consensus {
 namespace {
@@ -15,10 +16,10 @@ std::shared_ptr<const Block> make_block(const crypto::Digest& parent, View view,
   return std::make_shared<const Block>(parent, view, std::move(payload), genesis_qc());
 }
 
-// An entry is four words: view, the block pointer (two), the payload
-// view (two) and the commit time; hash and parent are read through the
-// block instead of being copied.
-static_assert(sizeof(CommittedEntry) <= 48);
+// An entry is five words: the block pointer (two), the payload view (two)
+// and the commit time; view, hash and parent are read through the block
+// instead of being copied.
+static_assert(sizeof(CommittedEntry) == 40);
 
 TEST(LedgerTest, CommitsChainInOrder) {
   Ledger ledger;
@@ -27,8 +28,8 @@ TEST(LedgerTest, CommitsChainInOrder) {
   ledger.commit(b0, TimePoint(10));
   ledger.commit(b1, TimePoint(20));
   ASSERT_EQ(ledger.size(), 2U);
-  EXPECT_EQ(ledger.entries()[0].view, 0);
-  EXPECT_EQ(ledger.entries()[1].view, 1);
+  EXPECT_EQ(ledger.entries()[0].view(), 0);
+  EXPECT_EQ(ledger.entries()[1].view(), 1);
   EXPECT_EQ(ledger.entries()[1].parent(), b0->hash());
   EXPECT_EQ(ledger.entries()[0].committed_at, TimePoint(10));
   // Entries reference the committed block; the payload is a view of it.
@@ -99,6 +100,55 @@ TEST(LedgerTest, FindIndexesEveryEntry) {
       EXPECT_EQ(ledger.find(near), nullptr) << "height " << i << ", byte " << byte;
     }
   }
+}
+
+// Appends the chain's next `count` blocks, one view apart.
+void extend(Ledger& ledger, std::size_t count) {
+  crypto::Digest parent = ledger.empty() ? Block::genesis().hash() : ledger.entries().back().hash();
+  View view = ledger.empty() ? 0 : ledger.entries().back().view() + 1;
+  for (std::size_t i = 0; i < count; ++i, ++view) {
+    const auto block = make_block(parent, view, {static_cast<std::uint8_t>(view)});
+    parent = block->hash();
+    ledger.commit(block, TimePoint(view));
+  }
+}
+
+TEST(LedgerTest, ChunkedEntriesIndexIterateAndStayPut) {
+  // Enough entries to cross many storage chunks whatever their size.
+  constexpr std::size_t kFirst = 2'500;
+  Ledger ledger;
+  extend(ledger, kFirst);
+  std::vector<const CommittedEntry*> found;
+  for (std::size_t i = 0; i < kFirst; ++i) {
+    const CommittedEntry& entry = ledger.entries()[i];
+    ASSERT_EQ(entry.view(), static_cast<View>(i));
+    ASSERT_EQ(entry.committed_at, TimePoint(static_cast<std::int64_t>(i)));
+    if (i > 0) {
+      ASSERT_EQ(entry.parent(), ledger.entries()[i - 1].hash()) << i;
+    }
+    found.push_back(ledger.find(entry.hash()));
+    ASSERT_EQ(found.back(), &entry);
+  }
+  std::size_t height = 0;
+  for (const CommittedEntry& entry : ledger.entries()) {
+    ASSERT_EQ(&entry, &ledger.entries()[height]) << "iteration order, height " << height;
+    ++height;
+  }
+  EXPECT_EQ(height, ledger.size());
+  EXPECT_EQ(&ledger.entries().front(), &ledger.entries()[0]);
+  EXPECT_EQ(&ledger.entries().back(), &ledger.entries()[kFirst - 1]);
+
+  // Later commits neither move nor change what find() returned.
+  const crypto::Digest first_hash = ledger.entries()[0].hash();
+  extend(ledger, 10'000);
+  ASSERT_EQ(ledger.size(), kFirst + 10'000);
+  for (std::size_t i = 0; i < kFirst; ++i) {
+    ASSERT_EQ(found[i], &ledger.entries()[i]) << "height " << i << " moved";
+    ASSERT_EQ(found[i]->view(), static_cast<View>(i));
+    ASSERT_EQ(ledger.find(found[i]->hash()), found[i]);
+  }
+  EXPECT_EQ(found[0]->hash(), first_hash);
+  EXPECT_EQ(ledger.entries().back().view(), static_cast<View>(kFirst + 10'000 - 1));
 }
 
 TEST(LedgerDeathTest, RejectsBrokenChain) {

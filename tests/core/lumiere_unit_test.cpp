@@ -134,6 +134,32 @@ TEST_F(LumiereUnitTest, LeaderFormsVcFromSmallQuorumAndPokesProposal) {
   EXPECT_TRUE(pm_->may_form_qc(led)) << "deadline window open right after VC";
 }
 
+TEST_F(LumiereUnitTest, LateSharesAfterVcNeitherReformNorResendIt) {
+  start();
+  View led = -1;
+  for (View v = 0; v < pm_->math().views_per_epoch(); v += 2) {
+    if (pm_->leader_of(v) == harness_.self()) {
+      led = v;
+      break;
+    }
+  }
+  ASSERT_GE(led, 0);
+  harness_.inject_view_msg(1, led);
+  harness_.inject_view_msg(2, led);
+  harness_.settle();
+  ASSERT_EQ(harness_.sent_count(pacemaker::kVcMsg), 1U);
+  const std::size_t pokes = harness_.pokes().size();
+  // f+1 = 2 late shares: enough for a fresh aggregator to complete, had
+  // the spent one been replaced.
+  harness_.inject_view_msg(3, led);
+  harness_.inject_view_msg(1, led);
+  harness_.settle();
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 1U) << "a late share re-sent the VC";
+  EXPECT_EQ(harness_.pokes().size(), pokes) << "a late share re-poked the proposal";
+  EXPECT_TRUE(pm_->may_propose(led));
+  EXPECT_TRUE(pm_->may_form_qc(led)) << "the deadline anchor is the first VC's";
+}
+
 TEST_F(LumiereUnitTest, QcDeadlineExpiresAfterGammaHalfMinusTwoDelta) {
   start();
   View led = -1;

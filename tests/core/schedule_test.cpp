@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "common/rng.h"
 #include "core/epoch_math.h"
 
 namespace lumiere::core {
@@ -73,6 +74,25 @@ TEST(ReversePermutationScheduleTest, DeterministicInSeed) {
     differs |= a.leader_of(v) != c.leader_of(v);
   }
   EXPECT_TRUE(differs);
+}
+
+TEST(ReversePermutationScheduleTest, BoundedCacheMatchesAColdScheduleInAnyOrder) {
+  // A fresh schedule answers from an empty cache, so it is the uncached
+  // reference. 1200 segments at n = 5 cross 240 epoch boundaries.
+  constexpr std::uint32_t kN = 5;
+  constexpr std::uint64_t kSeed = 11;
+  constexpr View kViews = 1200 * 2 * kN;
+  const auto reference = [](View v) { return ReversePermutationSchedule(kN, kSeed).leader_of(v); };
+  const ReversePermutationSchedule schedule(kN, kSeed);
+  const auto check = [&](View v) {
+    ASSERT_EQ(schedule.leader_of(v), reference(v)) << "view " << v;
+    ASSERT_LE(schedule.cached_segments(), ReversePermutationSchedule::kCachedSegments);
+  };
+  for (View v = 0; v < kViews; ++v) check(v);
+  for (View v = kViews - 1; v >= 0; --v) check(v);
+  Rng rng(3);
+  for (int i = 0; i < 20'000; ++i) check(static_cast<View>(rng.next_below(kViews)));
+  EXPECT_EQ(schedule.cached_segments(), ReversePermutationSchedule::kCachedSegments);
 }
 
 TEST(ReversePermutationScheduleTest, MidEpochSegmentsVary) {

@@ -87,7 +87,7 @@ TEST(HotStuff2ClusterTest, CommitFrontierLeadsThreePhaseCore) {
     auto cluster = std::make_unique<Cluster>(std::move(options));
     cluster->run_for(Duration::seconds(15));
     const auto& entries = cluster->node(0).ledger().entries();
-    return entries.empty() ? View{-1} : entries.back().view;
+    return entries.empty() ? View{-1} : entries.back().view();
   };
   const View hs2_frontier = run("hotstuff-2");
   const View hs3_frontier = run("chained-hotstuff");

@@ -4,6 +4,9 @@
 // byte-for-byte reproducible across identical runs, on both transports.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "crypto/sha256.h"
 #include "obs/ledger.h"
 #include "obs/tracer.h"
 #include "runtime/cluster.h"
@@ -36,7 +39,7 @@ TEST(SpanAttributionTest, PartitionResyncEmitsAttributedSpans) {
   const SyncTracer* tracer = cluster.sync_tracer();
   ASSERT_NE(tracer, nullptr) << "tracer must default on";
 
-  const std::vector<SyncSpan> spans = tracer->completed_spans();
+  const CompletedSpans spans = tracer->completed_spans();
   ASSERT_FALSE(spans.empty()) << "a quorumless partition must force sync episodes";
 
   std::vector<std::uint64_t> span_msgs(4, 0);
@@ -106,6 +109,23 @@ TEST(SpanAttributionTest, SpansAreDeterministic) {
   }
 }
 
+TEST(SpanAttributionTest, ExportsReadTheRingUnchanged) {
+  // The ring's packed spans must export exactly what the unpacked spans
+  // did: these digests were taken when the ring held SyncSpans whole.
+  Cluster cluster(partition_options(4242));
+  cluster.run_for(Duration::seconds(8));
+  const CompletedSpans spans = cluster.sync_tracer()->completed_spans();
+  ASSERT_FALSE(spans.empty());
+  std::ostringstream jsonl;
+  ComplexityLedger::write_jsonl(jsonl, "lumiere/n=4", spans);
+  std::ostringstream chrome;
+  ComplexityLedger::write_chrome_trace(chrome, spans);
+  EXPECT_EQ(crypto::Sha256::hash(jsonl.str()).hex(),
+            "167ecc6138c6ae51baf2ea8f17166d84f605027f697f71622dc586574aceb58a");
+  EXPECT_EQ(crypto::Sha256::hash(chrome.str()).hex(),
+            "2c9aa19e34b5b17f81d7161161fec2b4e553b1ed7c1a6e99f4847b05a5243552");
+}
+
 TEST(SpanAttributionTest, TracerCanBeDisabled) {
   ScenarioBuilder builder = partition_options(4244);
   ObsSpec spec;
@@ -165,14 +185,14 @@ TEST(SpanAttributionTest, TcpSpansCarryCosts) {
       EXPECT_EQ(status.view, cluster.node(id).current_view());
       EXPECT_EQ(status.height, ledger.size());
       EXPECT_EQ(status.last_commit_height,
-                ledger.empty() ? 0U : static_cast<std::uint64_t>(ledger.entries().back().view));
+                ledger.empty() ? 0U : static_cast<std::uint64_t>(ledger.entries().back().view()));
     }
   }
   EXPECT_GT(cluster.node_status(0).height, 0U) << "no commits over TCP";
 
   const SyncTracer* tracer = cluster.sync_tracer();
   ASSERT_NE(tracer, nullptr);
-  const std::vector<SyncSpan> spans = tracer->completed_spans();
+  const CompletedSpans spans = tracer->completed_spans();
   ASSERT_FALSE(spans.empty()) << "no sync episode completed over TCP";
   for (const SyncSpan& span : spans) {
     ASSERT_LT(span.node, 4U);

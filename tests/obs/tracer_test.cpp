@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace lumiere::obs {
 namespace {
 
@@ -164,10 +167,82 @@ TEST(SyncTracerTest, UnboundedRingKeepsEverySpan) {
   }
   EXPECT_EQ(tracer.completed_count(), 100U);
   EXPECT_EQ(tracer.dropped_spans(), 0U);
-  const std::vector<SyncSpan>& spans = tracer.completed_spans();
+  const CompletedSpans spans = tracer.completed_spans();
   ASSERT_EQ(spans.size(), 100U);
   EXPECT_EQ(spans.front().entered_view, 1);
   EXPECT_EQ(spans.back().entered_view, 100);
+}
+
+TEST(SyncTracerTest, RingRoundTripsEverySpanField) {
+  SyncTracer tracer(3);
+  tracer.on_sync_started(2, TimePoint(-7), /*current=*/-1, /*target=*/40);
+  tracer.note_sent(2, 300);
+  tracer.note_sent(2, 12);
+  crypto::AuthOpCounters& auth = tracer.auth_counters(2);
+  auth.count_sign();
+  for (int i = 0; i < 2; ++i) auth.count_share();
+  for (int i = 0; i < 3; ++i) auth.count_verify();
+  for (int i = 0; i < 4; ++i) auth.count_share_verify();
+  for (int i = 0; i < 5; ++i) auth.count_aggregate_verify();
+  for (int i = 0; i < 6; ++i) auth.count_aggregate_built();
+  const auto done = tracer.on_view_entered(2, TimePoint(123'456), /*view=*/38);
+  ASSERT_TRUE(done.has_value());
+
+  const CompletedSpans spans = tracer.completed_spans();
+  ASSERT_EQ(spans.size(), 1U);
+  const SyncSpan span = spans[0];
+  EXPECT_EQ(span.node, 2U);
+  EXPECT_EQ(span.from_view, -1);
+  EXPECT_EQ(span.target_view, 40);
+  EXPECT_EQ(span.entered_view, 38);
+  EXPECT_EQ(span.start, TimePoint(-7));
+  EXPECT_EQ(span.end, TimePoint(123'456));
+  EXPECT_EQ(span.msgs_sent, 2U);
+  EXPECT_EQ(span.bytes_sent, 312U);
+  EXPECT_EQ(span.auth, (crypto::AuthOpSnapshot{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(span.completed);
+  // The ring gives back exactly what on_view_entered returned.
+  EXPECT_EQ(span.auth, done->auth);
+  EXPECT_EQ(span.end, done->end);
+}
+
+TEST(SyncTracerTest, RingSaturatesValuesBeyondThePackedWidths) {
+  constexpr std::uint64_t kU32Max = 0xffff'ffffULL;
+  SyncTracer tracer(1);
+  // Through the ring: bytes, duration and view offsets past 32 bits.
+  tracer.on_sync_started(0, TimePoint(0), /*current=*/10, /*target=*/10 + 5'000'000'000LL);
+  tracer.note_sent(0, 6'000'000'000ULL);
+  tracer.on_view_entered(0, TimePoint(9'000'000'000LL), /*view=*/10 - 5'000'000'000LL);
+  const SyncSpan ring = tracer.completed_spans().back();
+  EXPECT_EQ(ring.bytes_sent, kU32Max);
+  EXPECT_EQ(ring.msgs_sent, 1U) << "an in-range field stays exact";
+  EXPECT_EQ(ring.duration(), Duration(static_cast<std::int64_t>(kU32Max)));
+  EXPECT_EQ(ring.target_view, 10 + std::int64_t{INT32_MAX});
+  EXPECT_EQ(ring.entered_view, 10 + std::int64_t{INT32_MIN});
+  EXPECT_EQ(ring.from_view, 10);
+  EXPECT_EQ(ring.start, TimePoint(0));
+
+  // Directly: counts no tracer test can reach, extreme views, and a
+  // negative duration.
+  SyncSpan big;
+  big.node = kNoProcess;
+  big.from_view = std::numeric_limits<View>::min();
+  big.target_view = std::numeric_limits<View>::max();
+  big.entered_view = std::numeric_limits<View>::min();
+  big.start = TimePoint(50);
+  big.end = TimePoint(40);
+  big.msgs_sent = kU32Max + 1;
+  big.bytes_sent = std::numeric_limits<std::uint64_t>::max();
+  big.auth = crypto::AuthOpSnapshot{kU32Max, kU32Max + 1, 0, 1ULL << 40, 7, kU32Max + 9};
+  const SyncSpan out = PackedSpan(big).unpack();
+  EXPECT_EQ(out.node, kNoProcess);
+  EXPECT_EQ(out.from_view, std::numeric_limits<View>::min());
+  EXPECT_EQ(out.target_view, std::numeric_limits<View>::min() + INT32_MAX);
+  EXPECT_EQ(out.entered_view, std::numeric_limits<View>::min());
+  EXPECT_EQ(out.duration(), Duration::zero()) << "a negative duration reads as zero";
+  EXPECT_EQ(out.msgs_sent, kU32Max);
+  EXPECT_EQ(out.bytes_sent, kU32Max);
+  EXPECT_EQ(out.auth, (crypto::AuthOpSnapshot{kU32Max, kU32Max, 0, kU32Max, 7, kU32Max}));
 }
 
 }  // namespace

@@ -81,14 +81,14 @@ TEST_P(BlockSyncRecovery, VictimBackfillsFromPeersLedgers) {
     return dynamic_cast<const consensus::ChainedCore&>(cluster.node(id).core());
   };
   const consensus::Ledger& victim = cluster.node(kVictim).ledger();
-  const View victim_horizon = victim.empty() ? View{-1} : victim.entries().back().view;
+  const View victim_horizon = victim.empty() ? View{-1} : victim.entries().back().view();
   View horizon = std::numeric_limits<View>::max();
   for (ProcessId id = 1; id < kVictim; ++id) {
     horizon = std::min(horizon, chained(id).last_committed_view());
   }
   std::vector<crypto::Digest> missed;
   for (const consensus::CommittedEntry& entry : cluster.node(1).ledger().entries()) {
-    if (entry.view > victim_horizon && entry.view < horizon) missed.push_back(entry.hash());
+    if (entry.view() > victim_horizon && entry.view() < horizon) missed.push_back(entry.hash());
   }
   ASSERT_GT(missed.size(), 50U) << GetParam() << ": the crash window must span many commits";
   for (ProcessId id = 1; id < kVictim; ++id) {

@@ -64,7 +64,7 @@ void expect_identical_runs(const ScenarioBuilder& options) {
     const auto& lb = second.node(id).ledger().entries();
     ASSERT_EQ(la.size(), lb.size()) << "node " << id << " committed a different chain length";
     for (std::size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i].view, lb[i].view);
+      EXPECT_EQ(la[i].view(), lb[i].view());
       EXPECT_EQ(la[i].hash(), lb[i].hash());
       EXPECT_TRUE(std::ranges::equal(la[i].payload, lb[i].payload))
           << "node " << id << " entry " << i << " carries different bytes";
@@ -153,7 +153,7 @@ crypto::Digest golden_fold_digest(
       fold.update(cluster.node_workload(id)->trace_digest().as_span());
       for (const auto& entry : cluster.node(id).ledger().entries()) {
         ser::Writer w;
-        w.view(entry.view);
+        w.view(entry.view());
         w.digest(entry.hash());
         w.bytes(entry.payload);
         fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
@@ -236,7 +236,7 @@ crypto::Digest golden_dissem_fold_digest() {
     fold.update(cluster.node_workload(id)->trace_digest().as_span());
     for (const auto& entry : cluster.node(id).ledger().entries()) {
       ser::Writer w;
-      w.view(entry.view);
+      w.view(entry.view());
       w.digest(entry.hash());
       w.bytes(entry.payload);
       fold.update(std::span<const std::uint8_t>(w.data().data(), w.size()));
@@ -276,7 +276,7 @@ crypto::Digest golden_sync_fold_digest(const char* core) {
   for (ProcessId id = 0; id < kN; ++id) {
     ser::Writer w;
     for (const auto& entry : cluster.node(id).ledger().entries()) {
-      w.view(entry.view);
+      w.view(entry.view());
       w.digest(entry.hash());
       w.time_point(entry.committed_at);
     }

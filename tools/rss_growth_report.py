@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Peak RSS against run length, from bench_e2e runs of one workload.
+"""Peak RSS against run length, from bench_e2e runs of one or more workloads.
 
-Each argument is SIM_SECONDS=FILE: FILE holds the output of one
+Each argument is [WORKLOAD:]SIM_SECONDS=FILE: FILE holds the output of one
 `python3 bench_e2e/run.py ... --trace 0` call (its last line is the JSON
-summary) and SIM_SECONDS is the simulated length of that run (for
-`steady`, one sim-second per `--seconds`). Prints a GitHub-flavored
-markdown table of `peak_rss_mb` per run and the MiB each extra
-sim-second cost since the previous, shorter run, then the least-squares
-slope over all runs. Informational only: it asserts nothing and always
-exits 0 once its arguments parse. CI appends the output to
+summary), SIM_SECONDS is the simulated length of that run (`steady` runs
+one sim-second per `--seconds`, `byzantine` nine) and WORKLOAD labels it
+(default `steady`). Prints GitHub-flavored markdown: a table of
+`peak_rss_mb` per run with the MiB each extra sim-second cost since the
+workload's previous, shorter run, then a row per workload with the
+least-squares slope over its runs. Informational only: it asserts nothing
+and always exits 0 once its arguments parse. CI appends the output to
 $GITHUB_STEP_SUMMARY; locally it just prints.
 
-Usage: tools/rss_growth_report.py 5=steady-5.txt 10=steady-10.txt 20=steady-20.txt
+Usage: tools/rss_growth_report.py 5=steady-5.txt 10=steady-10.txt byzantine:45=byz-5.txt
 """
 
 import json
@@ -28,47 +29,56 @@ def peak_rss_mb(path):
         return None
 
 
+def slope_of(points):
+    """Least-squares MiB per sim-second, or None with fewer than two lengths."""
+    if len({s for s, _ in points}) < 2:
+        return None
+    mean_s = sum(s for s, _ in points) / len(points)
+    mean_r = sum(r for _, r in points) / len(points)
+    return sum((s - mean_s) * (r - mean_r) for s, r in points) / sum(
+        (s - mean_s) ** 2 for s, _ in points)
+
+
 def main():
-    runs = []
+    runs = {}
     for arg in sys.argv[1:]:
-        seconds, sep, path = arg.partition("=")
+        spec, sep, path = arg.partition("=")
+        workload, _, seconds = spec.rpartition(":")
         try:
-            runs.append((float(seconds), path))
+            runs.setdefault(workload or "steady", []).append((float(seconds), path))
         except ValueError:
             sep = ""
         if not sep:
             sys.exit(__doc__.strip().splitlines()[-1])
     if not runs:
         sys.exit(__doc__.strip().splitlines()[-1])
-    runs.sort()
 
     print("### Peak RSS against run length")
     print()
-    print("| sim-s | peak_rss_mb | MiB per sim-s since previous |")
-    print("|---:|---:|---:|")
-    points = []
-    previous = None
-    for seconds, path in runs:
-        rss = peak_rss_mb(path)
-        if rss is None:
-            print(f"| {seconds:g} | (no result in {path}) | |")
-            continue
-        slope = ""
-        if previous is not None and seconds > previous[0]:
-            slope = f"{(rss - previous[1]) / (seconds - previous[0]):.2f}"
-        print(f"| {seconds:g} | {rss:.1f} | {slope} |")
-        points.append((seconds, rss))
-        previous = (seconds, rss)
+    print("| workload | sim-s | peak_rss_mb | MiB per sim-s since previous |")
+    print("|---|---:|---:|---:|")
+    points = {}
+    for workload, wruns in runs.items():
+        previous = None
+        for seconds, path in sorted(wruns):
+            rss = peak_rss_mb(path)
+            if rss is None:
+                print(f"| {workload} | {seconds:g} | (no result in {path}) | |")
+                continue
+            slope = ""
+            if previous is not None and seconds > previous[0]:
+                slope = f"{(rss - previous[1]) / (seconds - previous[0]):.2f}"
+            print(f"| {workload} | {seconds:g} | {rss:.1f} | {slope} |")
+            points.setdefault(workload, []).append((seconds, rss))
+            previous = (seconds, rss)
     print()
-    if len({s for s, _ in points}) >= 2:
-        mean_s = sum(s for s, _ in points) / len(points)
-        mean_r = sum(r for _, r in points) / len(points)
-        slope = sum((s - mean_s) * (r - mean_r) for s, r in points) / sum(
-            (s - mean_s) ** 2 for s, _ in points)
-        print(f"Least-squares growth: {slope:.2f} MiB per sim-second "
-              f"over {len(points)} runs.")
-    else:
-        print("Fewer than two runs reported peak_rss_mb: no growth rate.")
+    print("| workload | runs | least-squares MiB per sim-s |")
+    print("|---|---:|---:|")
+    for workload in runs:
+        wpoints = points.get(workload, [])
+        slope = slope_of(wpoints)
+        growth = f"{slope:.2f}" if slope is not None else "(fewer than two lengths)"
+        print(f"| {workload} | {len(wpoints)} | {growth} |")
 
 
 if __name__ == "__main__":
