@@ -38,7 +38,8 @@ struct ProtocolParams {
   /// Validates n >= 3f + 1 and basic sanity. Throws nothing; aborts on
   /// misconfiguration (a configuration bug, not a runtime condition).
   void validate() const {
-    LUMIERE_ASSERT_MSG(n >= 3 * f + 1, "ProtocolParams requires n >= 3f + 1");
+    // (n - 1) / 3 >= f is n >= 3f + 1 without a 3f + 1 that can wrap.
+    LUMIERE_ASSERT_MSG(n >= 1 && (n - 1) / 3 >= f, "ProtocolParams requires n >= 3f + 1");
     LUMIERE_ASSERT_MSG(f >= 1, "ProtocolParams requires f >= 1 (so n >= 4)");
     LUMIERE_ASSERT(delta_cap > Duration::zero());
     LUMIERE_ASSERT(x >= 2);

@@ -39,7 +39,7 @@ crypto::Digest run_digest(const runtime::Cluster& cluster) {
 }  // namespace
 
 RunResult run_case(const FuzzCase& c) {
-  runtime::Cluster cluster(to_builder(c).scenario());
+  runtime::Cluster cluster(runtime::ScenarioBuilder(c.spec).scenario());
   const TimePoint disruption_end(c.disruption_end_us);
   const Duration bound(c.liveness_bound_us);
   const TimePoint deadline = disruption_end + bound;
@@ -76,7 +76,7 @@ RunResult run_case(const FuzzCase& c) {
   add(check_view_monotonicity(cluster));
   add(liveness());
   add(check_no_stall_data(ledger_data(cluster), baseline, kStallGraceViews));
-  if (c.workload.clients > 0) add(check_exactly_once(cluster));
+  if (c.spec.workload) add(check_exactly_once(cluster));
   result.digest = run_digest(cluster);
   return result;
 }
@@ -86,18 +86,17 @@ RunResult run_case_tcp(const FuzzCase& c, std::uint16_t tcp_base_port) {
   // schedule, behaviors, workload, dissemination, protocol combo) rides
   // through the same builder path as the sim run.
   FuzzCase t = c;
-  t.topology.clear();
-  t.delay = nullptr;
+  t.spec.topology.clear();
+  t.spec.delay = nullptr;
   t.delay_desc = "tcp";
-  t.gst_us = 0;
-  std::erase_if(t.schedule.events, [](const sim::FaultEvent& event) {
+  t.spec.gst = TimePoint::origin();
+  std::erase_if(t.spec.schedule.events, [](const sim::FaultEvent& event) {
     return event.kind == sim::FaultKind::kDelayChange ||
            event.kind == sim::FaultKind::kLinkDelay;
   });
-
-  runtime::ScenarioBuilder builder = to_builder(t);
-  builder.transport_tcp(tcp_base_port);
-  runtime::Cluster cluster(builder.scenario());
+  t.spec.transport = runtime::TransportKind::kTcp;
+  t.spec.tcp_base_port = tcp_base_port;
+  runtime::Cluster cluster(runtime::ScenarioBuilder(t.spec).scenario());
 
   const TimePoint disruption_end(t.disruption_end_us);
   const Duration bound(t.liveness_bound_us);
@@ -127,13 +126,13 @@ RunResult run_case_tcp(const FuzzCase& c, std::uint16_t tcp_base_port) {
   add(check_safety(cluster));
   add(check_view_monotonicity(cluster));  // vacuous on TCP (empty trace)
   add(liveness());
-  if (t.workload.clients > 0) add(check_exactly_once(cluster));
+  if (t.spec.workload) add(check_exactly_once(cluster));
   result.digest = run_digest(cluster);
   return result;
 }
 
 std::vector<std::vector<std::size_t>> event_episodes(const FuzzCase& c) {
-  const auto& events = c.schedule.events;
+  const auto& events = c.spec.schedule.events;
   std::vector<bool> grouped(events.size(), false);
   std::vector<std::vector<std::size_t>> episodes;
   const auto pair_with = [&](std::size_t i, auto&& matches) {
@@ -186,22 +185,24 @@ std::vector<std::vector<std::size_t>> event_episodes(const FuzzCase& c) {
 
 FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
   FuzzCase c = base;
-  if (deltas.drop_workload) c.workload = WorkloadChoice{};
+  runtime::ScenarioSpec& spec = c.spec;
+  if (deltas.drop_workload) spec.workload.reset();
   // Dissemination rides on the workload: dropping either switches it off.
-  if (deltas.drop_dissem || deltas.drop_workload) c.dissem = false;
+  if (deltas.drop_dissem || deltas.drop_workload) spec.dissem.reset();
 
-  std::vector<bool> drop_event(c.schedule.events.size(), false);
+  std::vector<bool> drop_event(spec.schedule.events.size(), false);
   for (const std::size_t index : deltas.drop_events) {
     if (index < drop_event.size()) drop_event[index] = true;
   }
-  std::vector<bool> drop_behavior(c.behaviors.size(), false);
+  std::vector<bool> drop_behavior(spec.byzantine.size(), false);
   for (const std::size_t index : deltas.drop_behaviors) {
     if (index < drop_behavior.size()) drop_behavior[index] = true;
   }
 
-  if (deltas.n != 0 && deltas.n < c.n) {
-    c.n = deltas.n;
-    const std::uint32_t f = (c.n - 1) / 3;
+  if (deltas.n != 0 && deltas.n < spec.params.n) {
+    spec.params = ProtocolParams::for_n(deltas.n, spec.params.delta_cap, spec.params.x);
+    const std::uint32_t n = spec.params.n;
+    const std::uint32_t f = spec.params.f;
     // Behaviors and events referencing dropped nodes go; the surviving
     // ever-FAULTY set — Byzantine assignments, scheduled flip-ins AND
     // crash/churn victims, exactly the budget the sampler enforces — is
@@ -209,10 +210,10 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
     // never leaves the guaranteed-recovery envelope and fails for a
     // reason the original never exhibited.
     std::set<ProcessId> faulty;
-    for (std::size_t i = 0; i < c.behaviors.size(); ++i) {
+    for (std::size_t i = 0; i < spec.byzantine.size(); ++i) {
       if (drop_behavior[i]) continue;
-      const ProcessId node = c.behaviors[i].node;
-      if (node >= c.n || (!faulty.count(node) && faulty.size() >= f)) {
+      const ProcessId node = spec.byzantine[i].node;
+      if (node >= n || (!faulty.count(node) && faulty.size() >= f)) {
         drop_behavior[i] = true;
       } else {
         faulty.insert(node);
@@ -220,22 +221,22 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
     }
     // A budget-dropped crash/leave takes its recover/rejoin with it.
     const auto drop_partner = [&](std::size_t i, sim::FaultKind partner_kind) {
-      for (std::size_t j = i + 1; j < c.schedule.events.size(); ++j) {
-        if (!drop_event[j] && c.schedule.events[j].kind == partner_kind &&
-            c.schedule.events[j].node == c.schedule.events[i].node) {
+      for (std::size_t j = i + 1; j < spec.schedule.events.size(); ++j) {
+        if (!drop_event[j] && spec.schedule.events[j].kind == partner_kind &&
+            spec.schedule.events[j].node == spec.schedule.events[i].node) {
           drop_event[j] = true;
           return;
         }
       }
     };
-    for (std::size_t i = 0; i < c.schedule.events.size(); ++i) {
+    for (std::size_t i = 0; i < spec.schedule.events.size(); ++i) {
       if (drop_event[i]) continue;
-      sim::FaultEvent& event = c.schedule.events[i];
+      sim::FaultEvent& event = spec.schedule.events[i];
       switch (event.kind) {
         case sim::FaultKind::kPartition:
         case sim::FaultKind::kAsymPartition: {
           for (auto& group : event.groups) {
-            std::erase_if(group, [&c](ProcessId id) { return id >= c.n; });
+            std::erase_if(group, [n](ProcessId id) { return id >= n; });
           }
           if (event.kind == sim::FaultKind::kAsymPartition) {
             if (event.groups[0].empty() || event.groups[1].empty()) drop_event[i] = true;
@@ -247,7 +248,7 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
         }
         case sim::FaultKind::kCrash:
         case sim::FaultKind::kLeave:
-          if (event.node >= c.n ||
+          if (event.node >= n ||
               (!faulty.count(event.node) && faulty.size() >= f)) {
             drop_event[i] = true;
             drop_partner(i, event.kind == sim::FaultKind::kCrash
@@ -259,13 +260,13 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
           break;
         case sim::FaultKind::kRecover:
         case sim::FaultKind::kRejoin:
-          if (event.node >= c.n) drop_event[i] = true;
+          if (event.node >= n) drop_event[i] = true;
           break;
         case sim::FaultKind::kLinkDelay:
-          if (event.node >= c.n || event.peer >= c.n) drop_event[i] = true;
+          if (event.node >= n || event.peer >= n) drop_event[i] = true;
           break;
         case sim::FaultKind::kBehaviorChange:
-          if (event.node >= c.n) {
+          if (event.node >= n) {
             drop_event[i] = true;
           } else if (event.behavior != "honest" && !faulty.count(event.node)) {
             if (faulty.size() >= f) {
@@ -283,15 +284,15 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
   }
 
   sim::FaultSchedule kept;
-  for (std::size_t i = 0; i < c.schedule.events.size(); ++i) {
-    if (!drop_event[i]) kept.events.push_back(std::move(c.schedule.events[i]));
+  for (std::size_t i = 0; i < spec.schedule.events.size(); ++i) {
+    if (!drop_event[i]) kept.events.push_back(std::move(spec.schedule.events[i]));
   }
-  c.schedule = std::move(kept);
+  spec.schedule = std::move(kept);
   std::vector<BehaviorAssignment> kept_behaviors;
-  for (std::size_t i = 0; i < c.behaviors.size(); ++i) {
-    if (!drop_behavior[i]) kept_behaviors.push_back(std::move(c.behaviors[i]));
+  for (std::size_t i = 0; i < spec.byzantine.size(); ++i) {
+    if (!drop_behavior[i]) kept_behaviors.push_back(std::move(spec.byzantine[i]));
   }
-  c.behaviors = std::move(kept_behaviors);
+  spec.byzantine = std::move(kept_behaviors);
   return c;
 }
 
@@ -325,7 +326,7 @@ ShrinkResult shrink(std::uint64_t seed,
     // Dissemination first: a failure that survives without the dissem
     // layer is a plain consensus/workload bug, and the smaller repro
     // should say so before the workload itself is attacked.
-    if (base.dissem && !deltas.drop_dissem && !deltas.drop_workload) {
+    if (base.spec.dissem && !deltas.drop_dissem && !deltas.drop_workload) {
       CaseDeltas candidate = deltas;
       candidate.drop_dissem = true;
       if (fails_with(candidate)) {
@@ -333,7 +334,7 @@ ShrinkResult shrink(std::uint64_t seed,
         changed = true;
       }
     }
-    if (base.workload.clients > 0 && !deltas.drop_workload) {
+    if (base.spec.workload && !deltas.drop_workload) {
       CaseDeltas candidate = deltas;
       candidate.drop_workload = true;
       if (fails_with(candidate)) {
@@ -353,7 +354,7 @@ ShrinkResult shrink(std::uint64_t seed,
         changed = true;
       }
     }
-    for (std::size_t i = 0; i < base.behaviors.size(); ++i) {
+    for (std::size_t i = 0; i < base.spec.byzantine.size(); ++i) {
       if (std::find(deltas.drop_behaviors.begin(), deltas.drop_behaviors.end(), i) !=
           deltas.drop_behaviors.end()) {
         continue;
@@ -365,7 +366,7 @@ ShrinkResult shrink(std::uint64_t seed,
         changed = true;
       }
     }
-    const std::uint32_t current_n = deltas.n != 0 ? deltas.n : base.n;
+    const std::uint32_t current_n = deltas.n != 0 ? deltas.n : base.spec.params.n;
     if (current_n > 4) {
       CaseDeltas candidate = deltas;
       candidate.n = 3 * ((current_n - 1) / 3 - 1) + 1;  // 10 -> 7 -> 4

@@ -63,7 +63,8 @@ struct CaseDeltas {
   std::vector<std::size_t> drop_events;
   /// Indices into sample_case(seed).behaviors to remove.
   std::vector<std::size_t> drop_behaviors;
-  /// Shrunken cluster size (0 = keep the sampled n). Events and
+  /// Shrunken cluster size: 0 keeps the sampled n, anything else must be
+  /// at least 4 (ProtocolParams::for_n asserts it). Events and
   /// behaviors referencing nodes >= n are dropped; partition groups lose
   /// their out-of-range members (degenerate partitions are dropped).
   std::uint32_t n = 0;

@@ -1,15 +1,18 @@
 // FuzzCase: one fully sampled scenario-fuzz experiment, as plain data.
 //
 // A single 64-bit seed deterministically expands into a complete
-// experiment: protocol combination (registry pacemaker x core), cluster
-// size, topology/delay regime, clock drift, join stagger, a fault
-// schedule (symmetric and asymmetric partitions, crashes, churn, delay
-// changes, scheduled behavior changes), an assignment of Byzantine
-// behaviors (at most f ever-Byzantine nodes), and an optional client
-// workload. The case is *data*, not code: the shrinker (fuzz/engine.h)
-// mutates it (dropping events, behaviors, or nodes) and replays, and the
-// fuzz_repro tool rebuilds the exact case from the seed plus the recorded
-// deltas.
+// experiment, held as the runtime::ScenarioSpec every other scenario is
+// described by (runtime/scenario.h): protocol combination (registry
+// pacemaker x core), cluster size, topology/delay regime, clock drift,
+// join stagger, a fault schedule (symmetric and asymmetric partitions,
+// crashes, churn, delay changes, scheduled behavior changes), an
+// assignment of Byzantine behaviors (at most f ever-Byzantine nodes), and
+// an optional client workload. Beside the spec a case keeps only what the
+// fuzzer itself needs: a printable name for the delay policy and the
+// liveness window. The case is *data*, not code: the shrinker
+// (fuzz/engine.h) mutates it (dropping events, behaviors, or nodes) and
+// replays it through runtime::ScenarioBuilder(c.spec), and the fuzz_repro
+// tool rebuilds the exact case from the seed plus the recorded deltas.
 //
 // The generator keeps every case inside the envelope where the protocols
 // *guarantee* recovery: all partitions heal and all crashed processors
@@ -29,45 +32,16 @@
 
 namespace lumiere::fuzz {
 
-/// One initially Byzantine node.
-struct BehaviorAssignment {
-  ProcessId node = kNoProcess;
-  std::string behavior;  ///< adversary::make_behavior name
-};
-
-/// Client-workload shape (enabled iff clients > 0; committing cores only).
-struct WorkloadChoice {
-  std::uint32_t clients = 0;
-  workload::Arrival arrival = workload::Arrival::kClosedLoop;
-  double rate_per_client = 0.0;   ///< open-loop arrivals/s
-  std::uint32_t in_flight = 0;    ///< closed-loop window
-  std::size_t request_bytes = 64;
-};
+using runtime::BehaviorAssignment;
 
 struct FuzzCase {
-  std::uint64_t seed = 0;
-  std::uint32_t n = 4;
-  std::string pacemaker = "lumiere";
-  std::string core = "chained-hotstuff";
-  /// Topology preset name; empty = a sampled DelayPolicy instead.
-  std::string topology;
-  /// The adversary's delay choice when no topology preset is active
-  /// (nullptr = the worst permitted: every message at max(GST, t) + Delta).
-  std::shared_ptr<sim::DelayPolicy> delay;
-  std::string delay_desc = "worst";  ///< for describe()
-  std::int64_t delta_cap_us = 10'000;
-  std::int64_t gst_us = 0;
-  std::int64_t join_stagger_us = 0;
-  std::int64_t drift_ppm_max = 0;
-
-  std::vector<BehaviorAssignment> behaviors;
-  /// Time-ordered scripted events (includes kAsymPartition and
-  /// kBehaviorChange compositions).
-  sim::FaultSchedule schedule;
-  WorkloadChoice workload;
-  /// Run the data-dissemination layer (src/dissem/): proposals order
-  /// certified batch references. Only sampled when a workload is on.
-  bool dissem = false;
+  /// The experiment. `spec.byzantine` lists the initially Byzantine nodes
+  /// in sampling order (--drop-behaviors indexes it); `spec.schedule` is
+  /// time-ordered; the workload, when sampled, stops at disruption_end.
+  runtime::ScenarioSpec spec;
+  /// The adversary's delay choice, for describe() ("worst" = nullptr:
+  /// every message at max(GST, t) + Delta).
+  std::string delay_desc = "worst";
 
   /// Every partition is healed and every crashed processor recovered by
   /// this instant; the liveness oracle's window starts here.
@@ -75,15 +49,14 @@ struct FuzzCase {
   /// Progress must resume within this bound of disruption_end.
   std::int64_t liveness_bound_us = 0;
 
-  [[nodiscard]] bool committing_core() const { return core != "simple-view"; }
-  [[nodiscard]] std::string protocol_combo() const { return pacemaker + "/" + core; }
+  [[nodiscard]] bool committing_core() const { return spec.protocol.core != "simple-view"; }
+  [[nodiscard]] std::string protocol_combo() const {
+    return spec.protocol.pacemaker + "/" + spec.protocol.core;
+  }
 };
 
 /// Expands `seed` into a full experiment. Pure: same seed, same case.
 [[nodiscard]] FuzzCase sample_case(std::uint64_t seed);
-
-/// Rebuilds the ScenarioBuilder for a (possibly shrunken) case.
-[[nodiscard]] runtime::ScenarioBuilder to_builder(const FuzzCase& c);
 
 /// One-line human description (protocol, size, regime, events, behaviors).
 [[nodiscard]] std::string describe(const FuzzCase& c);

@@ -18,21 +18,14 @@
 namespace lumiere::runtime {
 namespace {
 
-/// The (x+2)*Delta default shared by the timeout-driven pacemakers, with
-/// the ProtocolConfig override applied.
+/// The per-view timeout of the timeout-driven pacemakers (round-robin,
+/// Cogsworth, NK20): (x+2)*Delta.
 Duration resolve_view_timeout(const PacemakerContext& ctx) {
-  if (ctx.config.timeout.view_timeout > Duration::zero()) {
-    return ctx.config.timeout.view_timeout;
-  }
   return ctx.params.delta_cap * (ctx.params.x + 2);
 }
 
-Duration resolve_relay_timeout(const PacemakerContext& ctx) {
-  if (ctx.config.timeout.relay_timeout > Duration::zero()) {
-    return ctx.config.timeout.relay_timeout;
-  }
-  return ctx.params.delta_cap * 2;
-}
+/// The Cogsworth/NK20 relay timeout: 2*Delta.
+Duration resolve_relay_timeout(const PacemakerContext& ctx) { return ctx.params.delta_cap * 2; }
 
 void register_builtin_pacemakers(ProtocolRegistry& registry) {
   registry.register_pacemaker("round-robin", [](PacemakerContext&& ctx) {

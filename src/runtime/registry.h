@@ -47,15 +47,6 @@ struct FeverOptions {
   std::uint32_t tenure = 2;
 };
 
-/// Timeout knobs for the timeout-driven pacemakers (round-robin,
-/// Cogsworth, NK20).
-struct TimeoutOptions {
-  /// Per-view timeout; zero = the protocol default (x+2)*Delta.
-  Duration view_timeout = Duration::zero();
-  /// Cogsworth/NK20 relay timeout; zero = the default 2*Delta.
-  Duration relay_timeout = Duration::zero();
-};
-
 /// Everything that selects and parameterizes one node's protocol stack —
 /// the single home of the per-protocol knobs.
 struct ProtocolConfig {
@@ -71,7 +62,6 @@ struct ProtocolConfig {
   std::uint64_t shared_seed = 1;
   LumiereOptions lumiere;
   FeverOptions fever;
-  TimeoutOptions timeout;
 };
 
 /// Everything a pacemaker factory needs to build one instance.

@@ -5,10 +5,22 @@
 #include <stdexcept>
 
 #include "common/rng.h"
-#include "runtime/cluster.h"
 #include "workload/request.h"
 
 namespace lumiere::runtime {
+namespace {
+
+bool earlier(const sim::FaultEvent& a, const sim::FaultEvent& b) { return a.at < b.at; }
+
+sim::FaultEvent event_at(TimePoint at, sim::FaultKind kind, ProcessId node = kNoProcess) {
+  sim::FaultEvent event;
+  event.at = at;
+  event.kind = kind;
+  event.node = node;
+  return event;
+}
+
+}  // namespace
 
 const char* to_string(TransportKind kind) {
   switch (kind) {
@@ -20,355 +32,135 @@ const char* to_string(TransportKind kind) {
   return "?";
 }
 
-// ---------------------------------------------------------------- NodeTweak
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::pacemaker(std::string name) {
-  pacemaker_ = std::move(name);
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::core(std::string name) {
-  core_ = std::move(name);
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::gamma(Duration gamma) {
-  gamma_ = gamma;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::lumiere(LumiereOptions options) {
-  lumiere_ = options;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::fever(FeverOptions options) {
-  fever_ = options;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::view_timeout(Duration timeout) {
-  view_timeout_ = timeout;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::join_time(TimePoint at) {
-  join_time_ = at;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::drift_ppm(std::int64_t ppm) {
-  drift_ppm_ = ppm;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::behavior(BehaviorThunk make) {
-  behavior_ = std::move(make);
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::payload(PayloadProvider provider) {
-  payload_ = std::move(provider);
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::NodeTweak::workload(workload::WorkloadSpec spec) {
-  workload_ = std::move(spec);
-  return *this;
-}
-
 // ----------------------------------------------------------- ScenarioBuilder
 
-ScenarioBuilder& ScenarioBuilder::params(ProtocolParams params) {
-  params_ = params;
+ScenarioBuilder& ScenarioBuilder::push(sim::FaultEvent event) {
+  spec_.schedule.events.push_back(std::move(event));
   return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::pacemaker(std::string name) {
-  protocol_.pacemaker = std::move(name);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::core(std::string name) {
-  protocol_.core = std::move(name);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::gamma(Duration gamma) {
-  protocol_.gamma = gamma;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::lumiere(LumiereOptions options) {
-  protocol_.lumiere = options;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::fever(FeverOptions options) {
-  protocol_.fever = options;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::view_timeout(Duration timeout) {
-  protocol_.timeout.view_timeout = timeout;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::relay_timeout(Duration timeout) {
-  protocol_.timeout.relay_timeout = timeout;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t seed) {
-  seed_ = seed;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::auth_scheme(std::string name) {
-  auth_scheme_ = std::move(name);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::pipeline(PipelineSpec spec) {
-  pipeline_ = spec;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::workload(PayloadProvider provider) {
-  workload_ = std::move(provider);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::workload(workload::WorkloadSpec spec) {
-  workload_spec_ = std::move(spec);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::dissemination(dissem::DissemSpec spec) {
-  dissem_ = spec;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::block_sync() { return *this; }
-
-ScenarioBuilder& ScenarioBuilder::observability(obs::ObsSpec spec) {
-  obs_ = spec;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::behaviors(adversary::BehaviorFactory factory) {
-  behavior_for_ = std::move(factory);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::gst(TimePoint gst) {
-  gst_ = gst;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::delay(std::shared_ptr<sim::DelayPolicy> policy) {
-  delay_ = std::move(policy);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::join_stagger(Duration stagger) {
-  join_stagger_ = stagger;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::drift_ppm_max(std::int64_t max) {
-  drift_ppm_max_ = max;
-  return *this;
-}
-
-void ScenarioBuilder::push_event(sim::FaultEvent event, TimePoint declared_at) {
-  declared_.emplace_back(declared_at, sim::FaultSchedule::describe(event));
-  schedule_.events.push_back(std::move(event));
 }
 
 ScenarioBuilder& ScenarioBuilder::partition(std::vector<std::vector<ProcessId>> groups,
                                             TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kPartition;
+  sim::FaultEvent event = event_at(at, sim::FaultKind::kPartition);
   event.groups = std::move(groups);
-  push_event(std::move(event), at);
-  return *this;
+  return push(std::move(event));
 }
 
 ScenarioBuilder& ScenarioBuilder::asym_partition(std::vector<ProcessId> from,
                                                  std::vector<ProcessId> to, TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kAsymPartition;
+  sim::FaultEvent event = event_at(at, sim::FaultKind::kAsymPartition);
   event.groups = {std::move(from), std::move(to)};
-  push_event(std::move(event), at);
-  return *this;
+  return push(std::move(event));
 }
 
 ScenarioBuilder& ScenarioBuilder::behavior_change(ProcessId node, std::string behavior,
                                                   TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kBehaviorChange;
-  event.node = node;
+  sim::FaultEvent event = event_at(at, sim::FaultKind::kBehaviorChange, node);
   event.behavior = std::move(behavior);
-  push_event(std::move(event), at);
-  return *this;
+  return push(std::move(event));
 }
 
 ScenarioBuilder& ScenarioBuilder::heal(TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kHeal;
-  push_event(std::move(event), at);
-  return *this;
+  return push(event_at(at, sim::FaultKind::kHeal));
 }
 
 ScenarioBuilder& ScenarioBuilder::crash(ProcessId node, TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kCrash;
-  event.node = node;
-  push_event(std::move(event), at);
-  return *this;
+  return push(event_at(at, sim::FaultKind::kCrash, node));
 }
 
 ScenarioBuilder& ScenarioBuilder::recover(ProcessId node, TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kRecover;
-  event.node = node;
-  push_event(std::move(event), at);
-  return *this;
+  return push(event_at(at, sim::FaultKind::kRecover, node));
 }
 
 ScenarioBuilder& ScenarioBuilder::churn(ProcessId node, TimePoint leave_at,
                                         TimePoint rejoin_at) {
-  sim::FaultEvent leave;
-  leave.at = leave_at;
-  leave.kind = sim::FaultKind::kLeave;
-  leave.node = node;
-  push_event(std::move(leave), leave_at);
-  // The rejoin rides on the same declaration: it is checked against its
-  // own leave (rejoin_at > leave_at) rather than the declaration order,
-  // so a churn window may span later-declared events.
-  sim::FaultEvent rejoin;
-  rejoin.at = rejoin_at;
-  rejoin.kind = sim::FaultKind::kRejoin;
-  rejoin.node = node;
-  schedule_.events.push_back(std::move(rejoin));
-  return *this;
+  push(event_at(leave_at, sim::FaultKind::kLeave, node));
+  return push(event_at(rejoin_at, sim::FaultKind::kRejoin, node));
 }
 
 ScenarioBuilder& ScenarioBuilder::delay_change(std::shared_ptr<sim::DelayPolicy> policy,
                                                TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kDelayChange;
+  sim::FaultEvent event = event_at(at, sim::FaultKind::kDelayChange);
   event.delay = std::move(policy);
-  push_event(std::move(event), at);
-  return *this;
+  return push(std::move(event));
 }
 
 ScenarioBuilder& ScenarioBuilder::link_delay(ProcessId from, ProcessId to,
                                              std::shared_ptr<sim::DelayPolicy> policy,
                                              TimePoint at) {
-  sim::FaultEvent event;
-  event.at = at;
-  event.kind = sim::FaultKind::kLinkDelay;
-  event.node = from;
+  sim::FaultEvent event = event_at(at, sim::FaultKind::kLinkDelay, from);
   event.peer = to;
   event.delay = std::move(policy);
-  push_event(std::move(event), at);
-  return *this;
+  return push(std::move(event));
 }
-
-ScenarioBuilder& ScenarioBuilder::topology(std::string preset) {
-  topology_ = std::move(preset);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::transport_sim() {
-  transport_ = TransportKind::kSim;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::transport_tcp(std::uint16_t base_port) {
-  transport_ = TransportKind::kTcp;
-  tcp_base_port_ = base_port;
-  return *this;
-}
-
-ScenarioBuilder::NodeTweak& ScenarioBuilder::node(ProcessId id) { return tweaks_[id]; }
 
 std::vector<std::string> ScenarioBuilder::validate() const {
   std::vector<std::string> errors;
   const auto& registry = ProtocolRegistry::instance();
+  const ProtocolParams& params = spec_.params;
 
-  if (params_.n < 3 * params_.f + 1 || params_.f < 1) {
+  // n >= 3f + 1 without computing 3f + 1, which wraps for a huge f.
+  if (params.f < 1 || params.n < 4 || (params.n - 1) / 3 < params.f) {
     errors.push_back("params: n must be at least 3f + 1 with f >= 1 (n = " +
-                     std::to_string(params_.n) + ", f = " + std::to_string(params_.f) + ")");
+                     std::to_string(params.n) + ", f = " + std::to_string(params.f) + ")");
   }
-  if (params_.delta_cap <= Duration::zero()) {
+  if (params.delta_cap <= Duration::zero()) {
     errors.push_back("params: delta_cap (Delta) must be positive");
   }
-  if (params_.x < 2) {
+  if (params.x < 2) {
     errors.push_back("params: view-completion constant x must be >= 2");
   }
-  if (protocol_.gamma < Duration::zero()) {
+  if (spec_.protocol.gamma < Duration::zero()) {
     errors.push_back("gamma must be non-negative (zero selects the protocol default)");
   }
-  if (drift_ppm_max_ < 0) {
+  if (spec_.drift_ppm_max < 0) {
     errors.push_back("drift_ppm_max must be non-negative");
   }
-  if (join_stagger_ < Duration::zero()) {
+  if (spec_.join_stagger < Duration::zero()) {
     errors.push_back("join_stagger must be non-negative");
   }
-  if (!crypto::has_scheme(auth_scheme_)) {
+  if (!crypto::has_scheme(spec_.auth_scheme)) {
     std::string known;
     for (const auto& name : crypto::scheme_names()) known += " " + name;
-    errors.push_back("auth_scheme: unknown scheme \"" + auth_scheme_ +
+    errors.push_back("auth_scheme: unknown scheme \"" + spec_.auth_scheme +
                      "\"; known schemes:" + known);
   }
-  if (pipeline_.enabled) {
-    if (transport_ != TransportKind::kTcp) {
+  if (spec_.pipeline.enabled) {
+    if (spec_.transport != TransportKind::kTcp) {
       errors.push_back(
           "pipeline: the staged verification pipeline is TCP-transport-only (the "
           "deterministic simulator is single-threaded by design); use transport_tcp()");
     }
-    if (pipeline_.workers == 0) {
+    if (spec_.pipeline.workers == 0) {
       errors.push_back("pipeline: workers must be >= 1");
     }
-    if (pipeline_.queue_capacity == 0) {
+    if (spec_.pipeline.queue_capacity == 0) {
       errors.push_back("pipeline: queue_capacity must be >= 1");
     }
   }
 
-  if (obs_.status_base_port != 0) {
-    if (transport_ != TransportKind::kTcp) {
+  if (const std::uint32_t status = spec_.obs.status_base_port; status != 0) {
+    const std::uint32_t tcp = spec_.tcp_base_port;
+    const std::string status_range =
+        std::to_string(status) + ".." + std::to_string(status + params.n - 1);
+    if (spec_.transport != TransportKind::kTcp) {
       errors.push_back(
           "observability: status endpoints are TCP-transport-only (a simulated cluster "
           "has no live sockets to serve); use transport_tcp()");
-    } else if (static_cast<std::uint32_t>(obs_.status_base_port) + params_.n - 1 > 65535) {
-      errors.push_back("observability: status ports " + std::to_string(obs_.status_base_port) +
-                       ".." + std::to_string(obs_.status_base_port + params_.n - 1) +
-                       " exceed 65535");
-    } else if (transport_ == TransportKind::kTcp && tcp_base_port_ != 0 &&
-               obs_.status_base_port < tcp_base_port_ + params_.n &&
-               tcp_base_port_ < obs_.status_base_port + params_.n) {
-      errors.push_back("observability: status ports " + std::to_string(obs_.status_base_port) +
-                       ".." + std::to_string(obs_.status_base_port + params_.n - 1) +
-                       " overlap the transport ports " + std::to_string(tcp_base_port_) + ".." +
-                       std::to_string(tcp_base_port_ + params_.n - 1));
+    } else if (status + params.n - 1 > 65535) {
+      errors.push_back("observability: status ports " + status_range + " exceed 65535");
+    } else if (tcp != 0 && status < tcp + params.n && tcp < status + params.n) {
+      errors.push_back("observability: status ports " + status_range +
+                       " overlap the transport ports " + std::to_string(tcp) + ".." +
+                       std::to_string(tcp + params.n - 1));
     }
-    if (!obs_.tracer) {
+    if (!spec_.obs.tracer) {
       errors.push_back(
           "observability: status endpoints report sync spans — enable the tracer "
           "(ObsSpec::tracer) alongside status_base_port");
     }
   }
-  if (!obs_.admin_token.empty() && obs_.status_base_port == 0) {
+  if (!spec_.obs.admin_token.empty() && spec_.obs.status_base_port == 0) {
     errors.push_back(
         "observability: admin_token requires status endpoints (set "
         "ObsSpec::status_base_port)");
@@ -383,18 +175,28 @@ std::vector<std::string> ScenarioBuilder::validate() const {
       errors.push_back(where + ": " + registry.unknown_core_message(core));
     }
   };
-  check_names("defaults", protocol_.pacemaker, protocol_.core);
+  check_names("defaults", spec_.protocol.pacemaker, spec_.protocol.core);
 
-  for (const auto& [id, tweak] : tweaks_) {
+  for (const BehaviorAssignment& assignment : spec_.byzantine) {
+    const std::string where = "byzantine: node " + std::to_string(assignment.node);
+    if (assignment.node >= params.n) {
+      errors.push_back(where + " is outside 0.." + std::to_string(params.n - 1));
+    }
+    if (!adversary::has_behavior(assignment.behavior)) {
+      errors.push_back(where + ": unknown behavior \"" + assignment.behavior + "\"");
+    }
+  }
+
+  for (const auto& [id, tweak] : spec_.overrides) {
     const std::string where = "node " + std::to_string(id);
-    if (id >= params_.n) {
+    if (id >= params.n) {
       errors.push_back(where + ": override targets a node outside 0.." +
-                       std::to_string(params_.n - 1));
+                       std::to_string(params.n - 1));
       continue;
     }
-    check_names(where, tweak.pacemaker_.value_or(protocol_.pacemaker),
-                tweak.core_.value_or(protocol_.core));
-    if (tweak.gamma_ && *tweak.gamma_ < Duration::zero()) {
+    check_names(where, tweak.pacemaker.value_or(spec_.protocol.pacemaker),
+                tweak.core.value_or(spec_.protocol.core));
+    if (tweak.gamma && *tweak.gamma < Duration::zero()) {
       errors.push_back(where + ": gamma must be non-negative");
     }
   }
@@ -448,79 +250,84 @@ std::vector<std::string> ScenarioBuilder::validate() const {
                        "complete");
     }
   };
-  if (workload_spec_ && workload_) {
+  if (spec_.workload && spec_.payload) {
     errors.push_back(
         "workload: a WorkloadSpec and a raw PayloadProvider are mutually exclusive at the "
         "cluster level (per-node payload overrides still win over the cluster workload)");
   }
-  if (dissem_) {
-    if (!workload_spec_) {
+  if (spec_.dissem) {
+    if (!spec_.workload) {
       errors.push_back(
           "dissemination: requires the client-driven workload (WorkloadSpec form) — batches "
           "to certify come from the per-node mempools");
     }
-    if (workload_) {
+    if (spec_.payload) {
       errors.push_back(
           "dissemination: incompatible with a raw PayloadProvider (proposals must carry "
           "certified batch references, not arbitrary bytes)");
     }
-    if (dissem_->push_interval <= Duration::zero() ||
-        dissem_->retry_interval <= Duration::zero() ||
-        dissem_->reinsert_timeout <= Duration::zero()) {
+    if (spec_.dissem->push_interval <= Duration::zero() ||
+        spec_.dissem->retry_interval <= Duration::zero() ||
+        spec_.dissem->reinsert_timeout <= Duration::zero()) {
       errors.push_back("dissemination: push/retry/reinsert intervals must be positive");
     }
-    if (dissem_->max_refs_per_proposal == 0 || dissem_->max_batches_per_tick == 0 ||
-        dissem_->max_uncertified == 0) {
+    if (spec_.dissem->max_refs_per_proposal == 0 || spec_.dissem->max_batches_per_tick == 0 ||
+        spec_.dissem->max_uncertified == 0) {
       errors.push_back("dissemination: max_refs_per_proposal, max_batches_per_tick and "
                        "max_uncertified must be >= 1");
     }
-    for (const auto& [id, tweak] : tweaks_) {
-      if (tweak.payload_) {
+    for (const auto& [id, tweak] : spec_.overrides) {
+      if (tweak.payload) {
         errors.push_back("node " + std::to_string(id) +
                          ": a raw payload override is incompatible with dissemination");
       }
     }
   }
-  if (workload_spec_) check_workload("defaults", *workload_spec_, protocol_.core);
-  for (const auto& [id, tweak] : tweaks_) {
-    if (id >= params_.n) continue;  // reported above
+  if (spec_.workload) check_workload("defaults", *spec_.workload, spec_.protocol.core);
+  for (const auto& [id, tweak] : spec_.overrides) {
+    if (id >= params.n) continue;  // reported above
     const std::string where = "node " + std::to_string(id);
-    if (tweak.workload_ && tweak.payload_) {
+    if (tweak.workload && tweak.payload) {
       errors.push_back(where + ": workload and payload overrides are mutually exclusive");
       continue;
     }
-    if (tweak.workload_) {
-      check_workload(where, *tweak.workload_, tweak.core_.value_or(protocol_.core));
-    } else if (workload_spec_ && !tweak.payload_ && tweak.core_) {
+    if (tweak.workload) {
+      check_workload(where, *tweak.workload, tweak.core.value_or(spec_.protocol.core));
+    } else if (spec_.workload && !tweak.payload && tweak.core) {
       // The cluster workload lands on this node with an overridden core.
-      check_workload(where, *workload_spec_, *tweak.core_);
+      check_workload(where, *spec_.workload, *tweak.core);
     }
   }
 
   // ---- fault schedule ---------------------------------------------------
   const auto check_node_id = [&](const std::string& where, ProcessId id) {
-    if (id >= params_.n) {
+    if (id >= params.n) {
       errors.push_back(where + ": references node id " + std::to_string(id) +
-                       " but the cluster has nodes 0.." + std::to_string(params_.n - 1));
+                       " but the cluster has nodes 0.." + std::to_string(params.n - 1));
       return false;
     }
     return true;
   };
-  for (std::size_t i = 1; i < declared_.size(); ++i) {
-    if (declared_[i].first < declared_[i - 1].first) {
-      errors.push_back("fault schedule: \"" + declared_[i].second +
-                       "\" is declared after \"" + declared_[i - 1].second +
+  // Declaration order is timeline order, except for a churn window's
+  // rejoin, which is checked against its own leave below.
+  const sim::FaultEvent* previous = nullptr;
+  for (const sim::FaultEvent& event : spec_.schedule.events) {
+    if (event.kind == sim::FaultKind::kRejoin) continue;
+    if (previous != nullptr && event.at < previous->at) {
+      errors.push_back("fault schedule: \"" + sim::FaultSchedule::describe(event) +
+                       "\" is declared after \"" + sim::FaultSchedule::describe(*previous) +
                        "\" but happens earlier; declare events in timeline order");
     }
+    previous = &event;
   }
-  for (const sim::FaultEvent& event : schedule_.events) {
+  for (const sim::FaultEvent& event : spec_.schedule.events) {
     const std::string where = "fault schedule: " + sim::FaultSchedule::describe(event);
     if (event.at < TimePoint::origin()) {
       errors.push_back(where + ": event time must not precede the origin");
     }
     switch (event.kind) {
       case sim::FaultKind::kPartition: {
-        std::vector<bool> seen(params_.n, false);
+        std::vector<bool> seen(params.n, false);
         for (const auto& group : event.groups) {
           if (group.empty()) {
             errors.push_back(where + ": partition groups must be non-empty");
@@ -547,7 +354,7 @@ std::vector<std::string> ScenarioBuilder::validate() const {
           if (event.groups[side].empty()) {
             errors.push_back(where + ": the " + label + " group must be non-empty");
           }
-          std::vector<bool> seen(params_.n, false);
+          std::vector<bool> seen(params.n, false);
           for (const ProcessId id : event.groups[side]) {
             if (!check_node_id(where, id)) continue;
             if (seen[id]) {
@@ -587,12 +394,11 @@ std::vector<std::string> ScenarioBuilder::validate() const {
   // the behavior of a processor that is down at that instant is a scripted
   // contradiction (the process isn't executing anything to deviate from).
   {
-    std::vector<sim::FaultEvent> timeline = schedule_.events;
-    std::stable_sort(timeline.begin(), timeline.end(),
-                     [](const sim::FaultEvent& a, const sim::FaultEvent& b) { return a.at < b.at; });
-    std::vector<bool> down(params_.n, false);
+    std::vector<sim::FaultEvent> timeline = spec_.schedule.events;
+    std::stable_sort(timeline.begin(), timeline.end(), earlier);
+    std::vector<bool> down(params.n, false);
     for (const sim::FaultEvent& event : timeline) {
-      if (event.node >= params_.n) continue;  // out-of-range: reported above
+      if (event.node >= params.n) continue;  // out-of-range: reported above
       switch (event.kind) {
         case sim::FaultKind::kCrash:
         case sim::FaultKind::kLeave:
@@ -618,7 +424,7 @@ std::vector<std::string> ScenarioBuilder::validate() const {
   // are emitted pairwise by churn(), in order, per node.
   {
     std::map<ProcessId, TimePoint> leave_at;
-    for (const sim::FaultEvent& event : schedule_.events) {
+    for (const sim::FaultEvent& event : spec_.schedule.events) {
       if (event.kind == sim::FaultKind::kLeave) leave_at[event.node] = event.at;
       if (event.kind == sim::FaultKind::kRejoin && leave_at.count(event.node) &&
           event.at <= leave_at[event.node]) {
@@ -629,51 +435,51 @@ std::vector<std::string> ScenarioBuilder::validate() const {
   }
 
   // ---- topology preset --------------------------------------------------
-  if (!topology_.empty()) {
-    if (!sim::has_topology_preset(topology_)) {
-      errors.push_back("topology: " + sim::unknown_topology_message(topology_));
+  if (!spec_.topology.empty()) {
+    if (!sim::has_topology_preset(spec_.topology)) {
+      errors.push_back("topology: " + sim::unknown_topology_message(spec_.topology));
     } else {
-      const sim::TopologyPreset& preset = sim::topology_preset(topology_);
-      if (preset.max_delay() > params_.delta_cap) {
+      const sim::TopologyPreset& preset = sim::topology_preset(spec_.topology);
+      if (preset.max_delay() > params.delta_cap) {
         errors.push_back(
-            "topology \"" + topology_ + "\": worst link delay (" +
+            "topology \"" + spec_.topology + "\": worst link delay (" +
             std::to_string(preset.max_delay().ticks() / 1000) + "ms) exceeds Delta (" +
-            std::to_string(params_.delta_cap.ticks() / 1000) +
+            std::to_string(params.delta_cap.ticks() / 1000) +
             "ms); the model would clamp it — raise params delta_cap above the preset's "
             "max_delay()");
       }
-      if (delay_ != nullptr) {
+      if (spec_.delay != nullptr) {
         errors.push_back(
-            "topology \"" + topology_ +
+            "topology \"" + spec_.topology +
             "\" and delay() are mutually exclusive (the preset is the delay policy); use "
             "delay_change() to switch policies mid-run");
       }
     }
   }
 
-  if (transport_ == TransportKind::kTcp) {
-    if (tcp_base_port_ == 0) {
+  if (spec_.transport == TransportKind::kTcp) {
+    if (spec_.tcp_base_port == 0) {
       errors.push_back("tcp transport: transport_tcp(base_port) requires a non-zero port");
-    } else if (static_cast<std::uint32_t>(tcp_base_port_) + params_.n - 1 > 65535) {
-      errors.push_back("tcp transport: ports " + std::to_string(tcp_base_port_) + ".." +
-                       std::to_string(tcp_base_port_ + params_.n - 1) + " exceed 65535");
+    } else if (static_cast<std::uint32_t>(spec_.tcp_base_port) + params.n - 1 > 65535) {
+      errors.push_back("tcp transport: ports " + std::to_string(spec_.tcp_base_port) + ".." +
+                       std::to_string(spec_.tcp_base_port + params.n - 1) + " exceed 65535");
     }
-    if (delay_ != nullptr) {
+    if (spec_.delay != nullptr) {
       errors.push_back(
           "tcp transport: delay policies are simulator-only (the real network cannot be "
-          "adversary-controlled); use transport_sim() for delay experiments");
+          "adversary-controlled); use the default sim transport for delay experiments");
     }
-    if (gst_ != TimePoint::origin()) {
+    if (spec_.gst != TimePoint::origin()) {
       errors.push_back(
           "tcp transport: GST is simulator-only (wall-clock runs have no synchrony switch); "
-          "use transport_sim() for partial-synchrony experiments");
+          "use the default sim transport for partial-synchrony experiments");
     }
-    if (!topology_.empty()) {
+    if (!spec_.topology.empty()) {
       errors.push_back(
           "tcp transport: topology presets are simulator-only (the real network's delays "
-          "cannot be scripted); use transport_sim() for WAN experiments");
+          "cannot be scripted); use the default sim transport for WAN experiments");
     }
-    for (const sim::FaultEvent& event : schedule_.events) {
+    for (const sim::FaultEvent& event : spec_.schedule.events) {
       if (event.kind == sim::FaultKind::kDelayChange ||
           event.kind == sim::FaultKind::kLinkDelay) {
         errors.push_back("tcp transport: " + sim::FaultSchedule::describe(event) +
@@ -696,76 +502,62 @@ Scenario ScenarioBuilder::scenario() const {
   }
 
   Scenario scenario;
-  scenario.params = params_;
-  scenario.seed = seed_;
-  scenario.transport = transport_;
-  scenario.auth_scheme = auth_scheme_;
-  scenario.pipeline = pipeline_;
-  scenario.gst = gst_;
-  scenario.delay = delay_;
-  scenario.tcp_base_port = tcp_base_port_;
-  scenario.schedule = schedule_;
-  scenario.topology = topology_;
-  scenario.dissem = dissem_;
-  scenario.obs = obs_;
-  if (!topology_.empty()) {
-    scenario.delay = sim::make_topology_delay(topology_, params_.n);
+  static_cast<ScenarioSpec&>(scenario) = spec_;
+  if (!spec_.topology.empty()) {
+    scenario.delay = sim::make_topology_delay(spec_.topology, spec_.params.n);
   }
   // Events executed in time order; the stable sort keeps same-instant
   // events in declaration order (the determinism tests rely on it).
-  std::stable_sort(scenario.schedule.events.begin(), scenario.schedule.events.end(),
-                   [](const sim::FaultEvent& a, const sim::FaultEvent& b) { return a.at < b.at; });
+  std::stable_sort(scenario.schedule.events.begin(), scenario.schedule.events.end(), earlier);
+  std::map<ProcessId, std::string> named;  // the last byzantine entry per node
+  for (const BehaviorAssignment& assignment : spec_.byzantine) {
+    named[assignment.node] = assignment.behavior;
+  }
 
-  Rng join_rng(seed_ ^ 0x4a4f494eULL);
-  Rng drift_rng(seed_ ^ 0x44524946ULL);
-  scenario.nodes.reserve(params_.n);
-  for (ProcessId id = 0; id < params_.n; ++id) {
+  Rng join_rng(spec_.seed ^ 0x4a4f494eULL);
+  Rng drift_rng(spec_.seed ^ 0x44524946ULL);
+  scenario.nodes.reserve(spec_.params.n);
+  for (ProcessId id = 0; id < spec_.params.n; ++id) {
     NodeSpec spec;
-    spec.protocol = protocol_;
-    spec.protocol.shared_seed = seed_;
-    spec.payload_provider = workload_;
-    spec.workload = workload_spec_;
+    spec.protocol = spec_.protocol;
+    spec.protocol.shared_seed = spec_.seed;
+    spec.payload_provider = spec_.payload;
+    spec.workload = spec_.workload;
     // The random draws are consumed for every node, override or not, so
     // an override on node k never shifts the other nodes' draws.
-    const TimePoint drawn_join = join_stagger_ > Duration::zero()
-                                     ? TimePoint(join_rng.next_in(0, join_stagger_.ticks()))
-                                     : TimePoint::origin();
-    const std::int64_t drawn_drift =
-        drift_ppm_max_ > 0 ? drift_rng.next_in(-drift_ppm_max_, drift_ppm_max_) : 0;
-    spec.join_time = drawn_join;
-    spec.clock_drift_ppm = drawn_drift;
-    if (behavior_for_) {
-      spec.behavior = [factory = behavior_for_, id] { return factory(id); };
+    const std::int64_t stagger = spec_.join_stagger.ticks();
+    const std::int64_t drift = spec_.drift_ppm_max;
+    spec.join_time = stagger > 0 ? TimePoint(join_rng.next_in(0, stagger)) : TimePoint::origin();
+    spec.clock_drift_ppm = drift > 0 ? drift_rng.next_in(-drift, drift) : 0;
+    if (const auto name = named.find(id); name != named.end()) {
+      spec.behavior = [behavior = name->second] { return adversary::make_behavior(behavior); };
+    } else if (spec_.behaviors) {
+      spec.behavior = [factory = spec_.behaviors, id] { return factory(id); };
     } else {
       spec.behavior = [] { return std::make_unique<adversary::HonestBehavior>(); };
     }
 
-    const auto it = tweaks_.find(id);
-    if (it != tweaks_.end()) {
-      const NodeTweak& tweak = it->second;
-      if (tweak.pacemaker_) spec.protocol.pacemaker = *tweak.pacemaker_;
-      if (tweak.core_) spec.protocol.core = *tweak.core_;
-      if (tweak.gamma_) spec.protocol.gamma = *tweak.gamma_;
-      if (tweak.lumiere_) spec.protocol.lumiere = *tweak.lumiere_;
-      if (tweak.fever_) spec.protocol.fever = *tweak.fever_;
-      if (tweak.view_timeout_) spec.protocol.timeout.view_timeout = *tweak.view_timeout_;
-      if (tweak.join_time_) spec.join_time = *tweak.join_time_;
-      if (tweak.drift_ppm_) spec.clock_drift_ppm = *tweak.drift_ppm_;
-      if (tweak.behavior_) spec.behavior = tweak.behavior_;
-      if (tweak.payload_) {
-        spec.payload_provider = tweak.payload_;
+    const auto it = spec_.overrides.find(id);
+    if (it != spec_.overrides.end()) {
+      const NodeOverride& tweak = it->second;
+      if (tweak.pacemaker) spec.protocol.pacemaker = *tweak.pacemaker;
+      if (tweak.core) spec.protocol.core = *tweak.core;
+      if (tweak.gamma) spec.protocol.gamma = *tweak.gamma;
+      if (tweak.lumiere) spec.protocol.lumiere = *tweak.lumiere;
+      if (tweak.fever) spec.protocol.fever = *tweak.fever;
+      if (tweak.join_time) spec.join_time = *tweak.join_time;
+      if (tweak.drift_ppm) spec.clock_drift_ppm = *tweak.drift_ppm;
+      if (tweak.behavior) spec.behavior = tweak.behavior;
+      if (tweak.payload) {
+        spec.payload_provider = tweak.payload;
         spec.workload.reset();  // a raw payload override displaces the workload
       }
-      if (tweak.workload_) spec.workload = tweak.workload_;
+      if (tweak.workload) spec.workload = tweak.workload;
     }
     if (spec.workload && spec.workload->clients_per_node == 0) spec.workload.reset();
     scenario.nodes.push_back(std::move(spec));
   }
   return scenario;
-}
-
-std::unique_ptr<Cluster> ScenarioBuilder::build() const {
-  return std::make_unique<Cluster>(scenario());
 }
 
 }  // namespace lumiere::runtime

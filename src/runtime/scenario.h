@@ -1,10 +1,13 @@
-// ScenarioBuilder: one construction API for every deployment shape.
+// ScenarioSpec + ScenarioBuilder: one description for every deployment
+// shape.
 //
 // A scenario = protocol params + an adversary (delays, GST, behaviors) +
-// one protocol stack per node + a transport. The builder composes
-// cluster-wide defaults with per-node overrides, so heterogeneous
-// deployments (mixed pacemakers, per-node drift / join time / behavior)
-// and sim-vs-TCP parity are expressed through the same few lines:
+// one protocol stack per node + a transport. ScenarioSpec holds all of it
+// as plain data; the builder's fluent setters write into one, compose
+// cluster-wide defaults with per-node overrides, validate, and resolve
+// it into a Scenario (one NodeSpec per node). Heterogeneous deployments
+// (mixed pacemakers, per-node drift / join time / behavior) and
+// sim-vs-TCP parity are expressed through the same few lines:
 //
 //   ScenarioBuilder builder;
 //   builder.params(ProtocolParams::for_n(4, Duration::millis(10)))
@@ -12,8 +15,14 @@
 //       .core("chained-hotstuff")
 //       .seed(7);
 //   builder.node(2).pacemaker("fever").drift_ppm(200);   // override node 2
-//   Cluster cluster(builder.scenario());                 // or builder.build()
+//   Cluster cluster(builder.scenario());
 //   cluster.run_for(Duration::seconds(10));
+//
+// Code that produces a whole experiment as data (the fuzzer's sampler,
+// the spec-file parser) fills a ScenarioSpec and wraps it:
+// ScenarioBuilder(spec).scenario(). A new knob is a ScenarioSpec field,
+// its validate()/scenario() handling here, and — when the spec file or
+// the fuzzer carries it — a spec_io key or a sampler write.
 //
 // Protocol names resolve through the ProtocolRegistry (runtime/registry.h);
 // validate() reports every configuration error with the node it applies to.
@@ -36,8 +45,6 @@
 #include "workload/spec.h"
 
 namespace lumiere::runtime {
-
-class Cluster;
 
 /// Behavior is move-only, so specs carry a thunk instead of an instance.
 using BehaviorThunk = std::function<std::unique_ptr<adversary::Behavior>()>;
@@ -63,13 +70,45 @@ struct NodeSpec {
   BehaviorThunk behavior;  ///< never null after ScenarioBuilder::scenario().
 };
 
-/// A fully resolved deployment description (ScenarioBuilder's output and
-/// Cluster's input). `nodes.size() == params.n`.
-struct Scenario {
+/// One initially Byzantine node, by adversary::make_behavior name.
+struct BehaviorAssignment {
+  ProcessId node = kNoProcess;
+  std::string behavior;
+
+  bool operator==(const BehaviorAssignment&) const = default;
+};
+
+/// One node's overrides of the cluster-wide defaults; unset fields inherit.
+struct NodeOverride {
+  std::optional<std::string> pacemaker;
+  std::optional<std::string> core;
+  std::optional<Duration> gamma;
+  std::optional<LumiereOptions> lumiere;
+  std::optional<FeverOptions> fever;
+  std::optional<TimePoint> join_time;
+  std::optional<std::int64_t> drift_ppm;
+  BehaviorThunk behavior;
+  /// A raw payload source; displaces the cluster workload on this node.
+  PayloadProvider payload;
+  std::optional<workload::WorkloadSpec> workload;
+};
+
+/// Everything one experiment is, as plain data: the (§2) model's n, f,
+/// Delta and x, the protocol stack, the adversary's environment, the
+/// fault script, the clients and the transport. ScenarioBuilder's setters
+/// write into one; the fuzzer samples one (fuzz/fuzz_case.h); spec_io
+/// reads and writes the text-format subset of one (runtime/spec_io.h).
+/// ScenarioBuilder::validate() checks it and scenario() resolves it.
+struct ScenarioSpec {
   ProtocolParams params = ProtocolParams::for_n(4, Duration::millis(10));
+  /// The cluster-wide protocol stack (per-node overrides below win).
+  ProtocolConfig protocol;
   /// Everything-determining seed (leader schedules, keys, delay draws).
   std::uint64_t seed = 1;
   TransportKind transport = TransportKind::kSim;
+  /// First localhost port (TCP transport only); node i listens on
+  /// tcp_base_port + i.
+  std::uint16_t tcp_base_port = 0;
 
   /// Authenticator scheme registry name (crypto/authenticator.h). The
   /// default is the HMAC sim scheme every golden digest pins;
@@ -86,26 +125,25 @@ struct Scenario {
   TimePoint gst = TimePoint::origin();
   /// The adversary's delay policy (sim transport only; nullptr = worst
   /// permitted: every message arrives exactly at max(GST, t) + Delta).
+  /// A resolved Scenario holds the topology preset's policy here.
   std::shared_ptr<sim::DelayPolicy> delay;
-
-  /// First localhost port (TCP transport only); node i listens on
-  /// tcp_base_port + i.
-  std::uint16_t tcp_base_port = 0;
-
-  /// Scripted network/membership events, sorted by time (stable: events
-  /// declared at the same instant fire in declaration order). Executed by
-  /// the sim event loop; partitions and crashes also have a best-effort
-  /// realtime analogue on the TCP transport.
-  sim::FaultSchedule schedule;
-  /// The topology preset `delay` was resolved from (empty = none); kept
-  /// for display.
+  /// Named WAN topology preset (empty = none; sim only; mutually
+  /// exclusive with `delay`).
   std::string topology;
+  /// Processors join at uniform random times in [origin, join_stagger].
+  Duration join_stagger = Duration::zero();
+  /// Each processor's clock drifts by a draw uniform in [-max, +max] ppm.
+  std::int64_t drift_ppm_max = 0;
 
+  /// Raw block payload source on every node (exclusive with `workload`).
+  PayloadProvider payload;
+  /// Client-driven workload on every node (src/workload/).
+  std::optional<workload::WorkloadSpec> workload;
   /// Data-dissemination layer (src/dissem/): when set, every workload
   /// node runs a Disseminator and proposals order certified batch
   /// references instead of inline payloads. Requires the client-driven
-  /// workload. Absent = legacy inline batches (the default; all goldens
-  /// pin this mode).
+  /// workload. Absent = inline batches (the default; all goldens pin
+  /// this mode).
   std::optional<dissem::DissemSpec> dissem;
 
   /// Observability (src/obs/): the view-sync span tracer (default-on —
@@ -114,91 +152,131 @@ struct Scenario {
   /// (status_base_port, TCP transport only).
   obs::ObsSpec obs;
 
+  /// Scripted network/membership events in declaration order: every
+  /// event but a churn window's rejoin must come no earlier than the one
+  /// declared before it. A resolved Scenario holds them stably sorted by
+  /// time (same-instant events fire in declaration order). Executed by
+  /// the sim event loop; partitions and crashes also have a best-effort
+  /// realtime analogue on the TCP transport.
+  sim::FaultSchedule schedule;
+
+  /// Initial behaviors: `behaviors` builds one per node (null = all
+  /// honest); a `byzantine` entry wins over it for its node (the last
+  /// entry for a node wins), and a per-node override's behavior wins
+  /// over both.
+  adversary::BehaviorFactory behaviors;
+  std::vector<BehaviorAssignment> byzantine;
+  std::map<ProcessId, NodeOverride> overrides;
+};
+
+/// A fully resolved deployment (ScenarioBuilder's output and Cluster's
+/// input): the validated spec plus one NodeSpec per node
+/// (`nodes.size() == params.n`).
+struct Scenario : ScenarioSpec {
   std::vector<NodeSpec> nodes;
 };
 
 class ScenarioBuilder {
  public:
-  /// Per-node override block, obtained from ScenarioBuilder::node(id).
-  /// Unset fields inherit the cluster-wide defaults.
+  /// Per-node override block, obtained from ScenarioBuilder::node(id):
+  /// each setter writes one field of that node's NodeOverride. It refers
+  /// into the builder, so it must not outlive it.
   class NodeTweak {
    public:
-    NodeTweak& pacemaker(std::string name);
-    NodeTweak& core(std::string name);
-    NodeTweak& gamma(Duration gamma);
-    NodeTweak& lumiere(LumiereOptions options);
-    NodeTweak& fever(FeverOptions options);
-    NodeTweak& view_timeout(Duration timeout);
-    NodeTweak& join_time(TimePoint at);
-    NodeTweak& drift_ppm(std::int64_t ppm);
-    NodeTweak& behavior(BehaviorThunk make);
-    NodeTweak& payload(PayloadProvider provider);
-    NodeTweak& workload(workload::WorkloadSpec spec);
+    explicit NodeTweak(NodeOverride& node) : node_(&node) {}
+    NodeTweak& pacemaker(std::string name) { return set(node_->pacemaker, std::move(name)); }
+    NodeTweak& core(std::string name) { return set(node_->core, std::move(name)); }
+    NodeTweak& gamma(Duration gamma) { return set(node_->gamma, gamma); }
+    NodeTweak& lumiere(LumiereOptions options) { return set(node_->lumiere, options); }
+    NodeTweak& fever(FeverOptions options) { return set(node_->fever, options); }
+    NodeTweak& join_time(TimePoint at) { return set(node_->join_time, at); }
+    NodeTweak& drift_ppm(std::int64_t ppm) { return set(node_->drift_ppm, ppm); }
+    NodeTweak& behavior(BehaviorThunk make) { return set(node_->behavior, std::move(make)); }
+    NodeTweak& payload(PayloadProvider provider) {
+      return set(node_->payload, std::move(provider));
+    }
+    NodeTweak& workload(workload::WorkloadSpec spec) {
+      return set(node_->workload, std::move(spec));
+    }
 
    private:
-    friend class ScenarioBuilder;
-    std::optional<std::string> pacemaker_;
-    std::optional<std::string> core_;
-    std::optional<Duration> gamma_;
-    std::optional<LumiereOptions> lumiere_;
-    std::optional<FeverOptions> fever_;
-    std::optional<Duration> view_timeout_;
-    std::optional<TimePoint> join_time_;
-    std::optional<std::int64_t> drift_ppm_;
-    BehaviorThunk behavior_;
-    PayloadProvider payload_;
-    std::optional<workload::WorkloadSpec> workload_;
+    template <typename Field, typename Value>
+    NodeTweak& set(Field& field, Value&& value) {
+      field = std::forward<Value>(value);
+      return *this;
+    }
+    NodeOverride* node_;
   };
 
   ScenarioBuilder() = default;
+  /// Starts from a finished description (a sampled fuzz case, a parsed
+  /// spec file); the setters below still apply on top.
+  explicit ScenarioBuilder(ScenarioSpec spec) : spec_(std::move(spec)) {}
 
   // ---- cluster-wide defaults (every node inherits unless overridden) ----
-  ScenarioBuilder& params(ProtocolParams params);
-  ScenarioBuilder& pacemaker(std::string name);
-  ScenarioBuilder& core(std::string name);
-  ScenarioBuilder& gamma(Duration gamma);
-  ScenarioBuilder& lumiere(LumiereOptions options);
-  ScenarioBuilder& fever(FeverOptions options);
-  ScenarioBuilder& view_timeout(Duration timeout);
-  ScenarioBuilder& relay_timeout(Duration timeout);
-  ScenarioBuilder& seed(std::uint64_t seed);
+  ScenarioBuilder& params(ProtocolParams params) { return set(spec_.params, params); }
+  ScenarioBuilder& pacemaker(std::string name) {
+    return set(spec_.protocol.pacemaker, std::move(name));
+  }
+  ScenarioBuilder& core(std::string name) { return set(spec_.protocol.core, std::move(name)); }
+  ScenarioBuilder& gamma(Duration gamma) { return set(spec_.protocol.gamma, gamma); }
+  ScenarioBuilder& lumiere(LumiereOptions options) { return set(spec_.protocol.lumiere, options); }
+  ScenarioBuilder& fever(FeverOptions options) { return set(spec_.protocol.fever, options); }
+  ScenarioBuilder& seed(std::uint64_t seed) { return set(spec_.seed, seed); }
   /// Selects the authenticator scheme by registry name
   /// (crypto::scheme_names()); validate() rejects unknown names.
-  ScenarioBuilder& auth_scheme(std::string name);
+  ScenarioBuilder& auth_scheme(std::string name) {
+    return set(spec_.auth_scheme, std::move(name));
+  }
   /// Enables the per-node staged verification pipeline (runtime/pipeline.h).
   /// TCP transport only — the sim transport is single-threaded by design.
-  ScenarioBuilder& pipeline(PipelineSpec spec);
-  ScenarioBuilder& workload(PayloadProvider provider);
+  ScenarioBuilder& pipeline(PipelineSpec spec) { return set(spec_.pipeline, spec); }
+  ScenarioBuilder& workload(PayloadProvider provider) {
+    return set(spec_.payload, std::move(provider));
+  }
   /// Client-driven workload (src/workload/): drivers, bounded mempools
   /// and end-to-end latency accounting on every node. Mutually exclusive
   /// with the raw PayloadProvider form above.
-  ScenarioBuilder& workload(workload::WorkloadSpec spec);
+  ScenarioBuilder& workload(workload::WorkloadSpec spec) {
+    return set(spec_.workload, std::move(spec));
+  }
   /// Enables the data-dissemination layer (src/dissem/): batches stream
   /// and certify beneath consensus, proposals carry (batch_id, cert)
   /// references, committed references resolve (fetch-on-miss) before
   /// delivery. Requires the client-driven workload form above.
-  ScenarioBuilder& dissemination(dissem::DissemSpec spec = {});
+  ScenarioBuilder& dissemination(dissem::DissemSpec spec = {}) {
+    return set(spec_.dissem, spec);
+  }
   /// Does nothing. Block sync (src/sync/) is always on; this call
   /// survives only because the bench_e2e workloads still make it, and
   /// goes with the next change to that benchmark.
-  ScenarioBuilder& block_sync();
+  ScenarioBuilder& block_sync() { return *this; }
   /// Observability knobs (src/obs/): span tracer on/off + capacities and
   /// the per-node status endpoints. The tracer defaults on even without
   /// this call; status endpoints need the TCP transport.
-  ScenarioBuilder& observability(obs::ObsSpec spec);
+  ScenarioBuilder& observability(obs::ObsSpec spec) { return set(spec_.obs, std::move(spec)); }
   /// Behavior assignment; default all-honest.
-  ScenarioBuilder& behaviors(adversary::BehaviorFactory factory);
+  ScenarioBuilder& behaviors(adversary::BehaviorFactory factory) {
+    return set(spec_.behaviors, std::move(factory));
+  }
 
   // ---- the adversary's environment (sim transport) ----
-  ScenarioBuilder& gst(TimePoint gst);
-  ScenarioBuilder& delay(std::shared_ptr<sim::DelayPolicy> policy);
+  ScenarioBuilder& gst(TimePoint gst) { return set(spec_.gst, gst); }
+  ScenarioBuilder& delay(std::shared_ptr<sim::DelayPolicy> policy) {
+    return set(spec_.delay, std::move(policy));
+  }
   /// Processors join (lc = 0) at uniform random times in [origin,
   /// stagger] — the paper's arbitrary pre-GST desynchronization. Zero =
   /// synchronized start. A per-node join_time override wins.
-  ScenarioBuilder& join_stagger(Duration stagger);
+  ScenarioBuilder& join_stagger(Duration stagger) { return set(spec_.join_stagger, stagger); }
   /// Bounded clock drift: each processor gets a deterministic rate skew
   /// uniform in [-max, +max] ppm. Zero = perfect clocks.
-  ScenarioBuilder& drift_ppm_max(std::int64_t max);
+  ScenarioBuilder& drift_ppm_max(std::int64_t max) { return set(spec_.drift_ppm_max, max); }
+  /// Named WAN topology preset ("lan", "wan3", "wan5"): per-link delays
+  /// from a region map (sim only; mutually exclusive with delay()).
+  ScenarioBuilder& topology(std::string preset) {
+    return set(spec_.topology, std::move(preset));
+  }
 
   // ---- the fault schedule (scripted network/membership events) ----
   // Events must be declared in timeline order (non-decreasing times);
@@ -232,6 +310,8 @@ class ScenarioBuilder {
   ScenarioBuilder& recover(ProcessId node, TimePoint at);
   /// Churn: `node` leaves the cluster at `leave_at` and rejoins at
   /// `rejoin_at` (crash/recover semantics, recorded distinctly in traces).
+  /// The rejoin is checked against its leave, not the declaration order,
+  /// so a churn window may span later-declared events.
   ScenarioBuilder& churn(ProcessId node, TimePoint leave_at, TimePoint rejoin_at);
   /// Swaps the adversary's global delay policy at `at` (sim only;
   /// nullptr = worst permitted).
@@ -240,54 +320,33 @@ class ScenarioBuilder {
   /// only; nullptr restores the global policy for that link).
   ScenarioBuilder& link_delay(ProcessId from, ProcessId to,
                               std::shared_ptr<sim::DelayPolicy> policy, TimePoint at);
-  /// Named WAN topology preset ("lan", "wan3", "wan5"): per-link delays
-  /// from a region map (sim only; mutually exclusive with delay()).
-  ScenarioBuilder& topology(std::string preset);
 
-  // ---- transport selection ----
-  ScenarioBuilder& transport_sim();
-  ScenarioBuilder& transport_tcp(std::uint16_t base_port);
+  // ---- transport selection (the simulator unless this is called) ----
+  ScenarioBuilder& transport_tcp(std::uint16_t base_port) {
+    spec_.transport = TransportKind::kTcp;
+    return set(spec_.tcp_base_port, base_port);
+  }
 
   // ---- per-node overrides ----
-  NodeTweak& node(ProcessId id);
+  NodeTweak node(ProcessId id) { return NodeTweak(spec_.overrides[id]); }
 
   /// Every configuration error, one actionable message each; empty =
-  /// valid. scenario()/build() call this and throw on the first failure.
+  /// valid. scenario() calls this and throws on the first failure.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// Resolves defaults + overrides into the final per-node specs. Throws
   /// std::invalid_argument listing every validate() error.
   [[nodiscard]] Scenario scenario() const;
 
-  /// Convenience: Cluster construction in one call.
-  [[nodiscard]] std::unique_ptr<Cluster> build() const;
-
  private:
-  ProtocolParams params_ = ProtocolParams::for_n(4, Duration::millis(10));
-  ProtocolConfig protocol_;
-  std::uint64_t seed_ = 1;
-  TimePoint gst_ = TimePoint::origin();
-  std::shared_ptr<sim::DelayPolicy> delay_;
-  Duration join_stagger_ = Duration::zero();
-  std::int64_t drift_ppm_max_ = 0;
-  adversary::BehaviorFactory behavior_for_;
-  PayloadProvider workload_;
-  std::optional<workload::WorkloadSpec> workload_spec_;
-  std::optional<dissem::DissemSpec> dissem_;
-  obs::ObsSpec obs_;
-  std::string auth_scheme_ = crypto::kDefaultScheme;
-  PipelineSpec pipeline_;
-  TransportKind transport_ = TransportKind::kSim;
-  std::uint16_t tcp_base_port_ = 0;
-  std::map<ProcessId, NodeTweak> tweaks_;
+  template <typename Field, typename Value>
+  ScenarioBuilder& set(Field& field, Value&& value) {
+    field = std::forward<Value>(value);
+    return *this;
+  }
+  ScenarioBuilder& push(sim::FaultEvent event);
 
-  void push_event(sim::FaultEvent event, TimePoint declared_at);
-  sim::FaultSchedule schedule_;
-  /// One (time, description) per builder call, in call order — the
-  /// timeline validate() checks for monotonicity (churn spans a window,
-  /// so its rejoin event is exempt from the declaration-order rule).
-  std::vector<std::pair<TimePoint, std::string>> declared_;
-  std::string topology_;
+  ScenarioSpec spec_;
 };
 
 }  // namespace lumiere::runtime

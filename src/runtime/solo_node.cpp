@@ -4,11 +4,8 @@
 
 namespace lumiere::runtime {
 
-SoloNodeRuntime::SoloNodeRuntime(const ClusterSpec& spec, ProcessId id, Options options)
+SoloNodeRuntime::SoloNodeRuntime(const Scenario& scenario, ProcessId id, Options options)
     : id_(id) {
-  // Resolve through the same builder path as Cluster so every process —
-  // and the in-process tests — derive identical per-node stacks.
-  const Scenario scenario = to_builder(spec).scenario();
   const std::uint32_t n = scenario.params.n;
   if (id_ >= n) throw std::invalid_argument("solo node: id out of range");
   auth_ = crypto::make_authenticator(scenario.auth_scheme, n, scenario.seed);

@@ -7,12 +7,13 @@
 // restart is then a *real* crash-recovery: the process loses all state
 // and must rejoin over the wire, re-sync views and resume committing.
 //
-// Construction resolves the shared ClusterSpec (runtime/spec_io.h)
-// through the same ScenarioBuilder path as Cluster, then builds the
-// per-process pieces a Cluster would share (authenticator, span tracer,
-// status board) and one NodeHost (runtime/node_host.h) for nodes[id] —
-// the same stack each TCP Cluster node runs. Because every process
-// resolves the same spec, seeds, keys and leader schedules agree
+// Construction takes the whole cluster's resolved Scenario — what
+// ScenarioBuilder(parse_spec(file)).scenario() gives for the shared spec
+// file (runtime/spec_io.h), the same path a Cluster is built on — then
+// builds the per-process pieces a Cluster would share (authenticator,
+// span tracer, status board) and one NodeHost (runtime/node_host.h) for
+// nodes[id], the same stack each TCP Cluster node runs. Because every
+// process resolves the same spec, seeds, keys and leader schedules agree
 // byte-for-byte with no runtime coordination.
 #pragma once
 
@@ -23,7 +24,7 @@
 #include "obs/status.h"
 #include "obs/tracer.h"
 #include "runtime/node_host.h"
-#include "runtime/spec_io.h"
+#include "runtime/scenario.h"
 
 namespace lumiere::runtime {
 
@@ -32,11 +33,11 @@ class SoloNodeRuntime {
   /// allow_crash (admin CRASH may _exit) and incarnation (restart count).
   using Options = NodeHost::Options;
 
-  /// Builds node `id`'s stack from the cluster-wide spec. Throws
-  /// std::invalid_argument (bad spec) or std::runtime_error (ports).
-  SoloNodeRuntime(const ClusterSpec& spec, ProcessId id, Options options);
-  SoloNodeRuntime(const ClusterSpec& spec, ProcessId id)
-      : SoloNodeRuntime(spec, id, Options()) {}
+  /// Builds node `id`'s stack of the cluster-wide scenario. Throws
+  /// std::invalid_argument (id out of range) or std::runtime_error (ports).
+  SoloNodeRuntime(const Scenario& scenario, ProcessId id, Options options);
+  SoloNodeRuntime(const Scenario& scenario, ProcessId id)
+      : SoloNodeRuntime(scenario, id, Options()) {}
 
   SoloNodeRuntime(const SoloNodeRuntime&) = delete;
   SoloNodeRuntime& operator=(const SoloNodeRuntime&) = delete;

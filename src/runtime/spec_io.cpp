@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <span>
 #include <sstream>
 
@@ -46,52 +47,159 @@ bool hex_decode(const std::string& text, std::vector<std::uint8_t>& out) {
 }
 
 std::optional<workload::Arrival> parse_arrival(const std::string& name) {
-  if (name == "closed-loop") return workload::Arrival::kClosedLoop;
-  if (name == "constant") return workload::Arrival::kConstant;
-  if (name == "poisson") return workload::Arrival::kPoisson;
-  if (name == "bursty") return workload::Arrival::kBursty;
+  for (const auto arrival : {workload::Arrival::kClosedLoop, workload::Arrival::kConstant,
+                             workload::Arrival::kPoisson, workload::Arrival::kBursty}) {
+    if (name == workload::to_string(arrival)) return arrival;
+  }
   return std::nullopt;
+}
+
+/// The workload the workload keys read and write. A parsed spec always
+/// has one (spec_file_defaults()); a printed spec without one reads as
+/// zero clients per node.
+workload::WorkloadSpec& load(ScenarioSpec& spec) { return *spec.workload; }
+const workload::WorkloadSpec& load(const ScenarioSpec& spec) {
+  static const workload::WorkloadSpec kNone = [] {
+    workload::WorkloadSpec none = *spec_file_defaults().workload;
+    none.clients_per_node = 0;
+    return none;
+  }();
+  return spec.workload ? *spec.workload : kNone;
+}
+
+/// One spec-file key. `print` gives the values a spec writes under it, one
+/// "key value" line each: none for an unset optional key, one per entry
+/// for a repeated key. `parse` reads one line's value into a spec.
+struct Key {
+  const char* name;
+  std::function<std::vector<std::string>(const ScenarioSpec&)> print;
+  std::function<bool(std::istream&, ScenarioSpec&)> parse;
+};
+
+template <typename T>
+std::vector<std::string> one(const T& value) {
+  std::ostringstream out;
+  out << value;
+  return {out.str()};
+}
+
+/// A key holding one field as-is. `get` is a generic lambda reaching the
+/// field, so one accessor serves printing and parsing.
+template <typename Get>
+Key field(const char* name, Get get) {
+  return {name, [get](const ScenarioSpec& spec) { return one(get(spec)); },
+          [get](std::istream& in, ScenarioSpec& spec) {
+            return static_cast<bool>(in >> get(spec));
+          }};
+}
+
+/// A 0/1 key; any non-zero number parses as on.
+template <typename Get, typename Set>
+Key flag(const char* name, Get get, Set set) {
+  return {name, [get](const ScenarioSpec& spec) { return one(get(spec) ? 1 : 0); },
+          [set](std::istream& in, ScenarioSpec& spec) {
+            int value = 0;
+            if (!(in >> value)) return false;
+            set(spec, value != 0);
+            return true;
+          }};
+}
+
+/// Every key, in the order a spec file prints them.
+const std::vector<Key>& keys() {
+  static const std::vector<Key> table = {
+      field("n", [](auto& s) -> auto& { return s.params.n; }),
+      {"delta_us", [](const ScenarioSpec& s) { return one(s.params.delta_cap.ticks()); },
+       [](std::istream& in, ScenarioSpec& s) {
+         std::int64_t us = 0;
+         if (!(in >> us) || us <= 0) return false;
+         s.params.delta_cap = Duration(us);
+         return true;
+       }},
+      field("x", [](auto& s) -> auto& { return s.params.x; }),
+      field("pacemaker", [](auto& s) -> auto& { return s.protocol.pacemaker; }),
+      field("core", [](auto& s) -> auto& { return s.protocol.core; }),
+      field("seed", [](auto& s) -> auto& { return s.seed; }),
+      field("auth_scheme", [](auto& s) -> auto& { return s.auth_scheme; }),
+      field("tcp_base_port", [](auto& s) -> auto& { return s.tcp_base_port; }),
+      field("status_base_port", [](auto& s) -> auto& { return s.obs.status_base_port; }),
+      {"admin_token",
+       [](const ScenarioSpec& s) {
+         return s.obs.admin_token.empty() ? std::vector<std::string>() : one(s.obs.admin_token);
+       },
+       [](std::istream& in, ScenarioSpec& s) {
+         return static_cast<bool>(in >> s.obs.admin_token);
+       }},
+      flag("pipeline", [](const ScenarioSpec& s) { return s.pipeline.enabled; },
+           [](ScenarioSpec& s, bool on) { s.pipeline.enabled = on; }),
+      field("pipeline_workers", [](auto& s) -> auto& { return s.pipeline.workers; }),
+      field("pipeline_queue", [](auto& s) -> auto& { return s.pipeline.queue_capacity; }),
+      flag("dissem", [](const ScenarioSpec& s) { return s.dissem.has_value(); },
+           [](ScenarioSpec& s, bool on) {
+             s.dissem = on ? std::optional(dissem::DissemSpec{}) : std::nullopt;
+           }),
+      {"arrival", [](const ScenarioSpec& s) { return one(workload::to_string(load(s).arrival)); },
+       [](std::istream& in, ScenarioSpec& s) {
+         std::string name;
+         const auto arrival = in >> name ? parse_arrival(name) : std::nullopt;
+         if (arrival) load(s).arrival = *arrival;
+         return arrival.has_value();
+       }},
+      field("clients_per_node", [](auto& s) -> auto& { return load(s).clients_per_node; }),
+      field("rate_per_client", [](auto& s) -> auto& { return load(s).rate_per_client; }),
+      field("in_flight", [](auto& s) -> auto& { return load(s).in_flight; }),
+      field("request_bytes", [](auto& s) -> auto& { return load(s).request_bytes; }),
+      {"behavior",
+       [](const ScenarioSpec& s) {
+         std::vector<std::string> values;
+         for (const BehaviorAssignment& assignment : s.byzantine) {
+           values.push_back(std::to_string(assignment.node) + " " + assignment.behavior);
+         }
+         return values;
+       },
+       [](std::istream& in, ScenarioSpec& s) {
+         BehaviorAssignment assignment;
+         if (!(in >> assignment.node >> assignment.behavior) ||
+             !adversary::has_behavior(assignment.behavior)) {
+           return false;
+         }
+         s.byzantine.push_back(std::move(assignment));
+         return true;
+       }},
+  };
+  return table;
 }
 
 }  // namespace
 
-std::string serialize(const ClusterSpec& spec) {
+ScenarioSpec spec_file_defaults() {
+  ScenarioSpec spec;
+  spec.transport = TransportKind::kTcp;
+  workload::WorkloadSpec workload;
+  workload.arrival = workload::Arrival::kClosedLoop;
+  workload.clients_per_node = 2;
+  spec.workload = workload;
+  return spec;
+}
+
+std::string serialize(const ScenarioSpec& spec) {
   std::ostringstream out;
   out << kSpecHeader << "\n";
-  out << "n " << spec.n << "\n";
-  out << "delta_us " << spec.delta_us << "\n";
-  out << "x " << spec.x << "\n";
-  out << "pacemaker " << spec.pacemaker << "\n";
-  out << "core " << spec.core << "\n";
-  out << "seed " << spec.seed << "\n";
-  out << "auth_scheme " << spec.auth_scheme << "\n";
-  out << "tcp_base_port " << spec.tcp_base_port << "\n";
-  out << "status_base_port " << spec.status_base_port << "\n";
-  if (!spec.admin_token.empty()) out << "admin_token " << spec.admin_token << "\n";
-  out << "pipeline " << (spec.pipeline ? 1 : 0) << "\n";
-  out << "pipeline_workers " << spec.pipeline_workers << "\n";
-  out << "pipeline_queue " << spec.pipeline_queue << "\n";
-  out << "dissem " << (spec.dissem ? 1 : 0) << "\n";
-  out << "arrival " << spec.arrival << "\n";
-  out << "clients_per_node " << spec.clients_per_node << "\n";
-  out << "rate_per_client " << spec.rate_per_client << "\n";
-  out << "in_flight " << spec.in_flight << "\n";
-  out << "request_bytes " << spec.request_bytes << "\n";
-  for (const auto& [node, name] : spec.behaviors) {
-    out << "behavior " << node << " " << name << "\n";
+  for (const Key& key : keys()) {
+    for (const std::string& value : key.print(spec)) out << key.name << " " << value << "\n";
   }
   out << "end\n";
   return out.str();
 }
 
-std::optional<ClusterSpec> parse_cluster_spec(const std::string& text, std::string& error) {
+std::optional<ScenarioSpec> parse_spec(const std::string& text, std::string& error) {
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kSpecHeader) {
     error = "spec: missing header '" + std::string(kSpecHeader) + "'";
     return std::nullopt;
   }
-  ClusterSpec spec;
+  ScenarioSpec spec = spec_file_defaults();
   bool terminated = false;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -100,63 +208,17 @@ std::optional<ClusterSpec> parse_cluster_spec(const std::string& text, std::stri
       break;
     }
     std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    bool ok = true;
-    if (key == "n") {
-      ok = static_cast<bool>(fields >> spec.n);
-    } else if (key == "delta_us") {
-      ok = static_cast<bool>(fields >> spec.delta_us) && spec.delta_us > 0;
-    } else if (key == "x") {
-      ok = static_cast<bool>(fields >> spec.x);
-    } else if (key == "pacemaker") {
-      ok = static_cast<bool>(fields >> spec.pacemaker);
-    } else if (key == "core") {
-      ok = static_cast<bool>(fields >> spec.core);
-    } else if (key == "seed") {
-      ok = static_cast<bool>(fields >> spec.seed);
-    } else if (key == "auth_scheme") {
-      ok = static_cast<bool>(fields >> spec.auth_scheme);
-    } else if (key == "tcp_base_port") {
-      ok = static_cast<bool>(fields >> spec.tcp_base_port);
-    } else if (key == "status_base_port") {
-      ok = static_cast<bool>(fields >> spec.status_base_port);
-    } else if (key == "admin_token") {
-      ok = static_cast<bool>(fields >> spec.admin_token);
-    } else if (key == "pipeline") {
-      int v = 0;
-      ok = static_cast<bool>(fields >> v);
-      spec.pipeline = v != 0;
-    } else if (key == "pipeline_workers") {
-      ok = static_cast<bool>(fields >> spec.pipeline_workers);
-    } else if (key == "pipeline_queue") {
-      ok = static_cast<bool>(fields >> spec.pipeline_queue);
-    } else if (key == "dissem") {
-      int v = 0;
-      ok = static_cast<bool>(fields >> v);
-      spec.dissem = v != 0;
-    } else if (key == "arrival") {
-      ok = static_cast<bool>(fields >> spec.arrival) &&
-           parse_arrival(spec.arrival).has_value();
-    } else if (key == "clients_per_node") {
-      ok = static_cast<bool>(fields >> spec.clients_per_node);
-    } else if (key == "rate_per_client") {
-      ok = static_cast<bool>(fields >> spec.rate_per_client);
-    } else if (key == "in_flight") {
-      ok = static_cast<bool>(fields >> spec.in_flight);
-    } else if (key == "request_bytes") {
-      ok = static_cast<bool>(fields >> spec.request_bytes);
-    } else if (key == "behavior") {
-      ProcessId node = kNoProcess;
-      std::string name;
-      ok = static_cast<bool>(fields >> node >> name) && adversary::has_behavior(name);
-      if (ok) spec.behaviors[node] = name;
-    } else {
-      error = "spec: unknown key '" + key + "'";
+    std::string name;
+    fields >> name;
+    const std::vector<Key>& table = keys();
+    const auto key =
+        std::find_if(table.begin(), table.end(), [&](const Key& k) { return name == k.name; });
+    if (key == table.end()) {
+      error = "spec: unknown key '" + name + "'";
       return std::nullopt;
     }
-    if (!ok) {
-      error = "spec: bad value for '" + key + "'";
+    if (!key->parse(fields, spec)) {
+      error = "spec: bad value for '" + name + "'";
       return std::nullopt;
     }
   }
@@ -164,48 +226,10 @@ std::optional<ClusterSpec> parse_cluster_spec(const std::string& text, std::stri
     error = "spec: missing 'end' terminator (truncated?)";
     return std::nullopt;
   }
-  for (const auto& [node, name] : spec.behaviors) {
-    if (node >= spec.n) {
-      error = "spec: behavior node " + std::to_string(node) + " out of range";
-      return std::nullopt;
-    }
-  }
+  // f follows n as in ProtocolParams::for_n, without its assert: validate()
+  // reports an n below 4 instead.
+  spec.params.f = spec.params.n > 0 ? (spec.params.n - 1) / 3 : 0;
   return spec;
-}
-
-ScenarioBuilder to_builder(const ClusterSpec& spec) {
-  ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(spec.n, Duration(spec.delta_us), spec.x))
-      .pacemaker(spec.pacemaker)
-      .core(spec.core)
-      .seed(spec.seed)
-      .auth_scheme(spec.auth_scheme)
-      .transport_tcp(spec.tcp_base_port);
-  if (spec.pipeline) {
-    PipelineSpec pipeline;
-    pipeline.enabled = true;
-    pipeline.workers = spec.pipeline_workers;
-    pipeline.queue_capacity = spec.pipeline_queue;
-    builder.pipeline(pipeline);
-  }
-  workload::WorkloadSpec workload;
-  workload.arrival = *parse_arrival(spec.arrival);
-  workload.clients_per_node = spec.clients_per_node;
-  workload.rate_per_client = spec.rate_per_client;
-  workload.in_flight = spec.in_flight;
-  workload.request_bytes = spec.request_bytes;
-  builder.workload(workload);
-  if (spec.dissem) builder.dissemination();
-  if (spec.status_base_port != 0) {
-    obs::ObsSpec obs;
-    obs.status_base_port = spec.status_base_port;
-    obs.admin_token = spec.admin_token;
-    builder.observability(obs);
-  }
-  for (const auto& [node, name] : spec.behaviors) {
-    builder.node(node).behavior([name] { return adversary::make_behavior(name); });
-  }
-  return builder;
 }
 
 LedgerRecord LedgerRecord::owning(View view, const crypto::Digest& hash,

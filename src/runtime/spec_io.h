@@ -1,12 +1,21 @@
 // Text formats for the multi-process soak cluster (tools/soak,
 // tools/lumiere_node):
 //
-//   * ClusterSpec — the serialized scenario every replica process rebuilds
-//     identically. One "key value" line per knob, behaviors one line per
-//     non-honest node, terminated by "end". The orchestrator writes one
-//     spec file; each lumiere_node reads it plus its own --id, so every
-//     process derives byte-identical protocol stacks (same seed, same
-//     leader schedules, same keys) without any runtime coordination.
+//   * Spec file — the part of a runtime::ScenarioSpec (runtime/scenario.h)
+//     that every replica process rebuilds identically. One "key value"
+//     line per key of the table in spec_io.cpp: n, delta_us, x,
+//     pacemaker, core, seed, auth_scheme, tcp_base_port,
+//     status_base_port, admin_token (only when set), pipeline,
+//     pipeline_workers, pipeline_queue, dissem, arrival,
+//     clients_per_node, rate_per_client, in_flight, request_bytes, then
+//     one "behavior <node> <name>" line per ScenarioSpec::byzantine
+//     entry, terminated by "end". A key missing from a file keeps its
+//     spec_file_defaults() value. The file describes a TCP cluster, so it
+//     carries no sim-only state (delay policies, GST, topology) and no
+//     fault schedule. The orchestrator writes one spec file; each
+//     lumiere_node reads it plus its own --id, so every process derives
+//     byte-identical protocol stacks (same seed, same leader schedules,
+//     same keys) without any runtime coordination.
 //
 //   * Ledger dump — the admin LEDGER reply (obs/admin.h): one line per
 //     committed entry carrying view, block hash and payload bytes, enough
@@ -18,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -31,52 +39,23 @@
 
 namespace lumiere::runtime {
 
-/// Everything a replica process needs to rebuild its slice of the
-/// cluster. Mirrors the ScenarioBuilder knobs the soak harness exercises;
-/// deliberately NOT the full Scenario (no sim-only adversary state —
-/// validate() rejects those on TCP anyway).
-struct ClusterSpec {
-  std::uint32_t n = 4;
-  std::int64_t delta_us = 10'000;
-  std::uint32_t x = 3;
-  std::string pacemaker = "lumiere";
-  std::string core = "simple-view";
-  std::uint64_t seed = 1;
-  std::string auth_scheme = "hmac";
-  std::uint16_t tcp_base_port = 0;
-  std::uint16_t status_base_port = 0;
-  std::string admin_token;
+/// What a spec file's missing keys keep: the TCP transport and, on every
+/// node, a closed-loop workload of 2 clients x 4 in flight with 64-byte
+/// requests (the soak cluster's: its liveness oracles need committed
+/// requests to count). Everything else is the ScenarioSpec default.
+[[nodiscard]] ScenarioSpec spec_file_defaults();
 
-  bool pipeline = false;
-  std::uint32_t pipeline_workers = 4;
-  std::uint32_t pipeline_queue = 1024;
+/// Prints the spec file's keys of `spec` in the "lumiere-scenario v1"
+/// format. An absent workload prints as zero clients per node.
+[[nodiscard]] std::string serialize(const ScenarioSpec& spec);
 
-  bool dissem = false;
-
-  /// Client-driven workload on every node (the soak cluster always runs
-  /// one — liveness oracles need committed requests to count).
-  std::string arrival = "closed-loop";
-  std::uint32_t clients_per_node = 2;
-  double rate_per_client = 100.0;
-  std::uint32_t in_flight = 4;
-  std::uint64_t request_bytes = 64;
-
-  /// Initial non-honest behaviors, node -> adversary::make_behavior name.
-  std::map<ProcessId, std::string> behaviors;
-};
-
-/// Serializes to the "lumiere-scenario v1" line format.
-[[nodiscard]] std::string serialize(const ClusterSpec& spec);
-
-/// Parses a serialized spec. Returns nullopt with `error` set on a
-/// malformed or unknown-versioned input.
-[[nodiscard]] std::optional<ClusterSpec> parse_cluster_spec(const std::string& text,
-                                                            std::string& error);
-
-/// Expands the spec into a ready-to-validate builder for the full n-node
-/// cluster (TCP transport). The in-process tests build a whole Cluster
-/// from it; lumiere_node builds the same builder and runs one node.
-[[nodiscard]] ScenarioBuilder to_builder(const ClusterSpec& spec);
+/// Parses a spec file onto spec_file_defaults(). Returns nullopt with
+/// `error` set on a malformed, truncated or unknown-versioned input or
+/// an unknown key. Values are checked only for their syntax:
+/// ScenarioBuilder(spec).validate() reports the rest (n below 4, x below
+/// 2, a behavior on a node outside the cluster).
+[[nodiscard]] std::optional<ScenarioSpec> parse_spec(const std::string& text,
+                                                     std::string& error);
 
 /// One committed entry in the form the ledger oracles
 /// (fuzz/ledger_oracles.h) read: the cross-process form of

@@ -48,6 +48,41 @@ TEST(FuzzDeterminismTest, SameSeedReplaysByteIdentically) {
   }
 }
 
+TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
+  // Run digests pinned from fuzz_repro. Together the cases cover churn
+  // (leave/rejoin), asymmetric partitions, scheduled behavior changes,
+  // dissemination, topology presets and one n-shrink through
+  // apply_deltas; a refactor of how a case becomes a Scenario must leave
+  // every one byte-identical.
+  struct Pinned {
+    std::uint64_t seed;
+    std::uint32_t shrink_to_n;  ///< 0 = the case as sampled
+    const char* digest;
+  };
+  const Pinned pinned[] = {
+      // nk20/hotstuff-2, wan3 preset, partitions, behavior change.
+      {1, 0, "1219593ab4b338d8ed978a6b659aeb11b64c10a4817c38f09ced5d0b55a2ce48"},
+      // lumiere/hotstuff-2, lan preset, two churn windows, workload.
+      {3, 0, "01e0dfea02120b70f06276ebff0aa03009266ed7471dc53147d6a34df4c275eb"},
+      // n=7: churn, asymmetric and 3-way partitions, two Byzantine nodes.
+      {5, 0, "55e1020effd4d79005b02b429bc822fab033fdf569afe54a778e84741875ef0e"},
+      // Dissemination on, churn of a silent leader, delay change.
+      {21, 0, "802635e04ea0347c5c7754cfa0b2fb93f82e8b40f42f1104d6bec3997d5cdc31"},
+      // Asymmetric partition then a behavior change, workload.
+      {22, 0, "566a781cb3becba0f7d4e20014e45bd2010fa18eee7fd4cef83ac931a2664c69"},
+      // n=10 shrunk to 4: groups trimmed, behaviors recapped at f=1.
+      {16, 4, "4e0838b6896d4f5afd51912e5b3caf152b7ab4b6dfe5518218990e423f3efff3"},
+  };
+  for (const Pinned& p : pinned) {
+    CaseDeltas deltas;
+    deltas.n = p.shrink_to_n;
+    const FuzzCase c = apply_deltas(sample_case(p.seed), deltas);
+    const RunResult result = run_case(c);
+    EXPECT_TRUE(result.ok()) << "seed " << p.seed << ": " << describe(c);
+    EXPECT_EQ(result.digest.hex(), p.digest) << "seed " << p.seed << " n " << p.shrink_to_n;
+  }
+}
+
 TEST(FuzzDeterminismTest, DifferentSeedsDiverge) {
   // Sanity on the digest itself: distinct seeds must not collide, or the
   // replay comparison above would be vacuous.
@@ -68,17 +103,17 @@ TEST(FuzzGeneratorTest, EverySampledCaseStaysInTheGuaranteedEnvelope) {
   // f — the envelope where post-disruption liveness is a theorem.
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const FuzzCase c = sample_case(seed);
-    const std::uint32_t f = (c.n - 1) / 3;
+    const std::uint32_t f = (c.spec.params.n - 1) / 3;
 
-    const auto errors = to_builder(c).validate();
+    const auto errors = runtime::ScenarioBuilder(c.spec).validate();
     ASSERT_TRUE(errors.empty()) << "seed " << seed << ": " << errors.front();
 
     std::set<ProcessId> faulty;
-    for (const auto& assignment : c.behaviors) faulty.insert(assignment.node);
-    for (std::size_t i = 0; i < c.schedule.events.size(); ++i) {
-      const sim::FaultEvent& event = c.schedule.events[i];
+    for (const auto& assignment : c.spec.byzantine) faulty.insert(assignment.node);
+    for (std::size_t i = 0; i < c.spec.schedule.events.size(); ++i) {
+      const sim::FaultEvent& event = c.spec.schedule.events[i];
       if (i > 0) {
-        ASSERT_GE(event.at.ticks(), c.schedule.events[i - 1].at.ticks())
+        ASSERT_GE(event.at.ticks(), c.spec.schedule.events[i - 1].at.ticks())
             << "seed " << seed << ": events out of timeline order";
       }
       ASSERT_LE(event.at.ticks(), c.disruption_end_us)
@@ -107,7 +142,7 @@ std::uint64_t find_seed(std::uint64_t from, Pred want) {
 }
 
 bool has_event(const FuzzCase& c, sim::FaultKind kind) {
-  for (const auto& event : c.schedule.events) {
+  for (const auto& event : c.spec.schedule.events) {
     if (event.kind == kind) return true;
   }
   return false;
@@ -118,14 +153,14 @@ TEST(FuzzShrinkTest, AlwaysFailingPredicateShrinksToTheEmptyScenario) {
   // strip the case to its skeleton: no events, no behaviors, no workload,
   // the smallest cluster.
   const std::uint64_t seed = find_seed(1, [](const FuzzCase& c) {
-    return c.n > 4 && !c.schedule.events.empty() && !c.behaviors.empty() &&
-           c.workload.clients > 0;
+    return c.spec.params.n > 4 && !c.spec.schedule.events.empty() &&
+           !c.spec.byzantine.empty() && c.spec.workload.has_value();
   });
   const ShrinkResult result = shrink(seed, [](const FuzzCase&) { return true; });
-  EXPECT_TRUE(result.minimal.schedule.events.empty());
-  EXPECT_TRUE(result.minimal.behaviors.empty());
-  EXPECT_EQ(result.minimal.workload.clients, 0U);
-  EXPECT_EQ(result.minimal.n, 4U);
+  EXPECT_TRUE(result.minimal.spec.schedule.events.empty());
+  EXPECT_TRUE(result.minimal.spec.byzantine.empty());
+  EXPECT_FALSE(result.minimal.spec.workload.has_value());
+  EXPECT_EQ(result.minimal.spec.params.n, 4U);
   EXPECT_GT(result.attempts, 1U);
 }
 
@@ -134,15 +169,15 @@ TEST(FuzzShrinkTest, KeepsExactlyWhatTheFailureNeeds) {
   // minimal case must keep one crash episode (crash + its recover, which
   // travel together) and drop every other event and behavior.
   const std::uint64_t seed = find_seed(1, [](const FuzzCase& c) {
-    return has_event(c, sim::FaultKind::kCrash) && c.schedule.events.size() > 2;
+    return has_event(c, sim::FaultKind::kCrash) && c.spec.schedule.events.size() > 2;
   });
   const ShrinkResult result = shrink(
       seed, [](const FuzzCase& c) { return has_event(c, sim::FaultKind::kCrash); });
-  ASSERT_EQ(result.minimal.schedule.events.size(), 2U)
+  ASSERT_EQ(result.minimal.spec.schedule.events.size(), 2U)
       << describe(result.minimal) << "\nrepro: " << repro_line(seed, result.deltas);
-  EXPECT_EQ(result.minimal.schedule.events[0].kind, sim::FaultKind::kCrash);
-  EXPECT_EQ(result.minimal.schedule.events[1].kind, sim::FaultKind::kRecover);
-  EXPECT_TRUE(result.minimal.behaviors.empty());
+  EXPECT_EQ(result.minimal.spec.schedule.events[0].kind, sim::FaultKind::kCrash);
+  EXPECT_EQ(result.minimal.spec.schedule.events[1].kind, sim::FaultKind::kRecover);
+  EXPECT_TRUE(result.minimal.spec.byzantine.empty());
   // The recorded deltas replay to the same minimal case (what fuzz_repro
   // does with the printed line).
   const FuzzCase replayed = apply_deltas(sample_case(seed), result.deltas);
@@ -157,18 +192,18 @@ TEST(FuzzShrinkTest, NonReproducingFailureShrinksToNothing) {
 
 TEST(FuzzShrinkTest, EpisodesPairWindowEvents) {
   FuzzCase c;
-  c.schedule.events.resize(7);
-  c.schedule.events[0].kind = sim::FaultKind::kPartition;
-  c.schedule.events[1].kind = sim::FaultKind::kHeal;
-  c.schedule.events[2].kind = sim::FaultKind::kCrash;
-  c.schedule.events[2].node = 2;
-  c.schedule.events[3].kind = sim::FaultKind::kDelayChange;
-  c.schedule.events[4].kind = sim::FaultKind::kRecover;
-  c.schedule.events[4].node = 2;
-  c.schedule.events[5].kind = sim::FaultKind::kLeave;
-  c.schedule.events[5].node = 0;
-  c.schedule.events[6].kind = sim::FaultKind::kRejoin;
-  c.schedule.events[6].node = 0;
+  c.spec.schedule.events.resize(7);
+  c.spec.schedule.events[0].kind = sim::FaultKind::kPartition;
+  c.spec.schedule.events[1].kind = sim::FaultKind::kHeal;
+  c.spec.schedule.events[2].kind = sim::FaultKind::kCrash;
+  c.spec.schedule.events[2].node = 2;
+  c.spec.schedule.events[3].kind = sim::FaultKind::kDelayChange;
+  c.spec.schedule.events[4].kind = sim::FaultKind::kRecover;
+  c.spec.schedule.events[4].node = 2;
+  c.spec.schedule.events[5].kind = sim::FaultKind::kLeave;
+  c.spec.schedule.events[5].node = 0;
+  c.spec.schedule.events[6].kind = sim::FaultKind::kRejoin;
+  c.spec.schedule.events[6].node = 0;
   const auto episodes = event_episodes(c);
   ASSERT_EQ(episodes.size(), 4U);
   EXPECT_EQ(episodes[0], (std::vector<std::size_t>{0, 1}));  // partition + heal
@@ -179,27 +214,27 @@ TEST(FuzzShrinkTest, EpisodesPairWindowEvents) {
 
 TEST(FuzzShrinkTest, NodeShrinkDropsOutOfRangeReferencesAndRecapsBudget) {
   FuzzCase c;
-  c.n = 7;
-  c.behaviors.push_back(BehaviorAssignment{1, "mute"});
-  c.behaviors.push_back(BehaviorAssignment{5, "equivocator"});  // out of range at n=4
-  c.behaviors.push_back(BehaviorAssignment{2, "silent-leader"});  // over f=1 at n=4
+  c.spec.params.n = 7;
+  c.spec.byzantine.push_back(BehaviorAssignment{1, "mute"});
+  c.spec.byzantine.push_back(BehaviorAssignment{5, "equivocator"});  // out of range at n=4
+  c.spec.byzantine.push_back(BehaviorAssignment{2, "silent-leader"});  // over f=1 at n=4
   sim::FaultEvent cut;
   cut.kind = sim::FaultKind::kPartition;
   cut.groups = {{0, 1, 5}, {2, 6}};
   sim::FaultEvent crash;
   crash.kind = sim::FaultKind::kCrash;
   crash.node = 6;
-  c.schedule.events = {cut, crash};
+  c.spec.schedule.events = {cut, crash};
 
   CaseDeltas deltas;
   deltas.n = 4;
   const FuzzCase shrunk = apply_deltas(c, deltas);
-  EXPECT_EQ(shrunk.n, 4U);
-  ASSERT_EQ(shrunk.behaviors.size(), 1U);  // f = 1 at n = 4
-  EXPECT_EQ(shrunk.behaviors[0].node, 1U);
-  ASSERT_EQ(shrunk.schedule.events.size(), 1U);  // the crash referenced node 6
-  EXPECT_EQ(shrunk.schedule.events[0].kind, sim::FaultKind::kPartition);
-  EXPECT_EQ(shrunk.schedule.events[0].groups,
+  EXPECT_EQ(shrunk.spec.params.n, 4U);
+  ASSERT_EQ(shrunk.spec.byzantine.size(), 1U);  // f = 1 at n = 4
+  EXPECT_EQ(shrunk.spec.byzantine[0].node, 1U);
+  ASSERT_EQ(shrunk.spec.schedule.events.size(), 1U);  // the crash referenced node 6
+  EXPECT_EQ(shrunk.spec.schedule.events[0].kind, sim::FaultKind::kPartition);
+  EXPECT_EQ(shrunk.spec.schedule.events[0].groups,
             (std::vector<std::vector<ProcessId>>{{0, 1}, {2}}));
 }
 
@@ -211,29 +246,29 @@ TEST(FuzzShrinkTest, NodeShrinkRecapsCrashVictimsAgainstTheFaultBudget) {
   // guaranteed-recovery envelope and fail for a reason the original
   // never exhibited.
   FuzzCase c;
-  c.n = 7;
-  c.behaviors.push_back(BehaviorAssignment{0, "mute"});
+  c.spec.params.n = 7;
+  c.spec.byzantine.push_back(BehaviorAssignment{0, "mute"});
   sim::FaultEvent crash;
   crash.kind = sim::FaultKind::kCrash;
   crash.node = 2;
   sim::FaultEvent recover;
   recover.kind = sim::FaultKind::kRecover;
   recover.node = 2;
-  c.schedule.events = {crash, recover};
+  c.spec.schedule.events = {crash, recover};
 
   CaseDeltas deltas;
   deltas.n = 4;
   const FuzzCase shrunk = apply_deltas(c, deltas);
-  ASSERT_EQ(shrunk.behaviors.size(), 1U);
-  EXPECT_TRUE(shrunk.schedule.events.empty())
+  ASSERT_EQ(shrunk.spec.byzantine.size(), 1U);
+  EXPECT_TRUE(shrunk.spec.schedule.events.empty())
       << "crash window on a second node exceeds f=1; it must drop with its recover";
 
   // Without the Byzantine assignment the crash victim is THE fault and
   // survives the shrink.
   FuzzCase honest = c;
-  honest.behaviors.clear();
+  honest.spec.byzantine.clear();
   const FuzzCase kept = apply_deltas(honest, deltas);
-  EXPECT_EQ(kept.schedule.events.size(), 2U);
+  EXPECT_EQ(kept.spec.schedule.events.size(), 2U);
 }
 
 TEST(FuzzShrinkTest, ReproLineNamesEveryDelta) {

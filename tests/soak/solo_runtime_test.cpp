@@ -27,6 +27,7 @@
 #include "consensus/mempool.h"
 #include "consensus/request_tag.h"
 #include "fuzz/ledger_oracles.h"
+#include "runtime/spec_io.h"
 #include "workload/request.h"
 
 namespace lumiere::runtime {
@@ -38,15 +39,14 @@ constexpr std::uint16_t kTcpBase = 28000;
 constexpr std::uint16_t kStatusBase = 28040;
 constexpr const char* kToken = "test-token";
 
-ClusterSpec soak_spec() {
-  ClusterSpec spec;
-  spec.n = 4;
-  spec.core = "chained-hotstuff";
-  spec.pacemaker = "lumiere";
+ScenarioSpec soak_spec() {
+  ScenarioSpec spec = spec_file_defaults();
+  spec.protocol.core = "chained-hotstuff";
+  spec.protocol.pacemaker = "lumiere";
   spec.seed = 909;
   spec.tcp_base_port = kTcpBase;
-  spec.status_base_port = kStatusBase;
-  spec.admin_token = kToken;
+  spec.obs.status_base_port = kStatusBase;
+  spec.obs.admin_token = kToken;
   return spec;
 }
 
@@ -122,11 +122,11 @@ fuzz::NodeLedgerData ledger_data(const SoloNodeRuntime& runtime) {
 }
 
 TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
-  const ClusterSpec spec = soak_spec();
+  const Scenario scenario = ScenarioBuilder(soak_spec()).scenario();
   std::vector<std::unique_ptr<Host>> hosts;
-  for (ProcessId id = 0; id < spec.n; ++id) {
+  for (ProcessId id = 0; id < scenario.params.n; ++id) {
     hosts.push_back(std::make_unique<Host>());
-    hosts.back()->runtime = std::make_unique<SoloNodeRuntime>(spec, id);
+    hosts.back()->runtime = std::make_unique<SoloNodeRuntime>(scenario, id);
   }
   for (auto& host : hosts) host->start();
 
@@ -134,7 +134,7 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   // clients get past their first windows (2 clients x 4 in flight), so
   // a restart that replayed their seqs from 0 would replay only tags the
   // chain already committed.
-  const ClusterSpec defaults;
+  const workload::WorkloadSpec defaults = *spec_file_defaults().workload;
   const std::uint64_t kRequestsBeforeCrash = 4 * defaults.clients_per_node * defaults.in_flight;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   bool all_committing = false;
@@ -159,7 +159,7 @@ TEST(SoloRuntimeTest, ClusterCommitsRestartRecoversAndAdminApplies) {
   ASSERT_GT(watermark, 0U);
   SoloNodeRuntime::Options restart;
   restart.incarnation = 1;
-  hosts[1]->runtime = std::make_unique<SoloNodeRuntime>(spec, 1, restart);
+  hosts[1]->runtime = std::make_unique<SoloNodeRuntime>(scenario, 1, restart);
   hosts[1]->start();
 
   bool recovered = false;

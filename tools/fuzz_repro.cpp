@@ -58,6 +58,7 @@ int usage() {
   std::cerr << "usage: fuzz_repro --seed N [--drop-events i,j] [--drop-behaviors k]\n"
                "                  [--n M] [--no-workload] [--no-dissem] [--shrink]\n"
                "                  [--transport=sim|tcp] [--tcp-base-port P]\n"
+               "  --n M shrinks the cluster to M >= 4 nodes (0 keeps the sampled n)\n"
                "  --transport=tcp replays the case on real localhost sockets\n"
                "  (sim-only delay/topology elements stripped; the digest is not\n"
                "  comparable with the sim run — the oracle verdict is)\n";
@@ -92,7 +93,10 @@ int main(int argc, char** argv) {
       if (!list.has_value()) return usage();
       (arg == "--drop-events" ? deltas.drop_events : deltas.drop_behaviors) = std::move(*list);
     } else if (arg == "--n") {
-      if (!parse_number(next(), UINT32_MAX, number)) return usage();
+      // 0 keeps the sampled n; a shrunken cluster still needs n >= 4.
+      if (!parse_number(next(), UINT32_MAX, number) || (number != 0 && number < 4)) {
+        return usage();
+      }
       deltas.n = static_cast<std::uint32_t>(number);
     } else if (arg == "--no-workload") {
       deltas.drop_workload = true;
@@ -130,7 +134,7 @@ int main(int argc, char** argv) {
   const FuzzCase base = lumiere::fuzz::sample_case(seed);
   const FuzzCase replayed = deltas.empty() ? base : lumiere::fuzz::apply_deltas(base, deltas);
   std::cout << "case:   " << lumiere::fuzz::describe(replayed) << "\n";
-  std::cout << "dissem: " << (replayed.dissem ? "enabled" : "disabled")
+  std::cout << "dissem: " << (replayed.spec.dissem ? "enabled" : "disabled")
             << " (data-dissemination layer; --no-dissem is a shrink dimension)\n";
 
   const RunResult result = tcp ? lumiere::fuzz::run_case_tcp(replayed, tcp_base_port)

@@ -3,9 +3,10 @@
 //   lumiere_node --spec cluster.spec --id 2 [--allow-crash] [--run-ms N]
 //                [--incarnation I]
 //
-// Reads the shared ClusterSpec (runtime/spec_io.h), builds exactly ONE
-// node's stack (runtime/solo_node.h) and drives it until SIGTERM/SIGINT
-// (or --run-ms elapses). The soak orchestrator (tools/soak) spawns n of
+// Reads the shared spec file (runtime/spec_io.h), resolves it into the
+// cluster's Scenario, builds exactly ONE node's stack
+// (runtime/solo_node.h) and drives it until SIGTERM/SIGINT (or --run-ms
+// elapses). The soak orchestrator (tools/soak) spawns n of
 // these, then kills, restarts and reshapes them through their status
 // endpoints while the cluster keeps committing.
 //
@@ -21,6 +22,7 @@
 #include <thread>
 
 #include "runtime/solo_node.h"
+#include "runtime/spec_io.h"
 
 namespace {
 
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
   std::ostringstream text;
   text << in.rdbuf();
   std::string error;
-  const auto spec = lumiere::runtime::parse_cluster_spec(text.str(), error);
+  const auto spec = lumiere::runtime::parse_spec(text.str(), error);
   if (!spec.has_value()) {
     std::cerr << "lumiere_node: " << error << "\n";
     return 2;
@@ -97,9 +99,11 @@ int main(int argc, char** argv) {
     lumiere::runtime::SoloNodeRuntime::Options options;
     options.allow_crash = allow_crash;
     options.incarnation = incarnation;
-    lumiere::runtime::SoloNodeRuntime runtime(*spec, id, options);
+    // Throws std::invalid_argument listing every error of a bad spec.
+    const lumiere::runtime::Scenario scenario = lumiere::runtime::ScenarioBuilder(*spec).scenario();
+    lumiere::runtime::SoloNodeRuntime runtime(scenario, id, options);
     std::cout << "lumiere_node: node " << id << " up, transport port "
-              << (spec->tcp_base_port + id) << ", status port "
+              << (scenario.tcp_base_port + id) << ", status port "
               << (runtime.status_port() != 0 ? runtime.status_port() : 0) << std::endl;
     // Short slices so a SIGTERM lands within ~50ms; the driver keeps the
     // sim/wall anchor continuous across calls.

@@ -59,7 +59,6 @@ namespace {
 using lumiere::ProcessId;
 using lumiere::View;
 using lumiere::fuzz::NodeLedgerData;
-using lumiere::runtime::ClusterSpec;
 using lumiere::runtime::LedgerRecord;
 
 constexpr const char* kAdminToken = "soak";
@@ -322,15 +321,15 @@ int main(int argc, char** argv) {
   ::mkdir(work_dir.c_str(), 0755);
 
   // ---- shared spec -------------------------------------------------
-  ClusterSpec spec;
-  spec.n = n;
-  spec.core = core;
-  spec.pacemaker = pacemaker;
+  lumiere::runtime::ScenarioSpec spec = lumiere::runtime::spec_file_defaults();
+  spec.params = lumiere::ProtocolParams::for_n(n, spec.params.delta_cap);
+  spec.protocol.core = core;
+  spec.protocol.pacemaker = pacemaker;
   spec.seed = seed;
   spec.tcp_base_port = tcp_base_port;
-  spec.status_base_port = status_base_port;
-  spec.admin_token = kAdminToken;
-  spec.pipeline = pipeline;
+  spec.obs.status_base_port = status_base_port;
+  spec.obs.admin_token = kAdminToken;
+  spec.pipeline.enabled = pipeline;
   const std::string spec_path = work_dir + "/cluster.spec";
   {
     std::ofstream out(spec_path);
