@@ -65,14 +65,22 @@ Admission Mempool::add(std::string_view command) {
 
 template <typename Sink>
 std::vector<std::uint8_t> Mempool::drain_batch(Sink&& sink) {
-  ser::Writer w;
+  // Count first and size the payload exactly: a batch can live as long
+  // as the run (ledger blocks and stored batches hold it), so capacity
+  // left over from doubling would stay pinned with it.
+  std::size_t count = 0;
   std::size_t used = 0;
-  for (std::size_t count = 0; !queue_.empty() && count < limits_.max_batch_count; ++count) {
-    Entry& entry = queue_.front();
+  for (const Entry& entry : queue_) {
+    if (count == limits_.max_batch_count) break;
     const std::size_t cost = batch_cost(entry.command);
     if (used + cost > limits_.max_batch_bytes) break;
-    w.bytes(std::span<const std::uint8_t>(entry.command.data(), entry.command.size()));
     used += cost;
+    ++count;
+  }
+  ser::Writer w(used);
+  for (; count > 0; --count) {
+    Entry& entry = queue_.front();
+    w.bytes(std::span<const std::uint8_t>(entry.command.data(), entry.command.size()));
     pending_bytes_ -= entry.command.size();
     sink(std::move(entry));
     queue_.pop_front();

@@ -3,6 +3,8 @@
 #include <array>
 #include <string_view>
 
+#include "common/assert.h"
+
 namespace lumiere::dissem {
 
 crypto::Digest batch_statement(const BatchId& id) {
@@ -41,10 +43,14 @@ std::optional<BatchCert> BatchCert::deserialize(ser::Reader& r) {
 
 std::vector<std::uint8_t> encode_refs(const std::vector<BatchCert>& refs) {
   if (refs.empty()) return {};
-  ser::Writer w;
+  // Sized exactly: a committed refs payload lives as long as its block.
+  std::size_t size = 8;
+  for (const BatchCert& cert : refs) size += cert.serialized_size();
+  ser::Writer w(size);
   w.u32(kRefsMagic);
   w.u32(static_cast<std::uint32_t>(refs.size()));
   for (const BatchCert& cert : refs) cert.serialize(w);
+  LUMIERE_ASSERT(w.size() == size);
   return std::move(w).take();
 }
 

@@ -73,6 +73,12 @@ class BatchCert {
     return BatchId::wire_size() + sig_.wire_size();
   }
 
+  /// Exact length of serialize()'s output.
+  [[nodiscard]] std::size_t serialized_size() const noexcept {
+    return BatchId::wire_size() + crypto::Digest::kSize + 4 + 4 +
+           sig_.signers.count() * sizeof(ProcessId) + sig_.tag.size();
+  }
+
   void serialize(ser::Writer& w) const;
   [[nodiscard]] static std::optional<BatchCert> deserialize(ser::Reader& r);
 

@@ -26,7 +26,8 @@ Disseminator::Disseminator(const ProtocolParams& params, crypto::AuthView auth,
       signer_(signer),
       spec_(spec),
       cb_(std::move(cb)),
-      self_(signer_.id()) {
+      self_(signer_.id()),
+      batches_(params.n) {
   LUMIERE_ASSERT(auth);
   LUMIERE_ASSERT(cb_.send && cb_.broadcast && cb_.schedule && cb_.now && cb_.next_proposer);
   LUMIERE_ASSERT(cb_.lease_batch && cb_.ack_batch && cb_.deliver);
@@ -63,7 +64,7 @@ void Disseminator::push_tick() {
     LUMIERE_ASSERT(inserted);
     it->second.agg.add(crypto::threshold_share(signer_, batch_statement(id)));
     ++pushed_;
-    store_.emplace(id, payload);
+    batches_.store(id, payload);
     cb_.broadcast(std::make_shared<BatchPushMsg>(id, std::move(payload)));
     maybe_finalize(seq);
   }
@@ -85,9 +86,9 @@ void Disseminator::retry_tick() {
   // already store the bytes. Acking is idempotent on the receiver side.
   for (auto& [seq, pending] : pending_) {
     if (!pending.repush.fire(now, cap)) continue;
-    const auto stored = store_.find(pending.id);
-    if (stored == store_.end()) continue;
-    const auto push = std::make_shared<BatchPushMsg>(pending.id, stored->second);
+    const BatchBytes* stored = batches_.bytes(pending.id);
+    if (stored == nullptr) continue;
+    const auto push = std::make_shared<BatchPushMsg>(pending.id, *stored);
     const SignerSet& acked = pending.agg.signers();
     for (ProcessId to = 0; to < params_.n; ++to) {
       if (!acked.contains(to)) cb_.send(to, push);
@@ -136,7 +137,7 @@ void Disseminator::handle_push(ProcessId /*from*/, const BatchPushMsg& msg) {
                                                          msg.payload().size())) != id.digest) {
     return;
   }
-  store_.try_emplace(id, msg.shared_payload());
+  batches_.store(id, msg.shared_payload());
   if (id.origin != self_ && id.origin < params_.n) {
     cb_.send(id.origin,
              std::make_shared<BatchAckMsg>(id, crypto::threshold_share(signer_,
@@ -145,7 +146,7 @@ void Disseminator::handle_push(ProcessId /*from*/, const BatchPushMsg& msg) {
   const auto missing = unresolved_.find(id);
   if (missing != unresolved_.end()) {
     unresolved_.erase(missing);
-    deliver_one(id);
+    deliver_one(id, msg.payload());
   }
 }
 
@@ -186,15 +187,15 @@ void Disseminator::handle_cert(const BatchCertMsg& msg) {
 
 void Disseminator::handle_fetch(ProcessId from, const BatchFetchMsg& msg) {
   if (from >= params_.n || from == self_) return;
-  const auto it = store_.find(msg.id());
-  if (it == store_.end()) return;
+  const BatchBytes* stored = batches_.bytes(msg.id());
+  if (stored == nullptr) return;
   ++fetches_served_;
-  cb_.send(from, std::make_shared<BatchPushMsg>(msg.id(), it->second));
+  cb_.send(from, std::make_shared<BatchPushMsg>(msg.id(), *stored));
 }
 
 void Disseminator::accept_cert(const BatchCert& cert) {
   const BatchId& id = cert.id();
-  if (ordered_.contains(id) || queued_.contains(id)) return;
+  if (batches_.ordered(id) || queued_.contains(id)) return;
   queue_.push_back(cert);
   queued_.insert(id);
   sample_depth();
@@ -255,7 +256,7 @@ void Disseminator::on_refs_proposed(std::span<const std::uint8_t> payload) {
 void Disseminator::schedule_reinsert(const BatchCert& cert) {
   cb_.schedule(spec_.reinsert_timeout, [this, cert] {
     const BatchId& id = cert.id();
-    if (ordered_.contains(id) || queued_.contains(id)) return;
+    if (batches_.ordered(id) || queued_.contains(id)) return;
     queue_.push_back(cert);
     queued_.insert(id);
     ++reinserted_;
@@ -272,10 +273,11 @@ void Disseminator::on_committed_payload(std::span<const std::uint8_t> payload) {
     own_certs_.erase(id);
     // A reference can legitimately commit twice (reinsert + pipelined
     // chains); deliver the batch exactly once, on its first commit.
-    if (!ordered_.insert(id).second) continue;
+    BatchLanes::Record& batch = batches_.record(id);
+    if (std::exchange(batch.ordered, true)) continue;
     queued_.erase(id);
-    if (store_.contains(id)) {
-      deliver_one(id);
+    if (batch.bytes) {
+      deliver_one(id, *batch.bytes);
     } else {
       unresolved_.emplace(id, cert);
       send_fetches(cert);
@@ -284,11 +286,9 @@ void Disseminator::on_committed_payload(std::span<const std::uint8_t> payload) {
   sample_depth();
 }
 
-void Disseminator::deliver_one(const BatchId& id) {
-  const auto it = store_.find(id);
-  LUMIERE_ASSERT(it != store_.end());
+void Disseminator::deliver_one(const BatchId& id, const std::vector<std::uint8_t>& bytes) {
   ++delivered_;
-  cb_.deliver(cb_.now(), *it->second);
+  cb_.deliver(cb_.now(), bytes);
   if (id.origin == self_) {
     const auto token = tokens_.find(id.seq);
     if (token != tokens_.end()) {
@@ -307,8 +307,8 @@ void Disseminator::send_fetches(const BatchCert& cert) {
 }
 
 const std::vector<std::uint8_t>* Disseminator::payload_of(const BatchId& id) const {
-  const auto it = store_.find(id);
-  return it == store_.end() ? nullptr : it->second.get();
+  const BatchBytes* stored = batches_.bytes(id);
+  return stored == nullptr ? nullptr : stored->get();
 }
 
 void Disseminator::sample_depth() {

@@ -27,6 +27,16 @@
 //     the proposer rotates, so successive re-announces reach different
 //     leaders (the liveness net for a silent or cut-off first choice).
 //
+// Every batch this node has stored or ordered is one BatchLanes record
+// (dissem/batch_lanes.h): its digest, its shared payload bytes (null
+// until a push or fetch response brings them) and an `ordered` bit that
+// makes delivery exactly-once. Records sit in per-origin lanes indexed
+// by seq, in fixed chunks allocated on demand; an id that cannot take
+// its lane slot (a restarted origin reusing a seq, a forged push, an
+// out-of-range origin) lives in the table's overflow map instead. Only
+// the in-flight state (own pending and unordered certs, the certified
+// queue, unresolved references) is kept in ordered containers.
+//
 // Everything is driven by the deterministic simulator clock through the
 // injected schedule/now callbacks; the engine itself holds no threads
 // and no wall-clock state, so runs replay bit-for-bit from the seed.
@@ -46,6 +56,7 @@
 #include "consensus/quorum_cert.h"
 #include "crypto/authenticator.h"
 #include "dissem/batch.h"
+#include "dissem/batch_lanes.h"
 #include "dissem/messages.h"
 #include "dissem/spec.h"
 #include "ser/message.h"
@@ -164,7 +175,8 @@ class Disseminator {
   /// dominate the vote path).
   [[nodiscard]] bool verify_cert_cached(const BatchCert& cert);
   void schedule_reinsert(const BatchCert& cert);
-  void deliver_one(const BatchId& id);
+  /// Delivers a newly ordered batch's bytes and acks its own lease.
+  void deliver_one(const BatchId& id, const std::vector<std::uint8_t>& bytes);
   void send_fetches(const BatchCert& cert);
   void sample_depth();
 
@@ -181,10 +193,9 @@ class Disseminator {
   std::map<std::uint64_t, std::uint64_t> tokens_; ///< own seq -> mempool lease token
   std::map<BatchId, OwnCert> own_certs_;          ///< own, certified, not yet ordered
 
-  std::map<BatchId, BatchBytes> store_;  ///< all received batch bytes (shared with pushes)
+  BatchLanes batches_;            ///< every batch stored or ordered on this node
   std::deque<BatchCert> queue_;   ///< certified references, FIFO (may hold stale copies)
   std::set<BatchId> queued_;      ///< source of truth for queue membership
-  std::set<BatchId> ordered_;     ///< references already committed+deduped on this node
   std::map<BatchId, BatchCert> unresolved_;  ///< committed, payload still missing
   /// Fingerprints of verified serialized certs (announces and every
   /// proposal ref re-carry a cert while it is in flight).

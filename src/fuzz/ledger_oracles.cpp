@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 #include <span>
 #include <sstream>
 #include <utility>
 
 #include "consensus/mempool.h"
 #include "consensus/request_tag.h"
+#include "dissem/batch_lanes.h"
 
 namespace lumiere::fuzz {
 
@@ -64,12 +64,13 @@ namespace {
 
 /// Visits each tagged request `node` committed, in commit order, as
 /// visit(entry index, tag), resolving batch references through
-/// `resolve` (a batch delivers once). Stops early when `visit` returns
-/// true. Returns the first malformed or unresolved reference it meets.
+/// `resolve` (a batch delivers once; `origins` is the cluster size, the
+/// lanes of the dedup table). Stops early when `visit` returns true.
+/// Returns the first malformed or unresolved reference it meets.
 std::optional<std::string> visit_committed_tags(
-    const NodeLedgerData& node, const BatchResolver& resolve,
+    const NodeLedgerData& node, const BatchResolver& resolve, std::uint32_t origins,
     const std::function<bool(std::size_t, consensus::RequestTag)>& visit) {
-  std::set<dissem::BatchId> delivered;
+  dissem::BatchLanes delivered(origins);
   for (std::size_t index = 0; index < node.records.size(); ++index) {
     const std::span<const std::uint8_t> payload = node.records[index].payload;
     std::vector<std::span<const std::uint8_t>> batches;
@@ -84,7 +85,7 @@ std::optional<std::string> visit_committed_tags(
         return out.str();
       }
       for (const dissem::BatchCert& cert : *refs) {
-        if (!delivered.insert(cert.id()).second) continue;  // delivers once
+        if (!delivered.mark_ordered(cert.id())) continue;  // delivers once
         const std::vector<std::uint8_t>* bytes = resolve(node.node, cert.id());
         if (bytes == nullptr) {
           std::ostringstream out;
@@ -112,6 +113,7 @@ std::optional<std::string> visit_committed_tags(
 
 std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerData>& nodes,
                                                    const BatchResolver& resolve) {
+  const auto origins = static_cast<std::uint32_t>(nodes.size());
   for (const NodeLedgerData& node : nodes) {
     if (node.ever_byzantine) continue;
     // O(clients) memory however long the ledger; a repeat re-scans for
@@ -119,8 +121,8 @@ std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerD
     consensus::CommittedTags committed;
     std::optional<consensus::RequestTag> repeated;
     std::size_t second = 0;
-    auto violation = visit_committed_tags(node, resolve, [&](std::size_t index,
-                                                             consensus::RequestTag tag) {
+    auto violation = visit_committed_tags(node, resolve, origins,
+                                          [&](std::size_t index, consensus::RequestTag tag) {
       if (!committed.contains(tag)) {
         committed.insert(tag);
         return false;
@@ -132,7 +134,8 @@ std::optional<std::string> check_exactly_once_data(const std::vector<NodeLedgerD
     if (violation) return violation;
     if (!repeated) continue;
     std::size_t first = second;
-    visit_committed_tags(node, resolve, [&](std::size_t index, consensus::RequestTag tag) {
+    visit_committed_tags(node, resolve, origins, [&](std::size_t index,
+                                                     consensus::RequestTag tag) {
       if (tag != *repeated) return false;
       first = index;
       return true;

@@ -315,7 +315,6 @@ void MetricsCollector::record_certified_depth(TimePoint at, ProcessId node, std:
     capture(std::move(e));
     return;
   }
-  certified_depth_log_.push_back(QueueDepthSample{at, node, depth});
   max_certified_depth_ = std::max(max_certified_depth_, depth);
 }
 

@@ -50,10 +50,10 @@ class MetricsCollector final : public sim::NetworkObserver {
   /// exactly the same code as the single-threaded path.
   ///
   /// Lifetime footgun, by design-and-asserted: references returned by the
-  /// log accessors (decisions(), queue_depth_log(), regime_marks(),
-  /// certified_depth_log(), ...) point into the replayed merge and are
-  /// invalidated by the next query that observes new events — hold them
-  /// only between run_for slices, and re-fetch after each slice. Querying
+  /// log accessors (decisions(), queue_depth_log(), regime_marks(), ...)
+  /// point into the replayed merge and are invalidated by the next query
+  /// that observes new events — hold them only between run_for slices,
+  /// and re-fetch after each slice. Querying
   /// *during* a slice is asserted against: the Cluster brackets its TCP
   /// driver threads with begin/end_recording_window(), and every query
   /// (they all funnel through base()) aborts while the window is open.
@@ -200,7 +200,7 @@ class MetricsCollector final : public sim::NetworkObserver {
   // -- data dissemination --------------------------------------------------
   // Batch-availability accounting (src/dissem/), fed by the Cluster on
   // the sim transport: proof-of-availability latency at each origin plus
-  // the certified-but-unordered backlog alongside queue_depth_log.
+  // the deepest certified-but-unordered backlog.
 
   /// A batch gathered its availability cert at `at`, `latency` after its
   /// first push.
@@ -216,10 +216,7 @@ class MetricsCollector final : public sim::NetworkObserver {
   [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile(double p) const;
   [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile_between(
       double p, TimePoint from, TimePoint to) const;
-  /// (instant, node, certified-unordered depth) samples, in time order.
-  [[nodiscard]] const std::vector<QueueDepthSample>& certified_depth_log() const {
-    return base().certified_depth_log_;
-  }
+  /// The deepest certified-but-unordered queue any node reported.
   [[nodiscard]] std::size_t max_certified_depth() const { return base().max_certified_depth_; }
 
  private:
@@ -303,7 +300,6 @@ class MetricsCollector final : public sim::NetworkObserver {
   std::vector<std::pair<TimePoint, std::uint64_t>> dissem_send_log_;
   /// (cert instant, push -> cert latency) per certified batch.
   std::vector<std::pair<TimePoint, Duration>> cert_log_;
-  std::vector<QueueDepthSample> certified_depth_log_;
   std::size_t max_certified_depth_ = 0;
 };
 

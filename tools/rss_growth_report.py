@@ -4,15 +4,16 @@
 Each argument is [WORKLOAD:]SIM_SECONDS=FILE: FILE holds the output of one
 `python3 bench_e2e/run.py ... --trace 0` call (its last line is the JSON
 summary), SIM_SECONDS is the simulated length of that run (`steady` runs
-one sim-second per `--seconds`, `byzantine` nine) and WORKLOAD labels it
-(default `steady`). Prints GitHub-flavored markdown: a table of
+one sim-second per `--seconds`, `byzantine` nine, `faults` 1.4 with a
+10 s floor, so 5/10/20 are 10/14/28) and WORKLOAD labels it (default
+`steady`). Prints GitHub-flavored markdown: a table of
 `peak_rss_mb` per run with the MiB each extra sim-second cost since the
 workload's previous, shorter run, then a row per workload with the
 least-squares slope over its runs. Informational only: it asserts nothing
 and always exits 0 once its arguments parse. CI appends the output to
 $GITHUB_STEP_SUMMARY; locally it just prints.
 
-Usage: tools/rss_growth_report.py 5=steady-5.txt 10=steady-10.txt byzantine:45=byz-5.txt
+Usage: tools/rss_growth_report.py 5=steady-5.txt 10=steady-10.txt byzantine:45=byz-5.txt faults:10=faults-5.txt
 """
 
 import json
