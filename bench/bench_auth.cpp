@@ -17,7 +17,12 @@
 //     (pipeline(on), 1..N workers) across an offered-rate sweep. At
 //     n = 4 with batching the consensus cadence, not verification,
 //     bounds end-to-end throughput — these rows are the context that
-//     the staged path costs nothing end to end.
+//     the staged path costs nothing end to end. Each row also reports
+//     the real socket bytes per committed request (8-byte frame
+//     headers included).
+//   * cert-wire: the encoded size of a QC, a VC and a BatchCert per
+//     scheme at n = 4, 31 and 64, beside the O(kappa) size the
+//     accounting charges for it. Exact and host-independent.
 //
 //   ./build/bench_auth [--quick] [--json BENCH_auth.json]
 #include <chrono>
@@ -27,6 +32,7 @@
 #include "bench_util.h"
 #include "crypto/authenticator.h"
 #include "consensus/messages.h"
+#include "dissem/batch.h"
 #include "pacemaker/messages.h"
 #include "runtime/pipeline.h"
 #include "workload/engine.h"
@@ -78,7 +84,7 @@ MicroRow measure_scheme(const std::string& scheme, bool quick) {
   row.sign_ns = ns_per_op([&] { (void)signer.sign(msg); }, iters);
   row.verify_ns = ns_per_op([&] { (void)auth->verify(msg, sig); }, iters);
   row.share_verify_ns = ns_per_op([&] { (void)auth->check_share(msg, share); }, iters);
-  row.aggregate_verify_ns = ns_per_op([&] { (void)auth->check_aggregate(aggregate); }, iters);
+  row.aggregate_verify_ns = ns_per_op([&] { (void)auth->check_aggregate(msg, aggregate); }, iters);
   return row;
 }
 
@@ -167,6 +173,7 @@ struct ScalingRow {
   double committed_rps = 0;
   std::optional<Duration> p50;
   std::optional<Duration> p99;
+  double tcp_bytes_per_req = 0;  ///< socket bytes / committed requests, boot quarter excluded
 };
 
 workload::WorkloadSpec load_spec(double rate_per_client) {
@@ -199,11 +206,15 @@ ScalingRow measure_tcp(const std::string& scheme, std::uint32_t workers, double 
     builder.pipeline(pipeline);
   }
   Cluster cluster(builder);
-  cluster.run_for(run_for);  // wall-clock
-
-  const TimePoint from{run_for.ticks() / 4};  // skip the connect/boot quarter
+  // Wall-clock, in two slices so the socket bytes of the connect/boot
+  // quarter stay out of the per-request figure, like its commits.
+  const TimePoint from{run_for.ticks() / 4};
   const TimePoint to{run_for.ticks()};
+  cluster.run_until(from);
+  const std::uint64_t boot_bytes = cluster.tcp_bytes_sent();
+  cluster.run_until(to);
   const workload::Report report = cluster.workload_report();
+  const std::uint64_t committed = report.committed_between(from, to);
   ScalingRow row;
   row.scheme = scheme;
   row.mode = workers > 0 ? "staged" : "inline";
@@ -212,6 +223,62 @@ ScalingRow measure_tcp(const std::string& scheme, std::uint32_t workers, double 
   row.committed_rps = report.committed_per_sec(from, to);
   row.p50 = report.latency_percentile_between(0.50, from, to);
   row.p99 = report.latency_percentile_between(0.99, from, to);
+  const std::uint64_t window_bytes = cluster.tcp_bytes_sent() - boot_bytes;
+  row.tcp_bytes_per_req =
+      committed > 0 ? static_cast<double>(window_bytes) / static_cast<double>(committed) : 0.0;
+  return row;
+}
+
+// --------------------------------------------------------------- cert wire
+
+struct CertWireRow {
+  std::string scheme;
+  std::uint32_t n = 0;
+  std::size_t qc_bytes = 0;
+  std::size_t vc_bytes = 0;
+  std::size_t batch_cert_bytes = 0;
+  std::size_t qc_model = 0;  ///< wire_size() of the message that ships each cert
+  std::size_t vc_model = 0;
+  std::size_t batch_cert_model = 0;
+};
+
+crypto::ThresholdSig aggregate_of(const crypto::Authenticator& auth, std::uint32_t m,
+                                  const crypto::Digest& statement) {
+  crypto::QuorumAggregator agg(crypto::AuthView(&auth), statement, m);
+  for (ProcessId id = 0; id < m; ++id) {
+    agg.add(crypto::threshold_share(auth.signer_for(id), statement));
+  }
+  return agg.aggregate();
+}
+
+/// Encoded bytes of one certificate of each kind at the protocol
+/// thresholds (2f+1 for the QC, f+1 for the VC and the batch cert).
+CertWireRow measure_cert_wire(const std::string& scheme, std::uint32_t n) {
+  const auto auth = crypto::make_authenticator(scheme, n, 5);
+  const ProtocolParams params = ProtocolParams::for_n(n, bench_delta_cap());
+  const crypto::Digest block = crypto::Sha256::hash("cert-wire block");
+  const consensus::QuorumCert qc(
+      7, block,
+      aggregate_of(*auth, params.quorum(), consensus::QuorumCert::statement(7, block)));
+  const pacemaker::SyncCert vc(
+      7, aggregate_of(*auth, params.small_quorum(), pacemaker::view_msg_statement(7)));
+  const dissem::BatchId id{1, 3, crypto::Sha256::hash("cert-wire batch")};
+  const dissem::BatchCert batch(
+      id, aggregate_of(*auth, params.small_quorum(), dissem::batch_statement(id)));
+  const auto encoded = [](const auto& cert) {
+    ser::Writer w;
+    cert.serialize(w);
+    return w.size();
+  };
+  CertWireRow row;
+  row.scheme = scheme;
+  row.n = n;
+  row.qc_bytes = encoded(qc);
+  row.vc_bytes = encoded(vc);
+  row.batch_cert_bytes = encoded(batch);
+  row.qc_model = consensus::QcMsg(qc).wire_size();
+  row.vc_model = pacemaker::VcMsg(vc).wire_size();
+  row.batch_cert_model = batch.wire_size();
   return row;
 }
 
@@ -282,9 +349,10 @@ void run(const BenchArgs& args) {
 
   std::printf("\nTCP request path under \"%s\" (the costliest scheme), pipeline off vs on:\n",
               scheme.c_str());
-  std::printf("%-7s | %7s | %9s | %11s | %9s | %9s\n", "mode", "workers", "offered/s",
-              "committed/s", "p50 (ms)", "p99 (ms)");
-  std::printf("--------+---------+-----------+-------------+-----------+-----------\n");
+  std::printf("%-7s | %7s | %9s | %11s | %9s | %9s | %9s\n", "mode", "workers", "offered/s",
+              "committed/s", "p50 (ms)", "p99 (ms)", "B/req");
+  std::printf(
+      "--------+---------+-----------+-------------+-----------+-----------+----------\n");
   std::vector<ScalingRow> scaling;
   std::uint16_t next_port = 27000;
   for (const std::uint32_t workers : worker_configs) {
@@ -292,9 +360,9 @@ void run(const BenchArgs& args) {
       scaling.push_back(measure_tcp(scheme, workers, rate, tcp_run, next_port));
       next_port = static_cast<std::uint16_t>(next_port + kN);
       const ScalingRow& row = scaling.back();
-      std::printf("%-7s | %7u | %9.0f | %11.1f | %9s | %9s\n", row.mode.c_str(), row.workers,
-                  row.offered_rps, row.committed_rps, fmt_ms(row.p50).c_str(),
-                  fmt_ms(row.p99).c_str());
+      std::printf("%-7s | %7u | %9.0f | %11.1f | %9s | %9s | %9.0f\n", row.mode.c_str(),
+                  row.workers, row.offered_rps, row.committed_rps, fmt_ms(row.p50).c_str(),
+                  fmt_ms(row.p99).c_str(), row.tcp_bytes_per_req);
     }
   }
 
@@ -308,6 +376,21 @@ void run(const BenchArgs& args) {
               knee_four, peak_four);
   std::printf("(knee 0 = unsaturated across this sweep; the staged pool scales when the\n"
               " 4-worker knee/peak sits strictly above the 1-worker one)\n");
+
+  // -- cert wire ------------------------------------------------------
+  std::printf("\nEncoded certificate bytes (modeled O(kappa) size in brackets):\n");
+  std::printf("%-10s | %4s | %13s | %13s | %13s\n", "scheme", "n", "QC", "VC", "BatchCert");
+  std::printf("-----------+------+---------------+---------------+--------------\n");
+  std::vector<CertWireRow> cert_wire;
+  for (const std::string& name : crypto::scheme_names()) {
+    for (const std::uint32_t n : {4U, 31U, 64U}) {
+      cert_wire.push_back(measure_cert_wire(name, n));
+      const CertWireRow& row = cert_wire.back();
+      std::printf("%-10s | %4u | %5zu [%5zu] | %5zu [%5zu] | %5zu [%5zu]\n", row.scheme.c_str(),
+                  row.n, row.qc_bytes, row.qc_model, row.vc_bytes, row.vc_model,
+                  row.batch_cert_bytes, row.batch_cert_model);
+    }
+  }
 
   // -- artifact -------------------------------------------------------
   JsonRows json;
@@ -337,7 +420,20 @@ void run(const BenchArgs& args) {
         .set("offered_rps", row.offered_rps)
         .set("committed_rps", row.committed_rps)
         .set_ms("p50_ms", row.p50)
-        .set_ms("p99_ms", row.p99);
+        .set_ms("p99_ms", row.p99)
+        .set("tcp_bytes_per_req", row.tcp_bytes_per_req);
+  }
+  for (const CertWireRow& row : cert_wire) {
+    json.add_row()
+        .set("section", "cert-wire")
+        .set("scheme", row.scheme)
+        .set("n", static_cast<std::uint64_t>(row.n))
+        .set("qc_bytes", static_cast<std::uint64_t>(row.qc_bytes))
+        .set("vc_bytes", static_cast<std::uint64_t>(row.vc_bytes))
+        .set("batch_cert_bytes", static_cast<std::uint64_t>(row.batch_cert_bytes))
+        .set("qc_model_bytes", static_cast<std::uint64_t>(row.qc_model))
+        .set("vc_model_bytes", static_cast<std::uint64_t>(row.vc_model))
+        .set("batch_cert_model_bytes", static_cast<std::uint64_t>(row.batch_cert_model));
   }
   json.add_row()
       .set("section", "summary")

@@ -64,7 +64,7 @@ void BM_ThresholdVerify(benchmark::State& state) {
   }
   const auto sig = agg.aggregate();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::AuthView(auth.get()).verify_aggregate(sig, m));
+    benchmark::DoNotOptimize(crypto::AuthView(auth.get()).verify_aggregate(digest, sig, m));
   }
 }
 BENCHMARK(BM_ThresholdVerify)->Arg(4)->Arg(16)->Arg(64);

@@ -58,6 +58,22 @@ class SignerSet {
     }
   }
 
+  /// The backing words: word(w) holds ids [64w, 64w + 64), id i at bit
+  /// i % 64. Lets the wire codec move the bitmap without a member list.
+  [[nodiscard]] std::uint64_t word(std::size_t w) const {
+    LUMIERE_ASSERT(w < words_.size());
+    return words_[w];
+  }
+
+  /// Adds every id whose bit is set in `bits` to word `w`; each must be
+  /// inside the universe.
+  void add_word(std::size_t w, std::uint64_t bits) {
+    LUMIERE_ASSERT(w < words_.size());
+    LUMIERE_ASSERT(n_ - 64 * w >= 64 || (bits >> (n_ - 64 * w)) == 0);
+    count_ += static_cast<std::uint32_t>(__builtin_popcountll(bits & ~words_[w]));
+    words_[w] |= bits;
+  }
+
   /// Number of members also present in `other` (intersection size).
   [[nodiscard]] std::uint32_t intersection_count(const SignerSet& other) const {
     LUMIERE_ASSERT(n_ == other.n_);

@@ -42,9 +42,7 @@ class ProposalMsg final : public Message {
            block_->justify().sig().wire_size();
   }
   void serialize(ser::Writer& w) const override { block_->serialize(w); }
-  void collect_auth(AuthClaimSink& sink) const override {
-    if (!block_->justify().is_genesis()) sink.aggregate(block_->justify().sig());
-  }
+  void collect_auth(AuthClaimSink& sink) const override { block_->justify().collect_auth(sink); }
   static MessagePtr deserialize(ser::Reader& r) {
     auto block = Block::deserialize(r);
     if (!block) return nullptr;
@@ -109,9 +107,7 @@ class QcMsg final : public Message {
   MsgClass msg_class() const override { return MsgClass::kConsensus; }
   std::size_t wire_size() const override { return 8 + qc_.sig().wire_size(); }
   void serialize(ser::Writer& w) const override { qc_.serialize(w); }
-  void collect_auth(AuthClaimSink& sink) const override {
-    if (!qc_.is_genesis()) sink.aggregate(qc_.sig());
-  }
+  void collect_auth(AuthClaimSink& sink) const override { qc_.collect_auth(sink); }
   static MessagePtr deserialize(ser::Reader& r) {
     auto qc = QuorumCert::deserialize(r);
     if (!qc) return nullptr;
@@ -148,9 +144,7 @@ class NewViewMsg final : public Message {
     high_qc_.serialize(w);
     w.bytes(std::span<const std::uint8_t>(requests_.data(), requests_.size()));
   }
-  void collect_auth(AuthClaimSink& sink) const override {
-    if (!high_qc_.is_genesis()) sink.aggregate(high_qc_.sig());
-  }
+  void collect_auth(AuthClaimSink& sink) const override { high_qc_.collect_auth(sink); }
   static MessagePtr deserialize(ser::Reader& r) {
     View view = -1;
     if (!r.view(view)) return nullptr;

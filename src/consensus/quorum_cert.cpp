@@ -38,8 +38,7 @@ bool QuorumCert::verify(crypto::AuthView auth, const ProtocolParams& params,
     key = cache->fingerprint(*this);
     if (cache->known_good(key)) return true;
   }
-  if (sig_.message != statement(view_, block_hash_)) return false;
-  if (!auth.verify_aggregate(sig_, params.quorum())) return false;
+  if (!auth.verify_aggregate(statement(view_, block_hash_), sig_, params.quorum())) return false;
   if (cache != nullptr) cache->remember(key);
   return true;
 }
@@ -47,14 +46,14 @@ bool QuorumCert::verify(crypto::AuthView auth, const ProtocolParams& params,
 void QuorumCert::serialize(ser::Writer& w) const {
   w.view(view_);
   w.digest(block_hash_);
-  w.threshold_sig(sig_);
+  if (!is_genesis()) w.threshold_sig(sig_);
 }
 
 std::optional<QuorumCert> QuorumCert::deserialize(ser::Reader& r) {
   QuorumCert qc;
   if (!r.view(qc.view_)) return std::nullopt;
   if (!r.digest(qc.block_hash_)) return std::nullopt;
-  if (!r.threshold_sig(qc.sig_)) return std::nullopt;
+  if (!qc.is_genesis() && !r.threshold_sig(qc.sig_)) return std::nullopt;
   return qc;
 }
 

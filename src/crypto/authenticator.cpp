@@ -39,10 +39,10 @@ bool Authenticator::check_share(const Digest& message, const PartialSig& share) 
   return check_signature(share.signer, share_statement(message), share.sig);
 }
 
-bool Authenticator::check_aggregate(const ThresholdSig& sig) const {
+bool Authenticator::check_aggregate(const Digest& message, const ThresholdSig& sig) const {
   if (sig.signers.universe_size() != n_) return false;
   if (sig.signers.count() == 0) return false;
-  return check_aggregate_tag(sig);
+  return check_aggregate_tag(message, sig);
 }
 
 namespace {
@@ -68,10 +68,10 @@ Digest share_fingerprint(const Digest& message, const PartialSig& share) {
   return h.finish();
 }
 
-Digest aggregate_fingerprint(const ThresholdSig& sig) {
+Digest aggregate_fingerprint(const Digest& message, const ThresholdSig& sig) {
   Sha256 h;
   h.update("lumiere.memo.agg");
-  h.update(sig.message.as_span());
+  h.update(message.as_span());
   update_u32(h, sig.signers.universe_size());
   sig.signers.for_each([&h](ProcessId id) { update_u32(h, id); });
   h.update(sig.tag.span());
@@ -86,12 +86,13 @@ bool AuthView::verify_share(const Digest& message, const PartialSig& share) cons
   return auth_->check_share(message, share);
 }
 
-bool AuthView::verify_aggregate(const ThresholdSig& sig, std::uint32_t min_signers) const {
+bool AuthView::verify_aggregate(const Digest& message, const ThresholdSig& sig,
+                                std::uint32_t min_signers) const {
   if (ops_ != nullptr) ops_->count_aggregate_verify();
   if (sig.signers.count() < min_signers) return false;
   if (sig.signers.universe_size() != auth_->n()) return false;
-  if (memo_ != nullptr && memo_->contains(aggregate_fingerprint(sig))) return true;
-  return auth_->check_aggregate(sig);
+  if (memo_ != nullptr && memo_->contains(aggregate_fingerprint(message, sig))) return true;
+  return auth_->check_aggregate(message, sig);
 }
 
 QuorumAggregator::QuorumAggregator(AuthView auth, Digest message, std::uint32_t m)
@@ -115,7 +116,7 @@ bool QuorumAggregator::add(const PartialSig& share) {
 ThresholdSig QuorumAggregator::aggregate() const {
   LUMIERE_ASSERT_MSG(complete(), "aggregate() before threshold reached");
   if (auth_.op_counters() != nullptr) auth_.op_counters()->count_aggregate_built();
-  return ThresholdSig{message_, signers_, auth_.scheme()->aggregate_tag(message_, shares_)};
+  return ThresholdSig{signers_, auth_.scheme()->aggregate_tag(message_, shares_)};
 }
 
 std::unique_ptr<Authenticator> make_authenticator(const std::string& scheme, std::uint32_t n,

@@ -66,19 +66,23 @@ struct PartialSig {
   [[nodiscard]] std::size_t wire_size() const noexcept { return sig.size() + 4; }
 };
 
-/// An aggregated m-of-n threshold signature over one message digest. The
-/// default tag is kappa zero bytes so a default-constructed (genesis)
-/// aggregate serializes identically under every scheme.
+/// An aggregated m-of-n threshold signature. It does not carry the
+/// statement it signs: every certificate derives that from its own fields
+/// (QuorumCert::statement, the SyncCert statement of its kind,
+/// dissem::batch_statement) and hands it to the verify calls below, so it
+/// is never stored or shipped. The default tag is kappa zero bytes, the
+/// genesis placeholder every scheme shares.
 struct ThresholdSig {
-  Digest message;     ///< digest of the signed statement
   SignerSet signers;  ///< which processes contributed
   SigBytes tag = SigBytes::zeros(kKappaBytes);  ///< scheme aggregation tag
 
   bool operator==(const ThresholdSig&) const = default;
 
-  /// Modeled wire size: the statement digest plus the scheme tag. For the
-  /// HMAC sim scheme this is the paper's 2*kappa; schemes with
-  /// half-aggregation grow linearly in the signer count.
+  /// Modeled wire size, the paper's O(kappa) charge: one kappa for the
+  /// signer set and statement binding, plus the scheme tag. For the HMAC
+  /// sim scheme this is 2*kappa; schemes with half-aggregation grow
+  /// linearly in the signer count. The real encoding (ser/serializer.h)
+  /// ships a varint universe and an n-bit bitmap in place of that kappa.
   [[nodiscard]] std::size_t wire_size() const noexcept { return kKappaBytes + tag.size(); }
 
   [[nodiscard]] std::uint32_t signer_count() const noexcept { return signers.count(); }
@@ -155,9 +159,9 @@ class Authenticator {
   /// memo-aware AuthView.
   [[nodiscard]] bool check_share(const Digest& message, const PartialSig& share) const;
 
-  /// Full cryptographic validity of an aggregate (universe + tag); the
-  /// threshold itself (min signers) is the caller's check.
-  [[nodiscard]] bool check_aggregate(const ThresholdSig& sig) const;
+  /// Full cryptographic validity of an aggregate over `message` (universe
+  /// + tag); the threshold itself (min signers) is the caller's check.
+  [[nodiscard]] bool check_aggregate(const Digest& message, const ThresholdSig& sig) const;
 
  protected:
   explicit Authenticator(std::uint32_t n) : n_(n) { LUMIERE_ASSERT(n >= 1); }
@@ -169,8 +173,10 @@ class Authenticator {
   /// Builds the aggregate tag from verified shares sorted by signer id.
   [[nodiscard]] virtual SigBytes aggregate_tag(
       const Digest& message, const std::vector<PartialSig>& sorted_shares) const = 0;
-  /// Verifies the tag of an aggregate whose universe already matched.
-  [[nodiscard]] virtual bool check_aggregate_tag(const ThresholdSig& sig) const = 0;
+  /// Verifies the tag of an aggregate over `message` whose universe
+  /// already matched.
+  [[nodiscard]] virtual bool check_aggregate_tag(const Digest& message,
+                                                 const ThresholdSig& sig) const = 0;
 
  private:
   friend class Signer;
@@ -183,8 +189,8 @@ class Authenticator {
 /// statement, the signer and the signature bytes.
 [[nodiscard]] Digest share_fingerprint(const Digest& message, const PartialSig& share);
 
-/// Fingerprint of one verified aggregate claim.
-[[nodiscard]] Digest aggregate_fingerprint(const ThresholdSig& sig);
+/// Fingerprint of one verified aggregate claim over `message`.
+[[nodiscard]] Digest aggregate_fingerprint(const Digest& message, const ThresholdSig& sig);
 
 /// Signatures a pipeline worker pool already verified for one node.
 ///
@@ -234,10 +240,11 @@ class AuthView {
   /// Share validity, consulting the memo before the scheme.
   [[nodiscard]] bool verify_share(const Digest& message, const PartialSig& share) const;
 
-  /// Aggregate validity: threshold + universe first (always inline —
-  /// they are cheap and min_signers is call-site-specific), then memo or
-  /// scheme for the cryptographic tag.
-  [[nodiscard]] bool verify_aggregate(const ThresholdSig& sig, std::uint32_t min_signers) const;
+  /// Aggregate validity over `message`: threshold + universe first
+  /// (always inline — they are cheap and min_signers is
+  /// call-site-specific), then memo or scheme for the cryptographic tag.
+  [[nodiscard]] bool verify_aggregate(const Digest& message, const ThresholdSig& sig,
+                                      std::uint32_t min_signers) const;
 
   /// The attached op counters (null when observability is off).
   [[nodiscard]] AuthOpCounters* op_counters() const noexcept { return ops_; }

@@ -470,10 +470,11 @@ SigBytes Ed25519Authenticator::aggregate_tag(
   return tag;
 }
 
-bool Ed25519Authenticator::check_aggregate_tag(const ThresholdSig& sig) const {
+bool Ed25519Authenticator::check_aggregate_tag(const Digest& message,
+                                               const ThresholdSig& sig) const {
   const std::uint32_t m = sig.signers.count();
   if (sig.tag.size() != 32 * static_cast<std::size_t>(m) + 32) return false;
-  const Digest statement = share_statement(sig.message);
+  const Digest statement = share_statement(message);
   const std::uint8_t* tag = sig.tag.data();
 
   U256 s_agg;

@@ -43,7 +43,8 @@ class Ed25519Authenticator final : public Authenticator {
                                      const SigBytes& sig) const override;
   [[nodiscard]] SigBytes aggregate_tag(
       const Digest& message, const std::vector<PartialSig>& sorted_shares) const override;
-  [[nodiscard]] bool check_aggregate_tag(const ThresholdSig& sig) const override;
+  [[nodiscard]] bool check_aggregate_tag(const Digest& message,
+                                         const ThresholdSig& sig) const override;
 
  private:
   struct Keys;  // curve types stay out of the public header

@@ -73,9 +73,10 @@ SigBytes HmacAuthenticator::aggregate_tag(const Digest& message,
 /// Recomputes every signer's MAC and streams it into the tag hasher in
 /// signer order: the same bytes aggregate_tag() hashes, with no share
 /// list built on the way.
-bool HmacAuthenticator::check_aggregate_tag(const ThresholdSig& sig) const {
-  const Digest statement = share_statement(sig.message);
-  Sha256 h = tag_hasher(sig.message);
+bool HmacAuthenticator::check_aggregate_tag(const Digest& message,
+                                            const ThresholdSig& sig) const {
+  const Digest statement = share_statement(message);
+  Sha256 h = tag_hasher(message);
   sig.signers.for_each(
       [&](ProcessId id) { absorb_share(h, id, mac_for(id, statement).as_span()); });
   const Digest tag = h.finish();

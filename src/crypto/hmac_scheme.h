@@ -39,7 +39,8 @@ class HmacAuthenticator final : public Authenticator {
                                      const SigBytes& sig) const override;
   [[nodiscard]] SigBytes aggregate_tag(
       const Digest& message, const std::vector<PartialSig>& sorted_shares) const override;
-  [[nodiscard]] bool check_aggregate_tag(const ThresholdSig& sig) const override;
+  [[nodiscard]] bool check_aggregate_tag(const Digest& message,
+                                         const ThresholdSig& sig) const override;
 
  private:
   [[nodiscard]] Digest mac_for(ProcessId id, const Digest& message) const;

@@ -23,8 +23,7 @@ crypto::Digest batch_statement(const BatchId& id) {
 }
 
 bool BatchCert::verify(crypto::AuthView auth, const ProtocolParams& params) const {
-  if (sig_.message != batch_statement(id_)) return false;
-  return auth.verify_aggregate(sig_, params.small_quorum());
+  return auth.verify_aggregate(batch_statement(id_), sig_, params.small_quorum());
 }
 
 void BatchCert::serialize(ser::Writer& w) const {
@@ -67,9 +66,11 @@ std::optional<std::vector<BatchCert>> decode_refs(std::span<const std::uint8_t> 
   if (!r.u32(magic) || magic != kRefsMagic) return std::nullopt;
   std::uint32_t count = 0;
   if (!r.u32(count)) return std::nullopt;
-  // Each ref occupies well over 100 wire bytes; a count the remaining
+  // Each ref occupies at least its identity, a two-byte signer set and
+  // the scheme's fixed tag bytes (78 under HMAC); a count the remaining
   // bytes cannot cover is malformed (bounds the allocation below).
-  if (count == 0 || count > r.remaining() / BatchId::wire_size()) return std::nullopt;
+  const std::size_t min_ref = BatchId::wire_size() + 2 + sig_wire.agg_fixed;
+  if (count == 0 || count > r.remaining() / min_ref) return std::nullopt;
   std::vector<BatchCert> refs;
   refs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

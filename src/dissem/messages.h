@@ -118,7 +118,7 @@ class BatchCertMsg final : public Message {
     for (const BatchCert& cert : certs_) cert.serialize(w);
   }
   void collect_auth(AuthClaimSink& sink) const override {
-    for (const BatchCert& cert : certs_) sink.aggregate(cert.sig());
+    for (const BatchCert& cert : certs_) sink.aggregate(batch_statement(cert.id()), cert.sig());
   }
   static MessagePtr deserialize(ser::Reader& r) {
     std::uint32_t count = 0;

@@ -23,7 +23,12 @@ namespace lumiere::pacemaker {
 /// A generic certificate: a threshold signature by `threshold` distinct
 /// processors over one of the statements above. VC = f+1 view messages;
 /// EC = 2f+1 epoch-view messages; Cogsworth's view-change cert = f+1
-/// wishes. Wire size O(kappa).
+/// wishes. The accounting charges it O(kappa). The real frame ships the
+/// view and the threshold signature but not the statement, which the
+/// verifier recomputes from the view with the function of the cert's
+/// kind. The frame therefore sits below the model whenever the signer
+/// set (varint n + ceil(n/8) bitmap bytes) is shorter than kappa, i.e.
+/// for n <= 232 under any scheme.
 class SyncCert {
  public:
   SyncCert() = default;
@@ -36,8 +41,7 @@ class SyncCert {
   /// the statement function the certificate was built over.
   [[nodiscard]] bool verify(crypto::AuthView auth, std::uint32_t min_signers,
                             crypto::Digest (*statement)(View)) const {
-    if (sig_.message != statement(view_)) return false;
-    return auth.verify_aggregate(sig_, min_signers);
+    return auth.verify_aggregate(statement(view_), sig_, min_signers);
   }
 
   void serialize(ser::Writer& w) const {

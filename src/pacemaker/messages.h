@@ -67,7 +67,9 @@ class CertMsg final : public Message {
   MsgClass msg_class() const override { return MsgClass::kPacemaker; }
   std::size_t wire_size() const override { return 8 + cert_.sig().wire_size(); }
   void serialize(ser::Writer& w) const override { cert_.serialize(w); }
-  void collect_auth(AuthClaimSink& sink) const override { sink.aggregate(cert_.sig()); }
+  void collect_auth(AuthClaimSink& sink) const override {
+    sink.aggregate(Tag::statement(cert_.view()), cert_.sig());
+  }
   static MessagePtr deserialize(ser::Reader& r) {
     auto cert = SyncCert::deserialize(r);
     if (!cert) return nullptr;
@@ -85,6 +87,7 @@ struct ViewTag {
 };
 struct VcTag {
   static constexpr const char* kName = "vc";
+  static crypto::Digest statement(View v) { return view_msg_statement(v); }
 };
 struct EpochViewTag {
   static constexpr const char* kName = "epoch-view";
@@ -92,6 +95,7 @@ struct EpochViewTag {
 };
 struct EcTag {
   static constexpr const char* kName = "ec";
+  static crypto::Digest statement(View v) { return epoch_msg_statement(v); }
 };
 struct WishTag {
   static constexpr const char* kName = "wish";
@@ -99,6 +103,7 @@ struct WishTag {
 };
 struct WishCertTag {
   static constexpr const char* kName = "wish-cert";
+  static crypto::Digest statement(View v) { return wish_statement(v); }
 };
 }  // namespace detail
 

@@ -138,6 +138,12 @@ obs::NodeStatus Cluster::node_status(ProcessId id) const {
   return status;
 }
 
+std::uint64_t Cluster::tcp_bytes_sent() const {
+  std::uint64_t total = 0;
+  for (const auto& host : hosts_) total += host->bytes_sent();
+  return total;
+}
+
 workload::Report Cluster::workload_report() const {
   workload::Report report;
   for (const workload::NodeWorkload* workload : workloads_) {

@@ -112,6 +112,11 @@ class Cluster {
   [[nodiscard]] const workload::NodeWorkload* node_workload(ProcessId id) const {
     return workloads_.at(id);
   }
+  /// Real bytes every node framed onto its sockets (8-byte frame headers
+  /// included); 0 on the simulator, whose byte counters are modeled
+  /// (MetricsCollector). TCP: read between run_for slices.
+  [[nodiscard]] std::uint64_t tcp_bytes_sent() const;
+
   /// Merged client-side accounting across every node. TCP transport:
   /// call between run_for slices (driver threads are joined), never
   /// concurrently with one.

@@ -123,6 +123,10 @@ class NodeHost {
   [[nodiscard]] workload::NodeWorkload* workload() const noexcept { return workload_.get(); }
   [[nodiscard]] VerifyPipeline* pipeline() const noexcept { return pipeline_.get(); }
   [[nodiscard]] TimePoint now() const noexcept { return sim_.now(); }
+  /// Bytes this node framed onto its sockets (TcpEndpoint::bytes_sent).
+  [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
+    return adapter_.endpoint().bytes_sent();
+  }
   /// 0 when status endpoints are off.
   [[nodiscard]] std::uint16_t status_port() const noexcept {
     return status_server_ != nullptr ? status_server_->port() : 0;

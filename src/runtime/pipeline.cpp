@@ -24,11 +24,11 @@ class ClaimChecker final : public AuthClaimSink {
     }
   }
 
-  void aggregate(const crypto::ThresholdSig& sig) override {
+  void aggregate(const crypto::Digest& message, const crypto::ThresholdSig& sig) override {
     ++checked_;
-    if (auth_.check_aggregate(sig)) {
+    if (auth_.check_aggregate(message, sig)) {
       ++passed_;
-      out_.push_back(crypto::aggregate_fingerprint(sig));
+      out_.push_back(crypto::aggregate_fingerprint(message, sig));
     }
   }
 

@@ -23,12 +23,14 @@ namespace lumiere {
 /// Collects the authenticator claims a message carries, so a pipeline
 /// worker can pre-verify them off the consensus thread (runtime/pipeline.h).
 /// `message` is the statement digest in the same convention the verify
-/// API uses (shares: the pre-domain-separation statement).
+/// API uses (shares: the pre-domain-separation statement). Aggregates do
+/// not carry their statement, so the message derives it from its own
+/// fields exactly as its verify path does.
 class AuthClaimSink {
  public:
   virtual ~AuthClaimSink() = default;
   virtual void share(const crypto::Digest& message, const crypto::PartialSig& share) = 0;
-  virtual void aggregate(const crypto::ThresholdSig& sig) = 0;
+  virtual void aggregate(const crypto::Digest& message, const crypto::ThresholdSig& sig) = 0;
 };
 
 class Message {

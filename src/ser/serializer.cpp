@@ -1,11 +1,37 @@
 #include "ser/serializer.h"
 
+#include "common/assert.h"
+
 namespace lumiere::ser {
 
 void Writer::signer_set(const SignerSet& set) {
-  u32(set.universe_size());
-  u32(set.count());
-  for (const ProcessId id : set.members()) process(id);
+  const std::uint32_t universe = set.universe_size();
+  // Readers reject an empty universe; only a default-constructed set has
+  // one, and the genesis QC, its one holder, ships no signature.
+  LUMIERE_ASSERT(universe >= 1);
+  varint(universe);
+  const std::size_t bitmap_bytes = (universe + 7) / 8;
+  for (std::size_t i = 0; i < bitmap_bytes; ++i) {
+    u8(static_cast<std::uint8_t>(set.word(i / 8) >> (8 * (i % 8))));
+  }
+}
+
+bool Reader::varint(std::uint32_t& out) {
+  std::uint32_t value = 0;
+  for (unsigned shift = 0; shift < 35; shift += 7) {
+    std::uint8_t byte = 0;
+    if (!u8(byte)) return false;
+    const std::uint32_t group = byte & 0x7F;
+    // The fifth byte holds bits 28..31 only.
+    if (shift == 28 && group > 0x0F) return false;
+    value |= group << shift;
+    if ((byte & 0x80) == 0) {
+      if (group == 0 && shift > 0) return false;  // non-minimal
+      out = value;
+      return true;
+    }
+  }
+  return false;
 }
 
 bool Reader::bytes(std::vector<std::uint8_t>& out) {
@@ -63,12 +89,10 @@ bool Reader::partial_sig(crypto::PartialSig& out) {
 }
 
 bool Reader::threshold_sig(crypto::ThresholdSig& out) {
-  crypto::Digest message;
   SignerSet signers;
-  if (!digest(message) || !signer_set(signers)) return false;
+  if (!signer_set(signers)) return false;
   crypto::SigBytes tag;
   if (!raw(tag, sig_wire_.tag_bytes(signers.count()))) return false;
-  out.message = message;
   out.signers = std::move(signers);
   out.tag = std::move(tag);
   return true;
@@ -76,23 +100,21 @@ bool Reader::threshold_sig(crypto::ThresholdSig& out) {
 
 bool Reader::signer_set(SignerSet& out) {
   std::uint32_t universe = 0;
-  std::uint32_t count = 0;
-  if (!u32(universe) || !u32(count)) return false;
+  if (!varint(universe)) return false;
   // The universe is the cluster size n; no deployment is anywhere near
   // kMaxWireUniverse, and an unvalidated value would let a malformed
-  // message force a ~512MB bitmap allocation before any other check.
-  if (universe > kMaxWireUniverse) return false;
-  if (count > universe) return false;
-  // Each member id occupies sizeof(ProcessId) bytes in the payload, so a
-  // count the buffer cannot back is malformed — reject before allocating.
-  if (remaining() < static_cast<std::size_t>(count) * sizeof(ProcessId)) return false;
+  // message force a large bitmap allocation before any other check.
+  if (universe == 0 || universe > kMaxWireUniverse) return false;
+  const std::size_t bitmap_bytes = (universe + 7) / 8;
+  if (remaining() < bitmap_bytes) return false;
+  const std::span<const std::uint8_t> bitmap = data_.subspan(pos_, bitmap_bytes);
+  // Bits past the universe must be zero: one signer set, one encoding.
+  if (universe % 8 != 0 && (bitmap.back() >> (universe % 8)) != 0) return false;
   SignerSet set(universe);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ProcessId id = kNoProcess;
-    if (!process(id)) return false;
-    if (id >= universe) return false;
-    if (!set.add(id)) return false;  // duplicate ⇒ malformed
+  for (std::size_t i = 0; i < bitmap_bytes; ++i) {
+    set.add_word(i / 8, static_cast<std::uint64_t>(bitmap[i]) << (8 * (i % 8)));
   }
+  pos_ += bitmap_bytes;
   out = std::move(set);
   return true;
 }

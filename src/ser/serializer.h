@@ -10,6 +10,13 @@
 // strings. Readers never throw on malformed input; they return false /
 // std::nullopt (truncated or corrupt frames are an expected runtime
 // condition on a real network).
+//
+// A threshold signature ships as its signer set followed by the scheme
+// tag, and a signer set as [LEB128 universe n][ceil(n/8) bitmap bytes]:
+// process i is bit i % 8 of byte i / 8, and the padding bits past n are
+// zero. The signer count is the bitmap's popcount, which also fixes the
+// tag length (SigWireSpec::tag_bytes). The signed statement is not on
+// the wire: each certificate recomputes it from its own fields.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +41,18 @@ namespace lumiere::ser {
 /// trigger; real deployments are orders of magnitude below this.
 inline constexpr std::uint32_t kMaxWireUniverse = 1u << 20;
 
+/// Bytes Writer::varint writes for `v`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint32_t v) noexcept {
+  std::size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
+}
+
+/// Bytes Writer::signer_set writes for a universe of `n`.
+[[nodiscard]] constexpr std::size_t signer_set_size(std::uint32_t n) noexcept {
+  return varint_size(n) + (static_cast<std::size_t>(n) + 7) / 8;
+}
+
 /// Append-only byte sink.
 class Writer {
  public:
@@ -51,6 +70,16 @@ class Writer {
   void u32(std::uint32_t v) { append_le(v); }
   void u64(std::uint64_t v) { append_le(v); }
   void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
+
+  /// Unsigned LEB128: seven bits per byte, low group first, high bit set
+  /// on every byte but the last.
+  void varint(std::uint32_t v) {
+    while (v >= 0x80) {
+      u8(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    u8(static_cast<std::uint8_t>(v));
+  }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
   void view(View v) { i64(v); }
@@ -86,7 +115,6 @@ class Writer {
     raw(s.sig.span());
   }
   void threshold_sig(const crypto::ThresholdSig& s) {
-    digest(s.message);
     signer_set(s.signers);
     raw(s.tag.span());
   }
@@ -130,6 +158,11 @@ class Reader {
     return true;
   }
 
+  /// Unsigned LEB128 as Writer::varint writes it. Rejects values above
+  /// 32 bits and non-minimal forms (a trailing zero group), so every
+  /// value has exactly one encoding.
+  [[nodiscard]] bool varint(std::uint32_t& out);
+
   [[nodiscard]] bool boolean(bool& out) {
     std::uint8_t raw = 0;
     if (!u8(raw) || raw > 1) return false;
@@ -158,6 +191,8 @@ class Reader {
   [[nodiscard]] bool bytes_view(std::span<const std::uint8_t>& out);
   [[nodiscard]] bool str(std::string& out);
   [[nodiscard]] bool digest(crypto::Digest& out);
+  /// Rejects a universe of 0 or above kMaxWireUniverse, a short bitmap
+  /// and set padding bits.
   [[nodiscard]] bool signer_set(SignerSet& out);
   /// Reads exactly `count` bytes into `out` (resized).
   [[nodiscard]] bool raw(crypto::SigBytes& out, std::size_t count);

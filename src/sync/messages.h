@@ -92,9 +92,7 @@ class BlockRespMsg final : public Message {
     for (const auto& block : blocks_) block->serialize(w);
   }
   void collect_auth(AuthClaimSink& sink) const override {
-    for (const auto& block : blocks_) {
-      if (!block->justify().is_genesis()) sink.aggregate(block->justify().sig());
-    }
+    for (const auto& block : blocks_) block->justify().collect_auth(sink);
   }
   static MessagePtr deserialize(ser::Reader& r) {
     crypto::Digest requested;

@@ -88,6 +88,7 @@ class TcpTransportAdapter final : public MessageTransport {
   void clear_shaping();
 
   [[nodiscard]] TcpEndpoint& endpoint() noexcept { return *endpoint_; }
+  [[nodiscard]] const TcpEndpoint& endpoint() const noexcept { return *endpoint_; }
 
  private:
   [[nodiscard]] bool blocked(ProcessId peer) const {

@@ -23,6 +23,9 @@ namespace {
 /// bounding what one hostile connection can make us buffer.
 constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 
+/// [u32 payload_len][u32 sender_id] ahead of every payload.
+constexpr std::size_t kFrameHeaderBytes = 8;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -148,6 +151,7 @@ void TcpEndpoint::enqueue_frame(Conn& conn, std::span<const std::uint8_t> payloa
   append_u32(conn.outbox, self_);
   conn.outbox.insert(conn.outbox.end(), payload.begin(), payload.end());
   ++frames_sent_;
+  bytes_sent_ += kFrameHeaderBytes + payload.size();
 }
 
 void TcpEndpoint::dispatch_self(std::span<const std::uint8_t> payload) {

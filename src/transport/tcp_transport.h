@@ -74,6 +74,10 @@ class TcpEndpoint {
 
   [[nodiscard]] ProcessId self() const noexcept { return self_; }
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
+  /// Bytes framed for peers: per frame the 8-byte header plus the encoded
+  /// payload ([u32 type_id][body]). Frames to self cross no socket and
+  /// count nothing here (frames_sent() counts them).
+  [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
   [[nodiscard]] std::uint64_t frames_received() const noexcept { return frames_received_; }
 
  private:
@@ -123,6 +127,7 @@ class TcpEndpoint {
   std::deque<Conn> incoming_;           // accepted connections
   std::vector<std::vector<std::uint8_t>> buffer_pool_;
   std::uint64_t frames_sent_ = 0;
+  std::uint64_t bytes_sent_ = 0;
   std::uint64_t frames_received_ = 0;
 };
 

@@ -32,6 +32,21 @@ TEST(SignerSetTest, MembersSorted) {
   EXPECT_EQ(members[2], 7U);
 }
 
+TEST(SignerSetTest, WordsReadAndMergeTheBitmap) {
+  SignerSet set(70);
+  set.add(3);
+  set.add(64);
+  EXPECT_EQ(set.word(0), 0x8ULL);
+  EXPECT_EQ(set.word(1), 0x1ULL);
+  // Merging counts only the ids that are new: 3 is already in.
+  set.add_word(0, 0x18ULL);             // ids 3 and 4
+  set.add_word(1, 0x20ULL);             // id 69, the last in the universe
+  EXPECT_EQ(set.count(), 4U);
+  EXPECT_TRUE(set.contains(4));
+  EXPECT_TRUE(set.contains(69));
+  EXPECT_EQ(set.members(), (std::vector<ProcessId>{3, 4, 64, 69}));
+}
+
 TEST(SignerSetTest, IntersectionCount) {
   SignerSet a(130);
   SignerSet b(130);

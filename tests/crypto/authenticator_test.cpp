@@ -81,7 +81,20 @@ TEST_P(AuthenticatorTest, AggregatesAtThreshold) {
   EXPECT_TRUE(agg.complete());
   const ThresholdSig sig = agg.aggregate();
   EXPECT_EQ(sig.signer_count(), 5U);
-  EXPECT_TRUE(view().verify_aggregate(sig, 5));
+  EXPECT_TRUE(view().verify_aggregate(msg_, sig, 5));
+}
+
+TEST_P(AuthenticatorTest, AggregateBindsTheStatementTheVerifierSupplies) {
+  // The aggregate carries no statement: the verifier derives it. Checked
+  // against any other statement, the same signers and tag must fail.
+  QuorumAggregator agg(view(), msg_, 3);
+  for (ProcessId id = 0; id < 3; ++id) agg.add(threshold_share(auth_->signer_for(id), msg_));
+  const ThresholdSig sig = agg.aggregate();
+  EXPECT_TRUE(view().verify_aggregate(msg_, sig, 3));
+  EXPECT_FALSE(view().verify_aggregate(Sha256::hash("other statement"), sig, 3));
+  EXPECT_FALSE(auth_->check_aggregate(Sha256::hash("other statement"), sig));
+  EXPECT_NE(aggregate_fingerprint(msg_, sig),
+            aggregate_fingerprint(Sha256::hash("other statement"), sig));
 }
 
 TEST_P(AuthenticatorTest, AggregatorRejectsDuplicates) {
@@ -112,8 +125,8 @@ TEST_P(AuthenticatorTest, VerifyRejectsBelowThreshold) {
   QuorumAggregator agg(view(), msg_, 3);
   for (ProcessId id = 0; id < 3; ++id) agg.add(threshold_share(auth_->signer_for(id), msg_));
   const ThresholdSig sig = agg.aggregate();
-  EXPECT_TRUE(view().verify_aggregate(sig, 3));
-  EXPECT_FALSE(view().verify_aggregate(sig, 4)) << "3 signers cannot satisfy a 4-threshold";
+  EXPECT_TRUE(view().verify_aggregate(msg_, sig, 3));
+  EXPECT_FALSE(view().verify_aggregate(msg_, sig, 4)) << "3 signers cannot satisfy a 4-threshold";
 }
 
 TEST_P(AuthenticatorTest, VerifyRejectsTamperedTag) {
@@ -121,7 +134,7 @@ TEST_P(AuthenticatorTest, VerifyRejectsTamperedTag) {
   for (ProcessId id = 0; id < 3; ++id) agg.add(threshold_share(auth_->signer_for(id), msg_));
   ThresholdSig sig = agg.aggregate();
   sig.tag = SigBytes::zeros(sig.tag.size());
-  EXPECT_FALSE(view().verify_aggregate(sig, 3));
+  EXPECT_FALSE(view().verify_aggregate(msg_, sig, 3));
 }
 
 TEST_P(AuthenticatorTest, VerifyRejectsTamperedSignerSet) {
@@ -129,7 +142,7 @@ TEST_P(AuthenticatorTest, VerifyRejectsTamperedSignerSet) {
   for (ProcessId id = 0; id < 3; ++id) agg.add(threshold_share(auth_->signer_for(id), msg_));
   ThresholdSig sig = agg.aggregate();
   sig.signers.add(5);  // claim an extra signer
-  EXPECT_FALSE(view().verify_aggregate(sig, 3));
+  EXPECT_FALSE(view().verify_aggregate(msg_, sig, 3));
 }
 
 TEST_P(AuthenticatorTest, SharesAreDomainSeparatedFromSignatures) {
@@ -174,10 +187,10 @@ TEST_P(AuthenticatorTest, MemoizedAggregateStillChecksThreshold) {
   QuorumAggregator agg(view(), msg_, 3);
   for (ProcessId id = 0; id < 3; ++id) agg.add(threshold_share(auth_->signer_for(id), msg_));
   const ThresholdSig sig = agg.aggregate();
-  memo.remember(aggregate_fingerprint(sig));
-  EXPECT_TRUE(memoized.verify_aggregate(sig, 3));
+  memo.remember(aggregate_fingerprint(msg_, sig));
+  EXPECT_TRUE(memoized.verify_aggregate(msg_, sig, 3));
   // The threshold check is never memoized away.
-  EXPECT_FALSE(memoized.verify_aggregate(sig, 4));
+  EXPECT_FALSE(memoized.verify_aggregate(msg_, sig, 4));
 }
 
 /// Property sweep: any f+1 / 2f+1 subset aggregates and verifies.
@@ -196,7 +209,7 @@ TEST_P(AuthenticatorTest, AnySubsetOfThresholdSizeWorks) {
         ASSERT_TRUE(agg.add(threshold_share(auth->signer_for(perm[i]), msg)));
       }
       ASSERT_TRUE(agg.complete());
-      EXPECT_TRUE(view.verify_aggregate(agg.aggregate(), m));
+      EXPECT_TRUE(view.verify_aggregate(msg, agg.aggregate(), m));
     }
   }
 }
@@ -286,7 +299,7 @@ TEST_F(HmacAggregateTest, TagBytesArePinned) {
   std::copy_n(sig_.tag.data(), tag.size(), tag.begin());
   EXPECT_EQ(Digest(tag).hex(), "943dccd5b485438d593a0bc9e93b51af8e00d059ad7a3217c10b639f4ffc29de");
   EXPECT_EQ(sig_.tag, tag_from(shares_));
-  EXPECT_TRUE(auth_.check_aggregate(sig_));
+  EXPECT_TRUE(auth_.check_aggregate(msg_, sig_));
 }
 
 TEST_F(HmacAggregateTest, FlippedMacByteFails) {
@@ -298,7 +311,7 @@ TEST_F(HmacAggregateTest, FlippedMacByteFails) {
       forged[victim].sig.data()[byte] ^= 0x01;
       ThresholdSig bad = sig_;
       bad.tag = tag_from(forged);
-      EXPECT_FALSE(auth_.check_aggregate(bad)) << "signer " << forged[victim].signer;
+      EXPECT_FALSE(auth_.check_aggregate(msg_, bad)) << "signer " << forged[victim].signer;
     }
   }
 }
@@ -308,7 +321,7 @@ TEST_F(HmacAggregateTest, ExtraSignerFails) {
     if (sig_.signers.contains(extra)) continue;
     ThresholdSig bad = sig_;
     bad.signers.add(extra);
-    EXPECT_FALSE(auth_.check_aggregate(bad)) << "extra signer " << extra;
+    EXPECT_FALSE(auth_.check_aggregate(msg_, bad)) << "extra signer " << extra;
   }
 }
 
@@ -319,7 +332,7 @@ TEST_F(HmacAggregateTest, MissingSignerFails) {
     for (const PartialSig& share : shares_) {
       if (share.signer != dropped.signer) bad.signers.add(share.signer);
     }
-    EXPECT_FALSE(auth_.check_aggregate(bad)) << "missing signer " << dropped.signer;
+    EXPECT_FALSE(auth_.check_aggregate(msg_, bad)) << "missing signer " << dropped.signer;
     // Dropping the share from the tag as well makes an honest 20-signer
     // aggregate, which the scheme accepts (the threshold is the caller's).
     std::vector<PartialSig> rest;
@@ -327,7 +340,7 @@ TEST_F(HmacAggregateTest, MissingSignerFails) {
       if (share.signer != dropped.signer) rest.push_back(share);
     }
     bad.tag = tag_from(rest);
-    EXPECT_TRUE(auth_.check_aggregate(bad));
+    EXPECT_TRUE(auth_.check_aggregate(msg_, bad));
   }
 }
 

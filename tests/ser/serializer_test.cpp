@@ -83,16 +83,46 @@ TEST(SerializerTest, DigestRoundTrip) {
 }
 
 TEST(SerializerTest, SignerSetRoundTrip) {
+  // Bitmap form: varint universe, ceil(n/8) bytes, id i at bit i % 8 of
+  // byte i / 8. 70 ids span two words and end mid-byte.
   SignerSet set(70);
   set.add(0);
+  set.add(9);
   set.add(64);
   set.add(69);
   Writer w;
   w.signer_set(set);
+  const std::vector<std::uint8_t> expected = {70, 0x01, 0x02, 0, 0, 0, 0, 0, 0, 0x21};
+  EXPECT_EQ(w.data(), expected);
   Reader r(std::span<const std::uint8_t>(w.data().data(), w.size()));
   SignerSet out;
   ASSERT_TRUE(r.signer_set(out));
   EXPECT_EQ(out, set);
+  EXPECT_EQ(out.count(), 4U);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(SerializerTest, SignerSetRoundTripsAcrossUniverses) {
+  // Every universe size around the byte and word edges, empty, full and
+  // sparse, including a universe whose varint takes two bytes.
+  for (const std::uint32_t n : {1U, 7U, 8U, 9U, 63U, 64U, 65U, 127U, 128U, 129U, 300U}) {
+    for (const int pattern : {0, 1, 2}) {
+      SignerSet set(n);
+      for (ProcessId id = 0; id < n; ++id) {
+        if (pattern == 1 || (pattern == 2 && id % 3 == 1)) set.add(id);
+      }
+      Writer w;
+      w.signer_set(set);
+      EXPECT_EQ(w.size(), signer_set_size(n)) << n;
+      EXPECT_EQ(w.size(), varint_size(n) + (n + 7) / 8) << n;
+      Reader r(std::span<const std::uint8_t>(w.data().data(), w.size()));
+      SignerSet out;
+      ASSERT_TRUE(r.signer_set(out)) << "n " << n << " pattern " << pattern;
+      EXPECT_EQ(out, set) << "n " << n << " pattern " << pattern;
+      EXPECT_EQ(out.count(), set.count());
+      EXPECT_TRUE(r.exhausted());
+    }
+  }
 }
 
 TEST(SerializerTest, TruncatedInputFailsCleanly) {
@@ -109,31 +139,114 @@ TEST(SerializerTest, TruncatedInputFailsCleanly) {
   }
 }
 
-TEST(SerializerTest, MalformedSignerSetRejected) {
-  // count > universe.
-  Writer w;
-  w.u32(4);
-  w.u32(5);
-  Reader r(std::span<const std::uint8_t>(w.data().data(), w.size()));
+/// True iff `bytes` decodes as a signer set.
+bool signer_set_decodes(const std::vector<std::uint8_t>& bytes) {
+  Reader r(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
   SignerSet out;
-  EXPECT_FALSE(r.signer_set(out));
+  return r.signer_set(out);
+}
 
-  // duplicate member.
-  Writer w2;
-  w2.u32(4);
-  w2.u32(2);
-  w2.u32(1);
-  w2.u32(1);
-  Reader r2(std::span<const std::uint8_t>(w2.data().data(), w2.size()));
-  EXPECT_FALSE(r2.signer_set(out));
+TEST(SerializerTest, MalformedSignerSetRejected) {
+  // The well-formed base case: n = 4, signers {0, 2}.
+  EXPECT_TRUE(signer_set_decodes({4, 0x05}));
 
-  // member out of universe.
-  Writer w3;
-  w3.u32(4);
-  w3.u32(1);
-  w3.u32(9);
-  Reader r3(std::span<const std::uint8_t>(w3.data().data(), w3.size()));
-  EXPECT_FALSE(r3.signer_set(out));
+  // Universe 0: only a default-constructed set has one; never on the wire.
+  EXPECT_FALSE(signer_set_decodes({0}));
+  EXPECT_FALSE(signer_set_decodes({0, 0x01}));
+
+  // Universe above kMaxWireUniverse, with room for any bitmap it claims.
+  Writer huge;
+  huge.varint(kMaxWireUniverse + 1);
+  EXPECT_FALSE(signer_set_decodes(huge.data()));
+  Writer at_cap;
+  at_cap.varint(kMaxWireUniverse);
+  std::vector<std::uint8_t> capped = at_cap.data();
+  capped.resize(capped.size() + kMaxWireUniverse / 8, 0);
+  EXPECT_TRUE(signer_set_decodes(capped));
+
+  // Bitmap shorter than ceil(n/8): n = 9 needs two bytes, n = 64 eight.
+  EXPECT_FALSE(signer_set_decodes({9, 0xFF}));
+  EXPECT_FALSE(signer_set_decodes({64, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_FALSE(signer_set_decodes({4}));
+
+  // Padding bits past the universe set: n = 4 leaves bits 4..7 of the
+  // only byte, n = 65 bits 1..7 of the ninth.
+  for (int bit = 4; bit < 8; ++bit) {
+    EXPECT_FALSE(signer_set_decodes({4, static_cast<std::uint8_t>(1 << bit)})) << bit;
+  }
+  EXPECT_FALSE(signer_set_decodes({65, 0, 0, 0, 0, 0, 0, 0, 0, 0x02}));
+  EXPECT_TRUE(signer_set_decodes({65, 0, 0, 0, 0, 0, 0, 0, 0, 0x01}));
+
+  // The universe varint: truncated, non-minimal, and wider than 32 bits.
+  EXPECT_FALSE(signer_set_decodes({}));
+  EXPECT_FALSE(signer_set_decodes({0x84}));
+  EXPECT_FALSE(signer_set_decodes({0x84, 0x00, 0x05}));
+  EXPECT_FALSE(signer_set_decodes({0x80, 0x80, 0x80, 0x80, 0x10}));
+}
+
+TEST(SerializerTest, VarintRoundTripsAndIsCanonical) {
+  for (const std::uint32_t v : {0U, 1U, 127U, 128U, 300U, 16383U, 16384U, kMaxWireUniverse,
+                                0xFFFFFFFFU}) {
+    Writer w;
+    w.varint(v);
+    EXPECT_EQ(w.size(), varint_size(v)) << v;
+    Reader r(std::span<const std::uint8_t>(w.data().data(), w.size()));
+    std::uint32_t out = 0;
+    ASSERT_TRUE(r.varint(out)) << v;
+    EXPECT_EQ(out, v);
+    EXPECT_TRUE(r.exhausted());
+  }
+  const auto decodes = [](std::vector<std::uint8_t> bytes) {
+    Reader r(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+    std::uint32_t out = 0;
+    return r.varint(out);
+  };
+  EXPECT_TRUE(decodes({0xFF, 0xFF, 0xFF, 0xFF, 0x0F}));   // 2^32 - 1
+  EXPECT_FALSE(decodes({0xFF, 0xFF, 0xFF, 0xFF, 0x1F}));  // 2^36 - 1
+  EXPECT_FALSE(decodes({0x80, 0x80, 0x80, 0x80, 0x80, 0x01}));
+  EXPECT_FALSE(decodes({0x80, 0x00}));  // zero, non-minimal
+}
+
+TEST(SerializerTest, ThresholdSigTagLengthFollowsThePopcount) {
+  // Under a per-signer tag (ed25519's geometry: 32 + 32 per signer) the
+  // popcount alone sizes the tag, so a tag one signer short or long
+  // breaks the frame instead of parsing as a different aggregate.
+  const crypto::SigWireSpec per_signer{64, 32, 32};
+  crypto::ThresholdSig sig;
+  sig.signers = SignerSet(7);
+  for (const ProcessId id : {1U, 4U, 6U}) sig.signers.add(id);
+  sig.tag = crypto::SigBytes::zeros(per_signer.tag_bytes(3));
+  Writer w;
+  w.threshold_sig(sig);
+  w.u32(0xC0FFEE);  // whatever follows in the frame
+  {
+    Reader r(std::span<const std::uint8_t>(w.data().data(), w.size()), per_signer);
+    crypto::ThresholdSig out;
+    ASSERT_TRUE(r.threshold_sig(out));
+    EXPECT_EQ(out, sig);
+    std::uint32_t trailer = 0;
+    ASSERT_TRUE(r.u32(trailer));
+    EXPECT_EQ(trailer, 0xC0FFEEU);
+  }
+  for (const int tag_signers : {2, 4}) {
+    crypto::ThresholdSig bad = sig;
+    bad.tag = crypto::SigBytes::zeros(per_signer.tag_bytes(tag_signers));
+    Writer bw;
+    bw.threshold_sig(bad);
+    bw.u32(0xC0FFEE);
+    Reader r(std::span<const std::uint8_t>(bw.data().data(), bw.size()), per_signer);
+    crypto::ThresholdSig out;
+    std::uint32_t trailer = 0;
+    const bool intact = r.threshold_sig(out) && r.u32(trailer) && r.exhausted() &&
+                        trailer == 0xC0FFEEU;
+    EXPECT_FALSE(intact) << "tag sized for " << tag_signers << " signers, popcount 3";
+  }
+  // Cut anywhere inside the tag: the reader refuses instead of padding.
+  for (std::size_t cut = 0; cut + 4 < w.size(); ++cut) {
+    Reader r(std::span<const std::uint8_t>(w.data().data(), cut), per_signer);
+    crypto::ThresholdSig out;
+    EXPECT_FALSE(r.threshold_sig(out)) << "cut at " << cut;
+  }
 }
 
 TEST(SerializerTest, BooleanRejectsGarbage) {

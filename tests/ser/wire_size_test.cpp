@@ -85,12 +85,38 @@ TEST(WireSizeTest, ThresholdAggregateAccountedSizeIsConstant) {
   const auto b = make_aggregate(*large, 201, statement);
   EXPECT_EQ(a.wire_size(), 2 * kKappaBytes);
   EXPECT_EQ(b.wire_size(), 2 * kKappaBytes);
-  EXPECT_EQ(a.message, b.message);  // same statement, same digest
   // The *serialized* form carries the signer bitmap (an n-bit detail real
-  // systems also ship); the accounting model charges O(kappa) for it. This
-  // test exists so the distinction stays explicit: accounted size
-  // constant, serialized size n-bit-linear.
+  // systems also ship) and no statement; the accounting model charges
+  // O(kappa) for both. This test exists so the distinction stays
+  // explicit: accounted size constant, serialized size n-bit-linear —
+  // varint n, ceil(n/8) bitmap bytes, then the tag.
   EXPECT_GT(b.signer_count(), a.signer_count());
+  ser::Writer small_bytes;
+  small_bytes.threshold_sig(a);
+  ser::Writer large_bytes;
+  large_bytes.threshold_sig(b);
+  EXPECT_EQ(small_bytes.size(), 1 + 1 + kKappaBytes);   // n = 4
+  EXPECT_EQ(large_bytes.size(), 2 + 38 + kKappaBytes);  // n = 301
+}
+
+TEST(WireSizeTest, QcFrameBodiesArePinned) {
+  // The real QC announce body: view, block hash, varint n, ceil(n/8)
+  // bitmap bytes and the tag; no statement digest. n = 4 under ed25519
+  // (three signers, a 32 + 3 * 32 byte tag) and n = 31 under HMAC.
+  struct Pin {
+    const char* scheme;
+    std::uint32_t n;
+    std::size_t body;
+  };
+  for (const Pin& pin : {Pin{"ed25519", 4, 8 + 32 + 1 + 1 + 128},
+                         Pin{"hmac", 31, 8 + 32 + 1 + 4 + 32}}) {
+    const auto auth = crypto::make_authenticator(pin.scheme, pin.n, 7);
+    const std::uint32_t quorum = 2 * ((pin.n - 1) / 3) + 1;
+    const crypto::Digest statement = consensus::QuorumCert::statement(9, crypto::Digest());
+    const consensus::QcMsg qc(
+        consensus::QuorumCert(9, crypto::Digest(), make_aggregate(*auth, quorum, statement)));
+    EXPECT_EQ(MessageCodec::encode(qc).size() - 4, pin.body) << pin.scheme << " n " << pin.n;
+  }
 }
 
 TEST(WireSizeTest, SchemesReportTheirOwnGeometry) {

@@ -126,21 +126,30 @@ TEST(LedgerOraclesTest, ExactlyOnceIgnoresUntaggedPayloads) {
   EXPECT_EQ(check_exactly_once_data({node}), std::nullopt);
 }
 
+/// A signer-less aggregate over a one-process universe: the smallest
+/// threshold signature the wire admits. The oracle resolves refs and
+/// never verifies them.
+crypto::ThresholdSig unsigned_sig() {
+  crypto::ThresholdSig sig;
+  sig.signers = SignerSet(1);
+  return sig;
+}
+
 TEST(LedgerOraclesTest, ExactlyOnceResolvesBatchReferences) {
   const dissem::BatchId first{2, 1, block_hash(71)};
   const dissem::BatchId second{2, 2, block_hash(72)};
   const std::vector<std::uint8_t> batch = request_batch(workload::client_id(2, 0), 7);
   NodeLedgerData node = window(0, 0, 2);
-  set_payload(node, 0, dissem::encode_refs({dissem::BatchCert(first, {})}));
+  set_payload(node, 0, dissem::encode_refs({dissem::BatchCert(first, unsigned_sig())}));
   // Re-ordering a reference in a later block is legal: it delivers once.
-  set_payload(node, 1, dissem::encode_refs({dissem::BatchCert(first, {})}));
+  set_payload(node, 1, dissem::encode_refs({dissem::BatchCert(first, unsigned_sig())}));
   const BatchResolver resolve = [&](ProcessId, const dissem::BatchId& id) {
     return id == first || id == second ? &batch : nullptr;
   };
   EXPECT_EQ(check_exactly_once_data({node}, resolve), std::nullopt);
 
   // A different batch carrying the same request commits it twice.
-  set_payload(node, 2, dissem::encode_refs({dissem::BatchCert(second, {})}));
+  set_payload(node, 2, dissem::encode_refs({dissem::BatchCert(second, unsigned_sig())}));
   const auto twice = check_exactly_once_data({node}, resolve);
   ASSERT_TRUE(twice.has_value());
   EXPECT_NE(twice->find("twice"), std::string::npos) << *twice;

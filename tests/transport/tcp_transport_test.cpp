@@ -112,5 +112,40 @@ TEST(TcpTransportTest, ManyFramesInOrder) {
   for (View v = 0; v < 200; ++v) EXPECT_EQ(received[static_cast<std::size_t>(v)], v);
 }
 
+TEST(TcpTransportTest, BytesSentCountsHeaderPlusEncodedBody) {
+  // bytes_sent() is exactly the sum over frames to peers of the 8-byte
+  // [len][sender] header and the encoded payload; the self-delivery of a
+  // broadcast crosses no socket and adds nothing.
+  const auto base = pick_base_port(32);
+  std::vector<std::unique_ptr<TcpEndpoint>> eps;
+  int delivered = 0;
+  for (ProcessId id = 0; id < 3; ++id) {
+    eps.push_back(std::make_unique<TcpEndpoint>(
+        id, 3, base, full_codec(), [&delivered](ProcessId, const MessagePtr&) { ++delivered; }));
+  }
+  const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 3, 1);
+  const crypto::Digest hash = crypto::Sha256::hash("bytes-sent block");
+  const crypto::Digest statement = consensus::QuorumCert::statement(4, hash);
+  crypto::QuorumAggregator agg(crypto::AuthView(auth.get()), statement, 3);
+  for (ProcessId id = 0; id < 3; ++id) {
+    agg.add(crypto::threshold_share(auth->signer_for(id), statement));
+  }
+  const consensus::QcMsg qc(consensus::QuorumCert(4, hash, agg.aggregate()));
+  const pacemaker::ViewMsg view(
+      5, crypto::threshold_share(auth->signer_for(0), pacemaker::view_msg_statement(5)));
+
+  EXPECT_EQ(eps[0]->bytes_sent(), 0U);
+  eps[0]->send(1, view);
+  eps[0]->send(2, qc);
+  eps[0]->broadcast(qc);  // two peers plus self
+  pump_all(eps, 20);
+  EXPECT_EQ(delivered, 5);
+  const std::size_t view_frame = 8 + MessageCodec::encode(view).size();
+  const std::size_t qc_frame = 8 + MessageCodec::encode(qc).size();
+  EXPECT_EQ(eps[0]->bytes_sent(), view_frame + 3 * qc_frame);
+  EXPECT_EQ(eps[0]->frames_sent(), 5U);
+  EXPECT_EQ(eps[1]->bytes_sent(), 0U);
+}
+
 }  // namespace
 }  // namespace lumiere::transport

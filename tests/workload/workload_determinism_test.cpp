@@ -209,9 +209,11 @@ TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
 // a withheld ref at every receiver, so its timing decides the ledgers.
 // Re-pinned again when certs started going to the next proposer instead
 // of every replica: which leader holds a cert decides which proposal
-// orders its batch.
+// orders its batch. Re-pinned when certificates stopped shipping their
+// statement digest and started shipping a signer bitmap: the refs
+// payload bytes (and so the block hashes) changed, the schedule did not.
 constexpr const char* kGoldenDissemHex =
-    "6a99e59a6ac970defbbf9ece8b4efd40e084318590f23f5ec061c746b37b8bf4";
+    "00b468cf823ce1c562aa78a700b20e9bffacbc73032cdb34166c877c0a665940";
 
 crypto::Digest golden_dissem_fold_digest() {
   WorkloadSpec spec;
