@@ -1,6 +1,42 @@
 #include "consensus/block.h"
 
+#include <array>
+#include <span>
+#include <string_view>
+
 namespace lumiere::consensus {
+
+namespace {
+
+/// Feeds a hash the bytes ser::Writer would encode the same fields as
+/// (little-endian integers, u32-length-prefixed byte strings), without
+/// building that encoding in memory.
+class HashWriter {
+ public:
+  void view(View v) { le(static_cast<std::uint64_t>(v)); }
+  void bytes(std::span<const std::uint8_t> data) {
+    le(static_cast<std::uint32_t>(data.size()));
+    h_.update(data);
+  }
+  void str(std::string_view s) {
+    bytes(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(s.data()),
+                                        s.size()));
+  }
+  void digest(const crypto::Digest& d) { h_.update(d.bytes()); }
+  [[nodiscard]] crypto::Digest finish() { return h_.finish(); }
+
+ private:
+  template <typename T>
+  void le(T v) {
+    std::array<std::uint8_t, sizeof(T)> out{};
+    for (std::size_t i = 0; i < sizeof(T); ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    h_.update(out);
+  }
+
+  crypto::Sha256 h_;
+};
+
+}  // namespace
 
 Block::Block(crypto::Digest parent, View view, std::vector<std::uint8_t> payload,
              QuorumCert justify)
@@ -9,14 +45,14 @@ Block::Block(crypto::Digest parent, View view, std::vector<std::uint8_t> payload
 }
 
 void Block::compute_hash() {
-  ser::Writer w;
+  HashWriter w;
   w.str("lumiere.block");
   w.digest(parent_);
   w.view(view_);
   w.bytes(std::span<const std::uint8_t>(payload_.data(), payload_.size()));
   w.view(justify_.view());
   w.digest(justify_.block_hash());
-  hash_ = crypto::Sha256::hash(std::span<const std::uint8_t>(w.data().data(), w.size()));
+  hash_ = w.finish();
 }
 
 const Block& Block::genesis() {

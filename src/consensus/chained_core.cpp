@@ -35,6 +35,7 @@ void ChainedCore::on_enter_view(View v) {
   // ignore views below cur_view_, maybe_propose reads only cur_view_.
   new_view_senders_.erase(new_view_senders_.begin(), new_view_senders_.lower_bound(v));
   fallback_elapsed_.erase(fallback_elapsed_.begin(), fallback_elapsed_.lower_bound(v));
+  armed_.erase(armed_.begin(), armed_.lower_bound(v));
   proposed_.erase(proposed_.begin(), proposed_.lower_bound(v));
   votes_.enter_view(v);
   // Attachments for views left without a proposal: their origins
@@ -58,6 +59,7 @@ std::size_t ChainedCore::leader_state_views() const {
   std::set<View> views;
   for (const auto& [v, senders] : new_view_senders_) views.insert(v);
   views.insert(fallback_elapsed_.begin(), fallback_elapsed_.end());
+  views.insert(armed_.begin(), armed_.end());
   views.insert(proposed_.begin(), proposed_.end());
   for (const auto& [v, attachments] : forwarded_) views.insert(v);
   votes_.collect_views(views);
@@ -107,7 +109,7 @@ void ChainedCore::handle_new_view(ProcessId from, const MessagePtr& ptr) {
   if (forwarding() && !msg.requests().empty()) {
     if (!proposed_.contains(v)) {
       if (v <= cur_view_ + 1) buffer(forwarded_[v], from, ptr);
-    } else if (v == 0 || from != hooks_.leader_of(v - 1)) {
+    } else if (relays(from, v)) {
       buffer(relay_, from, ptr);
     }
   }
@@ -171,32 +173,49 @@ void ChainedCore::buffer(Attachments& into, ProcessId from, const MessagePtr& ms
   if (!held) into.emplace_back(from, msg);
 }
 
+bool ChainedCore::relays(ProcessId from, View v) const {
+  return v == 0 || from != hooks_.leader_of(v - 1);
+}
+
 std::vector<std::uint8_t> ChainedCore::gather(const Attachments& attachments,
-                                              const crypto::Digest& tip, View view) const {
-  std::vector<std::pair<RequestTag, std::span<const std::uint8_t>>> candidates;
-  for (const auto& [from, attachment] : attachments) {
-    const auto& requests = static_cast<const NewViewMsg&>(*attachment).requests();
+                                              const crypto::Digest& tip, View view,
+                                              Attachments* overflow) const {
+  struct Candidate {
+    RequestTag tag;
+    std::span<const std::uint8_t> command;
+    std::size_t attachment;  ///< index into `attachments`
+  };
+  std::vector<Candidate> candidates;
+  for (std::size_t i = 0; i < attachments.size(); ++i) {
+    const auto& requests = static_cast<const NewViewMsg&>(*attachments[i].second).requests();
     for_each_command(requests, [&](std::span<const std::uint8_t> command) {
       const auto tag = request_tag(command);
-      if (tag && !committed_tags_.contains(*tag)) candidates.emplace_back(*tag, command);
+      if (tag && !committed_tags_.contains(*tag)) candidates.push_back({*tag, command, i});
     });
   }
   if (candidates.empty()) return {};
   std::size_t offered = 0;
-  for (const auto& candidate : candidates) offered += candidate.second.size() + 4;
+  for (const Candidate& candidate : candidates) offered += candidate.command.size() + 4;
   std::vector<RequestTag> taken;
+  std::vector<bool> left_out(attachments.size(), false);
   ser::Writer w(std::min(offered, cb_.forwarding.max_batch_bytes));
   std::size_t used = 0;
-  for (const auto& [tag, command] : candidates) {
-    const std::size_t cost = command.size() + 4;  // u32 length prefix
+  for (const Candidate& candidate : candidates) {
+    const std::size_t cost = candidate.command.size() + 4;  // u32 length prefix
     if (used + cost > cb_.forwarding.max_batch_bytes ||
-        std::find(taken.begin(), taken.end(), tag) != taken.end() ||
-        chain_holds(tag, tip, view)) {
+        std::find(taken.begin(), taken.end(), candidate.tag) != taken.end() ||
+        chain_holds(candidate.tag, tip, view)) {
+      left_out[candidate.attachment] = true;
       continue;
     }
-    taken.push_back(tag);
-    w.bytes(command);
+    taken.push_back(candidate.tag);
+    w.bytes(candidate.command);
     used += cost;
+  }
+  if (overflow != nullptr) {
+    for (std::size_t i = 0; i < attachments.size(); ++i) {
+      if (left_out[i]) overflow->push_back(attachments[i]);
+    }
   }
   return std::move(w).take();
 }
@@ -216,21 +235,36 @@ bool ChainedCore::fresh_payload(const Block& block) const {
   });
 }
 
-void ChainedCore::maybe_propose() {
+void ChainedCore::maybe_propose(bool drained) {
   const View v = cur_view_;
   if (v < 0) return;
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (proposed_.contains(v)) return;
   if (hooks_.may_propose && !hooks_.may_propose(v)) return;
+  bool responsive = false;
   if (rule_.gate == ChainRule::Gate::kNewViewQuorum) {
     const auto it = new_view_senders_.find(v);
     if (it == new_view_senders_.end() || it->second.count() < params_.quorum()) return;
   } else {
     // The genesis QC (view -1) certifies view 0's parent, so view 0 is
     // responsive by construction.
-    const bool responsive = high_qc_.view() == v - 1;
+    responsive = high_qc_.view() == v - 1;
     const bool fallback = fallback_elapsed_.contains(v) || cb_.schedule == nullptr;
     if (!responsive && !fallback) return;
+  }
+  // Drain, then propose: messages delivered at this instant may still be
+  // queued behind the one that opened the gate. A zero-delay event runs
+  // after them and comes back here, through every gate above; until it
+  // does, the view stays armed and other callers leave it be.
+  if (!drained && cb_.schedule) {
+    if (armed_.insert(v).second) {
+      cb_.schedule(Duration::zero(), [this, v] {
+        if (armed_.erase(v) != 0) maybe_propose(/*drained=*/true);  // else the view passed
+      });
+    }
+    return;
+  }
+  if (rule_.gate == ChainRule::Gate::kResponsiveOrDelta) {
     responsive ? ++responsive_proposals_ : ++fallback_proposals_;
   }
 
@@ -239,7 +273,13 @@ void ChainedCore::maybe_propose() {
   if (forwarding()) {
     const auto it = forwarded_.find(v);
     if (it != forwarded_.end()) {
-      payload = gather(it->second, high_qc_.block_hash(), v);
+      // What the block cannot take rides this node's NewView(v+1), which
+      // re-filters it against QC(v)'s block.
+      Attachments overflow;
+      payload = gather(it->second, high_qc_.block_hash(), v, &overflow);
+      for (const auto& [from, attachment] : overflow) {
+        if (relays(from, v)) buffer(relay_, from, attachment);
+      }
       forwarded_.erase(it);
     }
   } else if (payload_provider_) {

@@ -23,6 +23,18 @@
 // this core sends NewView(high_qc) to lead(v) on entering view v, votes,
 // aggregates votes into QCs, and commits.
 //
+// Drain, then propose: a leader whose gate opens (the 2f+1-th NewView,
+// QC(v-1), or the Delta fallback) proposes at the end of that instant,
+// from a zero-delay CoreCallbacks::schedule event, so every message
+// already delivered to it is handled first. Under the simulator that is
+// every event queued for the same instant; over TCP the realtime driver
+// fires the event on its next pass, after the frames of the current
+// socket poll and the verify pipeline's drain. NewViews that tie with
+// the 2f+1-th one (a fixed-delay network delivers a whole view's
+// NewViews at once) land in the block instead of one view later, so
+// the quorum gate does not favour the lowest sender ids. This holds for
+// every proposal, forwarded or disseminated payload alike.
+//
 // Request forwarding (CoreCallbacks::forwarding, the inline-batch data
 // path): the NewView to lead(v) also carries the requests this replica
 // admitted since its last one, so a request waits at most a view for a
@@ -30,13 +42,16 @@
 //
 //   * lead(v) proposes the attachments of the NewViews it received
 //     before proposing, in arrival order, within max_batch_bytes.
-//   * Relay: attachments that reach lead(v) after it proposed ride its
-//     own next NewView (normally v+1). lead(v) sends that NewView the
-//     moment it forms QC(v), before broadcasting the QC, so it reaches
-//     lead(v+1) ahead of both the 2f+1 cut (which with id-ordered ties
-//     would starve the same late senders every view) and QC(v) itself
-//     (on which a responsive HotStuff-2 leader proposes at once).
-//     Attachments from lead(v-1) are never relayed again.
+//   * Relay: what lead(v)'s block cannot take (past max_batch_bytes, or
+//     held back by an uncommitted ancestor or an earlier copy in the
+//     block: exclusions that lapse if that block dies), and attachments
+//     that reach lead(v) after it proposed, ride its own next NewView
+//     (normally v+1), which re-filters them against the block its QC
+//     certifies. lead(v) sends that NewView the moment it forms QC(v),
+//     before broadcasting the QC, so it reaches lead(v+1) ahead of QC(v)
+//     itself (on which a responsive HotStuff-2 leader's gate opens).
+//     Attachments from lead(v-1) are never relayed again: they carry its
+//     relay, and the origins re-attach what proposal v leaves out.
 //   * Exactly-once: a proposer drops, and a voter refuses, any request
 //     tag (consensus/request_tag.h) already in an uncommitted ancestor
 //     or in the committed-tag index, or repeated within the block.
@@ -119,8 +134,8 @@ class ChainedCore final : public ConsensusCore {
   /// Forwarding: the committed-tag index (empty with forwarding off).
   [[nodiscard]] const CommittedTags& committed_tags() const noexcept { return committed_tags_; }
   /// Distinct views that still hold leader-side state (NewView senders,
-  /// forwarded attachments, proposal marks, elapsed fallbacks, vote
-  /// aggregation). Entries below the current view are dropped on view
+  /// forwarded attachments, armed and proposal marks, elapsed fallbacks,
+  /// vote aggregation). Entries below the current view are dropped on view
   /// entry, so this stays O(1) however long the node runs.
   [[nodiscard]] std::size_t leader_state_views() const;
 
@@ -146,18 +161,26 @@ class ChainedCore final : public ConsensusCore {
   using Attachments = std::vector<std::pair<ProcessId, MessagePtr>>;
   /// Appends `msg` unless `into` already holds one from `from`.
   static void buffer(Attachments& into, ProcessId from, const MessagePtr& msg);
+  /// Whether lead(v) relays what it cannot propose of `from`'s
+  /// NewView(v): everyone's but lead(v-1)'s, itself a relay.
+  [[nodiscard]] bool relays(ProcessId from, View v) const;
   /// The tagged requests of `attachments` that a block or NewView for
   /// `view` extending `tip` may carry: no tag of tip's uncommitted chain
   /// or of the committed index, none twice, within max_batch_bytes;
-  /// arrival order.
+  /// arrival order. `overflow`, if given, receives every attachment with
+  /// an uncommitted request the result leaves out.
   [[nodiscard]] std::vector<std::uint8_t> gather(const Attachments& attachments,
-                                                 const crypto::Digest& tip, View view) const;
+                                                 const crypto::Digest& tip, View view,
+                                                 Attachments* overflow = nullptr) const;
   /// The voter's exclusion rule (forwarding on): no tag of `block` is in
   /// its uncommitted ancestors, in the committed index, or in it twice.
   [[nodiscard]] bool fresh_payload(const Block& block) const;
   void handle_proposal(ProcessId from, const ProposalMsg& msg);
   void handle_qc_msg(const QcMsg& msg);
-  void maybe_propose();
+  /// Proposes for the current view once its gate is open: `drained`
+  /// only from the zero-delay event the first open gate arms. Without a
+  /// schedule callback (a core driven directly) it proposes at once.
+  void maybe_propose(bool drained = false);
   void maybe_vote();
   /// Chain bookkeeping for any newly observed QC: high-qc update, lock,
   /// commit.
@@ -198,6 +221,9 @@ class ChainedCore final : public ConsensusCore {
   std::map<View, SignerSet> new_view_senders_;
   /// Views whose Delta fallback timer expired while this node led them.
   std::set<View> fallback_elapsed_;
+  /// Views whose proposal gate opened and whose zero-delay proposal
+  /// event is pending (drain, then propose).
+  std::set<View> armed_;
   /// Views this node proposed in.
   std::set<View> proposed_;
   std::uint64_t responsive_proposals_ = 0;
@@ -209,7 +235,8 @@ class ChainedCore final : public ConsensusCore {
   /// received before it proposed (at most one per sender and view).
   std::map<View, Attachments> forwarded_;
   /// Forwarding: NewViews whose requests arrived after this node
-  /// proposed; they ride its next NewView (at most one per sender).
+  /// proposed, or that its block could not take in full; they ride its
+  /// next NewView (at most one per sender).
   Attachments relay_;
   /// Forwarding: every tag this node committed.
   CommittedTags committed_tags_;

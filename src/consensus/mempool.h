@@ -13,10 +13,12 @@
 //   proposed@w  --a commit at >= w left it out------------> pending (front)
 //
 // attach(v) drains the batch this node forwards on its NewView(v) to
-// lead(v). A proposal for v that leaves out a sent@v command means it
-// reached lead(v) after the proposal, and lead(v) relays it to
-// lead(v+1); the origin waits that one view before re-attaching, so the
-// two copies do not race. A commit of ANY leader's block acks the
+// lead(v). A proposal for v that leaves out a sent@v command means
+// lead(v) could not take it (it arrived after the proposal, or the block
+// was full), and lead(v) relays it to lead(v+1); the origin waits that
+// one view before re-attaching, so the two copies do not race. A relay
+// is never relayed again: a relayed@v+1 command that proposal v+1 leaves
+// out is re-attached at the origin's next NewView. A commit of ANY leader's block acks the
 // commands it carries, pending ones included (a re-attached copy may be
 // queued when the first one commits), so "admitted" means "will commit
 // (exactly once) as long as honest leaders keep proposing". Tagged

@@ -196,6 +196,8 @@ void Sha256::reset() noexcept {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_len_ += data.size();
   const std::uint8_t* in = data.data();
   std::size_t left = data.size();

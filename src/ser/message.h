@@ -92,14 +92,16 @@ class MessageCodec {
     out = std::move(w).take();
   }
 
-  /// Decodes one frame; nullptr on unknown type or malformed body.
+  /// Decodes one frame; nullptr on unknown type, malformed body, or
+  /// bytes left after the body: a message has exactly one frame.
   [[nodiscard]] MessagePtr decode(std::span<const std::uint8_t> frame) const {
     ser::Reader r(frame, sig_wire_);
     std::uint32_t type_id = 0;
     if (!r.u32(type_id)) return nullptr;
     const auto it = decoders_.find(type_id);
     if (it == decoders_.end()) return nullptr;
-    return it->second(r);
+    MessagePtr msg = it->second(r);
+    return r.exhausted() ? msg : nullptr;
   }
 
   /// All registered type ids, sorted — lets tests sweep every decodable

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace lumiere::consensus {
 namespace {
 
@@ -23,6 +26,40 @@ TEST(BlockTest, HashBindsAllFields) {
   EXPECT_NE(base.hash(), diff_view.hash());
   EXPECT_NE(base.hash(), diff_payload.hash());
   EXPECT_NE(base.hash(), diff_parent.hash());
+}
+
+/// The block hash as a ser::Writer encoding of its fields, hashed in one
+/// piece: the construction Block::compute_hash streams instead.
+crypto::Digest writer_hash(const Block& b) {
+  ser::Writer w;
+  w.str("lumiere.block");
+  w.digest(b.parent());
+  w.view(b.view());
+  w.bytes(std::span<const std::uint8_t>(b.payload().data(), b.payload().size()));
+  w.view(b.justify().view());
+  w.digest(b.justify().block_hash());
+  return crypto::Sha256::hash(std::span<const std::uint8_t>(w.data().data(), w.size()));
+}
+
+TEST(BlockTest, StreamedHashMatchesTheWriterEncoding) {
+  const Block empty(Block::genesis().hash(), 0, {}, genesis_qc());
+  EXPECT_EQ(empty.hash(), writer_hash(empty));
+  std::vector<std::uint8_t> payload(4096);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 7);
+  const Block full(empty.hash(), 1 << 20, payload, genesis_qc());
+  EXPECT_EQ(full.hash(), writer_hash(full));
+  // Genesis hashes its fields under the default (view -1) QC, not the
+  // self-certifying one it carries.
+  const Block& genesis = Block::genesis();
+  ser::Writer w;
+  w.str("lumiere.block");
+  w.digest(crypto::Digest{});
+  w.view(-1);
+  w.bytes(std::span<const std::uint8_t>());
+  w.view(QuorumCert().view());
+  w.digest(QuorumCert().block_hash());
+  EXPECT_EQ(genesis.hash(),
+            crypto::Sha256::hash(std::span<const std::uint8_t>(w.data().data(), w.size())));
 }
 
 TEST(BlockTest, SerializeRoundTrip) {

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 
+#include "consensus/mempool.h"
 #include "consensus/request_tag.h"
 #include "ser/serializer.h"
 #include "testutil/core_harness.h"
@@ -165,17 +168,29 @@ TEST_P(ChainedCoreTest, StaleBlockCapAdmitsEquivocatedVariantsUpToTheLimit) {
 
 // ---- request forwarding: the exclusion rule -------------------------
 
+/// A tagged request (a bare header).
+std::vector<std::uint8_t> request(std::uint32_t client, std::uint64_t seq) {
+  ser::Writer command;
+  command.u8(kRequestMagic);
+  command.u32(client);
+  command.u64(seq);
+  return std::move(command).take();
+}
+
 /// A batch of tagged requests (client 7) with the given seqs.
 std::vector<std::uint8_t> request_batch(std::initializer_list<std::uint64_t> seqs) {
   ser::Writer batch;
-  for (const std::uint64_t seq : seqs) {
-    ser::Writer command;
-    command.u8(kRequestMagic);
-    command.u32(7);
-    command.u64(seq);
-    batch.bytes(command.data());
-  }
+  for (const std::uint64_t seq : seqs) batch.bytes(request(7, seq));
   return std::move(batch).take();
+}
+
+/// The request tags of a payload, in order.
+std::vector<RequestTag> tags_of(const std::vector<std::uint8_t>& payload) {
+  std::vector<RequestTag> tags;
+  for_each_command(payload, [&tags](std::span<const std::uint8_t> command) {
+    if (const auto tag = request_tag(command)) tags.push_back(*tag);
+  });
+  return tags;
 }
 
 struct Injected {
@@ -257,6 +272,86 @@ TEST_P(ChainedCoreTest, ProposalRepeatingACommittedTagGetsNoVote) {
   EXPECT_LE(repeat.holder, repeat.committed) << "its block must be committed";
   EXPECT_EQ(repeat.votes, 0U);
   EXPECT_EQ(inject_proposal(rule(), 4, request_batch({1})).votes, 3U);
+}
+
+// ---- drain, then propose ---------------------------------------------
+
+TEST(ChainedCoreDrainTest, NewViewsTiedWithTheQuorumsLastLandInItsBlock) {
+  // n = 7, quorum 5, every NewView(1) carrying its sender's request.
+  // lead(0)'s arrives early (sent as it forms QC(0)) and lead(1)'s own at
+  // once; the fixed delay delivers the other five within one instant. The
+  // 5th NewView (p4's) opens the quorum gate, and the two behind it (p5,
+  // p6) must still make view 1's block instead of riding the relay into
+  // view 2.
+  constexpr std::uint32_t kN = 7;
+  std::optional<std::vector<std::uint8_t>> proposed;
+  Harness h(kN, Duration::micros(10), nullptr, ChainRule::hotstuff(),
+            [&proposed](ProcessId id, CoreCallbacks& cb) {
+              cb.forwarding.attach = [id](View v) {
+                ser::Writer batch;
+                if (v == 1) batch.bytes(request(100 + id, 0));
+                return std::move(batch).take();
+              };
+              if (id != 1) return;
+              cb.broadcast = [&proposed, inner = cb.broadcast](MessagePtr msg) {
+                if (msg->type_id() == kProposal) {
+                  const Block& block = static_cast<const ProposalMsg&>(*msg).block();
+                  if (block.view() == 1) proposed = block.payload();
+                }
+                inner(std::move(msg));
+              };
+            });
+  h.enter_view_all(0);
+  h.enter_view_all(1);
+  ASSERT_TRUE(proposed.has_value()) << "lead(1) never proposed";
+  const std::vector<RequestTag> tags = tags_of(*proposed);
+  EXPECT_EQ(tags.size(), kN) << "NewViews after the 2f+1-th missed the block";
+  for (ProcessId id = 0; id < kN; ++id) {
+    EXPECT_NE(std::find(tags.begin(), tags.end(), RequestTag{100 + id, 0}), tags.end())
+        << "sender " << id << "'s request is not in view 1's block";
+  }
+}
+
+TEST(ChainedCoreDrainTest, OverflowRidesTheRelayIntoTheNextBlock) {
+  // n = 4, a proposal budget of five requests. After view 0, replicas
+  // 1..3 each admit three requests, which ride their NewView(1)s (in
+  // sender-id order) to lead(1) = p1. Its block takes five; the four it
+  // cannot take must ride its NewView(2) into lead(2)'s block, so no
+  // origin ever re-attaches (requeues) one.
+  constexpr std::uint32_t kN = 4;
+  constexpr std::size_t kBudget = 5 * (kRequestHeaderBytes + 4);
+  std::vector<Mempool> pools(kN);
+  std::map<View, std::vector<std::uint8_t>> committed;
+  Harness h(kN, Duration::micros(10), nullptr, ChainRule::hotstuff(),
+            [&pools, &committed](ProcessId id, CoreCallbacks& cb) {
+              Mempool& pool = pools[id];
+              cb.forwarding.attach = [&pool](View v) { return pool.attach(v); };
+              cb.forwarding.proposed = [&pool](const Block& b) {
+                pool.on_proposed(b.view(), b.payload());
+              };
+              cb.forwarding.max_batch_bytes = kBudget;
+              cb.decided = [&pool, &committed, id,
+                            inner = cb.decided](const std::shared_ptr<const Block>& b) {
+                pool.on_commit(b->view(), b->payload());
+                if (id == 0) committed[b->view()] = b->payload();
+                inner(b);
+              };
+            });
+  h.enter_view_all(0);
+  for (ProcessId id = 1; id < kN; ++id) {
+    for (std::uint64_t seq = 0; seq < 3; ++seq) {
+      ASSERT_EQ(pools[id].add(request(100 + id, seq)), Admission::kAccepted);
+    }
+  }
+  for (View v = 1; v <= 5; ++v) h.enter_view_all(v);
+
+  ASSERT_TRUE(committed.contains(1) && committed.contains(2)) << "views 1 and 2 never committed";
+  EXPECT_EQ(tags_of(committed.at(1)).size(), 5U) << "view 1's block should fill its budget";
+  EXPECT_EQ(tags_of(committed.at(2)).size(), 4U) << "the overflow should make view 2's block";
+  for (ProcessId id = 0; id < kN; ++id) {
+    EXPECT_EQ(pools[id].requeued(), 0U) << "node " << id << " re-attached a request";
+    EXPECT_EQ(pools[id].in_flight() + pools[id].pending(), 0U) << "node " << id;
+  }
 }
 
 // ---- leader-side state: pruned on view entry -------------------------

@@ -61,6 +61,17 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(hasher.finish(), Sha256::hash(data));
 }
 
+TEST(Sha256Test, EmptyUpdateMidBlockIsANoOp) {
+  // An empty vector's span has a null data pointer; feeding it between
+  // partial blocks (as a block with an empty payload does) changes nothing.
+  Sha256 hasher;
+  hasher.update("ab");
+  const std::vector<std::uint8_t> empty;
+  hasher.update(std::span<const std::uint8_t>(empty.data(), empty.size()));
+  hasher.update("c");
+  EXPECT_EQ(hasher.finish(), Sha256::hash("abc"));
+}
+
 TEST(Sha256Test, ResetReuses) {
   Sha256 hasher;
   hasher.update("abc");

@@ -61,9 +61,9 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
   };
   const Pinned pinned[] = {
       // nk20/hotstuff-2, wan3 preset, partitions, behavior change.
-      {1, 0, "1219593ab4b338d8ed978a6b659aeb11b64c10a4817c38f09ced5d0b55a2ce48"},
+      {1, 0, "392ba304c812933fe804d146ecfae1abb77bbddc29ed7c8ebd96ea9072fb5656"},
       // lumiere/hotstuff-2, lan preset, two churn windows, workload.
-      {3, 0, "01e0dfea02120b70f06276ebff0aa03009266ed7471dc53147d6a34df4c275eb"},
+      {3, 0, "ad32065ee0f9d0db3d3ba1e43294ab79369f523f40c0f2b65af611057229248c"},
       // n=7: churn, asymmetric and 3-way partitions, two Byzantine nodes.
       {5, 0, "55e1020effd4d79005b02b429bc822fab033fdf569afe54a778e84741875ef0e"},
       // Dissemination on, churn of a silent leader, delay change. (Its
@@ -71,7 +71,7 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
       // is part of this digest.)
       {21, 0, "3fa69241499fd770bb267af554e0ded79c393f3ea2da924b675aa201d2d306d0"},
       // Asymmetric partition then a behavior change, workload.
-      {22, 0, "566a781cb3becba0f7d4e20014e45bd2010fa18eee7fd4cef83ac931a2664c69"},
+      {22, 0, "30f246f20746b7fd351791abf71876c97b898df02a59e70f644fc370be9baa9d"},
       // n=10 shrunk to 4: groups trimmed, behaviors recapped at f=1.
       {16, 4, "4e0838b6896d4f5afd51912e5b3caf152b7ab4b6dfe5518218990e423f3efff3"},
   };

@@ -198,6 +198,25 @@ TEST_P(WireRoundTripTest, EveryRegisteredTypeReencodesByteIdentically) {
   EXPECT_TRUE(certs->certs().front().verify(auth, params));
 }
 
+TEST_P(WireRoundTripTest, EveryRegisteredTypeRejectsATrailingByte) {
+  // A frame has one encoding: bytes past a complete body are refused,
+  // not ignored, so two different frames never decode to one message.
+  const auto& [scheme, n] = GetParam();
+  const auto auth_owner = crypto::make_authenticator(scheme, n, 3);
+  const MessageCodec codec = runtime::wire_codec(*auth_owner);
+  const auto exemplars = testutil::wire_exemplars(*auth_owner);
+  ASSERT_EQ(exemplars.size(), codec.registered_types().size());
+  for (const auto& [type_id, msg] : exemplars) {
+    std::vector<std::uint8_t> frame = MessageCodec::encode(*msg);
+    ASSERT_NE(codec.decode(frame), nullptr) << msg->type_name();
+    for (const std::uint8_t trailing : {0x00, 0xFF}) {
+      frame.push_back(trailing);
+      EXPECT_EQ(codec.decode(frame), nullptr) << msg->type_name() << " + " << int{trailing};
+      frame.pop_back();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, WireRoundTripTest,
     ::testing::Combine(::testing::ValuesIn(crypto::scheme_names()),

@@ -5,11 +5,12 @@
 // metrics parity claims: Cluster::workload_report() and the
 // MetricsCollector must tell the same story on both transports.
 //
-// Wall-clock smoke tests: ports 25640+ (earlier transport tests own
+// Wall-clock smoke tests: ports 25640-25706 (earlier transport tests own
 // 25480-25620).
 #include <gtest/gtest.h>
 
 #include "crypto/authenticator.h"
+#include "fuzz/oracles.h"
 #include "runtime/cluster.h"
 #include "workload/report.h"
 #include "workload/spec.h"
@@ -105,6 +106,40 @@ TEST(TcpPipelineTest, PipelinedClusterCommitsUnderRealSignatures) {
     EXPECT_GT(stats.claims_passed, 0U);
     EXPECT_EQ(stats.decode_failures, 0U) << "honest peers sent garbage?";
   }
+}
+
+TEST(TcpPipelineTest, ForwardedRequestsCommitExactlyOnceAtNSeven) {
+  // Request forwarding over sockets with the verify pipeline on: a
+  // leader's proposal runs from a zero-delay event on its driver thread,
+  // after the socket poll and the pipeline drain that opened its gate
+  // (consensus/chained_core.h). Clients stop well before the run does,
+  // so every request they submitted has time to commit.
+  PipelineSpec pipeline;
+  pipeline.enabled = true;
+  pipeline.workers = 2;
+  pipeline.queue_capacity = 256;
+  workload::WorkloadSpec clients;
+  clients.arrival = workload::Arrival::kPoisson;
+  clients.clients_per_node = 2;
+  clients.rate_per_client = 50.0;
+  clients.stop = TimePoint(Duration::millis(800 * kSanitizerHeadroom).ticks());
+  ScenarioBuilder builder;
+  builder.params(ProtocolParams::for_n(7, Duration::millis(10 * kSanitizerHeadroom), /*x=*/4))
+      .pacemaker("lumiere")
+      .core("chained-hotstuff")
+      .seed(85)
+      .pipeline(pipeline)
+      .workload(clients)
+      .transport_tcp(25700);
+  Cluster cluster(builder);
+  cluster.run_for(Duration::millis(2000 * kSanitizerHeadroom));  // wall-clock
+
+  const workload::Report report = cluster.workload_report();
+  EXPECT_GT(report.committed, 0U) << "no requests committed over TCP";
+  EXPECT_EQ(report.committed, report.admitted) << "an admitted request never committed";
+  EXPECT_EQ(report.outstanding, 0U);
+  EXPECT_EQ(report.commit_misses, 0U);
+  EXPECT_EQ(fuzz::check_exactly_once(cluster), std::nullopt);
 }
 
 TEST(TcpPipelineTest, CrashStopsThePoolAndRecoverRestartsIt) {

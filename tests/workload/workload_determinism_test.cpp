@@ -112,7 +112,9 @@ TEST(WorkloadDeterminismTest, IdenticalRunsUnderScriptedPartition) {
 // delivery lambdas, uncached QC statements) and re-captured once for
 // request forwarding, which reorders what the ledgers carry and lets a
 // shed request's seq pass to the next arrival (this run sheds during
-// the partition). Any substrate change that alters event ordering, RNG
+// the partition), and again when leaders started proposing at the end
+// of the instant their gate opened and relaying what a block could not
+// take, which moves requests between blocks. Any substrate change that alters event ordering, RNG
 // draw order, or message bytes shifts this value — rerunning the fold
 // and comparing pins "the hot-path overhaul
 // changed nothing observable" as a regression test. Constant arrival
@@ -165,7 +167,7 @@ crypto::Digest golden_fold_digest(
 
 TEST(WorkloadDeterminismTest, GoldenLedgersSurviveRefactors) {
   EXPECT_EQ(golden_fold_digest().hex(),
-            "2890548bcbf77b52644fa8e288f700f232b652b8cd35c4a222417e18aa6002af");
+            "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
 }
 
 TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
@@ -179,7 +181,7 @@ TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
     b.pipeline(runtime::PipelineSpec{});
   };
   EXPECT_EQ(golden_fold_digest(explicit_knobs).hex(),
-            "2890548bcbf77b52644fa8e288f700f232b652b8cd35c4a222417e18aa6002af");
+            "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
 }
 
 TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
@@ -196,7 +198,7 @@ TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
     b.observability(spec);
   };
   EXPECT_EQ(golden_fold_digest(observability).hex(),
-            "2890548bcbf77b52644fa8e288f700f232b652b8cd35c4a222417e18aa6002af");
+            "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
 }
 
 // Dissemination-enabled golden: same fold, lumiere + chained-hotstuff
@@ -212,8 +214,11 @@ TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
 // orders its batch. Re-pinned when certificates stopped shipping their
 // statement digest and started shipping a signer bitmap: the refs
 // payload bytes (and so the block hashes) changed, the schedule did not.
+// Re-pinned when leaders started proposing at the end of the instant
+// their gate opened: references that arrive at that instant now make
+// the block.
 constexpr const char* kGoldenDissemHex =
-    "00b468cf823ce1c562aa78a700b20e9bffacbc73032cdb34166c877c0a665940";
+    "f6092fc13b8ca59e8dbc23aba0e92acfa718c9d8d57b114c3fb4ca656bdc86e2";
 
 crypto::Digest golden_dissem_fold_digest() {
   WorkloadSpec spec;
