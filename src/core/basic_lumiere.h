@@ -7,74 +7,32 @@
 // odd views are grace periods entered on QCs, and QCs/VCs/ECs all bump
 // lagging clocks forward.
 //
+// The composition is literal: this is FeverPacemaker at tenure 2 with the
+// kit's epoch synchronization (GridPacemaker, shared with LP22) switched
+// on every 2(f+1) views; it adds no handler of its own. VCs exist only
+// for initial non-epoch views.
+//
 // Result: O(n^2) worst-case communication (amortized over the epoch) and
 // smooth optimistic responsiveness — each faulty leader costs at most
 // Gamma. What it still lacks is the success criterion of Section 3.5:
 // every epoch pays the Theta(n^2) synchronization forever, so eventual
-// worst-case communication stays Theta(n^2). Gamma = 2(x+1)*Delta.
+// worst-case communication stays Theta(n^2). Gamma = 2(x+1)*Delta, which
+// is Fever's tenure-2 default.
 #pragma once
 
-#include <map>
-#include <set>
-
-#include "crypto/authenticator.h"
-#include "pacemaker/leader_schedule.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
+#include "pacemaker/fever.h"
 
 namespace lumiere::core {
 
-class BasicLumierePacemaker final : public pacemaker::Pacemaker {
+class BasicLumierePacemaker final : public pacemaker::FeverPacemaker {
  public:
-  struct Options {
-    /// Per-view budget Gamma; zero means the paper default 2(x+1)*Delta.
-    Duration gamma = Duration::zero();
-  };
-
+  /// `gamma` is the per-view budget; zero means 2(x+1) * Delta.
   BasicLumierePacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
-                        pacemaker::PacemakerWiring wiring, Options options);
+                        pacemaker::PacemakerWiring wiring, Duration gamma)
+      : FeverPacemaker(params, self, signer, std::move(wiring), gamma, /*tenure=*/2,
+                       /*views_per_epoch=*/2 * static_cast<std::int64_t>(params.f + 1)) {}
 
-  void start() override;
-  void on_message(ProcessId from, const MessagePtr& msg) override;
-  void on_qc(const consensus::QuorumCert& qc) override;
-  [[nodiscard]] ProcessId leader_of(View v) const override { return schedule_.leader_of(v); }
-  [[nodiscard]] View current_view() const override { return view_; }
   [[nodiscard]] const char* name() const override { return "basic-lumiere"; }
-
-  [[nodiscard]] Duration gamma() const noexcept { return gamma_; }
-  [[nodiscard]] std::int64_t views_per_epoch() const noexcept {
-    return 2 * static_cast<std::int64_t>(params_.f + 1);
-  }
-  [[nodiscard]] bool is_epoch_view(View v) const noexcept {
-    return v >= 0 && v % views_per_epoch() == 0;
-  }
-  [[nodiscard]] static bool is_initial(View v) noexcept { return v >= 0 && v % 2 == 0; }
-  [[nodiscard]] Duration view_time(View v) const noexcept { return gamma_ * v; }
-
- private:
-  void process_clock();
-  void arm_boundary_alarm();
-  void enter_view(View v);
-  void send_view_msg(View v);
-  void begin_epoch_sync(View epoch_view);
-  void handle_view_share(const pacemaker::ViewMsg& msg);
-  void handle_vc(const pacemaker::VcMsg& msg);
-  void handle_epoch_share(const pacemaker::EpochViewMsg& msg);
-  void handle_ec(const pacemaker::EcMsg& msg);
-
-  Options options_;
-  pacemaker::RoundRobinSchedule schedule_;  // lead(v) = floor(v/2) mod n
-  Duration gamma_;
-  View view_ = -1;
-  sim::AlarmId boundary_alarm_ = 0;
-
-  std::set<View> view_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> view_aggs_;
-  std::set<View> vc_sent_;
-
-  std::set<View> epoch_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> epoch_aggs_;
-  std::set<View> ec_sent_;
 };
 
 }  // namespace lumiere::core

@@ -4,28 +4,24 @@
 // leader pairs (tenure 2): even views are initial, odd views are
 // non-initial grace periods. Each epoch is 5 "segments" of 2n views; one
 // segment gives every processor exactly one pair of consecutive views, so
-// each processor leads exactly 10 views per epoch.
+// each processor leads exactly 10 views per epoch. The clock side (c_v,
+// boundaries, the boundary alarm) is the kit's GammaGrid.
 #pragma once
 
 #include <cstdint>
 
-#include "common/assert.h"
-#include "common/time.h"
-#include "common/types.h"
+#include "pacemaker/view_sync_kit.h"
 
 namespace lumiere::core {
 
-class EpochMath {
+class EpochMath : public pacemaker::GammaGrid {
  public:
   /// Segments per epoch (the paper's factor 5: 10n views / 2n per segment).
   static constexpr std::int64_t kSegmentsPerEpoch = 5;
   /// Views each leader leads per epoch (the success criterion's "10 QCs").
   static constexpr std::int64_t kViewsPerLeaderPerEpoch = 2 * kSegmentsPerEpoch;
 
-  EpochMath(std::uint32_t n, Duration gamma) : n_(n), gamma_(gamma) {
-    LUMIERE_ASSERT(n > 0);
-    LUMIERE_ASSERT(gamma > Duration::zero());
-  }
+  EpochMath(std::uint32_t n, Duration gamma) : GammaGrid(gamma), n_(n) { LUMIERE_ASSERT(n > 0); }
 
   [[nodiscard]] std::int64_t views_per_epoch() const noexcept {
     return kSegmentsPerEpoch * 2 * static_cast<std::int64_t>(n_);
@@ -48,28 +44,15 @@ class EpochMath {
   }
   [[nodiscard]] static bool is_initial(View v) noexcept { return v >= 0 && v % 2 == 0; }
 
-  /// c_v = Gamma * v: the local-clock time corresponding to view v.
-  [[nodiscard]] Duration view_time(View v) const noexcept { return gamma_ * v; }
-
-  /// The view whose window contains clock value `r` (floor(r / Gamma)).
-  [[nodiscard]] View view_at(Duration r) const noexcept { return r.ticks() / gamma_.ticks(); }
-
-  /// True iff clock value `r` is exactly a view boundary c_v.
-  [[nodiscard]] bool at_boundary(Duration r) const noexcept {
-    return r.ticks() % gamma_.ticks() == 0;
-  }
-
   /// Segment index of view v (permutation window for the leader schedule).
   [[nodiscard]] std::int64_t segment_of(View v) const noexcept {
     return v >= 0 ? v / views_per_segment() : -1;
   }
 
-  [[nodiscard]] Duration gamma() const noexcept { return gamma_; }
   [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
 
  private:
   std::uint32_t n_;
-  Duration gamma_;
 };
 
 }  // namespace lumiere::core

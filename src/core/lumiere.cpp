@@ -1,7 +1,5 @@
 #include "core/lumiere.h"
 
-#include "common/log.h"
-
 namespace lumiere::core {
 
 using pacemaker::EpochViewMsg;
@@ -21,7 +19,9 @@ LumierePacemaker::LumierePacemaker(const ProtocolParams& params, ProcessId self,
       success_(
           params, &math_, [this](View v) { return schedule_.leader_of(v); },
           [this](Epoch e) { on_success_flip(e); }),
-      qc_deadline_budget_(math_.gamma() / 2 - params.delta_cap * 2) {
+      qc_deadline_budget_(math_.gamma() / 2 - params.delta_cap * 2),
+      view_shares_(auth(), &pacemaker::view_msg_statement, params.small_quorum()),
+      epoch_shares_(auth(), &pacemaker::epoch_msg_statement, params.n) {
   LUMIERE_ASSERT_MSG(qc_deadline_budget_ > Duration::zero(),
                      "Gamma too small: Gamma/2 - 2*Delta must be positive");
 }
@@ -31,14 +31,6 @@ void LumierePacemaker::start() { process_clock(); }
 // ---------------------------------------------------------------------------
 // Clock-driven entry
 // ---------------------------------------------------------------------------
-
-void LumierePacemaker::arm_boundary_alarm() {
-  clock().cancel_alarm(boundary_alarm_);
-  const Duration r = clock().reading();
-  View next = math_.view_at(r) + 1;
-  if (next % 2 != 0) ++next;  // only initial (even) views are clock-entered
-  boundary_alarm_ = clock().set_alarm(math_.view_time(next), [this] { process_clock(); });
-}
 
 void LumierePacemaker::process_clock() {
   const Duration r = clock().reading();
@@ -52,7 +44,8 @@ void LumierePacemaker::process_clock() {
       enter_initial(w);
     }
   }
-  arm_boundary_alarm();
+  // Only initial (even) views are clock-entered.
+  math_.arm_next(clock(), boundary_alarm_, 2, [this] { process_clock(); });
 }
 
 void LumierePacemaker::handle_epoch_boundary(View w) {
@@ -113,14 +106,16 @@ void LumierePacemaker::set_view(View v, Epoch e) {
     // Epoch changed: state keyed below the previous epoch can no longer
     // influence the protocol (certificates for it are stale).
     const View horizon = math_.epoch_first_view(e) - math_.views_per_epoch();
-    view_aggs_.erase(view_aggs_.begin(), view_aggs_.lower_bound(horizon));
     vc_sent_at_.erase(vc_sent_at_.begin(), vc_sent_at_.lower_bound(horizon));
     local_qc_sent_at_.erase(local_qc_sent_at_.begin(), local_qc_sent_at_.lower_bound(horizon));
-    epoch_aggs_.erase(epoch_aggs_.begin(), epoch_aggs_.lower_bound(horizon));
+    epoch_shares_.prune_below(horizon);
+    epoch_msg_sent_.erase(epoch_msg_sent_.begin(), epoch_msg_sent_.lower_bound(horizon));
   }
   // Every view message from here on is for a view >= v (catch-up starts
-  // at view_), so the record of those sent below v is never read again.
+  // at view_), and shares below v are turned away, so the records below
+  // v are never read again.
   view_msg_sent_.erase(view_msg_sent_.begin(), view_msg_sent_.lower_bound(v));
+  view_shares_.prune_below(v);
   notify_enter_view(v);
 }
 
@@ -135,8 +130,8 @@ void LumierePacemaker::send_view_msg(View v) {
 }
 
 void LumierePacemaker::send_epoch_msg(View v) {
-  if (epoch_msg_sent_.contains(v)) return;
-  epoch_msg_sent_.insert(v);
+  if (!epoch_msg_sent_.insert(v).second) return;
+  ++epoch_msgs_sent_;
   broadcast(std::make_shared<EpochViewMsg>(
       v, crypto::threshold_share(signer_, pacemaker::epoch_msg_statement(v))));
 }
@@ -162,21 +157,16 @@ void LumierePacemaker::handle_view_share(ProcessId /*from*/, const ViewMsg& msg)
   // view v and send to all."
   if (!EpochMath::is_initial(v) || leader_of(v) != self_) return;
   if (vc_sent_at_.contains(v) || v < view_) return;
-  auto [it, inserted] = view_aggs_.try_emplace(v, auth(), pacemaker::view_msg_statement(v),
-                                               params_.small_quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
-  if (it->second.complete() && v >= view_) {
-    vc_sent_at_.emplace(v, sim().now());
-    auto vc = std::make_shared<VcMsg>(SyncCert(v, it->second.aggregate()));
-    // vc_sent_at_ now turns away every later view-v share; the
-    // aggregator has done its job.
-    view_aggs_.erase(it);
-    broadcast(std::move(vc));
-    // The QC-production deadline for v is now anchored; the proposal gate
-    // (may_propose) is open.
-    poke_propose(v);
-  }
+  if (view_shares_.add(v, msg.share()) != params_.small_quorum()) return;
+  vc_sent_at_.emplace(v, sim().now());
+  auto vc = std::make_shared<VcMsg>(SyncCert(v, view_shares_.aggregate(v)));
+  // vc_sent_at_ now turns away every later view-v share; the aggregator
+  // has done its job.
+  view_shares_.erase(v);
+  broadcast(std::move(vc));
+  // The QC-production deadline for v is now anchored; the proposal gate
+  // (may_propose) is open.
+  poke_propose(v);
 }
 
 void LumierePacemaker::handle_vc(const VcMsg& msg) {
@@ -199,22 +189,13 @@ void LumierePacemaker::handle_vc(const VcMsg& msg) {
 
 void LumierePacemaker::handle_epoch_share(const EpochViewMsg& msg) {
   const View v = msg.view();
-  if (!math_.is_epoch_view(v)) return;
-  if (math_.epoch_of(v) < epoch_) return;  // stale epoch; cannot matter
-  auto [it, inserted] = epoch_aggs_.try_emplace(v, auth(), pacemaker::epoch_msg_statement(v),
-                                                params_.quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
+  // A stale epoch cannot matter.
+  if (!math_.is_epoch_view(v) || math_.epoch_of(v) < epoch_) return;
   // TC = f+1 epoch-view messages observed; EC = 2f+1 (Section 4). Both
   // are local count crossings over the same broadcast stream.
-  if (it->second.count() >= params_.small_quorum() && !tc_seen_.contains(v)) {
-    tc_seen_.insert(v);
-    handle_tc(v);
-  }
-  if (it->second.count() >= params_.quorum() && !ec_seen_.contains(v)) {
-    ec_seen_.insert(v);
-    handle_ec(v);
-  }
+  const std::uint32_t count = epoch_shares_.add(v, msg.share());
+  if (count == params_.small_quorum()) handle_tc(v);
+  if (count == params_.quorum()) handle_ec(v);
 }
 
 void LumierePacemaker::handle_tc(View v) {
@@ -300,6 +281,17 @@ void LumierePacemaker::on_qc(const consensus::QuorumCert& qc) {
 
 void LumierePacemaker::on_local_qc_formed(const consensus::QuorumCert& qc) {
   local_qc_sent_at_.emplace(qc.view(), sim().now());
+}
+
+View LumierePacemaker::lowest_held_view() const {
+  View lowest = epoch_shares_.lowest(view_shares_.lowest(view_));
+  for (const auto* held : {&view_msg_sent_, &epoch_msg_sent_}) {
+    if (!held->empty()) lowest = std::min(lowest, *held->begin());
+  }
+  for (const auto* held : {&vc_sent_at_, &local_qc_sent_at_}) {
+    if (!held->empty()) lowest = std::min(lowest, held->begin()->first);
+  }
+  return lowest;
 }
 
 bool LumierePacemaker::may_form_qc(View v) const {

@@ -44,9 +44,6 @@
 #include "core/epoch_math.h"
 #include "core/reverse_permutation_schedule.h"
 #include "core/success_tracker.h"
-#include "crypto/authenticator.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
 
 namespace lumiere::core {
 
@@ -76,6 +73,7 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   [[nodiscard]] bool may_propose(View v) const override;
   [[nodiscard]] View current_view() const override { return view_; }
   [[nodiscard]] const char* name() const override { return "lumiere"; }
+  [[nodiscard]] View lowest_held_view() const override;
 
   [[nodiscard]] Epoch current_epoch() const noexcept { return epoch_; }
   [[nodiscard]] Duration gamma() const noexcept { return math_.gamma(); }
@@ -85,12 +83,11 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   [[nodiscard]] bool parked() const noexcept { return parked_view_.has_value(); }
   /// Number of epoch-view messages this processor has broadcast (heavy
   /// synchronizations it participated in) — the §3.5 savings metric.
-  [[nodiscard]] std::uint64_t epoch_msgs_sent() const noexcept { return epoch_msg_sent_.size(); }
+  [[nodiscard]] std::uint64_t epoch_msgs_sent() const noexcept { return epoch_msgs_sent_; }
 
  private:
   // -- clock-driven entry ---------------------------------------------
   void process_clock();
-  void arm_boundary_alarm();
   void handle_epoch_boundary(View w);
   void park_at(View w);
   void unpark();
@@ -124,18 +121,19 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   std::optional<View> parked_view_;
   sim::EventHandle delta_wait_;
 
-  // View-message dissemination and VC formation. view_msg_sent_ holds
-  // only views >= view_ (set_view drops the rest); an aggregator lives
-  // until its view's VC is sent or its epoch goes stale.
+  // View-message dissemination and VC formation. view_msg_sent_ and
+  // view_shares_ hold only views >= view_ (set_view drops the rest); an
+  // aggregator also goes once its view's VC is sent.
   std::set<View> view_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> view_aggs_;
+  pacemaker::ShareCollector view_shares_;
   std::map<View, TimePoint> vc_sent_at_;
 
-  // Epoch-view message dissemination; TC/EC are local count crossings.
+  // Epoch-view message dissemination. TC and EC are the f+1-st and
+  // 2f+1-st share of an epoch view (count crossings); the collector never
+  // aggregates, so it counts up to n.
   std::set<View> epoch_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> epoch_aggs_;
-  std::set<View> tc_seen_;
-  std::set<View> ec_seen_;
+  std::uint64_t epoch_msgs_sent_ = 0;
+  pacemaker::ShareCollector epoch_shares_;
 
   // Deadline anchors for QCs this node produces as leader.
   std::map<View, TimePoint> local_qc_sent_at_;

@@ -1,7 +1,5 @@
 #include "pacemaker/cogsworth.h"
 
-#include "common/log.h"
-
 namespace lumiere::pacemaker {
 
 CogsworthPacemaker::CogsworthPacemaker(const ProtocolParams& params, ProcessId self,
@@ -10,7 +8,8 @@ CogsworthPacemaker::CogsworthPacemaker(const ProtocolParams& params, ProcessId s
                                        std::unique_ptr<LeaderSchedule> schedule)
     : Pacemaker(params, self, signer, std::move(wiring)),
       options_(options),
-      schedule_(std::move(schedule)) {
+      schedule_(std::move(schedule)),
+      wishes_(auth(), &wish_statement, params.small_quorum()) {
   LUMIERE_ASSERT(options_.view_timeout > Duration::zero());
   LUMIERE_ASSERT(options_.relay_timeout > Duration::zero());
   LUMIERE_ASSERT(schedule_ != nullptr);
@@ -21,6 +20,7 @@ void CogsworthPacemaker::start() { enter_view(0); }
 void CogsworthPacemaker::enter_view(View v) {
   if (v <= view_) return;
   view_ = v;
+  wishes_.prune_below(v);
   // Any in-flight wishing for an older target is now moot.
   if (wish_target_ <= v) {
     wish_target_ = -1;
@@ -59,19 +59,12 @@ void CogsworthPacemaker::relay_wish() {
 
 void CogsworthPacemaker::handle_wish(const WishMsg& msg) {
   const View v = msg.view();
-  if (v <= view_ || certs_sent_.contains(v)) {
-    // Already past v (or already certified): answer stragglers cheaply by
-    // doing nothing — the QC / certificate that moved us is already
-    // circulating.
-    return;
-  }
-  auto [it, inserted] = wish_aggs_.try_emplace(v, auth(), wish_statement(v),
-                                               params_.small_quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
-  if (it->second.count() >= params_.small_quorum()) {
-    certs_sent_.insert(v);
-    broadcast(std::make_shared<WishCertMsg>(SyncCert(v, it->second.aggregate())));
+  // Already past v (or already certified, which closes v in the
+  // collector): answer stragglers cheaply by doing nothing — the QC /
+  // certificate that moved us is already circulating.
+  if (v <= view_) return;
+  if (wishes_.add(v, msg.share()) == params_.small_quorum()) {
+    broadcast(std::make_shared<WishCertMsg>(SyncCert(v, wishes_.aggregate(v))));
   }
 }
 

@@ -18,14 +18,9 @@
 // into expected-constant relays (NK20 [16]).
 #pragma once
 
-#include <map>
 #include <memory>
-#include <set>
 
-#include "crypto/authenticator.h"
-#include "pacemaker/leader_schedule.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
+#include "pacemaker/view_sync_kit.h"
 
 namespace lumiere::pacemaker {
 
@@ -48,6 +43,7 @@ class CogsworthPacemaker : public Pacemaker {
   [[nodiscard]] ProcessId leader_of(View v) const override { return schedule_->leader_of(v); }
   [[nodiscard]] View current_view() const override { return view_; }
   [[nodiscard]] const char* name() const override { return "cogsworth"; }
+  [[nodiscard]] View lowest_held_view() const override { return wishes_.lowest(view_); }
 
  private:
   void enter_view(View v);
@@ -69,9 +65,8 @@ class CogsworthPacemaker : public Pacemaker {
   sim::EventHandle relay_timer_;
 
   // Relay-side state: wishes received for each view (any processor can be
-  // asked to act as a relay).
-  std::map<View, crypto::QuorumAggregator> wish_aggs_;
-  std::set<View> certs_sent_;
+  // asked to act as a relay); a view closes once its certificate is out.
+  ShareCollector wishes_;
 };
 
 }  // namespace lumiere::pacemaker

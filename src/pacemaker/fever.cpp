@@ -1,7 +1,5 @@
 #include "pacemaker/fever.h"
 
-#include "common/log.h"
-
 namespace lumiere::pacemaker {
 
 Duration FeverPacemaker::default_gamma(const ProtocolParams& params, std::uint32_t tenure) {
@@ -15,68 +13,37 @@ Duration FeverPacemaker::default_gamma(const ProtocolParams& params, std::uint32
 }
 
 FeverPacemaker::FeverPacemaker(const ProtocolParams& params, ProcessId self,
-                               crypto::Signer signer, PacemakerWiring wiring, Options options)
-    : Pacemaker(params, self, signer, std::move(wiring)),
-      options_(options),
-      tenure_(options.tenure),
-      schedule_(params.n, options.tenure),
-      gamma_(options.gamma > Duration::zero() ? options.gamma
-                                              : default_gamma(params, options.tenure)) {
-  LUMIERE_ASSERT_MSG(tenure_ >= 2, "Fever needs at least one grace view per tenure");
+                               crypto::Signer signer, PacemakerWiring wiring, Duration gamma,
+                               std::uint32_t tenure, std::int64_t views_per_epoch)
+    : GridPacemaker(params, self, signer, std::move(wiring),
+                    gamma > Duration::zero() ? gamma : default_gamma(params, tenure), tenure,
+                    views_per_epoch),
+      view_shares_(auth(), &view_msg_statement, params.small_quorum()) {
+  LUMIERE_ASSERT_MSG(tenure >= 2, "Fever needs at least one grace view per tenure");
 }
 
-void FeverPacemaker::start() { process_clock(); }
-
-void FeverPacemaker::arm_boundary_alarm() {
-  clock().cancel_alarm(boundary_alarm_);
-  const Duration r = clock().reading();
-  // Next *initial* view boundary strictly above the current value.
-  View next = r.ticks() / gamma_.ticks() + 1;
-  if (next % tenure_ != 0) next += tenure_ - (next % tenure_);
-  boundary_alarm_ = clock().set_alarm(view_time(next), [this] { process_clock(); });
-}
-
-void FeverPacemaker::process_clock() {
-  const Duration r = clock().reading();
-  const View w = r.ticks() / gamma_.ticks();
+void FeverPacemaker::enter_clock_view(View w) {
   // "If v is initial, then p enters view v when lc(p) = c_v" — which can
-  // happen by real-time advance or by a bump landing exactly on c_v.
-  if (r == view_time(w) && is_initial(w) && w > view_) enter_initial(w);
-  arm_boundary_alarm();
-}
-
-void FeverPacemaker::enter_initial(View v) {
-  view_ = v;
-  notify_enter_view(v);
-  send_view_msg(v);
-}
-
-void FeverPacemaker::send_view_msg(View v) {
-  if (view_msg_sent_.contains(v)) return;
-  view_msg_sent_.insert(v);
-  note_sync_started(v);
-  send_to(leader_of(v),
-          std::make_shared<ViewMsg>(v, crypto::threshold_share(signer_, view_msg_statement(v))));
+  // happen by real-time advance or by a bump landing exactly on c_v —
+  // and sends a view v message to lead(v).
+  enter_view(w);
+  note_sync_started(w);
+  send_to(leader_of(w),
+          std::make_shared<ViewMsg>(w, crypto::threshold_share(signer_, view_msg_statement(w))));
 }
 
 void FeverPacemaker::handle_view_share(const ViewMsg& msg) {
   const View v = msg.view();
-  if (!is_initial(v) || leader_of(v) != self_) return;
-  if (vc_sent_.contains(v) || v < view_) return;
-  auto [it, inserted] = view_aggs_.try_emplace(v, auth(), view_msg_statement(v),
-                                               params_.small_quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
-  if (it->second.complete()) {
-    vc_sent_.insert(v);
-    broadcast(std::make_shared<VcMsg>(SyncCert(v, it->second.aggregate())));
+  if (!has_vc(v) || leader_of(v) != self_ || v < view_) return;
+  if (view_shares_.add(v, msg.share()) == params_.small_quorum()) {
+    broadcast(std::make_shared<VcMsg>(SyncCert(v, view_shares_.aggregate(v))));
   }
 }
 
 void FeverPacemaker::handle_vc(const VcMsg& msg) {
   const SyncCert& cert = msg.cert();
   const View v = cert.view();
-  if (!is_initial(v) || v <= view_) return;
+  if (!has_vc(v) || v <= view_) return;
   if (!cert.verify(auth(), params_.small_quorum(), &view_msg_statement)) return;
   // "receives ... a VC for view v, and if lc(p) < c_v, then p
   // instantaneously bumps their local clock to c_v" — the exact landing
@@ -87,7 +54,7 @@ void FeverPacemaker::handle_vc(const VcMsg& msg) {
   }
 }
 
-void FeverPacemaker::on_message(ProcessId /*from*/, const MessagePtr& msg) {
+void FeverPacemaker::on_message(ProcessId from, const MessagePtr& msg) {
   switch (msg->type_id()) {
     case kViewMsg:
       handle_view_share(static_cast<const ViewMsg&>(*msg));
@@ -96,22 +63,21 @@ void FeverPacemaker::on_message(ProcessId /*from*/, const MessagePtr& msg) {
       handle_vc(static_cast<const VcMsg&>(*msg));
       break;
     default:
+      GridPacemaker::on_message(from, msg);
       break;
   }
 }
 
 void FeverPacemaker::on_qc(const consensus::QuorumCert& qc) {
+  // "receives a QC for view v-1 ... and if lc(p) < c_v, then p
+  // instantaneously bumps their local clock to c_v" (bump_to ignores
+  // values at or below the reading). When v is an epoch view the landing
+  // starts the heavy sync; when v is initial the landing enters it.
   const View next = qc.view() + 1;
-  // Bump: "receives a QC for view v-1 ... bumps their local clock to c_v".
-  if (clock().reading() < view_time(next)) {
-    clock().bump_to(view_time(next));
-  }
+  clock().bump_to(view_time(next));
   // "If v is not initial, then p enters view v if it is presently in a
   // view < v and it receives a QC for view v-1."
-  if (!is_initial(next) && next > view_) {
-    view_ = next;
-    notify_enter_view(next);
-  }
+  if (!is_initial(next)) enter_view(next);
   process_clock();
 }
 

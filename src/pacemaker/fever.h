@@ -22,65 +22,54 @@
 // (the paper's constant) and approaches x Delta from above for large T.
 // Larger tenures proportionally reduce per-view overhead at the cost of
 // longer worst-case stretches owned by one (possibly faulty) leader.
+//
+// The clock rules are the kit's GridPacemaker with no epochs; this class
+// adds the VC path and the clock bumps. BasicLumierePacemaker reuses both
+// with LP22's epochs switched on.
 #pragma once
 
-#include <map>
-#include <set>
-
-#include "crypto/authenticator.h"
-#include "pacemaker/leader_schedule.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
+#include "pacemaker/view_sync_kit.h"
 
 namespace lumiere::pacemaker {
 
-class FeverPacemaker final : public Pacemaker {
+class FeverPacemaker : public GridPacemaker {
  public:
-  struct Options {
-    /// Per-view time budget Gamma; zero means the tenure-dependent
-    /// default (2 + tenure * x) * Delta / (tenure - 1), rounded up.
-    Duration gamma = Duration::zero();
-    /// Consecutive views per leader (>= 2). 2 is the paper's protocol.
-    std::uint32_t tenure = 2;
-  };
-
+  /// `gamma` is the per-view budget; zero means default_gamma(tenure).
+  /// `tenure` is the number of consecutive views per leader (>= 2); 2 is
+  /// the paper's protocol.
   FeverPacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
-                 PacemakerWiring wiring, Options options);
+                 PacemakerWiring wiring, Duration gamma, std::uint32_t tenure)
+      : FeverPacemaker(params, self, signer, std::move(wiring), gamma, tenure, 0) {}
 
-  void start() override;
   void on_message(ProcessId from, const MessagePtr& msg) override;
   void on_qc(const consensus::QuorumCert& qc) override;
-  [[nodiscard]] ProcessId leader_of(View v) const override { return schedule_.leader_of(v); }
-  [[nodiscard]] View current_view() const override { return view_; }
   [[nodiscard]] const char* name() const override { return "fever"; }
-
-  [[nodiscard]] Duration gamma() const noexcept { return gamma_; }
-  [[nodiscard]] std::uint32_t tenure() const noexcept { return tenure_; }
-  [[nodiscard]] bool is_initial(View v) const noexcept {
-    return v >= 0 && v % tenure_ == 0;
+  [[nodiscard]] View lowest_held_view() const override {
+    return view_shares_.lowest(GridPacemaker::lowest_held_view());
   }
-  [[nodiscard]] Duration view_time(View v) const noexcept { return gamma_ * v; }
 
   /// The default Gamma for a given tenure (see header comment).
   static Duration default_gamma(const ProtocolParams& params, std::uint32_t tenure);
 
+ protected:
+  /// Fever with LP22's epoch synchronization every `views_per_epoch` views.
+  FeverPacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
+                 PacemakerWiring wiring, Duration gamma, std::uint32_t tenure,
+                 std::int64_t views_per_epoch);
+
+  void enter_clock_view(View w) override;
+  void prune_below(View v) override {
+    GridPacemaker::prune_below(v);
+    view_shares_.prune_below(v);
+  }
+
  private:
-  void process_clock();
-  void arm_boundary_alarm();
-  void enter_initial(View v);
-  void send_view_msg(View v);
+  /// VCs exist only for initial views that are not epoch views.
+  [[nodiscard]] bool has_vc(View v) const noexcept { return is_initial(v) && !is_epoch_view(v); }
   void handle_view_share(const ViewMsg& msg);
   void handle_vc(const VcMsg& msg);
 
-  Options options_;
-  std::uint32_t tenure_;
-  RoundRobinSchedule schedule_;  // lead(v) = floor(v/tenure) mod n
-  Duration gamma_;
-  View view_ = -1;
-  sim::AlarmId boundary_alarm_ = 0;
-  std::set<View> view_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> view_aggs_;
-  std::set<View> vc_sent_;
+  ShareCollector view_shares_;
 };
 
 }  // namespace lumiere::pacemaker

@@ -13,66 +13,31 @@
 //       between decisions infinitely often (Figure 1), and
 //  (ii) every epoch requires Theta(n^2) messages forever.
 //
-// Lumiere exists to remove both. Gamma defaults to (x+1) * Delta.
+// Lumiere exists to remove both. The clock rules and the epoch sync are
+// the kit's GridPacemaker (tenure 1, epochs of f+1 views); this class
+// adds the QC fast path. Gamma defaults to (x+1) * Delta.
 #pragma once
 
-#include <map>
-#include <optional>
-#include <set>
-
-#include "crypto/authenticator.h"
-#include "pacemaker/leader_schedule.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
+#include "pacemaker/view_sync_kit.h"
 
 namespace lumiere::pacemaker {
 
-class Lp22Pacemaker final : public Pacemaker {
+class Lp22Pacemaker : public GridPacemaker {
  public:
-  struct Options {
-    /// Per-view time budget Gamma; zero means the paper default (x+1)*Delta.
-    Duration gamma = Duration::zero();
-  };
-
+  /// `gamma` is the per-view budget; zero means (x+1) * Delta.
   Lp22Pacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
-                PacemakerWiring wiring, Options options);
+                PacemakerWiring wiring, Duration gamma)
+      : GridPacemaker(params, self, signer, std::move(wiring),
+                      gamma > Duration::zero() ? gamma : params.delta_cap * (params.x + 1),
+                      /*tenure=*/1, /*views_per_epoch=*/params.f + 1) {}
 
-  void start() override;
-  void on_message(ProcessId from, const MessagePtr& msg) override;
-  void on_qc(const consensus::QuorumCert& qc) override;
-  [[nodiscard]] ProcessId leader_of(View v) const override { return schedule_.leader_of(v); }
-  [[nodiscard]] View current_view() const override { return view_; }
+  void on_qc(const consensus::QuorumCert& qc) override {
+    // "Processor p enters non-epoch view v when ... p sees a QC for view
+    // v-1." No clock bump — the defining weakness of LP22.
+    const View next = qc.view() + 1;
+    if (!is_epoch_view(next)) enter_view(next);
+  }
   [[nodiscard]] const char* name() const override { return "lp22"; }
-
-  [[nodiscard]] Duration gamma() const noexcept { return gamma_; }
-  /// First view of epoch e (= e * (f+1)).
-  [[nodiscard]] View epoch_first_view(Epoch e) const noexcept {
-    return e * static_cast<View>(params_.f + 1);
-  }
-  [[nodiscard]] Epoch epoch_of(View v) const noexcept {
-    return v >= 0 ? v / static_cast<View>(params_.f + 1) : -1;
-  }
-  [[nodiscard]] bool is_epoch_view(View v) const noexcept {
-    return v >= 0 && v % static_cast<View>(params_.f + 1) == 0;
-  }
-  [[nodiscard]] Duration view_time(View v) const noexcept { return gamma_ * v; }
-
- private:
-  void process_clock();
-  void arm_boundary_alarm();
-  void enter_view(View v);
-  void begin_epoch_sync(View epoch_view);
-  void handle_epoch_share(const EpochViewMsg& msg);
-  void handle_ec(const EcMsg& msg);
-
-  Options options_;
-  RoundRobinSchedule schedule_;  // lead(v) = v mod n (Section 3.2)
-  Duration gamma_;
-  View view_ = -1;
-  sim::AlarmId boundary_alarm_ = 0;
-  std::set<View> epoch_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> epoch_aggs_;
-  std::set<View> ec_sent_;
 };
 
 }  // namespace lumiere::pacemaker

@@ -8,14 +8,25 @@
 //      which all honest processors overlap long enough to complete the
 //      view.
 //
-// Implementations in this repository:
-//   pacemaker/round_robin   exponential-backoff all-to-all (HotStuff-folk)
-//   pacemaker/cogsworth     leader-relay synchronization [15]
-//   pacemaker/naor_keidar   randomized relay variant (NK20) [16]
-//   pacemaker/lp22          epoch-based quadratic-optimal [12]
-//   pacemaker/fever         clock-bumping, non-standard clock model [13]
-//   core/basic_lumiere      LP22 epochs + Fever bumping (Section 3.4)
-//   core/lumiere            full Lumiere, Algorithm 1 (the paper)
+// Implementations in this repository, and what each takes from the
+// view-sync kit (pacemaker/view_sync_kit: ShareCollector, GammaGrid,
+// GridPacemaker):
+//   pacemaker/round_robin   exponential-backoff all-to-all (HotStuff-folk);
+//                           ShareCollector for wishes
+//   pacemaker/cogsworth     leader-relay synchronization [15];
+//                           ShareCollector for wishes
+//   pacemaker/naor_keidar   randomized relay variant (NK20) [16]; Cogsworth
+//                           with a seeded schedule
+//   pacemaker/lp22          epoch-based quadratic-optimal [12]; GridPacemaker
+//                           (epochs of f+1 views) plus the QC fast path
+//   pacemaker/raresync      epoch-based, not responsive [7]; LP22 without
+//                           the QC fast path
+//   pacemaker/fever         clock-bumping, non-standard clock model [13];
+//                           GridPacemaker without epochs plus the VC path
+//   core/basic_lumiere      LP22 epochs + Fever bumping (Section 3.4); Fever
+//                           with epochs of 2(f+1) views
+//   core/lumiere            full Lumiere, Algorithm 1 (the paper); two
+//                           ShareCollectors, EpochMath on GammaGrid
 #pragma once
 
 #include <functional>
@@ -98,6 +109,11 @@ class Pacemaker {
 
   [[nodiscard]] virtual View current_view() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
+
+  /// The lowest view this pacemaker still holds per-view state for
+  /// (aggregators, send records, deadline anchors), or current_view()
+  /// when it holds none below that.
+  [[nodiscard]] virtual View lowest_held_view() const { return current_view(); }
 
   [[nodiscard]] const ProtocolParams& params() const noexcept { return params_; }
   [[nodiscard]] ProcessId self() const noexcept { return self_; }

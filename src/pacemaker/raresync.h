@@ -1,11 +1,13 @@
 // RareSync (Civit et al., DISC 2022 [7]) — the other quadratic-optimal
 // epoch-based synchronizer discussed in Section 6.
 //
-// Like LP22, views are batched into epochs of f+1 views with a heavy
-// all-to-all synchronization at each epoch start. Unlike LP22, RareSync
-// is *not* optimistically responsive: views inside an epoch advance only
-// when the local clock reaches c_v — there is no QC fast path at all.
-// Every view therefore costs a full Gamma even on a perfect network.
+// RareSync is LP22 without the responsive QC path: views are batched into
+// epochs of f+1 views with the same heavy all-to-all synchronization at
+// each epoch start, but views inside an epoch advance only when the local
+// clock reaches c_v. Every view therefore costs a full Gamma even on a
+// perfect network. It inherits everything from Lp22Pacemaker, the way
+// NaorKeidarPacemaker inherits from CogsworthPacemaker, and overrides
+// only on_qc.
 //
 // Included as a baseline because the paper positions Lumiere against
 // both [7] and [12]: RareSync shows what O(n^2) worst-case costs without
@@ -13,59 +15,17 @@
 // (ii); Lumiere fixes both.
 #pragma once
 
-#include <map>
-#include <set>
-
-#include "crypto/authenticator.h"
-#include "pacemaker/leader_schedule.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
+#include "pacemaker/lp22.h"
 
 namespace lumiere::pacemaker {
 
-class RareSyncPacemaker final : public Pacemaker {
+class RareSyncPacemaker final : public Lp22Pacemaker {
  public:
-  struct Options {
-    /// Per-view budget Gamma; zero means (x+1) * Delta (each view gets
-    /// enough time to complete under the bound, as in LP22).
-    Duration gamma = Duration::zero();
-  };
+  using Lp22Pacemaker::Lp22Pacemaker;
 
-  RareSyncPacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
-                    PacemakerWiring wiring, Options options);
-
-  void start() override;
-  void on_message(ProcessId from, const MessagePtr& msg) override;
-  void on_qc(const consensus::QuorumCert& qc) override;
-  [[nodiscard]] ProcessId leader_of(View v) const override { return schedule_.leader_of(v); }
-  [[nodiscard]] View current_view() const override { return view_; }
+  /// Deliberately empty: QCs only matter to the underlying protocol.
+  void on_qc(const consensus::QuorumCert& /*qc*/) override {}
   [[nodiscard]] const char* name() const override { return "raresync"; }
-
-  [[nodiscard]] Duration gamma() const noexcept { return gamma_; }
-  [[nodiscard]] View epoch_first_view(Epoch e) const noexcept {
-    return e * static_cast<View>(params_.f + 1);
-  }
-  [[nodiscard]] bool is_epoch_view(View v) const noexcept {
-    return v >= 0 && v % static_cast<View>(params_.f + 1) == 0;
-  }
-  [[nodiscard]] Duration view_time(View v) const noexcept { return gamma_ * v; }
-
- private:
-  void process_clock();
-  void arm_boundary_alarm();
-  void enter_view(View v);
-  void begin_epoch_sync(View epoch_view);
-  void handle_epoch_share(const EpochViewMsg& msg);
-  void handle_ec(const EcMsg& msg);
-
-  Options options_;
-  RoundRobinSchedule schedule_;
-  Duration gamma_;
-  View view_ = -1;
-  sim::AlarmId boundary_alarm_ = 0;
-  std::set<View> epoch_msg_sent_;
-  std::map<View, crypto::QuorumAggregator> epoch_aggs_;
-  std::set<View> ec_sent_;
 };
 
 }  // namespace lumiere::pacemaker

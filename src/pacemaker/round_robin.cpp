@@ -1,7 +1,5 @@
 #include "pacemaker/round_robin.h"
 
-#include "common/log.h"
-
 namespace lumiere::pacemaker {
 
 RoundRobinPacemaker::RoundRobinPacemaker(const ProtocolParams& params, ProcessId self,
@@ -9,7 +7,8 @@ RoundRobinPacemaker::RoundRobinPacemaker(const ProtocolParams& params, ProcessId
                                          Options options)
     : Pacemaker(params, self, signer, std::move(wiring)),
       options_(options),
-      schedule_(params.n, 1) {
+      schedule_(params.n, 1),
+      wishes_(auth(), &wish_statement, params.quorum()) {
   LUMIERE_ASSERT(options_.base_timeout > Duration::zero());
 }
 
@@ -18,6 +17,9 @@ void RoundRobinPacemaker::start() { enter_view(0, /*via_timeout=*/false); }
 void RoundRobinPacemaker::enter_view(View v, bool via_timeout) {
   if (v <= view_) return;
   view_ = v;
+  // Wishes and echoes only ever concern views above the current one.
+  wishes_.prune_below(v);
+  wished_.erase(wished_.begin(), wished_.lower_bound(v));
   consecutive_timeouts_ = via_timeout ? consecutive_timeouts_ + 1 : 0;
   notify_enter_view(v);
   arm_timer();
@@ -43,19 +45,11 @@ void RoundRobinPacemaker::send_wish(View v) {
 void RoundRobinPacemaker::handle_wish(const WishMsg& msg) {
   const View v = msg.view();
   if (v <= view_) return;
-  auto [it, inserted] =
-      wish_aggs_.try_emplace(v, auth(), wish_statement(v), params_.quorum());
-  (void)inserted;
-  if (!it->second.add(msg.share())) return;
+  const std::uint32_t count = wishes_.add(v, msg.share());
   // f+1 wishes prove at least one honest processor timed out: join in
   // (amplification keeps the protocol live when timeouts are staggered).
-  if (it->second.count() >= params_.small_quorum() && !amplified_.contains(v)) {
-    amplified_.insert(v);
-    send_wish(v);
-  }
-  if (it->second.count() >= params_.quorum()) {
-    enter_view(v, /*via_timeout=*/true);
-  }
+  if (count == params_.small_quorum()) send_wish(v);
+  if (count == params_.quorum()) enter_view(v, /*via_timeout=*/true);
 }
 
 void RoundRobinPacemaker::on_message(ProcessId /*from*/, const MessagePtr& msg) {

@@ -12,13 +12,9 @@
 //     baseline.
 #pragma once
 
-#include <map>
 #include <set>
 
-#include "crypto/authenticator.h"
-#include "pacemaker/leader_schedule.h"
-#include "pacemaker/messages.h"
-#include "pacemaker/pacemaker.h"
+#include "pacemaker/view_sync_kit.h"
 
 namespace lumiere::pacemaker {
 
@@ -42,6 +38,9 @@ class RoundRobinPacemaker final : public Pacemaker {
   }
   [[nodiscard]] View current_view() const override { return view_; }
   [[nodiscard]] const char* name() const override { return "round-robin"; }
+  [[nodiscard]] View lowest_held_view() const override {
+    return wishes_.lowest(wished_.empty() ? view_ : std::min(view_, *wished_.begin()));
+  }
 
  private:
   void enter_view(View v, bool via_timeout);
@@ -56,8 +55,7 @@ class RoundRobinPacemaker final : public Pacemaker {
   std::uint32_t consecutive_timeouts_ = 0;
   sim::EventHandle timer_;
   std::set<View> wished_;
-  std::map<View, crypto::QuorumAggregator> wish_aggs_;
-  std::set<View> amplified_;
+  ShareCollector wishes_;  // threshold 2f+1; f+1 is the echo point
 };
 
 }  // namespace lumiere::pacemaker

@@ -50,29 +50,21 @@ void register_builtin_pacemakers(ProtocolRegistry& registry) {
         ctx.params, ctx.self, ctx.signer, std::move(ctx.wiring), opt, ctx.config.shared_seed);
   });
   registry.register_pacemaker("raresync", [](PacemakerContext&& ctx) {
-    pacemaker::RareSyncPacemaker::Options opt;
-    opt.gamma = ctx.config.gamma;
     return std::make_unique<pacemaker::RareSyncPacemaker>(ctx.params, ctx.self, ctx.signer,
-                                                          std::move(ctx.wiring), opt);
+                                                          std::move(ctx.wiring), ctx.config.gamma);
   });
   registry.register_pacemaker("lp22", [](PacemakerContext&& ctx) {
-    pacemaker::Lp22Pacemaker::Options opt;
-    opt.gamma = ctx.config.gamma;
     return std::make_unique<pacemaker::Lp22Pacemaker>(ctx.params, ctx.self, ctx.signer,
-                                                      std::move(ctx.wiring), opt);
+                                                      std::move(ctx.wiring), ctx.config.gamma);
   });
   registry.register_pacemaker("fever", [](PacemakerContext&& ctx) {
-    pacemaker::FeverPacemaker::Options opt;
-    opt.gamma = ctx.config.gamma;
-    opt.tenure = ctx.config.fever.tenure;
     return std::make_unique<pacemaker::FeverPacemaker>(ctx.params, ctx.self, ctx.signer,
-                                                       std::move(ctx.wiring), opt);
+                                                       std::move(ctx.wiring), ctx.config.gamma,
+                                                       ctx.config.fever.tenure);
   });
   registry.register_pacemaker("basic-lumiere", [](PacemakerContext&& ctx) {
-    core::BasicLumierePacemaker::Options opt;
-    opt.gamma = ctx.config.gamma;
     return std::make_unique<core::BasicLumierePacemaker>(ctx.params, ctx.self, ctx.signer,
-                                                         std::move(ctx.wiring), opt);
+                                                         std::move(ctx.wiring), ctx.config.gamma);
   });
   registry.register_pacemaker("lumiere", [](PacemakerContext&& ctx) {
     core::LumierePacemaker::Options opt;
