@@ -1,4 +1,4 @@
-// Ablations of Lumiere's design choices (Section 3.5 / DESIGN.md):
+// Ablations of Lumiere's design choices (Section 3.5):
 //
 //   1. Success criterion (full Lumiere) vs none (Basic Lumiere): heavy
 //      epoch-synchronization traffic after GST, eventual communication.
@@ -21,34 +21,20 @@
 namespace lumiere::bench {
 namespace {
 
-struct AblationResult {
-  std::uint64_t epoch_msgs = 0;  // heavy-sync traffic by honest processes
-  std::optional<std::uint64_t> ev_comm;
-  std::optional<Duration> ev_lat;
-  std::size_t decisions = 0;
-};
+using runtime::WindowMeasure;
 
-AblationResult run_case(const std::string& pacemaker, bool deadline, bool delta_wait,
-                        Duration gamma_override, std::uint32_t f_a) {
-  ScenarioBuilder builder = base_scenario(pacemaker, 7, 4001);
-  builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(500)));
+WindowMeasure run_case(const std::string& pacemaker, bool deadline, bool delta_wait,
+                       Duration gamma_override, std::uint32_t f_a) {
+  ScenarioBuilder builder = runtime::eventual_scenario(pacemaker, 7, f_a, 4001);
   builder.lumiere(runtime::LumiereOptions{deadline, delta_wait});
   builder.gamma(gamma_override);
-  with_silent_leaders(builder, f_a);
-  Cluster cluster(builder);
-  cluster.run_for(Duration::seconds(90));
-  AblationResult result;
-  result.epoch_msgs = cluster.metrics().count_for_type(pacemaker::kEpochViewMsg);
-  result.ev_comm = cluster.metrics().max_msg_gap(TimePoint::origin(), 30);
-  result.ev_lat = cluster.metrics().max_decision_gap(TimePoint::origin(), 30);
-  result.decisions = cluster.metrics().decisions().size();
-  return result;
+  return runtime::measure_eventual(builder, Duration::seconds(90), /*warmup=*/30);
 }
 
-void print_row(const char* label, const AblationResult& result) {
+void print_row(const char* label, const WindowMeasure& result) {
   std::printf("%-34s | %10llu | %12s | %12s | %9zu\n", label,
-              static_cast<unsigned long long>(result.epoch_msgs),
-              fmt_count(result.ev_comm).c_str(), fmt_ms(result.ev_lat).c_str(),
+              static_cast<unsigned long long>(result.epoch_view_msgs),
+              fmt_count(result.comm).c_str(), fmt_ms(result.latency).c_str(),
               result.decisions);
 }
 
@@ -88,10 +74,10 @@ int main() {
   std::printf("%-10s | %12s | %12s | %9s\n", "tenure", "Gamma (ms)", "ev lat (ms)",
               "decisions");
   for (const std::uint32_t tenure : {2U, 3U, 4U, 6U}) {
-    ScenarioBuilder builder = base_scenario("fever", 7, 4002);
+    ScenarioBuilder builder = table1_scenario("fever", 7, 4002);
     builder.delay(std::make_shared<lumiere::sim::FixedDelay>(Duration::micros(500)));
     builder.fever(lumiere::runtime::FeverOptions{tenure});
-    with_silent_leaders(builder, 2);
+    add_silent_leaders(builder, 2);
     Cluster cluster(builder);
     cluster.run_for(Duration::seconds(90));
     const auto gamma = lumiere::pacemaker::FeverPacemaker::default_gamma(
@@ -113,10 +99,10 @@ int main() {
   std::printf("%-12s | %10s | %12s | %9s\n", "drift (ppm)", "epoch msgs", "ev lat (ms)",
               "decisions");
   for (const std::int64_t ppm : {0LL, 200LL, 2'000LL, 20'000LL, 50'000LL}) {
-    ScenarioBuilder builder = base_scenario("lumiere", 7, 4004);
+    ScenarioBuilder builder = table1_scenario("lumiere", 7, 4004);
     builder.delay(std::make_shared<lumiere::sim::FixedDelay>(Duration::micros(500)));
     builder.drift_ppm_max(ppm);
-    with_silent_leaders(builder, 2);
+    add_silent_leaders(builder, 2);
     Cluster cluster(builder);
     cluster.run_for(Duration::seconds(90));
     std::printf("%-12lld | %10llu | %12s | %9zu\n", static_cast<long long>(ppm),
@@ -137,9 +123,9 @@ int main() {
   std::printf("%-18s | %9s | %14s | %18s\n", "core", "commits", "frontier (view)",
               "mean QC->commit ms");
   for (const char* core : {"hotstuff-2", "chained-hotstuff"}) {
-    ScenarioBuilder builder = base_scenario("lumiere", 7, 4003);
+    ScenarioBuilder builder = table1_scenario("lumiere", 7, 4003);
     builder.core(core);
-    builder.params(lumiere::ProtocolParams::for_n(7, bench_delta_cap(), /*x=*/4));
+    builder.params(lumiere::ProtocolParams::for_n(7, kTable1Delta, /*x=*/4));
     builder.delay(std::make_shared<lumiere::sim::FixedDelay>(Duration::micros(500)));
     Cluster cluster(builder);
     cluster.run_for(Duration::seconds(30));

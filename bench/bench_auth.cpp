@@ -191,7 +191,7 @@ workload::WorkloadSpec load_spec(double rate_per_client) {
 ScalingRow measure_tcp(const std::string& scheme, std::uint32_t workers, double rate_per_client,
                        Duration run_for, std::uint16_t base_port) {
   ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(kN, bench_delta_cap(), /*x=*/4))
+  builder.params(ProtocolParams::for_n(kN, kTable1Delta, /*x=*/4))
       .pacemaker("lumiere")
       .core("chained-hotstuff")
       .seed(9001)
@@ -255,7 +255,7 @@ crypto::ThresholdSig aggregate_of(const crypto::Authenticator& auth, std::uint32
 /// thresholds (2f+1 for the QC, f+1 for the VC and the batch cert).
 CertWireRow measure_cert_wire(const std::string& scheme, std::uint32_t n) {
   const auto auth = crypto::make_authenticator(scheme, n, 5);
-  const ProtocolParams params = ProtocolParams::for_n(n, bench_delta_cap());
+  const ProtocolParams params = ProtocolParams::for_n(n, kTable1Delta);
   const crypto::Digest block = crypto::Sha256::hash("cert-wire block");
   const consensus::QuorumCert qc(
       7, block,

@@ -26,7 +26,7 @@ struct Timeline {
 };
 
 Timeline run_scenario(const std::string& pacemaker, std::uint32_t n) {
-  ScenarioBuilder builder = base_scenario(pacemaker, n, 7001);
+  ScenarioBuilder builder = table1_scenario(pacemaker, n, 7001);
   builder.delay(std::make_shared<adversary::UniformFastDelay>(Duration::micros(200)));
   builder.behaviors(adversary::byzantine_set(
       {3}, [](ProcessId) { return std::make_unique<adversary::SilentLeaderBehavior>(); }));

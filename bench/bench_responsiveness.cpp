@@ -14,9 +14,9 @@ namespace {
 
 double mean_gap_ms(const std::string& pacemaker, Duration delta_actual, std::uint32_t f_a,
                    std::uint32_t n) {
-  ScenarioBuilder builder = base_scenario(pacemaker, n, 3001);
+  ScenarioBuilder builder = table1_scenario(pacemaker, n, 3001);
   builder.delay(std::make_shared<sim::FixedDelay>(delta_actual));
-  with_silent_leaders(builder, f_a);
+  add_silent_leaders(builder, f_a);
   Cluster cluster(builder);
   cluster.run_for(Duration::seconds(60));
   const auto& decisions = cluster.metrics().decisions();
@@ -28,14 +28,11 @@ double mean_gap_ms(const std::string& pacemaker, Duration delta_actual, std::uin
          static_cast<double>(decisions.size() - 1 - start);
 }
 
-double worst_gap_ms(const std::string& pacemaker, Duration delta_actual, std::uint32_t f_a,
-                    std::uint32_t n) {
-  ScenarioBuilder builder = base_scenario(pacemaker, n, 3002);
-  builder.delay(std::make_shared<sim::FixedDelay>(delta_actual));
-  with_silent_leaders(builder, f_a);
-  Cluster cluster(builder);
-  cluster.run_for(Duration::seconds(90));
-  const auto gap = cluster.metrics().max_decision_gap(TimePoint::origin(), 30);
+double worst_gap_ms(const std::string& pacemaker, std::uint32_t f_a, std::uint32_t n) {
+  const auto gap =
+      runtime::measure_eventual(runtime::eventual_scenario(pacemaker, n, f_a, 3002),
+                                Duration::seconds(90), /*warmup=*/30)
+          .latency;
   return gap ? static_cast<double>(gap->ticks()) / 1000.0 : -1.0;
 }
 
@@ -79,7 +76,7 @@ int main() {
   for (const char* pacemaker : {"lp22", "fever", "basic-lumiere", "lumiere"}) {
     std::printf("%-16s", pacemaker);
     for (std::uint32_t f_a = 0; f_a <= 2; ++f_a) {
-      std::printf(" | %8.1f", worst_gap_ms(pacemaker, Duration::micros(500), f_a, n));
+      std::printf(" | %8.1f", worst_gap_ms(pacemaker, f_a, n));
     }
     std::printf("\n");
   }
@@ -99,7 +96,7 @@ int main() {
   std::printf("%-16s | %9s | %12s | %10s\n", "protocol", "decisions", "ev lat (ms)",
               "epoch msgs");
   for (const char* pacemaker : {"lp22", "fever", "basic-lumiere", "lumiere"}) {
-    ScenarioBuilder builder = base_scenario(pacemaker, n, 3003);
+    ScenarioBuilder builder = table1_scenario(pacemaker, n, 3003);
     builder.delay(std::make_shared<lumiere::sim::FixedDelay>(Duration::micros(200)));
     builder.behaviors(lumiere::adversary::byzantine_set(
         {5, 6}, [](lumiere::ProcessId) {

@@ -63,7 +63,7 @@ struct SeamlessRow {
 };
 
 SeamlessRow measure(const std::string& pacemaker, std::uint64_t seed) {
-  ScenarioBuilder builder = base_scenario(pacemaker, kN, seed);
+  ScenarioBuilder builder = table1_scenario(pacemaker, kN, seed);
   builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(500)));
   builder.partition({{0, 1, 2, 3}, {4, 5, 6}}, kCutAt);
   builder.heal(kHealAt);
@@ -76,7 +76,7 @@ SeamlessRow measure(const std::string& pacemaker, std::uint64_t seed) {
   row.pre_gap = metrics.max_decision_gap_between(kPreFrom, kCutAt);
   // In-flight pre-cut messages may still complete one QC within Delta of
   // the cut; past that, a decision would mean the partition leaked.
-  row.cut_decisions = metrics.decisions_between(kCutAt + bench_delta_cap(), kHealAt);
+  row.cut_decisions = metrics.decisions_between(kCutAt + kTable1Delta, kHealAt);
   row.cut_sync_msgs = metrics.msgs_between(kCutAt, kHealAt);
   row.recovery = metrics.latency_to_first_decision(kHealAt);
   if (row.recovery) {
@@ -125,8 +125,8 @@ DissemRow measure_dissem(const std::string& pacemaker, bool dissem, bool quick,
   spec.mempool.max_pending_count = 512;
   spec.mempool.max_pending_bytes = 64 * 1024;
 
-  ScenarioBuilder builder = base_scenario(pacemaker, kDissemN, seed);
-  builder.params(ProtocolParams::for_n(kDissemN, bench_delta_cap(), /*x=*/4));
+  ScenarioBuilder builder = table1_scenario(pacemaker, kDissemN, seed);
+  builder.params(ProtocolParams::for_n(kDissemN, kTable1Delta, /*x=*/4));
   builder.core("chained-hotstuff");
   builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(500)));
   builder.workload(spec);
@@ -142,7 +142,7 @@ DissemRow measure_dissem(const std::string& pacemaker, bool dissem, bool quick,
   row.protocol = pacemaker;
   row.offered_rps = kDissemRate * kDissemClientsPerNode * kDissemN;
   row.pre_rps = report.committed_per_sec(TimePoint{Duration::seconds(1).ticks()}, cut_at);
-  row.cut_rps = report.committed_per_sec(cut_at + bench_delta_cap(), heal_at);
+  row.cut_rps = report.committed_per_sec(cut_at + kTable1Delta, heal_at);
   row.post_rps = report.committed_per_sec(heal_at + Duration::millis(200),
                                           TimePoint{run_for.ticks()});
   row.certs = metrics.batches_certified();

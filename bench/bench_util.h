@@ -3,12 +3,12 @@
 // Every bench binary runs argument-free, bounded-time, and prints the
 // rows/series of the paper artifact it regenerates (Table 1, Figure 1)
 // plus the supporting sweeps. Absolute values are simulator time; the
-// claims under test are *shapes* (who wins, growth order, crossover) —
-// see EXPERIMENTS.md.
+// claims under test are *shapes* (who wins, growth order, crossover),
+// and tests/integration/table1_claims_test.cpp checks Table 1's.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -16,15 +16,17 @@
 #include <utility>
 #include <vector>
 
-#include "adversary/behaviors.h"
 #include "adversary/delay_adversary.h"
 #include "runtime/cluster.h"
 #include "runtime/experiment.h"
 
 namespace lumiere::bench {
 
+using runtime::add_silent_leaders;
 using runtime::Cluster;
+using runtime::kTable1Delta;
 using runtime::ScenarioBuilder;
+using runtime::table1_scenario;
 
 /// Common bench flags. Every bench still runs argument-free; CI passes
 ///   --quick          bound the iteration count / sweep size
@@ -33,6 +35,7 @@ using runtime::ScenarioBuilder;
 ///                    on = proposals order certified batch references,
 ///                    off = legacy inline batches. Unset = each bench's
 ///                    default (off, matching the historical numbers).
+/// Anything else prints the usage line and exits 2 before any run starts.
 struct BenchArgs {
   bool quick = false;
   std::string json_path;  ///< empty = no JSON artifact
@@ -52,9 +55,10 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
       args.dissem = false;
     } else {
       std::fprintf(stderr,
-                   "%s: unknown argument \"%s\" (supported: --quick, --json <path>, "
-                   "--dissem={on,off})\n",
-                   argv[0], argv[i]);
+                   "%s: unknown argument \"%s\"\n"
+                   "usage: %s [--quick] [--json <path>] [--dissem={on,off}]\n",
+                   argv[0], argv[i], argv[0]);
+      std::exit(2);
     }
   }
   return args;
@@ -163,35 +167,6 @@ inline std::vector<std::string> table1_protocols() {
   return {"cogsworth", "nk20", "raresync", "lp22", "fever", "basic-lumiere", "lumiere"};
 }
 
-/// Known post-GST delivery bound used by all benches.
-inline Duration bench_delta_cap() { return Duration::millis(10); }
-
-/// First `count` process ids.
-inline std::vector<ProcessId> first_ids(std::uint32_t count) {
-  std::vector<ProcessId> ids;
-  for (ProcessId id = 0; id < count; ++id) ids.push_back(id);
-  return ids;
-}
-
-/// Baseline scenario for a protocol at size n.
-inline ScenarioBuilder base_scenario(const std::string& pacemaker, std::uint32_t n,
-                                     std::uint64_t seed) {
-  ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(n, bench_delta_cap()))
-      .pacemaker(pacemaker)
-      .core("simple-view")
-      .seed(seed);
-  return builder;
-}
-
-/// Attaches f_a silent-leader Byzantine processes.
-inline void with_silent_leaders(ScenarioBuilder& builder, std::uint32_t f_a) {
-  if (f_a == 0) return;
-  builder.behaviors(adversary::byzantine_set(first_ids(f_a), [](ProcessId) {
-    return std::make_unique<adversary::SilentLeaderBehavior>();
-  }));
-}
-
 /// Formats an optional duration in milliseconds.
 inline std::string fmt_ms(std::optional<Duration> d) {
   if (!d) return "-";
@@ -203,66 +178,6 @@ inline std::string fmt_ms(std::optional<Duration> d) {
 inline std::string fmt_count(std::optional<std::uint64_t> v) {
   if (!v) return "-";
   return std::to_string(*v);
-}
-
-/// Worst-case window measurement: with GST at the origin, a synchronized
-/// start, the worst permitted network (every message at the Delta bound)
-/// and f_a silent leaders, the costliest communication window between
-/// consecutive decisions lies in the warmup (it contains the heavy epoch
-/// synchronization and the longest faulty-leader stretches). Returns
-/// {max messages in any of the first `windows` inter-decision windows
-/// (including start -> first decision), max latency of those windows}.
-struct WorstCaseSample {
-  std::optional<std::uint64_t> comm;
-  std::optional<Duration> latency;
-};
-
-inline WorstCaseSample worst_case_sample(const std::string& pacemaker, std::uint32_t n,
-                                         std::uint64_t seed, std::size_t windows = 10,
-                                         Duration run = Duration::seconds(240)) {
-  const std::uint32_t f = (n - 1) / 3;
-  ScenarioBuilder builder = base_scenario(pacemaker, n, seed);
-  builder.gst(TimePoint::origin());
-  builder.delay(nullptr);  // worst permitted: max(GST, t) + Delta
-  with_silent_leaders(builder, f);
-  Cluster cluster(builder);
-  cluster.run_for(run);
-  const auto& decisions = cluster.metrics().decisions();
-  WorstCaseSample sample;
-  if (decisions.empty()) return sample;
-  std::uint64_t worst_comm = decisions.front().msgs_before;
-  Duration worst_latency = decisions.front().at - TimePoint::origin();
-  for (std::size_t i = 1; i < decisions.size() && i <= windows; ++i) {
-    worst_comm = std::max(worst_comm, decisions[i].msgs_before - decisions[i - 1].msgs_before);
-    worst_latency = std::max(worst_latency, decisions[i].at - decisions[i - 1].at);
-  }
-  sample.comm = worst_comm;
-  sample.latency = worst_latency;
-  return sample;
-}
-
-/// Least-squares slope of log(y) against log(x): the empirical growth
-/// order of y(x) ~ x^slope.
-inline double loglog_slope(const std::vector<double>& x, const std::vector<double>& y) {
-  double sx = 0;
-  double sy = 0;
-  double sxx = 0;
-  double sxy = 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
-    if (x[i] <= 0 || y[i] <= 0) continue;
-    const double lx = std::log(x[i]);
-    const double ly = std::log(y[i]);
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-    ++count;
-  }
-  if (count < 2) return 0.0;
-  const double denominator = static_cast<double>(count) * sxx - sx * sx;
-  if (denominator == 0) return 0.0;
-  return (static_cast<double>(count) * sxy - sx * sy) / denominator;
 }
 
 }  // namespace lumiere::bench

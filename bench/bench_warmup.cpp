@@ -31,7 +31,7 @@ struct WarmupSample {
 
 WarmupSample measure(std::uint32_t n, std::uint64_t seed, bool worst_network) {
   const TimePoint gst(Duration::seconds(1).ticks());
-  ScenarioBuilder builder = base_scenario("lumiere", n, seed);
+  ScenarioBuilder builder = table1_scenario("lumiere", n, seed);
   builder.gst(gst);
   builder.join_stagger(Duration::millis(300));
   if (worst_network) {
@@ -79,7 +79,7 @@ WarmupSample measure(std::uint32_t n, std::uint64_t seed, bool worst_network) {
   return sample;
 }
 
-void run_table(bool worst_network, std::vector<double>& ns, std::vector<double>& warmup) {
+void run_table(bool worst_network, std::vector<std::pair<double, double>>& n_vs_warmup) {
   std::printf("%-6s | %16s | %18s | %18s\n", "n", "quiescence (ms)", "first success (ms)",
               "first decision (ms)");
   for (const std::uint32_t n : {4U, 7U, 10U, 13U}) {
@@ -90,8 +90,7 @@ void run_table(bool worst_network, std::vector<double>& ns, std::vector<double>&
     // bootstrap exchange *before* GST (negative offset), which is the
     // strongest possible outcome but carries no n-dependence to fit.
     if (s.first_success_ms > 0) {
-      ns.push_back(n);
-      warmup.push_back(s.first_success_ms);
+      n_vs_warmup.emplace_back(n, s.first_success_ms);
     }
   }
 }
@@ -105,22 +104,20 @@ int main() {
               "staggered joins, pre-GST chaos, GST at t = 1s, Delta = 10ms.\n");
 
   std::printf("\n--- favorable network after GST (delta ~ 0.5-2ms) ---\n");
-  std::vector<double> ns_fast;
-  std::vector<double> q_fast;
-  run_table(/*worst_network=*/false, ns_fast, q_fast);
+  std::vector<std::pair<double, double>> fast;
+  run_table(/*worst_network=*/false, fast);
 
   std::printf("\n--- worst permitted network (every message at the Delta bound) ---\n");
-  std::vector<double> ns_worst;
-  std::vector<double> q_worst;
-  run_table(/*worst_network=*/true, ns_worst, q_worst);
+  std::vector<std::pair<double, double>> worst;
+  run_table(/*worst_network=*/true, worst);
 
-  if (ns_worst.size() >= 3) {
+  if (worst.size() >= 3) {
     std::printf("\nfirst-success growth order vs n (worst network): n^%.2f\n",
-                loglog_slope(ns_worst, q_worst));
+                lumiere::obs::ComplexityLedger::fit_exponent(worst));
   }
-  if (ns_fast.size() >= 3) {
+  if (fast.size() >= 3) {
     std::printf("first-success growth order vs n (fast network):  n^%.2f\n",
-                loglog_slope(ns_fast, q_fast));
+                lumiere::obs::ComplexityLedger::fit_exponent(fast));
   }
   std::printf(
       "(expected: first success within a small constant of one epoch — 10n\n"

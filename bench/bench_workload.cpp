@@ -50,8 +50,8 @@ workload::WorkloadSpec spec_for(double rate_per_client) {
 
 WorkloadRow measure_sim(const std::string& pacemaker, double rate_per_client,
                         Duration run_for, bool dissem) {
-  ScenarioBuilder builder = base_scenario(pacemaker, kN, 7001);
-  builder.params(ProtocolParams::for_n(kN, bench_delta_cap(), /*x=*/4));
+  ScenarioBuilder builder = table1_scenario(pacemaker, kN, 7001);
+  builder.params(ProtocolParams::for_n(kN, kTable1Delta, /*x=*/4));
   builder.core("chained-hotstuff");
   builder.delay(std::make_shared<lumiere::sim::FixedDelay>(Duration::micros(500)));
   builder.workload(spec_for(rate_per_client));
@@ -80,7 +80,7 @@ WorkloadRow measure_sim(const std::string& pacemaker, double rate_per_client,
 WorkloadRow measure_tcp(const std::string& pacemaker, double rate_per_client,
                         Duration run_for, std::uint16_t base_port, bool dissem) {
   ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(kN, bench_delta_cap(), /*x=*/4))
+  builder.params(ProtocolParams::for_n(kN, kTable1Delta, /*x=*/4))
       .pacemaker(pacemaker)
       .core("chained-hotstuff")
       .seed(7001)

@@ -21,7 +21,6 @@
 
 #include "adversary/behaviors.h"
 #include "runtime/cluster.h"
-#include "runtime/experiment.h"
 
 using namespace lumiere;
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "runtime/cluster.h"
-#include "runtime/experiment.h"
 
 using namespace lumiere;
 

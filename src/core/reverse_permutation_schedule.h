@@ -10,8 +10,8 @@
 // footnote's *intent* directly: the first segment of each epoch e >= 1
 // uses the reverse of the last segment of epoch e-1, and every other
 // segment draws a fresh seeded random permutation. This satisfies
-// exactly the property the proof uses. (Documented as a deviation in
-// DESIGN.md.) Only a bounded window of segments is cached (see below), so
+// exactly the property the proof uses; this comment is the record of
+// the deviation. Only a bounded window of segments is cached (see below), so
 // a replica's schedule costs O(n) however many views it runs.
 #pragma once
 

@@ -5,8 +5,8 @@
 // ledger aggregates per-episode spans into distributions (mean/p50/p95/
 // max of messages, bytes, authenticator ops, duration) and fits the
 // growth exponent of cost against n with a least-squares log-log fit —
-// the slope bench_sync_complexity reports next to the 1.0/2.0 theory
-// lines.
+// the slope bench_table1's per-sync section reports next to the 1.0/2.0
+// theory lines.
 //
 // Exports: one-JSON-object-per-span JSONL (jq-friendly) and the Chrome
 // trace-event format (open chrome://tracing or https://ui.perfetto.dev

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "runtime/cluster.h"
-#include "runtime/experiment.h"
 
 namespace lumiere::runtime {
 namespace {

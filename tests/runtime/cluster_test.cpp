@@ -70,24 +70,28 @@ TEST(ClusterTest, GapTrackerCoversHonestOnly) {
 }
 
 TEST(ClusterTest, RunExperimentProducesMeasures) {
-  ExperimentConfig config;
-  config.scenario = small_options(11);
-  config.run_for = Duration::seconds(20);
-  config.warmup_decisions = 5;
-  const RunMeasures measures = run_experiment(config);
-  EXPECT_EQ(measures.protocol, "lumiere");
-  EXPECT_EQ(measures.n, 4U);
-  EXPECT_EQ(measures.f_actual, 0U);
-  EXPECT_GE(measures.decisions_after_gst, 10U);
-  ASSERT_TRUE(measures.latency_first.has_value());
-  ASSERT_TRUE(measures.comm_eventual.has_value());
-  EXPECT_GT(*measures.comm_eventual, 0U);
-  EXPECT_GT(measures.total_honest_msgs, 0U);
-}
+  // The Table 1 measurement: one silent leader among n = 4 on the benign
+  // network; the eventual window skips the warmup, the worst-case window
+  // starts at the origin.
+  const WindowMeasure eventual =
+      measure_eventual(eventual_scenario("lumiere", 4, 1, 11), Duration::seconds(20), 5);
+  EXPECT_GE(eventual.decisions, 10U);
+  ASSERT_TRUE(eventual.comm.has_value());
+  EXPECT_GT(*eventual.comm, 0U);
+  ASSERT_TRUE(eventual.latency.has_value());
+  EXPECT_LE(*eventual.latency, Duration::millis(420)) << "one silent leader costs <= 4 Gamma";
 
-TEST(ClusterTest, InDeltaUnitsFormatting) {
-  EXPECT_EQ(in_delta_units(std::nullopt, Duration::millis(10)), "-");
-  EXPECT_EQ(in_delta_units(Duration::millis(25), Duration::millis(10)), "2.5 D");
+  const WindowMeasure worst =
+      measure_worst_case(worst_case_scenario("lumiere", 4, 11), Duration::seconds(20));
+  ASSERT_TRUE(worst.comm.has_value());
+  ASSERT_TRUE(worst.latency.has_value());
+  EXPECT_GE(*worst.latency, kTable1Delta) << "every message takes Delta";
+  EXPECT_GT(worst.epoch_view_msgs, 0U) << "the bootstrap epoch sync is heavy";
+
+  const obs::LedgerSummary sync =
+      measure_sync_cost(worst_case_scenario("lumiere", 4, 11), 16, Duration::seconds(20));
+  EXPECT_GE(sync.spans, 1U);
+  EXPECT_GT(sync.msgs.mean, 0.0);
 }
 
 TEST(ClusterTest, StartIsIdempotent) {

@@ -1,8 +1,8 @@
 // Bit-for-bit reproducibility: everything random in the library flows
 // through the seeded Rng, and the simulator is single-threaded, so two
 // clusters built from identical options must produce identical
-// executions — the property every "reproduce this worst case from a
-// seed" claim in EXPERIMENTS.md rests on.
+// executions — the property every bench row and every fuzz seed replay
+// (README "Scenario fuzzing") rests on.
 #include <gtest/gtest.h>
 
 #include "adversary/behaviors.h"

@@ -1,15 +1,12 @@
 #!/usr/bin/env python3
-"""Per-pacemaker view-sync cost tables from bench_sync_complexity.
+"""Per-pacemaker view-sync cost tables from bench_table1's sync section.
 
-Reads BENCH_sync_complexity.json (the --json artifact) and prints one
-GitHub-flavored markdown table per pacemaker — mean per-sync messages,
-bytes and authenticator ops against n, next to the O(n)/O(n^2) curves
-anchored at the smallest n — plus the fitted growth exponent (the
-log-log slope; 1.0 = linear, 2.0 = quadratic, the Lewis-Pye bound's
-anchor). CI appends the output to $GITHUB_STEP_SUMMARY; locally it just
-prints.
+Reads the `section: "sync"` rows of BENCH_table1.json (the --json
+artifact) and prints one GitHub-flavored markdown table per pacemaker,
+as bench_table1 prints them. CI appends the output to
+$GITHUB_STEP_SUMMARY; locally it just prints.
 
-Usage: tools/sync_complexity_report.py [BENCH_sync_complexity.json]
+Usage: tools/sync_complexity_report.py [BENCH_table1.json]
 """
 
 import json
@@ -17,29 +14,31 @@ import sys
 
 
 def main():
-    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_sync_complexity.json"
+    path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_table1.json"
     with open(path) as f:
         report = json.load(f)
-    if report.get("bench") != "sync_complexity":
-        sys.exit(f"{path}: not a bench_sync_complexity artifact")
+    if report.get("bench") != "table1":
+        sys.exit(f"{path}: not a bench_table1 artifact")
 
     samples = {}  # protocol -> [row, ...] in file order
     fits = {}  # protocol -> fit row
     for row in report.get("rows", []):
+        if row.get("section") != "sync":
+            continue
         if row.get("kind") == "sample":
             samples.setdefault(row["protocol"], []).append(row)
         elif row.get("kind") == "fit":
             fits[row["protocol"]] = row
 
     if not samples:
-        sys.exit(f"no sample rows found in {path}")
+        sys.exit(f"no sync rows found in {path}")
 
-    print("### View-sync cost vs n (per pacemaker)")
+    print("### View-sync cost per node vs n (per pacemaker)")
     print()
-    print("Mean per-sync cost over honest nodes' completed sync spans, under")
-    print("f silent leaders and the worst permitted network. `~O(n)` and")
-    print("`~O(n^2)` are theory curves anchored at the smallest n; the fitted")
-    print("exponent is the log-log slope (1.0 = linear, 2.0 = quadratic).")
+    print("Mean per-sync cost of one honest node's completed sync spans, under")
+    print("f silent leaders and the worst permitted network; the cluster pays")
+    print("n times this. `~O(n)` and `~O(n^2)` are theory curves anchored at")
+    print("the smallest n; the fitted exponent is the log-log slope.")
     for protocol, rows in samples.items():
         print()
         fit = fits.get(protocol, {})
@@ -47,12 +46,12 @@ def main():
         auth_exponent = fit.get("auth_exponent")
         headline = f"#### `{protocol}`"
         if exponent is not None:
-            headline += f" — msgs/sync ~ n^{exponent:.2f}"
+            headline += f" — msgs/sync/node ~ n^{exponent:.2f}"
         if auth_exponent is not None:
-            headline += f", auth-ops/sync ~ n^{auth_exponent:.2f}"
+            headline += f", auth-ops/sync/node ~ n^{auth_exponent:.2f}"
         print(headline)
         print()
-        print("| n | f | spans | msgs/sync | ~O(n) | ~O(n^2) | bytes/sync | auth/sync |")
+        print("| n | f | spans | msgs/node | ~O(n) | ~O(n^2) | bytes/node | auth/node |")
         print("|---:|---:|---:|---:|---:|---:|---:|---:|")
         for row in rows:
             print(
