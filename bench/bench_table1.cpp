@@ -1,6 +1,7 @@
-// Reproduces Table 1: "Summary of the results for state-of-the-art
-// optimistically responsive protocols", in three sections that measure
-// through runtime/experiment.h:
+// Reproduces the paper's measured claims: Table 1 ("Summary of the
+// results for state-of-the-art optimistically responsive protocols"),
+// Figure 1, Theorem 1.1 (3) and (4) and the design choices of Sections
+// 3.3 and 3.5, in seven sections that measure through runtime/experiment.h:
 //
 //   * table  — the four measures of Section 2 per protocol at one n:
 //     worst-case communication and latency (the costliest warmup window
@@ -13,6 +14,8 @@
 //     the separating measure is eventual comm at fixed f_a = 1.
 //   * sync   — per-view-sync cost per node against n, from the honest
 //     nodes' SyncSpans (obs/). The cluster pays n times a span's cost.
+//   * fig1, responsiveness, warmup, ablation — Figure 1's stall, Theorem
+//     1.1 (3) and (4), and Lumiere's design choices; README "Table 1".
 //
 // Expected shape (paper):            worst comm  ev. comm    worst lat  ev. lat
 //   Cogsworth/NK20                   O(n^3)      O(n+n fa^2) O(n^2 D)   O(fa^2 D + d)
@@ -22,12 +25,17 @@
 // (*Fever's worst-case latency is O(fa D + d) in its own model; under a
 //  desynchronized start it has no guarantee at all — which is the point.)
 //
-// tests/integration/table1_claims_test.cpp checks these shapes on the
-// growth and sync sections' --quick points; README "Benchmarks" maps the
-// columns to the paper.
+// Each section prints a reading guide, which tests/integration checks on
+// the --quick points (*claims_test.cpp, figure1_test.cpp). --quick
+// shortens the runs; fig1 runs the same in both modes.
 //
 //   ./build/bench_table1 [--quick] [--json BENCH_table1.json]
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <functional>
+
+#include "pacemaker/fever.h"
 
 #include "bench_util.h"
 
@@ -100,10 +108,8 @@ void run_growth_protocol(const std::string& pacemaker, const GrowthBudget& budge
   std::printf("\n--- %s ---\n", pacemaker.c_str());
   std::printf("%-5s | %12s | %16s | %15s | %15s\n", "n", "worst comm", "ev comm (fa=f)",
               "ev comm (fa=1)", "ev lat (fa=1) ms");
-  std::vector<std::pair<double, double>> worst;
-  std::vector<std::pair<double, double>> ev_full;
-  std::vector<std::pair<double, double>> ev_one;
-  std::vector<std::pair<double, double>> lat_one;
+  // (n, value) per column: worst comm, ev comm fa=f, ev comm fa=1, ev lat fa=1.
+  std::vector<std::pair<double, double>> series[4];
   for (const std::uint32_t n : budget.sizes) {
     const double worst_comm = value_or_zero(
         runtime::measure_worst_case(runtime::worst_case_scenario(pacemaker, n, 2001),
@@ -115,12 +121,9 @@ void run_growth_protocol(const std::string& pacemaker, const GrowthBudget& budge
     };
     const double ev_comm_full = value_or_zero(eventual((n - 1) / 3).comm);
     const WindowMeasure one = eventual(1);
-    double ev_comm_one = 0;
-    double ev_lat_one_ms = 0;
-    if (one.comm && one.latency) {
-      ev_comm_one = static_cast<double>(*one.comm);
-      ev_lat_one_ms = static_cast<double>(one.latency->ticks()) / 1000.0;
-    }
+    const bool decided = one.comm && one.latency;
+    const double ev_comm_one = decided ? static_cast<double>(*one.comm) : 0.0;
+    const double ev_lat_one_ms = decided ? to_ms(*one.latency) : 0.0;
     std::printf("%-5u | %12.0f | %16.0f | %15.0f | %15.1f\n", n, worst_comm, ev_comm_full,
                 ev_comm_one, ev_lat_one_ms);
     json.add_row()
@@ -131,26 +134,21 @@ void run_growth_protocol(const std::string& pacemaker, const GrowthBudget& budge
         .set("ev_comm_fa_f", ev_comm_full)
         .set("ev_comm_fa_1", ev_comm_one)
         .set("ev_lat_fa_1_ms", ev_lat_one_ms);
-    worst.emplace_back(n, worst_comm);
-    ev_full.emplace_back(n, ev_comm_full);
-    ev_one.emplace_back(n, ev_comm_one);
-    lat_one.emplace_back(n, ev_lat_one_ms);
+    const double values[4] = {worst_comm, ev_comm_full, ev_comm_one, ev_lat_one_ms};
+    for (int i = 0; i < 4; ++i) series[i].emplace_back(n, values[i]);
   }
-  const auto fit = obs::ComplexityLedger::fit_exponent;
-  const double worst_exp = fit(worst);
-  const double ev_full_exp = fit(ev_full);
-  const double ev_one_exp = fit(ev_one);
-  const double lat_one_exp = fit(lat_one);
+  double fits[4];
+  for (int i = 0; i < 4; ++i) fits[i] = obs::ComplexityLedger::fit_exponent(series[i]);
   std::printf("fitted n-exponents: worst comm %.2f | ev comm fa=f %.2f | ev comm fa=1 %.2f | "
               "ev lat fa=1 %.2f\n",
-              worst_exp, ev_full_exp, ev_one_exp, lat_one_exp);
+              fits[0], fits[1], fits[2], fits[3]);
   json.add_row()
       .set("section", "growth")
       .set("protocol", pacemaker)
-      .set("fit_worst_comm", worst_exp)
-      .set("fit_ev_comm_fa_f", ev_full_exp)
-      .set("fit_ev_comm_fa_1", ev_one_exp)
-      .set("fit_ev_lat_fa_1", lat_one_exp);
+      .set("fit_worst_comm", fits[0])
+      .set("fit_ev_comm_fa_f", fits[1])
+      .set("fit_ev_comm_fa_1", fits[2])
+      .set("fit_ev_lat_fa_1", fits[3]);
 }
 
 /// The bounded n = 100 point: Lumiere under one silent leader, eventual
@@ -252,6 +250,317 @@ void run_sync(bool quick, JsonRows& json) {
   }
 }
 
+/// A row of the fig1, responsiveness, warmup or ablation section.
+JsonRows::Row& claim_row(JsonRows& json, const char* section, const char* kind) {
+  return json.add_row().set("section", section).set("kind", kind);
+}
+
+// ------------------------------------------------------------------- fig1
+
+/// Figure 1's n = 16 timeline (f + 1 = 6-view LP22 epochs): the decisions
+/// around the worst stall after the first 10, and the ten worst stalls.
+void run_figure1_timeline(const std::string& pacemaker, JsonRows& json) {
+  Cluster cluster(runtime::figure1_scenario(pacemaker, 16, 7001));
+  cluster.run_for(Duration::seconds(45));
+  const auto& decisions = cluster.metrics().decisions();
+  const double gamma_ms = to_ms(runtime::default_gamma(pacemaker, cluster.scenario().params));
+  std::printf("\n--- %s (Gamma = %.0f ms, %zu decisions) ---\n", pacemaker.c_str(), gamma_ms,
+              decisions.size());
+  if (decisions.size() < 8) {
+    std::printf("  (too few decisions)\n");
+    return;
+  }
+  const auto gap_ms = [&](std::size_t i) { return to_ms(decisions[i].at - decisions[i - 1].at); };
+  std::vector<double> gaps;
+  std::size_t worst = 1;
+  double worst_ms = 0;
+  for (std::size_t i = 11; i < decisions.size(); ++i) {
+    gaps.push_back(gap_ms(i));
+    if (gaps.back() > worst_ms) {
+      worst_ms = gaps.back();
+      worst = i;
+    }
+  }
+  std::printf("  worst stall: %.1f ms (= %.2f Gamma) before view %lld\n", worst_ms,
+              worst_ms / gamma_ms, static_cast<long long>(decisions[worst].view));
+  std::printf("  %-10s %-12s %-10s\n", "view", "decided(ms)", "gap(ms)");
+  for (std::size_t i = worst >= 4 ? worst - 4 : 0; i <= std::min(worst + 3, decisions.size() - 1);
+       ++i) {
+    std::printf("  %-10lld %-12.2f %-10.2f%s\n", static_cast<long long>(decisions[i].view),
+                to_ms(decisions[i].at - TimePoint::origin()), i > 0 ? gap_ms(i) : 0.0,
+                i == worst ? "   <== stall" : "");
+  }
+  std::sort(gaps.rbegin(), gaps.rend());
+  std::printf("  top stalls (ms):");
+  for (std::size_t i = 0; i < std::min<std::size_t>(10, gaps.size()); ++i) {
+    std::printf(" %.1f", gaps[i]);
+  }
+  std::printf("\n");
+  claim_row(json, "fig1", "timeline")
+      .set("protocol", pacemaker)
+      .set("n", std::uint64_t{16})
+      .set("gamma_ms", gamma_ms)
+      .set_count("decisions", decisions.size())
+      .set("worst_stall_ms", worst_ms)
+      .set("stall_view", static_cast<double>(decisions[worst].view));
+}
+
+void run_figure1(JsonRows& json) {
+  std::printf("\n=== Figure 1: one silent Byzantine leader (process 3), fast network\n"
+              "(delta = 0.2ms << Delta = 10ms), n = 16 (f = 5; LP22 epochs have f+1 = 6 "
+              "views) ===\n");
+  for (const char* pacemaker : {"lp22", "basic-lumiere", "lumiere"}) {
+    run_figure1_timeline(pacemaker, json);
+  }
+  // Figure1Test's points, either side of the LP22/Lumiere crossover.
+  std::printf("\n--- worst stall after 10 decisions, 60 sim-s (Figure1Test's points) ---\n");
+  std::printf("%-8s | %4s | %4s | %16s\n", "protocol", "n", "seed", "worst stall (ms)");
+  for (const char* pacemaker : {"lp22", "lumiere"}) {
+    for (const std::uint32_t n : {4U, 31U}) {
+      for (const std::uint64_t seed : {71ULL, 72ULL}) {
+        const std::optional<Duration> stall =
+            runtime::measure_eventual(runtime::figure1_scenario(pacemaker, n, seed),
+                                      Duration::seconds(60), /*warmup=*/10)
+                .latency;
+        std::printf("%-8s | %4u | %4llu | %16s\n", pacemaker, n,
+                    static_cast<unsigned long long>(seed), fmt_ms(stall).c_str());
+        claim_row(json, "fig1", "point")
+            .set("protocol", pacemaker)
+            .set("n", std::uint64_t{n})
+            .set("seed", seed)
+            .set_ms("worst_stall_ms", stall);
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------- responsiveness
+
+/// One row per protocol, one eventual latency per column.
+void latency_grid(const char* title, const char* kind, const char* column,
+                  const std::vector<double>& columns, int column_digits, int cell_digits,
+                  const std::function<std::optional<Duration>(const char*, double)>& measure,
+                  JsonRows& json) {
+  std::printf("\n--- %s ---\n%-16s", title, column);
+  for (const double c : columns) std::printf(" | %8.*f", column_digits, c);
+  std::printf("\n");
+  for (const char* pacemaker : {"lp22", "fever", "basic-lumiere", "lumiere"}) {
+    std::printf("%-16s", pacemaker);
+    for (const double c : columns) {
+      const std::optional<Duration> latency = measure(pacemaker, c);
+      std::printf(" | %8.*f", cell_digits, latency ? to_ms(*latency) : -1.0);
+      claim_row(json, "responsiveness", kind)
+          .set("protocol", pacemaker)
+          .set(column, c)
+          .set_ms("ev_lat_ms", latency);
+    }
+    std::printf("\n");
+  }
+}
+
+void run_responsiveness(bool quick, JsonRows& json) {
+  constexpr std::uint32_t kN = 7;
+  const Duration delta_run = quick ? Duration::seconds(10) : Duration::seconds(60);
+  const Duration fault_run = quick ? Duration::seconds(20) : Duration::seconds(90);
+  const std::size_t warmup = quick ? 10 : 30;
+  std::printf("\n=== smooth optimistic responsiveness (Theorem 1.1 (3)), n = %u, Delta = 10ms "
+              "===\n",
+              kN);
+  latency_grid("delta sweep at f_a = 0: eventual worst-case latency (ms)", "delta", "delta_ms",
+               {0.1, 0.3, 1, 3, 10}, 1, 2,
+               [&](const char* pacemaker, double delta_ms) {
+                 const Duration delta = Duration::micros(std::llround(delta_ms * 1000));
+                 return runtime::measure_eventual(
+                            runtime::eventual_scenario(pacemaker, kN, 0, 3001, delta), delta_run,
+                            warmup)
+                     .latency;
+               },
+               json);
+  latency_grid("f_a sweep at delta = 0.5ms: eventual worst-case latency (ms)", "fa", "f_a",
+               {0, 1, 2}, 0, 1,
+               [&](const char* pacemaker, double f_a) {
+                 return runtime::measure_eventual(
+                            runtime::eventual_scenario(pacemaker, kN,
+                                                       static_cast<std::uint32_t>(f_a), 3002),
+                            fault_run, warmup)
+                     .latency;
+               },
+               json);
+
+  // f Byzantine leaders do all their duties but show QCs/VCs to half the
+  // cluster only, starving the rest of clock bumps while epochs still
+  // "produce QCs".
+  std::printf("\n--- Section 3.5 selective-QC attack, n = %u, f = 2 attackers ---\n", kN);
+  std::printf("%-16s | %9s | %12s | %10s\n", "protocol", "decisions", "ev lat (ms)",
+              "epoch msgs");
+  for (const char* pacemaker : {"lp22", "fever", "basic-lumiere", "lumiere"}) {
+    const WindowMeasure attack = runtime::measure_eventual(
+        runtime::selective_qc_scenario(pacemaker, kN, 3003), fault_run, warmup);
+    std::printf("%-16s | %9zu | %12s | %10llu\n", pacemaker, attack.decisions,
+                fmt_ms(attack.latency).c_str(),
+                static_cast<unsigned long long>(attack.epoch_view_msgs));
+    claim_row(json, "responsiveness", "selective_qc")
+        .set("protocol", pacemaker)
+        .set_count("decisions", attack.decisions)
+        .set_ms("ev_lat_ms", attack.latency)
+        .set("epoch_msgs", attack.epoch_view_msgs);
+  }
+}
+
+// ----------------------------------------------------------------- warmup
+
+void run_warmup(bool quick, JsonRows& json) {
+  // --quick: 20 s past GST still covers a whole epoch (10n views) at n = 13.
+  const Duration after_gst = quick ? Duration::seconds(20) : Duration::seconds(240);
+  std::printf("\n=== time from GST to the steady state (Theorem 1.1 (4) warmup): lumiere,\n"
+              "staggered joins, pre-GST chaos, GST at t = 1s, Delta = 10ms ===\n");
+  double exponents[2] = {0, 0};
+  for (const bool worst_network : {false, true}) {
+    const char* network = worst_network ? "worst" : "fast";
+    std::printf(worst_network
+                    ? "\n--- worst permitted network (every message at the Delta bound) ---\n"
+                    : "\n--- favorable network after GST (delta ~ 0.5-2ms) ---\n");
+    std::printf("%-6s | %16s | %18s | %18s\n", "n", "quiescence (ms)", "first success (ms)",
+                "first decision (ms)");
+    // Quiescence usually predates GST and carries no n-dependence; the
+    // growth fit uses first success.
+    std::vector<std::pair<double, double>> n_vs_success;
+    for (const std::uint32_t n : {4U, 7U, 10U, 13U}) {
+      const runtime::WarmupMeasure m = runtime::measure_warmup(
+          runtime::warmup_scenario(n, 7000 + n, worst_network), after_gst);
+      std::printf("%-6u | %16s | %18s | %18s\n", n, fmt_ms(m.quiescence).c_str(),
+                  fmt_ms(m.first_success).c_str(), fmt_ms(m.first_decision).c_str());
+      if (m.first_success && *m.first_success > Duration::zero()) {
+        n_vs_success.emplace_back(n, to_ms(*m.first_success));
+      }
+      claim_row(json, "warmup", network)
+          .set("n", std::uint64_t{n})
+          .set_ms("quiescence_ms", m.quiescence)
+          .set_ms("first_success_ms", m.first_success)
+          .set_ms("first_decision_ms", m.first_decision);
+    }
+    exponents[worst_network] = obs::ComplexityLedger::fit_exponent(n_vs_success);
+    claim_row(json, "warmup", network).set("fit_first_success", exponents[worst_network]);
+  }
+  std::printf("\nfirst-success growth order vs n (worst network): n^%.2f\n"
+              "first-success growth order vs n (fast network):  n^%.2f\n",
+              exponents[1], exponents[0]);
+}
+
+// --------------------------------------------------------------- ablation
+
+void print_ablation_row(const char* label, const WindowMeasure& m, const char* regime,
+                        JsonRows& json) {
+  std::printf("%-34s | %10llu | %12s | %12s | %9zu\n", label,
+              static_cast<unsigned long long>(m.epoch_view_msgs), fmt_count(m.comm).c_str(),
+              fmt_ms(m.latency).c_str(), m.decisions);
+  claim_row(json, "ablation", regime)
+      .set("variant", label)
+      .set("epoch_msgs", m.epoch_view_msgs)
+      .set_count("comm", m.comm)
+      .set_ms("lat_ms", m.latency)
+      .set_count("decisions", m.decisions);
+}
+
+void run_ablation(bool quick, JsonRows& json) {
+  constexpr std::uint32_t kN = 7;
+  const Duration run = quick ? Duration::seconds(20) : Duration::seconds(90);
+  const std::size_t warmup = quick ? 10 : 30;
+  std::printf("\n=== Lumiere design-choice ablations (Section 3.5), n = %u, f_a = 2 silent "
+              "leaders unless noted ===\n\n",
+              kN);
+  std::printf("%-34s | %10s | %12s | %12s | %9s\n", "variant (eventual regime)", "epoch msgs",
+              "ev comm", "ev lat (ms)", "decisions");
+  std::printf("-----------------------------------+------------+--------------+--------------+-"
+              "---------\n");
+  // The drift rows test the analysis's drift-free clocks after GST
+  // (Sections 2 and 4), which it claims extend easily to bounded drift.
+  struct Variant {
+    const char* label;
+    const char* pacemaker;
+    runtime::LumiereOptions switches;
+    Duration gamma;
+    std::uint32_t f_a;
+    std::uint64_t seed;
+    std::int64_t drift_ppm;
+  };
+  const Duration none = Duration::zero();
+  const Variant variants[] = {
+      {"lumiere (full)", "lumiere", {}, none, 2, 4001, 0},
+      {"basic-lumiere (no success crit.)", "basic-lumiere", {}, none, 2, 4001, 0},
+      {"lumiere, no QC deadline", "lumiere", {false, true}, none, 2, 4001, 0},
+      {"lumiere, no Delta-wait", "lumiere", {true, false}, none, 2, 4001, 0},
+      {"lumiere, Gamma x1.5", "lumiere", {}, Duration::millis(150), 2, 4001, 0},
+      {"lumiere, Gamma x2", "lumiere", {}, Duration::millis(200), 2, 4001, 0},
+      {"lumiere (full), f_a = 0", "lumiere", {}, none, 0, 4001, 0},
+      {"basic-lumiere, f_a = 0", "basic-lumiere", {}, none, 0, 4001, 0},
+      {"lumiere, drift 0 ppm", "lumiere", {}, none, 2, 4004, 0},
+      {"lumiere, drift 200 ppm", "lumiere", {}, none, 2, 4004, 200},
+      {"lumiere, drift 2000 ppm", "lumiere", {}, none, 2, 4004, 2'000},
+      {"lumiere, drift 20000 ppm", "lumiere", {}, none, 2, 4004, 20'000},
+      {"lumiere, drift 50000 ppm", "lumiere", {}, none, 2, 4004, 50'000},
+  };
+  for (const Variant& v : variants) {
+    ScenarioBuilder builder = runtime::eventual_scenario(v.pacemaker, kN, v.f_a, v.seed);
+    builder.lumiere(v.switches).gamma(v.gamma).drift_ppm_max(v.drift_ppm);
+    print_ablation_row(v.label, runtime::measure_eventual(builder, run, warmup), "eventual",
+                       json);
+  }
+  // The two switches are worst-case devices, so they are priced in the
+  // worst-case regime too: the costliest of the first 10 windows.
+  std::printf("\n%-34s | %10s | %12s | %12s | %9s\n", "variant (worst-case regime)",
+              "epoch msgs", "worst comm", "worst lat ms", "decisions");
+  for (const Variant& v : {variants[0], variants[2], variants[3]}) {
+    ScenarioBuilder builder = runtime::worst_case_scenario(v.pacemaker, kN, 4005);
+    builder.lumiere(v.switches);
+    print_ablation_row(v.label,
+                       runtime::measure_worst_case(
+                           builder, quick ? Duration::seconds(60) : Duration::seconds(240)),
+                       "worst_case", json);
+  }
+
+  // Section 3.3 "Reducing Gamma": Fever's leader tenure.
+  std::printf("\n--- Fever leader-tenure sweep (Section 3.3 remark), f_a = 2 ---\n");
+  std::printf("%-10s | %12s | %12s | %9s\n", "tenure", "Gamma (ms)", "ev lat (ms)",
+              "decisions");
+  for (const std::uint32_t tenure : {2U, 3U, 4U, 6U}) {
+    ScenarioBuilder builder = runtime::eventual_scenario("fever", kN, 2, 4002);
+    builder.fever(runtime::FeverOptions{tenure});
+    const WindowMeasure m = runtime::measure_eventual(builder, run, warmup);
+    const double gamma_ms = to_ms(pacemaker::FeverPacemaker::default_gamma(
+        ProtocolParams::for_n(kN, kTable1Delta), tenure));
+    std::printf("%-10u | %12.0f | %12s | %9zu\n", tenure, gamma_ms, fmt_ms(m.latency).c_str(),
+                m.decisions);
+    claim_row(json, "ablation", "tenure")
+        .set("tenure", std::uint64_t{tenure})
+        .set("gamma_ms", gamma_ms)
+        .set_ms("ev_lat_ms", m.latency)
+        .set_count("decisions", m.decisions);
+  }
+
+  // Reference [14] (HotStuff-2): the two-phase rule commits each block on
+  // the next consecutive QC instead of two QCs later. Same pacemaker,
+  // network and seed; only the chain rule differs.
+  std::printf("\n--- Underlying protocol: HotStuff-2 (2-chain) vs chained HotStuff "
+              "(3-chain), Lumiere pacemaker, n = %u ---\n",
+              kN);
+  std::printf("%-18s | %9s | %14s | %18s\n", "core", "commits", "frontier (view)",
+              "mean QC->commit ms");
+  for (const char* core : {"hotstuff-2", "chained-hotstuff"}) {
+    ScenarioBuilder builder = runtime::eventual_scenario("lumiere", kN, 0, 4003);
+    builder.core(core).params(ProtocolParams::for_n(kN, kTable1Delta, /*x=*/4));
+    const runtime::CommitLag lag = runtime::measure_commit_lag(
+        builder, quick ? Duration::seconds(10) : Duration::seconds(30));
+    std::printf("%-18s | %9zu | %14lld | %18.2f\n", core, lag.commits,
+                static_cast<long long>(lag.frontier), lag.mean_ms);
+    claim_row(json, "ablation", "core")
+        .set("core", core)
+        .set_count("commits", lag.commits)
+        .set("frontier", static_cast<double>(lag.frontier))
+        .set("mean_qc_to_commit_ms", lag.mean_ms);
+  }
+}
+
 }  // namespace
 }  // namespace lumiere::bench
 
@@ -289,6 +598,43 @@ int main(int argc, char** argv) {
       "all-to-all epoch sync grows ~n^1 per node (~n^2 cluster-wide); Lumiere's\n"
       "episode grows far slower under f silent leaders, reserving the quadratic\n"
       "for worst-case epochs (the Lewis-Pye bound).\n");
+
+  run_figure1(json);
+  std::printf(
+      "\nReading guide: LP22 never bumps clocks on QCs, so every epoch ends in a wait\n"
+      "for the clock: the stall is the epoch, (f+1) Gamma_LP22 (240 ms at n = 16),\n"
+      "plus one Gamma when the silent leader holds the epoch's first view (474 ms\n"
+      "at n = 31). Clock bumps cap the stall at one tenure (2 Gamma = 160 ms) for\n"
+      "Basic Lumiere and two adjacent view pairs (4 Gamma = 400 ms) for Lumiere, at\n"
+      "every n. So LP22 stalls longer only once (f+1) * 40 > 400 ms: from n = 31.\n");
+
+  run_responsiveness(args.quick, json);
+  std::printf(
+      "\nReading guide: at f_a = 0 Fever, Basic Lumiere and Lumiere decide within\n"
+      "3-4 message delays at every delta; LP22 waits out its clock-paced epoch,\n"
+      "~(f+1) Gamma_LP22 = 120 ms, even at delta = 0.1 ms. Each silent leader adds\n"
+      "the views it holds in a row: Gamma_LP22 for LP22, a 2 Gamma tenure for Fever\n"
+      "and Basic Lumiere, at most 4 Gamma for Lumiere: O(f_a Delta + delta). Under\n"
+      "the selective-QC attack all four stay live; LP22 and Basic Lumiere keep\n"
+      "paying heavy epoch syncs, Lumiere only its bootstrap exchange.\n");
+
+  run_warmup(args.quick, json);
+  std::printf(
+      "\nReading guide: first success comes within one epoch (10n Gamma) of GST and\n"
+      "grows ~n^1: 'within expected O(n Delta) of GST'. The last heavy message is\n"
+      "the bootstrap exchange before GST (negative quiescence), and first decisions\n"
+      "land 10-90x before first success.\n");
+
+  run_ablation(args.quick, json);
+  std::printf(
+      "\nReading guide: the success criterion is the whole 'epoch msgs' difference:\n"
+      "Basic Lumiere pays the heavy sync every epoch, over 100x Lumiere's bootstrap\n"
+      "count. A larger Gamma, or a longer Fever tenure (Gamma = (2 + tenure x)\n"
+      "Delta / (tenure - 1) falls toward x Delta), trades stall for slack. Drift up\n"
+      "to 5%% moves the stall by at most 2 rho of it. HotStuff-2 commits a round\n"
+      "sooner than chained HotStuff ([14]). Neither switch shows its purpose: with\n"
+      "no QC deadline or no Delta-wait, Lumiere sends the same epoch-view messages\n"
+      "in both regimes and its latency moves by at most 10 ms.\n");
   if (!args.json_path.empty() && !json.write(args.json_path, "table1")) return 1;
   return 0;
 }

@@ -1,10 +1,11 @@
 // Shared helpers for the reproduction benches.
 //
-// Every bench binary runs argument-free, bounded-time, and prints the
-// rows/series of the paper artifact it regenerates (Table 1, Figure 1)
-// plus the supporting sweeps. Absolute values are simulator time; the
-// claims under test are *shapes* (who wins, growth order, crossover),
-// and tests/integration/table1_claims_test.cpp checks Table 1's.
+// Every bench binary runs bounded-time with no arguments, takes the flags
+// parse_bench_args accepts (bench_micro takes google-benchmark's), and
+// prints the rows/series of the paper artifact it regenerates plus the
+// supporting sweeps. Absolute values are simulator time; the claims under
+// test are *shapes* (who wins, growth order, crossover), and the claim
+// tests in tests/integration check bench_table1's reading guides.
 #pragma once
 
 #include <cstdio>
@@ -16,19 +17,19 @@
 #include <utility>
 #include <vector>
 
-#include "adversary/delay_adversary.h"
 #include "runtime/cluster.h"
 #include "runtime/experiment.h"
 
 namespace lumiere::bench {
 
-using runtime::add_silent_leaders;
 using runtime::Cluster;
 using runtime::kTable1Delta;
 using runtime::ScenarioBuilder;
 using runtime::table1_scenario;
 
-/// Common bench flags. Every bench still runs argument-free; CI passes
+inline double to_ms(Duration d) { return static_cast<double>(d.ticks()) / 1000.0; }
+
+/// Common bench flags. Every bench runs with no arguments; CI passes
 ///   --quick          bound the iteration count / sweep size
 ///   --json <path>    additionally write the measured rows as JSON
 ///   --dissem={on,off}  ablate the data-dissemination layer (src/dissem/):
@@ -102,7 +103,7 @@ class JsonRows {
         fields_.emplace_back(key, "null");
         return *this;
       }
-      return set(key, static_cast<double>(value->ticks()) / 1000.0);
+      return set(key, to_ms(*value));
     }
     Row& set_count(const std::string& key, std::optional<std::uint64_t> value) {
       if (!value) {
@@ -171,7 +172,7 @@ inline std::vector<std::string> table1_protocols() {
 inline std::string fmt_ms(std::optional<Duration> d) {
   if (!d) return "-";
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", static_cast<double>(d->ticks()) / 1000.0);
+  std::snprintf(buf, sizeof(buf), "%.1f", to_ms(*d));
   return buf;
 }
 

@@ -72,7 +72,7 @@ int main() {
   runtime::Cluster cluster(builder);
   cluster.start();
 
-  const Duration gamma = params.delta_cap * 2 * (params.x + 2);
+  const Duration gamma = core::LumierePacemaker::default_gamma(params);
   std::printf("asynchrony_recovery: n = 7, Delta = 10ms, Gamma = %.0fms,\n"
               "outage (delays up to 3s) in [2s, 4s), GST at 4.0s, drift <= 2000ppm\n\n",
               static_cast<double>(gamma.ticks()) / 1000.0);

@@ -53,6 +53,6 @@ int main() {
                 static_cast<double>(gap->ticks()) / 1000.0);
   }
   std::printf("\nNext: examples/byzantine_storm and examples/wan_replication, then\n"
-              "bench/bench_table1 and bench/bench_fig1 for the paper's artifacts.\n");
+              "bench/bench_table1 for the paper's artifacts (Table 1, Figure 1 and more).\n");
   return 0;
 }

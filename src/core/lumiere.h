@@ -47,19 +47,29 @@
 
 namespace lumiere::core {
 
+/// Lumiere's ablation switches; both on is the paper's protocol.
+struct LumiereSwitches {
+  /// Enforce the leader's QC-production deadline (Gamma/2 - 2*Delta); the
+  /// paper's protocol requires it for Lemma 5.12.
+  bool enforce_qc_deadline = true;
+  /// Delta-wait before sending the epoch message (Algorithm 1, line 12).
+  bool delta_wait = true;
+};
+
 class LumierePacemaker final : public pacemaker::Pacemaker {
  public:
   struct Options {
-    /// Per-view budget Gamma; zero means the paper default 2(x+2)*Delta.
+    /// Per-view budget Gamma; zero means default_gamma(params).
     Duration gamma = Duration::zero();
     /// Leader-schedule seed (shared by the whole cluster).
     std::uint64_t schedule_seed = 0;
-    /// Disable the QC-production deadline (ablation only; the paper's
-    /// protocol requires it for Lemma 5.12).
-    bool enforce_qc_deadline = true;
-    /// Disable the Delta-wait before epoch-view messages (ablation only).
-    bool delta_wait_before_epoch_msg = true;
+    LumiereSwitches switches;
   };
+
+  /// The paper's per-view budget: Gamma = 2(x+2) * Delta.
+  [[nodiscard]] static Duration default_gamma(const ProtocolParams& params) {
+    return params.delta_cap * (2 * (params.x + 2));
+  }
 
   LumierePacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
                    pacemaker::PacemakerWiring wiring, Options options);

@@ -24,12 +24,17 @@ namespace lumiere::pacemaker {
 
 class Lp22Pacemaker : public GridPacemaker {
  public:
-  /// `gamma` is the per-view budget; zero means (x+1) * Delta.
+  /// `gamma` is the per-view budget; zero means default_gamma(params).
   Lp22Pacemaker(const ProtocolParams& params, ProcessId self, crypto::Signer signer,
                 PacemakerWiring wiring, Duration gamma)
       : GridPacemaker(params, self, signer, std::move(wiring),
-                      gamma > Duration::zero() ? gamma : params.delta_cap * (params.x + 1),
+                      gamma > Duration::zero() ? gamma : default_gamma(params),
                       /*tenure=*/1, /*views_per_epoch=*/params.f + 1) {}
+
+  /// LP22's per-view budget: Gamma = (x+1) * Delta.
+  [[nodiscard]] static Duration default_gamma(const ProtocolParams& params) {
+    return params.delta_cap * (params.x + 1);
+  }
 
   void on_qc(const consensus::QuorumCert& qc) override {
     // "Processor p enters non-epoch view v when ... p sees a QC for view

@@ -1,10 +1,15 @@
 #include "runtime/experiment.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "adversary/behaviors.h"
+#include "adversary/delay_adversary.h"
+#include "core/lumiere.h"
+#include "pacemaker/fever.h"
+#include "pacemaker/lp22.h"
 #include "pacemaker/messages.h"
 
 namespace lumiere::runtime {
@@ -17,6 +22,17 @@ ScenarioBuilder table1_scenario(const std::string& pacemaker, std::uint32_t n,
       .core("simple-view")
       .seed(seed);
   return builder;
+}
+
+Duration default_gamma(const std::string& pacemaker, const ProtocolParams& params) {
+  if (pacemaker == "lp22" || pacemaker == "raresync") {
+    return pacemaker::Lp22Pacemaker::default_gamma(params);
+  }
+  if (pacemaker == "fever" || pacemaker == "basic-lumiere") {
+    return pacemaker::FeverPacemaker::default_gamma(params, 2);
+  }
+  if (pacemaker == "lumiere") return core::LumierePacemaker::default_gamma(params);
+  return Duration::zero();
 }
 
 void add_silent_leaders(ScenarioBuilder& builder, std::uint32_t f_a) {
@@ -38,10 +54,46 @@ ScenarioBuilder worst_case_scenario(const std::string& pacemaker, std::uint32_t 
 }
 
 ScenarioBuilder eventual_scenario(const std::string& pacemaker, std::uint32_t n,
-                                  std::uint32_t f_a, std::uint64_t seed) {
+                                  std::uint32_t f_a, std::uint64_t seed, Duration delta) {
   ScenarioBuilder builder = table1_scenario(pacemaker, n, seed);
-  builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(500)));
+  builder.delay(std::make_shared<sim::FixedDelay>(delta));
   add_silent_leaders(builder, f_a);
+  return builder;
+}
+
+ScenarioBuilder figure1_scenario(const std::string& pacemaker, std::uint32_t n,
+                                 std::uint64_t seed) {
+  ScenarioBuilder builder = table1_scenario(pacemaker, n, seed);
+  builder.delay(std::make_shared<adversary::UniformFastDelay>(Duration::micros(200)));
+  builder.behaviors(adversary::byzantine_set(
+      {3}, [](ProcessId) { return std::make_unique<adversary::SilentLeaderBehavior>(); }));
+  return builder;
+}
+
+ScenarioBuilder selective_qc_scenario(const std::string& pacemaker, std::uint32_t n,
+                                      std::uint64_t seed) {
+  ScenarioBuilder builder = table1_scenario(pacemaker, n, seed);
+  builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(200)));
+  const std::uint32_t f = (n - 1) / 3;
+  std::vector<ProcessId> attackers;
+  for (ProcessId id = n - f; id < n; ++id) attackers.push_back(id);
+  const std::uint32_t favored = (n + 1) / 2;
+  builder.behaviors(adversary::byzantine_set(std::move(attackers), [favored](ProcessId) {
+    return std::make_unique<adversary::SelectiveQcBehavior>(favored);
+  }));
+  return builder;
+}
+
+ScenarioBuilder warmup_scenario(std::uint32_t n, std::uint64_t seed, bool worst_network) {
+  const TimePoint gst(Duration::seconds(1).ticks());
+  ScenarioBuilder builder = table1_scenario("lumiere", n, seed);
+  builder.gst(gst);
+  builder.join_stagger(Duration::millis(300));
+  // Null is the worst permitted network: max(GST, t) + Delta.
+  builder.delay(worst_network ? nullptr
+                              : std::make_shared<sim::PreGstChaosDelay>(
+                                    gst, Duration::micros(500), Duration::millis(2),
+                                    Duration::seconds(2)));
   return builder;
 }
 
@@ -76,6 +128,57 @@ WindowMeasure measure_eventual(const ScenarioBuilder& scenario, Duration run,
   out.latency = metrics.max_decision_gap(TimePoint::origin(), warmup);
   out.decisions = metrics.decisions().size();
   out.epoch_view_msgs = metrics.count_for_type(pacemaker::kEpochViewMsg);
+  return out;
+}
+
+WarmupMeasure measure_warmup(const ScenarioBuilder& scenario, Duration after_gst) {
+  Cluster cluster(scenario);
+  cluster.start();
+  const TimePoint gst = cluster.scenario().gst;
+  const std::vector<ProcessId> honest = cluster.honest_ids();
+  WarmupMeasure out;
+  std::uint64_t last_heavy = 0;
+  // Sampled from the origin: the bootstrap heavy exchange goes out before
+  // GST and still counts.
+  while (cluster.sim().now() < gst + after_gst) {
+    cluster.run_for(Duration::millis(20));
+    const Duration since_gst = cluster.sim().now() - gst;
+    const std::uint64_t heavy = cluster.metrics().count_for_type(pacemaker::kEpochViewMsg);
+    if (heavy != last_heavy) {
+      last_heavy = heavy;
+      out.quiescence = since_gst;
+    }
+    for (std::size_t i = 0; i < honest.size() && !out.first_success; ++i) {
+      const auto& pm =
+          static_cast<const core::LumierePacemaker&>(cluster.node(honest[i]).pacemaker());
+      const Epoch e = pm.current_epoch();
+      if (e >= 0 && pm.success_tracker().success(e)) out.first_success = since_gst;
+    }
+  }
+  out.first_decision = cluster.metrics().latency_to_first_decision(gst);
+  return out;
+}
+
+CommitLag measure_commit_lag(const ScenarioBuilder& scenario, Duration run) {
+  Cluster cluster(scenario);
+  cluster.run_for(run);
+  std::map<View, TimePoint> qc_at;
+  for (const auto& decision : cluster.metrics().decisions()) {
+    qc_at.emplace(decision.view, decision.at);
+  }
+  const auto& entries = cluster.node(0).ledger().entries();
+  CommitLag out;
+  out.commits = entries.size();
+  if (!entries.empty()) out.frontier = entries.back().view();
+  double total_ms = 0;
+  std::size_t joined = 0;
+  for (const auto& entry : entries) {
+    const auto it = qc_at.find(entry.view());
+    if (it == qc_at.end()) continue;
+    total_ms += static_cast<double>((entry.committed_at - it->second).ticks()) / 1000.0;
+    ++joined;
+  }
+  if (joined > 0) out.mean_ms = total_ms / static_cast<double>(joined);
   return out;
 }
 

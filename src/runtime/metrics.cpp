@@ -302,7 +302,7 @@ void MetricsCollector::record_batch_certified(TimePoint at, Duration latency) {
     capture(std::move(e));
     return;
   }
-  cert_log_.emplace_back(at, latency);
+  cert_log_.push_back(latency);
 }
 
 void MetricsCollector::record_certified_depth(TimePoint at, ProcessId node, std::size_t depth) {
@@ -318,30 +318,9 @@ void MetricsCollector::record_certified_depth(TimePoint at, ProcessId node, std:
   max_certified_depth_ = std::max(max_certified_depth_, depth);
 }
 
-std::uint64_t MetricsCollector::batches_certified_between(TimePoint from, TimePoint to) const {
-  if (threaded_) return base().batches_certified_between(from, to);
-  // Certification callbacks fire in simulated-time order; the log sorts.
-  const auto lo = std::lower_bound(
-      cert_log_.begin(), cert_log_.end(), from,
-      [](const std::pair<TimePoint, Duration>& e, TimePoint t) { return e.first < t; });
-  const auto hi = std::lower_bound(
-      cert_log_.begin(), cert_log_.end(), to,
-      [](const std::pair<TimePoint, Duration>& e, TimePoint t) { return e.first < t; });
-  return static_cast<std::uint64_t>(hi - lo);
-}
-
 std::optional<Duration> MetricsCollector::batch_cert_latency_percentile(double p) const {
-  return batch_cert_latency_percentile_between(p, TimePoint::origin(), TimePoint::max());
-}
-
-std::optional<Duration> MetricsCollector::batch_cert_latency_percentile_between(
-    double p, TimePoint from, TimePoint to) const {
-  if (threaded_) return base().batch_cert_latency_percentile_between(p, from, to);
-  std::vector<Duration> samples;
-  for (const auto& [at, latency] : cert_log_) {
-    if (at >= from && at < to) samples.push_back(latency);
-  }
-  return nearest_rank_percentile(std::move(samples), p);
+  if (threaded_) return base().batch_cert_latency_percentile(p);
+  return nearest_rank_percentile(cert_log_, p);
 }
 
 std::uint64_t MetricsCollector::dissem_bytes_between(TimePoint from, TimePoint to) const {

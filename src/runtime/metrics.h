@@ -209,13 +209,9 @@ class MetricsCollector final : public sim::NetworkObserver {
   void record_certified_depth(TimePoint at, ProcessId node, std::size_t depth);
 
   [[nodiscard]] std::uint64_t batches_certified() const { return base().cert_log_.size(); }
-  /// Certified batches with `from <= at < to`.
-  [[nodiscard]] std::uint64_t batches_certified_between(TimePoint from, TimePoint to) const;
   /// Nearest-rank push -> cert latency percentile, p in (0, 1]; nullopt
-  /// when no batch certified (in the window).
+  /// when no batch certified.
   [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile(double p) const;
-  [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile_between(
-      double p, TimePoint from, TimePoint to) const;
   /// The deepest certified-but-unordered queue any node reported.
   [[nodiscard]] std::size_t max_certified_depth() const { return base().max_certified_depth_; }
 
@@ -298,8 +294,8 @@ class MetricsCollector final : public sim::NetworkObserver {
   /// (time, cumulative dissemination bytes) checkpoints, one per distinct
   /// charge instant.
   std::vector<std::pair<TimePoint, std::uint64_t>> dissem_send_log_;
-  /// (cert instant, push -> cert latency) per certified batch.
-  std::vector<std::pair<TimePoint, Duration>> cert_log_;
+  /// Push -> cert latency per certified batch.
+  std::vector<Duration> cert_log_;
   std::size_t max_certified_depth_ = 0;
 };
 

@@ -70,8 +70,7 @@ void register_builtin_pacemakers(ProtocolRegistry& registry) {
     core::LumierePacemaker::Options opt;
     opt.gamma = ctx.config.gamma;
     opt.schedule_seed = ctx.config.shared_seed;
-    opt.enforce_qc_deadline = ctx.config.lumiere.enforce_qc_deadline;
-    opt.delta_wait_before_epoch_msg = ctx.config.lumiere.delta_wait;
+    opt.switches = ctx.config.lumiere;
     return std::make_unique<core::LumierePacemaker>(ctx.params, ctx.self, ctx.signer,
                                                     std::move(ctx.wiring), opt);
   });

@@ -24,6 +24,7 @@
 #include "common/time.h"
 #include "common/types.h"
 #include "consensus/core.h"
+#include "core/lumiere.h"
 #include "crypto/authenticator.h"
 #include "pacemaker/pacemaker.h"
 
@@ -33,13 +34,8 @@ namespace lumiere::runtime {
 /// client workload); null = empty payloads.
 using PayloadProvider = std::function<std::vector<std::uint8_t>(View)>;
 
-/// Lumiere ablation switches (Section 4 / Section 5.5 of the paper).
-struct LumiereOptions {
-  /// Enforce the leader's QC-production deadline (Gamma/2 - 2*Delta).
-  bool enforce_qc_deadline = true;
-  /// Delta-wait before sending the epoch message (Algorithm 1, line 12).
-  bool delta_wait = true;
-};
+/// Lumiere's ablation switches, as the pacemaker takes them.
+using LumiereOptions = core::LumiereSwitches;
 
 /// Fever-specific knobs (Section 3.3 "Reducing Gamma" remark).
 struct FeverOptions {

@@ -143,7 +143,9 @@ TEST(ByzantineEdge, LumiereSilentLeaderDelayIsOfFaGammaNotN) {
     return gap.value_or(Duration::zero());
   };
 
-  const Duration gamma = Duration::millis(100);  // 2(x+2) Delta
+  // Gamma = 2(x+2) Delta, the same at both sizes.
+  const Duration gamma =
+      core::LumierePacemaker::default_gamma(ProtocolParams::for_n(7, Duration::millis(10)));
   const Duration bound = gamma * (4 * f_a) + Duration::millis(20);
   const Duration gap_small = worst_gap(7, 43);
   const Duration gap_large = worst_gap(13, 43);

@@ -70,7 +70,7 @@ TEST(ClockDriftTest, SteadyStateHonestGapStaysBoundedUnderDrift) {
   Cluster cluster(options);
   cluster.run_for(Duration::seconds(5));  // well past warmup
 
-  const Duration gamma = params.delta_cap * 2 * (params.x + 2);
+  const Duration gamma = core::LumierePacemaker::default_gamma(params);
   const auto tracker = cluster.honest_gap_tracker();
   for (int sample = 0; sample < 40; ++sample) {
     cluster.run_for(Duration::millis(250));

@@ -50,7 +50,7 @@ TEST(OverrepresentationTest, LumiereStaysLiveUnderSelectiveQcAttack) {
   // (10n * Gamma = 7s here): the attack must not force heavy stalls
   // forever. 10 Gamma absorbs the f_a tenures plus boundary effects.
   const ProtocolParams& params = cluster.scenario().params;
-  const Duration gamma = params.delta_cap * 2 * (params.x + 2);
+  const Duration gamma = core::LumierePacemaker::default_gamma(params);
   const auto worst = cluster.metrics().max_decision_gap(TimePoint::origin(), 100);
   ASSERT_TRUE(worst.has_value());
   EXPECT_LE(*worst, gamma * 10)
@@ -102,7 +102,7 @@ TEST(OverrepresentationTest, GapReturnsBelowGammaDespiteAttack) {
   Cluster cluster(options);
   cluster.run_for(Duration::seconds(20));
   const ProtocolParams& params = cluster.scenario().params;
-  const Duration gamma = params.delta_cap * 2 * (params.x + 2);
+  const Duration gamma = core::LumierePacemaker::default_gamma(params);
   const Duration bound = gamma + params.delta_cap * 2;
   const auto tracker = cluster.honest_gap_tracker();
   int below = 0;
@@ -192,7 +192,7 @@ TEST(OverrepresentationTest, AttackWidensGapTransientlyThenHonestQcsHeal) {
     if (!attack) options.behaviors(adversary::honest_cluster());
     Cluster cluster(options);
     const ProtocolParams& params = cluster.scenario().params;
-    const Duration gamma = params.delta_cap * 2 * (params.x + 2);
+    const Duration gamma = core::LumierePacemaker::default_gamma(params);
     cluster.run_for(Duration::seconds(10));
     const auto tracker = cluster.honest_gap_tracker();
     int run = 0;

@@ -1,0 +1,303 @@
+// Theorem 1.1 (3) and (4) and the design choices of Sections 3.3 and 3.5
+// as checked claims: the reading guides of bench_table1's
+// responsiveness, warmup and ablation sections. Each row measures through
+// runtime/experiment.h with the seeds and run lengths of those sections
+// under --quick, so every point checked here is a row of that bench's
+// artifact:
+//
+//   responsiveness  n = 7; delta sweep at f_a = 0 (seed 3001, 10 s), f_a
+//                   sweep at delta = 0.5 ms (seed 3002, 20 s), selective-QC
+//                   attack (seed 3003, 20 s); windows after the first 10
+//   warmup          n in {4, 7, 10, 13}, seed 7000 + n, 20 s past GST
+//   ablation        n = 7, f_a = 2: variants (seed 4001), Fever tenures
+//                   (4002), clock drift (4004), 20 s, windows after the
+//                   first 10; chain rules (seed 4003, 10 s)
+//
+// Every band comes from theory. A decision takes at most four message
+// delays (view message, VC, proposal, vote), so a latency bound carries
+// 4 delta beside its Gamma terms. A row outside its band is a finding to
+// explain, not a band to widen.
+#include <map>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "pacemaker/fever.h"
+#include "runtime/experiment.h"
+#include "testutil/claims.h"
+
+namespace lumiere::runtime {
+namespace {
+
+constexpr std::uint32_t kN = 7;
+constexpr std::uint32_t kF = (kN - 1) / 3;
+constexpr std::size_t kWarmupWindows = 10;
+const char* const kResponsive[] = {"fever", "basic-lumiere", "lumiere"};
+
+Duration gamma_of(const std::string& pacemaker) {
+  return default_gamma(pacemaker, ProtocolParams::for_n(kN, kTable1Delta));
+}
+
+/// Each scenario measured once per test binary, by a label naming it.
+WindowMeasure eventual(const std::string& label, const ScenarioBuilder& scenario, Duration run) {
+  static std::map<std::string, WindowMeasure> measures;
+  if (const auto it = measures.find(label); it != measures.end()) return it->second;
+  const WindowMeasure m = measure_eventual(scenario, run, kWarmupWindows);
+  EXPECT_TRUE(m.latency.has_value()) << label << ": too few decisions";
+  return measures[label] = m;
+}
+
+double ms(std::optional<Duration> d) {
+  return static_cast<double>(d.value_or(Duration::max()).ticks()) / 1000.0;
+}
+
+// --------------------------------------------------------- responsiveness
+
+Duration delta_point(const std::string& pacemaker, Duration delta) {
+  const std::string label = pacemaker + " delta=" + std::to_string(delta.ticks());
+  return eventual(label, eventual_scenario(pacemaker, kN, 0, 3001, delta), Duration::seconds(10))
+      .latency.value_or(Duration::max());
+}
+
+Duration fault_point(const std::string& pacemaker, std::uint32_t f_a) {
+  const std::string label = pacemaker + " f_a=" + std::to_string(f_a);
+  return eventual(label, eventual_scenario(pacemaker, kN, f_a, 3002), Duration::seconds(20))
+      .latency.value_or(Duration::max());
+}
+
+WindowMeasure attack_point(const std::string& pacemaker) {
+  return eventual(pacemaker + " selective-qc", selective_qc_scenario(pacemaker, kN, 3003),
+                  Duration::seconds(20));
+}
+
+const Duration kDeltas[] = {Duration::micros(100), Duration::micros(300), Duration::millis(1),
+                            Duration::millis(3), Duration::millis(10)};
+
+TEST(ResponsivenessClaims, ClockBumpingProtocolsDecideWithinFourDelta) {
+  // Theorem 1.1 (3) at f_a = 0: eventual worst-case latency O(delta),
+  // whatever Delta is.
+  for (const char* pacemaker : kResponsive) {
+    for (const Duration delta : kDeltas) {
+      EXPECT_LE(delta_point(pacemaker, delta), delta * 4)
+          << pacemaker << " delta=" << delta << ": latency must track the actual delay";
+    }
+  }
+}
+
+TEST(ResponsivenessClaims, Lp22LatencyDoesNotShrinkWithDelta) {
+  // Table 1, LP22, eventual worst-case latency O(n Delta): its epoch
+  // boundaries are clock-paced, so even at delta = Delta / 100 a decision
+  // window lasts at least one Gamma.
+  for (const Duration delta : kDeltas) {
+    EXPECT_GE(delta_point("lp22", delta), gamma_of("lp22")) << "lp22 delta=" << delta;
+  }
+}
+
+TEST(ResponsivenessClaims, EachFaultyLeaderCostsOGamma) {
+  // Theorem 1.1 (3), O(f_a Delta + delta): a silent leader costs the views
+  // it holds in a row. LP22 holds one view, Fever and Basic Lumiere one
+  // two-view tenure, Lumiere at most two adjacent view pairs.
+  const std::map<std::string, std::int64_t> views_held = {
+      {"lp22", 1}, {"fever", 2}, {"basic-lumiere", 2}, {"lumiere", 4}};
+  for (const auto& [pacemaker, views] : views_held) {
+    const Duration clean = fault_point(pacemaker, 0);
+    for (std::uint32_t f_a = 1; f_a <= kF; ++f_a) {
+      EXPECT_LE(fault_point(pacemaker, f_a),
+                clean + gamma_of(pacemaker) * (views * f_a) + kEventualDelta * 2)
+          << pacemaker << " f_a=" << f_a << " over " << clean << " at f_a=0";
+    }
+  }
+}
+
+TEST(ResponsivenessClaims, SelectiveQcAttackLeavesEveryProtocolLive) {
+  // Section 3.5: withholding QCs and VCs from half the cluster cannot stop
+  // decisions.
+  for (const char* pacemaker : {"lp22", "fever", "basic-lumiere", "lumiere"}) {
+    const WindowMeasure attack = attack_point(pacemaker);
+    EXPECT_GT(attack.decisions, kWarmupWindows + 1) << pacemaker;
+    EXPECT_TRUE(attack.latency.has_value()) << pacemaker;
+  }
+}
+
+TEST(ResponsivenessClaims, SelectiveQcAttackCannotForceLumiereIntoHeavySync) {
+  // Section 3.5 and Lemma 5.12: withheld bumps cannot fake the success
+  // criterion, so Lumiere's heavy messages stay at the bootstrap exchange
+  // (at most n(n-1)) while LP22 and Basic Lumiere sync every epoch; its
+  // stalls stay within f Byzantine leaders' 4 Gamma each.
+  const WindowMeasure lumiere = attack_point("lumiere");
+  EXPECT_LE(lumiere.epoch_view_msgs, std::uint64_t{kN} * (kN - 1));
+  for (const char* epochal : {"lp22", "basic-lumiere"}) {
+    EXPECT_GE(attack_point(epochal).epoch_view_msgs, 100 * lumiere.epoch_view_msgs) << epochal;
+  }
+  EXPECT_LE(lumiere.latency.value_or(Duration::max()),
+            gamma_of("lumiere") * (4 * kF) + Duration::micros(200) * 4);
+}
+
+// ----------------------------------------------------------------- warmup
+
+/// Lumiere's warmup at the four sizes, on one network.
+std::map<std::uint32_t, WarmupMeasure> warmup_sweep(bool worst_network) {
+  static std::map<bool, std::map<std::uint32_t, WarmupMeasure>> sweeps;
+  if (const auto it = sweeps.find(worst_network); it != sweeps.end()) return it->second;
+  std::map<std::uint32_t, WarmupMeasure> sweep;
+  for (const std::uint32_t n : {4U, 7U, 10U, 13U}) {
+    sweep[n] = measure_warmup(warmup_scenario(n, 7000 + n, worst_network), Duration::seconds(20));
+  }
+  return sweeps[worst_network] = sweep;
+}
+
+const char* network_name(bool worst_network) { return worst_network ? "worst" : "fast"; }
+
+TEST(WarmupClaims, FirstSuccessGrowsAtMostLinearly) {
+  // Theorem 1.1 (4): the steady state arrives within expected O(n Delta)
+  // of GST.
+  for (const bool worst_network : {false, true}) {
+    std::vector<std::pair<double, double>> points;
+    for (const auto& [n, m] : warmup_sweep(worst_network)) {
+      points.emplace_back(n, ms(m.first_success));
+    }
+    const double exponent = obs::ComplexityLedger::fit_exponent(points);
+    EXPECT_LE(exponent, 1 + testutil::kFitSlack) << network_name(worst_network) << " network";
+  }
+}
+
+TEST(WarmupClaims, FirstSuccessWithinOneEpochOfGst) {
+  // Theorem 1.1 (4) with its constant: the first epoch that starts after
+  // GST succeeds, and an epoch is 10n views of Gamma.
+  for (const bool worst_network : {false, true}) {
+    for (const auto& [n, m] : warmup_sweep(worst_network)) {
+      EXPECT_LE(m.first_success.value_or(Duration::max()), gamma_of("lumiere") * (10 * n))
+          << network_name(worst_network) << " network, n=" << n;
+    }
+  }
+}
+
+TEST(WarmupClaims, NoHeavyMessageAfterGst) {
+  // Section 3.5: once an epoch succeeds the heavy exchange is skipped;
+  // here the bootstrap exchange before GST is the last one.
+  for (const bool worst_network : {false, true}) {
+    for (const auto& [n, m] : warmup_sweep(worst_network)) {
+      EXPECT_LT(m.quiescence.value_or(Duration::max()), Duration::zero())
+          << network_name(worst_network) << " network, n=" << n;
+    }
+  }
+}
+
+TEST(WarmupClaims, FirstDecisionPrecedesFirstSuccess) {
+  // Table 1, Lumiere, worst-case latency O(n Delta): decisions start
+  // soon after GST, long before the steady-state machinery engages.
+  for (const bool worst_network : {false, true}) {
+    for (const auto& [n, m] : warmup_sweep(worst_network)) {
+      EXPECT_LT(m.first_decision.value_or(Duration::max()),
+                m.first_success.value_or(Duration::zero()))
+          << network_name(worst_network) << " network, n=" << n;
+    }
+  }
+}
+
+// --------------------------------------------------------------- ablation
+
+/// One n = 7 variant at seed 4001.
+WindowMeasure variant(const std::string& pacemaker, std::uint32_t f_a,
+                      LumiereOptions switches = {}, Duration gamma = Duration::zero()) {
+  const std::string label = pacemaker + " variant f_a=" + std::to_string(f_a) + " qc_deadline=" +
+                            std::to_string(switches.enforce_qc_deadline) + " delta_wait=" +
+                            std::to_string(switches.delta_wait) + " gamma=" +
+                            std::to_string(gamma.ticks());
+  ScenarioBuilder builder = eventual_scenario(pacemaker, kN, f_a, 4001);
+  builder.lumiere(switches).gamma(gamma);
+  return eventual(label, builder, Duration::seconds(20));
+}
+
+/// A stall of f_a silent leaders holding `views` views of `gamma` each.
+Duration stall_bound(std::uint32_t f_a, std::int64_t views, Duration gamma) {
+  return gamma * (views * f_a) + kEventualDelta * 4;
+}
+
+TEST(AblationClaims, SuccessCriterionSavesTheHeavySync) {
+  // Section 3.5: the success criterion is the difference between Basic
+  // Lumiere's heavy exchange every epoch and Lumiere's at bootstrap only.
+  for (const std::uint32_t f_a : {2U, 0U}) {
+    EXPECT_GE(variant("basic-lumiere", f_a).epoch_view_msgs,
+              100 * variant("lumiere", f_a).epoch_view_msgs)
+        << "f_a=" << f_a;
+  }
+}
+
+TEST(AblationClaims, GammaTradesStallLatencyForSlack) {
+  // Theorem 1.1 (3): Lumiere's stall is 4 Gamma per faulty leader at most,
+  // so a larger Gamma buys slack with latency.
+  Duration previous = Duration::zero();
+  for (const std::int64_t gamma_ms : {100, 150, 200}) {
+    const Duration gamma = Duration::millis(gamma_ms);
+    const Duration latency = variant("lumiere", kF, {}, gamma).latency.value_or(Duration::max());
+    EXPECT_LE(latency, stall_bound(kF, 4, gamma)) << "Gamma=" << gamma;
+    EXPECT_GT(latency, previous) << "Gamma=" << gamma;
+    previous = latency;
+  }
+}
+
+TEST(AblationClaims, QcDeadlineIsNotNeededForBenignLiveness) {
+  // Section 3.5 and Lemma 5.12: the QC deadline shrinks the honest gap
+  // after GST in the worst case; a benign run keeps the same stall bound
+  // without it.
+  EXPECT_LE(variant("lumiere", kF, {false, true}).latency.value_or(Duration::max()),
+            stall_bound(kF, 4, gamma_of("lumiere")));
+}
+
+TEST(AblationClaims, FeverTenureTradesGammaForStall) {
+  // Section 3.3, "Reducing Gamma": Gamma = (2 + tenure x) Delta /
+  // (tenure - 1) falls toward x Delta as the tenure grows, while a silent
+  // leader holds its whole tenure.
+  const ProtocolParams params = ProtocolParams::for_n(kN, kTable1Delta);
+  Duration previous = Duration::max();
+  for (const std::uint32_t tenure : {2U, 3U, 4U, 6U}) {
+    const Duration gamma = pacemaker::FeverPacemaker::default_gamma(params, tenure);
+    EXPECT_LT(gamma, previous) << "tenure " << tenure;
+    EXPECT_GT(gamma, params.delta_cap * params.x) << "tenure " << tenure;
+    previous = gamma;
+    ScenarioBuilder builder = eventual_scenario("fever", kN, kF, 4002);
+    builder.fever(FeverOptions{tenure});
+    const auto latency =
+        eventual("fever tenure=" + std::to_string(tenure), builder, Duration::seconds(20)).latency;
+    EXPECT_LE(latency.value_or(Duration::max()), stall_bound(kF, tenure, gamma))
+        << "tenure " << tenure;
+  }
+}
+
+TEST(AblationClaims, BoundedDriftLeavesTheSteadyStateFlat) {
+  // Sections 2 and 4 remark: the analysis extends to bounded drift. Clocks
+  // with rates within 1 +- rho time a stall L to within 2 rho L, and clock
+  // bumps keep re-anchoring them, so no heavy sync is added.
+  const auto drifted = [](std::int64_t ppm) {
+    ScenarioBuilder builder = eventual_scenario("lumiere", kN, kF, 4004);
+    builder.drift_ppm_max(ppm);
+    return eventual("lumiere drift=" + std::to_string(ppm), builder, Duration::seconds(20));
+  };
+  const WindowMeasure steady = drifted(0);
+  const double steady_ms = ms(steady.latency);
+  for (const std::int64_t ppm : {200, 2'000, 20'000, 50'000}) {
+    const WindowMeasure m = drifted(ppm);
+    const double rho = static_cast<double>(ppm) / 1e6;
+    EXPECT_NEAR(ms(m.latency), steady_ms, 2 * rho * steady_ms + ms(kEventualDelta * 4))
+        << ppm << " ppm";
+    EXPECT_EQ(m.epoch_view_msgs, steady.epoch_view_msgs) << ppm << " ppm";
+  }
+}
+
+TEST(AblationClaims, HotStuff2CommitsARoundSooner) {
+  // Reference [14]: the two-chain rule commits a block on the next QC, the
+  // three-chain rule one QC later; the pacemaker is the same.
+  const auto lag = [](const char* core) {
+    ScenarioBuilder builder = eventual_scenario("lumiere", kN, 0, 4003);
+    builder.core(core).params(ProtocolParams::for_n(kN, kTable1Delta, /*x=*/4));
+    return measure_commit_lag(builder, Duration::seconds(10));
+  };
+  const CommitLag two_chain = lag("hotstuff-2");
+  const CommitLag three_chain = lag("chained-hotstuff");
+  EXPECT_LT(two_chain.mean_ms, three_chain.mean_ms);
+  EXPECT_GT(two_chain.commits, three_chain.commits);
+}
+
+}  // namespace
+}  // namespace lumiere::runtime

@@ -152,7 +152,7 @@ TEST_P(GapLemmaSweep, HonestGapNeverGrowsAboveItselfOrGamma) {
   cluster.start();
 
   const ProtocolParams& params = cluster.scenario().params;
-  const Duration gamma = params.delta_cap * 2 * (params.x + 2);
+  const Duration gamma = core::LumierePacemaker::default_gamma(params);
   const auto tracker = cluster.honest_gap_tracker();
   const std::uint32_t fplus1 = params.f + 1;
 

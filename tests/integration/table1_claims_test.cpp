@@ -28,12 +28,13 @@
 #include <gtest/gtest.h>
 
 #include "runtime/experiment.h"
+#include "testutil/claims.h"
 
 namespace lumiere::runtime {
 namespace {
 
 constexpr std::array<std::uint32_t, 3> kSizes = {4, 13, 31};
-constexpr double kFitSlack = 0.2;
+using testutil::kFitSlack;
 constexpr double kNone = std::numeric_limits<double>::infinity();
 
 enum class Quantity { kWorstComm, kEventualComm, kEventualLatencyMs, kSyncMsgs };
@@ -229,8 +230,7 @@ INSTANTIATE_TEST_SUITE_P(Table1Claims, GrowthOrdering, ::testing::ValuesIn(kOrde
 // shrinking latency.
 TEST(Table1Claims, LumiereEventualLatencyWithinFourGammaAtEveryN) {
   for (const std::uint32_t n : kSizes) {
-    const ProtocolParams params = ProtocolParams::for_n(n, kTable1Delta);
-    const Duration gamma = params.delta_cap * (2 * (params.x + 2));  // Lumiere's default
+    const Duration gamma = default_gamma("lumiere", ProtocolParams::for_n(n, kTable1Delta));
     const Duration bound = gamma * 4 + Duration::millis(20);
     EXPECT_LE(measure("lumiere", Quantity::kEventualLatencyMs, n),
               static_cast<double>(bound.ticks()) / 1000.0)
