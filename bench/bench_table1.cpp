@@ -597,7 +597,9 @@ int main(int argc, char** argv) {
       "times the columns, and the exponents are per node too. RareSync/LP22's\n"
       "all-to-all epoch sync grows ~n^1 per node (~n^2 cluster-wide); Lumiere's\n"
       "episode grows far slower under f silent leaders, reserving the quadratic\n"
-      "for worst-case epochs (the Lewis-Pye bound).\n");
+      "for worst-case epochs (the Lewis-Pye bound). Lumiere's and Fever's leaders\n"
+      "send a VC only to processes not yet in its view, so a synchronized light\n"
+      "sync costs ~n-1 messages cluster-wide (the view messages), not ~2(n-1).\n");
 
   run_figure1(json);
   std::printf(

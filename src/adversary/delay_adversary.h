@@ -43,18 +43,4 @@ class TargetedSlowDelay final : public sim::DelayPolicy {
   Duration fast_;
 };
 
-/// The Figure 1 network: uniformly fast (delta << Delta), so that QCs
-/// race far ahead of local clocks and LP22's missing clock bumps are
-/// maximally visible.
-class UniformFastDelay final : public sim::DelayPolicy {
- public:
-  explicit UniformFastDelay(Duration delta_actual) : delta_(delta_actual) {}
-  Duration propose_delay(ProcessId, ProcessId, const Message&, TimePoint, Rng&) override {
-    return delta_;
-  }
-
- private:
-  Duration delta_;
-};
-
 }  // namespace lumiere::adversary

@@ -19,6 +19,7 @@ LumierePacemaker::LumierePacemaker(const ProtocolParams& params, ProcessId self,
           [this](Epoch e) { on_success_flip(e); }),
       qc_deadline_budget_(math_.gamma() / 2 - params.delta_cap * 2),
       view_shares_(auth(), &pacemaker::view_msg_statement, params.small_quorum()),
+      vc_fanout_(*this, wiring_),
       epoch_shares_(auth(), &pacemaker::epoch_msg_statement, params.n) {
   LUMIERE_ASSERT_MSG(qc_deadline_budget_ > Duration::zero(),
                      "Gamma too small: Gamma/2 - 2*Delta must be positive");
@@ -114,6 +115,7 @@ void LumierePacemaker::set_view(View v, Epoch e) {
   // v are never read again.
   view_msg_sent_.erase(view_msg_sent_.begin(), view_msg_sent_.lower_bound(v));
   view_shares_.prune_below(v);
+  vc_fanout_.prune_below(v);
   notify_enter_view(v);
 }
 
@@ -148,20 +150,24 @@ void LumierePacemaker::catch_up_view_msgs(View below) {
 // Message handlers
 // ---------------------------------------------------------------------------
 
-void LumierePacemaker::handle_view_share(ProcessId /*from*/, const ViewMsg& msg) {
+void LumierePacemaker::handle_view_share(ProcessId from, const ViewMsg& msg) {
   const View v = msg.view();
   // Line 32: "If p == lead(v) for initial view v >= view(p): upon first
   // seeing view v messages from f+1 distinct processors: form a VC for
-  // view v and send to all."
-  if (!EpochMath::is_initial(v) || leader_of(v) != self_) return;
-  if (vc_sent_at_.contains(v) || v < view_) return;
+  // view v and send to all." Its sender is in view >= v, so the VC
+  // cannot move it (line 36); the fan-out skips it.
+  if (!EpochMath::is_initial(v) || leader_of(v) != self_ || v < view_) return;
+  vc_fanout_.heard(v, from);
+  if (vc_sent_at_.contains(v)) return;
   if (view_shares_.add(v, msg.share()) != params_.small_quorum()) return;
   vc_sent_at_.emplace(v, sim().now());
   auto vc = std::make_shared<VcMsg>(SyncCert(v, view_shares_.aggregate(v)));
   // vc_sent_at_ now turns away every later view-v share; the aggregator
   // has done its job.
   view_shares_.erase(v);
-  broadcast(std::move(vc));
+  // The copies leave at the end of this instant, to every process not
+  // heard from by then (and to this one while it lags below v).
+  vc_fanout_.send(v, std::move(vc));
   // The QC-production deadline for v is now anchored; the proposal gate
   // (may_propose) is open.
   poke_propose(v);
@@ -282,7 +288,7 @@ void LumierePacemaker::on_local_qc_formed(const consensus::QuorumCert& qc) {
 }
 
 View LumierePacemaker::lowest_held_view() const {
-  View lowest = epoch_shares_.lowest(view_shares_.lowest(view_));
+  View lowest = epoch_shares_.lowest(vc_fanout_.lowest(view_shares_.lowest(view_)));
   for (const auto* held : {&view_msg_sent_, &epoch_msg_sent_}) {
     if (!held->empty()) lowest = std::min(lowest, *held->begin());
   }

@@ -26,6 +26,15 @@
 //    success path, EC) — the uniform policy costs at most one O(kappa)
 //    message per processor per initial view and guarantees the leader
 //    can always form a VC (needed for the QC-production deadline anchor).
+//  * Line 32 sends the VC "to all"; here it goes only to the processes
+//    lead(v) has not heard a view-v message from, plus lead(v) itself
+//    while its view is below v (pacemaker::VcFanout). A process acts on
+//    a VC only if v > view(p) (line 36), and a view-v message shows
+//    view(p) >= v since views never decrease, so the skipped copies
+//    change nothing. They leave at the end of the instant the VC formed,
+//    so every view-v message delivered at that instant counts; the
+//    deadline anchor and the proposal gate keep the formation time. Once
+//    the cluster is synchronized no VC copy is sent at all.
 //  * The leader defers its proposal for an initial view until it has
 //    sent the VC for that view, so the deadline anchor always exists
 //    when votes complete (PacemakerHooks::may_propose).
@@ -94,6 +103,8 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   /// Number of epoch-view messages this processor has broadcast (heavy
   /// synchronizations it participated in) — the §3.5 savings metric.
   [[nodiscard]] std::uint64_t epoch_msgs_sent() const noexcept { return epoch_msgs_sent_; }
+  /// VCs this processor formed as a leader.
+  [[nodiscard]] std::uint64_t vcs_formed() const noexcept { return vc_fanout_.formed(); }
 
  private:
   // -- clock-driven entry ---------------------------------------------
@@ -131,11 +142,12 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   std::optional<View> parked_view_;
   sim::EventHandle delta_wait_;
 
-  // View-message dissemination and VC formation. view_msg_sent_ and
-  // view_shares_ hold only views >= view_ (set_view drops the rest); an
-  // aggregator also goes once its view's VC is sent.
+  // View-message dissemination and VC formation. view_msg_sent_,
+  // view_shares_ and vc_fanout_ hold only views >= view_ (set_view drops
+  // the rest); an aggregator also goes once its view's VC forms.
   std::set<View> view_msg_sent_;
   pacemaker::ShareCollector view_shares_;
+  pacemaker::VcFanout vc_fanout_;
   std::map<View, TimePoint> vc_sent_at_;
 
   // Epoch-view message dissemination. TC and EC are the f+1-st and

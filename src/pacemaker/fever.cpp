@@ -18,7 +18,8 @@ FeverPacemaker::FeverPacemaker(const ProtocolParams& params, ProcessId self,
     : GridPacemaker(params, self, signer, std::move(wiring),
                     gamma > Duration::zero() ? gamma : default_gamma(params, tenure), tenure,
                     views_per_epoch),
-      view_shares_(auth(), &view_msg_statement, params.small_quorum()) {
+      view_shares_(auth(), &view_msg_statement, params.small_quorum()),
+      vc_fanout_(*this, wiring_) {
   LUMIERE_ASSERT_MSG(tenure >= 2, "Fever needs at least one grace view per tenure");
 }
 
@@ -32,11 +33,16 @@ void FeverPacemaker::enter_clock_view(View w) {
           std::make_shared<ViewMsg>(w, crypto::threshold_share(signer_, view_msg_statement(w))));
 }
 
-void FeverPacemaker::handle_view_share(const ViewMsg& msg) {
+void FeverPacemaker::handle_view_share(ProcessId from, const ViewMsg& msg) {
+  // f+1 view-v messages form lead(v)'s VC. Each sender is in view >= v
+  // and ignores a VC for v, so the copies go only to the processes not
+  // heard from by the end of this instant (and to this one while it
+  // lags below v).
   const View v = msg.view();
   if (!has_vc(v) || leader_of(v) != self_ || v < view_) return;
+  vc_fanout_.heard(v, from);
   if (view_shares_.add(v, msg.share()) == params_.small_quorum()) {
-    broadcast(std::make_shared<VcMsg>(SyncCert(v, view_shares_.aggregate(v))));
+    vc_fanout_.send(v, std::make_shared<VcMsg>(SyncCert(v, view_shares_.aggregate(v))));
   }
 }
 
@@ -57,7 +63,7 @@ void FeverPacemaker::handle_vc(const VcMsg& msg) {
 void FeverPacemaker::on_message(ProcessId from, const MessagePtr& msg) {
   switch (msg->type_id()) {
     case kViewMsg:
-      handle_view_share(static_cast<const ViewMsg&>(*msg));
+      handle_view_share(from, static_cast<const ViewMsg&>(*msg));
       break;
     case kVcMsg:
       handle_vc(static_cast<const VcMsg&>(*msg));

@@ -6,8 +6,9 @@
 // initial view v when its local clock reads exactly c_v = Gamma * v, and
 // sends a signed view-v message to lead(v); f+1 of those aggregate into a
 // View Certificate (VC) which, like any QC, *bumps* lagging clocks
-// forward to c_v. Non-initial views are entered on the QC for the
-// previous view.
+// forward to c_v. The leader sends it only to the processes it has not
+// heard a view-v message from (VcFanout): the others are in view v.
+// Non-initial views are entered on the QC for the previous view.
 //
 // Clock bumps keep the (f+1)-st honest gap bounded by Gamma forever —
 // but only if it starts that way: Fever assumes hg_{f+1,0} <= Gamma at
@@ -45,8 +46,10 @@ class FeverPacemaker : public GridPacemaker {
   void on_qc(const consensus::QuorumCert& qc) override;
   [[nodiscard]] const char* name() const override { return "fever"; }
   [[nodiscard]] View lowest_held_view() const override {
-    return view_shares_.lowest(GridPacemaker::lowest_held_view());
+    return vc_fanout_.lowest(view_shares_.lowest(GridPacemaker::lowest_held_view()));
   }
+  /// VCs this processor formed as a leader.
+  [[nodiscard]] std::uint64_t vcs_formed() const noexcept { return vc_fanout_.formed(); }
 
   /// The default Gamma for a given tenure (see header comment).
   static Duration default_gamma(const ProtocolParams& params, std::uint32_t tenure);
@@ -61,15 +64,17 @@ class FeverPacemaker : public GridPacemaker {
   void prune_below(View v) override {
     GridPacemaker::prune_below(v);
     view_shares_.prune_below(v);
+    vc_fanout_.prune_below(v);
   }
 
  private:
   /// VCs exist only for initial views that are not epoch views.
   [[nodiscard]] bool has_vc(View v) const noexcept { return is_initial(v) && !is_epoch_view(v); }
-  void handle_view_share(const ViewMsg& msg);
+  void handle_view_share(ProcessId from, const ViewMsg& msg);
   void handle_vc(const VcMsg& msg);
 
   ShareCollector view_shares_;
+  VcFanout vc_fanout_;
 };
 
 }  // namespace lumiere::pacemaker

@@ -11,7 +11,7 @@ namespace lumiere::pacemaker {
 /// Message type tags (0x2000 range).
 enum MsgType : std::uint32_t {
   kViewMsg = 0x2001,       ///< "view v" share, processor -> lead(v)
-  kVcMsg = 0x2002,         ///< VC broadcast, lead(v) -> all
+  kVcMsg = 0x2002,         ///< VC, lead(v) -> processes not yet in view v
   kEpochViewMsg = 0x2003,  ///< "epoch view v" share, broadcast all-to-all
   kEcMsg = 0x2004,         ///< aggregated EC broadcast (LP22 / Basic Lumiere)
   kWishMsg = 0x2101,       ///< Cogsworth/NK20 relay wish, processor -> relay leader

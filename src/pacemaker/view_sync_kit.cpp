@@ -16,6 +16,26 @@ std::uint32_t ShareCollector::add(View v, const crypto::PartialSig& share) {
   return agg.count();
 }
 
+void VcFanout::heard(View v, ProcessId from) {
+  heard_.try_emplace(v, owner_.params().n).first->second.add(from);
+}
+
+void VcFanout::send(View v, MessagePtr vc) {
+  ++formed_;
+  wiring_.sim->schedule_after(Duration::zero(),
+                              [this, v, vc = std::move(vc)] { fan_out(v, vc); });
+}
+
+void VcFanout::fan_out(View v, const MessagePtr& vc) {
+  const auto it = heard_.find(v);
+  const ProcessId self = owner_.self();
+  for (ProcessId to = 0; to < owner_.params().n; ++to) {
+    const bool moves = to == self ? owner_.current_view() < v
+                                  : it == heard_.end() || !it->second.contains(to);
+    if (moves) wiring_.send(to, vc);
+  }
+}
+
 void GammaGrid::arm_next(sim::LocalClock& clock, sim::AlarmId& alarm, View stride,
                          sim::LocalClock::AlarmFn fire) const {
   clock.cancel_alarm(alarm);

@@ -2,6 +2,8 @@
 //
 //  * ShareCollector — per-view threshold-share aggregation (wishes,
 //    view messages, epoch-view messages) for one statement.
+//  * VcFanout       — Lumiere's and Fever's VC send rule: a leader's VC
+//    goes only to the processes not yet in its view.
 //  * GammaGrid      — the local-clock grid c_v = Gamma * v and its
 //    boundary alarm.
 //  * GridPacemaker  — a pacemaker whose views start on the Gamma grid,
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/signer_set.h"
 #include "crypto/authenticator.h"
 #include "pacemaker/leader_schedule.h"
 #include "pacemaker/messages.h"
@@ -54,6 +57,50 @@ class ShareCollector {
   crypto::Digest (*statement_)(View);
   std::uint32_t threshold_;
   std::map<View, crypto::QuorumAggregator> aggs_;
+};
+
+/// The VC send rule shared by Lumiere and Fever (so Basic Lumiere too).
+/// Algorithm 1 line 32 has lead(v) send its VC to all, but a process
+/// acts on a VC for view v only while its view is below v (line 36), and
+/// a view-v message from p shows view(p) >= v, since views never
+/// decrease. So the leader sends its VC only to the processes it has not
+/// heard a view-v message from, and to itself only while its own view is
+/// still below v (the self-copy is what bumps a lagging leader). Senders
+/// are recorded by the authenticated channel's `from`: a Byzantine
+/// process can only withhold its own copy. The copies leave from a
+/// zero-delay event at the end of the instant the VC formed, so every
+/// view-v message delivered at that instant is heard first.
+class VcFanout {
+ public:
+  VcFanout(const Pacemaker& owner, const PacemakerWiring& wiring)
+      : owner_(owner), wiring_(wiring) {}
+  // Pending fan-out events hold this object's address.
+  VcFanout(const VcFanout&) = delete;
+  VcFanout& operator=(const VcFanout&) = delete;
+
+  /// A view-v message from `from` arrived at lead(v).
+  void heard(View v, ProcessId from);
+  /// The VC for view v formed now; its copies leave at the end of the
+  /// instant. Called once per view.
+  void send(View v, MessagePtr vc);
+
+  /// Frees the heard sets below v (on entering v). A set pruned before
+  /// its VC left counts as empty.
+  void prune_below(View v) { heard_.erase(heard_.begin(), heard_.lower_bound(v)); }
+  /// min(floor, lowest view holding a heard set).
+  [[nodiscard]] View lowest(View floor) const {
+    return heard_.empty() ? floor : std::min(floor, heard_.begin()->first);
+  }
+  /// VCs formed so far (each sent once, to the processes it can move).
+  [[nodiscard]] std::uint64_t formed() const noexcept { return formed_; }
+
+ private:
+  void fan_out(View v, const MessagePtr& vc);
+
+  const Pacemaker& owner_;
+  const PacemakerWiring& wiring_;
+  std::map<View, SignerSet> heard_;
+  std::uint64_t formed_ = 0;
 };
 
 /// The Gamma grid: view v starts when the local clock reads c_v = Gamma * v.

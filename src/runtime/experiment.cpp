@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "adversary/behaviors.h"
-#include "adversary/delay_adversary.h"
 #include "core/lumiere.h"
 #include "pacemaker/fever.h"
 #include "pacemaker/lp22.h"
@@ -64,7 +63,7 @@ ScenarioBuilder eventual_scenario(const std::string& pacemaker, std::uint32_t n,
 ScenarioBuilder figure1_scenario(const std::string& pacemaker, std::uint32_t n,
                                  std::uint64_t seed) {
   ScenarioBuilder builder = table1_scenario(pacemaker, n, seed);
-  builder.delay(std::make_shared<adversary::UniformFastDelay>(Duration::micros(200)));
+  builder.delay(std::make_shared<sim::FixedDelay>(Duration::micros(200)));
   builder.behaviors(adversary::byzantine_set(
       {3}, [](ProcessId) { return std::make_unique<adversary::SilentLeaderBehavior>(); }));
   return builder;

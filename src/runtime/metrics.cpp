@@ -33,7 +33,9 @@ void MetricsCollector::charge_sends_raw(TimePoint at, std::uint32_t type_id, Msg
                                         std::uint64_t wire, std::uint64_t copies) {
   total_msgs_ += copies;
   total_bytes_ += copies * wire;
-  by_type_[type_id] += copies;
+  TypeTotals& of_type = by_type_[type_id];
+  of_type.msgs += copies;
+  of_type.bytes += copies * wire;
   switch (msg_class) {
     case MsgClass::kPacemaker:
       pacemaker_msgs_ += copies;

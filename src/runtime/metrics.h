@@ -95,10 +95,13 @@ class MetricsCollector final : public sim::NetworkObserver {
   [[nodiscard]] const std::vector<Decision>& decisions() const { return base().decisions_; }
   [[nodiscard]] std::uint64_t total_honest_msgs() const { return base().total_msgs_; }
   [[nodiscard]] std::uint64_t total_honest_bytes() const { return base().total_bytes_; }
+  /// Honest copies of one message type sent.
   [[nodiscard]] std::uint64_t count_for_type(std::uint32_t type_id) const {
-    const auto& by_type = base().by_type_;
-    const auto it = by_type.find(type_id);
-    return it == by_type.end() ? 0 : it->second;
+    return type_totals(type_id).msgs;
+  }
+  /// Honest bytes of one message type sent (copies x wire size).
+  [[nodiscard]] std::uint64_t bytes_for_type(std::uint32_t type_id) const {
+    return type_totals(type_id).bytes;
   }
   [[nodiscard]] std::uint64_t pacemaker_msgs() const { return base().pacemaker_msgs_; }
   [[nodiscard]] std::uint64_t consensus_msgs() const { return base().consensus_msgs_; }
@@ -281,7 +284,16 @@ class MetricsCollector final : public sim::NetworkObserver {
   std::uint64_t dissem_bytes_ = 0;
   std::uint64_t sync_msgs_ = 0;
   std::uint64_t batch_acks_ = 0;
-  std::map<std::uint32_t, std::uint64_t> by_type_;
+  struct TypeTotals {
+    std::uint64_t msgs = 0;
+    std::uint64_t bytes = 0;
+  };
+  [[nodiscard]] TypeTotals type_totals(std::uint32_t type_id) const {
+    const auto& by_type = base().by_type_;
+    const auto it = by_type.find(type_id);
+    return it == by_type.end() ? TypeTotals{} : it->second;
+  }
+  std::map<std::uint32_t, TypeTotals> by_type_;
   std::vector<Decision> decisions_;
   /// (time, cumulative count) checkpoints for msgs_between; one entry per
   /// distinct send instant (see checkpoint() in metrics.cpp).

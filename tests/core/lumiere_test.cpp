@@ -46,6 +46,30 @@ TEST(LumiereTest, DecisionsFlowAndViewsAdvance) {
   EXPECT_GT(cluster.min_honest_view(), 10);
 }
 
+TEST(LumiereTest, SynchronizedClusterSendsNoVcCopies) {
+  // Once every process enters each initial view on its own clock, every
+  // one has sent its view message by the time lead(v) forms the VC, so
+  // no copy leaves (a VC changes nothing at a process already in v). The
+  // view messages themselves are untouched: n-1 network copies per
+  // initial view (lead(v)'s own goes to itself).
+  constexpr std::uint32_t kN = 31;
+  Cluster cluster(lumiere_options(kN, Duration::millis(1)));
+  cluster.run_for(Duration::seconds(2));  // bootstrap and the first epochs
+  const View view_before = cluster.node(0).current_view();
+  const std::uint64_t vc_bytes = cluster.metrics().bytes_for_type(pacemaker::kVcMsg);
+  const std::uint64_t view_msgs = cluster.metrics().count_for_type(pacemaker::kViewMsg);
+  cluster.run_for(Duration::seconds(3));
+  const View view_after = cluster.node(0).current_view();
+  ASSERT_GT(view_after, view_before + 100);
+  EXPECT_EQ(cluster.metrics().bytes_for_type(pacemaker::kVcMsg), vc_bytes);
+  std::uint64_t vcs = 0;
+  for (const ProcessId id : cluster.honest_ids()) vcs += lumiere_of(cluster, id).vcs_formed();
+  EXPECT_GT(vcs, 0U) << "VCs still form; only their copies are gone";
+  const std::uint64_t initial_views = view_after / 2 - view_before / 2;
+  EXPECT_EQ(cluster.metrics().count_for_type(pacemaker::kViewMsg) - view_msgs,
+            (kN - 1) * initial_views);
+}
+
 TEST(LumiereTest, SuccessCriterionSilencesEpochSync) {
   // After the first successful epoch, no honest processor should send
   // epoch-view messages again (Lemma 5.15 (2)).

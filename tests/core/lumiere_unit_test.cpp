@@ -29,6 +29,24 @@ class LumiereUnitTest : public ::testing::Test {
     harness_.settle();
   }
 
+  /// Starts and enters epoch 0 through an EC (own share + two foreign).
+  void enter_epoch_zero() {
+    start();
+    harness_.run_to(TimePoint(Duration::millis(10).ticks()));
+    harness_.inject_epoch_msg(1, 0);
+    harness_.inject_epoch_msg(2, 0);
+    harness_.settle();
+    ASSERT_EQ(pm_->current_view(), 0);
+  }
+
+  /// The first initial view of epoch 0 this node leads, or -1.
+  [[nodiscard]] View first_led_view() const {
+    for (View v = 0; v < pm_->math().views_per_epoch(); v += 2) {
+      if (pm_->leader_of(v) == harness_.self()) return v;
+    }
+    return -1;
+  }
+
   PacemakerHarness harness_;
   std::unique_ptr<LumierePacemaker> pm_;
 };
@@ -113,48 +131,100 @@ TEST_F(LumiereUnitTest, TcForHigherEpochBumpsAndEchoes) {
 
 TEST_F(LumiereUnitTest, LeaderFormsVcFromSmallQuorumAndPokesProposal) {
   start();
-  // Find an initial view this node leads inside epoch 0.
-  View led = -1;
-  for (View v = 0; v < pm_->math().views_per_epoch(); v += 2) {
-    if (pm_->leader_of(v) == harness_.self()) {
-      led = v;
-      break;
-    }
-  }
+  const View led = first_led_view();
   ASSERT_GE(led, 0);
   EXPECT_FALSE(pm_->may_propose(led)) << "proposal gated until the VC is sent";
   harness_.inject_view_msg(1, led);
-  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 0U) << "one share is not f+1";
+  EXPECT_EQ(pm_->vcs_formed(), 0U) << "one share is not f+1";
   harness_.inject_view_msg(2, led);
-  harness_.settle();
-  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 1U);
+  // The VC forms at the f+1-th share: the deadline anchor and the
+  // proposal poke are taken now, the copies leave at the end of the
+  // instant.
+  EXPECT_EQ(pm_->vcs_formed(), 1U);
   EXPECT_TRUE(pm_->may_propose(led));
   ASSERT_FALSE(harness_.pokes().empty());
   EXPECT_EQ(harness_.pokes().back(), led);
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 0U);
+  harness_.settle();
+  // Processes 1 and 2 sent view-led messages, so they are in view >= led
+  // and the VC could not move them (line 36); 3 is unheard, and this
+  // leader is still parked below led.
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 1), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 2), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 3), 1U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 0), 1U);
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 2U) << "no broadcast, no other copy";
   EXPECT_TRUE(pm_->may_form_qc(led)) << "deadline window open right after VC";
+}
+
+TEST_F(LumiereUnitTest, ViewMessagesOfTheFormingInstantSkipTheVc) {
+  start();
+  const View led = first_led_view();
+  ASSERT_GE(led, 0);
+  // 3's view message arrives at the instant the VC forms, after the
+  // f+1-th share: it is heard before the copies leave.
+  harness_.inject_view_msg(1, led);
+  harness_.inject_view_msg(2, led);
+  harness_.inject_view_msg(3, led);
+  harness_.settle();
+  EXPECT_EQ(pm_->vcs_formed(), 1U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 3), 0U);
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 1U) << "only the lagging leader's own copy";
+}
+
+TEST_F(LumiereUnitTest, SynchronizedLeaderSendsNoVcCopy) {
+  enter_epoch_zero();
+  const View led = first_led_view();
+  ASSERT_GE(led, 0);
+  harness_.run_to(harness_.sim().now() + pm_->math().view_time(led));
+  ASSERT_EQ(pm_->current_view(), led);
+  // The leader's own view-led message reached it on entry; the other
+  // three arrive together, as in a synchronized cluster.
+  harness_.inject_view_msg(1, led);
+  harness_.inject_view_msg(2, led);
+  harness_.inject_view_msg(3, led);
+  harness_.settle();
+  EXPECT_EQ(pm_->vcs_formed(), 1U);
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 0U) << "every copy would change nothing";
+  EXPECT_TRUE(pm_->may_propose(led));
+  EXPECT_TRUE(pm_->may_form_qc(led));
+}
+
+TEST_F(LumiereUnitTest, LaggingLeaderIsBumpedByItsOwnVc) {
+  start();
+  const View led = first_led_view();
+  ASSERT_GE(led, 0);
+  ASSERT_EQ(pm_->current_view(), -1);
+  harness_.inject_view_msg(1, led);
+  harness_.inject_view_msg(2, led);
+  harness_.settle();
+  // Lines 36-40: its own copy of the VC releases the boundary pause,
+  // sends the catch-up view messages, bumps lc to c_led and enters led.
+  EXPECT_FALSE(pm_->parked());
+  EXPECT_EQ(pm_->current_view(), led);
+  EXPECT_EQ(harness_.clock().reading(), pm_->math().view_time(led));
+  ASSERT_FALSE(harness_.entered().empty());
+  EXPECT_EQ(harness_.entered().back(), led);
 }
 
 TEST_F(LumiereUnitTest, LateSharesAfterVcNeitherReformNorResendIt) {
   start();
-  View led = -1;
-  for (View v = 0; v < pm_->math().views_per_epoch(); v += 2) {
-    if (pm_->leader_of(v) == harness_.self()) {
-      led = v;
-      break;
-    }
-  }
+  const View led = first_led_view();
   ASSERT_GE(led, 0);
   harness_.inject_view_msg(1, led);
   harness_.inject_view_msg(2, led);
   harness_.settle();
-  ASSERT_EQ(harness_.sent_count(pacemaker::kVcMsg), 1U);
+  ASSERT_EQ(pm_->vcs_formed(), 1U);
+  const std::size_t copies = harness_.sent_count(pacemaker::kVcMsg);
+  ASSERT_EQ(harness_.sent_to(pacemaker::kVcMsg, 3), 1U);
   const std::size_t pokes = harness_.pokes().size();
   // f+1 = 2 late shares: enough for a fresh aggregator to complete, had
   // the spent one been replaced.
   harness_.inject_view_msg(3, led);
   harness_.inject_view_msg(1, led);
   harness_.settle();
-  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 1U) << "a late share re-sent the VC";
+  EXPECT_EQ(pm_->vcs_formed(), 1U) << "a late share re-formed the VC";
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), copies) << "a late share re-sent the VC";
   EXPECT_EQ(harness_.pokes().size(), pokes) << "a late share re-poked the proposal";
   EXPECT_TRUE(pm_->may_propose(led));
   EXPECT_TRUE(pm_->may_form_qc(led)) << "the deadline anchor is the first VC's";
@@ -162,13 +232,7 @@ TEST_F(LumiereUnitTest, LateSharesAfterVcNeitherReformNorResendIt) {
 
 TEST_F(LumiereUnitTest, QcDeadlineExpiresAfterGammaHalfMinusTwoDelta) {
   start();
-  View led = -1;
-  for (View v = 0; v < pm_->math().views_per_epoch(); v += 2) {
-    if (pm_->leader_of(v) == harness_.self()) {
-      led = v;
-      break;
-    }
-  }
+  const View led = first_led_view();
   ASSERT_GE(led, 0);
   harness_.inject_view_msg(1, led);
   harness_.inject_view_msg(2, led);

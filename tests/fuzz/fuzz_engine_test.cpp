@@ -53,7 +53,10 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
   // (leave/rejoin), asymmetric partitions, scheduled behavior changes,
   // dissemination, topology presets and one n-shrink through
   // apply_deltas; a refactor of how a case becomes a Scenario must leave
-  // every one byte-identical.
+  // every one byte-identical. Seeds 3, 22 (lumiere) and 16 (fever) were
+  // re-pinned when leaders stopped sending VCs to processes already in
+  // the VC's view: fewer VcMsg copies draw fewer delays from the Rng, and
+  // the rest leave at the end of the instant the VC formed.
   struct Pinned {
     std::uint64_t seed;
     std::uint32_t shrink_to_n;  ///< 0 = the case as sampled
@@ -63,7 +66,7 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
       // nk20/hotstuff-2, wan3 preset, partitions, behavior change.
       {1, 0, "392ba304c812933fe804d146ecfae1abb77bbddc29ed7c8ebd96ea9072fb5656"},
       // lumiere/hotstuff-2, lan preset, two churn windows, workload.
-      {3, 0, "ad32065ee0f9d0db3d3ba1e43294ab79369f523f40c0f2b65af611057229248c"},
+      {3, 0, "8018042f8eec700aef9510c779074763c6442f4280e47fa077ce9d919b8c0b8e"},
       // n=7: churn, asymmetric and 3-way partitions, two Byzantine nodes.
       {5, 0, "55e1020effd4d79005b02b429bc822fab033fdf569afe54a778e84741875ef0e"},
       // Dissemination on, churn of a silent leader, delay change. (Its
@@ -71,9 +74,9 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
       // is part of this digest.)
       {21, 0, "3fa69241499fd770bb267af554e0ded79c393f3ea2da924b675aa201d2d306d0"},
       // Asymmetric partition then a behavior change, workload.
-      {22, 0, "30f246f20746b7fd351791abf71876c97b898df02a59e70f644fc370be9baa9d"},
+      {22, 0, "2a6816a1b895f1f1bd53d989d472f0b8377f2f43b6a4bebe02c4c3ca166efaab"},
       // n=10 shrunk to 4: groups trimmed, behaviors recapped at f=1.
-      {16, 4, "4e0838b6896d4f5afd51912e5b3caf152b7ab4b6dfe5518218990e423f3efff3"},
+      {16, 4, "9bd78b718c9d5ee32badeaeb461833c61a009c6915049e9ea7af56cc5c6f3085"},
   };
   for (const Pinned& p : pinned) {
     CaseDeltas deltas;

@@ -7,6 +7,7 @@
 #include "adversary/behaviors.h"
 #include "pacemaker/messages.h"
 #include "runtime/cluster.h"
+#include "testutil/pacemaker_harness.h"
 
 namespace lumiere::runtime {
 namespace {
@@ -62,9 +63,34 @@ TEST_P(FeverTenureSweep, LiveAcrossTenures) {
 
 INSTANTIATE_TEST_SUITE_P(Tenures, FeverTenureSweep, ::testing::Values(2U, 3U, 4U, 6U));
 
+std::uint64_t vcs_formed(const Cluster& cluster) {
+  std::uint64_t formed = 0;
+  for (ProcessId id = 0; id < cluster.scenario().params.n; ++id) {
+    formed += static_cast<const pacemaker::FeverPacemaker&>(cluster.node(id).pacemaker())
+                  .vcs_formed();
+  }
+  return formed;
+}
+
 TEST(FeverTest, VcsFormForInitialViews) {
+  // VCs form, but a leader sends each only to the processes it has not
+  // heard a view-v message from, so fewer than n-1 copies leave per VC.
   Cluster cluster(fever_options(4, Duration::millis(1)));
   cluster.run_for(Duration::seconds(5));
+  EXPECT_GT(vcs_formed(cluster), 0U);
+  EXPECT_LT(cluster.metrics().count_for_type(pacemaker::kVcMsg), 3 * vcs_formed(cluster));
+  EXPECT_GE(cluster.metrics().decisions().size(), 5U);
+}
+
+TEST(FeverTest, VcCopiesReachStaggeredReplicas) {
+  // Staggered joins leave replicas below the views their leaders form
+  // VCs for: those replicas get copies, and the VCs bump them.
+  ScenarioBuilder options = fever_options(7, Duration::millis(1));
+  options.join_stagger(Duration::seconds(2));
+  options.seed(99);
+  Cluster cluster(options);
+  cluster.run_for(Duration::seconds(10));
+  EXPECT_GT(vcs_formed(cluster), 0U);
   EXPECT_GT(cluster.metrics().count_for_type(pacemaker::kVcMsg), 0U);
   EXPECT_GE(cluster.metrics().decisions().size(), 5U);
 }
@@ -145,6 +171,79 @@ TEST(FeverTest, ResponsivenessScalesWithDelta) {
   const auto gap = fast.metrics().max_decision_gap(TimePoint::origin(), /*warmup=*/4);
   ASSERT_TRUE(gap.has_value());
   EXPECT_LT(*gap, Duration::millis(80)) << "steady-state gaps must beat one Gamma";
+}
+
+// The VC send rule on one Fever instance (n = 4, f = 1, tenure 2: this
+// node, id 0, leads views 0, 1, 8 and 9).
+class FeverVcTest : public ::testing::Test {
+ protected:
+  FeverVcTest()
+      : harness_(4, /*self=*/0),
+        pm_(harness_.params(), harness_.self(), harness_.signer(), harness_.wiring(),
+            Duration::zero(), 2) {
+    harness_.attach(&pm_);
+    // The clock enters view 0; the view-0 message to itself arrives.
+    pm_.start();
+    harness_.settle();
+  }
+
+  static constexpr View kLed = 8;
+
+  testutil::PacemakerHarness harness_;
+  pacemaker::FeverPacemaker pm_;
+};
+
+TEST_F(FeverVcTest, VcReachesOnlyUnheardProcesses) {
+  ASSERT_EQ(pm_.current_view(), 0);
+  ASSERT_EQ(pm_.leader_of(kLed), harness_.self());
+  harness_.inject_view_msg(1, kLed);
+  harness_.inject_view_msg(2, kLed);
+  EXPECT_EQ(pm_.vcs_formed(), 1U);
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 0U) << "copies leave at the end of the instant";
+  harness_.settle();
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 1), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 2), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 3), 1U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 0), 1U) << "this leader is still in view 0";
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 2U);
+}
+
+TEST_F(FeverVcTest, SynchronizedLeaderSendsNoVcCopy) {
+  // Its own view-0 share is in; three more arrive together. The VC forms
+  // at the first of them, and the other two are heard before the copies
+  // would leave.
+  harness_.inject_view_msg(1, 0);
+  harness_.inject_view_msg(2, 0);
+  harness_.inject_view_msg(3, 0);
+  harness_.settle();
+  EXPECT_EQ(pm_.vcs_formed(), 1U);
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 0U);
+  EXPECT_EQ(pm_.current_view(), 0);
+}
+
+TEST_F(FeverVcTest, LaggingLeaderIsBumpedByItsOwnVc) {
+  harness_.inject_view_msg(1, kLed);
+  harness_.inject_view_msg(2, kLed);
+  harness_.settle();
+  // Its own copy bumps lc to c_8, and the exact landing enters view 8.
+  EXPECT_EQ(pm_.current_view(), kLed);
+  EXPECT_EQ(harness_.clock().reading(), pm_.view_time(kLed));
+  ASSERT_FALSE(harness_.entered().empty());
+  EXPECT_EQ(harness_.entered().back(), kLed);
+}
+
+TEST_F(FeverVcTest, LateSharesAfterVcNeitherReformNorResendIt) {
+  harness_.inject_view_msg(1, kLed);
+  harness_.inject_view_msg(2, kLed);
+  harness_.settle();
+  ASSERT_EQ(pm_.vcs_formed(), 1U);
+  const std::size_t copies = harness_.sent_count(pacemaker::kVcMsg);
+  ASSERT_EQ(copies, 2U);
+  harness_.inject_view_msg(3, kLed);
+  harness_.inject_view_msg(1, kLed);
+  harness_.settle();
+  EXPECT_EQ(pm_.vcs_formed(), 1U) << "a late share re-formed the VC";
+  EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), copies) << "a late share re-sent the VC";
 }
 
 }  // namespace

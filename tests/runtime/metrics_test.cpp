@@ -42,6 +42,8 @@ TEST_F(MetricsTest, CountsHonestSendsOnly) {
   EXPECT_EQ(metrics_.consensus_msgs(), 0U);
   EXPECT_EQ(metrics_.count_for_type(pacemaker::kViewMsg), 2U);
   EXPECT_GT(metrics_.total_honest_bytes(), 0U);
+  EXPECT_EQ(metrics_.bytes_for_type(pacemaker::kViewMsg), metrics_.total_honest_bytes());
+  EXPECT_EQ(metrics_.bytes_for_type(pacemaker::kVcMsg), 0U);
 }
 
 TEST_F(MetricsTest, BroadcastChargeEqualsPerSendExpansion) {
@@ -56,6 +58,9 @@ TEST_F(MetricsTest, BroadcastChargeEqualsPerSendExpansion) {
   EXPECT_EQ(bulk.total_honest_bytes(), metrics_.total_honest_bytes());
   EXPECT_EQ(bulk.pacemaker_msgs(), metrics_.pacemaker_msgs());
   EXPECT_EQ(bulk.count_for_type(pacemaker::kViewMsg), 3U);
+  EXPECT_EQ(bulk.bytes_for_type(pacemaker::kViewMsg), 3 * msg.wire_size());
+  EXPECT_EQ(bulk.bytes_for_type(pacemaker::kViewMsg),
+            metrics_.bytes_for_type(pacemaker::kViewMsg));
   EXPECT_EQ(bulk.msgs_between(TimePoint(10), TimePoint(11)),
             metrics_.msgs_between(TimePoint(10), TimePoint(11)));
   EXPECT_EQ(bulk.msgs_between(TimePoint(0), TimePoint(10)), 0U);

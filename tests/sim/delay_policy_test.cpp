@@ -71,11 +71,5 @@ TEST_F(DelayPolicyTest, TargetedSlowHitsVictimLinksOnly) {
   EXPECT_EQ(policy.propose_delay(2, 3, *sample_msg(), TimePoint(0), rng_), Duration::max());
 }
 
-TEST_F(DelayPolicyTest, UniformFastIsConstant) {
-  adversary::UniformFastDelay policy(Duration::micros(250));
-  EXPECT_EQ(policy.propose_delay(3, 1, *sample_msg(), TimePoint(5), rng_),
-            Duration::micros(250));
-}
-
 }  // namespace
 }  // namespace lumiere::sim

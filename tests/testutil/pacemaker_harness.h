@@ -37,14 +37,13 @@ class PacemakerHarness {
     w.auth = crypto::AuthView(auth_.get());
     w.send = [this](ProcessId to, MessagePtr msg) {
       sent_.push_back(Sent{to, std::move(msg)});
+      // A send to self is received at once, as on the network.
+      if (to == self_ && pm_ != nullptr) deliver_to_self(sent_.back().msg);
     };
     w.broadcast = [this](MessagePtr msg) {
       sent_.push_back(Sent{kNoProcess, std::move(msg)});
       // Self-delivery per the paper's broadcast convention.
-      if (pm_ != nullptr) {
-        auto copy = sent_.back().msg;
-        sim_.schedule_at(sim_.now(), [this, copy] { pm_->on_message(self_, copy); });
-      }
+      if (pm_ != nullptr) deliver_to_self(sent_.back().msg);
     };
     w.enter_view = [this](View v) { entered_.push_back(v); };
     w.propose_poke = [this](View v) { pokes_.push_back(v); };
@@ -91,6 +90,15 @@ class PacemakerHarness {
     pm_->on_qc(consensus::QuorumCert(v, block, agg.aggregate()));
   }
 
+  /// Captured point-to-point sends of one message type to `to`.
+  [[nodiscard]] std::size_t sent_to(std::uint32_t type_id, ProcessId to) const {
+    std::size_t count = 0;
+    for (const auto& s : sent_) {
+      if (s.msg->type_id() == type_id && s.to == to) ++count;
+    }
+    return count;
+  }
+
   /// Counts captured sends of one message type (broadcasts count once).
   [[nodiscard]] std::size_t sent_count(std::uint32_t type_id) const {
     std::size_t count = 0;
@@ -115,6 +123,10 @@ class PacemakerHarness {
   void settle() { sim_.run_until(sim_.now()); }
 
  private:
+  void deliver_to_self(MessagePtr msg) {
+    sim_.schedule_at(sim_.now(), [this, msg] { pm_->on_message(self_, msg); });
+  }
+
   ProtocolParams params_;
   std::unique_ptr<crypto::Authenticator> auth_;
   ProcessId self_;
