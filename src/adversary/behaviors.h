@@ -7,7 +7,7 @@
 // approximated by composable deviations that target the view-sync layer:
 // crashing, going silent as leader, withholding QCs, equivocating,
 // storming epoch changes. Message *delays* are the network adversary's
-// job (delay_adversary.h).
+// job (sim/delay_policy.h).
 #pragma once
 
 #include <cstdint>

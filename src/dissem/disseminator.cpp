@@ -198,7 +198,6 @@ void Disseminator::accept_cert(const BatchCert& cert) {
   if (batches_.ordered(id) || queued_.contains(id)) return;
   queue_.push_back(cert);
   queued_.insert(id);
-  sample_depth();
 }
 
 bool Disseminator::verify_cert_cached(const BatchCert& cert) {
@@ -223,7 +222,6 @@ std::vector<std::uint8_t> Disseminator::make_proposal_payload(View /*v*/) {
     refs.push_back(std::move(cert));
   }
   if (refs.empty()) return {};
-  sample_depth();
   return encode_refs(refs);
 }
 
@@ -241,16 +239,13 @@ void Disseminator::on_refs_proposed(std::span<const std::uint8_t> payload) {
   if (payload.empty() || !is_refs_payload(payload)) return;
   const auto refs = decode_refs(payload, auth_.wire_spec());
   if (!refs) return;
-  bool changed = false;
   for (const BatchCert& cert : *refs) {
     // Withhold only references this node itself had queued (and hence
     // verified); an unknown cert in a Byzantine proposal must not enter
     // the reinsert path unvetted.
     if (queued_.erase(cert.id()) == 0) continue;
     schedule_reinsert(cert);
-    changed = true;
   }
-  if (changed) sample_depth();
 }
 
 void Disseminator::schedule_reinsert(const BatchCert& cert) {
@@ -260,7 +255,6 @@ void Disseminator::schedule_reinsert(const BatchCert& cert) {
     queue_.push_back(cert);
     queued_.insert(id);
     ++reinserted_;
-    sample_depth();
   });
 }
 
@@ -283,7 +277,6 @@ void Disseminator::on_committed_payload(std::span<const std::uint8_t> payload) {
       send_fetches(cert);
     }
   }
-  sample_depth();
 }
 
 void Disseminator::deliver_one(const BatchId& id, const std::vector<std::uint8_t>& bytes) {
@@ -309,10 +302,6 @@ void Disseminator::send_fetches(const BatchCert& cert) {
 const std::vector<std::uint8_t>* Disseminator::payload_of(const BatchId& id) const {
   const BatchBytes* stored = batches_.bytes(id);
   return stored == nullptr ? nullptr : stored->get();
-}
-
-void Disseminator::sample_depth() {
-  if (cb_.on_certified_depth) cb_.on_certified_depth(cb_.now(), queued_.size());
 }
 
 }  // namespace lumiere::dissem

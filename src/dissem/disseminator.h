@@ -84,8 +84,7 @@ struct DisseminatorCallbacks {
   /// this node, in deterministic order).
   std::function<void(TimePoint, const std::vector<std::uint8_t>&)> deliver;
 
-  std::function<void(TimePoint, Duration)> on_batch_certified;     ///< PoA latency at origin
-  std::function<void(TimePoint, std::size_t)> on_certified_depth;  ///< certified-unordered depth
+  std::function<void(TimePoint, Duration)> on_batch_certified;  ///< PoA latency at origin
 };
 
 class Disseminator {
@@ -178,7 +177,6 @@ class Disseminator {
   /// Delivers a newly ordered batch's bytes and acks its own lease.
   void deliver_one(const BatchId& id, const std::vector<std::uint8_t>& bytes);
   void send_fetches(const BatchCert& cert);
-  void sample_depth();
 
   ProtocolParams params_;
   crypto::AuthView auth_;

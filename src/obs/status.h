@@ -1,18 +1,12 @@
-// StatusBoard — lock-free per-node live counters feeding the status
-// endpoints (obs/status_server.h).
-//
-// Writers are the node's own driver thread (cluster observers and
-// workload hooks); readers are status-server threads and harness code.
-// Everything is a relaxed atomic: a status reply is a point-in-time
-// sample, not a linearizable snapshot.
+// NodeStatus — one node's point-in-time status, and its line-protocol
+// rendering for the status endpoints (obs/status_server.h). The record
+// behind it is the SyncTracer's per-node state (obs/tracer.h), which
+// builds every NodeStatus on both transports.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "obs/span.h"
@@ -44,66 +38,5 @@ struct NodeStatus {
 /// "key value" pair per line, terminated by "END". Spans render as one
 /// line each (see README "Observability").
 [[nodiscard]] std::string render_status(const NodeStatus& status);
-
-class StatusBoard {
- public:
-  explicit StatusBoard(std::uint32_t n) {
-    nodes_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) nodes_.push_back(std::make_unique<PerNode>());
-  }
-
-  [[nodiscard]] std::uint32_t n() const noexcept {
-    return static_cast<std::uint32_t>(nodes_.size());
-  }
-
-  void set_view(ProcessId id, View v) noexcept {
-    nodes_[id]->view.store(v, std::memory_order_relaxed);
-  }
-  void add_commit(ProcessId id) noexcept {
-    nodes_[id]->commits.fetch_add(1, std::memory_order_relaxed);
-  }
-  void set_last_commit(ProcessId id, std::uint64_t view) noexcept {
-    nodes_[id]->last_commit.store(view, std::memory_order_relaxed);
-  }
-  void set_ever_byzantine(ProcessId id) noexcept {
-    nodes_[id]->ever_byzantine.store(true, std::memory_order_relaxed);
-  }
-  void set_mempool_depth(ProcessId id, std::uint64_t depth) noexcept {
-    nodes_[id]->mempool.store(depth, std::memory_order_relaxed);
-  }
-  void add_request_committed(ProcessId id) noexcept {
-    nodes_[id]->requests.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] View view(ProcessId id) const noexcept {
-    return nodes_[id]->view.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t height(ProcessId id) const noexcept {
-    return nodes_[id]->commits.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t mempool_depth(ProcessId id) const noexcept {
-    return nodes_[id]->mempool.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t requests_committed(ProcessId id) const noexcept {
-    return nodes_[id]->requests.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t last_commit(ProcessId id) const noexcept {
-    return nodes_[id]->last_commit.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool ever_byzantine(ProcessId id) const noexcept {
-    return nodes_[id]->ever_byzantine.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct PerNode {
-    std::atomic<View> view{0};
-    std::atomic<std::uint64_t> commits{0};
-    std::atomic<std::uint64_t> last_commit{0};
-    std::atomic<bool> ever_byzantine{false};
-    std::atomic<std::uint64_t> mempool{0};
-    std::atomic<std::uint64_t> requests{0};
-  };
-  std::vector<std::unique_ptr<PerNode>> nodes_;
-};
 
 }  // namespace lumiere::obs

@@ -42,6 +42,7 @@ void SyncTracer::on_sync_started(ProcessId id, TimePoint at, View current, View 
 
 std::optional<SyncSpan> SyncTracer::on_view_entered(ProcessId id, TimePoint at, View view) {
   PerNode& node = *nodes_[id];
+  node.view.store(view, std::memory_order_relaxed);
   SyncSpan done;
   {
     std::lock_guard<std::mutex> lock(node.mu);
@@ -87,12 +88,40 @@ std::optional<SyncSpan> SyncTracer::last_span(ProcessId id) const {
   return node.last;
 }
 
-void SyncTracer::report(ProcessId id, TimePoint now, NodeStatus& status) const {
+void SyncTracer::note_commit(ProcessId id, View view) noexcept {
+  PerNode& node = *nodes_[id];
+  node.commits.fetch_add(1, std::memory_order_relaxed);
+  node.last_commit.store(static_cast<std::uint64_t>(view), std::memory_order_relaxed);
+}
+
+void SyncTracer::note_byzantine(ProcessId id) noexcept {
+  nodes_[id]->ever_byzantine.store(true, std::memory_order_relaxed);
+}
+
+void SyncTracer::note_mempool_depth(ProcessId id, std::uint64_t depth) noexcept {
+  nodes_[id]->mempool.store(depth, std::memory_order_relaxed);
+}
+
+void SyncTracer::note_request_committed(ProcessId id) noexcept {
+  nodes_[id]->requests.fetch_add(1, std::memory_order_relaxed);
+}
+
+NodeStatus SyncTracer::status(ProcessId id, TimePoint now) const {
+  const PerNode& node = *nodes_[id];
+  NodeStatus status;
+  status.node = id;
+  status.view = node.view.load(std::memory_order_relaxed);
+  status.height = node.commits.load(std::memory_order_relaxed);
+  status.last_commit_height = node.last_commit.load(std::memory_order_relaxed);
+  status.ever_byzantine = node.ever_byzantine.load(std::memory_order_relaxed);
+  status.mempool_depth = node.mempool.load(std::memory_order_relaxed);
+  status.requests_committed = node.requests.load(std::memory_order_relaxed);
   status.msgs_sent = msgs_sent(id);
   status.bytes_sent = bytes_sent(id);
   status.auth_ops = auth_snapshot(id).total();
   status.current_sync = open_span(id, now);
   status.last_sync = last_span(id);
+  return status;
 }
 
 std::size_t SyncTracer::completed_count() const {

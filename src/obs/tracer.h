@@ -1,16 +1,22 @@
-// SyncTracer — per-node view-synchronization span bracketing.
+// SyncTracer — each node's live status record and its view-synchronization
+// spans.
 //
-// The tracer owns one cumulative cost meter per node (messages sent,
-// bytes sent, authenticator ops) and turns the pacemaker's sync-started
-// signal plus the node's view entries into SyncSpans whose costs are
-// counter deltas. It is *passive*: it never draws randomness, schedules
-// events, or touches protocol state, so enabling it cannot perturb a
-// deterministic run (the golden-digest tests pin this).
+// The tracer owns one record per node: cumulative cost meters (messages
+// sent, bytes sent, authenticator ops) plus the live counters a status
+// reply serves (view, commits, last committed view, mempool depth,
+// requests committed, ever-Byzantine). It turns the pacemaker's
+// sync-started signal plus the node's view entries into SyncSpans whose
+// costs are counter deltas. It is *passive*: it never draws randomness,
+// schedules events, or touches protocol state, so it cannot perturb a
+// deterministic run (the golden-digest tests pin this). Every Cluster and
+// SoloNodeRuntime has one, on both transports, and status() is the one
+// place a NodeStatus is built.
 //
 // Threading: on the sim transport everything runs on one thread. On TCP,
-// node i's driver thread is the only writer of node i's state; status
+// node i's driver thread is the only writer of node i's record; status
 // endpoint threads are concurrent readers. Per-node mutexes cover the
-// span state, relaxed atomics cover the cumulative meters, and one
+// span state, relaxed atomics cover the meters and counters (a status
+// reply is a point-in-time sample, not a linearizable snapshot), and one
 // cluster-wide mutex covers the completed-span ring.
 //
 // The completed-span ring keeps each span as a 64-byte PackedSpan (see
@@ -22,6 +28,7 @@
 // may still complete a span.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -39,10 +46,11 @@ namespace lumiere::obs {
 
 class SyncTracer {
  public:
-  /// `max_spans` bounds the completed-span ring (0 = unbounded; benches
-  /// that export every span use that). A full ring of the default 2^16
-  /// spans holds 4 MiB.
-  explicit SyncTracer(std::uint32_t n, std::size_t max_spans = 1 << 16);
+  /// Completed spans kept by default; a full ring holds 4 MiB.
+  static constexpr std::size_t kDefaultMaxSpans = 1 << 16;
+
+  /// `max_spans` bounds the completed-span ring (0 = unbounded).
+  explicit SyncTracer(std::uint32_t n, std::size_t max_spans = kDefaultMaxSpans);
 
   [[nodiscard]] std::uint32_t n() const noexcept {
     return static_cast<std::uint32_t>(nodes_.size());
@@ -62,10 +70,19 @@ class SyncTracer {
   /// aiming for `target`. First start wins while a span is open.
   void on_sync_started(ProcessId id, TimePoint at, View current, View target);
 
-  /// Node `id` entered `view`. Closes the open span (if any) and returns
-  /// the completed span; nullopt when no sync episode was in progress
-  /// (e.g. the happy-path view entry at startup).
+  /// Node `id` entered `view`: records the view, closes the open span
+  /// (if any) and returns the completed span; nullopt when no sync
+  /// episode was in progress (e.g. the happy-path view entry at startup).
   std::optional<SyncSpan> on_view_entered(ProcessId id, TimePoint at, View view);
+
+  /// Node `id` committed a block of view `view`.
+  void note_commit(ProcessId id, View view) noexcept;
+  /// Node `id` ran a non-honest behavior (sticky).
+  void note_byzantine(ProcessId id) noexcept;
+  /// Node `id`'s mempool held `depth` pending requests when sampled.
+  void note_mempool_depth(ProcessId id, std::uint64_t depth) noexcept;
+  /// One of node `id`'s workload requests committed.
+  void note_request_committed(ProcessId id) noexcept;
 
   // -- reads (any thread) --------------------------------------------------
 
@@ -79,9 +96,9 @@ class SyncTracer {
   [[nodiscard]] std::optional<SyncSpan> open_span(ProcessId id, TimePoint now) const;
   /// The most recently completed span on node `id`, if any.
   [[nodiscard]] std::optional<SyncSpan> last_span(ProcessId id) const;
-  /// Fills `status`'s cost meters and spans for node `id` (open span
-  /// measured up to `now`).
-  void report(ProcessId id, TimePoint now, NodeStatus& status) const;
+  /// Node `id`'s status record, its open span measured up to `now`
+  /// (pipeline_queue_depth is left 0: the verify pool is the host's).
+  [[nodiscard]] NodeStatus status(ProcessId id, TimePoint now) const;
 
   /// The completed-span ring, oldest first. The view is valid until the
   /// next span completes; read it between run_for slices.
@@ -95,6 +112,12 @@ class SyncTracer {
     crypto::AuthOpCounters auth;
     std::atomic<std::uint64_t> msgs{0};
     std::atomic<std::uint64_t> bytes{0};
+    std::atomic<View> view{0};
+    std::atomic<std::uint64_t> commits{0};
+    std::atomic<std::uint64_t> last_commit{0};
+    std::atomic<bool> ever_byzantine{false};
+    std::atomic<std::uint64_t> mempool{0};
+    std::atomic<std::uint64_t> requests{0};
 
     mutable std::mutex mu;  // guards the span fields below
     bool open = false;

@@ -7,7 +7,7 @@
 namespace lumiere::runtime {
 
 Cluster::Cluster(Scenario scenario)
-    : scenario_(std::move(scenario)), trace_(scenario_.obs.trace_capacity) {
+    : scenario_(std::move(scenario)), tracer_(scenario_.params.n) {
   scenario_.params.validate();
   const std::uint32_t n = scenario_.params.n;
   LUMIERE_ASSERT_MSG(scenario_.nodes.size() == n, "Scenario must carry one NodeSpec per node");
@@ -32,11 +32,8 @@ Cluster::Cluster(Scenario scenario)
     }
   }
   metrics_ = std::make_unique<MetricsCollector>(n, scheduled_byzantine_);
-
-  // Observability first: make_node_config installs the tracer's op
-  // counters into each node, so the tracer must exist before any node.
-  if (scenario_.obs.tracer) {
-    tracer_ = std::make_unique<obs::SyncTracer>(n, scenario_.obs.max_spans);
+  for (ProcessId id = 0; id < n; ++id) {
+    if (scheduled_byzantine_[id]) tracer_.note_byzantine(id);
   }
 
   if (scenario_.transport == TransportKind::kSim) {
@@ -51,7 +48,7 @@ void Cluster::build_sim_cluster(std::vector<std::unique_ptr<adversary::Behavior>
   network_ = std::make_unique<sim::Network>(&sim_, n, scenario_.gst, scenario_.params.delta_cap,
                                             scenario_.delay, scenario_.seed);
   network_->set_observer(metrics_.get());
-  const NodeSinks sinks{metrics_.get(), tracer_.get(), nullptr, &trace_};
+  const NodeSinks sinks{metrics_.get(), &tracer_, &trace_};
   for (ProcessId id = 0; id < n; ++id) {
     sim_workloads_.push_back(make_workload(scenario_, id, &sim_, sinks));
     workloads_.push_back(sim_workloads_.back().get());
@@ -72,11 +69,7 @@ void Cluster::build_tcp_cluster(std::vector<std::unique_ptr<adversary::Behavior>
   // slices (runtime/metrics.h). The trace log has no threaded mode, so
   // it stays sim-only.
   metrics_->enable_threaded();
-  status_board_ = std::make_unique<obs::StatusBoard>(n);
-  for (ProcessId id = 0; id < n; ++id) {
-    if (scheduled_byzantine_[id]) status_board_->set_ever_byzantine(id);
-  }
-  const NodeSinks sinks{metrics_.get(), tracer_.get(), status_board_.get(), nullptr};
+  const NodeSinks sinks{metrics_.get(), &tracer_, nullptr};
   for (ProcessId id = 0; id < n; ++id) {
     hosts_.push_back(std::make_unique<NodeHost>(scenario_, id, *auth_, sinks,
                                                 std::move(behaviors[id]), NodeHost::Options{}));
@@ -121,21 +114,7 @@ void Cluster::start() {
 obs::NodeStatus Cluster::node_status(ProcessId id) const {
   LUMIERE_ASSERT_MSG(id < nodes_.size(), "node_status: unknown node");
   if (!hosts_.empty()) return hosts_[id]->status();
-  const Node& node = *nodes_[id];
-  obs::NodeStatus status;
-  status.node = id;
-  status.view = node.current_view();
-  status.height = node.ledger().size();
-  if (!node.ledger().empty()) {
-    status.last_commit_height = static_cast<std::uint64_t>(node.ledger().entries().back().view());
-  }
-  status.ever_byzantine = byzantine(id);
-  if (workloads_[id] != nullptr) {
-    status.mempool_depth = workloads_[id]->mempool().pending();
-    status.requests_committed = workloads_[id]->stats().committed;
-  }
-  if (tracer_ != nullptr) tracer_->report(id, sim_.now(), status);
-  return status;
+  return tracer_.status(id, sim_.now());
 }
 
 std::uint64_t Cluster::tcp_bytes_sent() const {

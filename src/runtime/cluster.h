@@ -9,9 +9,10 @@
 //   * TransportKind::kTcp — the cluster is n NodeHosts (runtime/node_host.h),
 //     each a private Simulator paced against the wall clock on its own
 //     thread, exchanging real framed bytes over localhost TCP. The hosts
-//     share the cluster's authenticator, span tracer, status board and
-//     MetricsCollector (threaded mode, so full protocol metrics on both
-//     transports); traces and delay adversaries remain simulator-only.
+//     share the cluster's authenticator, span tracer (which holds each
+//     node's status record) and MetricsCollector (threaded mode, so full
+//     protocol metrics on both transports); traces and delay adversaries
+//     remain simulator-only.
 //
 // Both transports wire each node's workload, config and observers through
 // the same functions (node_host.h), so they feed the same sinks.
@@ -83,14 +84,15 @@ class Cluster {
   [[nodiscard]] const sim::TraceLog& trace() const noexcept { return trace_; }
   [[nodiscard]] sim::TraceLog& trace() noexcept { return trace_; }
 
-  /// The view-sync span tracer (obs/tracer.h); nullptr when the scenario
-  /// disabled it via ObsSpec::tracer = false. Works on both transports.
-  /// TCP: query between run_for slices or accept point-in-time reads.
-  [[nodiscard]] obs::SyncTracer* sync_tracer() noexcept { return tracer_.get(); }
-  [[nodiscard]] const obs::SyncTracer* sync_tracer() const noexcept { return tracer_.get(); }
+  /// The view-sync span tracer and per-node status record
+  /// (obs/tracer.h); never null, on both transports. TCP: query between
+  /// run_for slices or accept point-in-time reads.
+  [[nodiscard]] obs::SyncTracer* sync_tracer() noexcept { return &tracer_; }
+  [[nodiscard]] const obs::SyncTracer* sync_tracer() const noexcept { return &tracer_; }
 
-  /// Point-in-time status snapshot for node `id` — the same record the
-  /// TCP status endpoint serves (obs/status.h). Works on both transports.
+  /// Point-in-time status snapshot for node `id`, built from the tracer's
+  /// record — the same builder the TCP status endpoint serves from
+  /// (NodeHost::status, which adds the pipeline depth).
   [[nodiscard]] obs::NodeStatus node_status(ProcessId id) const;
 
   /// The TCP port node `id`'s status endpoint listens on; 0 when status
@@ -141,10 +143,9 @@ class Cluster {
   /// Initially non-honest nodes plus every target of a scheduled
   /// non-honest behavior change, fixed at construction.
   std::vector<bool> scheduled_byzantine_;
-  /// Observability (obs/): span tracer, and the live status board (TCP
-  /// only). Declared before the hosts whose threads read them.
-  std::unique_ptr<obs::SyncTracer> tracer_;
-  std::unique_ptr<obs::StatusBoard> status_board_;
+  /// Span tracer and per-node status record (obs/tracer.h). Declared
+  /// before the nodes and hosts whose threads feed and read it.
+  obs::SyncTracer tracer_;
   /// Sim transport: the nodes and workload engines on the shared simulator.
   std::vector<std::unique_ptr<Node>> sim_nodes_;
   std::vector<std::unique_ptr<workload::NodeWorkload>> sim_workloads_;

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/stats.h"
-#include "dissem/messages.h"
 
 namespace lumiere::runtime {
 
@@ -43,7 +42,6 @@ void MetricsCollector::charge_sends_raw(TimePoint at, std::uint32_t type_id, Msg
     case MsgClass::kDissem:
       dissem_msgs_ += copies;
       dissem_bytes_ += copies * wire;
-      if (type_id == dissem::kBatchAck) batch_acks_ += copies;
       checkpoint(dissem_send_log_, at, dissem_bytes_);
       break;
     case MsgClass::kConsensus:
@@ -98,17 +96,11 @@ const MetricsCollector& MetricsCollector::base() const {
       case Event::Kind::kRegime:
         merged_->mark_regime(e.at, e.label);
         break;
-      case Event::Kind::kRequestCommitted:
-        merged_->record_request_committed(e.at, e.latency);
-        break;
       case Event::Kind::kQueueDepth:
         merged_->record_queue_depth(e.at, e.node, e.depth);
         break;
       case Event::Kind::kBatchCertified:
         merged_->record_batch_certified(e.at, e.latency);
-        break;
-      case Event::Kind::kCertifiedDepth:
-        merged_->record_certified_depth(e.at, e.node, e.depth);
         break;
     }
   }
@@ -204,13 +196,6 @@ std::optional<std::uint64_t> MetricsCollector::max_msg_gap(TimePoint from,
   return worst;
 }
 
-std::optional<std::uint64_t> MetricsCollector::msgs_to_first_decision(TimePoint gst) const {
-  if (threaded_) return base().msgs_to_first_decision(gst);
-  const std::size_t i = first_decision_index_after(gst);
-  if (i >= decisions_.size()) return std::nullopt;
-  return decisions_[i].msgs_before - msgs_between(TimePoint::origin(), gst);
-}
-
 void MetricsCollector::mark_regime(TimePoint at, std::string label) {
   if (threaded_) {
     Event e;
@@ -243,18 +228,6 @@ std::optional<Duration> MetricsCollector::max_decision_gap_between(TimePoint fro
   return worst;
 }
 
-void MetricsCollector::record_request_committed(TimePoint at, Duration latency) {
-  if (threaded_) {
-    Event e;
-    e.kind = Event::Kind::kRequestCommitted;
-    e.at = at;
-    e.latency = latency;
-    capture(std::move(e));
-    return;
-  }
-  request_log_.emplace_back(at, latency);
-}
-
 void MetricsCollector::record_queue_depth(TimePoint at, ProcessId node, std::size_t depth) {
   if (threaded_) {
     Event e;
@@ -266,33 +239,6 @@ void MetricsCollector::record_queue_depth(TimePoint at, ProcessId node, std::siz
     return;
   }
   queue_depth_log_.push_back(QueueDepthSample{at, node, depth});
-  max_queue_depth_ = std::max(max_queue_depth_, depth);
-}
-
-std::uint64_t MetricsCollector::requests_between(TimePoint from, TimePoint to) const {
-  if (threaded_) return base().requests_between(from, to);
-  // Commit callbacks fire in simulated-time order, so the log is sorted.
-  const auto lo = std::lower_bound(
-      request_log_.begin(), request_log_.end(), from,
-      [](const std::pair<TimePoint, Duration>& e, TimePoint t) { return e.first < t; });
-  const auto hi = std::lower_bound(
-      request_log_.begin(), request_log_.end(), to,
-      [](const std::pair<TimePoint, Duration>& e, TimePoint t) { return e.first < t; });
-  return static_cast<std::uint64_t>(hi - lo);
-}
-
-std::optional<Duration> MetricsCollector::request_latency_percentile(double p) const {
-  return request_latency_percentile_between(p, TimePoint::origin(), TimePoint::max());
-}
-
-std::optional<Duration> MetricsCollector::request_latency_percentile_between(
-    double p, TimePoint from, TimePoint to) const {
-  if (threaded_) return base().request_latency_percentile_between(p, from, to);
-  std::vector<Duration> samples;
-  for (const auto& [at, latency] : request_log_) {
-    if (at >= from && at < to) samples.push_back(latency);
-  }
-  return nearest_rank_percentile(std::move(samples), p);
 }
 
 void MetricsCollector::record_batch_certified(TimePoint at, Duration latency) {
@@ -305,19 +251,6 @@ void MetricsCollector::record_batch_certified(TimePoint at, Duration latency) {
     return;
   }
   cert_log_.push_back(latency);
-}
-
-void MetricsCollector::record_certified_depth(TimePoint at, ProcessId node, std::size_t depth) {
-  if (threaded_) {
-    Event e;
-    e.kind = Event::Kind::kCertifiedDepth;
-    e.at = at;
-    e.node = node;
-    e.depth = depth;
-    capture(std::move(e));
-    return;
-  }
-  max_certified_depth_ = std::max(max_certified_depth_, depth);
 }
 
 std::optional<Duration> MetricsCollector::batch_cert_latency_percentile(double p) const {

@@ -109,8 +109,6 @@ class MetricsCollector final : public sim::NetworkObserver {
   [[nodiscard]] std::uint64_t dissem_bytes() const { return base().dissem_bytes_; }
   /// Honest block-sync messages sent (fetches + chain responses).
   [[nodiscard]] std::uint64_t sync_msgs() const { return base().sync_msgs_; }
-  /// Honest availability acks sent (BatchAck copies).
-  [[nodiscard]] std::uint64_t batch_acks() const { return base().batch_acks_; }
   /// Honest dissemination-layer bytes sent in [from, to) — attributable
   /// per regime window like msgs_between.
   [[nodiscard]] std::uint64_t dissem_bytes_between(TimePoint from, TimePoint to) const;
@@ -133,10 +131,6 @@ class MetricsCollector final : public sim::NetworkObserver {
   /// skipping `warmup` gaps (communication-per-decision sample).
   [[nodiscard]] std::optional<std::uint64_t> max_msg_gap(TimePoint from,
                                                          std::size_t warmup = 0) const;
-
-  /// Honest messages sent from `gst` until the first decision after it
-  /// (worst-case communication sample).
-  [[nodiscard]] std::optional<std::uint64_t> msgs_to_first_decision(TimePoint gst) const;
 
   /// Honest messages sent in [from, to).
   [[nodiscard]] std::uint64_t msgs_between(TimePoint from, TimePoint to) const;
@@ -168,28 +162,13 @@ class MetricsCollector final : public sim::NetworkObserver {
                                                                  TimePoint to) const;
 
   // -- client workload -----------------------------------------------------
-  // End-to-end request accounting (src/workload/), fed by the Cluster on
-  // the sim transport so request throughput and client latency attribute
-  // to the same regime windows as the protocol measures. The TCP
-  // transport aggregates per node instead (Cluster::workload_report).
+  // Committed requests and their latencies live in the workload engines
+  // (Cluster::workload_report(): committed_between, latency_percentile
+  // [_between]); the collector keeps only the mempool depth log.
 
-  /// A tagged client request committed at `at`, `latency` after submit.
-  void record_request_committed(TimePoint at, Duration latency);
   /// A proposer drained its mempool at depth `depth` (requests waiting).
   void record_queue_depth(TimePoint at, ProcessId node, std::size_t depth);
 
-  [[nodiscard]] std::uint64_t requests_committed() const {
-    return base().request_log_.size();
-  }
-  /// Committed requests with `from <= at < to`.
-  [[nodiscard]] std::uint64_t requests_between(TimePoint from, TimePoint to) const;
-  /// Nearest-rank submit -> commit latency percentile, p in (0, 1];
-  /// nullopt when no request committed (in the window).
-  [[nodiscard]] std::optional<Duration> request_latency_percentile(double p) const;
-  [[nodiscard]] std::optional<Duration> request_latency_percentile_between(double p,
-                                                                           TimePoint from,
-                                                                           TimePoint to) const;
-  [[nodiscard]] std::size_t max_queue_depth() const { return base().max_queue_depth_; }
   /// (instant, proposer, pending depth) per batch drain, in time order.
   struct QueueDepthSample {
     TimePoint at;
@@ -201,22 +180,18 @@ class MetricsCollector final : public sim::NetworkObserver {
   }
 
   // -- data dissemination --------------------------------------------------
-  // Batch-availability accounting (src/dissem/), fed by the Cluster on
-  // the sim transport: proof-of-availability latency at each origin plus
-  // the deepest certified-but-unordered backlog.
+  // Batch-availability accounting (src/dissem/): proof-of-availability
+  // latency at each origin. A node's certified-but-unordered backlog is
+  // its Disseminator::certified_depth().
 
   /// A batch gathered its availability cert at `at`, `latency` after its
   /// first push.
   void record_batch_certified(TimePoint at, Duration latency);
-  /// One node's certified-but-unordered reference depth sample.
-  void record_certified_depth(TimePoint at, ProcessId node, std::size_t depth);
 
   [[nodiscard]] std::uint64_t batches_certified() const { return base().cert_log_.size(); }
   /// Nearest-rank push -> cert latency percentile, p in (0, 1]; nullopt
   /// when no batch certified.
   [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile(double p) const;
-  /// The deepest certified-but-unordered queue any node reported.
-  [[nodiscard]] std::size_t max_certified_depth() const { return base().max_certified_depth_; }
 
  private:
   /// The shared accounting body of on_send / on_broadcast: charges
@@ -234,10 +209,8 @@ class MetricsCollector final : public sim::NetworkObserver {
       kSend,
       kQcFormed,
       kRegime,
-      kRequestCommitted,
       kQueueDepth,
       kBatchCertified,
-      kCertifiedDepth,
     };
     Kind kind = Kind::kSend;
     std::uint64_t seq = 0;
@@ -247,9 +220,9 @@ class MetricsCollector final : public sim::NetworkObserver {
     std::uint64_t wire = 0;                // kSend: bytes per copy
     std::uint64_t copies = 0;              // kSend
     View view = -1;                        // kQcFormed
-    ProcessId node = kNoProcess;           // kQcFormed leader / depth node
-    std::size_t depth = 0;                 // k*Depth
-    Duration latency = Duration::zero();   // kRequestCommitted / kBatchCertified
+    ProcessId node = kNoProcess;           // kQcFormed leader / kQueueDepth node
+    std::size_t depth = 0;                 // kQueueDepth
+    Duration latency = Duration::zero();   // kBatchCertified
     std::string label;                     // kRegime
   };
 
@@ -283,7 +256,6 @@ class MetricsCollector final : public sim::NetworkObserver {
   std::uint64_t dissem_msgs_ = 0;
   std::uint64_t dissem_bytes_ = 0;
   std::uint64_t sync_msgs_ = 0;
-  std::uint64_t batch_acks_ = 0;
   struct TypeTotals {
     std::uint64_t msgs = 0;
     std::uint64_t bytes = 0;
@@ -299,16 +271,12 @@ class MetricsCollector final : public sim::NetworkObserver {
   /// distinct send instant (see checkpoint() in metrics.cpp).
   std::vector<std::pair<TimePoint, std::uint64_t>> send_log_;
   std::vector<std::pair<TimePoint, std::string>> regime_marks_;
-  /// (commit instant, submit -> commit latency) per committed request.
-  std::vector<std::pair<TimePoint, Duration>> request_log_;
   std::vector<QueueDepthSample> queue_depth_log_;
-  std::size_t max_queue_depth_ = 0;
   /// (time, cumulative dissemination bytes) checkpoints, one per distinct
   /// charge instant.
   std::vector<std::pair<TimePoint, std::uint64_t>> dissem_send_log_;
   /// Push -> cert latency per certified batch.
   std::vector<Duration> cert_log_;
-  std::size_t max_certified_depth_ = 0;
 };
 
 }  // namespace lumiere::runtime

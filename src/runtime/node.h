@@ -58,7 +58,7 @@ struct NodeConfig {
   /// core (payload provider, vote gate, commit resolution).
   std::optional<dissem::DissemSpec> dissem;
   /// Harness-side disseminator callbacks (lease_batch/ack_batch/deliver
-  /// plus optional metrics hooks). The node-side callbacks (send,
+  /// plus the optional on_batch_certified). The node-side callbacks (send,
   /// broadcast, schedule, now, next_proposer) are filled in by the Node
   /// itself.
   dissem::DisseminatorCallbacks dissem_hooks;

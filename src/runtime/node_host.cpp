@@ -31,15 +31,13 @@ std::unique_ptr<workload::NodeWorkload> make_workload(const Scenario& scenario, 
   const NodeSpec& spec = scenario.nodes[id];
   if (!spec.workload) return nullptr;
   workload::NodeWorkload::Hooks hooks;
-  hooks.on_request_committed = [metrics = sinks.metrics, board = sinks.board, id](
-                                   TimePoint at, Duration latency) {
-    if (metrics != nullptr) metrics->record_request_committed(at, latency);
-    if (board != nullptr) board->add_request_committed(id);
+  hooks.on_request_committed = [tracer = sinks.tracer, id](TimePoint, Duration) {
+    tracer->note_request_committed(id);
   };
-  hooks.on_queue_depth = [metrics = sinks.metrics, board = sinks.board, id](TimePoint at,
-                                                                           std::size_t depth) {
+  hooks.on_queue_depth = [metrics = sinks.metrics, tracer = sinks.tracer, id](TimePoint at,
+                                                                             std::size_t depth) {
     if (metrics != nullptr) metrics->record_queue_depth(at, id, depth);
-    if (board != nullptr) board->set_mempool_depth(id, depth);
+    tracer->note_mempool_depth(id, depth);
   };
   return std::make_unique<workload::NodeWorkload>(sim, id, *spec.workload, scenario.seed,
                                                   std::move(hooks), incarnation);
@@ -53,7 +51,7 @@ NodeConfig make_node_config(const Scenario& scenario, ProcessId id,
   config.join_time = spec.join_time;
   config.clock_drift_ppm = spec.clock_drift_ppm;
   config.payload_provider = spec.payload_provider;
-  if (sinks.tracer != nullptr) config.auth_ops = &sinks.tracer->auth_counters(id);
+  config.auth_ops = &sinks.tracer->auth_counters(id);
   if (workload == nullptr) return config;
   if (!scenario.dissem.has_value()) {
     // The workload engine supplies the proposals: every replica forwards
@@ -79,9 +77,6 @@ NodeConfig make_node_config(const Scenario& scenario, ProcessId id,
     config.dissem_hooks.on_batch_certified = [metrics](TimePoint at, Duration latency) {
       metrics->record_batch_certified(at, latency);
     };
-    config.dissem_hooks.on_certified_depth = [metrics, id](TimePoint at, std::size_t depth) {
-      metrics->record_certified_depth(at, id, depth);
-    };
   }
   return config;
 }
@@ -90,44 +85,36 @@ NodeObservers make_observers(const Scenario& scenario, workload::NodeWorkload* w
                              const NodeSinks& sinks) {
   MetricsCollector* metrics = sinks.metrics;
   obs::SyncTracer* tracer = sinks.tracer;
-  obs::StatusBoard* board = sinks.board;
   sim::TraceLog* trace = sinks.trace;
-  // The tracer and board are thread-safe: on TCP a node's driver thread
-  // is the sole writer of its slots (obs/tracer.h threading note).
+  // The tracer is thread-safe: on TCP a node's driver thread is the sole
+  // writer of its record (obs/tracer.h threading note).
   NodeObservers observers;
   observers.on_qc_formed = [metrics, trace](TimePoint at, View view, ProcessId node) {
     if (metrics != nullptr) metrics->record_qc_formed(at, view, node);
     if (trace != nullptr) trace->record(at, sim::TraceKind::kQcFormed, node, view);
   };
-  observers.on_view_entered = [tracer, board, trace](TimePoint at, View view, ProcessId node) {
+  observers.on_view_entered = [tracer, trace](TimePoint at, View view, ProcessId node) {
     if (trace != nullptr) trace->record(at, sim::TraceKind::kViewEntered, node, view);
-    if (tracer != nullptr && tracer->on_view_entered(node, at, view).has_value() &&
-        trace != nullptr) {
+    if (tracer->on_view_entered(node, at, view).has_value() && trace != nullptr) {
       trace->record(at, sim::TraceKind::kSyncCompleted, node, view);
     }
-    if (board != nullptr) board->set_view(node, view);
   };
-  if (tracer != nullptr) {
-    observers.on_sync_started = [tracer, trace](TimePoint at, View current, View target,
-                                                ProcessId node) {
-      tracer->on_sync_started(node, at, current, target);
-      if (trace != nullptr) trace->record(at, sim::TraceKind::kSyncStarted, node, target);
-    };
-    observers.on_sent = [tracer](ProcessId node, std::size_t bytes) {
-      tracer->note_sent(node, bytes);
-    };
-  }
+  observers.on_sync_started = [tracer, trace](TimePoint at, View current, View target,
+                                              ProcessId node) {
+    tracer->on_sync_started(node, at, current, target);
+    if (trace != nullptr) trace->record(at, sim::TraceKind::kSyncStarted, node, target);
+  };
+  observers.on_sent = [tracer](ProcessId node, std::size_t bytes) {
+    tracer->note_sent(node, bytes);
+  };
   // With dissemination on, the Node's commit path routes the payload
   // through its disseminator, which invokes the workload `deliver` hook
   // itself — feeding on_commit here too would double-count.
   workload::NodeWorkload* fed = scenario.dissem.has_value() ? nullptr : workload;
-  observers.on_commit = [fed, board, trace](TimePoint at, const consensus::Block& block,
-                                            ProcessId node) {
+  observers.on_commit = [fed, tracer, trace](TimePoint at, const consensus::Block& block,
+                                             ProcessId node) {
     if (trace != nullptr) trace->record(at, sim::TraceKind::kCommitted, node, block.view());
-    if (board != nullptr) {
-      board->add_commit(node);
-      board->set_last_commit(node, static_cast<std::uint64_t>(block.view()));
-    }
+    tracer->note_commit(node, block.view());
     if (fed != nullptr) fed->on_commit(at, block.view(), block.payload());
   };
   return observers;
@@ -142,7 +129,7 @@ NodeHost::NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authent
       options_(options),
       adapter_(id, n_, scenario.tcp_base_port, wire_codec(auth)),
       driver_(&sim_, &adapter_.endpoint()) {
-  LUMIERE_ASSERT_MSG(sinks_.board != nullptr, "NodeHost needs a status board");
+  LUMIERE_ASSERT_MSG(sinks_.tracer != nullptr, "NodeHost needs a tracer");
   if (sinks_.metrics != nullptr) adapter_.set_observer(sinks_.metrics, &sim_);
   // Deterministic per-node jitter/drop streams: both derive from the
   // scenario seed, so a replayed scenario shapes traffic identically.
@@ -156,7 +143,7 @@ NodeHost::NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authent
                                  make_node_config(scenario, id, workload_.get(), sinks_),
                                  make_observers(scenario, workload_.get(), sinks_),
                                  std::move(behavior));
-  if (node_->is_byzantine()) sinks_.board->set_ever_byzantine(id_);
+  if (node_->is_byzantine()) sinks_.tracer->note_byzantine(id_);
 
   // Each node applies a fault transition on its own simulator when its
   // wall clock reaches the event instant — best-effort: the nodes cut a
@@ -272,7 +259,9 @@ void NodeHost::apply_fault(const sim::FaultEvent& event) {
     }
     case sim::FaultKind::kBehaviorChange:
       // Only the target node swaps; the Node is confined to this thread.
-      if (id_ == event.node) node_->set_behavior(adversary::make_behavior(event.behavior));
+      if (id_ != event.node) break;
+      node_->set_behavior(adversary::make_behavior(event.behavior));
+      if (node_->is_byzantine()) sinks_.tracer->note_byzantine(id_);
       break;
     case sim::FaultKind::kDelayChange:
     case sim::FaultKind::kLinkDelay:
@@ -288,7 +277,7 @@ std::string NodeHost::apply_admin(const obs::AdminCommand& command) {
       node_->set_behavior(std::move(behavior));
       // Sticky, like the node's own flag: an ever-Byzantine node never
       // re-enters the honest accounting.
-      if (node_->is_byzantine()) sinks_.board->set_ever_byzantine(id_);
+      if (node_->is_byzantine()) sinks_.tracer->note_byzantine(id_);
       return "OK";
     }
     case obs::AdminKind::kDrop:
@@ -319,24 +308,15 @@ std::string NodeHost::apply_admin(const obs::AdminCommand& command) {
 }
 
 obs::NodeStatus NodeHost::status() const {
-  // The node belongs to the driver thread: serve the board's relaxed
-  // counters instead of touching protocol state.
-  const obs::StatusBoard& board = *sinks_.board;
-  obs::NodeStatus status;
-  status.node = id_;
-  status.view = board.view(id_);
-  status.height = board.height(id_);
-  status.last_commit_height = board.last_commit(id_);
-  status.ever_byzantine = board.ever_byzantine(id_);
-  status.mempool_depth = board.mempool_depth(id_);
-  status.requests_committed = board.requests_committed(id_);
+  // The node belongs to the driver thread: serve the tracer's relaxed
+  // record instead of touching protocol state. No safe clock off that
+  // thread either, so the open span's duration reads 0 here (its costs
+  // are live).
+  obs::NodeStatus status = sinks_.tracer->status(id_, TimePoint::origin());
   if (pipeline_ != nullptr) {
     const VerifyPipeline::Stats stats = pipeline_->stats();
     status.pipeline_queue_depth = stats.frames_in - stats.frames_out;
   }
-  // No safe clock off the driver thread: the open span's duration reads
-  // 0 here (its costs are live).
-  if (sinks_.tracer != nullptr) sinks_.tracer->report(id_, TimePoint::origin(), status);
   return status;
 }
 

@@ -31,7 +31,6 @@
 #include "adversary/behaviors.h"
 #include "crypto/authenticator.h"
 #include "obs/admin.h"
-#include "obs/status.h"
 #include "obs/status_server.h"
 #include "obs/tracer.h"
 #include "runtime/metrics.h"
@@ -51,13 +50,13 @@ namespace lumiere::runtime {
 /// `auth`'s signature geometry.
 [[nodiscard]] MessageCodec wire_codec(const crypto::Authenticator& auth);
 
-/// Where one node's events go. Each sink is optional: the TraceLog exists
-/// only on the simulator, the StatusBoard only on TCP, and a standalone
-/// replica process keeps no MetricsCollector.
+/// Where one node's events go. The tracer holds the node's status record
+/// and span meters on both transports, so it is required; the TraceLog
+/// exists only on the simulator, and a standalone replica process keeps
+/// no MetricsCollector.
 struct NodeSinks {
   MetricsCollector* metrics = nullptr;
   obs::SyncTracer* tracer = nullptr;
-  obs::StatusBoard* board = nullptr;
   sim::TraceLog* trace = nullptr;
 };
 
@@ -91,9 +90,9 @@ class NodeHost {
     std::uint32_t incarnation = 0;
   };
 
-  /// Builds node `id` of `scenario`. Borrows `auth` and `sinks.board`
-  /// (both required) and the optional `sinks.metrics` (threaded mode)
-  /// and `sinks.tracer`; all must outlive the host. Schedules the
+  /// Builds node `id` of `scenario`. Borrows `auth` and `sinks.tracer`
+  /// (both required) and the optional `sinks.metrics` (threaded mode);
+  /// all must outlive the host. Schedules the
   /// scenario's fault events on the private simulator. Throws
   /// std::runtime_error when a port cannot be bound.
   NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authenticator& auth,
@@ -115,7 +114,7 @@ class NodeHost {
   /// Applies one admin command (obs/admin.h) and returns the reply line.
   [[nodiscard]] std::string apply_admin(const obs::AdminCommand& command);
   /// The snapshot the status endpoint serves. Safe from any thread: it
-  /// reads the board and tracer, never the node.
+  /// reads the tracer's record and the verify pool, never the node.
   [[nodiscard]] obs::NodeStatus status() const;
 
   [[nodiscard]] Node& node() noexcept { return *node_; }

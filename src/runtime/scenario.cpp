@@ -154,11 +154,6 @@ std::vector<std::string> ScenarioBuilder::validate() const {
                        " overlap the transport ports " + std::to_string(tcp) + ".." +
                        std::to_string(tcp + params.n - 1));
     }
-    if (!spec_.obs.tracer) {
-      errors.push_back(
-          "observability: status endpoints report sync spans — enable the tracer "
-          "(ObsSpec::tracer) alongside status_base_port");
-    }
   }
   if (!spec_.obs.admin_token.empty() && spec_.obs.status_base_port == 0) {
     errors.push_back(

@@ -146,10 +146,8 @@ struct ScenarioSpec {
   /// this mode).
   std::optional<dissem::DissemSpec> dissem;
 
-  /// Observability (src/obs/): the view-sync span tracer (default-on —
-  /// passive, golden digests are byte-identical either way), completed-
-  /// span/trace-log capacities, and the per-node status endpoints
-  /// (status_base_port, TCP transport only).
+  /// Observability (src/obs/): the per-node status endpoints and their
+  /// admin token (TCP transport only). The span tracer is always on.
   obs::ObsSpec obs;
 
   /// Scripted network/membership events in declaration order: every
@@ -251,9 +249,8 @@ class ScenarioBuilder {
   /// survives only because the bench_e2e workloads still make it, and
   /// goes with the next change to that benchmark.
   ScenarioBuilder& block_sync() { return *this; }
-  /// Observability knobs (src/obs/): span tracer on/off + capacities and
-  /// the per-node status endpoints. The tracer defaults on even without
-  /// this call; status endpoints need the TCP transport.
+  /// Observability settings (src/obs/): the per-node status endpoints
+  /// and admin token, which need the TCP transport.
   ScenarioBuilder& observability(obs::ObsSpec spec) { return set(spec_.obs, std::move(spec)); }
   /// Behavior assignment; default all-honest.
   ScenarioBuilder& behaviors(adversary::BehaviorFactory factory) {

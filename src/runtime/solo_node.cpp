@@ -5,17 +5,13 @@
 namespace lumiere::runtime {
 
 SoloNodeRuntime::SoloNodeRuntime(const Scenario& scenario, ProcessId id, Options options)
-    : id_(id) {
+    : id_(id), tracer_(scenario.params.n) {
   const std::uint32_t n = scenario.params.n;
   if (id_ >= n) throw std::invalid_argument("solo node: id out of range");
   auth_ = crypto::make_authenticator(scenario.auth_scheme, n, scenario.seed);
-  if (scenario.obs.tracer) {
-    tracer_ = std::make_unique<obs::SyncTracer>(n, scenario.obs.max_spans);
-  }
-  board_ = std::make_unique<obs::StatusBoard>(n);
   const BehaviorThunk& make = scenario.nodes[id_].behavior;
   host_ = std::make_unique<NodeHost>(
-      scenario, id_, *auth_, NodeSinks{nullptr, tracer_.get(), board_.get(), nullptr},
+      scenario, id_, *auth_, NodeSinks{nullptr, &tracer_, nullptr},
       make ? make() : std::make_unique<adversary::HonestBehavior>(), options);
 }
 

@@ -11,7 +11,7 @@
 // ScenarioBuilder(parse_spec(file)).scenario() gives for the shared spec
 // file (runtime/spec_io.h), the same path a Cluster is built on — then
 // builds the per-process pieces a Cluster would share (authenticator,
-// span tracer, status board) and one NodeHost (runtime/node_host.h) for
+// span tracer with the node's status record) and one NodeHost (runtime/node_host.h) for
 // nodes[id], the same stack each TCP Cluster node runs. Because every
 // process resolves the same spec, seeds, keys and leader schedules agree
 // byte-for-byte with no runtime coordination.
@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "crypto/authenticator.h"
-#include "obs/status.h"
 #include "obs/tracer.h"
 #include "runtime/node_host.h"
 #include "runtime/scenario.h"
@@ -61,8 +60,7 @@ class SoloNodeRuntime {
  private:
   ProcessId id_;
   std::unique_ptr<crypto::Authenticator> auth_;
-  std::unique_ptr<obs::SyncTracer> tracer_;
-  std::unique_ptr<obs::StatusBoard> board_;
+  obs::SyncTracer tracer_;
   /// Last: its threads read everything above.
   std::unique_ptr<NodeHost> host_;
 };

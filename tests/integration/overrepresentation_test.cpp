@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "adversary/behaviors.h"
-#include "adversary/delay_adversary.h"
 #include "core/lumiere.h"
 #include "pacemaker/messages.h"
 #include "runtime/cluster.h"

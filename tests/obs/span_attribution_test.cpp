@@ -6,11 +6,13 @@
 
 #include <sstream>
 
+#include "adversary/behaviors.h"
 #include "crypto/sha256.h"
 #include "obs/ledger.h"
 #include "obs/tracer.h"
 #include "runtime/cluster.h"
 #include "sim/trace.h"
+#include "workload/engine.h"
 
 namespace lumiere::obs {
 namespace {
@@ -37,7 +39,7 @@ TEST(SpanAttributionTest, PartitionResyncEmitsAttributedSpans) {
   cluster.run_for(Duration::seconds(8));
 
   const SyncTracer* tracer = cluster.sync_tracer();
-  ASSERT_NE(tracer, nullptr) << "tracer must default on";
+  ASSERT_NE(tracer, nullptr) << "every cluster has a tracer";
 
   const CompletedSpans spans = tracer->completed_spans();
   ASSERT_FALSE(spans.empty()) << "a quorumless partition must force sync episodes";
@@ -131,34 +133,49 @@ TEST(SpanAttributionTest, ExportsReadTheRingUnchanged) {
             "5d0d9992c24b46c479d597f7c977b700ada685635ff913c312fd9e7fbe824860");
 }
 
-TEST(SpanAttributionTest, TracerCanBeDisabled) {
-  ScenarioBuilder builder = partition_options(4244);
-  ObsSpec spec;
-  spec.tracer = false;
-  builder.observability(spec);
-  Cluster cluster(builder);
-  cluster.run_for(Duration::seconds(1));
-  EXPECT_EQ(cluster.sync_tracer(), nullptr);
-  // node_status still answers, just without cost meters or spans.
-  const NodeStatus status = cluster.node_status(0);
-  EXPECT_EQ(status.msgs_sent, 0U);
-  EXPECT_FALSE(status.current_sync.has_value());
-  EXPECT_FALSE(status.last_sync.has_value());
-}
-
 TEST(SpanAttributionTest, SimNodeStatusReadsTheNode) {
-  Cluster cluster(partition_options(4245));
+  // The simulator serves the same per-node record as TCP: every field is
+  // fed by the node's observers and workload hooks, and must agree with
+  // what the node, its ledger and its workload engine say directly.
+  ScenarioBuilder builder = partition_options(4245);
+  workload::WorkloadSpec clients;
+  clients.rate_per_client = 100.0;
+  builder.workload(clients);
+  builder.behaviors(adversary::byzantine_set(
+      {3}, [](ProcessId) { return std::make_unique<adversary::SilentLeaderBehavior>(); }));
+  Cluster cluster(builder);
   cluster.run_for(Duration::seconds(6));
+
+  const std::vector<bool> byzantine = cluster.byzantine_mask();
+  ASSERT_TRUE(byzantine[3]);
+  std::vector<std::size_t> last_depth(4, 0);
+  for (const auto& sample : cluster.metrics().queue_depth_log()) {
+    last_depth.at(sample.node) = sample.depth;
+  }
+  std::uint64_t requests = 0;
   for (ProcessId id = 0; id < 4; ++id) {
     const NodeStatus status = cluster.node_status(id);
+    const consensus::Ledger& ledger = cluster.node(id).ledger();
+    const workload::NodeWorkload* engine = cluster.node_workload(id);
+    ASSERT_NE(engine, nullptr);
     EXPECT_EQ(status.node, id);
     EXPECT_EQ(status.view, cluster.node(id).current_view());
-    EXPECT_EQ(status.height, cluster.node(id).ledger().size());
+    EXPECT_EQ(status.height, ledger.size());
+    ASSERT_FALSE(ledger.empty());
+    EXPECT_EQ(status.last_commit_height,
+              static_cast<std::uint64_t>(ledger.entries().back().view()));
+    EXPECT_EQ(status.ever_byzantine, byzantine[id]);
+    EXPECT_EQ(status.requests_committed, engine->stats().committed);
+    EXPECT_EQ(status.mempool_depth, last_depth[id]) << "the record holds the last depth sample";
+    EXPECT_LE(status.mempool_depth, engine->stats().max_queue_depth);
     EXPECT_EQ(status.msgs_sent, cluster.sync_tracer()->msgs_sent(id));
     EXPECT_EQ(status.pipeline_queue_depth, 0U) << "no pipeline on the simulator";
     ASSERT_TRUE(status.last_sync.has_value()) << "partition re-sync left no span";
     EXPECT_EQ(status.last_sync->node, id);
+    requests += status.requests_committed;
   }
+  EXPECT_GT(requests, 0U) << "no client request committed";
+  EXPECT_EQ(requests, cluster.workload_report().committed);
   // The render is line-oriented and END-terminated (what the TCP
   // endpoint serves).
   const std::string rendered = render_status(cluster.node_status(0));
@@ -181,7 +198,7 @@ TEST(SpanAttributionTest, TcpSpansCarryCosts) {
   Cluster cluster(builder);
   for (int slice = 0; slice < 4; ++slice) {
     cluster.run_for(Duration::millis(200));  // wall-clock
-    // No status ports, yet node_status serves the status board, which
+    // No status ports, yet node_status serves the tracer's record, which
     // agrees with the nodes between slices (driver threads joined).
     for (ProcessId id = 0; id < 4; ++id) {
       const NodeStatus status = cluster.node_status(id);

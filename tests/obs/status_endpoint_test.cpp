@@ -158,7 +158,7 @@ TEST(StatusEndpointTest, ServesLiveStatusOverTcp) {
     EXPECT_TRUE(client.peer_closed());
   }
 
-  // The board kept up with the nodes: the snapshot agrees with the
+  // The record kept up with the nodes: the snapshot agrees with the
   // harness-side view of the same counters.
   for (ProcessId id = 0; id < 4; ++id) {
     const NodeStatus status = cluster.node_status(id);
@@ -307,20 +307,6 @@ TEST(StatusEndpointTest, BuilderRejectsStatusOnSimTransport) {
       .core("chained-hotstuff")
       .seed(1);
   ObsSpec spec;
-  spec.status_base_port = kStatusBase;
-  builder.observability(spec);
-  EXPECT_THROW(Cluster{builder}, std::invalid_argument);
-}
-
-TEST(StatusEndpointTest, BuilderRejectsStatusWithoutTracer) {
-  ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(4, Duration::millis(10), /*x=*/4))
-      .pacemaker("lumiere")
-      .core("chained-hotstuff")
-      .seed(1)
-      .transport_tcp(kTcpBase);
-  ObsSpec spec;
-  spec.tracer = false;
   spec.status_base_port = kStatusBase;
   builder.observability(spec);
   EXPECT_THROW(Cluster{builder}, std::invalid_argument);

@@ -134,7 +134,6 @@ TEST_F(MetricsTest, EmptyCollectorEdgeCases) {
   EXPECT_FALSE(metrics_.latency_to_first_decision(TimePoint::origin()).has_value());
   EXPECT_FALSE(metrics_.max_decision_gap(TimePoint::origin()).has_value());
   EXPECT_FALSE(metrics_.max_msg_gap(TimePoint::origin()).has_value());
-  EXPECT_FALSE(metrics_.msgs_to_first_decision(TimePoint::origin()).has_value());
   EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(100)), 0U);
 }
 

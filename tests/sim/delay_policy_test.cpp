@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "crypto/authenticator.h"
-
-#include "adversary/delay_adversary.h"
 #include "pacemaker/messages.h"
 
 namespace lumiere::sim {
@@ -56,19 +54,6 @@ TEST_F(DelayPolicyTest, PreGstChaosSwitchesAtGst) {
     EXPECT_GE(post, Duration::micros(10));
     EXPECT_LE(post, Duration::micros(20));
   }
-}
-
-TEST_F(DelayPolicyTest, WorstCaseProposesMax) {
-  adversary::WorstCaseDelay policy;
-  EXPECT_EQ(policy.propose_delay(0, 1, *sample_msg(), TimePoint(0), rng_), Duration::max());
-}
-
-TEST_F(DelayPolicyTest, TargetedSlowHitsVictimLinksOnly) {
-  adversary::TargetedSlowDelay policy({2}, Duration::micros(100));
-  EXPECT_EQ(policy.propose_delay(0, 1, *sample_msg(), TimePoint(0), rng_),
-            Duration::micros(100));
-  EXPECT_EQ(policy.propose_delay(0, 2, *sample_msg(), TimePoint(0), rng_), Duration::max());
-  EXPECT_EQ(policy.propose_delay(2, 3, *sample_msg(), TimePoint(0), rng_), Duration::max());
 }
 
 }  // namespace

