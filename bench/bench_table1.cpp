@@ -449,12 +449,11 @@ void run_warmup(bool quick, JsonRows& json) {
 
 // --------------------------------------------------------------- ablation
 
-void print_ablation_row(const char* label, const WindowMeasure& m, const char* regime,
-                        JsonRows& json) {
+void print_ablation_row(const char* label, const WindowMeasure& m, JsonRows& json) {
   std::printf("%-34s | %10llu | %12s | %12s | %9zu\n", label,
               static_cast<unsigned long long>(m.epoch_view_msgs), fmt_count(m.comm).c_str(),
               fmt_ms(m.latency).c_str(), m.decisions);
-  claim_row(json, "ablation", regime)
+  claim_row(json, "ablation", "eventual")
       .set("variant", label)
       .set("epoch_msgs", m.epoch_view_msgs)
       .set_count("comm", m.comm)
@@ -478,7 +477,6 @@ void run_ablation(bool quick, JsonRows& json) {
   struct Variant {
     const char* label;
     const char* pacemaker;
-    runtime::LumiereOptions switches;
     Duration gamma;
     std::uint32_t f_a;
     std::uint64_t seed;
@@ -486,37 +484,22 @@ void run_ablation(bool quick, JsonRows& json) {
   };
   const Duration none = Duration::zero();
   const Variant variants[] = {
-      {"lumiere (full)", "lumiere", {}, none, 2, 4001, 0},
-      {"basic-lumiere (no success crit.)", "basic-lumiere", {}, none, 2, 4001, 0},
-      {"lumiere, no QC deadline", "lumiere", {false, true}, none, 2, 4001, 0},
-      {"lumiere, no Delta-wait", "lumiere", {true, false}, none, 2, 4001, 0},
-      {"lumiere, Gamma x1.5", "lumiere", {}, Duration::millis(150), 2, 4001, 0},
-      {"lumiere, Gamma x2", "lumiere", {}, Duration::millis(200), 2, 4001, 0},
-      {"lumiere (full), f_a = 0", "lumiere", {}, none, 0, 4001, 0},
-      {"basic-lumiere, f_a = 0", "basic-lumiere", {}, none, 0, 4001, 0},
-      {"lumiere, drift 0 ppm", "lumiere", {}, none, 2, 4004, 0},
-      {"lumiere, drift 200 ppm", "lumiere", {}, none, 2, 4004, 200},
-      {"lumiere, drift 2000 ppm", "lumiere", {}, none, 2, 4004, 2'000},
-      {"lumiere, drift 20000 ppm", "lumiere", {}, none, 2, 4004, 20'000},
-      {"lumiere, drift 50000 ppm", "lumiere", {}, none, 2, 4004, 50'000},
+      {"lumiere (full)", "lumiere", none, 2, 4001, 0},
+      {"basic-lumiere (no success crit.)", "basic-lumiere", none, 2, 4001, 0},
+      {"lumiere, Gamma x1.5", "lumiere", Duration::millis(150), 2, 4001, 0},
+      {"lumiere, Gamma x2", "lumiere", Duration::millis(200), 2, 4001, 0},
+      {"lumiere (full), f_a = 0", "lumiere", none, 0, 4001, 0},
+      {"basic-lumiere, f_a = 0", "basic-lumiere", none, 0, 4001, 0},
+      {"lumiere, drift 0 ppm", "lumiere", none, 2, 4004, 0},
+      {"lumiere, drift 200 ppm", "lumiere", none, 2, 4004, 200},
+      {"lumiere, drift 2000 ppm", "lumiere", none, 2, 4004, 2'000},
+      {"lumiere, drift 20000 ppm", "lumiere", none, 2, 4004, 20'000},
+      {"lumiere, drift 50000 ppm", "lumiere", none, 2, 4004, 50'000},
   };
   for (const Variant& v : variants) {
     ScenarioBuilder builder = runtime::eventual_scenario(v.pacemaker, kN, v.f_a, v.seed);
-    builder.lumiere(v.switches).gamma(v.gamma).drift_ppm_max(v.drift_ppm);
-    print_ablation_row(v.label, runtime::measure_eventual(builder, run, warmup), "eventual",
-                       json);
-  }
-  // The two switches are worst-case devices, so they are priced in the
-  // worst-case regime too: the costliest of the first 10 windows.
-  std::printf("\n%-34s | %10s | %12s | %12s | %9s\n", "variant (worst-case regime)",
-              "epoch msgs", "worst comm", "worst lat ms", "decisions");
-  for (const Variant& v : {variants[0], variants[2], variants[3]}) {
-    ScenarioBuilder builder = runtime::worst_case_scenario(v.pacemaker, kN, 4005);
-    builder.lumiere(v.switches);
-    print_ablation_row(v.label,
-                       runtime::measure_worst_case(
-                           builder, quick ? Duration::seconds(60) : Duration::seconds(240)),
-                       "worst_case", json);
+    builder.gamma(v.gamma).drift_ppm_max(v.drift_ppm);
+    print_ablation_row(v.label, runtime::measure_eventual(builder, run, warmup), json);
   }
 
   // Section 3.3 "Reducing Gamma": Fever's leader tenure.
@@ -634,9 +617,7 @@ int main(int argc, char** argv) {
       "count. A larger Gamma, or a longer Fever tenure (Gamma = (2 + tenure x)\n"
       "Delta / (tenure - 1) falls toward x Delta), trades stall for slack. Drift up\n"
       "to 5%% moves the stall by at most 2 rho of it. HotStuff-2 commits a round\n"
-      "sooner than chained HotStuff ([14]). Neither switch shows its purpose: with\n"
-      "no QC deadline or no Delta-wait, Lumiere sends the same epoch-view messages\n"
-      "in both regimes and its latency moves by at most 10 ms.\n");
+      "sooner than chained HotStuff ([14]).\n");
   if (!args.json_path.empty() && !json.write(args.json_path, "table1")) return 1;
   return 0;
 }

@@ -11,7 +11,6 @@ LumierePacemaker::LumierePacemaker(const ProtocolParams& params, ProcessId self,
                                    crypto::Signer signer, pacemaker::PacemakerWiring wiring,
                                    Options options)
     : Pacemaker(params, self, signer, std::move(wiring)),
-      options_(options),
       schedule_(params.n, options.schedule_seed),
       math_(params.n, options.gamma > Duration::zero() ? options.gamma : default_gamma(params)),
       success_(
@@ -66,17 +65,13 @@ void LumierePacemaker::park_at(View w) {
   note_sync_started(w);
   clock().pause();
   delta_wait_.cancel();
-  if (options_.switches.delta_wait) {
-    // Line 11: "If local clock is still paused time Delta after pausing,
-    // send an epoch view v message to all processors." The wait absorbs
-    // the race where QCs from the tail of the previous epoch are still in
-    // flight (final complexity of Section 3.5).
-    delta_wait_ = sim().schedule_after(params_.delta_cap, [this, w] {
-      if (parked_view_ == w) send_epoch_msg(w);
-    });
-  } else {
-    send_epoch_msg(w);
-  }
+  // Line 11: "If local clock is still paused time Delta after pausing,
+  // send an epoch view v message to all processors." The wait absorbs
+  // the race where QCs from the tail of the previous epoch are still in
+  // flight (final complexity of Section 3.5).
+  delta_wait_ = sim().schedule_after(params_.delta_cap, [this, w] {
+    if (parked_view_ == w) send_epoch_msg(w);
+  });
 }
 
 void LumierePacemaker::unpark() {
@@ -299,7 +294,6 @@ View LumierePacemaker::lowest_held_view() const {
 }
 
 bool LumierePacemaker::may_form_qc(View v) const {
-  if (!options_.switches.enforce_qc_deadline) return true;
   // "Honest leaders only produce a QC for view v if they can do it within
   // time Gamma/2 - 2*Delta of sending the VC for view v, or within that
   // time of sending the QC for the previous view if v is not initial."
@@ -317,7 +311,6 @@ bool LumierePacemaker::may_form_qc(View v) const {
 }
 
 bool LumierePacemaker::may_propose(View v) const {
-  if (!options_.switches.enforce_qc_deadline) return true;
   // Initial-view proposals wait for the VC (the deadline anchor);
   // non-initial views are anchored by our own previous QC, which exists
   // whenever we legitimately entered the view as its leader.

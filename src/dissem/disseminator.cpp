@@ -10,7 +10,7 @@ namespace lumiere::dissem {
 
 namespace {
 
-/// Cap on a re-push or re-announce gap, in multiples of retry_interval.
+/// Cap on a re-push or re-announce gap, in multiples of kRetryInterval.
 /// Bounded rather than open-ended: the proposer a cert first went to may
 /// be silent or cut off (on TCP the adapter drops partitioned traffic
 /// instead of parking it), so the cert reaches a leader that orders it
@@ -20,32 +20,28 @@ constexpr std::int64_t kMaxRetryGapFactor = 4;
 }  // namespace
 
 Disseminator::Disseminator(const ProtocolParams& params, crypto::AuthView auth,
-                           crypto::Signer signer, DissemSpec spec, DisseminatorCallbacks cb)
+                           crypto::Signer signer, DisseminatorCallbacks cb)
     : params_(params),
       auth_(auth),
       signer_(signer),
-      spec_(spec),
       cb_(std::move(cb)),
       self_(signer_.id()),
       batches_(params.n) {
   LUMIERE_ASSERT(auth);
   LUMIERE_ASSERT(cb_.send && cb_.broadcast && cb_.schedule && cb_.now && cb_.next_proposer);
   LUMIERE_ASSERT(cb_.lease_batch && cb_.ack_batch && cb_.deliver);
-  LUMIERE_ASSERT(spec_.push_interval > Duration::zero());
-  LUMIERE_ASSERT(spec_.retry_interval > Duration::zero());
-  LUMIERE_ASSERT(spec_.max_refs_per_proposal > 0);
 }
 
 void Disseminator::start() {
   if (running_) return;
   running_ = true;
-  cb_.schedule(spec_.push_interval, [this] { push_tick(); });
-  cb_.schedule(spec_.retry_interval, [this] { retry_tick(); });
+  cb_.schedule(kPushInterval, [this] { push_tick(); });
+  cb_.schedule(kRetryInterval, [this] { retry_tick(); });
 }
 
 void Disseminator::push_tick() {
-  for (std::uint32_t i = 0; i < spec_.max_batches_per_tick; ++i) {
-    if (pending_.size() >= spec_.max_uncertified) break;
+  for (std::uint32_t i = 0; i < kMaxBatchesPerTick; ++i) {
+    if (pending_.size() >= kMaxUncertified) break;
     std::vector<std::uint8_t> leased;
     const std::uint64_t token = cb_.lease_batch(leased);
     if (token == 0) break;
@@ -60,7 +56,7 @@ void Disseminator::push_tick() {
         seq, PendingCert{id, now,
                          crypto::QuorumAggregator(auth_, batch_statement(id),
                                                   params_.small_quorum()),
-                         Backoff{now + spec_.retry_interval, spec_.retry_interval}});
+                         Backoff{now + kRetryInterval, kRetryInterval}});
     LUMIERE_ASSERT(inserted);
     it->second.agg.add(crypto::threshold_share(signer_, batch_statement(id)));
     ++pushed_;
@@ -68,7 +64,7 @@ void Disseminator::push_tick() {
     cb_.broadcast(std::make_shared<BatchPushMsg>(id, std::move(payload)));
     maybe_finalize(seq);
   }
-  cb_.schedule(spec_.push_interval, [this] { push_tick(); });
+  cb_.schedule(kPushInterval, [this] { push_tick(); });
 }
 
 bool Disseminator::Backoff::fire(TimePoint now, Duration cap) {
@@ -80,7 +76,7 @@ bool Disseminator::Backoff::fire(TimePoint now, Duration cap) {
 
 void Disseminator::retry_tick() {
   const TimePoint now = cb_.now();
-  const Duration cap = spec_.retry_interval * kMaxRetryGapFactor;
+  const Duration cap = kRetryInterval * kMaxRetryGapFactor;
   // Re-push own batches still short of f+1 acks (pushes lost to drops or
   // a partition), only to the peers whose ack is missing: the others
   // already store the bytes. Acking is idempotent on the receiver side.
@@ -107,7 +103,7 @@ void Disseminator::retry_tick() {
   if (!due.empty()) announce(std::move(due));
   // Re-fetch committed-but-missing payloads from their cert signers.
   for (const auto& [id, cert] : unresolved_) send_fetches(cert);
-  cb_.schedule(spec_.retry_interval, [this] { retry_tick(); });
+  cb_.schedule(kRetryInterval, [this] { retry_tick(); });
 }
 
 void Disseminator::on_message(ProcessId from, const MessagePtr& msg) {
@@ -167,7 +163,7 @@ void Disseminator::maybe_finalize(std::uint64_t seq) {
   pending_.erase(it);
   ++certified_;
   own_certs_.emplace(cert.id(),
-                     OwnCert{cert, Backoff{now + spec_.retry_interval, spec_.retry_interval}});
+                     OwnCert{cert, Backoff{now + kRetryInterval, kRetryInterval}});
   announce({cert});
   accept_cert(cert);
 }
@@ -214,7 +210,7 @@ bool Disseminator::verify_cert_cached(const BatchCert& cert) {
 
 std::vector<std::uint8_t> Disseminator::make_proposal_payload(View /*v*/) {
   std::vector<BatchCert> refs;
-  while (refs.size() < spec_.max_refs_per_proposal && !queue_.empty()) {
+  while (refs.size() < kMaxRefsPerProposal && !queue_.empty()) {
     BatchCert cert = std::move(queue_.front());
     queue_.pop_front();
     if (queued_.erase(cert.id()) == 0) continue;  // stale copy, superseded
@@ -249,7 +245,7 @@ void Disseminator::on_refs_proposed(std::span<const std::uint8_t> payload) {
 }
 
 void Disseminator::schedule_reinsert(const BatchCert& cert) {
-  cb_.schedule(spec_.reinsert_timeout, [this, cert] {
+  cb_.schedule(kReinsertTimeout, [this, cert] {
     const BatchId& id = cert.id();
     if (batches_.ordered(id) || queued_.contains(id)) return;
     queue_.push_back(cert);

@@ -20,9 +20,9 @@
 //   * on a retry tick, re-pushes an own batch still short of f+1 acks to
 //     the peers whose ack is missing, re-fetches unresolved references,
 //     and re-announces own certs nobody ordered yet. Re-pushes and
-//     re-announces back off per batch: first due retry_interval after
+//     re-announces back off per batch: first due kRetryInterval after
 //     the push or certification, then the gap doubles up to a cap of
-//     4 x retry_interval. All certs due on a tick leave in BatchCertMsg
+//     4 x kRetryInterval. All certs due on a tick leave in BatchCertMsg
 //     lists of at most 64, addressed to the proposer next at that tick;
 //     the proposer rotates, so successive re-announces reach different
 //     leaders (the liveness net for a silent or cut-off first choice).
@@ -58,10 +58,36 @@
 #include "dissem/batch.h"
 #include "dissem/batch_lanes.h"
 #include "dissem/messages.h"
-#include "dissem/spec.h"
 #include "ser/message.h"
 
 namespace lumiere::dissem {
+
+// The engine's cadences and limits. They suit the simulated
+// sub-millisecond networks the benches script; every timer runs on the
+// deterministic simulator clock.
+
+/// Origin cadence: how often a replica drains its mempool into fresh
+/// batches and pushes them to everyone.
+inline constexpr Duration kPushInterval = Duration::millis(2);
+/// Batches leased per push tick (each becomes one BatchPush broadcast).
+inline constexpr std::uint32_t kMaxBatchesPerTick = 4;
+/// Flow control: stop leasing fresh batches while this many own batches
+/// are still awaiting certification (e.g. the node is cut off from a
+/// small quorum) — backpressure then propagates to the mempool.
+inline constexpr std::uint32_t kMaxUncertified = 32;
+/// Retry tick cadence — the recovery path through partitions and drops.
+/// Each tick re-fetches unresolved committed references and sends the
+/// due re-pushes (to the peers whose ack is missing) and re-announces
+/// (to the tick's next proposer). This interval is also the first
+/// re-push delay after a push and the first re-announce delay after
+/// certification; each gap then doubles, up to 4 x this interval.
+inline constexpr Duration kRetryInterval = Duration::millis(50);
+/// Cap on certified references drained into a single proposal.
+inline constexpr std::uint32_t kMaxRefsPerProposal = 64;
+/// A reference handed to consensus (drained locally or seen in a
+/// proposal) that is still unordered after this long re-enters the
+/// certified queue, so an abandoned proposal cannot lose batches.
+inline constexpr Duration kReinsertTimeout = Duration::millis(100);
 
 /// Wiring into the node (transport + clock) and the harness (mempool
 /// lease/ack, committed-batch delivery, metrics). Metrics hooks may be
@@ -90,7 +116,7 @@ struct DisseminatorCallbacks {
 class Disseminator {
  public:
   Disseminator(const ProtocolParams& params, crypto::AuthView auth, crypto::Signer signer,
-               DissemSpec spec, DisseminatorCallbacks cb);
+               DisseminatorCallbacks cb);
 
   /// Starts the push/retry timers. Call when the node joins the protocol.
   void start();
@@ -99,7 +125,7 @@ class Disseminator {
 
   // ---- consensus integration -----------------------------------------
 
-  /// Drains up to max_refs_per_proposal certified references into an
+  /// Drains up to kMaxRefsPerProposal certified references into an
   /// encoded refs payload for a proposal (empty when nothing certified).
   [[nodiscard]] std::vector<std::uint8_t> make_proposal_payload(View v);
 
@@ -181,7 +207,6 @@ class Disseminator {
   ProtocolParams params_;
   crypto::AuthView auth_;
   crypto::Signer signer_;
-  DissemSpec spec_;
   DisseminatorCallbacks cb_;
   ProcessId self_;
   bool running_ = false;

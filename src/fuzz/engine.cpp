@@ -188,7 +188,7 @@ FuzzCase apply_deltas(const FuzzCase& base, const CaseDeltas& deltas) {
   runtime::ScenarioSpec& spec = c.spec;
   if (deltas.drop_workload) spec.workload.reset();
   // Dissemination rides on the workload: dropping either switches it off.
-  if (deltas.drop_dissem || deltas.drop_workload) spec.dissem.reset();
+  if (deltas.drop_dissem || deltas.drop_workload) spec.dissem = false;
 
   std::vector<bool> drop_event(spec.schedule.events.size(), false);
   for (const std::size_t index : deltas.drop_events) {

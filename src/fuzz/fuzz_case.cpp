@@ -306,7 +306,7 @@ FuzzCase sample_case(std::uint64_t seed) {
   sample_workload(s);
   // Sampled last so earlier seeds' draw sequences (and thus their
   // replayed cases) are unchanged by the dissemination dimension.
-  if (c.spec.workload && s.rng.next_bool(0.5)) c.spec.dissem = dissem::DissemSpec{};
+  if (c.spec.workload && s.rng.next_bool(0.5)) c.spec.dissem = true;
   return c;
 }
 

@@ -24,7 +24,7 @@ struct NodeStatus {
   /// keys liveness on it.
   std::uint64_t last_commit_height = 0;
   bool ever_byzantine = false;          ///< node ever ran a non-honest behavior
-  std::uint64_t mempool_depth = 0;      ///< pending requests (last sample)
+  std::uint64_t mempool_depth = 0;      ///< pending at the last drain (0 once one finds none)
   std::uint64_t pipeline_queue_depth = 0;///< verify-pipeline frames in flight
   std::uint64_t requests_committed = 0; ///< workload requests completed
   std::uint64_t msgs_sent = 0;

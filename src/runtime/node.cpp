@@ -78,7 +78,7 @@ void Node::build_pacemaker(const NodeConfig& config) {
 }
 
 void Node::build_dissem(const NodeConfig& config) {
-  if (!config.dissem.has_value()) return;
+  if (!config.dissem) return;
   // Harness hooks (mempool lease/ack, delivery, metrics) come from the
   // config; the transport-facing hooks are this node's own plumbing so
   // dissemination traffic obeys the same Behavior filter and simulated
@@ -91,8 +91,7 @@ void Node::build_dissem(const NodeConfig& config) {
   };
   cb.now = [this] { return sim_->now(); };
   cb.next_proposer = [this] { return pacemaker_->leader_of(pacemaker_->current_view() + 1); };
-  dissem_ = std::make_unique<dissem::Disseminator>(params_, auth_view_, signer_, *config.dissem,
-                                                   std::move(cb));
+  dissem_ = std::make_unique<dissem::Disseminator>(params_, auth_view_, signer_, std::move(cb));
 }
 
 void Node::build_core(const NodeConfig& config) {

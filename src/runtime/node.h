@@ -25,7 +25,6 @@
 #include "consensus/core.h"
 #include "consensus/ledger.h"
 #include "dissem/disseminator.h"
-#include "dissem/spec.h"
 #include "pacemaker/pacemaker.h"
 #include "runtime/registry.h"
 #include "sim/local_clock.h"
@@ -45,18 +44,18 @@ struct NodeConfig {
   std::int64_t clock_drift_ppm = 0;
   /// Block payload source consulted when this node proposes (a scripted
   /// application payload); null = empty payloads. Ignored when `dissem`
-  /// is set — the disseminator becomes the payload source (certified
+  /// is on — the disseminator becomes the payload source (certified
   /// references) — and by chained cores when `forwarding` is set.
   PayloadProvider payload_provider;
   /// Request forwarding hooks (the client workload's mempool): chained
   /// cores attach admitted requests to their NewViews and propose the
   /// ones they receive (consensus/chained_core.h). Ignored when `dissem`
-  /// is set; null `attach` = off.
+  /// is on; null `attach` = off.
   consensus::RequestForwarding forwarding;
-  /// Data-dissemination layer: when set, the node runs a Disseminator
+  /// Data-dissemination layer: when on, the node runs a Disseminator
   /// wired between its mempool (via `dissem_hooks`) and its consensus
   /// core (payload provider, vote gate, commit resolution).
-  std::optional<dissem::DissemSpec> dissem;
+  bool dissem = false;
   /// Harness-side disseminator callbacks (lease_batch/ack_batch/deliver
   /// plus the optional on_batch_certified). The node-side callbacks (send,
   /// broadcast, schedule, now, next_proposer) are filled in by the Node

@@ -39,6 +39,7 @@ std::unique_ptr<workload::NodeWorkload> make_workload(const Scenario& scenario, 
     if (metrics != nullptr) metrics->record_queue_depth(at, id, depth);
     tracer->note_mempool_depth(id, depth);
   };
+  hooks.on_emptied = [tracer = sinks.tracer, id] { tracer->note_mempool_depth(id, 0); };
   return std::make_unique<workload::NodeWorkload>(sim, id, *spec.workload, scenario.seed,
                                                   std::move(hooks), incarnation);
 }
@@ -53,7 +54,7 @@ NodeConfig make_node_config(const Scenario& scenario, ProcessId id,
   config.payload_provider = spec.payload_provider;
   config.auth_ops = &sinks.tracer->auth_counters(id);
   if (workload == nullptr) return config;
-  if (!scenario.dissem.has_value()) {
+  if (!scenario.dissem) {
     // The workload engine supplies the proposals: every replica forwards
     // each view's admitted requests to its leader on its NewView.
     config.forwarding = workload->forwarding();
@@ -63,7 +64,7 @@ NodeConfig make_node_config(const Scenario& scenario, ProcessId id,
   // lease to the disseminator (which certifies availability and hands
   // consensus fixed-size references) and committed references deliver
   // back into the workload's client accounting.
-  config.dissem = scenario.dissem;
+  config.dissem = true;
   config.dissem_hooks.lease_batch = [workload](std::vector<std::uint8_t>& payload) {
     return workload->lease_dissem_batch(payload);
   };
@@ -110,7 +111,7 @@ NodeObservers make_observers(const Scenario& scenario, workload::NodeWorkload* w
   // With dissemination on, the Node's commit path routes the payload
   // through its disseminator, which invokes the workload `deliver` hook
   // itself — feeding on_commit here too would double-count.
-  workload::NodeWorkload* fed = scenario.dissem.has_value() ? nullptr : workload;
+  workload::NodeWorkload* fed = scenario.dissem ? nullptr : workload;
   observers.on_commit = [fed, tracer, trace](TimePoint at, const consensus::Block& block,
                                              ProcessId node) {
     if (trace != nullptr) trace->record(at, sim::TraceKind::kCommitted, node, block.view());

@@ -70,7 +70,6 @@ void register_builtin_pacemakers(ProtocolRegistry& registry) {
     core::LumierePacemaker::Options opt;
     opt.gamma = ctx.config.gamma;
     opt.schedule_seed = ctx.config.shared_seed;
-    opt.switches = ctx.config.lumiere;
     return std::make_unique<core::LumierePacemaker>(ctx.params, ctx.self, ctx.signer,
                                                     std::move(ctx.wiring), opt);
   });

@@ -24,7 +24,6 @@
 #include "common/time.h"
 #include "common/types.h"
 #include "consensus/core.h"
-#include "core/lumiere.h"
 #include "crypto/authenticator.h"
 #include "pacemaker/pacemaker.h"
 
@@ -33,9 +32,6 @@ namespace lumiere::runtime {
 /// Block payload source consulted when a node proposes in a view (the
 /// client workload); null = empty payloads.
 using PayloadProvider = std::function<std::vector<std::uint8_t>(View)>;
-
-/// Lumiere's ablation switches, as the pacemaker takes them.
-using LumiereOptions = core::LumiereSwitches;
 
 /// Fever-specific knobs (Section 3.3 "Reducing Gamma" remark).
 struct FeverOptions {
@@ -56,7 +52,6 @@ struct ProtocolConfig {
   /// Leader-schedule / randomness seed. Must be identical cluster-wide or
   /// honest nodes will disagree on lead(v).
   std::uint64_t shared_seed = 1;
-  LumiereOptions lumiere;
   FeverOptions fever;
 };
 

@@ -191,9 +191,6 @@ std::vector<std::string> ScenarioBuilder::validate() const {
     }
     check_names(where, tweak.pacemaker.value_or(spec_.protocol.pacemaker),
                 tweak.core.value_or(spec_.protocol.core));
-    if (tweak.gamma && *tweak.gamma < Duration::zero()) {
-      errors.push_back(where + ": gamma must be non-negative");
-    }
   }
 
   // ---- workload ---------------------------------------------------------
@@ -260,16 +257,6 @@ std::vector<std::string> ScenarioBuilder::validate() const {
       errors.push_back(
           "dissemination: incompatible with a raw PayloadProvider (proposals must carry "
           "certified batch references, not arbitrary bytes)");
-    }
-    if (spec_.dissem->push_interval <= Duration::zero() ||
-        spec_.dissem->retry_interval <= Duration::zero() ||
-        spec_.dissem->reinsert_timeout <= Duration::zero()) {
-      errors.push_back("dissemination: push/retry/reinsert intervals must be positive");
-    }
-    if (spec_.dissem->max_refs_per_proposal == 0 || spec_.dissem->max_batches_per_tick == 0 ||
-        spec_.dissem->max_uncertified == 0) {
-      errors.push_back("dissemination: max_refs_per_proposal, max_batches_per_tick and "
-                       "max_uncertified must be >= 1");
     }
     for (const auto& [id, tweak] : spec_.overrides) {
       if (tweak.payload) {
@@ -537,9 +524,6 @@ Scenario ScenarioBuilder::scenario() const {
       const NodeOverride& tweak = it->second;
       if (tweak.pacemaker) spec.protocol.pacemaker = *tweak.pacemaker;
       if (tweak.core) spec.protocol.core = *tweak.core;
-      if (tweak.gamma) spec.protocol.gamma = *tweak.gamma;
-      if (tweak.lumiere) spec.protocol.lumiere = *tweak.lumiere;
-      if (tweak.fever) spec.protocol.fever = *tweak.fever;
       if (tweak.join_time) spec.join_time = *tweak.join_time;
       if (tweak.drift_ppm) spec.clock_drift_ppm = *tweak.drift_ppm;
       if (tweak.behavior) spec.behavior = tweak.behavior;

@@ -22,7 +22,10 @@
 // the spec-file parser) fills a ScenarioSpec and wraps it:
 // ScenarioBuilder(spec).scenario(). A new knob is a ScenarioSpec field,
 // its validate()/scenario() handling here, and — when the spec file or
-// the fuzzer carries it — a spec_io key or a sampler write.
+// the fuzzer carries it — a spec_io key or a sampler write. A knob earns
+// its place only when two callers outside the tests (benches, tools,
+// examples, the fuzzer) want different values; a setting that only one
+// value ever reaches is a constant in the code that reads it.
 //
 // Protocol names resolve through the ProtocolRegistry (runtime/registry.h);
 // validate() reports every configuration error with the node it applies to.
@@ -35,7 +38,6 @@
 #include <vector>
 
 #include "adversary/behaviors.h"
-#include "dissem/spec.h"
 #include "obs/spec.h"
 #include "runtime/pipeline.h"
 #include "runtime/registry.h"
@@ -82,9 +84,6 @@ struct BehaviorAssignment {
 struct NodeOverride {
   std::optional<std::string> pacemaker;
   std::optional<std::string> core;
-  std::optional<Duration> gamma;
-  std::optional<LumiereOptions> lumiere;
-  std::optional<FeverOptions> fever;
   std::optional<TimePoint> join_time;
   std::optional<std::int64_t> drift_ppm;
   BehaviorThunk behavior;
@@ -139,12 +138,12 @@ struct ScenarioSpec {
   PayloadProvider payload;
   /// Client-driven workload on every node (src/workload/).
   std::optional<workload::WorkloadSpec> workload;
-  /// Data-dissemination layer (src/dissem/): when set, every workload
+  /// Data-dissemination layer (src/dissem/): when on, every workload
   /// node runs a Disseminator and proposals order certified batch
   /// references instead of inline payloads. Requires the client-driven
-  /// workload. Absent = inline batches (the default; all goldens pin
-  /// this mode).
-  std::optional<dissem::DissemSpec> dissem;
+  /// workload. Off = inline batches (the default; all goldens pin this
+  /// mode).
+  bool dissem = false;
 
   /// Observability (src/obs/): the per-node status endpoints and their
   /// admin token (TCP transport only). The span tracer is always on.
@@ -184,9 +183,6 @@ class ScenarioBuilder {
     explicit NodeTweak(NodeOverride& node) : node_(&node) {}
     NodeTweak& pacemaker(std::string name) { return set(node_->pacemaker, std::move(name)); }
     NodeTweak& core(std::string name) { return set(node_->core, std::move(name)); }
-    NodeTweak& gamma(Duration gamma) { return set(node_->gamma, gamma); }
-    NodeTweak& lumiere(LumiereOptions options) { return set(node_->lumiere, options); }
-    NodeTweak& fever(FeverOptions options) { return set(node_->fever, options); }
     NodeTweak& join_time(TimePoint at) { return set(node_->join_time, at); }
     NodeTweak& drift_ppm(std::int64_t ppm) { return set(node_->drift_ppm, ppm); }
     NodeTweak& behavior(BehaviorThunk make) { return set(node_->behavior, std::move(make)); }
@@ -218,7 +214,6 @@ class ScenarioBuilder {
   }
   ScenarioBuilder& core(std::string name) { return set(spec_.protocol.core, std::move(name)); }
   ScenarioBuilder& gamma(Duration gamma) { return set(spec_.protocol.gamma, gamma); }
-  ScenarioBuilder& lumiere(LumiereOptions options) { return set(spec_.protocol.lumiere, options); }
   ScenarioBuilder& fever(FeverOptions options) { return set(spec_.protocol.fever, options); }
   ScenarioBuilder& seed(std::uint64_t seed) { return set(spec_.seed, seed); }
   /// Selects the authenticator scheme by registry name
@@ -241,10 +236,9 @@ class ScenarioBuilder {
   /// Enables the data-dissemination layer (src/dissem/): batches stream
   /// and certify beneath consensus, proposals carry (batch_id, cert)
   /// references, committed references resolve (fetch-on-miss) before
-  /// delivery. Requires the client-driven workload form above.
-  ScenarioBuilder& dissemination(dissem::DissemSpec spec = {}) {
-    return set(spec_.dissem, spec);
-  }
+  /// delivery. Requires the client-driven workload form above. Its
+  /// cadences and limits are dissem/disseminator.h's constants.
+  ScenarioBuilder& dissemination() { return set(spec_.dissem, true); }
   /// Does nothing. Block sync (src/sync/) is always on; this call
   /// survives only because the bench_e2e workloads still make it, and
   /// goes with the next change to that benchmark.

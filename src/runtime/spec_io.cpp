@@ -134,10 +134,8 @@ const std::vector<Key>& keys() {
            [](ScenarioSpec& s, bool on) { s.pipeline.enabled = on; }),
       field("pipeline_workers", [](auto& s) -> auto& { return s.pipeline.workers; }),
       field("pipeline_queue", [](auto& s) -> auto& { return s.pipeline.queue_capacity; }),
-      flag("dissem", [](const ScenarioSpec& s) { return s.dissem.has_value(); },
-           [](ScenarioSpec& s, bool on) {
-             s.dissem = on ? std::optional(dissem::DissemSpec{}) : std::nullopt;
-           }),
+      flag("dissem", [](const ScenarioSpec& s) { return s.dissem; },
+           [](ScenarioSpec& s, bool on) { s.dissem = on; }),
       {"arrival", [](const ScenarioSpec& s) { return one(workload::to_string(load(s).arrival)); },
        [](std::istream& in, ScenarioSpec& s) {
          std::string name;

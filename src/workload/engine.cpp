@@ -196,6 +196,7 @@ void NodeWorkload::start() {
 
 void NodeWorkload::sample_depth() {
   const std::size_t depth = mempool_.pending();
+  reported_empty_ = depth == 0;
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
   if (hooks_.on_queue_depth) hooks_.on_queue_depth(sim_->now(), depth);
 }
@@ -204,8 +205,15 @@ consensus::RequestForwarding NodeWorkload::forwarding() {
   consensus::RequestForwarding hooks;
   hooks.attach = [this](View view) {
     // Every node attaches every view: sampling only the drains that move
-    // requests keeps the depth log near its per-proposal size.
-    if (mempool_.pending() > 0) sample_depth();
+    // requests keeps the depth log near its per-proposal size. The first
+    // drain that finds the mempool empty reports that once, so a depth
+    // gauge does not keep the last non-zero sample.
+    if (mempool_.pending() > 0) {
+      sample_depth();
+    } else if (!reported_empty_) {
+      reported_empty_ = true;
+      if (hooks_.on_emptied) hooks_.on_emptied();
+    }
     return mempool_.attach(view);
   };
   hooks.proposed = [this](const consensus::Block& block) {

@@ -109,6 +109,9 @@ class NodeWorkload {
   struct Hooks {
     std::function<void(TimePoint at, Duration latency)> on_request_committed;
     std::function<void(TimePoint at, std::size_t depth)> on_queue_depth;
+    /// A drain found the mempool empty after a non-empty depth sample:
+    /// the depth is 0 again. Not a depth sample (nothing was drained).
+    std::function<void()> on_emptied;
   };
 
   /// `incarnation` numbers the node's process lifetimes. A restarted
@@ -195,6 +198,7 @@ class NodeWorkload {
   NodeWorkloadStats stats_;
   crypto::Sha256 trace_hasher_;
   bool retry_scheduled_ = false;  ///< a backpressure-release retry event is queued
+  bool reported_empty_ = true;    ///< the depth last reported (sampled or emptied) was 0
   bool started_ = false;
 };
 

@@ -103,20 +103,10 @@ TEST(LumiereTest, ResponsiveWhenNetworkFast) {
 }
 
 TEST(LumiereTest, QcDeadlineEnforced) {
-  // With the deadline on, every QC is produced within Gamma/2 - 2 Delta
-  // of its anchor; we verify indirectly: decisions still flow (the
-  // deadline must not strangle liveness on a healthy network).
-  ScenarioBuilder options = lumiere_options(4, Duration::millis(1));
-  options.lumiere(runtime::LumiereOptions{/*enforce_qc_deadline=*/true, /*delta_wait=*/true});
-  Cluster cluster(options);
-  cluster.run_for(Duration::seconds(10));
-  EXPECT_GE(cluster.metrics().decisions().size(), 15U);
-}
-
-TEST(LumiereTest, AblationWithoutDeadlineStillLive) {
-  ScenarioBuilder options = lumiere_options(4, Duration::millis(1));
-  options.lumiere(runtime::LumiereOptions{/*enforce_qc_deadline=*/false, /*delta_wait=*/true});
-  Cluster cluster(options);
+  // Every QC is produced within Gamma/2 - 2 Delta of its anchor; we
+  // verify indirectly: decisions still flow (the deadline must not
+  // strangle liveness on a healthy network).
+  Cluster cluster(lumiere_options(4, Duration::millis(1)));
   cluster.run_for(Duration::seconds(10));
   EXPECT_GE(cluster.metrics().decisions().size(), 15U);
 }

@@ -63,6 +63,23 @@ TEST_F(LumiereUnitTest, BootstrapParksAtViewZeroAndSendsEpochMsgAfterDelta) {
   EXPECT_EQ(pm_->current_view(), -1);
 }
 
+TEST_F(LumiereUnitTest, UnparkWithinDeltaSendsNoEpochMessage) {
+  // Algorithm 1 line 11: the epoch message goes out only "if local clock
+  // is still paused time Delta after pausing". A QC for the parked view
+  // that lands inside the wait releases the pause, so the heavy exchange
+  // never starts.
+  start();
+  ASSERT_TRUE(pm_->parked());
+  harness_.run_to(TimePoint(Duration::millis(5).ticks()));  // half of Delta
+  harness_.inject_qc(0);
+  harness_.settle();
+  EXPECT_FALSE(pm_->parked());
+  harness_.run_to(TimePoint(Duration::millis(30).ticks()));  // well past Delta
+  EXPECT_EQ(harness_.sent_count(pacemaker::kEpochViewMsg), 0U);
+  EXPECT_EQ(pm_->epoch_msgs_sent(), 0U);
+  EXPECT_EQ(pm_->current_view(), 1);
+}
+
 TEST_F(LumiereUnitTest, EcEntryAfterQuorumOfEpochMessages) {
   start();
   harness_.run_to(TimePoint(Duration::millis(10).ticks()));

@@ -197,8 +197,7 @@ TEST(BatchLanesDisseminatorTest, TwoDigestsUnderOneSeqAreStoredAndDeliveredOnceE
   cb.deliver = [&](TimePoint, const std::vector<std::uint8_t>& bytes) {
     delivered.push_back(bytes);
   };
-  Disseminator engine(params, crypto::AuthView(&auth), auth.signer_for(3), DissemSpec{},
-                      std::move(cb));
+  Disseminator engine(params, crypto::AuthView(&auth), auth.signer_for(3), std::move(cb));
 
   const BatchBytes first_bytes = bytes_for(1, 9, 0x01);
   const BatchBytes second_bytes = bytes_for(1, 9, 0x02);

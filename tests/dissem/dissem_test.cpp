@@ -193,12 +193,12 @@ struct Harness {
   Disseminator engine;
 
   /// n = 4 by default: f = 1, small quorum = 2.
-  explicit Harness(ProcessId self_id, DissemSpec spec = {}, std::uint32_t n = 4)
+  explicit Harness(ProcessId self_id, std::uint32_t n = 4)
       : self(self_id),
         params(ProtocolParams::for_n(n, Duration::millis(10))),
         auth_owner(crypto::make_authenticator(crypto::kDefaultScheme, n, 23)),
         auth(*auth_owner),
-        engine(params, crypto::AuthView(&auth), auth.signer_for(self_id), spec, callbacks()) {}
+        engine(params, crypto::AuthView(&auth), auth.signer_for(self_id), callbacks()) {}
 
   DisseminatorCallbacks callbacks() {
     DisseminatorCallbacks cb;
@@ -424,14 +424,14 @@ TEST(DisseminatorTest, FetchOnMissResolvesAndDeliversExactlyOnce) {
 /// returns the pushed ids (each still short of its f+1 acks).
 std::vector<BatchId> push_leases(Harness& h) {
   h.engine.start();
-  h.run_until(TimePoint::origin() + DissemSpec{}.push_interval);
+  h.run_until(TimePoint::origin() + kPushInterval);
   return h.pushed_ids();
 }
 
 TEST(DisseminatorRetryTest, RePushGoesOnlyToPeersWhoseAckIsMissing) {
   // n = 7: the small quorum is 3, so one peer ack leaves the batch
   // pending with two signers (self and peer 0).
-  Harness h(/*self=*/2, DissemSpec{}, /*n=*/7);
+  Harness h(/*self=*/2, /*n=*/7);
   h.leases.push_back(bytes_of(40, 0x12));
   const std::vector<BatchId> ids = push_leases(h);
   ASSERT_EQ(ids.size(), 1U);
@@ -439,7 +439,7 @@ TEST(DisseminatorRetryTest, RePushGoesOnlyToPeersWhoseAckIsMissing) {
   h.sent.clear();
 
   // The 50 ms tick finds the push 48 ms old; the 100 ms tick re-pushes.
-  h.run_until(TimePoint::origin() + DissemSpec{}.retry_interval * 2);
+  h.run_until(TimePoint::origin() + kRetryInterval * 2);
   EXPECT_EQ(h.count_sent(kBatchPush, kNoProcess), 0U) << "no full re-broadcast";
   EXPECT_EQ(h.count_sent(kBatchPush, 0), 0U) << "peer 0 acked: it stores the bytes";
   EXPECT_EQ(h.count_sent(kBatchPush, 2), 0U) << "the origin is its own first signer";
@@ -452,8 +452,7 @@ TEST(DisseminatorRetryTest, RePushGapsBackOffUpToTheCap) {
   // No peer ever acks: the batch is re-pushed on the re-announce
   // schedule — first a retry interval after the push, then gaps that
   // double and stop growing at 4 x retry_interval.
-  const DissemSpec spec;
-  Harness h(/*self=*/2, spec);
+  Harness h(/*self=*/2);
   h.leases.push_back(bytes_of(40, 0x17));
   ASSERT_EQ(push_leases(h).size(), 1U);
   const TimePoint pushed_at = h.sent.front().at;
@@ -465,11 +464,11 @@ TEST(DisseminatorRetryTest, RePushGapsBackOffUpToTheCap) {
   }
   ASSERT_GE(repushes.size(), 3U) << "the re-push stays a liveness net";
   EXPECT_LE(repushes.size(), 12U) << "re-pushes back off (one per tick would be 39)";
-  EXPECT_GE(repushes.front() - pushed_at, spec.retry_interval)
+  EXPECT_GE(repushes.front() - pushed_at, kRetryInterval)
       << "the first re-push waits a full retry interval";
   for (std::size_t i = 1; i < repushes.size(); ++i) {
     const Duration gap = repushes[i] - repushes[i - 1];
-    EXPECT_LE(gap, spec.retry_interval * 4) << "re-push " << i << " waited past the cap";
+    EXPECT_LE(gap, kRetryInterval * 4) << "re-push " << i << " waited past the cap";
     if (i >= 2) {
       EXPECT_GE(gap, repushes[i - 1] - repushes[i - 2]) << "re-push gaps never shrink";
     }
@@ -511,8 +510,7 @@ TEST(DisseminatorRetryTest, OriginThatProposesNextSendsNoAnnounce) {
 }
 
 TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
-  const DissemSpec spec;
-  Harness h(/*self=*/2, spec);
+  Harness h(/*self=*/2);
   h.leases.push_back(bytes_of(40, 0x21));
   const BatchId id = push_leases(h).at(0);
   h.ack_from(0, id);  // f+1 = 2 signers: certified now
@@ -526,7 +524,7 @@ TEST(DisseminatorRetryTest, UnorderedCertReannouncesBackOff) {
   EXPECT_EQ(announces.front(), certified_at) << "announced once, fresh";
   ASSERT_GE(announces.size(), 2U) << "the re-announce stays a liveness net";
   EXPECT_LE(announces.size() - 1, 7U) << "re-announces back off (one per tick would be 20)";
-  EXPECT_GE(announces[1] - certified_at, spec.retry_interval)
+  EXPECT_GE(announces[1] - certified_at, kRetryInterval)
       << "the first re-announce waits a full retry interval";
   for (std::size_t i = 2; i < announces.size(); ++i) {
     EXPECT_GE(announces[i] - announces[i - 1], announces[i - 1] - announces[i - 2])
@@ -550,8 +548,7 @@ TEST(DisseminatorRetryTest, PeerBackFromDowntimeHearsCertWithinTheCapPlusATick) 
   // 4 x retry_interval plus one tick of quantization. The proposer
   // rotates over the peers here, and every re-announce must reach the
   // one that proposes next at its tick.
-  const DissemSpec spec;
-  Harness h(/*self=*/2, spec);
+  Harness h(/*self=*/2);
   const auto proposer_at = [](TimePoint t) {
     constexpr ProcessId kPeers[] = {0, 1, 3};
     return kPeers[((t - TimePoint::origin()).ticks() / Duration::millis(70).ticks()) % 3];
@@ -561,7 +558,7 @@ TEST(DisseminatorRetryTest, PeerBackFromDowntimeHearsCertWithinTheCapPlusATick) 
   const BatchId id = push_leases(h).at(0);
   h.ack_from(0, id);
   const TimePoint certified_at = h.now;
-  const Duration bound = spec.retry_interval * 4 + spec.retry_interval;
+  const Duration bound = kRetryInterval * 4 + kRetryInterval;
   h.run_until(certified_at + Duration::seconds(3) + bound);
 
   for (const Harness::Sent& s : h.announces_of(id)) {
@@ -576,20 +573,27 @@ TEST(DisseminatorRetryTest, PeerBackFromDowntimeHearsCertWithinTheCapPlusATick) 
   }
 }
 
-/// Starts `h` with 100 own batches, all certified at once, and returns
-/// their ids.
+/// Push ticks that lease 100 batches at kMaxBatchesPerTick each.
+constexpr std::int64_t kHundredTicks = 100 / kMaxBatchesPerTick;
+static_assert(kHundredTicks * kMaxBatchesPerTick == 100);
+static_assert(kPushInterval * kHundredTicks <= kRetryInterval,
+              "the last batch must certify before the first re-announce falls due");
+
+/// Starts `h` with 100 own batches and certifies each push tick's batches
+/// as they leave, so no more than one tick's worth awaits certification.
+/// The last tick is at 50 ms, so every cert falls due on the 100 ms retry
+/// tick. Returns their ids.
 std::vector<BatchId> certify_hundred(Harness& h) {
   for (std::uint8_t i = 0; i < 100; ++i) h.leases.push_back(bytes_of(16, i));
-  const std::vector<BatchId> ids = push_leases(h);
-  for (const BatchId& id : ids) h.ack_from(0, id);
+  h.engine.start();
+  std::vector<BatchId> ids;
+  for (std::int64_t tick = 1; tick <= kHundredTicks; ++tick) {
+    h.run_until(TimePoint::origin() + kPushInterval * tick);
+    const std::vector<BatchId> pushed = h.pushed_ids();
+    for (std::size_t i = ids.size(); i < pushed.size(); ++i) h.ack_from(0, pushed[i]);
+    ids = pushed;
+  }
   return ids;
-}
-
-DissemSpec hundred_batch_spec() {
-  DissemSpec spec;
-  spec.max_batches_per_tick = 100;
-  spec.max_uncertified = 128;
-  return spec;
 }
 
 /// (destination, list size) of every cert announce in `h.sent`.
@@ -603,17 +607,16 @@ std::vector<std::pair<ProcessId, std::size_t>> announce_lists(const Harness& h) 
 }
 
 TEST(DisseminatorRetryTest, OverdueCertsLeaveInListsOfAtMost64PerPeerPerTick) {
-  const DissemSpec spec = hundred_batch_spec();
-  Harness h(/*self=*/2, spec);
+  Harness h(/*self=*/2);
   const std::vector<BatchId> ids = certify_hundred(h);
   ASSERT_EQ(ids.size(), 100U);
   EXPECT_EQ(h.count_sent(kBatchCertAnnounce, 3), 100U) << "fresh: a list of one each";
   EXPECT_EQ(announce_lists(h).size(), 100U) << "to the next proposer only";
   h.sent.clear();
 
-  // All 100 fall due on the same tick: one message per 64-cert chunk,
+  // All 100 fall due on the 100 ms tick: one message per 64-cert chunk,
   // each to the tick's proposer.
-  h.run_until(h.now + spec.retry_interval * 2);
+  h.run_until(h.now + kRetryInterval * 2);
   using Lists = std::vector<std::pair<ProcessId, std::size_t>>;
   EXPECT_EQ(announce_lists(h), (Lists{{3, 64}, {3, 36}}));
   std::set<BatchId> announced;
@@ -627,32 +630,31 @@ TEST(DisseminatorRetryTest, OverdueCertsLeaveInListsOfAtMost64PerPeerPerTick) {
 }
 
 TEST(DisseminatorRetryTest, ReannounceListsFollowTheProposer) {
-  const DissemSpec spec = hundred_batch_spec();
-  Harness h(/*self=*/2, spec);
+  Harness h(/*self=*/2);
   ProcessId proposer = 1;
   h.next_proposer = [&proposer] { return proposer; };
   ASSERT_EQ(certify_hundred(h).size(), 100U);
   h.sent.clear();
 
-  // The first re-announce tick (the 50 ms tick finds the certs 48 ms old,
-  // the 100 ms one sends them), then the proposer changes before the
-  // next due tick, 100 ms later.
+  // The first re-announce tick (the 50 ms tick finds every cert less
+  // than 50 ms old, the 100 ms one sends them all), then the proposer
+  // changes before the next due tick, 100 ms later.
   using Lists = std::vector<std::pair<ProcessId, std::size_t>>;
-  h.run_until(TimePoint::origin() + spec.retry_interval * 2);
+  h.run_until(TimePoint::origin() + kRetryInterval * 2);
   EXPECT_EQ(announce_lists(h), (Lists{{1, 64}, {1, 36}}));
   h.sent.clear();
   proposer = 0;
-  h.run_until(TimePoint::origin() + spec.retry_interval * 4);
+  h.run_until(TimePoint::origin() + kRetryInterval * 4);
   EXPECT_EQ(announce_lists(h), (Lists{{0, 64}, {0, 36}}));
   h.sent.clear();
 
   // A tick on which the origin itself proposes next sends nothing, and
   // the schedule moves on.
   proposer = 2;
-  h.run_until(TimePoint::origin() + spec.retry_interval * 8);
+  h.run_until(TimePoint::origin() + kRetryInterval * 8);
   EXPECT_TRUE(announce_lists(h).empty());
   proposer = 3;
-  h.run_until(TimePoint::origin() + spec.retry_interval * 12);
+  h.run_until(TimePoint::origin() + kRetryInterval * 12);
   EXPECT_EQ(announce_lists(h), (Lists{{3, 64}, {3, 36}}));
 }
 

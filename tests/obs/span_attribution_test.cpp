@@ -136,10 +136,13 @@ TEST(SpanAttributionTest, ExportsReadTheRingUnchanged) {
 TEST(SpanAttributionTest, SimNodeStatusReadsTheNode) {
   // The simulator serves the same per-node record as TCP: every field is
   // fed by the node's observers and workload hooks, and must agree with
-  // what the node, its ledger and its workload engine say directly.
+  // what the node, its ledger and its workload engine say directly. The
+  // clients stop a second before the end, so every mempool has drained
+  // and the depth gauge must read 0, not its last non-zero sample.
   ScenarioBuilder builder = partition_options(4245);
   workload::WorkloadSpec clients;
   clients.rate_per_client = 100.0;
+  clients.stop = TimePoint(Duration::seconds(5).ticks());
   builder.workload(clients);
   builder.behaviors(adversary::byzantine_set(
       {3}, [](ProcessId) { return std::make_unique<adversary::SilentLeaderBehavior>(); }));
@@ -166,8 +169,11 @@ TEST(SpanAttributionTest, SimNodeStatusReadsTheNode) {
               static_cast<std::uint64_t>(ledger.entries().back().view()));
     EXPECT_EQ(status.ever_byzantine, byzantine[id]);
     EXPECT_EQ(status.requests_committed, engine->stats().committed);
-    EXPECT_EQ(status.mempool_depth, last_depth[id]) << "the record holds the last depth sample";
-    EXPECT_LE(status.mempool_depth, engine->stats().max_queue_depth);
+    // The depth log holds drains only, so its last sample is the
+    // non-zero depth a stale gauge would keep.
+    EXPECT_GT(last_depth[id], 0U) << "node " << id << " never drained a non-empty mempool";
+    EXPECT_EQ(engine->mempool().pending(), 0U) << "node " << id << " never drained";
+    EXPECT_EQ(status.mempool_depth, 0U) << "node " << id << ": the gauge outlived its mempool";
     EXPECT_EQ(status.msgs_sent, cluster.sync_tracer()->msgs_sent(id));
     EXPECT_EQ(status.pipeline_queue_depth, 0U) << "no pipeline on the simulator";
     ASSERT_TRUE(status.last_sync.has_value()) << "partition re-sync left no span";

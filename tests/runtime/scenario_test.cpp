@@ -30,7 +30,7 @@ TEST(ScenarioBuilderTest, PerNodeOverridesComposeWithDefaults) {
   builder.params(ProtocolParams::for_n(7, Duration::millis(10)))
       .pacemaker("lp22")
       .gamma(Duration::millis(50));
-  builder.node(2).pacemaker("fever").fever(FeverOptions{5});
+  builder.node(2).pacemaker("fever").core("hotstuff-2");
   builder.node(3).drift_ppm(123).join_time(TimePoint(42));
   builder.node(4).behavior([] { return std::make_unique<adversary::MuteBehavior>(); });
   const Scenario scenario = builder.scenario();
@@ -38,7 +38,8 @@ TEST(ScenarioBuilderTest, PerNodeOverridesComposeWithDefaults) {
   EXPECT_EQ(scenario.nodes[0].protocol.pacemaker, "lp22");
   EXPECT_EQ(scenario.nodes[0].protocol.gamma, Duration::millis(50));
   EXPECT_EQ(scenario.nodes[2].protocol.pacemaker, "fever");
-  EXPECT_EQ(scenario.nodes[2].protocol.fever.tenure, 5U);
+  EXPECT_EQ(scenario.nodes[2].protocol.core, "hotstuff-2");
+  EXPECT_EQ(scenario.nodes[1].protocol.core, "simple-view");
   EXPECT_EQ(scenario.nodes[2].protocol.gamma, Duration::millis(50))
       << "unset tweak fields must inherit the cluster default";
   EXPECT_EQ(scenario.nodes[3].clock_drift_ppm, 123);

@@ -27,7 +27,7 @@ ScenarioSpec non_default_spec() {
   spec.pipeline.enabled = true;
   spec.pipeline.workers = 2;
   spec.pipeline.queue_capacity = 64;
-  spec.dissem = dissem::DissemSpec{};
+  spec.dissem = true;
   spec.workload->arrival = workload::Arrival::kPoisson;
   spec.workload->clients_per_node = 3;
   spec.workload->rate_per_client = 50.5;
@@ -55,7 +55,7 @@ TEST(SpecIoTest, SpecRoundTrips) {
   EXPECT_EQ(parsed->pipeline.enabled, spec.pipeline.enabled);
   EXPECT_EQ(parsed->pipeline.workers, spec.pipeline.workers);
   EXPECT_EQ(parsed->pipeline.queue_capacity, spec.pipeline.queue_capacity);
-  EXPECT_EQ(parsed->dissem.has_value(), spec.dissem.has_value());
+  EXPECT_EQ(parsed->dissem, spec.dissem);
   ASSERT_TRUE(parsed->workload.has_value());
   EXPECT_EQ(parsed->workload->arrival, spec.workload->arrival);
   EXPECT_EQ(parsed->workload->clients_per_node, spec.workload->clients_per_node);
@@ -117,7 +117,7 @@ TEST(SpecIoTest, BareFileKeepsTheFileDefaults) {
   EXPECT_EQ(spec->obs.status_base_port, 0);
   EXPECT_TRUE(spec->obs.admin_token.empty());
   EXPECT_FALSE(spec->pipeline.enabled);
-  EXPECT_FALSE(spec->dissem.has_value());
+  EXPECT_FALSE(spec->dissem);
   ASSERT_TRUE(spec->workload.has_value());
   EXPECT_EQ(spec->workload->arrival, workload::Arrival::kClosedLoop);
   EXPECT_EQ(spec->workload->clients_per_node, 2U);
@@ -147,7 +147,7 @@ TEST(SpecIoTest, PrintParseResolveGivesTheSameScenario) {
   EXPECT_EQ(b.tcp_base_port, a.tcp_base_port);
   EXPECT_EQ(b.obs.status_base_port, a.obs.status_base_port);
   EXPECT_EQ(b.obs.admin_token, a.obs.admin_token);
-  EXPECT_EQ(b.dissem.has_value(), a.dissem.has_value());
+  EXPECT_EQ(b.dissem, a.dissem);
   ASSERT_EQ(b.nodes.size(), a.nodes.size());
   for (std::size_t i = 0; i < a.nodes.size(); ++i) {
     const NodeSpec& x = a.nodes[i];
