@@ -606,9 +606,10 @@ int main(int argc, char** argv) {
   run_warmup(args.quick, json);
   std::printf(
       "\nReading guide: first success comes within one epoch (10n Gamma) of GST and\n"
-      "grows ~n^1: 'within expected O(n Delta) of GST'. The last heavy message is\n"
-      "the bootstrap exchange before GST (negative quiescence), and first decisions\n"
-      "land 10-90x before first success.\n");
+      "grows ~n^1: 'within expected O(n Delta) of GST'. No heavy message comes\n"
+      "later than one epoch after the first success; at these seeds the last is the\n"
+      "bootstrap exchange before GST (negative quiescence). First decisions land\n"
+      "10-90x before first success.\n");
 
   run_ablation(args.quick, json);
   std::printf(

@@ -21,7 +21,7 @@ ChainedCore::ChainedCore(ChainRule rule, const ProtocolParams& params, crypto::A
       locked_qc_(high_qc_),
       last_committed_hash_(Block::genesis().hash()),
       votes_(auth, signer.id(), params.quorum(), hooks_, cb_, statements_,
-             [this](const QuorumCert& qc) { send_relay_early(qc); }) {
+             [this](const QuorumCert& qc) { announce(qc); }) {
   LUMIERE_ASSERT(auth);
   LUMIERE_ASSERT(rule.depth >= 2);
   params_.validate();
@@ -41,7 +41,9 @@ void ChainedCore::on_enter_view(View v) {
   // Attachments for views left without a proposal: their origins
   // re-attach them.
   forwarded_.erase(forwarded_.begin(), forwarded_.lower_bound(v));
-  if (v > new_view_sent_) send_new_view(v, high_qc_);
+  // Entered through lead(v)'s proposal for v: lead(v) proposed already,
+  // so a NewView(v) could only feed its relay.
+  if (v > new_view_sent_ && v != entering_by_proposal_) send_new_view(v, high_qc_);
   if (rule_.gate == ChainRule::Gate::kResponsiveOrDelta && hooks_.leader_of(v) == signer_.id() &&
       cb_.schedule) {
     // Arm the fallback: without a QC for v-1 in hand, wait Delta so the
@@ -72,28 +74,57 @@ void ChainedCore::send_new_view(View v, const QuorumCert& high_qc) {
   // or, during the Delta fallback, the highest honest lock.
   new_view_sent_ = v;
   std::vector<std::uint8_t> requests;
-  if (forwarding()) {
-    // The relay first (the older requests), then this node's own.
-    requests = gather(relay_, high_qc.block_hash(), v);
-    relay_.clear();
-    std::vector<std::uint8_t> own = cb_.forwarding.attach(v);
-    if (requests.empty()) {
-      requests = std::move(own);
-    } else {
-      requests.insert(requests.end(), own.begin(), own.end());
-    }
-  }
+  if (forwarding()) requests = forward_requests(v, high_qc.block_hash());
   cb_.send(hooks_.leader_of(v), std::make_shared<NewViewMsg>(v, high_qc, std::move(requests)));
 }
 
-void ChainedCore::send_relay_early(const QuorumCert& qc) {
-  // This node, as lead(v), just formed QC(v). Its NewView(v+1) leaves
-  // now, ahead of the QC broadcast: on the same link it then reaches
+std::vector<std::uint8_t> ChainedCore::forward_requests(View v, const crypto::Digest& tip) {
+  // The relay first (the older requests), then this node's own.
+  std::vector<std::uint8_t> requests = gather(relay_, tip, v);
+  relay_.clear();
+  std::vector<std::uint8_t> own = cb_.forwarding.attach(v);
+  if (requests.empty()) return own;
+  requests.insert(requests.end(), own.begin(), own.end());
+  return requests;
+}
+
+void ChainedCore::announce(const QuorumCert& qc) {
+  // Forwarding: this node, as lead(v), just formed QC(v). Its NewView(v+1)
+  // leaves now, ahead of the QC: on the same link it then reaches
   // lead(v+1) before QC(v) can move that leader into v+1, so the relay
   // makes even a responsive HotStuff-2 proposal. Entering v+1 later
   // sends no second NewView.
-  if (!forwarding() || qc.view() != cur_view_ || new_view_sent_ > qc.view()) return;
-  send_new_view(qc.view() + 1, qc);
+  if (forwarding() && qc.view() == cur_view_ && new_view_sent_ <= qc.view()) {
+    send_new_view(qc.view() + 1, qc);
+  }
+  // Taken in at once, as the broadcast's copy to self would be: when this
+  // node leads v+1 too, the pacemaker moves it into v+1 and the gate
+  // opens on this QC, arming a proposal for the end of this instant.
+  process_qc(qc);
+  // That proposal carries QC(v) as its justify: QC(v) is the highest QC
+  // there is until v+1 is proposed. Only if no proposal for v+1 left
+  // does QC(v) go out on its own, once every proposal of this instant has.
+  const auto fallback = [this, qc] {
+    if (!proposed_.contains(qc.view() + 1)) cb_.broadcast(std::make_shared<QcMsg>(qc));
+  };
+  if (cb_.schedule) {
+    cb_.schedule(Duration::zero(), fallback);
+  } else {
+    fallback();
+  }
+}
+
+void ChainedCore::take_requests(ProcessId from, View v, const MessagePtr& ptr) {
+  // For this view or the next (lead(v-1) sends NewView(v) at QC
+  // formation; when it leads v too, its voters attach to their votes for
+  // v-1). One NewView and one vote per sender, so a Byzantine sender
+  // cannot crowd out the others; whatever is dropped, its origin
+  // re-attaches.
+  if (!proposed_.contains(v)) {
+    if (v <= cur_view_ + 1) buffer(forwarded_[v], from, ptr);
+  } else if (relays(from, v)) {
+    buffer(relay_, from, ptr);
+  }
 }
 
 void ChainedCore::handle_new_view(ProcessId from, const MessagePtr& ptr) {
@@ -102,17 +133,8 @@ void ChainedCore::handle_new_view(ProcessId from, const MessagePtr& ptr) {
   if (hooks_.leader_of(v) != signer_.id()) return;
   if (v < cur_view_) return;  // stale
   // Buffered before the QC below is processed, which may move this node
-  // into v and so into proposing. One attachment per sender, for this
-  // view or the next (lead(v-1) sends NewView(v) at QC formation), so a
-  // Byzantine sender cannot crowd out the others; whatever is dropped,
-  // its origin re-attaches.
-  if (forwarding() && !msg.requests().empty()) {
-    if (!proposed_.contains(v)) {
-      if (v <= cur_view_ + 1) buffer(forwarded_[v], from, ptr);
-    } else if (relays(from, v)) {
-      buffer(relay_, from, ptr);
-    }
-  }
+  // into v and so into proposing.
+  if (forwarding() && !msg.requests().empty()) take_requests(from, v, ptr);
   const bool valid = msg.high_qc().verify(auth_, params_, &verified_);
   if (valid) process_qc(msg.high_qc());
   if (rule_.gate == ChainRule::Gate::kNewViewQuorum) {
@@ -125,6 +147,12 @@ void ChainedCore::handle_new_view(ProcessId from, const MessagePtr& ptr) {
 }
 
 namespace {
+
+/// The requests a forwarded attachment (a NewView or a vote) carries.
+const std::vector<std::uint8_t>& requests_of(const Message& msg) {
+  return msg.type_id() == kVote ? static_cast<const VoteMsg&>(msg).requests()
+                                : static_cast<const NewViewMsg&>(msg).requests();
+}
 
 /// The request tags of a payload, sorted.
 std::vector<RequestTag> sorted_tags(std::span<const std::uint8_t> payload) {
@@ -168,8 +196,9 @@ bool ChainedCore::chain_holds(RequestTag tag, const crypto::Digest& tip, View be
 }
 
 void ChainedCore::buffer(Attachments& into, ProcessId from, const MessagePtr& msg) {
-  const bool held = std::any_of(into.begin(), into.end(),
-                                [from](const auto& held_one) { return held_one.first == from; });
+  const bool held = std::any_of(into.begin(), into.end(), [&](const auto& held_one) {
+    return held_one.first == from && held_one.second->type_id() == msg->type_id();
+  });
   if (!held) into.emplace_back(from, msg);
 }
 
@@ -187,11 +216,13 @@ std::vector<std::uint8_t> ChainedCore::gather(const Attachments& attachments,
   };
   std::vector<Candidate> candidates;
   for (std::size_t i = 0; i < attachments.size(); ++i) {
-    const auto& requests = static_cast<const NewViewMsg&>(*attachments[i].second).requests();
-    for_each_command(requests, [&](std::span<const std::uint8_t> command) {
-      const auto tag = request_tag(command);
-      if (tag && !committed_tags_.contains(*tag)) candidates.push_back({*tag, command, i});
-    });
+    for_each_command(requests_of(*attachments[i].second),
+                     [&](std::span<const std::uint8_t> command) {
+                       const auto tag = request_tag(command);
+                       if (tag && !committed_tags_.contains(*tag)) {
+                         candidates.push_back({*tag, command, i});
+                       }
+                     });
   }
   if (candidates.empty()) return {};
   std::size_t offered = 0;
@@ -243,8 +274,14 @@ void ChainedCore::maybe_propose(bool drained) {
   if (hooks_.may_propose && !hooks_.may_propose(v)) return;
   bool responsive = false;
   if (rule_.gate == ChainRule::Gate::kNewViewQuorum) {
+    // QC(v-1) formed here is the highest QC any replica can hold, so no
+    // NewView could report a higher one.
+    const bool own_qc =
+        v > 0 && high_qc_.view() == v - 1 && hooks_.leader_of(v - 1) == signer_.id();
     const auto it = new_view_senders_.find(v);
-    if (it == new_view_senders_.end() || it->second.count() < params_.quorum()) return;
+    if (!own_qc && (it == new_view_senders_.end() || it->second.count() < params_.quorum())) {
+      return;
+    }
   } else {
     // The genesis QC (view -1) certifies view 0's parent, so view 0 is
     // responsive by construction.
@@ -318,11 +355,19 @@ void ChainedCore::maybe_vote() {
   if (!safe_to_vote(block)) return;
   if (cb_.payload_ok && !cb_.payload_ok(block)) return;
   if (forwarding() && !fresh_payload(block)) return;
-  last_voted_view_ = block.view();
-  const crypto::Digest statement = statements_.get(block.view(), block.hash());
-  cb_.send(hooks_.leader_of(block.view()),
-           std::make_shared<VoteMsg>(block.view(), block.hash(),
-                                     crypto::threshold_share(signer_, statement)));
+  const View v = block.view();
+  last_voted_view_ = v;
+  const ProcessId leader = hooks_.leader_of(v);
+  // A leader of v+1 as well proposes v+1 on its own QC(v), before a
+  // NewView(v+1) could reach it: this node's requests ride the vote.
+  std::vector<std::uint8_t> requests;
+  if (forwarding() && leader != signer_.id() && hooks_.leader_of(v + 1) == leader) {
+    requests = forward_requests(v + 1, block.hash());
+  }
+  const crypto::Digest statement = statements_.get(v, block.hash());
+  cb_.send(leader, std::make_shared<VoteMsg>(v, block.hash(),
+                                             crypto::threshold_share(signer_, statement),
+                                             std::move(requests)));
 }
 
 void ChainedCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
@@ -351,10 +396,27 @@ void ChainedCore::handle_proposal(ProcessId from, const ProposalMsg& msg) {
   // Before the justify can move this node into a later view, whose
   // NewView would otherwise re-attach requests this block carries.
   if (forwarding() && cb_.forwarding.proposed) cb_.forwarding.proposed(block);
-  process_qc(block.justify());  // a proposal piggybacks the QC it extends
-  if (v < cur_view_) return;    // too late to vote
+  // A proposal piggybacks the QC it extends. If that QC moves this node
+  // into v, it enters through this proposal (on_enter_view).
+  entering_by_proposal_ = v;
+  process_qc(block.justify());
+  entering_by_proposal_ = -1;
+  if (v < cur_view_) return;  // too late to vote
   pending_proposals_.try_emplace(v, std::move(stored));
   maybe_vote();
+}
+
+void ChainedCore::handle_vote(ProcessId from, const MessagePtr& ptr) {
+  const auto& msg = static_cast<const VoteMsg&>(*ptr);
+  const View v = msg.view();
+  // Requests for v+1 ride votes for v to a node leading both views.
+  // Buffered before the vote can complete QC(v), which moves this node
+  // into v+1 and so into proposing.
+  if (forwarding() && !msg.requests().empty() && v + 1 >= cur_view_ &&
+      hooks_.leader_of(v) == signer_.id() && hooks_.leader_of(v + 1) == signer_.id()) {
+    take_requests(from, v + 1, ptr);
+  }
+  votes_.on_vote(msg, cur_view_);
 }
 
 void ChainedCore::handle_qc_msg(const QcMsg& msg) {
@@ -470,7 +532,7 @@ void ChainedCore::on_message(ProcessId from, const MessagePtr& msg) {
       handle_proposal(from, static_cast<const ProposalMsg&>(*msg));
       break;
     case kVote:
-      votes_.on_vote(static_cast<const VoteMsg&>(*msg), cur_view_);
+      handle_vote(from, msg);
       break;
     case kQcAnnounce:
       handle_qc_msg(static_cast<const QcMsg&>(*msg));

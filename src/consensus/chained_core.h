@@ -19,6 +19,18 @@
 //     view (fallback), long enough post-GST to hear every honest
 //     replica's NewView, so no honest lock exceeds its justify.
 //
+// Under both rules a leader that formed QC(v-1) itself (it led v-1 too,
+// as Lumiere's leaders do for two consecutive views) passes the gate for
+// v at once: no replica can hold a higher QC, so no NewView can tell it
+// anything. Each QC is announced once. QC(v) rides proposal v+1 as its
+// justify when that proposal leaves in the instant QC(v) formed (over
+// TCP, the same pass of the node's event loop); otherwise it leaves as a
+// QcMsg broadcast at the end of that instant (the next view is someone
+// else's, is an initial view waiting for Lumiere's VC, or is not entered
+// yet). A replica that enters v through lead(v)'s proposal for v sends
+// no NewView(v): lead(v) has proposed already. The skip keys off the
+// proposal being handled, never off a stored proposal for a later view.
+//
 // The pacemaker is external (that is the whole point of this repository);
 // this core sends NewView(high_qc) to lead(v) on entering view v, votes,
 // aggregates votes into QCs, and commits.
@@ -37,18 +49,22 @@
 //
 // Request forwarding (CoreCallbacks::forwarding, the inline-batch data
 // path): the NewView to lead(v) also carries the requests this replica
-// admitted since its last one, so a request waits at most a view for a
-// proposer instead of ~n views for its own replica's leader turn.
+// admitted since its last attachment, so a request waits at most a view
+// for a proposer instead of ~n views for its own replica's leader turn.
+// When lead(v) leads v+1 too, it proposes v+1 before any NewView(v+1)
+// could reach it, so each replica's requests for v+1 ride its vote for v
+// instead (lead(v)'s own ride its NewView(v+1) to itself).
 //
-//   * lead(v) proposes the attachments of the NewViews it received
-//     before proposing, in arrival order, within max_batch_bytes.
+//   * lead(v) proposes the attachments of the NewViews (and votes) it
+//     received before proposing, in arrival order, within
+//     max_batch_bytes.
 //   * Relay: what lead(v)'s block cannot take (past max_batch_bytes, or
 //     held back by an uncommitted ancestor or an earlier copy in the
 //     block: exclusions that lapse if that block dies), and attachments
 //     that reach lead(v) after it proposed, ride its own next NewView
 //     (normally v+1), which re-filters them against the block its QC
 //     certifies. lead(v) sends that NewView the moment it forms QC(v),
-//     before broadcasting the QC, so it reaches lead(v+1) ahead of QC(v)
+//     before announcing the QC, so it reaches lead(v+1) ahead of QC(v)
 //     itself (on which a responsive HotStuff-2 leader's gate opens).
 //     Attachments from lead(v-1) are never relayed again: they carry its
 //     relay, and the origins re-attach what proposal v leaves out.
@@ -60,9 +76,11 @@
 //     until a commit acks it (consensus/mempool.h).
 //
 // x = 4 for (diamond-1) under both rules: new-view (or the Delta-wait) +
-// proposal + vote + QC dissemination. Within a synchronized run
-// HotStuff-2 always takes the responsive path, so decisions land one
-// round earlier than with the 3-chain rule — its headline saving.
+// proposal + vote + QC dissemination. A leader's second view skips the
+// new-view hop, but its first view still pays it, so x stays 4. Within a
+// synchronized run HotStuff-2 always takes the responsive path, so
+// decisions land one round earlier than with the 3-chain rule — its
+// headline saving.
 #pragma once
 
 #include <functional>
@@ -144,8 +162,16 @@ class ChainedCore final : public ConsensusCore {
   /// Sends NewView(v, high_qc) to lead(v), carrying the relay and this
   /// node's own requests when forwarding is on.
   void send_new_view(View v, const QuorumCert& high_qc);
-  /// Forwarding: as lead(v), sends NewView(v+1) on forming QC(v).
-  void send_relay_early(const QuorumCert& qc);
+  /// Forwarding: the relay (re-filtered against `tip`), then this node's
+  /// own requests, for an attachment to lead(v).
+  [[nodiscard]] std::vector<std::uint8_t> forward_requests(View v, const crypto::Digest& tip);
+  /// Takes in QC(v), which this node just formed as lead(v): sends the
+  /// early NewView(v+1) when forwarding, processes the QC, and broadcasts
+  /// it at the end of the instant unless a proposal carried it.
+  void announce(const QuorumCert& qc);
+  /// Forwarding: buffers `msg`'s requests for view v (this node leads
+  /// it): into the block when v has no proposal yet, else the relay.
+  void take_requests(ProcessId from, View v, const MessagePtr& msg);
   [[nodiscard]] bool forwarding() const noexcept { return cb_.forwarding.attach != nullptr; }
   /// Inserts into store_ (returning the stored allocation), recording
   /// a new block's request tags in pending_tags_ when forwarding.
@@ -156,13 +182,16 @@ class ChainedCore final : public ConsensusCore {
   /// `below` bounds the chain's views: the view of the block extending
   /// `tip`.
   [[nodiscard]] bool chain_holds(RequestTag tag, const crypto::Digest& tip, View below) const;
-  /// Forwarding: NewViewMsgs carrying requests, with their senders, in
-  /// arrival order.
+  /// Forwarding: NewViews and votes carrying requests, with their
+  /// senders, in arrival order.
   using Attachments = std::vector<std::pair<ProcessId, MessagePtr>>;
-  /// Appends `msg` unless `into` already holds one from `from`.
+  /// Appends `msg` unless `into` already holds one of its kind (NewView
+  /// or vote) from `from`. A replica that attached to its vote for v-1
+  /// still sends NewView(v) when it enters v on a QcMsg (lead(v) waits
+  /// for its VC), carrying what it admitted since.
   static void buffer(Attachments& into, ProcessId from, const MessagePtr& msg);
   /// Whether lead(v) relays what it cannot propose of `from`'s
-  /// NewView(v): everyone's but lead(v-1)'s, itself a relay.
+  /// attachment for v: everyone's but lead(v-1)'s, itself a relay.
   [[nodiscard]] bool relays(ProcessId from, View v) const;
   /// The tagged requests of `attachments` that a block or NewView for
   /// `view` extending `tip` may carry: no tag of tip's uncommitted chain
@@ -176,6 +205,7 @@ class ChainedCore final : public ConsensusCore {
   /// its uncommitted ancestors, in the committed index, or in it twice.
   [[nodiscard]] bool fresh_payload(const Block& block) const;
   void handle_proposal(ProcessId from, const ProposalMsg& msg);
+  void handle_vote(ProcessId from, const MessagePtr& msg);
   void handle_qc_msg(const QcMsg& msg);
   /// Proposes for the current view once its gate is open: `drained`
   /// only from the zero-delay event the first open gate arms. Without a
@@ -226,17 +256,21 @@ class ChainedCore final : public ConsensusCore {
   std::set<View> armed_;
   /// Views this node proposed in.
   std::set<View> proposed_;
+  /// While a proposal for view v is handled: v, the view whose entry
+  /// through it sends no NewView. -1 otherwise.
+  View entering_by_proposal_ = -1;
   std::uint64_t responsive_proposals_ = 0;
   std::uint64_t fallback_proposals_ = 0;
   std::map<View, std::shared_ptr<const Block>> pending_proposals_;
   /// Views whose QC this node has reported through qc_seen (dedup).
   ViewSet seen_qc_views_;
-  /// Forwarding: NewViews with requests for views this node leads,
-  /// received before it proposed (at most one per sender and view).
+  /// Forwarding: NewViews and votes with requests for views this node
+  /// leads, received before it proposed (at most one of each per sender
+  /// and view).
   std::map<View, Attachments> forwarded_;
-  /// Forwarding: NewViews whose requests arrived after this node
+  /// Forwarding: attachments whose requests arrived after this node
   /// proposed, or that its block could not take in full; they ride its
-  /// next NewView (at most one per sender).
+  /// next NewView (at most one of each kind per sender).
   Attachments relay_;
   /// Forwarding: every tag this node committed.
   CommittedTags committed_tags_;

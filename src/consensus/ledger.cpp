@@ -14,7 +14,7 @@ void Ledger::commit(std::shared_ptr<const Block> block, TimePoint at) {
     LUMIERE_ASSERT_MSG(block->parent() == Block::genesis().hash(),
                        "ledger: first commit must extend genesis");
   }
-  const std::span<const std::uint8_t> payload(block->payload().data(), block->payload().size());
+  const std::vector<std::uint8_t>& payload = block->payload();
   entries_.push_back(CommittedEntry{std::move(block), payload, at});
   if (2 * entries_.size() > index_.size()) {
     // Double (from 64 slots) and re-place every entry.

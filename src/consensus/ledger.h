@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/assert.h"
@@ -16,7 +15,7 @@ namespace lumiere::consensus {
 /// One committed block, in commit order. It references the committed
 /// block (the allocation the proposal carried) instead of copying it:
 /// `view()`, `hash()` and `parent()` read through `block`, so an entry is
-/// 40 bytes and a ledger costs five words per block beyond the blocks
+/// 32 bytes and a ledger costs four words per block beyond the blocks
 /// themselves. Once committed, a block lives only here: the core's store
 /// drops it, and block sync serves it through Ledger::find.
 struct CommittedEntry {
@@ -25,11 +24,11 @@ struct CommittedEntry {
   [[nodiscard]] const crypto::Digest& parent() const noexcept { return block->parent(); }
 
   std::shared_ptr<const Block> block;
-  /// The block's payload bytes, viewed in place; `block` keeps them alive.
-  std::span<const std::uint8_t> payload;
+  /// The block's payload, in place; `block` keeps it alive.
+  const std::vector<std::uint8_t>& payload;
   TimePoint committed_at;
 };
-static_assert(sizeof(CommittedEntry) == 40, "an entry is the block pointer, payload view and time");
+static_assert(sizeof(CommittedEntry) == 32, "an entry is the block pointer, payload and time");
 
 /// An append-only commit log with basic integrity checks. Cross-node
 /// prefix consistency (the SMR safety property) is checked by tests via

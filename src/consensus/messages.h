@@ -54,26 +54,33 @@ class ProposalMsg final : public Message {
 };
 
 /// A replica's vote: a threshold share over the QC statement for
-/// (view, block).
+/// (view, block). On the inline-batch data path, a vote for v also
+/// carries requests to lead(v) when that replica leads v+1 too: it
+/// proposes v+1 on its own QC(v), before any NewView(v+1) could reach it
+/// (consensus/chained_core.h). The attachment has NewViewMsg's format
+/// and cost model: an empty one costs no modelled bytes.
 class VoteMsg final : public Message {
  public:
-  VoteMsg(View view, crypto::Digest block_hash, crypto::PartialSig share)
-      : view_(view), block_hash_(block_hash), share_(share) {}
+  VoteMsg(View view, crypto::Digest block_hash, crypto::PartialSig share,
+          std::vector<std::uint8_t> requests = {})
+      : view_(view), block_hash_(block_hash), share_(share), requests_(std::move(requests)) {}
 
   [[nodiscard]] View view() const noexcept { return view_; }
   [[nodiscard]] const crypto::Digest& block_hash() const noexcept { return block_hash_; }
   [[nodiscard]] const crypto::PartialSig& share() const noexcept { return share_; }
+  [[nodiscard]] const std::vector<std::uint8_t>& requests() const noexcept { return requests_; }
 
   std::uint32_t type_id() const override { return kVote; }
   const char* type_name() const override { return "vote"; }
   MsgClass msg_class() const override { return MsgClass::kConsensus; }
   std::size_t wire_size() const override {
-    return 8 + crypto::Digest::kSize + share_.wire_size();
+    return 8 + crypto::Digest::kSize + share_.wire_size() + requests_.size();
   }
   void serialize(ser::Writer& w) const override {
     w.view(view_);
     w.digest(block_hash_);
     w.partial_sig(share_);
+    w.bytes(std::span<const std::uint8_t>(requests_.data(), requests_.size()));
   }
   void collect_auth(AuthClaimSink& sink) const override {
     sink.share(QuorumCert::statement(view_, block_hash_), share_);
@@ -82,16 +89,18 @@ class VoteMsg final : public Message {
     View view = -1;
     crypto::Digest hash;
     crypto::PartialSig share;
-    if (!r.view(view) || !r.digest(hash) || !r.partial_sig(share)) {
+    std::vector<std::uint8_t> requests;
+    if (!r.view(view) || !r.digest(hash) || !r.partial_sig(share) || !r.bytes(requests)) {
       return nullptr;
     }
-    return std::make_shared<VoteMsg>(view, hash, share);
+    return std::make_shared<VoteMsg>(view, hash, share, std::move(requests));
   }
 
  private:
   View view_;
   crypto::Digest block_hash_;
   crypto::PartialSig share_;
+  std::vector<std::uint8_t> requests_;
 };
 
 /// QC dissemination: "the successful completion of a view v is marked by
@@ -120,10 +129,11 @@ class QcMsg final : public Message {
 
 /// Chained HotStuff: replica reports its highest QC to the new leader.
 /// On the inline-batch data path it also carries requests to lead(v):
-/// the ones this replica admitted since its last NewView, and — from
-/// the previous leader — the relay of attachments that reached it after
-/// it proposed (consensus/chained_core.h). The attachment is a batch in
-/// the proposal payload format; an empty one costs no modelled bytes.
+/// the ones this replica admitted since its last NewView or vote, and —
+/// from the previous leader — the relay of attachments that reached it
+/// after it proposed (consensus/chained_core.h). The attachment is a
+/// batch in the proposal payload format; an empty one costs no modelled
+/// bytes.
 class NewViewMsg final : public Message {
  public:
   NewViewMsg(View view, QuorumCert high_qc, std::vector<std::uint8_t> requests = {})

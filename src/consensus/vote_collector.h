@@ -2,7 +2,7 @@
 // votes only for its own proposal and only while still in the view:
 // (diamond-2) wants a QC from 2f+1 processors in view v over a shared
 // interval, not from stragglers passing through v at disjoint times.
-// The first quorum closes the view; the QC is formed and broadcast
+// The first quorum closes the view; the QC is formed and announced
 // unless the pacemaker forfeits it (Lumiere's deadline, Section 4).
 //
 // The per-view state (proposal hash, aggregator, closed mark) is pruned
@@ -23,18 +23,18 @@ namespace lumiere::consensus {
 class VoteCollector {
  public:
   /// Borrows the owning core's hooks, callbacks and statement memo.
-  /// `before_broadcast` (optional) runs between CoreCallbacks::qc_formed
-  /// and the QC broadcast.
+  /// `announce` (optional) takes each formed QC after
+  /// CoreCallbacks::qc_formed, in place of the QC broadcast.
   VoteCollector(crypto::AuthView auth, ProcessId self, std::uint32_t quorum,
                 const PacemakerHooks& hooks, const CoreCallbacks& cb, StatementCache& statements,
-                std::function<void(const QuorumCert&)> before_broadcast = nullptr)
+                std::function<void(const QuorumCert&)> announce = nullptr)
       : auth_(auth),
         self_(self),
         quorum_(quorum),
         hooks_(hooks),
         cb_(cb),
         statements_(statements),
-        before_broadcast_(std::move(before_broadcast)) {}
+        announce_(std::move(announce)) {}
   // A copy would still point at the original owner's members.
   VoteCollector(const VoteCollector&) = delete;
   VoteCollector& operator=(const VoteCollector&) = delete;
@@ -57,7 +57,7 @@ class VoteCollector {
   }
 
   /// Counts a vote while this node is in `cur_view`; the quorum-completing
-  /// vote fires CoreCallbacks::qc_formed, then broadcasts the QC.
+  /// vote fires CoreCallbacks::qc_formed, then announces the QC.
   void on_vote(const VoteMsg& msg, View cur_view) {
     const View v = msg.view();
     if (hooks_.leader_of(v) != self_ || v < cur_view || closed_views_.contains(v)) return;
@@ -74,8 +74,11 @@ class VoteCollector {
     QuorumCert qc(v, msg.block_hash(), agg.aggregate());
     aggregators_.erase(v);
     if (cb_.qc_formed) cb_.qc_formed(qc);
-    if (before_broadcast_) before_broadcast_(qc);
-    cb_.broadcast(std::make_shared<QcMsg>(std::move(qc)));
+    if (announce_) {
+      announce_(qc);
+    } else {
+      cb_.broadcast(std::make_shared<QcMsg>(std::move(qc)));
+    }
   }
 
  private:
@@ -85,7 +88,7 @@ class VoteCollector {
   const PacemakerHooks& hooks_;
   const CoreCallbacks& cb_;
   StatementCache& statements_;
-  std::function<void(const QuorumCert&)> before_broadcast_;
+  std::function<void(const QuorumCert&)> announce_;
   std::map<View, crypto::Digest> my_proposal_hash_;
   std::map<View, crypto::QuorumAggregator> aggregators_;
   std::set<View> closed_views_;  ///< QC formed or forfeited

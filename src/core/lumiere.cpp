@@ -275,6 +275,12 @@ void LumierePacemaker::on_qc(const consensus::QuorumCert& qc) {
       set_view(w, math_.epoch_of(w));  // line 49
     }
     process_clock();  // if `next` is an epoch view we just landed on it
+  } else if (!EpochMath::is_initial(next) && clock().reading() < math_.view_time(next + 1)) {
+    // The clock ran past c_{next} before QC(w) formed (a leader that was
+    // handed a QC alone runs ahead of the others). No clock entry exists
+    // for a non-initial view, so without this lead(next) never proposes
+    // the second view of its pair and the epoch misses its success.
+    set_view(next, math_.epoch_of(next));
   }
 }
 

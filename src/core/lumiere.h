@@ -38,6 +38,19 @@
 //  * The leader defers its proposal for an initial view until it has
 //    sent the VC for that view, so the deadline anchor always exists
 //    when votes complete (PacemakerHooks::may_propose).
+//  * A non-initial view's anchor is the leader's own QC for the view
+//    before, and that QC travels in the leader's proposal for the view
+//    as its justify instead of a broadcast of its own: processes enter
+//    the view on the proposal (line 44 fires on its justify) and send no
+//    NewView to a leader that has proposed (consensus/chained_core.h).
+//  * Lines 44-48 act on a QC for view w only while lc(p) < c_{w+1}. Here
+//    a QC for w also moves a process into a non-initial w+1 when its
+//    clock has passed c_{w+1} but not c_{w+2}: no clock entry exists for
+//    a non-initial view, so a leader whose clock ran ahead (a Byzantine
+//    leader handed it the QC for w-1 alone) would otherwise never propose
+//    its second view, and every such epoch would miss its success
+//    criterion. The clock is not moved, so the view ends at c_{w+2} as
+//    it would have.
 //  * Catch-up view messages (Algorithm 1 lines 18/38/46) are capped at
 //    the most recent 10n views; older VCs could no longer affect any of
 //    the paper's within-epoch arguments.

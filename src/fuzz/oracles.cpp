@@ -110,11 +110,17 @@ std::optional<std::string> check_exactly_once(const runtime::Cluster& cluster) {
   // Every commit the client side observed matches a submission it made —
   // a committed request materializing from nowhere means the engine's
   // accounting (or the ledger) is corrupt.
-  const workload::Report report = cluster.workload_report();
-  if (report.commit_misses != 0) {
+  // Summed from each engine's counters: a merged report would copy every
+  // latency sample just to read this one.
+  std::uint64_t commit_misses = 0;
+  for (ProcessId id = 0; id < cluster.n(); ++id) {
+    if (const workload::NodeWorkload* workload = cluster.node_workload(id)) {
+      commit_misses += workload->stats().commit_misses;
+    }
+  }
+  if (commit_misses != 0) {
     std::ostringstream out;
-    out << "exactly-once: " << report.commit_misses
-        << " committed request(s) matched no submission";
+    out << "exactly-once: " << commit_misses << " committed request(s) matched no submission";
     return out.str();
   }
   return std::nullopt;

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "consensus/mempool.h"
 #include "consensus/request_tag.h"
@@ -397,6 +400,234 @@ TEST_P(ChainedCoreTest, PrunedLeaderStateIgnoresLateMessages) {
   }
   EXPECT_TRUE(h.all_saw_qc(passed + 1));
   EXPECT_EQ(h.core(0).leader_state_views(), 0U) << "p0 leads neither 241 nor 242";
+}
+
+// ---- a leader's second view starts from its own QC ------------------
+
+/// Every leader holds two consecutive views, as under Lumiere:
+/// lead(v) = (v / 2) mod 4.
+void pair_leaders(ProcessId /*id*/, PacemakerHooks& hooks) {
+  hooks.leader_of = [](View v) { return static_cast<ProcessId>(v >= 0 ? (v / 2) % 4 : 0); };
+}
+
+/// The view a consensus message is about.
+View view_of(const Message& msg) {
+  switch (msg.type_id()) {
+    case kProposal:
+      return static_cast<const ProposalMsg&>(msg).block().view();
+    case kVote:
+      return static_cast<const VoteMsg&>(msg).view();
+    case kQcAnnounce:
+      return static_cast<const QcMsg&>(msg).qc().view();
+    case kNewView:
+      return static_cast<const NewViewMsg&>(msg).view();
+    default:
+      return -1;
+  }
+}
+
+/// Logs every send and broadcast call of the nodes it taps, and drops
+/// the messages `drop` selects.
+class Traffic {
+ public:
+  struct Sent {
+    ProcessId from;
+    std::optional<ProcessId> to;  ///< nullopt: a broadcast
+    MessagePtr msg;
+  };
+
+  explicit Traffic(std::function<bool(const Message&)> drop = nullptr) : drop_(std::move(drop)) {}
+
+  void tap(ProcessId id, CoreCallbacks& cb) {
+    cb.send = [this, id, inner = cb.send](ProcessId to, MessagePtr msg) {
+      sent.push_back({id, to, msg});
+      if (!drop_ || !drop_(*msg)) inner(to, std::move(msg));
+    };
+    cb.broadcast = [this, id, inner = cb.broadcast](MessagePtr msg) {
+      sent.push_back({id, std::nullopt, msg});
+      if (!drop_ || !drop_(*msg)) inner(std::move(msg));
+    };
+  }
+
+  /// Calls that sent `type` for `view` to another node (a broadcast
+  /// counts once).
+  [[nodiscard]] std::size_t count(std::uint32_t type, View view) const {
+    return static_cast<std::size_t>(std::count_if(sent.begin(), sent.end(), [&](const Sent& s) {
+      return s.msg->type_id() == type && view_of(*s.msg) == view && s.to != s.from;
+    }));
+  }
+
+  /// The justify view of the proposal for `view` (-2 if none left).
+  [[nodiscard]] View justify_of(View view) const {
+    for (const Sent& s : sent) {
+      if (s.msg->type_id() == kProposal && view_of(*s.msg) == view) {
+        return static_cast<const ProposalMsg&>(*s.msg).block().justify().view();
+      }
+    }
+    return -2;
+  }
+
+  std::vector<Sent> sent;
+
+ private:
+  std::function<bool(const Message&)> drop_;
+};
+
+/// A pacemaker's reaction to a QC, up to view `last`: a node that sees
+/// QC(v) enters v+1 (Lumiere's Algorithm 1, line 48).
+void advance_on_qc(Harness& h, View last) {
+  h.on_qc_seen = [&h, last](ProcessId id, const QuorumCert& qc) {
+    if (qc.view() < last) h.enter_view(id, qc.view() + 1);
+  };
+}
+
+TEST_P(ChainedCoreTest, OwnQcOpensTheSecondViewsGateWithoutNewViews) {
+  // No NewView(1) arrives anywhere. p0 leads views 0 and 1: QC(0) is its
+  // own, the highest any replica can hold, so it proposes view 1 at once.
+  Traffic traffic([](const Message& m) { return m.type_id() == kNewView && view_of(m) == 1; });
+  Harness h(4, Duration::micros(10), nullptr, rule(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) { traffic.tap(id, cb); }, pair_leaders);
+  advance_on_qc(h, 1);
+  h.enter_view_all(0);
+  EXPECT_EQ(traffic.justify_of(1), 0);
+  EXPECT_TRUE(h.all_saw_qc(1));
+}
+
+TEST(ChainedHotStuffGateTest, AnotherLeadersQcStillWaitsForNewViews) {
+  // lead(v) = v mod 4: p1 holds p0's QC(0), yet without 2f+1 NewView(1)s
+  // it does not propose view 1 (HotStuff-2's responsive gate would).
+  Traffic traffic([](const Message& m) { return m.type_id() == kNewView && view_of(m) == 1; });
+  Harness h(4, Duration::micros(10), nullptr, ChainRule::hotstuff(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) { traffic.tap(id, cb); });
+  advance_on_qc(h, 1);
+  h.enter_view_all(0);
+  ASSERT_EQ(h.core(1).high_qc().view(), 0);
+  EXPECT_EQ(traffic.count(kProposal, 1), 0U);
+  EXPECT_FALSE(h.all_saw_qc(1));
+}
+
+TEST_P(ChainedCoreTest, EachQcIsAnnouncedOnce) {
+  // Views 0..3 led by p0, p0, p1, p1. QC(0) and QC(2) ride proposals 1
+  // and 3 as their justify, with no QcMsg; QC(1) (view 2 is p1's) and
+  // QC(3) (view 4 is never entered) each leave as one QcMsg broadcast.
+  Traffic traffic;
+  Harness h(4, Duration::micros(10), nullptr, rule(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) { traffic.tap(id, cb); }, pair_leaders);
+  advance_on_qc(h, 3);
+  h.enter_view_all(0);
+  ASSERT_TRUE(h.all_saw_qc(3));
+  EXPECT_EQ(traffic.justify_of(1), 0);
+  EXPECT_EQ(traffic.justify_of(3), 2);
+  const std::size_t expected[] = {0, 1, 0, 1};
+  for (View v = 0; v <= 3; ++v) {
+    EXPECT_EQ(traffic.count(kQcAnnounce, v), expected[v]) << "QC(" << v << ")";
+  }
+}
+
+TEST_P(ChainedCoreTest, AQcItsProposalCannotCarryIsBroadcastOnce) {
+  // p0's view 1 waits behind may_propose, as a Lumiere leader bridging
+  // into an initial view waits for its VC: QC(0) leaves as one QcMsg.
+  // Once the gate lifts, proposal 1 carries QC(0) and no second QcMsg
+  // follows.
+  bool allowed = false;
+  Traffic traffic;
+  Harness h(4, Duration::micros(10), nullptr, rule(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) { traffic.tap(id, cb); },
+            [&allowed](ProcessId id, PacemakerHooks& hooks) {
+              pair_leaders(id, hooks);
+              hooks.may_propose = [&allowed](View v) { return v != 1 || allowed; };
+            });
+  advance_on_qc(h, 1);
+  h.enter_view_all(0);
+  EXPECT_EQ(traffic.count(kQcAnnounce, 0), 1U);
+  EXPECT_EQ(traffic.count(kProposal, 1), 0U);
+  allowed = true;
+  h.core(0).on_propose_allowed(1);
+  h.settle();
+  EXPECT_EQ(traffic.justify_of(1), 0);
+  EXPECT_EQ(traffic.count(kQcAnnounce, 0), 1U);
+  EXPECT_TRUE(h.all_saw_qc(1));
+}
+
+TEST_P(ChainedCoreTest, EntryThroughTheProposalSendsNoNewView) {
+  // Views 0..3 led by p0, p0, p1, p1. Replicas enter views 1 and 3
+  // through their proposals and send no NewView for them; views 0 and 2
+  // they enter otherwise, and each of the three non-leaders sends one.
+  Traffic traffic;
+  Harness h(4, Duration::micros(10), nullptr, rule(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) { traffic.tap(id, cb); }, pair_leaders);
+  advance_on_qc(h, 3);
+  h.enter_view_all(0);
+  ASSERT_TRUE(h.all_saw_qc(3));
+  const std::size_t expected[] = {3, 0, 3, 0};
+  for (View v = 0; v <= 3; ++v) {
+    EXPECT_EQ(traffic.count(kNewView, v), expected[v]) << "NewView(" << v << ")";
+  }
+}
+
+TEST_P(ChainedCoreTest, AFutureViewProposalSuppressesNoNewView) {
+  // p3, in view 1, receives a proposal for view 5 from lead(5) = p2
+  // whose justify (QC(1)) moves it into no view, and one for view 4 from
+  // p0, which is not lead(4). Entering views 4 and 5 later, it still
+  // sends NewView(4) and NewView(5).
+  Traffic traffic;
+  Harness h(4, Duration::micros(10), nullptr, rule(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) { traffic.tap(id, cb); }, pair_leaders);
+  advance_on_qc(h, 1);
+  h.enter_view_all(0);
+  ASSERT_TRUE(h.all_saw_qc(1));
+  const QuorumCert qc1 = h.core(3).high_qc();
+  ASSERT_EQ(qc1.view(), 1);
+  for (const auto& [from, view] : {std::pair<ProcessId, View>{2, 5}, {0, 4}}) {
+    h.network().send(from, 3,
+                     std::make_shared<ProposalMsg>(Block(qc1.block_hash(), view, {}, qc1)));
+  }
+  h.settle();
+  ASSERT_EQ(h.core(3).current_view(), 1);
+  for (const View v : {4, 5}) {
+    h.enter_view(3, v);
+    h.settle();
+    EXPECT_EQ(traffic.count(kNewView, v), 1U) << "NewView(" << v << ")";
+  }
+}
+
+TEST_P(ChainedCoreTest, RequestsRideTheVotesIntoTheLeadersSecondBlock) {
+  // Views 0 and 1 led by p0, every node admitting one request for view
+  // 1. p0 proposes view 1 on its own QC(0), before a NewView(1) could
+  // reach it: the others' requests ride their votes for view 0, p0's own
+  // its NewView(1) to itself. Votes for view 1 (lead(2) = p1) carry none.
+  Traffic traffic;
+  Harness h(4, Duration::micros(10), nullptr, rule(),
+            [&traffic](ProcessId id, CoreCallbacks& cb) {
+              traffic.tap(id, cb);
+              cb.forwarding.attach = [id](View v) {
+                ser::Writer batch;
+                if (v == 1) batch.bytes(request(100 + id, 0));
+                return std::move(batch).take();
+              };
+            },
+            pair_leaders);
+  advance_on_qc(h, 1);
+  h.enter_view_all(0);
+  ASSERT_TRUE(h.all_saw_qc(1));
+  EXPECT_EQ(traffic.count(kNewView, 1), 0U);
+  std::optional<std::vector<std::uint8_t>> block1;
+  for (const Traffic::Sent& s : traffic.sent) {
+    if (s.msg->type_id() == kProposal && view_of(*s.msg) == 1) {
+      block1 = static_cast<const ProposalMsg&>(*s.msg).block().payload();
+    }
+    if (s.msg->type_id() != kVote) continue;
+    const auto& vote = static_cast<const VoteMsg&>(*s.msg);
+    const bool carries = vote.view() == 0 && s.from != 0;
+    EXPECT_EQ(vote.requests().empty(), !carries) << "p" << s.from << "'s vote " << vote.view();
+  }
+  ASSERT_TRUE(block1.has_value()) << "p0 never proposed view 1";
+  const std::vector<RequestTag> tags = tags_of(*block1);
+  EXPECT_EQ(tags.size(), 4U);
+  for (ProcessId id = 0; id < 4; ++id) {
+    EXPECT_NE(std::find(tags.begin(), tags.end(), RequestTag{100 + id, 0}), tags.end())
+        << "p" << id << "'s request is not in view 1's block";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rules, ChainedCoreTest, ::testing::ValuesIn(kRules),

@@ -16,10 +16,10 @@ std::shared_ptr<const Block> make_block(const crypto::Digest& parent, View view,
   return std::make_shared<const Block>(parent, view, std::move(payload), genesis_qc());
 }
 
-// An entry is five words: the block pointer (two), the payload view (two)
-// and the commit time; view, hash and parent are read through the block
-// instead of being copied.
-static_assert(sizeof(CommittedEntry) == 40);
+// An entry is four words: the block pointer (two), a reference to the
+// block's payload and the commit time; view, hash and parent are read
+// through the block instead of being copied.
+static_assert(sizeof(CommittedEntry) == 32);
 
 TEST(LedgerTest, CommitsChainInOrder) {
   Ledger ledger;
@@ -32,9 +32,9 @@ TEST(LedgerTest, CommitsChainInOrder) {
   EXPECT_EQ(ledger.entries()[1].view(), 1);
   EXPECT_EQ(ledger.entries()[1].parent(), b0->hash());
   EXPECT_EQ(ledger.entries()[0].committed_at, TimePoint(10));
-  // Entries reference the committed block; the payload is a view of it.
+  // Entries reference the committed block and its payload.
   EXPECT_EQ(ledger.entries()[1].block, b1);
-  EXPECT_EQ(ledger.entries()[1].payload.data(), b1->payload().data());
+  EXPECT_EQ(&ledger.entries()[1].payload, &b1->payload());
   EXPECT_EQ(ledger.entries()[1].payload.size(), 1U);
 }
 

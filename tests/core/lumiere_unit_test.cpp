@@ -329,6 +329,31 @@ TEST_F(LumiereUnitTest, ClockPacedEntryOfInitialViews) {
   EXPECT_EQ(pm_->current_view(), 4);
 }
 
+TEST_F(LumiereUnitTest, ClockAheadProcessEntersTheNonInitialViewOnItsQc) {
+  // A leader handed QC(v-1) alone runs ahead of the others and can form
+  // QC(v) only after its clock passed c_{v+1}. Line 44 would ignore that
+  // QC; v+1 has no clock entry, so the leader would never propose its
+  // second view. The QC moves the process into v+1 and leaves the clock.
+  enter_epoch_zero();
+  const TimePoint entered(Duration::millis(10).ticks());  // lc = 0 here
+  const Duration c1 = pm_->math().view_time(1);
+  const Duration c2 = pm_->math().view_time(2);
+  harness_.run_to(entered + (c1 + c2) / 2);
+  ASSERT_EQ(pm_->current_view(), 0);
+  ASSERT_GT(harness_.clock().reading(), c1);
+  harness_.inject_qc(0);
+  harness_.settle();
+  EXPECT_EQ(pm_->current_view(), 1);
+  EXPECT_EQ(harness_.clock().reading(), (c1 + c2) / 2);
+  // An initial view keeps its clock entry: past c_2 the same QC for 1
+  // finds the process in view 2 already and changes nothing.
+  harness_.run_to(entered + c2 + Duration::millis(1));
+  ASSERT_EQ(pm_->current_view(), 2);
+  harness_.inject_qc(1);
+  harness_.settle();
+  EXPECT_EQ(pm_->current_view(), 2);
+}
+
 TEST_F(LumiereUnitTest, QcStreakBumpsThroughViews) {
   start();
   harness_.run_to(TimePoint(Duration::millis(10).ticks()));

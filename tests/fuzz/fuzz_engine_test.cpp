@@ -56,7 +56,10 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
   // every one byte-identical. Seeds 3, 22 (lumiere) and 16 (fever) were
   // re-pinned when leaders stopped sending VCs to processes already in
   // the VC's view: fewer VcMsg copies draw fewer delays from the Rng, and
-  // the rest leave at the end of the instant the VC formed.
+  // the rest leave at the end of the instant the VC formed. All six (every
+  // one a chained core) were re-pinned when a leader's second view
+  // started from its own QC: QC(v-1) rides proposal v, requests ride the
+  // votes, and fewer QcMsg and NewView copies draw delays from the Rng.
   struct Pinned {
     std::uint64_t seed;
     std::uint32_t shrink_to_n;  ///< 0 = the case as sampled
@@ -64,19 +67,19 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
   };
   const Pinned pinned[] = {
       // nk20/hotstuff-2, wan3 preset, partitions, behavior change.
-      {1, 0, "392ba304c812933fe804d146ecfae1abb77bbddc29ed7c8ebd96ea9072fb5656"},
+      {1, 0, "7c30a1db1bbad86dfc1584fd4e8e8028718fe3ee02de11942b631e64f11ca233"},
       // lumiere/hotstuff-2, lan preset, two churn windows, workload.
-      {3, 0, "8018042f8eec700aef9510c779074763c6442f4280e47fa077ce9d919b8c0b8e"},
+      {3, 0, "4917ff7a608843b4d049d5ec5687ab792ef0d4125686b9451ad27a26ab4e9537"},
       // n=7: churn, asymmetric and 3-way partitions, two Byzantine nodes.
-      {5, 0, "55e1020effd4d79005b02b429bc822fab033fdf569afe54a778e84741875ef0e"},
+      {5, 0, "7ca5c6e9d8155b1cedbf90c83a8ecd7f6026dcca7a03986f8630a9b886c3df2b"},
       // Dissemination on, churn of a silent leader, delay change. (Its
       // ledgers embed encoded batch certs, so the certificate wire format
       // is part of this digest.)
-      {21, 0, "3fa69241499fd770bb267af554e0ded79c393f3ea2da924b675aa201d2d306d0"},
+      {21, 0, "0792aff577bdf6d2e39d2fda2d8efeb2bec551df4733103b4f016387cb61f5a4"},
       // Asymmetric partition then a behavior change, workload.
-      {22, 0, "2a6816a1b895f1f1bd53d989d472f0b8377f2f43b6a4bebe02c4c3ca166efaab"},
+      {22, 0, "65fe81d4e727253bfb13cd4ee86ec2e673cb1b6154e0aa66878cef87e64502ad"},
       // n=10 shrunk to 4: groups trimmed, behaviors recapped at f=1.
-      {16, 4, "9bd78b718c9d5ee32badeaeb461833c61a009c6915049e9ea7af56cc5c6f3085"},
+      {16, 4, "bf1933d93b6184a90db55abaadaf815b3454d5d3188f9f992472c9d39840b51d"},
   };
   for (const Pinned& p : pinned) {
     CaseDeltas deltas;

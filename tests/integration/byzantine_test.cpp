@@ -153,5 +153,38 @@ TEST(ByzantineEdge, LumiereSilentLeaderDelayIsOfFaGammaNotN) {
   EXPECT_LE(gap_large, bound) << "n=13: the bound must not grow with n";
 }
 
+TEST(ByzantineEdge, MixedStormStopsHeavySyncsAfterWarmup) {
+  // examples/byzantine_storm: n = 10 with the full fault budget mixed (a
+  // silent leader, a QC-withholder, an equivocator) and a late GST.
+  // Section 3.5: after the warmup every epoch succeeds and skips the
+  // heavy exchange. The QC-withholder hands its second QC to the next
+  // leader alone, whose clock then runs past that leader's own second
+  // view; unless its QC still moves it into that view, one epoch in
+  // every one fails and the honest nodes send ~100 epoch-view messages.
+  const TimePoint gst(Duration::seconds(1).ticks());
+  ScenarioBuilder builder;
+  builder.params(ProtocolParams::for_n(10, Duration::millis(10), /*x=*/4))
+      .pacemaker("lumiere")
+      .core("chained-hotstuff")
+      .seed(99)
+      .gst(gst)
+      .join_stagger(Duration::millis(400))
+      .delay(std::make_shared<sim::PreGstChaosDelay>(gst, Duration::micros(300),
+                                                     Duration::millis(4), Duration::seconds(2)));
+  builder.node(0).behavior([] { return std::make_unique<adversary::SilentLeaderBehavior>(); });
+  builder.node(1).behavior([] { return std::make_unique<adversary::QcWithholderBehavior>(); });
+  builder.node(2).behavior([] { return std::make_unique<adversary::EquivocatorBehavior>(); });
+  Cluster cluster(builder);
+  cluster.run_for(Duration::seconds(61));
+
+  std::uint64_t heavy = 0;
+  for (const ProcessId id : cluster.honest_ids()) {
+    heavy += static_cast<const core::LumierePacemaker&>(cluster.node(id).pacemaker())
+                 .epoch_msgs_sent();
+  }
+  EXPECT_LT(heavy, 10U) << "heavy epoch-view broadcasts by honest nodes";
+  EXPECT_TRUE(oracle_ok(fuzz::check_safety(cluster)));
+}
+
 }  // namespace
 }  // namespace lumiere::runtime

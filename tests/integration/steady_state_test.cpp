@@ -3,7 +3,10 @@
 // the next epoch starts timely too — heavy synchronization stops forever.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "adversary/behaviors.h"
+#include "consensus/messages.h"
 #include "core/lumiere.h"
 #include "pacemaker/messages.h"
 #include "runtime/cluster.h"
@@ -92,6 +95,67 @@ TEST(SteadyStateTest, EventualCommLinearInFaults) {
   EXPECT_LT(*fault_free, 60U) << "fault-free steady state should be ~4n per decision";
   EXPECT_LT(*with_faults, 200U) << "faulty steady state should be O(n * f_a)";
   EXPECT_GE(*with_faults, *fault_free) << "faults cannot make it cheaper";
+}
+
+/// Counts each view's QcMsg and NewView copies to another process,
+/// passing every send on to the cluster's collector.
+class ConsensusCopies final : public sim::NetworkObserver {
+ public:
+  explicit ConsensusCopies(MetricsCollector* metrics) : metrics_(metrics) {}
+
+  void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
+    metrics_->on_send(at, from, to, msg);
+    if (from == to) return;
+    if (msg.type_id() == consensus::kQcAnnounce) {
+      ++qcs[static_cast<const consensus::QcMsg&>(msg).qc().view()];
+    } else if (msg.type_id() == consensus::kNewView) {
+      ++new_views[static_cast<const consensus::NewViewMsg&>(msg).view()];
+    }
+  }
+  void on_deliver(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
+    metrics_->on_deliver(at, from, to, msg);
+  }
+
+  std::map<View, std::uint64_t> qcs;
+  std::map<View, std::uint64_t> new_views;
+
+ private:
+  MetricsCollector* metrics_;
+};
+
+TEST(SteadyStateTest, EachLeaderPairCostsOneQcBroadcastAndOneNewViewRound) {
+  // Lumiere gives each leader two consecutive views. Once warmed up, the
+  // first costs a NewView round, the second none (every replica enters
+  // it through its proposal, which carries QC(first)); QC(second) leaves
+  // as one QcMsg broadcast. So each pair sends n-1 copies of each.
+  constexpr std::uint32_t kN = 31;
+  ScenarioBuilder options;
+  options.params(ProtocolParams::for_n(kN, Duration::millis(10)));
+  options.pacemaker("lumiere");
+  options.core("chained-hotstuff");
+  options.seed(54);
+  options.delay(std::make_shared<sim::FixedDelay>(Duration::millis(1)));
+  Cluster cluster(options);
+  ConsensusCopies copies(&cluster.metrics());
+  cluster.network().set_observer(&copies);
+  cluster.run_for(Duration::seconds(3));
+
+  const auto& pacemaker = lumiere_of(cluster, 0);
+  // From the second epoch on, up to the pairs still in flight.
+  const View first = pacemaker.math().views_per_epoch();
+  const View last = pacemaker.current_view() - 4;
+  ASSERT_GE(last - first, 200) << "too few views after warm-up";
+  for (View v = first; v + 1 <= last; v += 2) {
+    ASSERT_EQ(pacemaker.leader_of(v), pacemaker.leader_of(v + 1)) << "views " << v << ", " << v + 1;
+    const auto copies_of = [](const std::map<View, std::uint64_t>& counts, View view) {
+      const auto it = counts.find(view);
+      return it == counts.end() ? 0 : it->second;
+    };
+    EXPECT_EQ(copies_of(copies.qcs, v) + copies_of(copies.qcs, v + 1), kN - 1)
+        << "QcMsg copies, views " << v << ", " << v + 1;
+    EXPECT_EQ(copies_of(copies.new_views, v) + copies_of(copies.new_views, v + 1), kN - 1)
+        << "NewView copies, views " << v << ", " << v + 1;
+  }
 }
 
 }  // namespace

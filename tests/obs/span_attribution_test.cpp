@@ -116,9 +116,11 @@ TEST(SpanAttributionTest, ExportsReadTheRingUnchanged) {
   // did: these digests were taken when the ring held SyncSpans whole,
   // and re-taken when leaders started proposing at the end of the
   // instant their gate opened (block contents, and so the bytes a sync
-  // episode counts, moved), and again when leaders stopped sending VCs
+  // episode counts, moved), again when leaders stopped sending VCs
   // to processes already in the VC's view (each episode counts fewer
-  // messages and bytes).
+  // messages and bytes), and again when a leader's second view started
+  // from its own QC (views end sooner, so episodes start and end at
+  // other instants).
   Cluster cluster(partition_options(4242));
   cluster.run_for(Duration::seconds(8));
   const CompletedSpans spans = cluster.sync_tracer()->completed_spans();
@@ -128,9 +130,9 @@ TEST(SpanAttributionTest, ExportsReadTheRingUnchanged) {
   std::ostringstream chrome;
   ComplexityLedger::write_chrome_trace(chrome, spans);
   EXPECT_EQ(crypto::Sha256::hash(jsonl.str()).hex(),
-            "b9f41895f2b90ab9eda5ca36c932e3a4136d639b56253cea1c272a45acd58ef6");
+            "223876da0a0edb80e959b24469e65bf3e1b7c7251804eb29f08148e0e53547b6");
   EXPECT_EQ(crypto::Sha256::hash(chrome.str()).hex(),
-            "5d0d9992c24b46c479d597f7c977b700ada685635ff913c312fd9e7fbe824860");
+            "fdde5aa955788ae29da989d87dc40e17f2ae58229027ad1410b5b830057e4f7d");
 }
 
 TEST(SpanAttributionTest, SimNodeStatusReadsTheNode) {

@@ -60,6 +60,22 @@ TEST_F(MessageRoundTripTest, Vote) {
   EXPECT_EQ(v.view(), 5);
   EXPECT_EQ(v.block_hash(), h);
   EXPECT_EQ(v.share(), share);
+  EXPECT_TRUE(v.requests().empty());
+
+  // Forwarded requests ride along byte for byte, and nothing may follow
+  // them.
+  const std::vector<std::uint8_t> requests = {2, 0, 0, 0, 0xC7, 9};  // one 2-byte command
+  const consensus::VoteMsg with(5, h, share, requests);
+  const MessagePtr with_requests = reencode(with);
+  ASSERT_NE(with_requests, nullptr);
+  const auto& carried = static_cast<const consensus::VoteMsg&>(*with_requests);
+  EXPECT_EQ(carried.requests(), requests);
+  EXPECT_EQ(carried.share(), share);
+  for (const consensus::VoteMsg* vote : {&msg, &with}) {
+    auto frame = MessageCodec::encode(*vote);
+    frame.push_back(0);
+    EXPECT_EQ(codec_.decode(frame), nullptr) << vote->requests().size() << " request bytes";
+  }
 }
 
 TEST_F(MessageRoundTripTest, QcAnnounce) {

@@ -61,7 +61,7 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
 
   const std::map<std::uint32_t, std::int64_t> folds = {
       {consensus::kProposal, block_fold},
-      {consensus::kVote, 0},
+      {consensus::kVote, kPrefix},  // the attachment's prefix, like a new-view's
       {consensus::kQcAnnounce, qc_fold},
       {consensus::kNewView, block_fold},  // the attachment's prefix, like the payload's
       {pacemaker::kViewMsg, 0},

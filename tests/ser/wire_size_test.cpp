@@ -66,6 +66,13 @@ TEST_P(WireSizeAcrossN, CertificateMessagesAreKappaSized) {
   EXPECT_EQ(qc.wire_size(), 8 + 2 * kKappaBytes);
   EXPECT_EQ(vc.wire_size(), 8 + 2 * kKappaBytes);
   EXPECT_EQ(vote.wire_size(), 8 + crypto::Digest::kSize + kKappaBytes + 4);
+  // Forwarded requests add their own bytes and nothing else, as on a
+  // new-view.
+  const std::vector<std::uint8_t> requests(37, 0xC7);
+  const consensus::VoteMsg carrying(9, crypto::Digest(), vote.share(), requests);
+  EXPECT_EQ(carrying.wire_size(), vote.wire_size() + requests.size());
+  EXPECT_EQ(consensus::NewViewMsg(10, new_view.high_qc(), requests).wire_size(),
+            new_view.wire_size() + requests.size());
   EXPECT_EQ(new_view.wire_size(), 8 + 2 * kKappaBytes);
   EXPECT_EQ(view_msg.wire_size(), epoch_msg.wire_size());
   EXPECT_LE(view_msg.wire_size(), 8 + kKappaBytes + 4 + 8);

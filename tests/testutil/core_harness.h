@@ -28,12 +28,14 @@ class CoreHarness {
   };
 
   /// `rule` picks the chain rule when Core is ChainedCore (else unused);
-  /// `wire` may adjust each node's callbacks before its core is built.
+  /// `wire` may adjust each node's callbacks before its core is built,
+  /// and `wire_hooks` its pacemaker hooks (lead(v) = v mod n by default).
   explicit CoreHarness(
       std::uint32_t n, Duration delay = Duration::micros(10),
       std::function<bool(View)> may_form_qc = nullptr,
       consensus::ChainRule rule = consensus::ChainRule::hotstuff(),
-      const std::function<void(ProcessId, consensus::CoreCallbacks&)>& wire = nullptr)
+      const std::function<void(ProcessId, consensus::CoreCallbacks&)>& wire = nullptr,
+      const std::function<void(ProcessId, consensus::PacemakerHooks&)>& wire_hooks = nullptr)
       : params_(ProtocolParams::for_n(n, Duration::millis(10))),
         auth_(crypto::make_authenticator(crypto::kDefaultScheme, n, 99)),
         network_(&sim_, n, TimePoint::origin(), params_.delta_cap,
@@ -64,6 +66,7 @@ class CoreHarness {
         return static_cast<ProcessId>(v >= 0 ? v % n : 0);
       };
       hooks.may_form_qc = may_form_qc;
+      if (wire_hooks) wire_hooks(id, hooks);
       const crypto::AuthView auth(auth_.get());
       if constexpr (std::is_same_v<Core, consensus::ChainedCore>) {
         nodes_[id].core = std::make_unique<Core>(rule, params_, auth, auth_->signer_for(id),

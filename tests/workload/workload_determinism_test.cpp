@@ -113,7 +113,9 @@ TEST(WorkloadDeterminismTest, IdenticalRunsUnderScriptedPartition) {
 // shed request's seq pass to the next arrival (this run sheds during
 // the partition), and again when leaders started proposing at the end
 // of the instant their gate opened and relaying what a block could not
-// take, which moves requests between blocks. Any substrate change that alters event ordering, RNG
+// take, which moves requests between blocks, and again when a leader's
+// second view started from its own QC (its voters' requests ride their
+// votes into it). Any substrate change that alters event ordering, RNG
 // draw order, or message bytes shifts this value — rerunning the fold
 // and comparing pins "the hot-path overhaul
 // changed nothing observable" as a regression test. Constant arrival
@@ -166,7 +168,7 @@ crypto::Digest golden_fold_digest(
 
 TEST(WorkloadDeterminismTest, GoldenLedgersSurviveRefactors) {
   EXPECT_EQ(golden_fold_digest().hex(),
-            "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
+            "e417898d2ecc053288625aad402f3e29c6767a24c09ffea16d3b6c96037fa40e");
 }
 
 TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
@@ -180,7 +182,7 @@ TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
     b.pipeline(runtime::PipelineSpec{});
   };
   EXPECT_EQ(golden_fold_digest(explicit_knobs).hex(),
-            "8607e51fe378fcff8f1fdc5aad6276bb081705d85898249d7c0924c2f0e094d1");
+            "e417898d2ecc053288625aad402f3e29c6767a24c09ffea16d3b6c96037fa40e");
 }
 
 // Dissemination-enabled golden: same fold, lumiere + chained-hotstuff
@@ -198,9 +200,10 @@ TEST(WorkloadDeterminismTest, ExplicitAuthAndPipelineOffMatchTheGolden) {
 // payload bytes (and so the block hashes) changed, the schedule did not.
 // Re-pinned when leaders started proposing at the end of the instant
 // their gate opened: references that arrive at that instant now make
-// the block.
+// the block. Re-pinned when a leader's second view started from its own
+// QC: views end sooner, so other references make each block.
 constexpr const char* kGoldenDissemHex =
-    "f6092fc13b8ca59e8dbc23aba0e92acfa718c9d8d57b114c3fb4ca656bdc86e2";
+    "16d3fc16ff143c9ee59aada5f55998cba3bce67f6fea84e5cee6b7b1b8b211c9";
 
 crypto::Digest golden_dissem_fold_digest() {
   WorkloadSpec spec;
@@ -244,6 +247,9 @@ TEST(WorkloadDeterminismTest, GoldenDissemLedgersSurviveRefactors) {
 // the folds above never reach: Byzantine input, the per-view stale-block
 // cap, and the fetch + resume path of the commit walk. Each ledger entry
 // is folded with its commit time, and each node's sync counters with it.
+// The chained-hotstuff digest was re-pinned when a leader's second view
+// started from its own QC (no NewView round before it); HotStuff-2's,
+// responsive there already, did not move.
 crypto::Digest golden_sync_fold_digest(const char* core) {
   constexpr std::uint32_t kN = 7;
   ScenarioBuilder builder;
@@ -281,7 +287,7 @@ crypto::Digest golden_sync_fold_digest(const char* core) {
 
 TEST(WorkloadDeterminismTest, GoldenSyncLedgersSurviveRefactors) {
   EXPECT_EQ(golden_sync_fold_digest("chained-hotstuff").hex(),
-            "90fc27588de6b2b5ef3ef6ffe1c56d2dc6416c0afbb191c3645003e408c1f889");
+            "ac9df64b4dba93c9183ab854d3039db3443cdf1ebfd3546df70674df3de1ae99");
   EXPECT_EQ(golden_sync_fold_digest("hotstuff-2").hex(),
             "d5f97111d8b90c1c8273583dcb1096f211d303b5cc29dd861806f8eb9f076ef2");
 }

@@ -128,7 +128,7 @@ TEST(WorkloadTest, SheddingKeepsTheCommittedTagIndexAtOneMarkPerClient) {
   WorkloadSpec spec;
   spec.arrival = Arrival::kConstant;
   spec.clients_per_node = 2;
-  spec.rate_per_client = 2000.0;
+  spec.rate_per_client = 4000.0;
   spec.mempool.max_pending_count = 8;
   spec.mempool.max_pending_bytes = 1024;
   ScenarioBuilder builder = base_builder(13);
