@@ -13,7 +13,8 @@
 //     columns (Theorem 1.1). Eventual comm at f_a = f grows with f, so
 //     the separating measure is eventual comm at fixed f_a = 1.
 //   * sync   — per-view-sync cost per node against n, from the honest
-//     nodes' SyncSpans (obs/). The cluster pays n times a span's cost.
+//     nodes' SyncSpans (obs/), which count view-sync (pacemaker-class)
+//     messages only. The cluster pays n times a span's cost.
 //   * fig1, responsiveness, warmup, ablation — Figure 1's stall, Theorem
 //     1.1 (3) and (4), and Lumiere's design choices; README "Table 1".
 //
@@ -577,7 +578,9 @@ int main(int argc, char** argv) {
   run_sync(args.quick, json);
   std::printf(
       "\nReading guide: spans are per node, so a cluster-wide episode costs n\n"
-      "times the columns, and the exponents are per node too. RareSync/LP22's\n"
+      "times the columns, and the exponents are per node too. A span counts\n"
+      "view-sync (pacemaker) messages only; consensus traffic sent during the\n"
+      "episode is not sync cost. RareSync/LP22's\n"
       "all-to-all epoch sync grows ~n^1 per node (~n^2 cluster-wide); Lumiere's\n"
       "episode grows far slower under f silent leaders, reserving the quadratic\n"
       "for worst-case epochs (the Lewis-Pye bound). Lumiere's and Fever's leaders\n"

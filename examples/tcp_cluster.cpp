@@ -38,6 +38,10 @@ int main() {
   std::vector<std::unique_ptr<transport::TcpEndpoint>> endpoints;
   std::vector<crypto::Digest> proposal_hash(kN);
   std::unique_ptr<crypto::QuorumAggregator> vote_agg;
+  // p0 broadcasts as a Node does: one send per processor, itself included.
+  const auto broadcast_from_p0 = [&endpoints](const Message& msg) {
+    for (ProcessId to = 0; to < kN; ++to) endpoints[0]->send(to, msg);
+  };
 
   for (ProcessId id = 0; id < kN; ++id) {
     endpoints.push_back(std::make_unique<transport::TcpEndpoint>(
@@ -54,12 +58,11 @@ int main() {
                 std::printf("p0: VC for view 0 formed (f+1 = %u view messages); "
                             "broadcasting VC + proposal\n",
                             params.small_quorum());
-                endpoints[0]->broadcast(
-                    pacemaker::VcMsg(pacemaker::SyncCert(0, view_agg.aggregate())));
+                broadcast_from_p0(pacemaker::VcMsg(pacemaker::SyncCert(0, view_agg.aggregate())));
                 const consensus::Block block(
                     consensus::Block::genesis().hash(), 0, {'h', 'i'},
                     consensus::QuorumCert::genesis(consensus::Block::genesis().hash()));
-                endpoints[0]->broadcast(consensus::ProposalMsg(block));
+                broadcast_from_p0(consensus::ProposalMsg(block));
               }
               break;
             }
@@ -87,7 +90,7 @@ int main() {
                 const consensus::QuorumCert qc(0, vote.block_hash(), vote_agg->aggregate());
                 std::printf("p0: QC for view 0 formed (2f+1 = %u votes); broadcasting\n",
                             params.quorum());
-                endpoints[0]->broadcast(consensus::QcMsg(qc));
+                broadcast_from_p0(consensus::QcMsg(qc));
               }
               break;
             }

@@ -4,10 +4,16 @@
 // pacemaker first spends resources trying to leave its current view
 // (wish/view-message/epoch-sync send — reported through
 // PacemakerWiring::sync_started) and closes at the next view entry. The
-// resources attributed to it are deltas of per-node cumulative counters
-// (messages sent, bytes sent, authenticator ops), so attribution is exact
-// regardless of transport: everything the node spent between the two
-// instants belongs to the episode.
+// resources attributed to it are deltas of per-node cumulative counters,
+// so attribution is exact regardless of transport: every view-sync
+// (pacemaker-class) message and byte the node sent to another process
+// between the two instants, and every authenticator op it performed,
+// belongs to the episode (both transports receive a node's copy to itself
+// only after the sending handler returns, so a broadcast's peer copies are
+// charged before the node can enter a view on its own). Consensus,
+// dissemination and block-sync traffic sent meanwhile is not view-sync
+// cost and stays out of the span (the tracer's all-class meter, which a
+// status reply serves, still counts it).
 //
 // A SyncSpan is 120 bytes. The tracer's completed-span ring stores each
 // one as a 64-byte PackedSpan instead and unpacks it on read, so a full
@@ -33,7 +39,7 @@ struct SyncSpan {
   View entered_view = 0;///< the view actually entered (completed spans)
   TimePoint start;      ///< sync_started instant
   TimePoint end;        ///< view-entry instant (== start while open)
-  std::uint64_t msgs_sent = 0;   ///< protocol messages sent inside the span
+  std::uint64_t msgs_sent = 0;   ///< pacemaker-class messages sent inside the span
   std::uint64_t bytes_sent = 0;  ///< wire bytes of those messages
   crypto::AuthOpSnapshot auth;   ///< authenticator ops inside the span
   bool completed = false;

@@ -7,10 +7,13 @@ SyncTracer::SyncTracer(std::uint32_t n, std::size_t max_spans) : max_spans_(max_
   for (std::uint32_t i = 0; i < n; ++i) nodes_.push_back(std::make_unique<PerNode>());
 }
 
-void SyncTracer::note_sent(ProcessId id, std::uint64_t bytes) noexcept {
+void SyncTracer::note_sent(ProcessId id, MsgClass msg_class, std::uint64_t bytes) noexcept {
   PerNode& node = *nodes_[id];
   node.msgs.fetch_add(1, std::memory_order_relaxed);
   node.bytes.fetch_add(bytes, std::memory_order_relaxed);
+  if (msg_class != MsgClass::kPacemaker) return;
+  node.pacemaker_msgs.fetch_add(1, std::memory_order_relaxed);
+  node.pacemaker_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 std::uint64_t SyncTracer::msgs_sent(ProcessId id) const noexcept {
@@ -35,8 +38,8 @@ void SyncTracer::on_sync_started(ProcessId id, TimePoint at, View current, View 
   node.span.target_view = target;
   node.span.start = at;
   node.span.end = at;
-  node.base_msgs = node.msgs.load(std::memory_order_relaxed);
-  node.base_bytes = node.bytes.load(std::memory_order_relaxed);
+  node.base_pacemaker_msgs = node.pacemaker_msgs.load(std::memory_order_relaxed);
+  node.base_pacemaker_bytes = node.pacemaker_bytes.load(std::memory_order_relaxed);
   node.base_auth = node.auth.snapshot();
 }
 
@@ -51,8 +54,10 @@ std::optional<SyncSpan> SyncTracer::on_view_entered(ProcessId id, TimePoint at, 
     done = node.span;
     done.entered_view = view;
     done.end = at;
-    done.msgs_sent = node.msgs.load(std::memory_order_relaxed) - node.base_msgs;
-    done.bytes_sent = node.bytes.load(std::memory_order_relaxed) - node.base_bytes;
+    done.msgs_sent =
+        node.pacemaker_msgs.load(std::memory_order_relaxed) - node.base_pacemaker_msgs;
+    done.bytes_sent =
+        node.pacemaker_bytes.load(std::memory_order_relaxed) - node.base_pacemaker_bytes;
     done.auth = node.auth.snapshot() - node.base_auth;
     done.completed = true;
     node.last = done;
@@ -76,8 +81,10 @@ std::optional<SyncSpan> SyncTracer::open_span(ProcessId id, TimePoint now) const
   // A caller with no safe clock (a TCP status thread) may pass origin;
   // clamp so the live span never reads a negative duration.
   span.end = now < span.start ? span.start : now;
-  span.msgs_sent = node.msgs.load(std::memory_order_relaxed) - node.base_msgs;
-  span.bytes_sent = node.bytes.load(std::memory_order_relaxed) - node.base_bytes;
+  span.msgs_sent =
+      node.pacemaker_msgs.load(std::memory_order_relaxed) - node.base_pacemaker_msgs;
+  span.bytes_sent =
+      node.pacemaker_bytes.load(std::memory_order_relaxed) - node.base_pacemaker_bytes;
   span.auth = node.auth.snapshot() - node.base_auth;
   return span;
 }

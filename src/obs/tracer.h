@@ -1,16 +1,21 @@
 // SyncTracer — each node's live status record and its view-synchronization
 // spans.
 //
-// The tracer owns one record per node: cumulative cost meters (messages
-// sent, bytes sent, authenticator ops) plus the live counters a status
-// reply serves (view, commits, last committed view, mempool depth,
-// requests committed, ever-Byzantine). It turns the pacemaker's
-// sync-started signal plus the node's view entries into SyncSpans whose
-// costs are counter deltas. It is *passive*: it never draws randomness,
-// schedules events, or touches protocol state, so it cannot perturb a
-// deterministic run (the golden-digest tests pin this). Every Cluster and
-// SoloNodeRuntime has one, on both transports, and status() is the one
-// place a NodeStatus is built.
+// The tracer owns one record per node: cumulative cost meters plus the
+// live counters a status reply serves (view, commits, last committed
+// view, mempool depth, requests committed, ever-Byzantine). There are
+// two message meters, each counting messages and bytes: one for every
+// class, which the status reply serves, and one for pacemaker-class
+// (view-sync) messages only, which spans read. The transport's send tap
+// (runtime::SendTap) feeds both, once per copy a node puts on the wire
+// to another process. It turns the pacemaker's sync-started signal plus
+// the node's view entries into SyncSpans whose costs are deltas of the
+// pacemaker-class meter and of the authenticator op counters. It is
+// *passive*: it never draws randomness, schedules events, or touches
+// protocol state, so it cannot perturb a deterministic run (the
+// golden-digest tests pin this). Every Cluster and SoloNodeRuntime has
+// one, on both transports, and status() is the one place a NodeStatus is
+// built.
 //
 // Threading: on the sim transport everything runs on one thread. On TCP,
 // node i's driver thread is the only writer of node i's record; status
@@ -63,8 +68,9 @@ class SyncTracer {
     return nodes_[id]->auth;
   }
 
-  /// One protocol message of `bytes` wire bytes left node `id`.
-  void note_sent(ProcessId id, std::uint64_t bytes) noexcept;
+  /// One protocol message of class `msg_class`, `bytes` wire bytes, left
+  /// node `id` for another process.
+  void note_sent(ProcessId id, MsgClass msg_class, std::uint64_t bytes) noexcept;
 
   /// Node `id`'s pacemaker began spending resources to leave `current`,
   /// aiming for `target`. First start wins while a span is open.
@@ -86,6 +92,7 @@ class SyncTracer {
 
   // -- reads (any thread) --------------------------------------------------
 
+  /// Node `id`'s messages and bytes sent, every class.
   [[nodiscard]] std::uint64_t msgs_sent(ProcessId id) const noexcept;
   [[nodiscard]] std::uint64_t bytes_sent(ProcessId id) const noexcept;
   [[nodiscard]] crypto::AuthOpSnapshot auth_snapshot(ProcessId id) const noexcept {
@@ -112,6 +119,8 @@ class SyncTracer {
     crypto::AuthOpCounters auth;
     std::atomic<std::uint64_t> msgs{0};
     std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> pacemaker_msgs{0};  // spans read these two
+    std::atomic<std::uint64_t> pacemaker_bytes{0};
     std::atomic<View> view{0};
     std::atomic<std::uint64_t> commits{0};
     std::atomic<std::uint64_t> last_commit{0};
@@ -122,8 +131,8 @@ class SyncTracer {
     mutable std::mutex mu;  // guards the span fields below
     bool open = false;
     SyncSpan span;  // identity + start fields while open
-    std::uint64_t base_msgs = 0;
-    std::uint64_t base_bytes = 0;
+    std::uint64_t base_pacemaker_msgs = 0;
+    std::uint64_t base_pacemaker_bytes = 0;
     crypto::AuthOpSnapshot base_auth;
     std::optional<SyncSpan> last;
   };

@@ -47,8 +47,9 @@ void Cluster::build_sim_cluster(std::vector<std::unique_ptr<adversary::Behavior>
   const std::uint32_t n = scenario_.params.n;
   network_ = std::make_unique<sim::Network>(&sim_, n, scenario_.gst, scenario_.params.delta_cap,
                                             scenario_.delay, scenario_.seed);
-  network_->set_observer(metrics_.get());
   const NodeSinks sinks{metrics_.get(), &tracer_, &trace_};
+  tap_ = std::make_unique<SendTap>(sinks);
+  network_->set_observer(tap_.get());
   for (ProcessId id = 0; id < n; ++id) {
     sim_workloads_.push_back(make_workload(scenario_, id, &sim_, sinks));
     workloads_.push_back(sim_workloads_.back().get());

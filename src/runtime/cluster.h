@@ -146,6 +146,8 @@ class Cluster {
   /// Span tracer and per-node status record (obs/tracer.h). Declared
   /// before the nodes and hosts whose threads feed and read it.
   obs::SyncTracer tracer_;
+  /// Sim transport: the network's send tap, charging metrics_ and tracer_.
+  std::unique_ptr<SendTap> tap_;
   /// Sim transport: the nodes and workload engines on the shared simulator.
   std::vector<std::unique_ptr<Node>> sim_nodes_;
   std::vector<std::unique_ptr<workload::NodeWorkload>> sim_workloads_;

@@ -24,31 +24,27 @@ void checkpoint(std::vector<std::pair<TimePoint, std::uint64_t>>& log, TimePoint
 
 }  // namespace
 
-void MetricsCollector::charge_sends(TimePoint at, const Message& msg, std::uint64_t copies) {
-  charge_sends_raw(at, msg.type_id(), msg.msg_class(), msg.wire_size(), copies);
-}
-
-void MetricsCollector::charge_sends_raw(TimePoint at, std::uint32_t type_id, MsgClass msg_class,
-                                        std::uint64_t wire, std::uint64_t copies) {
-  total_msgs_ += copies;
-  total_bytes_ += copies * wire;
+void MetricsCollector::charge_send(TimePoint at, std::uint32_t type_id, MsgClass msg_class,
+                                   std::uint64_t wire) {
+  ++total_msgs_;
+  total_bytes_ += wire;
   TypeTotals& of_type = by_type_[type_id];
-  of_type.msgs += copies;
-  of_type.bytes += copies * wire;
+  ++of_type.msgs;
+  of_type.bytes += wire;
   switch (msg_class) {
     case MsgClass::kPacemaker:
-      pacemaker_msgs_ += copies;
+      ++pacemaker_msgs_;
       break;
     case MsgClass::kDissem:
-      dissem_msgs_ += copies;
-      dissem_bytes_ += copies * wire;
+      ++dissem_msgs_;
+      dissem_bytes_ += wire;
       checkpoint(dissem_send_log_, at, dissem_bytes_);
       break;
     case MsgClass::kConsensus:
-      consensus_msgs_ += copies;
+      ++consensus_msgs_;
       break;
     case MsgClass::kSync:
-      sync_msgs_ += copies;
+      ++sync_msgs_;
       break;
   }
   checkpoint(send_log_, at, total_msgs_);
@@ -88,7 +84,7 @@ const MetricsCollector& MetricsCollector::base() const {
   for (const Event& e : events) {
     switch (e.kind) {
       case Event::Kind::kSend:
-        merged_->charge_sends_raw(e.at, e.type_id, e.msg_class, e.wire, e.copies);
+        merged_->charge_send(e.at, e.type_id, e.msg_class, e.wire);
         break;
       case Event::Kind::kQcFormed:
         merged_->record_qc_formed(e.at, e.view, e.node);
@@ -108,39 +104,20 @@ const MetricsCollector& MetricsCollector::base() const {
   return *merged_;
 }
 
-void MetricsCollector::on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) {
+void MetricsCollector::record_send(TimePoint at, ProcessId from, const Message& msg,
+                                   std::uint64_t wire) {
   if (from >= n_ || byzantine_[from]) return;  // paper counts correct senders only
-  if (from == to) return;                      // self-delivery is not network traffic
   if (threaded_) {
     Event e;
     e.kind = Event::Kind::kSend;
     e.at = at;
     e.type_id = msg.type_id();
     e.msg_class = msg.msg_class();
-    e.wire = msg.wire_size();
-    e.copies = 1;
+    e.wire = wire;
     capture(std::move(e));
     return;
   }
-  charge_sends(at, msg, 1);
-}
-
-void MetricsCollector::on_broadcast(TimePoint at, ProcessId from, const Message& msg,
-                                    std::uint32_t n) {
-  if (from >= n_ || byzantine_[from]) return;  // paper counts correct senders only
-  if (n <= 1) return;                          // self-delivery is not network traffic
-  if (threaded_) {
-    Event e;
-    e.kind = Event::Kind::kSend;
-    e.at = at;
-    e.type_id = msg.type_id();
-    e.msg_class = msg.msg_class();
-    e.wire = msg.wire_size();
-    e.copies = n - 1;
-    capture(std::move(e));
-    return;
-  }
-  charge_sends(at, msg, n - 1);
+  charge_send(at, msg.type_id(), msg.msg_class(), wire);
 }
 
 void MetricsCollector::record_qc_formed(TimePoint at, View view, ProcessId leader) {

@@ -3,8 +3,11 @@
 // The paper counts messages *sent by correct processors* and defines
 // decision points t*_T as moments when some honest lead(v) produces a QC
 // for view v. This collector:
-//   * counts every honest-to-other send (self-delivery is not traffic),
-//     bucketed by message type and by MsgClass;
+//   * counts every honest-to-other send, bucketed by message type and by
+//     MsgClass. The transport's send tap (runtime::SendTap, installed on
+//     sim::Network and on each TcpTransportAdapter) charges it once per
+//     copy, after the sender's down filter and before any link cut;
+//     self-delivery is not traffic and is never charged;
 //   * logs decisions (honest-leader QC formations) with the cumulative
 //     message count at that instant, so any inter-decision window's cost
 //     is a subtraction;
@@ -30,13 +33,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/time.h"
 #include "common/types.h"
-#include "sim/network.h"
+#include "ser/message.h"
 
 namespace lumiere::runtime {
 
-class MetricsCollector final : public sim::NetworkObserver {
+class MetricsCollector final {
  public:
   MetricsCollector(std::uint32_t n, std::vector<bool> byzantine)
       : n_(n), byzantine_(std::move(byzantine)) {
@@ -72,13 +76,10 @@ class MetricsCollector final : public sim::NetworkObserver {
     return recording_live_.load(std::memory_order_relaxed);
   }
 
-  // -- NetworkObserver -------------------------------------------------
-  void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override;
-  void on_deliver(TimePoint, ProcessId, ProcessId, const Message&) override {}
-  /// Bulk variant: one wire-size/type computation and one send-log
-  /// checkpoint for all n-1 copies of a broadcast payload. Totals are
-  /// identical to n-1 on_send calls.
-  void on_broadcast(TimePoint at, ProcessId from, const Message& msg, std::uint32_t n) override;
+  // -- sends -------------------------------------------------------------
+  /// One copy of `msg`, `wire` bytes on the wire, that `from` sent to
+  /// another process at `at`. Charged only when `from` is honest.
+  void record_send(TimePoint at, ProcessId from, const Message& msg, std::uint64_t wire);
 
   // -- decision log ------------------------------------------------------
   /// Called when node `leader` (as leader) produced a QC for `view`.
@@ -194,13 +195,9 @@ class MetricsCollector final : public sim::NetworkObserver {
   [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile(double p) const;
 
  private:
-  /// The shared accounting body of on_send / on_broadcast: charges
-  /// `copies` identical sends of `msg` at `at`.
-  void charge_sends(TimePoint at, const Message& msg, std::uint64_t copies);
-  /// charge_sends with the message's properties already extracted — the
-  /// form threaded replay uses (events store properties, not Message&).
-  void charge_sends_raw(TimePoint at, std::uint32_t type_id, MsgClass msg_class,
-                        std::uint64_t wire, std::uint64_t copies);
+  /// Charges one send by its properties — the form threaded replay uses
+  /// (events store properties, not Message&).
+  void charge_send(TimePoint at, std::uint32_t type_id, MsgClass msg_class, std::uint64_t wire);
 
   /// One captured recording call (threaded mode); replayed in (at, seq)
   /// order to rebuild the exact single-threaded collector state.
@@ -217,8 +214,7 @@ class MetricsCollector final : public sim::NetworkObserver {
     TimePoint at;
     std::uint32_t type_id = 0;             // kSend
     MsgClass msg_class = MsgClass::kConsensus;
-    std::uint64_t wire = 0;                // kSend: bytes per copy
-    std::uint64_t copies = 0;              // kSend
+    std::uint64_t wire = 0;                // kSend
     View view = -1;                        // kQcFormed
     ProcessId node = kNoProcess;           // kQcFormed leader / kQueueDepth node
     std::size_t depth = 0;                 // kQueueDepth

@@ -205,7 +205,6 @@ void Node::route_inbound(ProcessId from, const MessagePtr& msg) {
 
 void Node::outbound(ProcessId to, MessagePtr msg) {
   if (!behavior_->allow_send(sim_->now(), to, *msg)) return;
-  if (observers_.on_sent && to != id_) observers_.on_sent(id_, msg->wire_size());
   network_->send(id_, to, std::move(msg));
 }
 

@@ -68,7 +68,9 @@ struct NodeConfig {
   crypto::AuthOpCounters* auth_ops = nullptr;
 };
 
-/// Events the node reports to the harness (metrics, tests).
+/// Events the node reports to the harness (metrics, tests). Sends are not
+/// among them: the transport's send tap observes each copy on the wire
+/// (sim::NetworkObserver, runtime::SendTap).
 struct NodeObservers {
   /// This node, as leader, produced a QC for `view` (a consensus
   /// decision in the paper's accounting when the node is honest).
@@ -80,10 +82,6 @@ struct NodeObservers {
   /// This node's pacemaker began a view-sync episode: it is in view
   /// `current` and started spending resources aiming for `target`.
   std::function<void(TimePoint at, View current, View target, ProcessId node)> on_sync_started;
-  /// This node put one protocol message of `bytes` wire bytes on the
-  /// transport (self-delivery excluded — it costs no network resources).
-  /// Called on the hot send path: keep implementations cheap.
-  std::function<void(ProcessId node, std::size_t bytes)> on_sent;
 };
 
 class Node {

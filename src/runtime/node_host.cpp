@@ -105,9 +105,6 @@ NodeObservers make_observers(const Scenario& scenario, workload::NodeWorkload* w
     tracer->on_sync_started(node, at, current, target);
     if (trace != nullptr) trace->record(at, sim::TraceKind::kSyncStarted, node, target);
   };
-  observers.on_sent = [tracer](ProcessId node, std::size_t bytes) {
-    tracer->note_sent(node, bytes);
-  };
   // With dissemination on, the Node's commit path routes the payload
   // through its disseminator, which invokes the workload `deliver` hook
   // itself — feeding on_commit here too would double-count.
@@ -121,6 +118,12 @@ NodeObservers make_observers(const Scenario& scenario, workload::NodeWorkload* w
   return observers;
 }
 
+void SendTap::on_send(TimePoint at, ProcessId from, ProcessId /*to*/, const Message& msg) {
+  const std::size_t wire = msg.wire_size();
+  if (metrics_ != nullptr) metrics_->record_send(at, from, msg, wire);
+  tracer_->note_sent(from, msg.msg_class(), wire);
+}
+
 NodeHost::NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authenticator& auth,
                    NodeSinks sinks, std::unique_ptr<adversary::Behavior> behavior,
                    Options options)
@@ -128,15 +131,16 @@ NodeHost::NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authent
       n_(scenario.params.n),
       sinks_(sinks),
       options_(options),
+      tap_(sinks),
       adapter_(id, n_, scenario.tcp_base_port, wire_codec(auth)),
       driver_(&sim_, &adapter_.endpoint()) {
   LUMIERE_ASSERT_MSG(sinks_.tracer != nullptr, "NodeHost needs a tracer");
-  if (sinks_.metrics != nullptr) adapter_.set_observer(sinks_.metrics, &sim_);
   // Deterministic per-node jitter/drop streams: both derive from the
   // scenario seed, so a replayed scenario shapes traffic identically.
   adapter_.endpoint().set_reconnect_backoff(transport::BackoffPolicy{},
                                             scenario.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
   adapter_.set_shaping(&sim_, scenario.seed ^ (0xd3833e804f4c574bULL * (id + 1)));
+  adapter_.set_observer(&tap_);
   // The workload engine lives on the private simulator: every touch
   // (submission, drain, commit) happens on the driver thread.
   workload_ = make_workload(scenario, id, &sim_, sinks_, options_.incarnation);

@@ -19,8 +19,9 @@
 // simulator, the second from the driver pump.
 //
 // The free functions under it wire a node's workload, config and
-// observers. The simulator path of Cluster uses them as well, so both
-// transports feed the same sinks the same way.
+// observers, and SendTap is the one place a sent message is observed.
+// The simulator path of Cluster uses them as well, so both transports
+// feed the same sinks the same way.
 #pragma once
 
 #include <chrono>
@@ -38,6 +39,7 @@
 #include "runtime/pipeline.h"
 #include "runtime/scenario.h"
 #include "sim/fault_schedule.h"
+#include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "transport/realtime.h"
@@ -53,11 +55,30 @@ namespace lumiere::runtime {
 /// Where one node's events go. The tracer holds the node's status record
 /// and span meters on both transports, so it is required; the TraceLog
 /// exists only on the simulator, and a standalone replica process keeps
-/// no MetricsCollector.
+/// no MetricsCollector. Sends reach `metrics` and `tracer` through a
+/// SendTap on the transport, every other event through make_observers
+/// and the workload hooks.
 struct NodeSinks {
   MetricsCollector* metrics = nullptr;
   obs::SyncTracer* tracer = nullptr;
   sim::TraceLog* trace = nullptr;
+};
+
+/// The transport's send tap: the Cluster installs one on sim::Network,
+/// each NodeHost one on its TcpTransportAdapter. Per copy a node puts on
+/// the wire to another process it reads wire_size() once and charges
+/// `metrics` (honest senders only) and the sender's tracer meters.
+class SendTap final : public sim::NetworkObserver {
+ public:
+  explicit SendTap(const NodeSinks& sinks) : metrics_(sinks.metrics), tracer_(sinks.tracer) {}
+  SendTap(const SendTap&) = delete;
+  SendTap& operator=(const SendTap&) = delete;
+
+  void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override;
+
+ private:
+  MetricsCollector* metrics_;
+  obs::SyncTracer* tracer_;
 };
 
 /// Node `id`'s workload engine on `sim`; null when the scenario gives the
@@ -138,6 +159,7 @@ class NodeHost {
   Options options_;
   bool started_ = false;
   sim::Simulator sim_;
+  SendTap tap_;
   transport::TcpTransportAdapter adapter_;
   std::unique_ptr<workload::NodeWorkload> workload_;
   std::unique_ptr<Node> node_;

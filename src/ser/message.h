@@ -83,8 +83,7 @@ class MessageCodec {
   }
 
   /// encode() into a caller-owned buffer, reusing its capacity — the
-  /// allocation-free form for per-connection scratch buffers and
-  /// broadcast fan-out (encode once, write n frames).
+  /// allocation-free form for the TCP endpoint's scratch buffers.
   static void encode_into(const Message& msg, std::vector<std::uint8_t>& out) {
     ser::Writer w(std::move(out));
     w.u32(msg.type_id());

@@ -39,14 +39,11 @@ void Network::send(ProcessId from, ProcessId to, MessagePtr msg) {
   LUMIERE_ASSERT(msg != nullptr);
   if (down_[from]) return;
 
-  const TimePoint now = sim_->now();
-
   if (from == to) {
     // The paper's convention: a processor's message to itself is received
     // immediately. Scheduled at the current instant (not called inline) so
     // handlers never re-enter protocol code.
-    if (observer_ != nullptr) observer_->on_send(now, from, to, *msg);
-    schedule_pooled(now, from, to, std::move(msg));
+    schedule_pooled(sim_->now(), from, to, std::move(msg));
     return;
   }
 
@@ -54,9 +51,7 @@ void Network::send(ProcessId from, ProcessId to, MessagePtr msg) {
   // (it must count in the metrics) and the message travels regardless —
   // deliver() drops it iff the receiver is still down at arrival, exactly
   // like any other in-flight message.
-  ++total_messages_;
-  if (observer_ != nullptr) observer_->on_send(now, from, to, *msg);
-
+  if (observer_ != nullptr) observer_->on_send(sim_->now(), from, to, *msg);
   route(from, to, std::move(msg));
 }
 
@@ -114,29 +109,6 @@ void Network::run_delivery(Delivery* record) {
   // record immediately (the fields are already copied out).
   delivery_free_.push_back(record);
   deliver(from, to, msg);
-}
-
-void Network::broadcast(ProcessId from, const MessagePtr& msg) {
-  LUMIERE_ASSERT(from < endpoints_.size());
-  LUMIERE_ASSERT(msg != nullptr);
-  if (down_[from]) return;
-
-  const TimePoint now = sim_->now();
-  // One observer charge for the whole fan-out: every copy has the same
-  // sender, instant, and payload, so accounting observers can multiply
-  // instead of re-deriving wire size and type n-1 times.
-  if (observer_ != nullptr) observer_->on_broadcast(now, from, *msg, n());
-  total_messages_ += endpoints_.size() - 1;
-
-  // Destination order (and hence RNG draw and event seq order) matches a
-  // send() loop exactly — determinism across the two formulations.
-  for (ProcessId to = 0; to < endpoints_.size(); ++to) {
-    if (to == from) {
-      schedule_pooled(now, from, to, msg);
-    } else {
-      route(from, to, msg);
-    }
-  }
 }
 
 void Network::apply(const FaultEvent& event) {
@@ -237,7 +209,6 @@ void Network::disconnect(ProcessId id) { set_down(id, true); }
 void Network::deliver(ProcessId from, ProcessId to, const MessagePtr& msg) {
   if (down_[to]) return;
   if (!endpoints_[to]) return;  // endpoint never registered (inactive node)
-  if (observer_ != nullptr) observer_->on_deliver(sim_->now(), from, to, *msg);
   endpoints_[to](from, msg);
 }
 

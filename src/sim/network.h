@@ -35,21 +35,16 @@
 
 namespace lumiere::sim {
 
-/// Receives every send/delivery; used by the metrics layer and by tests.
+/// The transport's send tap: sees each copy a processor puts on the wire
+/// to another processor exactly once, after the sender's down filter and
+/// before any cut parks or drops it. Self-copies are not network traffic
+/// and are never observed. Both transports call it (this Network and
+/// transport::TcpTransportAdapter); production installs
+/// runtime::SendTap (runtime/node_host.h).
 class NetworkObserver {
  public:
   virtual ~NetworkObserver() = default;
   virtual void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) = 0;
-  virtual void on_deliver(TimePoint at, ProcessId from, ProcessId to, const Message& msg) = 0;
-  /// One broadcast = n sends of one payload (self included, per the
-  /// paper's broadcast convention). The default expands to per-peer
-  /// on_send calls, matching the legacy behavior exactly; accounting
-  /// observers override it to charge the payload once instead of n-1
-  /// times (wire size, type lookup and log append are identical per
-  /// copy).
-  virtual void on_broadcast(TimePoint at, ProcessId from, const Message& msg, std::uint32_t n) {
-    for (ProcessId to = 0; to < n; ++to) on_send(at, from, to, msg);
-  }
 };
 
 class Network final : public MessageTransport {
@@ -68,10 +63,6 @@ class Network final : public MessageTransport {
 
   /// Point-to-point send. Self-sends deliver at the current instant.
   void send(ProcessId from, ProcessId to, MessagePtr msg) override;
-
-  /// Sends to all n processors, including `from` itself (the paper's
-  /// broadcast convention).
-  void broadcast(ProcessId from, const MessagePtr& msg) override;
 
   void set_observer(NetworkObserver* observer) noexcept { observer_ = observer; }
 
@@ -121,10 +112,6 @@ class Network final : public MessageTransport {
     return static_cast<std::uint32_t>(endpoints_.size());
   }
 
-  /// Total point-to-point messages accepted for delivery (excludes
-  /// self-sends, which are not network traffic).
-  [[nodiscard]] std::uint64_t total_messages() const noexcept { return total_messages_; }
-
  private:
   struct Parked {
     ProcessId from;
@@ -146,7 +133,7 @@ class Network final : public MessageTransport {
   /// True when an active partition separates `from` and `to`.
   [[nodiscard]] bool cut(ProcessId from, ProcessId to) const;
   /// Parks (under an active cut) or schedules a non-self message already
-  /// charged to the observer/counters.
+  /// shown to the observer.
   void route(ProcessId from, ProcessId to, MessagePtr msg);
   /// Computes the clamped delivery instant for a message sent now and
   /// schedules it.
@@ -176,7 +163,6 @@ class Network final : public MessageTransport {
   /// Directed per-link delay overrides (win over policy_).
   std::map<std::pair<ProcessId, ProcessId>, std::shared_ptr<DelayPolicy>> link_policy_;
   NetworkObserver* observer_ = nullptr;
-  std::uint64_t total_messages_ = 0;
   /// Delivery-record pool. Deque: records are referenced by scheduled
   /// events, so growth must not move existing records.
   std::deque<Delivery> delivery_slab_;

@@ -1,7 +1,10 @@
 // The message-layer seam between protocol stacks and the world.
 //
-// A Node talks to its peers through this interface only. Two
-// implementations exist:
+// A Node talks to its peers through this interface only: it registers
+// its receive callback, then sends point to point. There is no bulk
+// broadcast here; Node::outbound_broadcast sends one copy per recipient
+// (self included, the paper's convention) so a Byzantine behavior can
+// filter each destination. Two implementations exist:
 //   * sim::Network — the deterministic partial-synchrony simulator (the
 //     primary harness; the only way to control the adversary);
 //   * transport::TcpTransportAdapter — real framed bytes over localhost
@@ -28,9 +31,6 @@ class MessageTransport {
   /// Point-to-point send. Self-sends must deliver (the paper's
   /// convention: a broadcast includes the sender).
   virtual void send(ProcessId from, ProcessId to, MessagePtr msg) = 0;
-
-  /// Sends to all n processors, including `from` itself.
-  virtual void broadcast(ProcessId from, const MessagePtr& msg) = 0;
 };
 
 }  // namespace lumiere

@@ -32,52 +32,46 @@ void TcpTransportAdapter::send(ProcessId from, ProcessId to, MessagePtr msg) {
   LUMIERE_ASSERT(from == self_);
   LUMIERE_ASSERT(to < n_);
   if (self_down_) return;  // even self-delivery: process is down
+  if (to == self_) {
+    // The paper's convention: a processor's message to itself is received
+    // immediately. As on the sim network, it is scheduled at the current
+    // instant rather than dispatched inline, so handlers never re-enter
+    // protocol code mid-broadcast: the rest of a broadcast's copies leave
+    // before the node acts on its own.
+    LUMIERE_ASSERT_MSG(sim_ != nullptr, "set_shaping before sending");
+    sim_->schedule_at(sim_->now(), [this, msg = std::move(msg)] {
+      if (!self_down_) endpoint_->send(self_, *msg);
+    });
+    return;
+  }
   // Charged before the link-cut filter, matching the sim network: the
   // send is real traffic by a correct process whether or not the
   // adversary cuts the wire.
-  if (observer_ != nullptr && to != self_) {
-    observer_->on_send(observer_clock_->now(), from, to, *msg);
-  }
-  if (to != self_ && blocked(to)) return;  // cut link: the frame is lost
+  if (observer_ != nullptr) observer_->on_send(sim_->now(), from, to, *msg);
+  if (blocked(to)) return;  // cut link: the frame is lost
   shaped_send(to, msg);
 }
 
-void TcpTransportAdapter::broadcast(ProcessId from, const MessagePtr& msg) {
-  LUMIERE_ASSERT(from == self_);
-  if (self_down_) return;
-  // One bulk charge for the fan-out (identical totals to per-peer
-  // on_send, matching sim::Network::broadcast), then per-recipient
-  // delivery so cut links filter individually.
-  if (observer_ != nullptr) observer_->on_broadcast(observer_clock_->now(), from, *msg, n_);
-  for (ProcessId to = 0; to < n_; ++to) {
-    if (to != self_ && blocked(to)) continue;
-    shaped_send(to, msg);
-  }
-}
-
 void TcpTransportAdapter::shaped_send(ProcessId to, const MessagePtr& msg) {
-  if (to != self_) {
-    if (link_drop_[to] > 0.0 && shaping_rng_ != nullptr &&
-        shaping_rng_->next_bool(link_drop_[to])) {
-      return;  // shaped away — indistinguishable from a lossy wire
-    }
-    if (link_delay_[to] > Duration::zero() && shaping_sim_ != nullptr) {
-      // Park the frame on the node's private simulator; the driver fires
-      // it once the wall clock passes the delayed instant. The MessagePtr
-      // copy keeps the payload alive until then.
-      shaping_sim_->schedule_after(link_delay_[to], [this, to, msg] {
-        if (!blocked(to)) endpoint_->send(to, *msg);
-      });
-      return;
-    }
+  if (link_drop_[to] > 0.0 && shaping_rng_ != nullptr &&
+      shaping_rng_->next_bool(link_drop_[to])) {
+    return;  // shaped away — indistinguishable from a lossy wire
+  }
+  if (link_delay_[to] > Duration::zero() && sim_ != nullptr) {
+    // Park the frame on the node's private simulator; the driver fires
+    // it once the wall clock passes the delayed instant. The MessagePtr
+    // copy keeps the payload alive until then.
+    sim_->schedule_after(link_delay_[to], [this, to, msg] {
+      if (!blocked(to)) endpoint_->send(to, *msg);
+    });
+    return;
   }
   endpoint_->send(to, *msg);
 }
 
-void TcpTransportAdapter::set_observer(sim::NetworkObserver* observer, sim::Simulator* clock) {
-  LUMIERE_ASSERT(observer == nullptr || clock != nullptr);
+void TcpTransportAdapter::set_observer(sim::NetworkObserver* observer) {
+  LUMIERE_ASSERT_MSG(observer == nullptr || sim_ != nullptr, "set_shaping before set_observer");
   observer_ = observer;
-  observer_clock_ = clock;
 }
 
 void TcpTransportAdapter::deliver_decoded(ProcessId from, const MessagePtr& msg) {
@@ -108,7 +102,7 @@ void TcpTransportAdapter::set_peer_down(ProcessId peer, bool down) {
 void TcpTransportAdapter::set_self_down(bool down) { self_down_ = down; }
 
 void TcpTransportAdapter::set_shaping(sim::Simulator* sim, std::uint64_t seed) {
-  shaping_sim_ = sim;
+  sim_ = sim;
   shaping_rng_ = std::make_unique<Rng>(seed);
 }
 

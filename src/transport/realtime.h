@@ -30,7 +30,9 @@ namespace lumiere::transport {
 
 /// Adapts one process's TcpEndpoint to the MessageTransport seam a Node
 /// expects. Hosts exactly one processor (`self`); `send` must originate
-/// from it.
+/// from it. A copy to `self` is received at the current instant of the
+/// node's simulator (set_shaping), like the sim network's self-delivery,
+/// never inline — so set_shaping comes before the first send.
 class TcpTransportAdapter final : public MessageTransport {
  public:
   TcpTransportAdapter(ProcessId self, std::uint32_t n, std::uint16_t base_port,
@@ -38,13 +40,13 @@ class TcpTransportAdapter final : public MessageTransport {
 
   void register_endpoint(ProcessId id, DeliverFn fn) override;
   void send(ProcessId from, ProcessId to, MessagePtr msg) override;
-  void broadcast(ProcessId from, const MessagePtr& msg) override;
 
-  /// Wires send/broadcast accounting into `observer`, timestamped from
-  /// `clock` (the node's private simulator, so charges carry the node's
-  /// own sim instant). The observer must be thread-safe — every node's
-  /// driver thread charges the same collector concurrently.
-  void set_observer(sim::NetworkObserver* observer, sim::Simulator* clock);
+  /// Shows each copy sent to a peer to `observer` (sim::NetworkObserver's
+  /// charge point), stamped with the simulator set_shaping installed, so
+  /// charges carry the node's own sim instant. Call set_shaping first.
+  /// The observer must be thread-safe — every node's driver thread
+  /// charges the same collector concurrently.
+  void set_observer(sim::NetworkObserver* observer);
 
   /// Delivers an already-decoded message through the same inbound gate as
   /// the socket path (partition/down filters). The verification pipeline's
@@ -72,7 +74,8 @@ class TcpTransportAdapter final : public MessageTransport {
   // per-link delays, driven by admin commands (obs/admin.h). All calls
   // happen on the node's own driver thread, like the fault methods above.
   /// Enables shaping: `sim` (the node's private simulator) schedules
-  /// delayed sends; `seed` feeds the drop-decision RNG.
+  /// self-deliveries and delayed sends and stamps observed sends; `seed`
+  /// feeds the drop-decision RNG.
   void set_shaping(sim::Simulator* sim, std::uint64_t seed);
   /// Drops outbound frames to `peer` with the given probability.
   void set_link_drop(ProcessId peer, double probability);
@@ -94,21 +97,22 @@ class TcpTransportAdapter final : public MessageTransport {
   [[nodiscard]] bool blocked(ProcessId peer) const {
     return self_down_ || isolated_ || partition_cut_[peer] || peer_down_[peer];
   }
-  /// Applies drop/delay shaping and forwards to the endpoint. Returns
-  /// immediately when the frame is shaped away.
+  /// Applies drop/delay shaping to a peer copy and forwards it to the
+  /// endpoint. Returns immediately when the frame is shaped away.
   void shaped_send(ProcessId to, const MessagePtr& msg);
 
   ProcessId self_;
   std::uint32_t n_;
   DeliverFn deliver_;
   sim::NetworkObserver* observer_ = nullptr;
-  sim::Simulator* observer_clock_ = nullptr;
   std::vector<bool> partition_cut_;
   std::vector<bool> inbound_cut_;
   std::vector<bool> peer_down_;
   bool self_down_ = false;
   bool isolated_ = false;
-  sim::Simulator* shaping_sim_ = nullptr;
+  /// The node's private simulator (set_shaping): self-delivers, delays
+  /// frames, stamps sends.
+  sim::Simulator* sim_ = nullptr;
   std::unique_ptr<Rng> shaping_rng_;
   std::vector<double> link_drop_;
   std::vector<Duration> link_delay_;

@@ -181,24 +181,6 @@ void TcpEndpoint::send(ProcessId to, const Message& msg) {
   release_buffer(std::move(payload));
 }
 
-void TcpEndpoint::broadcast(const Message& msg) {
-  // One encode for the whole fan-out; every peer's frame shares the
-  // payload bytes (the per-peer header is 8 bytes into each outbox).
-  std::vector<std::uint8_t> payload = acquire_buffer();
-  MessageCodec::encode_into(msg, payload);
-  for (ProcessId to = 0; to < n_; ++to) {
-    if (to == self_) {
-      // dispatch_self may reenter send()/broadcast(); those acquire
-      // their own scratch buffers, so `payload` stays intact.
-      dispatch_self(payload);
-    } else if (Conn* conn = connection_to(to); conn != nullptr) {
-      enqueue_frame(*conn, payload);
-      flush(*conn);
-    }
-  }
-  release_buffer(std::move(payload));
-}
-
 void TcpEndpoint::flush(Conn& conn) {
   while (!conn.outbox.empty()) {
     const ssize_t sent = ::send(conn.fd, conn.outbox.data(), conn.outbox.size(), MSG_NOSIGNAL);

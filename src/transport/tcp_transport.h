@@ -2,7 +2,8 @@
 // TCP, single-threaded, poll(2)-driven.
 //
 // The protocol stack in this repository is transport-agnostic — nodes
-// talk through std::function send/broadcast closures. The deterministic
+// talk through std::function send/broadcast closures, and a broadcast
+// reaches this endpoint as one send() per recipient. The deterministic
 // simulator is the primary harness (it is the only way to control the
 // partial-synchrony adversary); this transport exists to demonstrate the
 // same message types flowing over real sockets (examples/tcp_cluster) and
@@ -49,9 +50,8 @@ class TcpEndpoint {
   TcpEndpoint& operator=(const TcpEndpoint&) = delete;
 
   /// Queues a message to `to`; connects lazily on first use. Send to self
-  /// dispatches synchronously.
+  /// dispatches synchronously. Each call encodes `msg` once.
   void send(ProcessId to, const Message& msg);
-  void broadcast(const Message& msg);
 
   /// Pumps the socket set once: accepts, flushes queued writes, reads and
   /// dispatches complete frames. Returns the number of frames dispatched.
@@ -102,11 +102,12 @@ class TcpEndpoint {
   void read_and_dispatch(Conn& conn);
   void close_conn(Conn& conn);
   void enqueue_frame(Conn& conn, std::span<const std::uint8_t> payload);
-  /// Decodes `payload` and dispatches it as a frame from this endpoint
-  /// to itself (the simulator's immediate self-delivery convention).
+  /// Decodes `payload` and dispatches it inline as a frame from this
+  /// endpoint to itself. TcpTransportAdapter calls send(self) from an
+  /// event at the current instant, so a node never re-enters its handler.
   void dispatch_self(std::span<const std::uint8_t> payload);
   /// Scratch-buffer pool for encoded payloads. Reentrancy-safe (an
-  /// on_receive_ handler may send again mid-broadcast) and
+  /// on_receive_ handler may send again mid-send) and
   /// allocation-free once warm.
   [[nodiscard]] std::vector<std::uint8_t> acquire_buffer();
   void release_buffer(std::vector<std::uint8_t> buffer);

@@ -98,29 +98,25 @@ TEST(SteadyStateTest, EventualCommLinearInFaults) {
 }
 
 /// Counts each view's QcMsg and NewView copies to another process,
-/// passing every send on to the cluster's collector.
+/// passing every send on to the cluster's sinks through a SendTap.
 class ConsensusCopies final : public sim::NetworkObserver {
  public:
-  explicit ConsensusCopies(MetricsCollector* metrics) : metrics_(metrics) {}
+  explicit ConsensusCopies(Cluster& cluster)
+      : tap_(NodeSinks{&cluster.metrics(), cluster.sync_tracer(), nullptr}) {}
 
   void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
-    metrics_->on_send(at, from, to, msg);
-    if (from == to) return;
+    tap_.on_send(at, from, to, msg);
     if (msg.type_id() == consensus::kQcAnnounce) {
       ++qcs[static_cast<const consensus::QcMsg&>(msg).qc().view()];
     } else if (msg.type_id() == consensus::kNewView) {
       ++new_views[static_cast<const consensus::NewViewMsg&>(msg).view()];
     }
   }
-  void on_deliver(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
-    metrics_->on_deliver(at, from, to, msg);
-  }
-
   std::map<View, std::uint64_t> qcs;
   std::map<View, std::uint64_t> new_views;
 
  private:
-  MetricsCollector* metrics_;
+  SendTap tap_;
 };
 
 TEST(SteadyStateTest, EachLeaderPairCostsOneQcBroadcastAndOneNewViewRound) {
@@ -136,7 +132,7 @@ TEST(SteadyStateTest, EachLeaderPairCostsOneQcBroadcastAndOneNewViewRound) {
   options.seed(54);
   options.delay(std::make_shared<sim::FixedDelay>(Duration::millis(1)));
   Cluster cluster(options);
-  ConsensusCopies copies(&cluster.metrics());
+  ConsensusCopies copies(cluster);
   cluster.network().set_observer(&copies);
   cluster.run_for(Duration::seconds(3));
 

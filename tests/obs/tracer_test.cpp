@@ -1,6 +1,7 @@
-// SyncTracer unit exactness: spans are counter deltas, so costs injected
-// directly between sync-start and view-entry must land in the span — no
-// more, no less — regardless of what happened before the episode.
+// SyncTracer unit exactness: spans are counter deltas, so view-sync costs
+// injected directly between sync-start and view-entry must land in the
+// span — no more, no less — regardless of what happened before the
+// episode or what other traffic the node sent meanwhile.
 #include "obs/tracer.h"
 
 #include <gtest/gtest.h>
@@ -15,17 +16,21 @@ TEST(SyncTracerTest, SpanCarriesExactlyTheInjectedCosts) {
   SyncTracer tracer(2);
 
   // Pre-episode noise on node 0: must NOT be attributed to the span.
-  tracer.note_sent(0, 100);
+  tracer.note_sent(0, MsgClass::kPacemaker, 100);
   tracer.auth_counters(0).count_sign();
   tracer.auth_counters(0).count_verify();
 
   tracer.on_sync_started(0, TimePoint(1000), /*current=*/3, /*target=*/4);
 
-  // The episode's spend: 3 messages of 40 bytes, one share, two share
-  // verifies, one aggregate built, one aggregate verify.
-  tracer.note_sent(0, 40);
-  tracer.note_sent(0, 40);
-  tracer.note_sent(0, 40);
+  // The episode's spend: 3 view-sync messages of 40 bytes, one share, two
+  // share verifies, one aggregate built, one aggregate verify.
+  tracer.note_sent(0, MsgClass::kPacemaker, 40);
+  tracer.note_sent(0, MsgClass::kPacemaker, 40);
+  tracer.note_sent(0, MsgClass::kPacemaker, 40);
+  // Traffic of other classes sent meanwhile is not view-sync cost.
+  tracer.note_sent(0, MsgClass::kConsensus, 500);
+  tracer.note_sent(0, MsgClass::kDissem, 600);
+  tracer.note_sent(0, MsgClass::kSync, 700);
   tracer.auth_counters(0).count_share();
   tracer.auth_counters(0).count_share_verify();
   tracer.auth_counters(0).count_share_verify();
@@ -53,9 +58,9 @@ TEST(SyncTracerTest, SpanCarriesExactlyTheInjectedCosts) {
   EXPECT_EQ(span->auth.verifies, 0U) << "pre-episode verify leaked into the span";
   EXPECT_EQ(span->auth_ops(), 5U);
 
-  // Cumulative meters still carry everything.
-  EXPECT_EQ(tracer.msgs_sent(0), 4U);
-  EXPECT_EQ(tracer.bytes_sent(0), 220U);
+  // Cumulative meters still carry everything, of every class.
+  EXPECT_EQ(tracer.msgs_sent(0), 7U);
+  EXPECT_EQ(tracer.bytes_sent(0), 2020U);
   EXPECT_EQ(tracer.auth_snapshot(0).total(), 7U);
 
   // Node 1 saw nothing.
@@ -65,7 +70,7 @@ TEST(SyncTracerTest, SpanCarriesExactlyTheInjectedCosts) {
 
 TEST(SyncTracerTest, PassiveViewEntryYieldsNoSpan) {
   SyncTracer tracer(1);
-  tracer.note_sent(0, 10);
+  tracer.note_sent(0, MsgClass::kPacemaker, 10);
   EXPECT_FALSE(tracer.on_view_entered(0, TimePoint(5), 1).has_value());
   EXPECT_EQ(tracer.completed_count(), 0U);
   EXPECT_FALSE(tracer.last_span(0).has_value());
@@ -74,11 +79,11 @@ TEST(SyncTracerTest, PassiveViewEntryYieldsNoSpan) {
 TEST(SyncTracerTest, FirstStartWinsWhileOpen) {
   SyncTracer tracer(1);
   tracer.on_sync_started(0, TimePoint(100), 1, 2);
-  tracer.note_sent(0, 8);
+  tracer.note_sent(0, MsgClass::kPacemaker, 8);
   // The pacemaker escalates its target mid-episode: same struggle, same
   // span — identity fields keep the first start.
   tracer.on_sync_started(0, TimePoint(200), 1, 3);
-  tracer.note_sent(0, 8);
+  tracer.note_sent(0, MsgClass::kPacemaker, 8);
   const auto span = tracer.on_view_entered(0, TimePoint(300), 3);
   ASSERT_TRUE(span.has_value());
   EXPECT_EQ(span->start, TimePoint(100));
@@ -99,7 +104,7 @@ TEST(SyncTracerTest, OpenSpanReportsLiveCosts) {
   SyncTracer tracer(1);
   EXPECT_FALSE(tracer.open_span(0, TimePoint(0)).has_value());
   tracer.on_sync_started(0, TimePoint(10), 0, 1);
-  tracer.note_sent(0, 44);
+  tracer.note_sent(0, MsgClass::kPacemaker, 44);
   tracer.auth_counters(0).count_share();
 
   const auto live = tracer.open_span(0, TimePoint(70));
@@ -176,8 +181,8 @@ TEST(SyncTracerTest, UnboundedRingKeepsEverySpan) {
 TEST(SyncTracerTest, RingRoundTripsEverySpanField) {
   SyncTracer tracer(3);
   tracer.on_sync_started(2, TimePoint(-7), /*current=*/-1, /*target=*/40);
-  tracer.note_sent(2, 300);
-  tracer.note_sent(2, 12);
+  tracer.note_sent(2, MsgClass::kPacemaker, 300);
+  tracer.note_sent(2, MsgClass::kPacemaker, 12);
   crypto::AuthOpCounters& auth = tracer.auth_counters(2);
   auth.count_sign();
   for (int i = 0; i < 2; ++i) auth.count_share();
@@ -211,7 +216,7 @@ TEST(SyncTracerTest, RingSaturatesValuesBeyondThePackedWidths) {
   SyncTracer tracer(1);
   // Through the ring: bytes, duration and view offsets past 32 bits.
   tracer.on_sync_started(0, TimePoint(0), /*current=*/10, /*target=*/10 + 5'000'000'000LL);
-  tracer.note_sent(0, 6'000'000'000ULL);
+  tracer.note_sent(0, MsgClass::kPacemaker, 6'000'000'000ULL);
   tracer.on_view_entered(0, TimePoint(9'000'000'000LL), /*view=*/10 - 5'000'000'000LL);
   const SyncSpan ring = tracer.completed_spans().back();
   EXPECT_EQ(ring.bytes_sent, kU32Max);

@@ -21,10 +21,12 @@ class MetricsTest : public ::testing::Test {
  protected:
   MetricsTest() : metrics_(4, {false, false, false, true}) {}  // p3 Byzantine
 
-  void send(TimePoint at, ProcessId from, ProcessId to) {
+  /// One copy from `from` to another process (the send tap never shows
+  /// the collector a self-copy).
+  void send(TimePoint at, ProcessId from) {
     const pacemaker::ViewMsg msg(
         1, crypto::threshold_share(auth_->signer_for(from), pacemaker::view_msg_statement(1)));
-    metrics_.on_send(at, from, to, msg);
+    metrics_.record_send(at, from, msg, msg.wire_size());
   }
 
   std::unique_ptr<crypto::Authenticator> auth_ =
@@ -33,10 +35,9 @@ class MetricsTest : public ::testing::Test {
 };
 
 TEST_F(MetricsTest, CountsHonestSendsOnly) {
-  send(TimePoint(10), 0, 1);
-  send(TimePoint(11), 3, 1);  // Byzantine sender: not counted
-  send(TimePoint(12), 1, 1);  // self-send: not counted
-  send(TimePoint(13), 2, 0);
+  send(TimePoint(10), 0);
+  send(TimePoint(11), 3);  // Byzantine sender: not counted
+  send(TimePoint(13), 2);
   EXPECT_EQ(metrics_.total_honest_msgs(), 2U);
   EXPECT_EQ(metrics_.pacemaker_msgs(), 2U);
   EXPECT_EQ(metrics_.consensus_msgs(), 0U);
@@ -46,39 +47,15 @@ TEST_F(MetricsTest, CountsHonestSendsOnly) {
   EXPECT_EQ(metrics_.bytes_for_type(pacemaker::kVcMsg), 0U);
 }
 
-TEST_F(MetricsTest, BroadcastChargeEqualsPerSendExpansion) {
-  // The bulk on_broadcast path must account exactly like n-1 on_send
-  // calls — totals, per-type, per-class, and window queries.
-  MetricsCollector bulk(4, {false, false, false, true});
-  const pacemaker::ViewMsg msg(
-      1, crypto::threshold_share(auth_->signer_for(0), pacemaker::view_msg_statement(1)));
-  for (ProcessId to = 0; to < 4; ++to) metrics_.on_send(TimePoint(10), 0, to, msg);
-  bulk.on_broadcast(TimePoint(10), 0, msg, 4);
-  EXPECT_EQ(bulk.total_honest_msgs(), metrics_.total_honest_msgs());
-  EXPECT_EQ(bulk.total_honest_bytes(), metrics_.total_honest_bytes());
-  EXPECT_EQ(bulk.pacemaker_msgs(), metrics_.pacemaker_msgs());
-  EXPECT_EQ(bulk.count_for_type(pacemaker::kViewMsg), 3U);
-  EXPECT_EQ(bulk.bytes_for_type(pacemaker::kViewMsg), 3 * msg.wire_size());
-  EXPECT_EQ(bulk.bytes_for_type(pacemaker::kViewMsg),
-            metrics_.bytes_for_type(pacemaker::kViewMsg));
-  EXPECT_EQ(bulk.msgs_between(TimePoint(10), TimePoint(11)),
-            metrics_.msgs_between(TimePoint(10), TimePoint(11)));
-  EXPECT_EQ(bulk.msgs_between(TimePoint(0), TimePoint(10)), 0U);
-
-  // Byzantine broadcasters stay uncounted, as with per-send charging.
-  bulk.on_broadcast(TimePoint(12), 3, msg, 4);
-  EXPECT_EQ(bulk.total_honest_msgs(), 3U);
-}
-
 TEST_F(MetricsTest, DecisionLogAndWindows) {
-  send(TimePoint(5), 0, 1);
-  send(TimePoint(6), 0, 2);
+  send(TimePoint(5), 0);
+  send(TimePoint(6), 0);
   metrics_.record_qc_formed(TimePoint(10), 0, 0);  // decision 1 after 2 msgs
-  send(TimePoint(15), 1, 2);
-  send(TimePoint(16), 1, 0);
-  send(TimePoint(17), 2, 0);
+  send(TimePoint(15), 1);
+  send(TimePoint(16), 1);
+  send(TimePoint(17), 2);
   metrics_.record_qc_formed(TimePoint(20), 1, 1);  // decision 2 after 3 more
-  send(TimePoint(25), 2, 1);
+  send(TimePoint(25), 2);
   metrics_.record_qc_formed(TimePoint(40), 2, 2);  // decision 3 after 1 more
 
   ASSERT_EQ(metrics_.decisions().size(), 3U);
@@ -110,9 +87,9 @@ TEST_F(MetricsTest, ByzantineLeaderQcIsNotADecision) {
 }
 
 TEST_F(MetricsTest, MsgsBetween) {
-  send(TimePoint(10), 0, 1);
-  send(TimePoint(20), 0, 1);
-  send(TimePoint(30), 0, 1);
+  send(TimePoint(10), 0);
+  send(TimePoint(20), 0);
+  send(TimePoint(30), 0);
   EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(15)), 1U);
   EXPECT_EQ(metrics_.msgs_between(TimePoint(10), TimePoint(30)), 2U)
       << "[10, 30): includes the sends at 10 and 20, excludes the one at 30";
@@ -143,7 +120,7 @@ TEST_F(MetricsTest, RecordingWindowBracketsThreadedSlices) {
 
   metrics_.begin_recording_window();
   EXPECT_TRUE(metrics_.recording_window_open());
-  send(TimePoint(10), 0, 1);  // recording during the window is the point
+  send(TimePoint(10), 0);  // recording during the window is the point
   metrics_.end_recording_window();
   EXPECT_FALSE(metrics_.recording_window_open());
 
@@ -152,7 +129,7 @@ TEST_F(MetricsTest, RecordingWindowBracketsThreadedSlices) {
 
   // A second slice appends to the same stream.
   metrics_.begin_recording_window();
-  send(TimePoint(20), 2, 0);
+  send(TimePoint(20), 2);
   metrics_.end_recording_window();
   EXPECT_EQ(metrics_.total_honest_msgs(), 2U);
   EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(15)), 1U);
@@ -166,22 +143,16 @@ TEST_F(MetricsTest, QueryDuringLiveWindowAborts) {
   EXPECT_DEATH((void)metrics_.total_honest_msgs(), "queried during a live TCP run_for slice");
 }
 
-/// Forwards every send to the cluster's collector and keeps the
-/// per-send reference log the collector used to keep: one (time,
-/// cumulative total) entry per send call.
+/// Forwards every send to the cluster's sinks through a SendTap of its
+/// own and keeps the per-send reference log the collector used to keep:
+/// one (time, cumulative total) entry per send.
 class PerSendLog final : public sim::NetworkObserver {
  public:
-  explicit PerSendLog(MetricsCollector* metrics) : metrics_(metrics) {}
+  explicit PerSendLog(Cluster& cluster)
+      : metrics_(&cluster.metrics()), tap_(NodeSinks{metrics_, cluster.sync_tracer(), nullptr}) {}
 
   void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
-    metrics_->on_send(at, from, to, msg);
-    note(at);
-  }
-  void on_deliver(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
-    metrics_->on_deliver(at, from, to, msg);
-  }
-  void on_broadcast(TimePoint at, ProcessId from, const Message& msg, std::uint32_t n) override {
-    metrics_->on_broadcast(at, from, msg, n);
+    tap_.on_send(at, from, to, msg);
     note(at);
   }
 
@@ -210,6 +181,7 @@ class PerSendLog final : public sim::NetworkObserver {
   }
 
   MetricsCollector* metrics_;
+  SendTap tap_;
 };
 
 TEST(MetricsSendLogTest, OneCheckpointPerInstantAnswersLikePerSendLogging) {
@@ -227,7 +199,7 @@ TEST(MetricsSendLogTest, OneCheckpointPerInstantAnswersLikePerSendLogging) {
   builder.workload(spec);
   builder.dissemination();
   Cluster cluster(builder);
-  PerSendLog reference(&cluster.metrics());
+  PerSendLog reference(cluster);
   cluster.network().set_observer(&reference);
   cluster.run_for(Duration::seconds(3));
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/delay_policy.h"
@@ -86,23 +86,6 @@ TEST_F(NetworkTest, SelfSendImmediate) {
   EXPECT_EQ(log_[0].at, TimePoint(10)) << "self messages are received immediately";
 }
 
-TEST_F(NetworkTest, BroadcastReachesAllIncludingSelf) {
-  build(TimePoint::origin(), Duration(50), std::make_shared<FixedDelay>(Duration(5)));
-  net_->broadcast(2, std::make_shared<PingMsg>(3));
-  sim_.run_until_idle();
-  EXPECT_EQ(log_.size(), 4U);
-  std::map<ProcessId, int> per_dest;
-  for (const auto& d : log_) ++per_dest[d.to];
-  for (ProcessId id = 0; id < 4; ++id) EXPECT_EQ(per_dest[id], 1);
-}
-
-TEST_F(NetworkTest, SelfSendsNotCountedAsTraffic) {
-  build(TimePoint::origin(), Duration(50), std::make_shared<FixedDelay>(Duration(5)));
-  net_->broadcast(0, std::make_shared<PingMsg>(1));
-  sim_.run_until_idle();
-  EXPECT_EQ(net_->total_messages(), 3U) << "n-1 network messages per broadcast";
-}
-
 TEST_F(NetworkTest, DisconnectDropsTraffic) {
   build(TimePoint::origin(), Duration(50), std::make_shared<FixedDelay>(Duration(5)));
   net_->disconnect(3);
@@ -112,19 +95,27 @@ TEST_F(NetworkTest, DisconnectDropsTraffic) {
   EXPECT_TRUE(log_.empty());
 }
 
-TEST_F(NetworkTest, ObserverSeesSendsAndDeliveries) {
+TEST_F(NetworkTest, ObserverSeesEachCopyAfterTheDownFilterAndBeforeTheCut) {
   struct Counter : NetworkObserver {
-    int sends = 0;
-    int delivers = 0;
-    void on_send(TimePoint, ProcessId, ProcessId, const Message&) override { ++sends; }
-    void on_deliver(TimePoint, ProcessId, ProcessId, const Message&) override { ++delivers; }
+    std::vector<std::pair<ProcessId, ProcessId>> sends;
+    void on_send(TimePoint, ProcessId from, ProcessId to, const Message&) override {
+      sends.emplace_back(from, to);
+    }
   } counter;
   build(TimePoint::origin(), Duration(50), std::make_shared<FixedDelay>(Duration(5)));
   net_->set_observer(&counter);
-  net_->broadcast(1, std::make_shared<PingMsg>(4));
+  net_->set_down(3, true);
+  net_->set_partition({{0, 1, 3}, {2}});
+  net_->send(1, 0, std::make_shared<PingMsg>(1));  // delivered
+  net_->send(1, 1, std::make_shared<PingMsg>(2));  // delivered; a self-copy is not traffic
+  net_->send(1, 2, std::make_shared<PingMsg>(3));  // parked by the cut: still sent
+  net_->send(1, 3, std::make_shared<PingMsg>(4));  // lost at the down receiver: still sent
+  net_->send(3, 0, std::make_shared<PingMsg>(5));  // a down sender emits nothing
   sim_.run_until_idle();
-  EXPECT_EQ(counter.sends, 4);
-  EXPECT_EQ(counter.delivers, 4);
+  const std::vector<std::pair<ProcessId, ProcessId>> expected = {{1, 0}, {1, 2}, {1, 3}};
+  EXPECT_EQ(counter.sends, expected);
+  EXPECT_EQ(log_.size(), 2U);
+  EXPECT_EQ(net_->parked_count(), 1U);
 }
 
 TEST_F(NetworkTest, PreGstChaosStillRespectsEnvelope) {

@@ -29,7 +29,7 @@ std::size_t fanout_bytes(std::size_t payload_size) {
       QuorumCert::genesis(Block::genesis().hash()));
   const MessagePtr proposal = std::make_shared<ProposalMsg>(block);
   const std::size_t before = alloc::bytes();
-  h.network().broadcast(/*from=lead(0)*/ 0, proposal);
+  for (ProcessId to = 0; to < kReplicas; ++to) h.network().send(/*from=lead(0)*/ 0, to, proposal);
   h.settle();
   const std::size_t spent = alloc::bytes() - before;
   for (ProcessId id = 0; id < kReplicas; ++id) {

@@ -46,7 +46,10 @@ class CoreHarness {
       cb.send = [this, id](ProcessId to, MessagePtr msg) {
         network_.send(id, to, std::move(msg));
       };
-      cb.broadcast = [this, id](MessagePtr msg) { network_.broadcast(id, msg); };
+      cb.broadcast = [this, id, n](MessagePtr msg) {
+        // One send per destination, self included, as Node::outbound_broadcast.
+        for (ProcessId to = 0; to < n; ++to) network_.send(id, to, msg);
+      };
       cb.qc_seen = [this, id](const consensus::QuorumCert& qc) {
         nodes_[id].qcs_seen.push_back(qc);
         if (on_qc_seen) on_qc_seen(id, qc);

@@ -49,6 +49,7 @@ std::vector<NodeOutcome> run_cluster(const std::string& pacemaker, const std::st
   for (ProcessId id = 0; id < kN; ++id) {
     sims.push_back(std::make_unique<sim::Simulator>());
     transports.push_back(std::make_unique<TcpTransportAdapter>(id, kN, base_port, full_codec()));
+    transports.back()->set_shaping(sims.back().get(), id);  // self-deliveries run on the sim
     runtime::NodeConfig config;
     config.protocol.pacemaker = pacemaker;
     config.protocol.core = core;
@@ -139,6 +140,31 @@ TEST(RealtimeTest, ScheduledEventsFireAtWallTime) {
     EXPECT_GE(fire_wall_ms[i], (i + 1) * 30 - 2) << "event " << i << " fired early";
     EXPECT_LE(fire_wall_ms[i], (i + 1) * 30 + 100) << "event " << i << " fired far too late";
   }
+}
+
+TEST(RealtimeTest, SelfCopyArrivesAtTheCurrentInstantNotInline) {
+  // As on the sim network: a node's copy to itself is received at the
+  // instant it was sent, but only after the sending handler returns, so
+  // a broadcast's peer copies all leave before the node acts on its own.
+  sim::Simulator sim;
+  TcpTransportAdapter transport(0, 1, 25550, full_codec());
+  transport.set_shaping(&sim, 1);
+  std::vector<View> received;
+  transport.register_endpoint(0, [&received](ProcessId, const MessagePtr& msg) {
+    received.push_back(static_cast<const pacemaker::ViewMsg&>(*msg).view());
+  });
+  const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 1, 1);
+  sim.schedule_after(Duration::millis(5), [&] {
+    transport.send(0, 0,
+                   std::make_shared<pacemaker::ViewMsg>(
+                       9, crypto::threshold_share(auth->signer_for(0),
+                                                  pacemaker::view_msg_statement(9))));
+    EXPECT_TRUE(received.empty()) << "self-delivery re-entered the sending handler";
+  });
+  sim.run_until(TimePoint(Duration::millis(5).ticks()));
+  ASSERT_EQ(received.size(), 1U);
+  EXPECT_EQ(received[0], 9);
+  EXPECT_EQ(sim.now(), TimePoint(Duration::millis(5).ticks())) << "self-copy was delayed";
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST(TcpTransportTest, BroadcastIncludesSelf) {
   const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 3, 1);
   const pacemaker::EpochViewMsg msg(
       0, crypto::threshold_share(auth->signer_for(2), pacemaker::epoch_msg_statement(0)));
-  eps[2]->broadcast(msg);
+  for (ProcessId to = 0; to < 3; ++to) eps[2]->send(to, msg);
   pump_all(eps, 20);
   EXPECT_EQ(counts[0], 1);
   EXPECT_EQ(counts[1], 1);
@@ -114,8 +114,8 @@ TEST(TcpTransportTest, ManyFramesInOrder) {
 
 TEST(TcpTransportTest, BytesSentCountsHeaderPlusEncodedBody) {
   // bytes_sent() is exactly the sum over frames to peers of the 8-byte
-  // [len][sender] header and the encoded payload; the self-delivery of a
-  // broadcast crosses no socket and adds nothing.
+  // [len][sender] header and the encoded payload; the self-copy of a
+  // broadcast's send loop crosses no socket and adds nothing.
   const auto base = pick_base_port(32);
   std::vector<std::unique_ptr<TcpEndpoint>> eps;
   int delivered = 0;
@@ -137,7 +137,7 @@ TEST(TcpTransportTest, BytesSentCountsHeaderPlusEncodedBody) {
   EXPECT_EQ(eps[0]->bytes_sent(), 0U);
   eps[0]->send(1, view);
   eps[0]->send(2, qc);
-  eps[0]->broadcast(qc);  // two peers plus self
+  for (ProcessId to = 0; to < 3; ++to) eps[0]->send(to, qc);  // two peers plus self
   pump_all(eps, 20);
   EXPECT_EQ(delivered, 5);
   const std::size_t view_frame = 8 + MessageCodec::encode(view).size();

@@ -5,7 +5,9 @@ Reads a google-benchmark JSON report (BENCH_micro.json) and the checked-in
 pre-overhaul baseline (bench/BASELINE_micro.json), and prints a GitHub-
 flavored markdown table of the tracked benchmarks with speedup factors.
 The note column carries a benchmark's label: for the hashing rows, the
-SHA-256 kernel the host ran ("sha-ni" or "portable").
+SHA-256 kernel the host ran ("sha-ni" or "portable"). A row whose
+baseline measured a different operation (NOT_COMPARABLE) shows no
+speedup and says why in its note.
 CI appends the output to $GITHUB_STEP_SUMMARY; locally it just prints.
 
 Usage: tools/bench_micro_summary.py BENCH_micro.json [bench/BASELINE_micro.json]
@@ -20,6 +22,13 @@ TRACKED_PREFIXES = (
     "BM_Sha256",
     "BM_DefaultSchemeSign",
 )
+
+# Benchmarks whose baseline row timed a different operation than the
+# benchmark does now. Their speedup reads n/a and the note says why.
+NOT_COMPARABLE = {
+    "BM_NetworkBroadcast": "baseline timed the removed bulk Network::broadcast;"
+    " this run times n per-destination sends",
+}
 
 
 def to_ns(entry):
@@ -47,9 +56,15 @@ def main():
             continue
         now_ns = to_ns(entry)
         base_ns = base_by_name.get(name)
-        speedup = f"{base_ns / now_ns:.2f}x" if base_ns else "n/a"
         base_cell = f"{base_ns:,.0f}" if base_ns else "n/a"
-        rows.append((name, base_cell, f"{now_ns:,.0f}", speedup, entry.get("label", "")))
+        note = entry.get("label", "")
+        not_comparable = NOT_COMPARABLE.get(name.split("/")[0])
+        if not_comparable:
+            speedup = "n/a"
+            note = f"{note}; {not_comparable}" if note else not_comparable
+        else:
+            speedup = f"{base_ns / now_ns:.2f}x" if base_ns else "n/a"
+        rows.append((name, base_cell, f"{now_ns:,.0f}", speedup, note))
 
     if not rows:
         sys.exit(f"no tracked benchmarks found in {report_path}")

@@ -3,7 +3,9 @@
 
 Reads the `section: "sync"` rows of BENCH_table1.json (the --json
 artifact) and prints one GitHub-flavored markdown table per pacemaker,
-as bench_table1 prints them. CI appends the output to
+as bench_table1 prints them. A span's msgs and bytes are view-sync
+(pacemaker-class) messages only: consensus, dissemination and block-sync
+traffic sent during the episode is not counted. CI appends the output to
 $GITHUB_STEP_SUMMARY; locally it just prints.
 
 Usage: tools/sync_complexity_report.py [BENCH_table1.json]
@@ -35,10 +37,11 @@ def main():
 
     print("### View-sync cost per node vs n (per pacemaker)")
     print()
-    print("Mean per-sync cost of one honest node's completed sync spans, under")
-    print("f silent leaders and the worst permitted network; the cluster pays")
-    print("n times this. `~O(n)` and `~O(n^2)` are theory curves anchored at")
-    print("the smallest n; the fitted exponent is the log-log slope.")
+    print("Mean per-sync cost (view-sync messages only) of one honest node's")
+    print("completed sync spans, under f silent leaders and the worst permitted")
+    print("network; the cluster pays n times this. `~O(n)` and `~O(n^2)` are")
+    print("theory curves anchored at the smallest n; the fitted exponent is the")
+    print("log-log slope.")
     for protocol, rows in samples.items():
         print()
         fit = fits.get(protocol, {})
