@@ -16,7 +16,7 @@
 //              synchronization spend, since nothing can commit. The
 //              timeout-ladder protocols (cogsworth, nk20) keep timing
 //              out, wishing and relaying for the whole cut — their spend
-//              grows linearly with the cut and sits ~4x above lumiere /
+//              grows linearly with the cut and sits ~5x above lumiere /
 //              fever, which park after one failed synchronization and
 //              wait quietly (Theorem 1.1 (4): one heavy sync per
 //              asynchronous interval, not a recurring tax).
@@ -52,6 +52,10 @@ const TimePoint kHealAt = kCutAt + kCutLen;
 const Duration kRunFor = Duration::seconds(12);
 /// Steady-state window measured before the cut (skips bootstrap).
 const TimePoint kPreFrom{Duration::seconds(1).ticks()};
+/// One tick. run_until(edge - kTick) runs every event before `edge` and
+/// none at it, so a total read there and one read the same way at a later
+/// edge differ by exactly what was sent in [edge, later edge).
+const Duration kTick = Duration::micros(1);
 
 struct SeamlessRow {
   std::string protocol;
@@ -68,7 +72,11 @@ SeamlessRow measure(const std::string& pacemaker, std::uint64_t seed) {
   builder.partition({{0, 1, 2, 3}, {4, 5, 6}}, kCutAt);
   builder.heal(kHealAt);
   Cluster cluster(builder);
-  cluster.run_for(kRunFor);
+  cluster.run_until(kCutAt - kTick);
+  const std::uint64_t sent_before_cut = cluster.metrics().total_honest_msgs();
+  cluster.run_until(kHealAt - kTick);
+  const std::uint64_t sent_before_heal = cluster.metrics().total_honest_msgs();
+  cluster.run_until(TimePoint(kRunFor.ticks()));
 
   const runtime::MetricsCollector& metrics = cluster.metrics();
   SeamlessRow row;
@@ -77,7 +85,7 @@ SeamlessRow measure(const std::string& pacemaker, std::uint64_t seed) {
   // In-flight pre-cut messages may still complete one QC within Delta of
   // the cut; past that, a decision would mean the partition leaked.
   row.cut_decisions = metrics.decisions_between(kCutAt + kTable1Delta, kHealAt);
-  row.cut_sync_msgs = metrics.msgs_between(kCutAt, kHealAt);
+  row.cut_sync_msgs = sent_before_heal - sent_before_cut;
   row.recovery = metrics.latency_to_first_decision(kHealAt);
   if (row.recovery) {
     row.post_gap = metrics.max_decision_gap_between(kHealAt + *row.recovery + Duration::millis(200),
@@ -134,7 +142,11 @@ DissemRow measure_dissem(const std::string& pacemaker, bool dissem, bool quick,
   builder.partition({{0, 1, 2, 3, 4, 5, 6, 7, 8}, {9, 10, 11, 12}}, cut_at);
   builder.heal(heal_at);
   Cluster cluster(builder);
-  cluster.run_for(run_for);
+  cluster.run_until(cut_at - kTick);
+  const std::uint64_t bytes_before_cut = cluster.metrics().dissem_bytes();
+  cluster.run_until(heal_at - kTick);
+  const std::uint64_t bytes_before_heal = cluster.metrics().dissem_bytes();
+  cluster.run_until(TimePoint(run_for.ticks()));
 
   const workload::Report report = cluster.workload_report();
   const runtime::MetricsCollector& metrics = cluster.metrics();
@@ -147,13 +159,22 @@ DissemRow measure_dissem(const std::string& pacemaker, bool dissem, bool quick,
                                           TimePoint{run_for.ticks()});
   row.certs = metrics.batches_certified();
   row.cert_p50 = metrics.batch_cert_latency_percentile(0.50);
-  row.cut_dissem_bytes = metrics.dissem_bytes_between(cut_at, heal_at);
+  row.cut_dissem_bytes = bytes_before_heal - bytes_before_cut;
   row.shed = report.shed;
   row.commit_misses = report.commit_misses;
   return row;
 }
 
-void run_dissem(const BenchArgs& args, bool dissem) {
+/// Checks one reading-guide claim for a row: `value` must be 0.
+bool zero_or_report(const std::string& protocol, const char* column, std::uint64_t value) {
+  if (value == 0) return true;
+  std::fprintf(stderr, "bench_seamless: %s reads %llu \"%s\"; the reading guide says 0\n",
+               protocol.c_str(), static_cast<unsigned long long>(value), column);
+  return false;
+}
+
+/// Returns false when a row contradicts the reading guide.
+bool run_dissem(const BenchArgs& args, bool dissem) {
   const std::vector<std::string> protocols =
       args.quick ? std::vector<std::string>{"lumiere"}
                  : std::vector<std::string>{"lumiere", "fever", "cogsworth"};
@@ -169,8 +190,10 @@ void run_dissem(const BenchArgs& args, bool dissem) {
               "-----+-------------+---------+-------\n");
 
   JsonRows json;
+  bool ok = true;
   for (const std::string& protocol : protocols) {
     const DissemRow row = measure_dissem(protocol, dissem, args.quick, 9102);
+    ok = zero_or_report(row.protocol, "misses", row.commit_misses) && ok;
     std::printf("%-14s | %9.0f | %9.1f | %9.1f | %9.1f | %6llu | %9s | %11.1f | %7llu | %6llu\n",
                 row.protocol.c_str(), row.offered_rps, row.pre_rps, row.cut_rps, row.post_rps,
                 static_cast<unsigned long long>(row.certs), fmt_ms(row.cert_p50).c_str(),
@@ -199,22 +222,21 @@ void run_dissem(const BenchArgs& args, bool dissem) {
       "every other node's requests wait for their own leadership slot. On: every\n"
       "majority batch certifies (f+1 = 5 acks) and the next proposer orders it by\n"
       "reference, so cut req/s roughly doubles off's, yet it stays far below the\n"
-      "majority's offered load (~7200 req/s): --quick measures ~2060 on against\n"
-      "~980 off (the simulator is deterministic, so these repeat on any host).\n"
+      "majority's offered load (~7200 req/s): --quick measures ~2550 on against\n"
+      "~1210 off (the simulator is deterministic, so these repeat on any host).\n"
       "\"misses\" must be 0: every committed request matches exactly one client\n"
-      "submission.\n"
+      "submission (the binary exits 1 otherwise).\n"
       "Compare --dissem=on vs --dissem=off runs on the cut req/s column.\n");
 
   if (!args.json_path.empty() && !json.write(args.json_path, "seamless_dissem")) {
     std::exit(1);
   }
+  return ok;
 }
 
-void run(const BenchArgs& args) {
-  if (args.dissem.has_value()) {
-    run_dissem(args, *args.dissem);
-    return;
-  }
+/// Returns false when a row contradicts the reading guide.
+bool run(const BenchArgs& args) {
+  if (args.dissem.has_value()) return run_dissem(args, *args.dissem);
   const std::vector<std::string> protocols =
       args.quick ? std::vector<std::string>{"cogsworth", "nk20", "fever", "lumiere"}
                  : std::vector<std::string>{"cogsworth", "nk20",          "lp22",
@@ -238,7 +260,9 @@ void run(const BenchArgs& args) {
   }
 
   JsonRows json;
+  bool ok = true;
   for (const SeamlessRow& row : rows) {
+    ok = zero_or_report(row.protocol, "cut decs", row.cut_decisions) && ok;
     const double penalty = lumiere_sync > 0 ? static_cast<double>(row.cut_sync_msgs) /
                                                   static_cast<double>(lumiere_sync)
                                             : 0.0;
@@ -260,17 +284,19 @@ void run(const BenchArgs& args) {
   }
 
   std::printf(
-      "\nReading guide: \"cut decs\" must be 0 (no quorum exists inside the cut) and\n"
-      "every protocol's recovery is fast once the network heals — the partition\n"
-      "parks messages, preserving the reliable-channel assumption. The bill that\n"
-      "differs is \"cut sync msgs\": lumiere and fever park after one failed\n"
-      "synchronization and wait for the network, while cogsworth/nk20 burn a\n"
-      "timeout-and-relay ladder for the whole cut — a ~4x spend that grows\n"
+      "\nReading guide: \"cut decs\" must be 0 (no quorum exists inside the cut; the\n"
+      "binary exits 1 otherwise) and every protocol's recovery is fast once the\n"
+      "network heals — the partition parks messages, preserving the\n"
+      "reliable-channel assumption. The bill that differs is \"cut sync msgs\":\n"
+      "lumiere and fever park after one failed synchronization and wait for the\n"
+      "network, while cogsworth/nk20 burn a timeout-and-relay ladder for the\n"
+      "whole cut — --quick measures 4.9-5.0x lumiere's spend, which grows\n"
       "linearly with the cut length, paid exactly when bandwidth is scarcest.\n");
 
   if (!args.json_path.empty() && !json.write(args.json_path, "seamless")) {
     std::exit(1);
   }
+  return ok;
 }
 
 }  // namespace
@@ -280,6 +306,5 @@ int main(int argc, char** argv) {
   const lumiere::bench::BenchArgs args = lumiere::bench::parse_bench_args(argc, argv);
   std::printf("bench_seamless: the cost of a scripted partition, per protocol "
               "(fault-schedule engine)\n");
-  lumiere::bench::run(args);
-  return 0;
+  return lumiere::bench::run(args) ? 0 : 1;
 }

@@ -17,6 +17,7 @@
 // like on a WAN: faults cost the affected processors a catch-up, not the
 // cluster its responsiveness.
 #include <cstdio>
+#include <string_view>
 
 #include "runtime/cluster.h"
 
@@ -62,10 +63,14 @@ int main() {
                 cluster.metrics().decisions().size(), cluster.network().parked_count(), regime);
   }
 
-  const auto& marks = cluster.metrics().regime_marks();
-  std::printf("\nscripted events (as recorded for regime attribution):\n");
-  for (const auto& [at, label] : marks) {
-    std::printf("  %5.1fs  %s\n", at.to_seconds(), label.c_str());
+  // The trace log keeps each fired script event as a custom note.
+  const sim::TraceLog& trace = cluster.trace();
+  std::printf("\nscripted events (as the trace log recorded them):\n");
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace.events()[i].kind != sim::TraceKind::kCustom) continue;
+    const std::string_view note = trace.note(i);
+    std::printf("  %5.1fs  %.*s\n", trace.events()[i].at.to_seconds(),
+                static_cast<int>(note.size()), note.data());
   }
 
   const auto during = cluster.metrics().decisions_between(outage, healed);

@@ -96,9 +96,8 @@ void Cluster::schedule_faults_sim() {
       } else {
         network_->apply(event);
       }
-      const std::string note = sim::FaultSchedule::describe(event);
-      trace_.record(event.at, sim::TraceKind::kCustom, event.node, -1, note);
-      metrics_->mark_regime(event.at, note);
+      trace_.record(event.at, sim::TraceKind::kCustom, event.node, -1,
+                    sim::FaultSchedule::describe(event));
     });
   }
 }

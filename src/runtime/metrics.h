@@ -12,24 +12,30 @@
 //     message count at that instant, so any inter-decision window's cost
 //     is a subtraction;
 //   * derives the four Table 1 measures over a run.
+// A window's send count is two reads of total_honest_msgs(), one at each
+// edge (Cluster::run_until(edge - 1us) runs every event before the edge).
 //
-// Threading: on the sim transport everything runs on one thread and the
-// collector records directly (byte-identical to before threading
-// existed). The TCP transport calls enable_threaded() — recording then
-// appends raw events to sharded (mutex + vector) logs stamped with a
-// global sequence number, and every query first replays the events,
-// sorted by (time, seq), into an internal plain collector. Record from
-// any driver thread; query between run_for slices.
+// Recording: every record_* call filters, then builds one Event. A plain
+// collector applies it at once; a threaded one captures it and replays
+// the captured stream through the same apply(), so both modes derive
+// every measure with one piece of code.
+//
+// Threading and lifetime: on the sim transport everything runs on one
+// thread and the collector applies each event as it is recorded. The TCP
+// Cluster calls enable_threaded(): record_* then appends the event to a
+// sharded (mutex + vector) log stamped with a global sequence number, and
+// the first query after new events replays them all, sorted by (time,
+// seq), into a merged record. Record from any driver thread; query only
+// between run_for slices (asserted). References a query returns point
+// into that merged record and dangle after the next slice: re-fetch them.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,25 +53,14 @@ class MetricsCollector final {
     LUMIERE_ASSERT(byzantine_.size() == n_);
   }
 
-  /// Switches to thread-safe capture (sharded event logs, merged on
+  /// Switches to thread-safe capture (sharded event logs, replayed on
   /// read). Call once, before any recording; the TCP Cluster does this at
-  /// construction. Queries afterwards replay the sorted event stream into
-  /// an internal plain collector, so derived measures are computed by
-  /// exactly the same code as the single-threaded path.
-  ///
-  /// Lifetime footgun, by design-and-asserted: references returned by the
-  /// log accessors (decisions(), queue_depth_log(), regime_marks(), ...)
-  /// point into the replayed merge and are invalidated by the next query
-  /// that observes new events — hold them only between run_for slices,
-  /// and re-fetch after each slice. Querying
-  /// *during* a slice is asserted against: the Cluster brackets its TCP
-  /// driver threads with begin/end_recording_window(), and every query
-  /// (they all funnel through base()) aborts while the window is open.
+  /// construction.
   void enable_threaded() { threaded_ = true; }
-  [[nodiscard]] bool threaded() const noexcept { return threaded_; }
 
   /// Driver threads are live from here to end_recording_window():
-  /// recording is safe, querying is not (asserted in base()).
+  /// recording is safe, querying is not (every query goes through base(),
+  /// which asserts the window is closed).
   void begin_recording_window() noexcept {
     recording_live_.store(true, std::memory_order_relaxed);
   }
@@ -93,9 +88,9 @@ class MetricsCollector final {
     std::uint64_t msgs_before = 0;  ///< cumulative honest sends at `at`
   };
 
-  [[nodiscard]] const std::vector<Decision>& decisions() const { return base().decisions_; }
-  [[nodiscard]] std::uint64_t total_honest_msgs() const { return base().total_msgs_; }
-  [[nodiscard]] std::uint64_t total_honest_bytes() const { return base().total_bytes_; }
+  [[nodiscard]] const std::vector<Decision>& decisions() const { return base().decisions; }
+  [[nodiscard]] std::uint64_t total_honest_msgs() const { return base().total_msgs; }
+  [[nodiscard]] std::uint64_t total_honest_bytes() const { return base().total_bytes; }
   /// Honest copies of one message type sent.
   [[nodiscard]] std::uint64_t count_for_type(std::uint32_t type_id) const {
     return type_totals(type_id).msgs;
@@ -104,15 +99,12 @@ class MetricsCollector final {
   [[nodiscard]] std::uint64_t bytes_for_type(std::uint32_t type_id) const {
     return type_totals(type_id).bytes;
   }
-  [[nodiscard]] std::uint64_t pacemaker_msgs() const { return base().pacemaker_msgs_; }
-  [[nodiscard]] std::uint64_t consensus_msgs() const { return base().consensus_msgs_; }
-  [[nodiscard]] std::uint64_t dissem_msgs() const { return base().dissem_msgs_; }
-  [[nodiscard]] std::uint64_t dissem_bytes() const { return base().dissem_bytes_; }
+  [[nodiscard]] std::uint64_t pacemaker_msgs() const { return base().pacemaker_msgs; }
+  [[nodiscard]] std::uint64_t consensus_msgs() const { return base().consensus_msgs; }
+  [[nodiscard]] std::uint64_t dissem_msgs() const { return base().dissem_msgs; }
+  [[nodiscard]] std::uint64_t dissem_bytes() const { return base().dissem_bytes; }
   /// Honest block-sync messages sent (fetches + chain responses).
-  [[nodiscard]] std::uint64_t sync_msgs() const { return base().sync_msgs_; }
-  /// Honest dissemination-layer bytes sent in [from, to) — attributable
-  /// per regime window like msgs_between.
-  [[nodiscard]] std::uint64_t dissem_bytes_between(TimePoint from, TimePoint to) const;
+  [[nodiscard]] std::uint64_t sync_msgs() const { return base().sync_msgs; }
 
   // -- derived measures ----------------------------------------------------
   /// Decisions at or after `from` (index into decisions()).
@@ -132,28 +124,6 @@ class MetricsCollector final {
   /// skipping `warmup` gaps (communication-per-decision sample).
   [[nodiscard]] std::optional<std::uint64_t> max_msg_gap(TimePoint from,
                                                          std::size_t warmup = 0) const;
-
-  /// Honest messages sent in [from, to).
-  [[nodiscard]] std::uint64_t msgs_between(TimePoint from, TimePoint to) const;
-
-  /// Checkpoints behind msgs_between / dissem_bytes_between: at most one
-  /// per distinct send instant, however many sends share it.
-  [[nodiscard]] std::size_t send_checkpoints() const { return base().send_log_.size(); }
-  [[nodiscard]] std::size_t dissem_send_checkpoints() const {
-    return base().dissem_send_log_.size();
-  }
-
-  // -- regime windows ------------------------------------------------------
-  // The fault-schedule executor marks each scripted event here, so a
-  // run's measures can be attributed to the network regime they occurred
-  // under (before / during / after a partition, per delay era, ...).
-
-  /// Records a regime boundary (a fault-schedule event) at `at`.
-  void mark_regime(TimePoint at, std::string label);
-  /// All boundaries in time order: (instant, event description).
-  [[nodiscard]] const std::vector<std::pair<TimePoint, std::string>>& regime_marks() const {
-    return base().regime_marks_;
-  }
 
   /// Decisions with `from <= at < to`.
   [[nodiscard]] std::uint64_t decisions_between(TimePoint from, TimePoint to) const;
@@ -177,7 +147,7 @@ class MetricsCollector final {
     std::size_t depth = 0;
   };
   [[nodiscard]] const std::vector<QueueDepthSample>& queue_depth_log() const {
-    return base().queue_depth_log_;
+    return base().queue_depth_log;
   }
 
   // -- data dissemination --------------------------------------------------
@@ -189,28 +159,17 @@ class MetricsCollector final {
   /// first push.
   void record_batch_certified(TimePoint at, Duration latency);
 
-  [[nodiscard]] std::uint64_t batches_certified() const { return base().cert_log_.size(); }
+  [[nodiscard]] std::uint64_t batches_certified() const { return base().cert_log.size(); }
   /// Nearest-rank push -> cert latency percentile, p in (0, 1]; nullopt
   /// when no batch certified.
   [[nodiscard]] std::optional<Duration> batch_cert_latency_percentile(double p) const;
 
  private:
-  /// Charges one send by its properties — the form threaded replay uses
-  /// (events store properties, not Message&).
-  void charge_send(TimePoint at, std::uint32_t type_id, MsgClass msg_class, std::uint64_t wire);
-
-  /// One captured recording call (threaded mode); replayed in (at, seq)
-  /// order to rebuild the exact single-threaded collector state.
+  /// One recording call, after its honest filter.
   struct Event {
-    enum class Kind : std::uint8_t {
-      kSend,
-      kQcFormed,
-      kRegime,
-      kQueueDepth,
-      kBatchCertified,
-    };
+    enum class Kind : std::uint8_t { kSend, kQcFormed, kQueueDepth, kBatchCertified };
     Kind kind = Kind::kSend;
-    std::uint64_t seq = 0;
+    std::uint64_t seq = 0;  ///< capture order (threaded mode only)
     TimePoint at;
     std::uint32_t type_id = 0;             // kSend
     MsgClass msg_class = MsgClass::kConsensus;
@@ -219,18 +178,41 @@ class MetricsCollector final {
     ProcessId node = kNoProcess;           // kQcFormed leader / kQueueDepth node
     std::size_t depth = 0;                 // kQueueDepth
     Duration latency = Duration::zero();   // kBatchCertified
-    std::string label;                     // kRegime
   };
 
-  /// Appends one event to the calling thread's shard with a fresh global
-  /// sequence number.
-  void capture(Event event);
-  /// The collector queries actually read: *this when single-threaded,
-  /// else the replayed merge (rebuilt only when new events arrived).
-  [[nodiscard]] const MetricsCollector& base() const;
+  struct TypeTotals {
+    std::uint64_t msgs = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  /// Everything the queries read; apply() is the only code that changes it.
+  struct Record {
+    std::uint64_t total_msgs = 0;
+    std::uint64_t total_bytes = 0;
+    std::uint64_t pacemaker_msgs = 0;
+    std::uint64_t consensus_msgs = 0;
+    std::uint64_t dissem_msgs = 0;
+    std::uint64_t dissem_bytes = 0;
+    std::uint64_t sync_msgs = 0;
+    std::map<std::uint32_t, TypeTotals> by_type;
+    std::vector<Decision> decisions;
+    std::vector<QueueDepthSample> queue_depth_log;
+    std::vector<Duration> cert_log;  ///< push -> cert latency per certified batch
+
+    void apply(const Event& e);
+  };
+
+  /// Applies `event` at once, or (threaded) appends it to the calling
+  /// thread's shard with a fresh global sequence number.
+  void record(Event event);
+  /// The record queries read: record_ when single-threaded, else the
+  /// replay of every captured event (rebuilt only when new ones arrived).
+  [[nodiscard]] const Record& base() const;
+  [[nodiscard]] TypeTotals type_totals(std::uint32_t type_id) const;
 
   std::uint32_t n_;
   std::vector<bool> byzantine_;
+  Record record_;
 
   // -- threaded capture --------------------------------------------------
   bool threaded_ = false;
@@ -243,36 +225,8 @@ class MetricsCollector final {
   mutable std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> seq_{0};
   mutable std::mutex merge_mu_;
-  mutable std::unique_ptr<MetricsCollector> merged_;
+  mutable std::optional<Record> merged_;
   mutable std::uint64_t merged_upto_ = 0;
-  std::uint64_t total_msgs_ = 0;
-  std::uint64_t total_bytes_ = 0;
-  std::uint64_t pacemaker_msgs_ = 0;
-  std::uint64_t consensus_msgs_ = 0;
-  std::uint64_t dissem_msgs_ = 0;
-  std::uint64_t dissem_bytes_ = 0;
-  std::uint64_t sync_msgs_ = 0;
-  struct TypeTotals {
-    std::uint64_t msgs = 0;
-    std::uint64_t bytes = 0;
-  };
-  [[nodiscard]] TypeTotals type_totals(std::uint32_t type_id) const {
-    const auto& by_type = base().by_type_;
-    const auto it = by_type.find(type_id);
-    return it == by_type.end() ? TypeTotals{} : it->second;
-  }
-  std::map<std::uint32_t, TypeTotals> by_type_;
-  std::vector<Decision> decisions_;
-  /// (time, cumulative count) checkpoints for msgs_between; one entry per
-  /// distinct send instant (see checkpoint() in metrics.cpp).
-  std::vector<std::pair<TimePoint, std::uint64_t>> send_log_;
-  std::vector<std::pair<TimePoint, std::string>> regime_marks_;
-  std::vector<QueueDepthSample> queue_depth_log_;
-  /// (time, cumulative dissemination bytes) checkpoints, one per distinct
-  /// charge instant.
-  std::vector<std::pair<TimePoint, std::uint64_t>> dissem_send_log_;
-  /// Push -> cert latency per certified batch.
-  std::vector<Duration> cert_log_;
 };
 
 }  // namespace lumiere::runtime

@@ -154,13 +154,7 @@ NodeHost::NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authent
   // wall clock reaches the event instant — best-effort: the nodes cut a
   // link within one another's pacing jitter rather than atomically.
   for (const sim::FaultEvent& event : scenario.schedule.events) {
-    sim_.schedule_at(event.at, [this, event] {
-      apply_fault(event);
-      // One regime boundary per event, not one per node.
-      if (id_ == 0 && sinks_.metrics != nullptr) {
-        sinks_.metrics->mark_regime(event.at, sim::FaultSchedule::describe(event));
-      }
-    });
+    sim_.schedule_at(event.at, [this, event] { apply_fault(event); });
   }
 
   if (scenario.pipeline.enabled) {

@@ -34,8 +34,7 @@
 //     network still clamps every delivery to max(GST, t) + Delta.
 //   * behavior changes   — swap the named adversary::Behavior a node runs
 //     from the event instant onward (scripted mid-run Byzantine flips;
-//     executed by the Cluster, not the network — the network treats the
-//     event as a regime mark only).
+//     executed by the Cluster, not the network, which ignores it).
 //
 // Schedules are validated by ScenarioBuilder::validate() (ids in range,
 // monotone times, well-formed partitions) and executed deterministically:

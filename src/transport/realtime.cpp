@@ -37,10 +37,11 @@ void TcpTransportAdapter::send(ProcessId from, ProcessId to, MessagePtr msg) {
     // immediately. As on the sim network, it is scheduled at the current
     // instant rather than dispatched inline, so handlers never re-enter
     // protocol code mid-broadcast: the rest of a broadcast's copies leave
-    // before the node acts on its own.
+    // before the node acts on its own. The copy never leaves the process,
+    // so it skips the codec: the node receives the message object it sent.
     LUMIERE_ASSERT_MSG(sim_ != nullptr, "set_shaping before sending");
     sim_->schedule_at(sim_->now(), [this, msg = std::move(msg)] {
-      if (!self_down_) endpoint_->send(self_, *msg);
+      if (!self_down_ && deliver_) deliver_(self_, msg);
     });
     return;
   }

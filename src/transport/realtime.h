@@ -32,7 +32,8 @@ namespace lumiere::transport {
 /// expects. Hosts exactly one processor (`self`); `send` must originate
 /// from it. A copy to `self` is received at the current instant of the
 /// node's simulator (set_shaping), like the sim network's self-delivery,
-/// never inline — so set_shaping comes before the first send.
+/// never inline — so set_shaping comes before the first send. It is
+/// handed over as the same MessagePtr, never encoded or framed.
 class TcpTransportAdapter final : public MessageTransport {
  public:
   TcpTransportAdapter(ProcessId self, std::uint32_t n, std::uint16_t base_port,

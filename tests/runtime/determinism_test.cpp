@@ -112,9 +112,9 @@ TEST(DeterminismTest, FaultScheduleEdgeCasesReplayIdentically) {
   }
 
   // The run made progress despite booting partitioned, and every scripted
-  // event (2 from churn) is marked for regime attribution.
+  // event (2 from churn) left its note in the trace.
   EXPECT_GT(first.metrics().decisions().size(), 0U);
-  EXPECT_EQ(first.metrics().regime_marks().size(), 9U);
+  EXPECT_EQ(first.trace().of_kind(sim::TraceKind::kCustom).size(), 9U);
   // The network ends healed with everyone readmitted.
   EXPECT_FALSE(first.network().partition_active());
   EXPECT_EQ(first.network().parked_count(), 0U);

@@ -2,17 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <set>
-#include <utility>
+#include <thread>
 #include <vector>
 
 #include "crypto/authenticator.h"
+#include "dissem/messages.h"
 #include "pacemaker/messages.h"
-#include "runtime/cluster.h"
-#include "sim/delay_policy.h"
-#include "workload/spec.h"
+#include "sync/messages.h"
 
 namespace lumiere::runtime {
 namespace {
@@ -86,17 +83,6 @@ TEST_F(MetricsTest, ByzantineLeaderQcIsNotADecision) {
   EXPECT_TRUE(metrics_.decisions().empty());
 }
 
-TEST_F(MetricsTest, MsgsBetween) {
-  send(TimePoint(10), 0);
-  send(TimePoint(20), 0);
-  send(TimePoint(30), 0);
-  EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(15)), 1U);
-  EXPECT_EQ(metrics_.msgs_between(TimePoint(10), TimePoint(30)), 2U)
-      << "[10, 30): includes the sends at 10 and 20, excludes the one at 30";
-  EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(31)), 3U);
-  EXPECT_EQ(metrics_.msgs_between(TimePoint(40), TimePoint(50)), 0U);
-}
-
 TEST_F(MetricsTest, FirstDecisionIndexAfter) {
   metrics_.record_qc_formed(TimePoint(10), 0, 0);
   metrics_.record_qc_formed(TimePoint(20), 1, 1);
@@ -111,7 +97,7 @@ TEST_F(MetricsTest, EmptyCollectorEdgeCases) {
   EXPECT_FALSE(metrics_.latency_to_first_decision(TimePoint::origin()).has_value());
   EXPECT_FALSE(metrics_.max_decision_gap(TimePoint::origin()).has_value());
   EXPECT_FALSE(metrics_.max_msg_gap(TimePoint::origin()).has_value());
-  EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(100)), 0U);
+  EXPECT_EQ(metrics_.total_honest_msgs(), 0U);
 }
 
 TEST_F(MetricsTest, RecordingWindowBracketsThreadedSlices) {
@@ -132,7 +118,6 @@ TEST_F(MetricsTest, RecordingWindowBracketsThreadedSlices) {
   send(TimePoint(20), 2);
   metrics_.end_recording_window();
   EXPECT_EQ(metrics_.total_honest_msgs(), 2U);
-  EXPECT_EQ(metrics_.msgs_between(TimePoint(0), TimePoint(15)), 1U);
 }
 
 TEST_F(MetricsTest, QueryDuringLiveWindowAborts) {
@@ -143,91 +128,115 @@ TEST_F(MetricsTest, QueryDuringLiveWindowAborts) {
   EXPECT_DEATH((void)metrics_.total_honest_msgs(), "queried during a live TCP run_for slice");
 }
 
-/// Forwards every send to the cluster's sinks through a SendTap of its
-/// own and keeps the per-send reference log the collector used to keep:
-/// one (time, cumulative total) entry per send.
-class PerSendLog final : public sim::NetworkObserver {
- public:
-  explicit PerSendLog(Cluster& cluster)
-      : metrics_(&cluster.metrics()), tap_(NodeSinks{metrics_, cluster.sync_tracer(), nullptr}) {}
+/// One recording call of the replay test, applied to any collector.
+struct Op {
+  enum class Kind { kSend, kQc, kDepth, kCert } kind;
+  TimePoint at;
+  ProcessId node;
+  std::uint64_t value;  ///< wire bytes, view, depth or latency ticks
+  const Message* msg = nullptr;
 
-  void on_send(TimePoint at, ProcessId from, ProcessId to, const Message& msg) override {
-    tap_.on_send(at, from, to, msg);
-    note(at);
+  void apply(MetricsCollector& metrics) const {
+    switch (kind) {
+      case Kind::kSend:
+        metrics.record_send(at, node, *msg, value);
+        break;
+      case Kind::kQc:
+        metrics.record_qc_formed(at, static_cast<View>(value), node);
+        break;
+      case Kind::kDepth:
+        metrics.record_queue_depth(at, node, value);
+        break;
+      case Kind::kCert:
+        metrics.record_batch_certified(at, Duration(static_cast<std::int64_t>(value)));
+        break;
+    }
   }
-
-  /// Window sum over a per-send log, by the collector's read rule.
-  static std::uint64_t between(const std::vector<std::pair<TimePoint, std::uint64_t>>& log,
-                               TimePoint from, TimePoint to) {
-    const auto until = [&log](TimePoint t) -> std::uint64_t {
-      std::uint64_t total = 0;
-      for (const auto& [at, cumulative] : log) {
-        if (at < t) total = cumulative;
-      }
-      return total;
-    };
-    return until(to) - until(from);
-  }
-
-  std::vector<std::pair<TimePoint, std::uint64_t>> msgs;
-  std::vector<std::pair<TimePoint, std::uint64_t>> dissem_bytes;
-  std::set<TimePoint> instants;
-
- private:
-  void note(TimePoint at) {
-    msgs.emplace_back(at, metrics_->total_honest_msgs());
-    dissem_bytes.emplace_back(at, metrics_->dissem_bytes());
-    instants.insert(at);
-  }
-
-  MetricsCollector* metrics_;
-  SendTap tap_;
 };
 
-TEST(MetricsSendLogTest, OneCheckpointPerInstantAnswersLikePerSendLogging) {
-  workload::WorkloadSpec spec;
-  spec.arrival = workload::Arrival::kConstant;
-  spec.clients_per_node = 1;
-  spec.rate_per_client = 100.0;
-  spec.request_bytes = 64;
-  ScenarioBuilder builder;
-  builder.params(ProtocolParams::for_n(7, Duration::millis(10)));
-  builder.pacemaker("lumiere");
-  builder.core("chained-hotstuff");
-  builder.seed(7);
-  builder.delay(std::make_shared<sim::UniformDelay>(Duration::micros(200), Duration::millis(2)));
-  builder.workload(spec);
-  builder.dissemination();
-  Cluster cluster(builder);
-  PerSendLog reference(cluster);
-  cluster.network().set_observer(&reference);
-  cluster.run_for(Duration::seconds(3));
+TEST(MetricsReplayTest, ThreadedOutOfOrderReplayEqualsInOrderRecording) {
+  const std::vector<bool> byzantine = {false, false, false, true};  // p3 Byzantine
+  const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 4, 3);
+  const pacemaker::ViewMsg view_msg(
+      1, crypto::threshold_share(auth->signer_for(0), pacemaker::view_msg_statement(1)));
+  const sync::BlockFetchMsg fetch(crypto::Digest{}, 8);
+  const dissem::BatchPushMsg push(dissem::BatchId{}, std::vector<std::uint8_t>(64));
+  const Message* const messages[] = {&view_msg, &fetch, &push};
 
-  const MetricsCollector& metrics = cluster.metrics();
-  ASSERT_GT(metrics.total_honest_msgs(), 1000U);
-  ASSERT_GT(metrics.dissem_bytes(), 0U);
-  EXPECT_LE(metrics.send_checkpoints(), reference.instants.size());
-  EXPECT_LE(metrics.dissem_send_checkpoints(), reference.instants.size());
-  EXPECT_LT(metrics.send_checkpoints(), reference.msgs.size())
-      << "broadcasts and same-instant sends must share a checkpoint";
+  // One op per instant, p3's among them (filtered on both sides): within
+  // an instant the replay orders by capture sequence, which two threads
+  // do not fix, so distinct instants make the in-order answer unique.
+  std::vector<Op> ops;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const TimePoint at(static_cast<std::int64_t>(10 * i + i % 7));
+    const auto node = static_cast<ProcessId>(i % 4);
+    switch (i % 9) {
+      case 4:
+        ops.push_back({Op::Kind::kQc, at, node, i / 9});
+        break;
+      case 6:
+        ops.push_back({Op::Kind::kDepth, at, node, i % 13});
+        break;
+      case 8:
+        ops.push_back({Op::Kind::kCert, at, node, 100 + (i * 37) % 500});
+        break;
+      default:
+        ops.push_back({Op::Kind::kSend, at, node, 40 + i % 11, messages[i % 3]});
+        break;
+    }
+  }
 
-  // Windows on both sides of, and exactly at, send instants.
-  std::vector<TimePoint> edges = {TimePoint::origin()};
-  for (std::int64_t us = 0; us <= 3'000'000; us += 37'000) {
-    edges.push_back(TimePoint::origin() + Duration::micros(us));
+  MetricsCollector in_order(4, byzantine);
+  for (const Op& op : ops) op.apply(in_order);
+
+  // Each thread records its half newest first, so nearly every event
+  // reaches the shards out of time order.
+  MetricsCollector threaded(4, byzantine);
+  threaded.enable_threaded();
+  threaded.begin_recording_window();
+  std::vector<std::thread> threads;
+  for (std::size_t parity = 0; parity < 2; ++parity) {
+    threads.emplace_back([&ops, &threaded, parity] {
+      for (std::size_t i = ops.size(); i-- > 0;) {
+        if (i % 2 == parity) ops[i].apply(threaded);
+      }
+    });
   }
-  std::size_t stride = 0;
-  for (const TimePoint at : reference.instants) {
-    if (++stride % 97 == 0) edges.push_back(at);
+  for (std::thread& thread : threads) thread.join();
+  threaded.end_recording_window();
+
+  const auto& want = in_order.decisions();
+  const auto& got = threaded.decisions();
+  ASSERT_GT(want.size(), 100U);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].at, want[i].at) << "decision " << i;
+    EXPECT_EQ(got[i].view, want[i].view) << "decision " << i;
+    EXPECT_EQ(got[i].leader, want[i].leader) << "decision " << i;
+    EXPECT_EQ(got[i].msgs_before, want[i].msgs_before) << "decision " << i;
   }
-  std::sort(edges.begin(), edges.end());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const std::size_t j = std::min(edges.size() - 1, i + 1 + i % 5);
-    EXPECT_EQ(metrics.msgs_between(edges[i], edges[j]),
-              PerSendLog::between(reference.msgs, edges[i], edges[j]));
-    EXPECT_EQ(metrics.dissem_bytes_between(edges[i], edges[j]),
-              PerSendLog::between(reference.dissem_bytes, edges[i], edges[j]));
+  EXPECT_EQ(threaded.total_honest_msgs(), in_order.total_honest_msgs());
+  EXPECT_EQ(threaded.total_honest_bytes(), in_order.total_honest_bytes());
+  EXPECT_EQ(threaded.pacemaker_msgs(), in_order.pacemaker_msgs());
+  EXPECT_EQ(threaded.sync_msgs(), in_order.sync_msgs());
+  EXPECT_EQ(threaded.dissem_msgs(), in_order.dissem_msgs());
+  EXPECT_EQ(threaded.dissem_bytes(), in_order.dissem_bytes());
+  for (const Message* msg : messages) {
+    EXPECT_EQ(threaded.count_for_type(msg->type_id()), in_order.count_for_type(msg->type_id()));
+    EXPECT_EQ(threaded.bytes_for_type(msg->type_id()), in_order.bytes_for_type(msg->type_id()));
   }
+  const auto& want_depth = in_order.queue_depth_log();
+  const auto& got_depth = threaded.queue_depth_log();
+  ASSERT_EQ(got_depth.size(), want_depth.size());
+  for (std::size_t i = 0; i < want_depth.size(); ++i) {
+    EXPECT_EQ(got_depth[i].at, want_depth[i].at) << "depth sample " << i;
+    EXPECT_EQ(got_depth[i].node, want_depth[i].node) << "depth sample " << i;
+    EXPECT_EQ(got_depth[i].depth, want_depth[i].depth) << "depth sample " << i;
+  }
+  EXPECT_EQ(threaded.batches_certified(), in_order.batches_certified());
+  EXPECT_EQ(threaded.batch_cert_latency_percentile(0.5),
+            in_order.batch_cert_latency_percentile(0.5));
+  EXPECT_EQ(threaded.max_msg_gap(TimePoint::origin()), in_order.max_msg_gap(TimePoint::origin()));
 }
 
 }  // namespace

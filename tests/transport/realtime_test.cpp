@@ -146,24 +146,26 @@ TEST(RealtimeTest, SelfCopyArrivesAtTheCurrentInstantNotInline) {
   // As on the sim network: a node's copy to itself is received at the
   // instant it was sent, but only after the sending handler returns, so
   // a broadcast's peer copies all leave before the node acts on its own.
+  // The copy is the sent object itself: no encode, no frame, no decode.
   sim::Simulator sim;
   TcpTransportAdapter transport(0, 1, 25550, full_codec());
   transport.set_shaping(&sim, 1);
-  std::vector<View> received;
+  std::vector<MessagePtr> received;
   transport.register_endpoint(0, [&received](ProcessId, const MessagePtr& msg) {
-    received.push_back(static_cast<const pacemaker::ViewMsg&>(*msg).view());
+    received.push_back(msg);
   });
   const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 1, 1);
+  const MessagePtr sent = std::make_shared<pacemaker::ViewMsg>(
+      9, crypto::threshold_share(auth->signer_for(0), pacemaker::view_msg_statement(9)));
   sim.schedule_after(Duration::millis(5), [&] {
-    transport.send(0, 0,
-                   std::make_shared<pacemaker::ViewMsg>(
-                       9, crypto::threshold_share(auth->signer_for(0),
-                                                  pacemaker::view_msg_statement(9))));
+    transport.send(0, 0, sent);
     EXPECT_TRUE(received.empty()) << "self-delivery re-entered the sending handler";
   });
   sim.run_until(TimePoint(Duration::millis(5).ticks()));
   ASSERT_EQ(received.size(), 1U);
-  EXPECT_EQ(received[0], 9);
+  EXPECT_EQ(received[0], sent) << "the self-copy went through the codec";
+  EXPECT_EQ(static_cast<const pacemaker::ViewMsg&>(*received[0]).view(), 9);
+  EXPECT_EQ(transport.endpoint().frames_sent(), 0U) << "the self-copy was framed";
   EXPECT_EQ(sim.now(), TimePoint(Duration::millis(5).ticks())) << "self-copy was delayed";
 }
 
