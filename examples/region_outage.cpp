@@ -17,7 +17,6 @@
 // like on a WAN: faults cost the affected processors a catch-up, not the
 // cluster its responsiveness.
 #include <cstdio>
-#include <string_view>
 
 #include "runtime/cluster.h"
 
@@ -63,14 +62,10 @@ int main() {
                 cluster.metrics().decisions().size(), cluster.network().parked_count(), regime);
   }
 
-  // The trace log keeps each fired script event as a custom note.
-  const sim::TraceLog& trace = cluster.trace();
+  // The trace log keeps each fired script event as a note.
   std::printf("\nscripted events (as the trace log recorded them):\n");
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (trace.events()[i].kind != sim::TraceKind::kCustom) continue;
-    const std::string_view note = trace.note(i);
-    std::printf("  %5.1fs  %.*s\n", trace.events()[i].at.to_seconds(),
-                static_cast<int>(note.size()), note.data());
+  for (const sim::TraceLog::Note& note : cluster.trace().notes()) {
+    std::printf("  %5.1fs  %s\n", note.at.to_seconds(), note.text.c_str());
   }
 
   const auto during = cluster.metrics().decisions_between(outage, healed);

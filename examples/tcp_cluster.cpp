@@ -60,7 +60,7 @@ int main() {
                             params.small_quorum());
                 broadcast_from_p0(pacemaker::VcMsg(pacemaker::SyncCert(0, view_agg.aggregate())));
                 const consensus::Block block(
-                    consensus::Block::genesis().hash(), 0, {'h', 'i'},
+                    0, {'h', 'i'},
                     consensus::QuorumCert::genesis(consensus::Block::genesis().hash()));
                 broadcast_from_p0(consensus::ProposalMsg(block));
               }

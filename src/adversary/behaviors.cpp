@@ -43,8 +43,8 @@ void EquivocatorBehavior::on_view_entered(TimePoint /*now*/, View v, const Toolk
   if (toolkit.leader_of(v) != toolkit.self) return;
   const consensus::QuorumCert& high = toolkit.high_qc();
   const auto propose = [&](std::uint8_t tag) {
-    return std::make_shared<consensus::ProposalMsg>(std::make_shared<const consensus::Block>(
-        high.block_hash(), v, std::vector<std::uint8_t>{tag}, high));
+    return std::make_shared<consensus::ProposalMsg>(
+        std::make_shared<const consensus::Block>(v, std::vector<std::uint8_t>{tag}, high));
   };
   const auto block_a = propose(0xAA);
   const auto block_b = propose(0xBB);

@@ -38,16 +38,23 @@ class HashWriter {
 
 }  // namespace
 
-Block::Block(crypto::Digest parent, View view, std::vector<std::uint8_t> payload,
-             QuorumCert justify)
-    : parent_(parent), view_(view), payload_(std::move(payload)), justify_(std::move(justify)) {
+Block::Block(View view, std::vector<std::uint8_t> payload, QuorumCert justify)
+    : view_(view), payload_(std::move(payload)), justify_(std::move(justify)) {
   compute_hash();
 }
 
+const crypto::Digest& Block::parent() const noexcept {
+  // Genesis carries the QC certifying itself.
+  static const crypto::Digest kNone{};
+  return view_ < 0 ? kNone : justify_.block_hash();
+}
+
 void Block::compute_hash() {
+  // The parent's slot of the hash layout holds the justify's block hash,
+  // which is the parent (zero for genesis, hashed under a default QC).
   HashWriter w;
   w.str("lumiere.block");
-  w.digest(parent_);
+  w.digest(justify_.block_hash());
   w.view(view_);
   w.bytes(std::span<const std::uint8_t>(payload_.data(), payload_.size()));
   w.view(justify_.view());
@@ -59,12 +66,10 @@ const Block& Block::genesis() {
   // Shared like every other block: each BlockStore holds this allocation.
   static const std::shared_ptr<const Block> g = [] {
     Block b;
-    b.parent_ = crypto::Digest{};
     b.view_ = -1;
     b.justify_ = QuorumCert();  // overwritten below to self-certify
     b.compute_hash();
     std::shared_ptr<Block> with_qc(new Block());
-    with_qc->parent_ = b.parent_;
     with_qc->view_ = b.view_;
     with_qc->justify_ = QuorumCert::genesis(b.hash());
     with_qc->hash_ = b.hash();  // genesis identity excludes its own QC
@@ -74,21 +79,19 @@ const Block& Block::genesis() {
 }
 
 void Block::serialize(ser::Writer& w) const {
-  w.digest(parent_);
   w.view(view_);
   w.bytes(std::span<const std::uint8_t>(payload_.data(), payload_.size()));
   justify_.serialize(w);
 }
 
 std::shared_ptr<const Block> Block::deserialize(ser::Reader& r) {
-  crypto::Digest parent;
   View view = -1;
   std::vector<std::uint8_t> payload;
-  if (!r.digest(parent) || !r.view(view) || !r.bytes(payload)) return nullptr;
+  if (!r.view(view) || !r.bytes(payload)) return nullptr;
   auto justify = QuorumCert::deserialize(r);
   if (!justify) return nullptr;
   // The constructor recomputes the hash from the received fields.
-  return std::make_shared<const Block>(parent, view, std::move(payload), std::move(*justify));
+  return std::make_shared<const Block>(view, std::move(payload), std::move(*justify));
 }
 
 BlockStore::BlockStore() { insert(Block::genesis().shared_from_this()); }

@@ -14,7 +14,9 @@ namespace lumiere::consensus {
 
 /// An immutable proposed block. `justify` is the QC the proposer extends
 /// (chained-HotStuff style); SimpleViewCore also carries it so that every
-/// block is self-certifying about its parent's quorum.
+/// block is self-certifying about its parent's quorum. The block the
+/// justify certifies is the parent: a block names it once, through the
+/// justify, so no proposal can pair a QC with some other parent.
 ///
 /// A block is allocated once and shared read-only, as
 /// `std::shared_ptr<const Block>`, by every holder in the process: the
@@ -27,13 +29,14 @@ namespace lumiere::consensus {
 /// the pointer. `shared_from_this()` recovers it from a reference.
 class Block : public std::enable_shared_from_this<Block> {
  public:
-  Block(crypto::Digest parent, View view, std::vector<std::uint8_t> payload, QuorumCert justify);
+  Block(View view, std::vector<std::uint8_t> payload, QuorumCert justify);
 
   /// The deterministic genesis block (view -1, no payload).
   static const Block& genesis();
 
   [[nodiscard]] const crypto::Digest& hash() const noexcept { return hash_; }
-  [[nodiscard]] const crypto::Digest& parent() const noexcept { return parent_; }
+  /// The block the justify certifies; the zero digest for genesis.
+  [[nodiscard]] const crypto::Digest& parent() const noexcept;
   [[nodiscard]] View view() const noexcept { return view_; }
   [[nodiscard]] const std::vector<std::uint8_t>& payload() const noexcept { return payload_; }
   [[nodiscard]] const QuorumCert& justify() const noexcept { return justify_; }
@@ -48,7 +51,6 @@ class Block : public std::enable_shared_from_this<Block> {
   Block() = default;
   void compute_hash();
 
-  crypto::Digest parent_;
   View view_ = -1;
   std::vector<std::uint8_t> payload_;
   QuorumCert justify_;

@@ -322,8 +322,7 @@ void ChainedCore::maybe_propose(bool drained) {
   } else if (payload_provider_) {
     payload = payload_provider_(v);
   }
-  auto block =
-      std::make_shared<const Block>(high_qc_.block_hash(), v, std::move(payload), high_qc_);
+  auto block = std::make_shared<const Block>(v, std::move(payload), high_qc_);
   votes_.proposed(v, block->hash());
   store(block);
   LOG_TRACE("p" << signer_.id() << " proposes view " << v);
@@ -339,13 +338,12 @@ bool ChainedCore::safe_to_vote(const Block& block) const {
     return justify.view() > locked_qc_.view() ||
            store_.extends(block.hash(), locked_qc_.block_hash());
   }
-  // Two-phase rule: the proposal must extend exactly the block its
-  // justify certifies — a Byzantine leader pairing an old QC with an
-  // unrelated parent must not collect votes — and the justify must be at
-  // least as new as our lock (>= rather than >: the lock itself may be
-  // re-proposed under the same justify after a failed view — the
-  // Jolteon/HotStuff-2 disjunction).
-  return block.parent() == justify.block_hash() && justify.view() >= locked_qc_.view();
+  // Two-phase rule: the proposal extends exactly the block its justify
+  // certifies (a block names its parent only through the justify), and
+  // the justify must be at least as new as our lock (>= rather than >:
+  // the lock itself may be re-proposed under the same justify after a
+  // failed view — the Jolteon/HotStuff-2 disjunction).
+  return justify.view() >= locked_qc_.view();
 }
 
 void ChainedCore::maybe_vote() {
@@ -447,7 +445,6 @@ void ChainedCore::process_qc(const QuorumCert& qc) {
     const auto block = store_.get(link->block_hash());
     if (block == nullptr) return;
     const QuorumCert& justify = block->justify();
-    if (block->parent() != justify.block_hash()) return;  // not a direct link
     consecutive = consecutive && link->view() == justify.view() + 1;
     link = &justify;  // the store keeps the block alive
     if (i == lock_links) lock(justify);

@@ -7,12 +7,11 @@
 //
 //   * chain depth: commit on a 3-chain (HotStuff) or a 2-chain
 //     (HotStuff-2) with consecutive views, and lock one link shallower
-//     (2-chain / 1-chain). Every link must be direct: the certified
-//     block's parent is the block its justify certifies;
+//     (2-chain / 1-chain). Every link is direct: a block names its
+//     parent only through its justify;
 //   * vote rule: HotStuff's safeNode disjunction (extends the locked
-//     block, or justify newer than the lock) vs HotStuff-2's structural
-//     rule (extends exactly its justify's block, justify at least as new
-//     as the lock);
+//     block, or justify newer than the lock) vs HotStuff-2's rule
+//     (justify at least as new as the lock);
 //   * proposal gate: a HotStuff leader waits for 2f+1 NewView(high_qc)
 //     messages. A HotStuff-2 leader proposes at once when it holds
 //     QC(v-1) (responsive), and otherwise only after waiting Delta in the

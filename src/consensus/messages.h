@@ -37,9 +37,8 @@ class ProposalMsg final : public Message {
   const char* type_name() const override { return "proposal"; }
   MsgClass msg_class() const override { return MsgClass::kConsensus; }
   std::size_t wire_size() const override {
-    // parent digest + view + payload + justify QC envelope.
-    return crypto::Digest::kSize + 8 + block_->payload().size() +
-           block_->justify().sig().wire_size();
+    // view + payload + justify QC envelope (the justify names the parent).
+    return 8 + block_->payload().size() + block_->justify().sig().wire_size();
   }
   void serialize(ser::Writer& w) const override { block_->serialize(w); }
   void collect_auth(AuthClaimSink& sink) const override { block_->justify().collect_auth(sink); }

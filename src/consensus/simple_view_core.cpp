@@ -42,8 +42,7 @@ void SimpleViewCore::maybe_propose(View v) {
   proposed_.insert(v);
   std::vector<std::uint8_t> payload;
   if (payload_provider_) payload = payload_provider_(v);
-  auto block =
-      std::make_shared<const Block>(high_qc_.block_hash(), v, std::move(payload), high_qc_);
+  auto block = std::make_shared<const Block>(v, std::move(payload), high_qc_);
   votes_.proposed(v, block->hash());
   LOG_TRACE("p" << signer_.id() << " proposes view " << v);
   cb_.broadcast(std::make_shared<ProposalMsg>(std::move(block)));

@@ -10,9 +10,10 @@
 // keeps returning a plain contiguous vector, so existing callers and the
 // gtest matchers still work — and dropped() counts what was evicted. A
 // soak-length run therefore holds the most recent window instead of
-// growing without limit. An event is a 24-byte plain record; the few
-// events that carry a note (fault-schedule entries) keep it in a side
-// list that trims with them, so a full log is 6 MiB.
+// growing without limit. An event is a 24-byte plain record, so a full
+// log is 6 MiB. The few events that carry a note (fault-script entries)
+// keep it in a side list the trim does not touch: a note is the one
+// record of a fired script event, and outlives its event.
 #pragma once
 
 #include <cstdint>
@@ -53,23 +54,35 @@ class TraceLog {
   explicit TraceLog(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? kDefaultCapacity : capacity) {}
 
+  /// A note and its event's position counted from the first event ever
+  /// recorded (dropped() + index in events()).
+  struct Note {
+    std::uint64_t seq;
+    TimePoint at;
+    ProcessId node;
+    std::string text;
+  };
+
   void record(TimePoint at, TraceKind kind, ProcessId node, View view,
               std::string note = {}) {
     trim_if_full();
-    if (!note.empty()) notes_.push_back(Note{dropped_ + events_.size(), std::move(note)});
+    if (!note.empty()) {
+      notes_.push_back(Note{dropped_ + events_.size(), at, node, std::move(note)});
+    }
     events_.push_back(TraceEvent{at, view, node, kind});
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept { return events_; }
   /// The note recorded with events()[index]; empty if it has none.
   [[nodiscard]] std::string_view note(std::size_t index) const;
+  /// Every note recorded since construction/clear(), in order, including
+  /// those whose events were evicted.
+  [[nodiscard]] const std::vector<Note>& notes() const noexcept { return notes_; }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events evicted by the capacity bound since construction/clear().
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  /// Notes held for the events still in the log.
-  [[nodiscard]] std::size_t notes() const noexcept { return notes_.size(); }
   void clear() {
     events_.clear();
     notes_.clear();
@@ -91,22 +104,13 @@ class TraceLog {
   void dump(std::ostream& os, std::size_t max_events = SIZE_MAX) const;
 
  private:
-  /// A note and the position of its event counted from the first event
-  /// ever recorded (dropped() + index in events()).
-  struct Note {
-    std::uint64_t seq;
-    std::string text;
-  };
-
   void trim_if_full() {
     if (events_.size() < capacity_) return;
     // Drop the oldest half in one move: O(1) amortized per record, and
-    // the survivors stay contiguous for events(). Notes leave with their
-    // events.
+    // the survivors stay contiguous for events(). Notes stay.
     const std::size_t drop = capacity_ / 2 + 1;
     events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(drop));
     dropped_ += drop;
-    std::erase_if(notes_, [this](const Note& note) { return note.seq < dropped_; });
   }
 
   std::size_t capacity_;

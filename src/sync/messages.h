@@ -78,11 +78,10 @@ class BlockRespMsg final : public Message {
   MsgClass msg_class() const override { return MsgClass::kSync; }
   std::size_t wire_size() const override {
     // Requested digest + per-block the same O(kappa) model as ProposalMsg:
-    // parent digest + view + payload + justify QC envelope.
+    // view + payload + justify QC envelope.
     std::size_t size = crypto::Digest::kSize;
     for (const auto& block : blocks_) {
-      size += crypto::Digest::kSize + 8 + block->payload().size() +
-              block->justify().sig().wire_size();
+      size += 8 + block->payload().size() + block->justify().sig().wire_size();
     }
     return size;
   }

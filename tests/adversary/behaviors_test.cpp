@@ -20,8 +20,7 @@ std::unique_ptr<crypto::Authenticator> test_auth() {
 
 consensus::ProposalMsg sample_proposal() {
   const auto genesis = consensus::QuorumCert::genesis(consensus::Block::genesis().hash());
-  return consensus::ProposalMsg(
-      consensus::Block(consensus::Block::genesis().hash(), 1, {}, genesis));
+  return consensus::ProposalMsg(consensus::Block(1, {}, genesis));
 }
 
 TEST(BehaviorTest, HonestAllowsEverything) {

@@ -134,8 +134,7 @@ TEST(BlockSharingTest, DisseminatedBatchesShareOneBufferAcrossReplicas) {
 
 TEST(BlockSharingTest, CodecRoundTripAllocatesAnEqualBlockAndRecomputesItsHash) {
   const auto block = std::make_shared<const Block>(
-      Block::genesis().hash(), 3, std::vector<std::uint8_t>{1, 2, 3},
-      QuorumCert::genesis(Block::genesis().hash()));
+      3, std::vector<std::uint8_t>{1, 2, 3}, QuorumCert::genesis(Block::genesis().hash()));
   MessageCodec codec;
   register_consensus_messages(codec);
   std::vector<std::uint8_t> frame = MessageCodec::encode(ProposalMsg(block));

@@ -19,17 +19,24 @@ TEST(BlockTest, GenesisIsStable) {
 }
 
 TEST(BlockTest, HashBindsAllFields) {
-  const Block base(Block::genesis().hash(), 1, {1, 2}, genesis_qc());
-  const Block diff_view(Block::genesis().hash(), 2, {1, 2}, genesis_qc());
-  const Block diff_payload(Block::genesis().hash(), 1, {1, 3}, genesis_qc());
-  const Block diff_parent(crypto::Sha256::hash("other"), 1, {1, 2}, genesis_qc());
+  const Block base(1, {1, 2}, genesis_qc());
+  const Block diff_view(2, {1, 2}, genesis_qc());
+  const Block diff_payload(1, {1, 3}, genesis_qc());
+  const Block diff_parent(1, {1, 2}, QuorumCert::genesis(crypto::Sha256::hash("other")));
   EXPECT_NE(base.hash(), diff_view.hash());
   EXPECT_NE(base.hash(), diff_payload.hash());
   EXPECT_NE(base.hash(), diff_parent.hash());
 }
 
+TEST(BlockTest, ParentIsTheJustifysBlock) {
+  const Block block(1, {1, 2}, genesis_qc());
+  EXPECT_EQ(block.parent(), Block::genesis().hash());
+  EXPECT_EQ(Block::genesis().parent(), crypto::Digest{}) << "genesis has no parent";
+}
+
 /// The block hash as a ser::Writer encoding of its fields, hashed in one
-/// piece: the construction Block::compute_hash streams instead.
+/// piece: the construction Block::compute_hash streams instead. The
+/// parent's slot holds the justify's block hash, which is the parent.
 crypto::Digest writer_hash(const Block& b) {
   ser::Writer w;
   w.str("lumiere.block");
@@ -42,11 +49,11 @@ crypto::Digest writer_hash(const Block& b) {
 }
 
 TEST(BlockTest, StreamedHashMatchesTheWriterEncoding) {
-  const Block empty(Block::genesis().hash(), 0, {}, genesis_qc());
+  const Block empty(0, {}, genesis_qc());
   EXPECT_EQ(empty.hash(), writer_hash(empty));
   std::vector<std::uint8_t> payload(4096);
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 7);
-  const Block full(empty.hash(), 1 << 20, payload, genesis_qc());
+  const Block full(1 << 20, payload, QuorumCert::genesis(empty.hash()));
   EXPECT_EQ(full.hash(), writer_hash(full));
   // Genesis hashes its fields under the default (view -1) QC, not the
   // self-certifying one it carries.
@@ -63,7 +70,7 @@ TEST(BlockTest, StreamedHashMatchesTheWriterEncoding) {
 }
 
 TEST(BlockTest, SerializeRoundTrip) {
-  const Block block(Block::genesis().hash(), 7, {9, 8, 7}, genesis_qc());
+  const Block block(7, {9, 8, 7}, genesis_qc());
   ser::Writer w;
   block.serialize(w);
   ser::Reader r(std::span<const std::uint8_t>(w.data().data(), w.size()));
@@ -73,10 +80,11 @@ TEST(BlockTest, SerializeRoundTrip) {
   EXPECT_EQ(out->view(), 7);
 }
 
-/// A block in its own shared allocation, as every holder keeps it.
+/// A block in its own shared allocation, as every holder keeps it. An
+/// unsigned view -1 QC naming `parent` stands in for its justify.
 std::shared_ptr<const Block> make_block(const crypto::Digest& parent, View view,
                                         std::vector<std::uint8_t> payload) {
-  return std::make_shared<const Block>(parent, view, std::move(payload), genesis_qc());
+  return std::make_shared<const Block>(view, std::move(payload), QuorumCert::genesis(parent));
 }
 
 TEST(BlockStoreTest, InsertAndGet) {

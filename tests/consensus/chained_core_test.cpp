@@ -91,7 +91,7 @@ TEST_P(ChainedCoreTest, LateProposalForPastViewIgnored) {
   h.enter_view_all(2);
   // A proposal for view 0 arriving now must not trigger votes.
   const QuorumCert genesis = QuorumCert::genesis(Block::genesis().hash());
-  auto late = std::make_shared<ProposalMsg>(Block(Block::genesis().hash(), 0, {9}, genesis));
+  auto late = std::make_shared<ProposalMsg>(Block(0, {9}, genesis));
   h.network().send(0, 1, late);
   h.settle();
   EXPECT_EQ(h.core(1).current_view(), 2);
@@ -144,7 +144,7 @@ TEST_P(ChainedCoreTest, StaleBlockCapAdmitsEquivocatedVariantsUpToTheLimit) {
   ASSERT_LT(h.core(2).last_committed_view(), 3);
   const ProcessId leader3 = 3;
   const auto deliver = [&](std::uint8_t tag) {
-    Block block(qc1.block_hash(), 3, {tag}, qc1);
+    Block block(3, {tag}, qc1);
     const crypto::Digest hash = block.hash();
     h.core(2).on_message(leader3, std::make_shared<ProposalMsg>(std::move(block)));
     return h.core(2).block_store().contains(hash);
@@ -163,7 +163,7 @@ TEST_P(ChainedCoreTest, StaleBlockCapAdmitsEquivocatedVariantsUpToTheLimit) {
   // and drops the next distinct block for the same past view.
   EXPECT_FALSE(deliver(ChainedCore::kMaxStaleBlocksPerView + 1));
   // Another past view has its own budget.
-  Block other(qc1.block_hash(), 4, {1}, qc1);
+  Block other(4, {1}, qc1);
   const crypto::Digest other_hash = other.hash();
   h.core(2).on_message(0, std::make_shared<ProposalMsg>(std::move(other)));
   EXPECT_TRUE(h.core(2).block_store().contains(other_hash));
@@ -246,7 +246,7 @@ Injected inject_proposal(ChainRule rule, View last, const std::vector<std::uint8
   for (const auto& b : chain) {
     if (b->payload() == request_batch({0})) result.holder = b->view();
   }
-  auto block = std::make_shared<const Block>(justify.block_hash(), last, payload, justify);
+  auto block = std::make_shared<const Block>(last, payload, justify);
   const crypto::Digest hash = block->hash();
   const auto proposal = std::make_shared<ProposalMsg>(std::move(block));
   for (ProcessId to = 0; to < 4; ++to) {
@@ -579,8 +579,7 @@ TEST_P(ChainedCoreTest, AFutureViewProposalSuppressesNoNewView) {
   const QuorumCert qc1 = h.core(3).high_qc();
   ASSERT_EQ(qc1.view(), 1);
   for (const auto& [from, view] : {std::pair<ProcessId, View>{2, 5}, {0, 4}}) {
-    h.network().send(from, 3,
-                     std::make_shared<ProposalMsg>(Block(qc1.block_hash(), view, {}, qc1)));
+    h.network().send(from, 3, std::make_shared<ProposalMsg>(Block(view, {}, qc1)));
   }
   h.settle();
   ASSERT_EQ(h.core(3).current_view(), 1);

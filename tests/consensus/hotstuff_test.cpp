@@ -61,7 +61,7 @@ TEST(ChainedHotStuffTest, LockingPreventsVoteOnStaleBranch) {
   // A proposal extending genesis (stale branch, old justify) must not be
   // voted for.
   const QuorumCert genesis = QuorumCert::genesis(Block::genesis().hash());
-  auto stale = std::make_shared<ProposalMsg>(Block(Block::genesis().hash(), 5, {7}, genesis));
+  auto stale = std::make_shared<ProposalMsg>(Block(5, {7}, genesis));
   h.network().send(5 % 4, 2, stale);
   h.enter_view(2, 5);
   h.settle();

@@ -9,11 +9,10 @@
 namespace lumiere::consensus {
 namespace {
 
-QuorumCert genesis_qc() { return QuorumCert::genesis(Block::genesis().hash()); }
-
+/// An unsigned view -1 QC naming `parent` stands in for the justify.
 std::shared_ptr<const Block> make_block(const crypto::Digest& parent, View view,
                                         std::vector<std::uint8_t> payload) {
-  return std::make_shared<const Block>(parent, view, std::move(payload), genesis_qc());
+  return std::make_shared<const Block>(view, std::move(payload), QuorumCert::genesis(parent));
 }
 
 // An entry is four words: the block pointer (two), a reference to the

@@ -80,7 +80,7 @@ TEST(SimpleViewCoreTest, IgnoresProposalFromNonLeader) {
   Harness h(4);
   // p1 crafts a proposal for view 0 (whose leader is p0).
   const QuorumCert genesis = QuorumCert::genesis(Block::genesis().hash());
-  auto bogus = std::make_shared<ProposalMsg>(Block(Block::genesis().hash(), 0, {1}, genesis));
+  auto bogus = std::make_shared<ProposalMsg>(Block(0, {1}, genesis));
   h.network().send(1, 2, bogus);
   h.enter_view(2, 0);
   h.settle();

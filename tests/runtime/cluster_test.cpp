@@ -102,5 +102,28 @@ TEST(ClusterTest, StartIsIdempotent) {
   EXPECT_GT(cluster.metrics().decisions().size(), 0U);
 }
 
+TEST(ClusterTest, TraceKeepsFaultScriptNotesPastEviction) {
+  // A 30 s n = 7 run records more trace events than the ring holds, so
+  // the partition's and the heal's events are evicted; their notes, the
+  // one record of each fired script event, must stay.
+  ScenarioBuilder builder;
+  builder.params(ProtocolParams::for_n(7, Duration::millis(10)))
+      .pacemaker("lumiere")
+      .core("chained-hotstuff")
+      .delay(std::make_shared<sim::FixedDelay>(Duration::micros(500)))
+      .seed(1);
+  builder.partition({{0, 1, 2}, {3, 4, 5, 6}}, TimePoint(Duration::seconds(4).ticks()));
+  builder.heal(TimePoint(Duration::seconds(6).ticks()));
+  Cluster cluster(builder);
+  cluster.run_for(Duration::seconds(30));
+
+  const sim::TraceLog& trace = cluster.trace();
+  ASSERT_GT(trace.dropped(), 0U) << "the run must overflow the ring";
+  EXPECT_TRUE(trace.of_kind(sim::TraceKind::kCustom).empty()) << "both note events evicted";
+  ASSERT_EQ(trace.notes().size(), 2U);
+  EXPECT_EQ(trace.notes()[0].at, TimePoint(Duration::seconds(4).ticks()));
+  EXPECT_EQ(trace.notes()[1].at, TimePoint(Duration::seconds(6).ticks()));
+}
+
 }  // namespace
 }  // namespace lumiere::runtime

@@ -39,13 +39,14 @@ class MessageRoundTripTest : public ::testing::Test {
 TEST_F(MessageRoundTripTest, Proposal) {
   const consensus::QuorumCert genesis =
       consensus::QuorumCert::genesis(consensus::Block::genesis().hash());
-  const consensus::Block block(consensus::Block::genesis().hash(), 3, {1, 2, 3}, genesis);
+  const consensus::Block block(3, {1, 2, 3}, genesis);
   const consensus::ProposalMsg msg(block);
   const MessagePtr decoded = reencode(msg);
   ASSERT_NE(decoded, nullptr);
   const auto& p = static_cast<const consensus::ProposalMsg&>(*decoded);
   EXPECT_EQ(p.block().hash(), block.hash());
   EXPECT_EQ(p.block().view(), 3);
+  EXPECT_EQ(p.block().parent(), consensus::Block::genesis().hash());
   EXPECT_EQ(p.block().payload(), (std::vector<std::uint8_t>{1, 2, 3}));
 }
 

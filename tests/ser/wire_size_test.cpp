@@ -146,9 +146,9 @@ TEST(WireSizeTest, ProposalSizeScalesOnlyWithPayload) {
   const crypto::Digest statement = consensus::QuorumCert::statement(3, crypto::Digest());
   consensus::QuorumCert qc(3, crypto::Digest(), make_aggregate(auth, 3, statement));
   const consensus::ProposalMsg empty(
-      consensus::Block(crypto::Digest(), 4, {}, qc));
+      consensus::Block(4, {}, qc));
   const consensus::ProposalMsg loaded(
-      consensus::Block(crypto::Digest(), 4, std::vector<std::uint8_t>(1000, 1), qc));
+      consensus::Block(4, std::vector<std::uint8_t>(1000, 1), qc));
   EXPECT_EQ(loaded.wire_size(), empty.wire_size() + 1000);
 }
 

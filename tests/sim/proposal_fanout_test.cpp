@@ -24,9 +24,9 @@ constexpr std::uint32_t kReplicas = 31;
 /// a view, so each stores the block and parks it as pending without voting.
 std::size_t fanout_bytes(std::size_t payload_size) {
   testutil::CoreHarness<consensus::ChainedCore> h(kReplicas);
-  const auto block = std::make_shared<const Block>(
-      Block::genesis().hash(), 0, std::vector<std::uint8_t>(payload_size, 0x5A),
-      QuorumCert::genesis(Block::genesis().hash()));
+  const auto block =
+      std::make_shared<const Block>(0, std::vector<std::uint8_t>(payload_size, 0x5A),
+                                    QuorumCert::genesis(Block::genesis().hash()));
   const MessagePtr proposal = std::make_shared<ProposalMsg>(block);
   const std::size_t before = alloc::bytes();
   for (ProcessId to = 0; to < kReplicas; ++to) h.network().send(/*from=lead(0)*/ 0, to, proposal);

@@ -118,13 +118,16 @@ TEST(TraceLogTest, EventsArePlainRecordsWithNotesOutOfLine) {
   for (int i = 1; i < 6; ++i) log.record(TimePoint(i), TraceKind::kViewEntered, 0, i);
   log.record(TimePoint(6), TraceKind::kCustom, 2, -1, "crash p2");
   log.record(TimePoint(7), TraceKind::kViewEntered, 0, 7);
-  EXPECT_EQ(log.notes(), 2U);
+  EXPECT_EQ(log.notes().size(), 2U);
 
-  // The next record evicts events 0..4: the first note goes with its
-  // event, the second survives the trim with its own.
+  // The next record evicts events 0..4, the first note's event among
+  // them; the notes stay.
   log.record(TimePoint(8), TraceKind::kViewEntered, 0, 8);
   ASSERT_EQ(log.size(), 4U);
-  EXPECT_EQ(log.notes(), 1U);
+  ASSERT_EQ(log.notes().size(), 2U);
+  EXPECT_EQ(log.notes()[0].text, "partition {0,1}|{2,3}");
+  EXPECT_EQ(log.notes()[0].at, TimePoint(0));
+  EXPECT_EQ(log.notes()[0].node, 1U);
   ASSERT_EQ(log.events()[1].kind, TraceKind::kCustom);
   EXPECT_EQ(log.note(1), "crash p2");
   EXPECT_EQ(log.note(0), "");
@@ -132,16 +135,17 @@ TEST(TraceLogTest, EventsArePlainRecordsWithNotesOutOfLine) {
   std::ostringstream os;
   log.dump(os);
   EXPECT_NE(os.str().find("custom p2 view -1 [crash p2]"), std::string::npos) << os.str();
-  EXPECT_EQ(os.str().find("partition"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("partition"), std::string::npos) << "the dump lists events";
 
-  // The trim that evicts its event takes the note too.
+  // Once no event of the ring carries a note, note() reads empty, and
+  // notes() still holds both.
   for (int i = 9; i < 14; ++i) log.record(TimePoint(i), TraceKind::kViewEntered, 0, i);
-  EXPECT_EQ(log.notes(), 0U);
+  EXPECT_EQ(log.notes().size(), 2U);
   for (std::size_t i = 0; i < log.size(); ++i) EXPECT_EQ(log.note(i), "") << i;
 
   log.record(TimePoint(14), TraceKind::kCustom, 3, -1, "heal");
   log.clear();
-  EXPECT_EQ(log.notes(), 0U);
+  EXPECT_TRUE(log.notes().empty());
 }
 
 TEST(TraceLogTest, ZeroCapacityMeansDefault) {

@@ -242,11 +242,11 @@ TEST(SpecIoTest, LedgerDumpRoundTrips) {
   consensus::Ledger ledger;
   const consensus::Block& genesis = consensus::Block::genesis();
   const auto qc = consensus::QuorumCert::genesis(genesis.hash());
-  const auto b1 = std::make_shared<const consensus::Block>(
-      genesis.hash(), 3, std::vector<std::uint8_t>{0xAA, 0xBB}, qc);
+  const auto b1 =
+      std::make_shared<const consensus::Block>(3, std::vector<std::uint8_t>{0xAA, 0xBB}, qc);
   // An empty payload survives.
-  const auto b2 =
-      std::make_shared<const consensus::Block>(b1->hash(), 4, std::vector<std::uint8_t>{}, qc);
+  const auto b2 = std::make_shared<const consensus::Block>(
+      4, std::vector<std::uint8_t>{}, consensus::QuorumCert::genesis(b1->hash()));
   ledger.commit(b1, TimePoint(10));
   ledger.commit(b2, TimePoint(20));
 
@@ -266,9 +266,9 @@ TEST(SpecIoTest, LedgerParseRejectsTruncatedDump) {
   consensus::Ledger ledger;
   const consensus::Block& genesis = consensus::Block::genesis();
   const auto qc = consensus::QuorumCert::genesis(genesis.hash());
-  ledger.commit(std::make_shared<const consensus::Block>(genesis.hash(), 1,
-                                                         std::vector<std::uint8_t>{0x01}, qc),
-                TimePoint(1));
+  ledger.commit(
+      std::make_shared<const consensus::Block>(1, std::vector<std::uint8_t>{0x01}, qc),
+      TimePoint(1));
   std::string text = render_ledger(ledger);
   text.erase(text.rfind("END"));
   std::string error;

@@ -22,16 +22,15 @@ using consensus::Block;
 using consensus::QuorumCert;
 
 /// A parent-linked chain b[0] <- b[1] <- ... rooted at genesis. The
-/// synchronizer verifies structure only (content addressing), so the
-/// genesis QC stands in for every justify.
+/// synchronizer verifies structure only (content addressing), so an
+/// unsigned view -1 QC naming the parent stands in for every justify.
 BlockRespMsg::Blocks make_chain(std::size_t length) {
-  const QuorumCert justify = QuorumCert::genesis(Block::genesis().hash());
   BlockRespMsg::Blocks chain;
   crypto::Digest parent = Block::genesis().hash();
   for (std::size_t i = 0; i < length; ++i) {
     chain.push_back(std::make_shared<const Block>(
-        parent, static_cast<View>(i), std::vector<std::uint8_t>{static_cast<std::uint8_t>(i)},
-        justify));
+        static_cast<View>(i), std::vector<std::uint8_t>{static_cast<std::uint8_t>(i)},
+        QuorumCert::genesis(parent)));
     parent = chain.back()->hash();
   }
   return chain;
@@ -167,8 +166,7 @@ TEST(BlockSyncTest, UnlinkedTailIsDroppedLinkedPrefixAcceptedDeepestFirst) {
   // Genesis-rooted sibling of chain[0] (different payload, so a different
   // hash under content addressing) — NOT chain[1]'s parent.
   const auto stray = std::make_shared<const Block>(
-      Block::genesis().hash(), 0, std::vector<std::uint8_t>{0x77},
-      QuorumCert::genesis(Block::genesis().hash()));
+      0, std::vector<std::uint8_t>{0x77}, QuorumCert::genesis(Block::genesis().hash()));
   // [chain[2], chain[1], stray]: the first link holds, the second breaks
   // — only the linked prefix may enter the store.
   h.sync->on_missing(chain[2]->hash());

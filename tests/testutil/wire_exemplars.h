@@ -59,7 +59,7 @@ inline std::map<std::uint32_t, MessagePtr> wire_exemplars(const crypto::Authenti
     out.emplace(id, std::move(msg));
   };
 
-  add(std::make_shared<consensus::ProposalMsg>(consensus::Block(block_hash, 6, payload, qc)));
+  add(std::make_shared<consensus::ProposalMsg>(consensus::Block(6, payload, qc)));
   const crypto::Digest vote_statement = consensus::QuorumCert::statement(5, block_hash);
   add(std::make_shared<consensus::VoteMsg>(
       5, block_hash, crypto::threshold_share(auth.signer_for(0), vote_statement)));
@@ -93,8 +93,8 @@ inline std::map<std::uint32_t, MessagePtr> wire_exemplars(const crypto::Authenti
   add(std::make_shared<dissem::BatchCertMsg>(batch_cert));
   add(std::make_shared<dissem::BatchFetchMsg>(batch_id));
 
-  const auto sync_block = std::make_shared<const consensus::Block>(block_hash, 6, payload, qc);
-  const auto sync_parent = std::make_shared<const consensus::Block>(block_hash, 5, payload, qc);
+  const auto sync_block = std::make_shared<const consensus::Block>(6, payload, qc);
+  const auto sync_parent = std::make_shared<const consensus::Block>(5, payload, qc);
   add(std::make_shared<sync::BlockFetchMsg>(block_hash,
                                             sync::BlockRespMsg::kMaxBlocksPerResponse));
   add(std::make_shared<sync::BlockRespMsg>(

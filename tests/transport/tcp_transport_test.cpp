@@ -83,8 +83,7 @@ TEST(TcpTransportTest, LargeMessageSurvivesFraming) {
   }
   const auto genesis = consensus::QuorumCert::genesis(consensus::Block::genesis().hash());
   const std::vector<std::uint8_t> big(50'000, 0x5A);
-  const consensus::ProposalMsg msg(
-      consensus::Block(consensus::Block::genesis().hash(), 1, big, genesis));
+  const consensus::ProposalMsg msg(consensus::Block(1, big, genesis));
   eps[0]->send(1, msg);
   pump_all(eps, 100);
   ASSERT_EQ(payload_sizes.size(), 1U);
