@@ -4,6 +4,8 @@
 #include <span>
 #include <string_view>
 
+#include "common/assert.h"
+
 namespace lumiere::consensus {
 
 namespace {
@@ -41,6 +43,12 @@ class HashWriter {
 Block::Block(View view, std::vector<std::uint8_t> payload, QuorumCert justify)
     : view_(view), payload_(std::move(payload)), justify_(std::move(justify)) {
   compute_hash();
+}
+
+Block::Block(const crypto::Digest& parent, View view, std::vector<std::uint8_t> payload,
+             QuorumCert justify)
+    : Block(view, std::move(payload), std::move(justify)) {
+  LUMIERE_ASSERT_MSG(parent == justify_.block_hash(), "a block's parent is its justify's block");
 }
 
 const crypto::Digest& Block::parent() const noexcept {

@@ -30,6 +30,11 @@ namespace lumiere::consensus {
 class Block : public std::enable_shared_from_this<Block> {
  public:
   Block(View view, std::vector<std::uint8_t> payload, QuorumCert justify);
+  /// The older form that also names the parent, kept for callers written
+  /// against it (bench_e2e's codec micro-benchmarks); `parent` must be the
+  /// block `justify` certifies.
+  Block(const crypto::Digest& parent, View view, std::vector<std::uint8_t> payload,
+        QuorumCert justify);
 
   /// The deterministic genesis block (view -1, no payload).
   static const Block& genesis();

@@ -63,11 +63,11 @@ void TcpTransportAdapter::shaped_send(ProcessId to, const MessagePtr& msg) {
     // it once the wall clock passes the delayed instant. The MessagePtr
     // copy keeps the payload alive until then.
     sim_->schedule_after(link_delay_[to], [this, to, msg] {
-      if (!blocked(to)) endpoint_->send(to, *msg);
+      if (!blocked(to)) endpoint_->send(to, msg);
     });
     return;
   }
-  endpoint_->send(to, *msg);
+  endpoint_->send(to, msg);
 }
 
 void TcpTransportAdapter::set_observer(sim::NetworkObserver* observer) {

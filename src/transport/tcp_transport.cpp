@@ -172,6 +172,7 @@ void TcpEndpoint::send(ProcessId to, const Message& msg) {
   }
   std::vector<std::uint8_t> payload = acquire_buffer();
   MessageCodec::encode_into(msg, payload);
+  ++frames_encoded_;
   if (to == self_) {
     dispatch_self(payload);
   } else {
@@ -179,6 +180,22 @@ void TcpEndpoint::send(ProcessId to, const Message& msg) {
     flush(*conn);
   }
   release_buffer(std::move(payload));
+}
+
+void TcpEndpoint::send(ProcessId to, const MessagePtr& msg) {
+  if (to == self_) {
+    send(to, *msg);
+    return;
+  }
+  Conn* conn = connection_to(to);
+  if (conn == nullptr) return;  // peer unreachable — drop before paying the encode
+  if (msg != encoded_msg_) {
+    MessageCodec::encode_into(*msg, encoded_);
+    ++frames_encoded_;
+    encoded_msg_ = msg;
+  }
+  enqueue_frame(*conn, encoded_);
+  flush(*conn);
 }
 
 void TcpEndpoint::flush(Conn& conn) {

@@ -3,7 +3,8 @@
 //
 // The protocol stack in this repository is transport-agnostic — nodes
 // talk through std::function send/broadcast closures, and a broadcast
-// reaches this endpoint as one send() per recipient. The deterministic
+// reaches this endpoint as one send() per recipient, all with the same
+// MessagePtr, so the copies share one encode. The deterministic
 // simulator is the primary harness (it is the only way to control the
 // partial-synchrony adversary); this transport exists to demonstrate the
 // same message types flowing over real sockets (examples/tcp_cluster) and
@@ -52,6 +53,10 @@ class TcpEndpoint {
   /// Queues a message to `to`; connects lazily on first use. Send to self
   /// dispatches synchronously. Each call encodes `msg` once.
   void send(ProcessId to, const Message& msg);
+  /// send(to, *msg), except that a peer copy reuses the encoding of the
+  /// previous peer copy when it carried the same message: a broadcast's
+  /// copies, sent back to back, share one encode.
+  void send(ProcessId to, const MessagePtr& msg);
 
   /// Pumps the socket set once: accepts, flushes queued writes, reads and
   /// dispatches complete frames. Returns the number of frames dispatched.
@@ -74,6 +79,8 @@ class TcpEndpoint {
 
   [[nodiscard]] ProcessId self() const noexcept { return self_; }
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
+  /// Messages encoded for sending (a reused peer-copy encoding counts once).
+  [[nodiscard]] std::uint64_t frames_encoded() const noexcept { return frames_encoded_; }
   /// Bytes framed for peers: per frame the 8-byte header plus the encoded
   /// payload ([u32 type_id][body]). Frames to self cross no socket and
   /// count nothing here (frames_sent() counts them).
@@ -127,7 +134,11 @@ class TcpEndpoint {
   // push_back, which must not invalidate references to existing elements.
   std::deque<Conn> incoming_;           // accepted connections
   std::vector<std::vector<std::uint8_t>> buffer_pool_;
+  /// The last peer copy's message and its encoding (send(MessagePtr)).
+  MessagePtr encoded_msg_;
+  std::vector<std::uint8_t> encoded_;
   std::uint64_t frames_sent_ = 0;
+  std::uint64_t frames_encoded_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t frames_received_ = 0;
 };

@@ -68,6 +68,37 @@ TEST(TcpTransportTest, BroadcastIncludesSelf) {
   EXPECT_EQ(counts[2], 1) << "self-delivery per the paper's convention";
 }
 
+TEST(TcpTransportTest, BroadcastPeerCopiesShareOneEncode) {
+  // A node broadcasts by sending one MessagePtr to each destination in
+  // turn; its n-1 peer copies must leave from a single encode.
+  constexpr std::uint32_t kN = 4;
+  const auto base = pick_base_port(40);
+  std::vector<std::unique_ptr<TcpEndpoint>> eps;
+  std::map<ProcessId, std::vector<View>> received;
+  for (ProcessId id = 0; id < kN; ++id) {
+    eps.push_back(std::make_unique<TcpEndpoint>(
+        id, kN, base, full_codec(), [&received, id](ProcessId, const MessagePtr& msg) {
+          received[id].push_back(static_cast<const pacemaker::EpochViewMsg&>(*msg).view());
+        }));
+  }
+  const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, kN, 1);
+  const auto share_msg = [&auth](View v) -> MessagePtr {
+    return std::make_shared<pacemaker::EpochViewMsg>(
+        v, crypto::threshold_share(auth->signer_for(3), pacemaker::epoch_msg_statement(v)));
+  };
+  const MessagePtr first = share_msg(10);
+  for (ProcessId to = 0; to < kN - 1; ++to) eps[3]->send(to, first);
+  EXPECT_EQ(eps[3]->frames_sent(), kN - 1);
+  EXPECT_EQ(eps[3]->frames_encoded(), 1U) << "one encode per n-1 peer copies";
+  // A different message is encoded afresh.
+  eps[3]->send(0, share_msg(20));
+  EXPECT_EQ(eps[3]->frames_encoded(), 2U);
+  pump_all(eps, 20);
+  EXPECT_EQ(received[0], (std::vector<View>{10, 20}));
+  EXPECT_EQ(received[1], (std::vector<View>{10}));
+  EXPECT_EQ(received[2], (std::vector<View>{10}));
+}
+
 TEST(TcpTransportTest, LargeMessageSurvivesFraming) {
   const auto base = pick_base_port(16);
   std::vector<std::unique_ptr<TcpEndpoint>> eps;
