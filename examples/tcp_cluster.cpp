@@ -39,7 +39,7 @@ int main() {
   std::vector<crypto::Digest> proposal_hash(kN);
   std::unique_ptr<crypto::QuorumAggregator> vote_agg;
   // p0 broadcasts as a Node does: one send per processor, itself included.
-  const auto broadcast_from_p0 = [&endpoints](const Message& msg) {
+  const auto broadcast_from_p0 = [&endpoints](const MessagePtr& msg) {
     for (ProcessId to = 0; to < kN; ++to) endpoints[0]->send(to, msg);
   };
 
@@ -58,11 +58,12 @@ int main() {
                 std::printf("p0: VC for view 0 formed (f+1 = %u view messages); "
                             "broadcasting VC + proposal\n",
                             params.small_quorum());
-                broadcast_from_p0(pacemaker::VcMsg(pacemaker::SyncCert(0, view_agg.aggregate())));
+                broadcast_from_p0(std::make_shared<pacemaker::VcMsg>(
+                    pacemaker::SyncCert(0, view_agg.aggregate())));
                 const consensus::Block block(
                     0, {'h', 'i'},
                     consensus::QuorumCert::genesis(consensus::Block::genesis().hash()));
-                broadcast_from_p0(consensus::ProposalMsg(block));
+                broadcast_from_p0(std::make_shared<consensus::ProposalMsg>(block));
               }
               break;
             }
@@ -72,7 +73,7 @@ int main() {
               const auto statement =
                   consensus::QuorumCert::statement(0, proposal.block().hash());
               endpoints[id]->send(
-                  0, consensus::VoteMsg(0, proposal.block().hash(),
+                  0, std::make_shared<consensus::VoteMsg>(0, proposal.block().hash(),
                                         crypto::threshold_share(auth.signer_for(id), statement)));
               break;
             }
@@ -90,7 +91,7 @@ int main() {
                 const consensus::QuorumCert qc(0, vote.block_hash(), vote_agg->aggregate());
                 std::printf("p0: QC for view 0 formed (2f+1 = %u votes); broadcasting\n",
                             params.quorum());
-                broadcast_from_p0(consensus::QcMsg(qc));
+                broadcast_from_p0(std::make_shared<consensus::QcMsg>(qc));
               }
               break;
             }
@@ -112,7 +113,7 @@ int main() {
 
   // Every processor "enters view 0" and sends its view message to lead(0).
   for (ProcessId id = 0; id < kN; ++id) {
-    endpoints[id]->send(0, pacemaker::ViewMsg(0, crypto::threshold_share(
+    endpoints[id]->send(0, std::make_shared<pacemaker::ViewMsg>(0, crypto::threshold_share(
                                                      auth.signer_for(id),
                                                      pacemaker::view_msg_statement(0))));
   }

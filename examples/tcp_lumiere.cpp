@@ -10,6 +10,13 @@
 // the existence proof behind the title's "Practical": the SAME
 // ScenarioBuilder call that configures a simulated cluster configures a
 // real one — transport_tcp() is the whole difference.
+//
+// It also prints what left the nodes: messages to other processes (and
+// how many were broadcasts), their peer copies and the encodes those
+// copies took, which is one per message (a broadcast's copies share one),
+// and the view shares that rode NewViews instead of leaving as ViewMsgs.
+// It exits 1 if any message took more than one encode or no share rode a
+// NewView.
 #include <cstdio>
 #include <vector>
 
@@ -58,8 +65,21 @@ int main() {
   }
   std::printf("\ncommitted prefixes identical across nodes: %s\n",
               consistent ? "yes" : "NO");
+
+  const transport::SendCounts sent = cluster.tcp_send_counts();
+  std::uint64_t riding_shares = 0;
+  for (ProcessId id = 0; id < kN; ++id) riding_shares += cluster.node(id).riding_shares();
+  const bool one_encode = sent.encodes <= sent.messages;
+  std::printf("messages to peers: %llu (%llu broadcasts), peer copies: %llu, encodes: %llu\n",
+              static_cast<unsigned long long>(sent.messages),
+              static_cast<unsigned long long>(sent.broadcasts),
+              static_cast<unsigned long long>(sent.copies),
+              static_cast<unsigned long long>(sent.encodes));
+  std::printf("one encode per message: %s\n", one_encode ? "yes" : "NO");
+  std::printf("view shares that rode NewViews: %llu\n",
+              static_cast<unsigned long long>(riding_shares));
   std::printf("\nThe same Pacemaker/ConsensusCore objects the simulator drives just ran\n"
               "over a real network — swap transport_tcp() for the default sim transport\n"
               "and the identical scenario becomes a deterministic experiment.\n");
-  return consistent ? 0 : 1;
+  return consistent && one_encode && riding_shares > 0 ? 0 : 1;
 }

@@ -32,7 +32,10 @@
 //
 // The pacemaker is external (that is the whole point of this repository);
 // this core sends NewView(high_qc) to lead(v) on entering view v, votes,
-// aggregates votes into QCs, and commits.
+// aggregates votes into QCs, and commits. When the pacemaker announces
+// the entry with a view share (Lumiere, Fever, Basic Lumiere entering an
+// initial view), the Node sends that NewView with the share riding it,
+// and no separate ViewMsg (runtime::Node, NewViewMsg::view_share).
 //
 // Drain, then propose: a leader whose gate opens (the 2f+1-th NewView,
 // QC(v-1), or the Delta fallback) proposes at the end of that instant,

@@ -8,6 +8,7 @@
 
 #include "consensus/block.h"
 #include "consensus/quorum_cert.h"
+#include "pacemaker/certificates.h"
 #include "ser/message.h"
 
 namespace lumiere::consensus {
@@ -133,27 +134,50 @@ class QcMsg final : public Message {
 /// after it proposed (consensus/chained_core.h). The attachment is a
 /// batch in the proposal payload format; an empty one costs no modelled
 /// bytes.
+///
+/// A NewView the core sends lead(v) while the process enters initial view
+/// v may also carry the process's view-v share, the view message of
+/// Lumiere's light sync (Algorithm 1 line 28) and Fever's: both go to
+/// lead(v) in the same entry, so one message carries both
+/// (runtime::Node). The model charges the share as a ViewMsg charges it;
+/// the frame also ships a presence byte ahead of it, which the model
+/// leaves out as it leaves out the attachment's length prefix.
 class NewViewMsg final : public Message {
  public:
-  NewViewMsg(View view, QuorumCert high_qc, std::vector<std::uint8_t> requests = {})
-      : view_(view), high_qc_(std::move(high_qc)), requests_(std::move(requests)) {}
+  NewViewMsg(View view, QuorumCert high_qc, std::vector<std::uint8_t> requests = {},
+             std::optional<crypto::PartialSig> view_share = std::nullopt)
+      : view_(view),
+        high_qc_(std::move(high_qc)),
+        requests_(std::move(requests)),
+        view_share_(std::move(view_share)) {}
 
   [[nodiscard]] View view() const noexcept { return view_; }
   [[nodiscard]] const QuorumCert& high_qc() const noexcept { return high_qc_; }
   [[nodiscard]] const std::vector<std::uint8_t>& requests() const noexcept { return requests_; }
+  /// The sender's share over pacemaker::view_msg_statement(view()), if
+  /// it rides this NewView.
+  [[nodiscard]] const std::optional<crypto::PartialSig>& view_share() const noexcept {
+    return view_share_;
+  }
 
   std::uint32_t type_id() const override { return kNewView; }
   const char* type_name() const override { return "new-view"; }
   MsgClass msg_class() const override { return MsgClass::kConsensus; }
   std::size_t wire_size() const override {
-    return 8 + high_qc_.sig().wire_size() + requests_.size();
+    return 8 + high_qc_.sig().wire_size() + requests_.size() +
+           (view_share_ ? view_share_->wire_size() : 0);
   }
   void serialize(ser::Writer& w) const override {
     w.view(view_);
     high_qc_.serialize(w);
     w.bytes(std::span<const std::uint8_t>(requests_.data(), requests_.size()));
+    w.u8(view_share_ ? 1 : 0);
+    if (view_share_) w.partial_sig(*view_share_);
   }
-  void collect_auth(AuthClaimSink& sink) const override { high_qc_.collect_auth(sink); }
+  void collect_auth(AuthClaimSink& sink) const override {
+    high_qc_.collect_auth(sink);
+    if (view_share_) sink.share(pacemaker::view_msg_statement(view_), *view_share_);
+  }
   static MessagePtr deserialize(ser::Reader& r) {
     View view = -1;
     if (!r.view(view)) return nullptr;
@@ -161,13 +185,19 @@ class NewViewMsg final : public Message {
     if (!qc) return nullptr;
     std::vector<std::uint8_t> requests;
     if (!r.bytes(requests)) return nullptr;
-    return std::make_shared<NewViewMsg>(view, std::move(*qc), std::move(requests));
+    std::uint8_t has_share = 0;
+    if (!r.u8(has_share) || has_share > 1) return nullptr;
+    std::optional<crypto::PartialSig> share;
+    if (has_share == 1 && !r.partial_sig(share.emplace())) return nullptr;
+    return std::make_shared<NewViewMsg>(view, std::move(*qc), std::move(requests),
+                                        std::move(share));
   }
 
  private:
   View view_;
   QuorumCert high_qc_;
   std::vector<std::uint8_t> requests_;
+  std::optional<crypto::PartialSig> view_share_;
 };
 
 /// Registers all consensus message types with a codec (for the TCP

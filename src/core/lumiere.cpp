@@ -38,8 +38,8 @@ void LumierePacemaker::process_clock() {
       handle_epoch_boundary(w);
     } else if (epoch_ == math_.epoch_of(w)) {
       // Algorithm 1 line 28: "Upon lc(p) == c_v for v initial and
-      // epoch(p) == E(v)".
-      enter_initial(w);
+      // epoch(p) == E(v)". The entry sends the view-w message (set_view).
+      set_view(w, math_.epoch_of(w));
     }
   }
   // Only initial (even) views are clock-entered.
@@ -52,7 +52,6 @@ void LumierePacemaker::handle_epoch_boundary(View w) {
     // Line 13: the previous epoch met the success criterion — treat V(e)
     // as a standard initial view; no heavy synchronization.
     set_view(w, math_.epoch_of(w));
-    send_view_msg(w);
   } else {
     // Line 9: park (pause) and, Delta later, launch the heavy exchange.
     park_at(w);
@@ -81,11 +80,6 @@ void LumierePacemaker::unpark() {
   clock().unpause();
 }
 
-void LumierePacemaker::enter_initial(View w) {
-  set_view(w, math_.epoch_of(w));
-  send_view_msg(w);
-}
-
 // ---------------------------------------------------------------------------
 // State updates
 // ---------------------------------------------------------------------------
@@ -111,13 +105,15 @@ void LumierePacemaker::set_view(View v, Epoch e) {
   view_msg_sent_.erase(view_msg_sent_.begin(), view_msg_sent_.lower_bound(v));
   view_shares_.prune_below(v);
   vc_fanout_.prune_below(v);
-  notify_enter_view(v);
+  // Line 28: entering initial view v sends the view-v message to lead(v),
+  // whatever the entry route; the entry carries it (notify_enter_view).
+  const bool announce = EpochMath::is_initial(v) && view_msg_sent_.insert(v).second;
+  notify_enter_view(v, announce);
 }
 
 void LumierePacemaker::send_view_msg(View v) {
   if (!EpochMath::is_initial(v)) return;
-  if (view_msg_sent_.contains(v)) return;
-  view_msg_sent_.insert(v);
+  if (!view_msg_sent_.insert(v).second) return;
   note_sync_started(v);
   send_to(leader_of(v),
           std::make_shared<ViewMsg>(
@@ -182,7 +178,6 @@ void LumierePacemaker::handle_vc(const VcMsg& msg) {
     clock().bump_to(math_.view_time(v));    // line 39
   }
   set_view(v, math_.epoch_of(v));           // line 40
-  send_view_msg(v);
   process_clock();
 }
 
@@ -222,7 +217,6 @@ void LumierePacemaker::handle_ec(View v) {
   unpark();  // an EC for a view >= the parked boundary releases the pause
   clock().bump_to(math_.view_time(v));
   set_view(v, math_.epoch_of(v));
-  send_view_msg(v);
   process_clock();
 }
 
@@ -233,7 +227,6 @@ void LumierePacemaker::on_success_flip(Epoch e) {
     const View w = *parked_view_;
     unpark();
     set_view(w, math_.epoch_of(w));
-    send_view_msg(w);
     process_clock();
   }
 }
@@ -270,7 +263,6 @@ void LumierePacemaker::on_qc(const consensus::QuorumCert& qc) {
     clock().bump_to(math_.view_time(next));  // line 47
     if (!math_.is_epoch_view(next)) {
       set_view(next, math_.epoch_of(next));  // line 48
-      send_view_msg(next);                   // no-op unless `next` is initial
     } else if (view_ < w) {
       set_view(w, math_.epoch_of(w));  // line 49
     }

@@ -26,6 +26,13 @@
 //    success path, EC) — the uniform policy costs at most one O(kappa)
 //    message per processor per initial view and guarantees the leader
 //    can always form a VC (needed for the QC-production deadline anchor).
+//  * On a chained core, line 28's view message rides the NewView(v) the
+//    core sends lead(v) on entering v: same share, same recipient, same
+//    instant, one message (runtime::Node). It leaves as a ViewMsg of its
+//    own when no NewView(v) goes with the entry: on the simple-view core,
+//    on entry through lead(v)'s proposal, after lead(v-1)'s early
+//    NewView (sent before it enters v), and for the catch-up messages of
+//    lines 18/38/46, which are no entries.
 //  * Line 32 sends the VC "to all"; here it goes only to the processes
 //    lead(v) has not heard a view-v message from, plus lead(v) itself
 //    while its view is below v (pacemaker::VcFanout). A process acts on
@@ -124,10 +131,11 @@ class LumierePacemaker final : public pacemaker::Pacemaker {
   void handle_epoch_boundary(View w);
   void park_at(View w);
   void unpark();
-  void enter_initial(View w);
 
   // -- state updates ---------------------------------------------------
+  /// Enters v; entering an initial view sends its view message (line 28).
   void set_view(View v, Epoch e);
+  /// A catch-up view message (lines 18/38/46) to lead(v), once per view.
   void send_view_msg(View v);
   void send_epoch_msg(View v);
   void catch_up_view_msgs(View below);

@@ -16,6 +16,12 @@ void SyncTracer::note_sent(ProcessId id, MsgClass msg_class, std::uint64_t bytes
   node.pacemaker_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
+void SyncTracer::note_riding_share(ProcessId id, std::uint64_t bytes) noexcept {
+  PerNode& node = *nodes_[id];
+  node.pacemaker_msgs.fetch_add(1, std::memory_order_relaxed);
+  node.pacemaker_bytes.fetch_add(bytes, std::memory_order_relaxed);
+}
+
 std::uint64_t SyncTracer::msgs_sent(ProcessId id) const noexcept {
   return nodes_[id]->msgs.load(std::memory_order_relaxed);
 }

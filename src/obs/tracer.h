@@ -71,6 +71,11 @@ class SyncTracer {
   /// One protocol message of class `msg_class`, `bytes` wire bytes, left
   /// node `id` for another process.
   void note_sent(ProcessId id, MsgClass msg_class, std::uint64_t bytes) noexcept;
+  /// A view share rode a message node `id` sent to another process (a
+  /// consensus::NewViewMsg): spans count it as the pacemaker message it
+  /// stands for, `bytes` being that ViewMsg's wire size. The carrier is
+  /// counted by note_sent.
+  void note_riding_share(ProcessId id, std::uint64_t bytes) noexcept;
 
   /// Node `id`'s pacemaker began spending resources to leave `current`,
   /// aiming for `target`. First start wins while a span is open.

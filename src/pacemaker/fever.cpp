@@ -26,11 +26,8 @@ FeverPacemaker::FeverPacemaker(const ProtocolParams& params, ProcessId self,
 void FeverPacemaker::enter_clock_view(View w) {
   // "If v is initial, then p enters view v when lc(p) = c_v" — which can
   // happen by real-time advance or by a bump landing exactly on c_v —
-  // and sends a view v message to lead(v).
-  enter_view(w);
-  note_sync_started(w);
-  send_to(leader_of(w),
-          std::make_shared<ViewMsg>(w, crypto::threshold_share(signer_, view_msg_statement(w))));
+  // and sends a view v message to lead(v) (the entry announces it).
+  enter_view(w, /*announce=*/true);
 }
 
 void FeverPacemaker::handle_view_share(ProcessId from, const ViewMsg& msg) {

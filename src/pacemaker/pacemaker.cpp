@@ -1,6 +1,8 @@
 #include "pacemaker/pacemaker.h"
 
+#include "consensus/messages.h"
 #include "pacemaker/certificates.h"
+#include "pacemaker/messages.h"
 
 namespace lumiere::pacemaker {
 
@@ -14,6 +16,10 @@ crypto::Digest tagged_view_statement(const char* tag, View v) {
 }
 
 }  // namespace
+
+void Pacemaker::on_new_view(ProcessId from, const consensus::NewViewMsg& msg) {
+  if (msg.view_share()) on_message(from, std::make_shared<ViewMsg>(msg.view(), *msg.view_share()));
+}
 
 crypto::Digest view_msg_statement(View v) { return tagged_view_statement("lumiere.view", v); }
 

@@ -40,6 +40,10 @@
 #include "sim/local_clock.h"
 #include "sim/simulator.h"
 
+namespace lumiere::consensus {
+class NewViewMsg;
+}  // namespace lumiere::consensus
+
 namespace lumiere::pacemaker {
 
 /// Everything a pacemaker needs from its hosting Node.
@@ -52,8 +56,13 @@ struct PacemakerWiring {
   /// Broadcast to all n processors (including self, per the paper).
   std::function<void(MessagePtr msg)> broadcast;
   /// Reports a view entry to the node (which forwards to the consensus
-  /// core). Must be called with non-decreasing views.
-  std::function<void(View v)> enter_view;
+  /// core). Must be called with non-decreasing views. With `announce` the
+  /// entry also sends lead(v) this process's view-v share (a ViewMsg, the
+  /// view message of Lumiere's and Fever's light sync): once the core and
+  /// the entry's observers have run, the node reports sync_started(v),
+  /// signs the share and sends it, riding the NewView(v) the core sent
+  /// lead(v) during the entry if there was one (runtime::Node).
+  std::function<void(View v, bool announce)> enter_view;
   /// Pokes the consensus core to retry a proposal whose
   /// PacemakerHooks::may_propose gate has lifted (may be null when the
   /// core never defers).
@@ -84,6 +93,11 @@ class Pacemaker {
 
   /// A pacemaker-class message arrived (possibly from a Byzantine sender).
   virtual void on_message(ProcessId from, const MessagePtr& msg) = 0;
+
+  /// A NewView arrived and the core has taken it. The view share riding
+  /// it (PacemakerWiring::enter_view) is its sender's ViewMsg for the
+  /// NewView's view, and goes to on_message as one.
+  void on_new_view(ProcessId from, const consensus::NewViewMsg& msg);
 
   /// Any valid QC was observed by the underlying protocol on this node.
   virtual void on_qc(const consensus::QuorumCert& qc) = 0;
@@ -126,7 +140,11 @@ class Pacemaker {
 
   void send_to(ProcessId to, MessagePtr msg) const { wiring_.send(to, std::move(msg)); }
   void broadcast(MessagePtr msg) const { wiring_.broadcast(std::move(msg)); }
-  void notify_enter_view(View v) const { wiring_.enter_view(v); }
+  /// Enters v; with `announce`, also sends lead(v) the view-v share
+  /// (PacemakerWiring::enter_view).
+  void notify_enter_view(View v, bool announce = false) const {
+    wiring_.enter_view(v, announce);
+  }
   void poke_propose(View v) const {
     if (wiring_.propose_poke) wiring_.propose_poke(v);
   }

@@ -67,11 +67,11 @@ void GridPacemaker::process_clock() {
   grid_.arm_next(clock(), boundary_alarm_, tenure_, [this] { process_clock(); });
 }
 
-void GridPacemaker::enter_view(View v) {
+void GridPacemaker::enter_view(View v, bool announce) {
   if (v <= view_) return;
   view_ = v;
   prune_below(v);
-  notify_enter_view(v);
+  notify_enter_view(v, announce);
 }
 
 void GridPacemaker::begin_epoch_sync(View epoch_view) {

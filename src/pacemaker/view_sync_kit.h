@@ -163,7 +163,9 @@ class GridPacemaker : public Pacemaker {
 
   /// Runs the clock rules at the current reading and re-arms the alarm.
   void process_clock();
-  void enter_view(View v);
+  /// Enters v (no-op unless v > view_); `announce` as in
+  /// Pacemaker::notify_enter_view.
+  void enter_view(View v, bool announce = false);
   /// Entry into a non-epoch initial view the clock reached.
   virtual void enter_clock_view(View w) { enter_view(w); }
   /// Frees per-view state below v on entering v.

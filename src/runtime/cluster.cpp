@@ -123,6 +123,12 @@ std::uint64_t Cluster::tcp_bytes_sent() const {
   return total;
 }
 
+transport::SendCounts Cluster::tcp_send_counts() const {
+  transport::SendCounts total;
+  for (const auto& host : hosts_) total += host->send_counts();
+  return total;
+}
+
 workload::Report Cluster::workload_report() const {
   workload::Report report;
   for (const workload::NodeWorkload* workload : workloads_) {

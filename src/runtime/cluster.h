@@ -118,6 +118,10 @@ class Cluster {
   /// included); 0 on the simulator, whose byte counters are modeled
   /// (MetricsCollector). TCP: read between run_for slices.
   [[nodiscard]] std::uint64_t tcp_bytes_sent() const;
+  /// Every node's traffic to other processes as its TCP adapter counted
+  /// it (transport::SendCounts); zeros on the simulator. TCP: read
+  /// between run_for slices.
+  [[nodiscard]] transport::SendCounts tcp_send_counts() const;
 
   /// Merged client-side accounting across every node. TCP transport:
   /// call between run_for slices (driver threads are joined), never

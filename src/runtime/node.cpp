@@ -1,8 +1,10 @@
 #include "runtime/node.h"
 
 #include <cstring>
+#include <utility>
 
 #include "consensus/messages.h"
+#include "pacemaker/messages.h"
 
 namespace lumiere::runtime {
 
@@ -58,11 +60,7 @@ void Node::build_pacemaker(const NodeConfig& config) {
   wiring.auth = auth_view_;
   wiring.send = [this](ProcessId to, MessagePtr msg) { outbound(to, std::move(msg)); };
   wiring.broadcast = [this](MessagePtr msg) { outbound_broadcast(msg); };
-  wiring.enter_view = [this](View v) {
-    if (core_) core_->on_enter_view(v);
-    if (observers_.on_view_entered) observers_.on_view_entered(sim_->now(), v, id_);
-    behavior_->on_view_entered(sim_->now(), v, toolkit());
-  };
+  wiring.enter_view = [this](View v, bool announce) { enter_view(v, announce); };
   wiring.propose_poke = [this](View v) {
     if (core_) core_->on_propose_allowed(v);
   };
@@ -194,6 +192,11 @@ void Node::route_inbound(ProcessId from, const MessagePtr& msg) {
       dissem_->on_refs_proposed(std::span<const std::uint8_t>(payload.data(), payload.size()));
     }
     core_->on_message(from, msg);
+    // A view share riding a NewView (enter_view) goes to the pacemaker
+    // once the core has taken the NewView.
+    if (msg->type_id() == consensus::kNewView) {
+      pacemaker_->on_new_view(from, static_cast<const consensus::NewViewMsg&>(*msg));
+    }
   } else if (msg->msg_class() == MsgClass::kDissem) {
     if (dissem_) dissem_->on_message(from, msg);
   } else if (msg->msg_class() == MsgClass::kSync) {
@@ -203,7 +206,43 @@ void Node::route_inbound(ProcessId from, const MessagePtr& msg) {
   }
 }
 
+void Node::enter_view(View v, bool announce) {
+  // An announced entry sends lead(v) this process's view-v share, and a
+  // chained core entering v sends lead(v) its NewView(v): one message
+  // carries both. The NewView the core sends lead(v) during on_enter_view
+  // is held for the share (outbound), which is signed only after the
+  // entry's observers ran, so the sync span for v opens before the share
+  // is signed and sent, as it did when the share left on its own. The
+  // saved slot keeps an entry nested in this one (a QC taken in during
+  // on_enter_view) from taking this entry's NewView.
+  const Announcement outer = std::exchange(announcing_, Announcement{announce ? v : -1, nullptr});
+  if (core_) core_->on_enter_view(v);
+  MessagePtr new_view = std::exchange(announcing_, outer).new_view;
+  if (observers_.on_view_entered) observers_.on_view_entered(sim_->now(), v, id_);
+  behavior_->on_view_entered(sim_->now(), v, toolkit());
+  if (!announce) return;
+  if (observers_.on_sync_started) {
+    observers_.on_sync_started(sim_->now(), pacemaker_->current_view(), v, id_);
+  }
+  crypto::PartialSig share = crypto::threshold_share(signer_, pacemaker::view_msg_statement(v));
+  if (new_view == nullptr) {
+    outbound(pacemaker_->leader_of(v), std::make_shared<pacemaker::ViewMsg>(v, share));
+    return;
+  }
+  const auto& held = static_cast<const consensus::NewViewMsg&>(*new_view);
+  ++riding_shares_;
+  outbound(pacemaker_->leader_of(v),
+           std::make_shared<consensus::NewViewMsg>(v, held.high_qc(), held.requests(), share));
+}
+
 void Node::outbound(ProcessId to, MessagePtr msg) {
+  if (announcing_.view >= 0 && announcing_.new_view == nullptr &&
+      msg->type_id() == consensus::kNewView &&
+      static_cast<const consensus::NewViewMsg&>(*msg).view() == announcing_.view &&
+      to == pacemaker_->leader_of(announcing_.view)) {
+    announcing_.new_view = std::move(msg);  // leaves with the share (enter_view)
+    return;
+  }
   if (!behavior_->allow_send(sim_->now(), to, *msg)) return;
   network_->send(id_, to, std::move(msg));
 }

@@ -132,6 +132,8 @@ class Node {
   /// The memo of signatures the verify pipeline already checked for
   /// this node. Written only by the node's driver thread (TCP).
   [[nodiscard]] crypto::VerifyMemo& verify_memo() noexcept { return memo_; }
+  /// Announced view entries whose view share rode a NewView (enter_view).
+  [[nodiscard]] std::uint64_t riding_shares() const noexcept { return riding_shares_; }
   /// The verification facade this node's protocol layers use.
   [[nodiscard]] crypto::AuthView auth_view() const noexcept { return auth_view_; }
 
@@ -141,6 +143,8 @@ class Node {
   void build_core(const NodeConfig& config);
   void build_sync();
   void route_inbound(ProcessId from, const MessagePtr& msg);
+  /// PacemakerWiring::enter_view.
+  void enter_view(View v, bool announce);
   void outbound(ProcessId to, MessagePtr msg);
   void outbound_broadcast(const MessagePtr& msg);
   [[nodiscard]] adversary::Toolkit toolkit();
@@ -167,6 +171,14 @@ class Node {
   bool started_ = false;
   bool protocol_running_ = false;
   std::vector<std::pair<ProcessId, MessagePtr>> pre_join_inbox_;
+  /// The announced entry in progress (view -1: none) and the NewView the
+  /// core sent its leader during on_enter_view (enter_view).
+  struct Announcement {
+    View view = -1;
+    MessagePtr new_view;
+  };
+  Announcement announcing_;
+  std::uint64_t riding_shares_ = 0;
 };
 
 }  // namespace lumiere::runtime

@@ -122,6 +122,10 @@ void SendTap::on_send(TimePoint at, ProcessId from, ProcessId /*to*/, const Mess
   const std::size_t wire = msg.wire_size();
   if (metrics_ != nullptr) metrics_->record_send(at, from, msg, wire);
   tracer_->note_sent(from, msg.msg_class(), wire);
+  if (msg.type_id() == consensus::kNewView) {
+    const auto& share = static_cast<const consensus::NewViewMsg&>(msg).view_share();
+    if (share) tracer_->note_riding_share(from, pacemaker::ViewMsg(0, *share).wire_size());
+  }
 }
 
 NodeHost::NodeHost(const Scenario& scenario, ProcessId id, const crypto::Authenticator& auth,

@@ -147,6 +147,11 @@ class NodeHost {
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
     return adapter_.endpoint().bytes_sent();
   }
+  /// This node's traffic to other processes (driver thread, or between
+  /// runs).
+  [[nodiscard]] transport::SendCounts send_counts() const noexcept {
+    return adapter_.send_counts();
+  }
   /// 0 when status endpoints are off.
   [[nodiscard]] std::uint16_t status_port() const noexcept {
     return status_server_ != nullptr ? status_server_->port() : 0;

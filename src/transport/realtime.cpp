@@ -45,6 +45,12 @@ void TcpTransportAdapter::send(ProcessId from, ProcessId to, MessagePtr msg) {
     });
     return;
   }
+  if (msg != last_peer_msg_) {
+    last_peer_msg_ = msg;
+    last_peer_copies_ = 0;
+    ++peer_messages_;
+  }
+  if (++last_peer_copies_ == 2) ++broadcasts_;
   // Charged before the link-cut filter, matching the sim network: the
   // send is real traffic by a correct process whether or not the
   // adversary cuts the wire.

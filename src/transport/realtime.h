@@ -28,6 +28,31 @@
 
 namespace lumiere::transport {
 
+/// One node's traffic to other processes, as its adapter and endpoint saw
+/// it (TcpTransportAdapter::send_counts).
+struct SendCounts {
+  /// Messages the node sent to other processes. A broadcast's peer copies
+  /// reach the adapter back to back and count once.
+  std::uint64_t messages = 0;
+  /// Of those, the ones sent to two or more other processes.
+  std::uint64_t broadcasts = 0;
+  /// Frames the endpoint queued for peers (TcpEndpoint::frames_sent).
+  std::uint64_t copies = 0;
+  /// Encodes those frames took (TcpEndpoint::frames_encoded). At most
+  /// `messages` while no per-link delay parks a copy (set_link_delay):
+  /// a parked copy leaves between other messages' copies and is encoded
+  /// again. Copies cut, shaped away or unreachable take no encode.
+  std::uint64_t encodes = 0;
+
+  SendCounts& operator+=(const SendCounts& other) noexcept {
+    messages += other.messages;
+    broadcasts += other.broadcasts;
+    copies += other.copies;
+    encodes += other.encodes;
+    return *this;
+  }
+};
+
 /// Adapts one process's TcpEndpoint to the MessageTransport seam a Node
 /// expects. Hosts exactly one processor (`self`); `send` must originate
 /// from it. A copy to `self` is received at the current instant of the
@@ -93,6 +118,11 @@ class TcpTransportAdapter final : public MessageTransport {
 
   [[nodiscard]] TcpEndpoint& endpoint() noexcept { return *endpoint_; }
   [[nodiscard]] const TcpEndpoint& endpoint() const noexcept { return *endpoint_; }
+  /// Driver thread, or between RealtimeDriver runs.
+  [[nodiscard]] SendCounts send_counts() const noexcept {
+    return SendCounts{peer_messages_, broadcasts_, endpoint_->frames_sent(),
+                      endpoint_->frames_encoded()};
+  }
 
  private:
   [[nodiscard]] bool blocked(ProcessId peer) const {
@@ -118,6 +148,11 @@ class TcpTransportAdapter final : public MessageTransport {
   std::vector<double> link_drop_;
   std::vector<Duration> link_delay_;
   std::unique_ptr<TcpEndpoint> endpoint_;
+  /// The last message sent to another process and its copies so far.
+  MessagePtr last_peer_msg_;
+  std::uint32_t last_peer_copies_ = 0;
+  std::uint64_t peer_messages_ = 0;
+  std::uint64_t broadcasts_ = 0;
 };
 
 /// Paces a Simulator against the wall clock while pumping a TcpEndpoint.

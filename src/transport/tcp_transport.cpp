@@ -135,17 +135,6 @@ TcpEndpoint::Conn* TcpEndpoint::connection_to(ProcessId to) {
   return &(outgoing_[to] = std::move(conn));
 }
 
-std::vector<std::uint8_t> TcpEndpoint::acquire_buffer() {
-  if (buffer_pool_.empty()) return {};
-  std::vector<std::uint8_t> buffer = std::move(buffer_pool_.back());
-  buffer_pool_.pop_back();
-  return buffer;
-}
-
-void TcpEndpoint::release_buffer(std::vector<std::uint8_t> buffer) {
-  if (buffer_pool_.size() < 8) buffer_pool_.push_back(std::move(buffer));
-}
-
 void TcpEndpoint::enqueue_frame(Conn& conn, std::span<const std::uint8_t> payload) {
   append_u32(conn.outbox, static_cast<std::uint32_t>(payload.size()));
   append_u32(conn.outbox, self_);
@@ -154,37 +143,13 @@ void TcpEndpoint::enqueue_frame(Conn& conn, std::span<const std::uint8_t> payloa
   bytes_sent_ += kFrameHeaderBytes + payload.size();
 }
 
-void TcpEndpoint::dispatch_self(std::span<const std::uint8_t> payload) {
-  // Self-delivery mirrors the simulator's convention: immediate.
-  const MessagePtr decoded = codec_.decode(payload);
-  if (decoded != nullptr) {
-    ++frames_sent_;
-    ++frames_received_;
-    on_receive_(self_, decoded);
-  }
-}
-
-void TcpEndpoint::send(ProcessId to, const Message& msg) {
-  Conn* conn = nullptr;
-  if (to != self_) {
-    conn = connection_to(to);
-    if (conn == nullptr) return;  // peer unreachable — drop before paying the encode
-  }
-  std::vector<std::uint8_t> payload = acquire_buffer();
-  MessageCodec::encode_into(msg, payload);
-  ++frames_encoded_;
-  if (to == self_) {
-    dispatch_self(payload);
-  } else {
-    enqueue_frame(*conn, payload);
-    flush(*conn);
-  }
-  release_buffer(std::move(payload));
-}
-
 void TcpEndpoint::send(ProcessId to, const MessagePtr& msg) {
   if (to == self_) {
-    send(to, *msg);
+    // Self-delivery mirrors the simulator's convention: immediate. The
+    // copy never leaves the process, so it skips the codec.
+    ++frames_sent_;
+    ++frames_received_;
+    on_receive_(self_, msg);
     return;
   }
   Conn* conn = connection_to(to);

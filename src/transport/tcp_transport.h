@@ -4,11 +4,14 @@
 // The protocol stack in this repository is transport-agnostic — nodes
 // talk through std::function send/broadcast closures, and a broadcast
 // reaches this endpoint as one send() per recipient, all with the same
-// MessagePtr, so the copies share one encode. The deterministic
-// simulator is the primary harness (it is the only way to control the
-// partial-synchrony adversary); this transport exists to demonstrate the
-// same message types flowing over real sockets (examples/tcp_cluster) and
-// to keep the serialization layer honest end-to-end.
+// MessagePtr. Copies that leave back to back share one encode; a copy
+// parked by a per-link delay (TcpTransportAdapter::set_link_delay) leaves
+// later, between other messages' copies, and is encoded again. The
+// deterministic simulator is the primary harness (it is the only way to
+// control the partial-synchrony adversary); this transport exists to
+// demonstrate the same message types flowing over real sockets
+// (examples/tcp_cluster) and to keep the serialization layer honest
+// end-to-end.
 //
 // Frame format: [u32 payload_len][u32 sender_id][payload bytes], where
 // payload = MessageCodec::encode(msg) = [u32 type_id][body].
@@ -51,11 +54,10 @@ class TcpEndpoint {
   TcpEndpoint& operator=(const TcpEndpoint&) = delete;
 
   /// Queues a message to `to`; connects lazily on first use. Send to self
-  /// dispatches synchronously. Each call encodes `msg` once.
-  void send(ProcessId to, const Message& msg);
-  /// send(to, *msg), except that a peer copy reuses the encoding of the
-  /// previous peer copy when it carried the same message: a broadcast's
-  /// copies, sent back to back, share one encode.
+  /// hands `msg` to the receive callback synchronously, without the codec.
+  /// A peer copy reuses the previous peer copy's encoding when it carries
+  /// the same message: a broadcast's copies, sent back to back, share one
+  /// encode.
   void send(ProcessId to, const MessagePtr& msg);
 
   /// Pumps the socket set once: accepts, flushes queued writes, reads and
@@ -79,7 +81,8 @@ class TcpEndpoint {
 
   [[nodiscard]] ProcessId self() const noexcept { return self_; }
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
-  /// Messages encoded for sending (a reused peer-copy encoding counts once).
+  /// Messages encoded for peers (a reused peer-copy encoding counts once;
+  /// a self copy is never encoded).
   [[nodiscard]] std::uint64_t frames_encoded() const noexcept { return frames_encoded_; }
   /// Bytes framed for peers: per frame the 8-byte header plus the encoded
   /// payload ([u32 type_id][body]). Frames to self cross no socket and
@@ -109,15 +112,6 @@ class TcpEndpoint {
   void read_and_dispatch(Conn& conn);
   void close_conn(Conn& conn);
   void enqueue_frame(Conn& conn, std::span<const std::uint8_t> payload);
-  /// Decodes `payload` and dispatches it inline as a frame from this
-  /// endpoint to itself. TcpTransportAdapter calls send(self) from an
-  /// event at the current instant, so a node never re-enters its handler.
-  void dispatch_self(std::span<const std::uint8_t> payload);
-  /// Scratch-buffer pool for encoded payloads. Reentrancy-safe (an
-  /// on_receive_ handler may send again mid-send) and
-  /// allocation-free once warm.
-  [[nodiscard]] std::vector<std::uint8_t> acquire_buffer();
-  void release_buffer(std::vector<std::uint8_t> buffer);
 
   ProcessId self_;
   std::uint32_t n_;
@@ -133,8 +127,7 @@ class TcpEndpoint {
   // deque, not vector: poll_once holds Conn* across an accept_pending()
   // push_back, which must not invalidate references to existing elements.
   std::deque<Conn> incoming_;           // accepted connections
-  std::vector<std::vector<std::uint8_t>> buffer_pool_;
-  /// The last peer copy's message and its encoding (send(MessagePtr)).
+  /// The last peer copy's message and its encoding.
   MessagePtr encoded_msg_;
   std::vector<std::uint8_t> encoded_;
   std::uint64_t frames_sent_ = 0;

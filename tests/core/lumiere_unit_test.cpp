@@ -174,6 +174,26 @@ TEST_F(LumiereUnitTest, LeaderFormsVcFromSmallQuorumAndPokesProposal) {
   EXPECT_TRUE(pm_->may_form_qc(led)) << "deadline window open right after VC";
 }
 
+TEST_F(LumiereUnitTest, SharesRidingNewViewsFormTheVcAndSkipItsCopies) {
+  // On a chained core a replica's view-v share rides its NewView(v) to
+  // lead(v): it counts toward the VC as that replica's view message, and
+  // the VC skips that replica as it skips a ViewMsg sender.
+  start();
+  const View led = first_led_view();
+  ASSERT_GE(led, 0);
+  harness_.inject_new_view(3, led, /*share=*/false);
+  harness_.inject_new_view(1, led);
+  EXPECT_EQ(pm_->vcs_formed(), 0U) << "a bare NewView is no view message";
+  harness_.inject_new_view(2, led);
+  EXPECT_EQ(pm_->vcs_formed(), 1U);
+  EXPECT_TRUE(pm_->may_propose(led));
+  harness_.settle();
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 1), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 2), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 3), 1U) << "its NewView carried no share";
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 0), 1U);
+}
+
 TEST_F(LumiereUnitTest, ViewMessagesOfTheFormingInstantSkipTheVc) {
   start();
   const View led = first_led_view();
@@ -311,6 +331,19 @@ TEST_F(LumiereUnitTest, StaleEpochSharesIgnored) {
   EXPECT_EQ(pm_->current_epoch(), 0);
   EXPECT_EQ(pm_->current_view(), 0);
   EXPECT_EQ(harness_.sent_count(pacemaker::kEpochViewMsg), epoch_msgs_before);
+}
+
+TEST_F(LumiereUnitTest, EntriesIntoInitialViewsAnnounceThemselves) {
+  // Line 28's view message leaves with the entry (PacemakerWiring::
+  // enter_view), once per initial view; non-initial entries announce
+  // nothing.
+  enter_epoch_zero();
+  harness_.run_to(harness_.sim().now() + pm_->math().view_time(4));
+  harness_.inject_qc(4);  // enters the non-initial view 5
+  harness_.settle();
+  ASSERT_EQ(pm_->current_view(), 5);
+  EXPECT_EQ(harness_.entered(), (std::vector<View>{0, 2, 4, 5}));
+  EXPECT_EQ(harness_.announced(), (std::vector<View>{0, 2, 4}));
 }
 
 TEST_F(LumiereUnitTest, ClockPacedEntryOfInitialViews) {

@@ -60,6 +60,9 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
   // one a chained core) were re-pinned when a leader's second view
   // started from its own QC: QC(v-1) rides proposal v, requests ride the
   // votes, and fewer QcMsg and NewView copies draw delays from the Rng.
+  // Seeds 3, 22 (lumiere) and 16 (fever) were re-pinned when the view
+  // share a replica owes lead(v) on entering initial view v started
+  // riding its NewView(v): fewer ViewMsg copies draw delays from the Rng.
   struct Pinned {
     std::uint64_t seed;
     std::uint32_t shrink_to_n;  ///< 0 = the case as sampled
@@ -69,7 +72,7 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
       // nk20/hotstuff-2, wan3 preset, partitions, behavior change.
       {1, 0, "7c30a1db1bbad86dfc1584fd4e8e8028718fe3ee02de11942b631e64f11ca233"},
       // lumiere/hotstuff-2, lan preset, two churn windows, workload.
-      {3, 0, "4917ff7a608843b4d049d5ec5687ab792ef0d4125686b9451ad27a26ab4e9537"},
+      {3, 0, "9cbc3b6d4bcc2a3b17ca01690b3b4f5be5da06fe2446755467e6b45257ab6294"},
       // n=7: churn, asymmetric and 3-way partitions, two Byzantine nodes.
       {5, 0, "7ca5c6e9d8155b1cedbf90c83a8ecd7f6026dcca7a03986f8630a9b886c3df2b"},
       // Dissemination on, churn of a silent leader, delay change. (Its
@@ -77,9 +80,9 @@ TEST(FuzzDeterminismTest, PinnedSeedsKeepTheirDigests) {
       // is part of this digest.)
       {21, 0, "0792aff577bdf6d2e39d2fda2d8efeb2bec551df4733103b4f016387cb61f5a4"},
       // Asymmetric partition then a behavior change, workload.
-      {22, 0, "65fe81d4e727253bfb13cd4ee86ec2e673cb1b6154e0aa66878cef87e64502ad"},
+      {22, 0, "6f8331cca01a43388e2cc8d12ffd621d9b41649e49f094f05150be326f5f7c1f"},
       // n=10 shrunk to 4: groups trimmed, behaviors recapped at f=1.
-      {16, 4, "bf1933d93b6184a90db55abaadaf815b3454d5d3188f9f992472c9d39840b51d"},
+      {16, 4, "c0e1ecd13279d2e21940ab6ad48518a30e6ea5f48126c7d939e8ab18600e10d7"},
   };
   for (const Pinned& p : pinned) {
     CaseDeltas deltas;

@@ -97,8 +97,9 @@ TEST(SteadyStateTest, EventualCommLinearInFaults) {
   EXPECT_GE(*with_faults, *fault_free) << "faults cannot make it cheaper";
 }
 
-/// Counts each view's QcMsg and NewView copies to another process,
-/// passing every send on to the cluster's sinks through a SendTap.
+/// Counts each view's QcMsg, NewView and standalone ViewMsg copies to
+/// another process, passing every send on to the cluster's sinks through
+/// a SendTap.
 class ConsensusCopies final : public sim::NetworkObserver {
  public:
   explicit ConsensusCopies(Cluster& cluster)
@@ -109,11 +110,17 @@ class ConsensusCopies final : public sim::NetworkObserver {
     if (msg.type_id() == consensus::kQcAnnounce) {
       ++qcs[static_cast<const consensus::QcMsg&>(msg).qc().view()];
     } else if (msg.type_id() == consensus::kNewView) {
-      ++new_views[static_cast<const consensus::NewViewMsg&>(msg).view()];
+      const auto& new_view = static_cast<const consensus::NewViewMsg&>(msg);
+      ++new_views[new_view.view()];
+      if (new_view.view_share()) ++riding_shares[new_view.view()];
+    } else if (msg.type_id() == pacemaker::kViewMsg) {
+      ++view_msgs[static_cast<const pacemaker::ViewMsg&>(msg).view()];
     }
   }
   std::map<View, std::uint64_t> qcs;
   std::map<View, std::uint64_t> new_views;
+  std::map<View, std::uint64_t> riding_shares;
+  std::map<View, std::uint64_t> view_msgs;
 
  private:
   SendTap tap_;
@@ -123,7 +130,9 @@ TEST(SteadyStateTest, EachLeaderPairCostsOneQcBroadcastAndOneNewViewRound) {
   // Lumiere gives each leader two consecutive views. Once warmed up, the
   // first costs a NewView round, the second none (every replica enters
   // it through its proposal, which carries QC(first)); QC(second) leaves
-  // as one QcMsg broadcast. So each pair sends n-1 copies of each.
+  // as one QcMsg broadcast. So each pair sends n-1 copies of each. The
+  // view message each replica owes lead(first) rides its NewView: at most
+  // one copy leaves on its own (n-1 did when each left on its own).
   constexpr std::uint32_t kN = 31;
   ScenarioBuilder options;
   options.params(ProtocolParams::for_n(kN, Duration::millis(10)));
@@ -151,6 +160,10 @@ TEST(SteadyStateTest, EachLeaderPairCostsOneQcBroadcastAndOneNewViewRound) {
         << "QcMsg copies, views " << v << ", " << v + 1;
     EXPECT_EQ(copies_of(copies.new_views, v) + copies_of(copies.new_views, v + 1), kN - 1)
         << "NewView copies, views " << v << ", " << v + 1;
+    EXPECT_LE(copies_of(copies.view_msgs, v) + copies_of(copies.view_msgs, v + 1), 1U)
+        << "standalone ViewMsg copies, views " << v << ", " << v + 1;
+    EXPECT_EQ(copies_of(copies.riding_shares, v) + copies_of(copies.view_msgs, v), kN - 1)
+        << "view-" << v << " shares sent to lead(" << v << ")";
   }
 }
 

@@ -208,6 +208,21 @@ TEST_F(FeverVcTest, VcReachesOnlyUnheardProcesses) {
   EXPECT_EQ(harness_.sent_count(pacemaker::kVcMsg), 2U);
 }
 
+TEST_F(FeverVcTest, SharesRidingNewViewsFormTheVcAndSkipItsCopies) {
+  // A view share riding a NewView is its sender's view message: it
+  // counts toward the VC, and the VC skips its sender.
+  harness_.inject_new_view(1, kLed);
+  harness_.inject_new_view(3, kLed, /*share=*/false);
+  EXPECT_EQ(pm_.vcs_formed(), 0U) << "a bare NewView is no view message";
+  harness_.inject_new_view(2, kLed);
+  EXPECT_EQ(pm_.vcs_formed(), 1U);
+  harness_.settle();
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 1), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 2), 0U);
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 3), 1U) << "its NewView carried no share";
+  EXPECT_EQ(harness_.sent_to(pacemaker::kVcMsg, 0), 1U) << "this leader is still in view 0";
+}
+
 TEST_F(FeverVcTest, SynchronizedLeaderSendsNoVcCopy) {
   // Its own view-0 share is in; three more arrive together. The VC forms
   // at the first of them, and the other two are heard before the copies

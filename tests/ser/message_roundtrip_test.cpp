@@ -109,6 +109,35 @@ TEST_F(MessageRoundTripTest, NewView) {
   const MessagePtr with_requests = reencode(consensus::NewViewMsg(13, genesis, requests));
   ASSERT_NE(with_requests, nullptr);
   EXPECT_EQ(static_cast<const consensus::NewViewMsg&>(*with_requests).requests(), requests);
+  EXPECT_FALSE(nv.view_share().has_value());
+
+  // The sender's view share rides behind a presence byte.
+  const auto share =
+      crypto::threshold_share(auth_->signer_for(3), pacemaker::view_msg_statement(14));
+  const consensus::NewViewMsg carrying(14, genesis, requests, share);
+  std::vector<std::uint8_t> frame = MessageCodec::encode(carrying);
+  const std::size_t bare_size =
+      MessageCodec::encode(consensus::NewViewMsg(14, genesis, requests)).size();
+  EXPECT_EQ(frame.size(), bare_size + share.wire_size());
+  const MessagePtr with_share = codec_.decode(frame);
+  ASSERT_NE(with_share, nullptr);
+  const auto& decoded_share = static_cast<const consensus::NewViewMsg&>(*with_share);
+  EXPECT_EQ(decoded_share.view(), 14);
+  EXPECT_EQ(decoded_share.requests(), requests);
+  ASSERT_TRUE(decoded_share.view_share().has_value());
+  EXPECT_EQ(*decoded_share.view_share(), share);
+  EXPECT_EQ(decoded_share.wire_size(), carrying.wire_size());
+
+  // One encoding per message: a trailing byte is refused, with or without
+  // a share, and so is a presence byte other than 0 or 1.
+  frame.push_back(0);
+  EXPECT_EQ(codec_.decode(frame), nullptr);
+  std::vector<std::uint8_t> bare = MessageCodec::encode(msg);
+  bare.push_back(0);
+  EXPECT_EQ(codec_.decode(bare), nullptr);
+  bare.pop_back();
+  bare.back() = 2;
+  EXPECT_EQ(codec_.decode(bare), nullptr);
 }
 
 TEST_F(MessageRoundTripTest, PacemakerShares) {

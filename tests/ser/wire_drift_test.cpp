@@ -63,7 +63,9 @@ TEST_P(WireDriftTest, EveryRegisteredTypeMatchesItsModeledSizePlusDeclaredFold) 
       {consensus::kProposal, block_fold},
       {consensus::kVote, kPrefix},  // the attachment's prefix, like a new-view's
       {consensus::kQcAnnounce, qc_fold},
-      {consensus::kNewView, block_fold},  // the attachment's prefix, like the payload's
+      // The attachment's prefix, like the payload's, and the view share's
+      // presence byte.
+      {consensus::kNewView, block_fold + 1},
       {pacemaker::kViewMsg, 0},
       {pacemaker::kEpochViewMsg, 0},
       {pacemaker::kWishMsg, 0},

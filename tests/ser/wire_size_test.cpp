@@ -74,6 +74,10 @@ TEST_P(WireSizeAcrossN, CertificateMessagesAreKappaSized) {
   EXPECT_EQ(consensus::NewViewMsg(10, new_view.high_qc(), requests).wire_size(),
             new_view.wire_size() + requests.size());
   EXPECT_EQ(new_view.wire_size(), 8 + 2 * kKappaBytes);
+  // A view share riding a new-view costs what it costs in a view message.
+  const consensus::NewViewMsg carrying_share(10, new_view.high_qc(), {}, view_msg.share());
+  EXPECT_EQ(carrying_share.wire_size(), new_view.wire_size() + view_msg.share().wire_size());
+  EXPECT_EQ(carrying_share.wire_size() - new_view.wire_size(), view_msg.wire_size() - 8);
   EXPECT_EQ(view_msg.wire_size(), epoch_msg.wire_size());
   EXPECT_LE(view_msg.wire_size(), 8 + kKappaBytes + 4 + 8);
 }

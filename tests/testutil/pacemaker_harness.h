@@ -5,8 +5,10 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "consensus/messages.h"
 #include "crypto/authenticator.h"
 #include "pacemaker/certificates.h"
 #include "pacemaker/messages.h"
@@ -45,7 +47,18 @@ class PacemakerHarness {
       // Self-delivery per the paper's broadcast convention.
       if (pm_ != nullptr) deliver_to_self(sent_.back().msg);
     };
-    w.enter_view = [this](View v) { entered_.push_back(v); };
+    // An announced entry sends lead(v) the view-v share on its own, as a
+    // Node does when its core sends no NewView(v) (runtime::Node).
+    w.enter_view = [this](View v, bool announce) {
+      entered_.push_back(v);
+      if (!announce) return;
+      announced_.push_back(v);
+      sent_.push_back(Sent{pm_->leader_of(v),
+                           std::make_shared<pacemaker::ViewMsg>(
+                               v, crypto::threshold_share(auth_->signer_for(self_),
+                                                          pacemaker::view_msg_statement(v)))});
+      if (sent_.back().to == self_) deliver_to_self(sent_.back().msg);
+    };
     w.propose_poke = [this](View v) { pokes_.push_back(v); };
     return w;
   }
@@ -58,6 +71,18 @@ class PacemakerHarness {
     pm_->on_message(from, std::make_shared<pacemaker::ViewMsg>(
                               v, crypto::threshold_share(auth_->signer_for(from),
                                                          pacemaker::view_msg_statement(v))));
+  }
+
+  /// Hands the pacemaker a NewView(v) from `from`, as a Node does once its
+  /// core has taken it; with `share`, `from`'s view-v share rides it.
+  void inject_new_view(ProcessId from, View v, bool share = true) {
+    std::optional<crypto::PartialSig> view_share;
+    if (share) {
+      view_share =
+          crypto::threshold_share(auth_->signer_for(from), pacemaker::view_msg_statement(v));
+    }
+    const auto genesis = consensus::QuorumCert::genesis(consensus::Block::genesis().hash());
+    pm_->on_new_view(from, consensus::NewViewMsg(v, genesis, {}, view_share));
   }
 
   /// Injects an epoch-view message for view v signed by `from`.
@@ -110,6 +135,8 @@ class PacemakerHarness {
 
   [[nodiscard]] const std::vector<Sent>& sent() const { return sent_; }
   [[nodiscard]] const std::vector<View>& entered() const { return entered_; }
+  /// The entries that announced themselves with a view share.
+  [[nodiscard]] const std::vector<View>& announced() const { return announced_; }
   [[nodiscard]] const std::vector<View>& pokes() const { return pokes_; }
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] sim::LocalClock& clock() { return clock_; }
@@ -135,6 +162,7 @@ class PacemakerHarness {
   pacemaker::Pacemaker* pm_ = nullptr;
   std::vector<Sent> sent_;
   std::vector<View> entered_;
+  std::vector<View> announced_;
   std::vector<View> pokes_;
 };
 

@@ -64,7 +64,10 @@ inline std::map<std::uint32_t, MessagePtr> wire_exemplars(const crypto::Authenti
   add(std::make_shared<consensus::VoteMsg>(
       5, block_hash, crypto::threshold_share(auth.signer_for(0), vote_statement)));
   add(std::make_shared<consensus::QcMsg>(qc));
-  add(std::make_shared<consensus::NewViewMsg>(6, qc, payload));
+  // A new-view carrying the sender's view share (runtime::Node).
+  add(std::make_shared<consensus::NewViewMsg>(
+      6, qc, payload,
+      crypto::threshold_share(auth.signer_for(1), pacemaker::view_msg_statement(6))));
 
   const auto share_of = [&auth](crypto::Digest (*statement)(View), View v) {
     return crypto::threshold_share(auth.signer_for(2), statement(v));

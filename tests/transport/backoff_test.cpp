@@ -73,8 +73,8 @@ MessageCodec pacemaker_codec() {
   return codec;
 }
 
-pacemaker::ViewMsg view_msg(const crypto::Authenticator& auth, ProcessId from, View v) {
-  return pacemaker::ViewMsg(
+MessagePtr view_msg(const crypto::Authenticator& auth, ProcessId from, View v) {
+  return std::make_shared<pacemaker::ViewMsg>(
       v, crypto::threshold_share(auth.signer_for(from), pacemaker::view_msg_statement(v)));
 }
 

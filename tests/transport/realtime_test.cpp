@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -167,6 +168,42 @@ TEST(RealtimeTest, SelfCopyArrivesAtTheCurrentInstantNotInline) {
   EXPECT_EQ(static_cast<const pacemaker::ViewMsg&>(*received[0]).view(), 9);
   EXPECT_EQ(transport.endpoint().frames_sent(), 0U) << "the self-copy was framed";
   EXPECT_EQ(sim.now(), TimePoint(Duration::millis(5).ticks())) << "self-copy was delayed";
+}
+
+TEST(RealtimeTest, BroadcastCopiesShareOneEncodeUnlessALinkDelayParksOne) {
+  // Node 0 broadcasts two messages to peers 1 and 2. Undelayed, each
+  // message's two copies leave back to back from one encode. With 2's
+  // link delayed, 2's copy of the first message leaves after the second
+  // message's copies and is encoded again, and so is 2's copy of the
+  // second: send_counts() reports what the cache saved.
+  constexpr std::uint32_t kN = 3;
+  const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, kN, 1);
+  const auto share_msg = [&auth](View v) -> MessagePtr {
+    return std::make_shared<pacemaker::ViewMsg>(
+        v, crypto::threshold_share(auth->signer_for(0), pacemaker::view_msg_statement(v)));
+  };
+  for (const bool delayed : {false, true}) {
+    const auto base = static_cast<std::uint16_t>(delayed ? 23210 : 23200);
+    sim::Simulator sim;
+    TcpTransportAdapter transport(0, kN, base, full_codec());
+    transport.set_shaping(&sim, 1);
+    std::vector<std::unique_ptr<TcpEndpoint>> peers;
+    for (ProcessId id = 1; id < kN; ++id) {
+      peers.push_back(std::make_unique<TcpEndpoint>(id, kN, base, full_codec(),
+                                                    [](ProcessId, const MessagePtr&) {}));
+    }
+    if (delayed) transport.set_link_delay(2, Duration::millis(1));
+    for (const View v : {10, 20}) {
+      const MessagePtr msg = share_msg(v);
+      for (ProcessId to = 1; to < kN; ++to) transport.send(0, to, msg);
+    }
+    sim.run_until(TimePoint(Duration::millis(2).ticks()));
+    const SendCounts counts = transport.send_counts();
+    EXPECT_EQ(counts.messages, 2U);
+    EXPECT_EQ(counts.broadcasts, 2U);
+    EXPECT_EQ(counts.copies, 4U);
+    EXPECT_EQ(counts.encodes, delayed ? 4U : 2U) << (delayed ? "delayed" : "undelayed");
+  }
 }
 
 }  // namespace

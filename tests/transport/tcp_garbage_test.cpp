@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -93,7 +94,7 @@ TEST(TcpGarbageTest, RandomBytesNeverCrashAndLegitTrafficFlows) {
 
   // Legitimate traffic still flows both ways.
   const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 2, 1);
-  const pacemaker::ViewMsg msg(
+  const auto msg = std::make_shared<pacemaker::ViewMsg>(
       3, crypto::threshold_share(auth->signer_for(1), pacemaker::view_msg_statement(3)));
   eps[1]->send(0, msg);
   eps[0]->send(1, msg);

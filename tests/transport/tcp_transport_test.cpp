@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "consensus/messages.h"
@@ -41,7 +42,7 @@ TEST(TcpTransportTest, PointToPointDelivery) {
         }));
   }
   const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 2, 1);
-  const pacemaker::ViewMsg msg(
+  const auto msg = std::make_shared<pacemaker::ViewMsg>(
       7, crypto::threshold_share(auth->signer_for(0), pacemaker::view_msg_statement(7)));
   eps[0]->send(1, msg);
   pump_all(eps, 20);
@@ -59,7 +60,7 @@ TEST(TcpTransportTest, BroadcastIncludesSelf) {
         [&counts, id](ProcessId, const MessagePtr&) { ++counts[id]; }));
   }
   const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 3, 1);
-  const pacemaker::EpochViewMsg msg(
+  const auto msg = std::make_shared<pacemaker::EpochViewMsg>(
       0, crypto::threshold_share(auth->signer_for(2), pacemaker::epoch_msg_statement(0)));
   for (ProcessId to = 0; to < 3; ++to) eps[2]->send(to, msg);
   pump_all(eps, 20);
@@ -114,7 +115,7 @@ TEST(TcpTransportTest, LargeMessageSurvivesFraming) {
   }
   const auto genesis = consensus::QuorumCert::genesis(consensus::Block::genesis().hash());
   const std::vector<std::uint8_t> big(50'000, 0x5A);
-  const consensus::ProposalMsg msg(consensus::Block(1, big, genesis));
+  const auto msg = std::make_shared<consensus::ProposalMsg>(consensus::Block(1, big, genesis));
   eps[0]->send(1, msg);
   pump_all(eps, 100);
   ASSERT_EQ(payload_sizes.size(), 1U);
@@ -133,7 +134,7 @@ TEST(TcpTransportTest, ManyFramesInOrder) {
   }
   const auto auth = crypto::make_authenticator(crypto::kDefaultScheme, 2, 1);
   for (View v = 0; v < 200; ++v) {
-    eps[0]->send(1, pacemaker::ViewMsg(
+    eps[0]->send(1, std::make_shared<pacemaker::ViewMsg>(
                         v, crypto::threshold_share(auth->signer_for(0),
                                                    pacemaker::view_msg_statement(v))));
   }
@@ -160,8 +161,9 @@ TEST(TcpTransportTest, BytesSentCountsHeaderPlusEncodedBody) {
   for (ProcessId id = 0; id < 3; ++id) {
     agg.add(crypto::threshold_share(auth->signer_for(id), statement));
   }
-  const consensus::QcMsg qc(consensus::QuorumCert(4, hash, agg.aggregate()));
-  const pacemaker::ViewMsg view(
+  const auto qc =
+      std::make_shared<consensus::QcMsg>(consensus::QuorumCert(4, hash, agg.aggregate()));
+  const auto view = std::make_shared<pacemaker::ViewMsg>(
       5, crypto::threshold_share(auth->signer_for(0), pacemaker::view_msg_statement(5)));
 
   EXPECT_EQ(eps[0]->bytes_sent(), 0U);
@@ -170,8 +172,8 @@ TEST(TcpTransportTest, BytesSentCountsHeaderPlusEncodedBody) {
   for (ProcessId to = 0; to < 3; ++to) eps[0]->send(to, qc);  // two peers plus self
   pump_all(eps, 20);
   EXPECT_EQ(delivered, 5);
-  const std::size_t view_frame = 8 + MessageCodec::encode(view).size();
-  const std::size_t qc_frame = 8 + MessageCodec::encode(qc).size();
+  const std::size_t view_frame = 8 + MessageCodec::encode(*view).size();
+  const std::size_t qc_frame = 8 + MessageCodec::encode(*qc).size();
   EXPECT_EQ(eps[0]->bytes_sent(), view_frame + 3 * qc_frame);
   EXPECT_EQ(eps[0]->frames_sent(), 5U);
   EXPECT_EQ(eps[1]->bytes_sent(), 0U);
